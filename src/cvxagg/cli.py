@@ -1,16 +1,15 @@
 """Command-line entry point: solve, sparsify, rates, isomorphism, experiment.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (non-convergence or
-an incomplete experiment).  All randomness flows from explicit seed flags, so
-identical invocations produce identical bytes; --jobs never changes output.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (non-convergence, an
+incomplete experiment, or a failed ERM implication in an isomorphism check).
+All randomness flows from explicit seed flags, so identical invocations produce
+identical bytes; experiment's --jobs never changes output.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import math
 import sys
 
 from . import csvio, localization, sparsify
@@ -75,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     iso.add_argument("--num-segments", type=int, default=10)
     iso.add_argument("--reps", type=int, default=500)
     iso.add_argument("--seed", type=int, default=0)
-    iso.add_argument("--jobs", type=int, default=1)
     iso.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="run a rate experiment grid from a JSON config")
@@ -150,49 +148,26 @@ def _cmd_isomorphism(args) -> int:
             seed=args.seed + 1,
             num_net_functions=args.num_functions,
         )
-    lines = ["x,c0,violations,trials,violation_rate,bound,gamma"]
+    lines = [
+        "x,c0,violations,trials,violation_rate,bound,gamma,"
+        "erm_checked,erm_implication_failures,resolution_limited"
+    ]
+    failures = 0
     for x in args.x:
-        chunks = _split_reps(args.reps, args.jobs)
-        offsets = [sum(chunks[:i]) for i in range(len(chunks))]
-        tasks = [
-            (segments, problem, args.n, x, c0, chunk, args.seed, args.num_functions, offset)
-            for chunk, offset in zip(chunks, offsets)
-        ]
-        if args.jobs > 1 and len(tasks) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_isomorphism_chunk, tasks))
-        else:
-            reports = [_isomorphism_chunk(t) for t in tasks]
-        total_viol = sum(r.violations for r in reports)
-        gamma_level = reports[0].gamma_or_rho
-        rate = total_viol / args.reps
+        report = localization.isomorphism_check(
+            segments, problem, args.n, x, c0, reps=args.reps, seed=args.seed, num_net_functions=args.num_functions
+        )
+        failures += report.erm_implication_failures
         lines.append(
-            f"{x!r},{c0!r},{total_viol},{args.reps},{rate!r},{4.0 * math.exp(-x)!r},{gamma_level!r}"
+            f"{x!r},{c0!r},{report.violations},{report.trials},{report.violation_rate!r},{report.bound!r},"
+            f"{report.gamma_or_rho!r},{report.erm_checked},{report.erm_implication_failures},"
+            f"{int(report.resolution_limited)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
+    if failures:
+        print(f"ERM implication failed on {failures} non-violating datasets", file=sys.stderr)
+        return 2
     return 0
-
-
-def _isomorphism_chunk(task):
-    segments, problem, n, x, c0, reps, seed, num_functions, offset = task
-    return localization.isomorphism_check(
-        segments,
-        problem,
-        n,
-        x,
-        c0,
-        reps=reps,
-        seed=seed,
-        num_net_functions=num_functions,
-        rep_offset=offset,
-    )
-
-
-def _split_reps(reps: int, jobs: int) -> list[int]:
-    jobs = max(1, jobs)
-    base = reps // jobs
-    sizes = [base + (1 if i < reps % jobs else 0) for i in range(jobs)]
-    return [s for s in sizes if s > 0]
 
 
 def _cmd_experiment(args) -> int:

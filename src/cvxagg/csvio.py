@@ -38,6 +38,15 @@ def _read_rows(path, expected_header) -> list[list[str]]:
     return rows
 
 
+def _index_order(path, column: str, values) -> np.ndarray:
+    """Row order that sorts an index column, which must hold exactly 0..K-1."""
+    indices = np.array([int(v) for v in values])
+    order = np.argsort(indices, kind="stable")
+    if not np.array_equal(indices[order], np.arange(indices.size)):
+        raise ValueError(f"{path}: {column} values must be exactly 0..{indices.size - 1}")
+    return order
+
+
 def write_problem(problem: DiscreteProblem, path) -> None:
     _write_rows(
         path,
@@ -81,7 +90,7 @@ def read_dictionary(path) -> Dictionary:
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    order = np.argsort([int(r[0]) for r in rows])
+    order = _index_order(path, "x_index", (r[0] for r in rows))
     table = np.array([[float(v) for v in rows[i][1:]] for i in order])
     return Dictionary(table.T)
 
@@ -119,5 +128,5 @@ def write_weights(weights: SimplexWeights, path) -> None:
 
 def read_weights(path) -> SimplexWeights:
     rows = _read_rows(path, ["index", "weight"])
-    order = np.argsort([int(r[0]) for r in rows])
+    order = _index_order(path, "index", (r[0] for r in rows))
     return SimplexWeights(np.array([float(rows[i][1]) for i in order]))

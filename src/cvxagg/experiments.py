@@ -383,7 +383,11 @@ def load_config(path) -> ExperimentConfig:
     if "grid" in kwargs:
         kwargs["grid"] = tuple((int(n), int(M)) for n, M in kwargs["grid"])
     if "solver" in kwargs:
-        kwargs["solver"] = SolverConfig(**kwargs["solver"])
+        solver = dict(kwargs["solver"])
+        # configs written before ties were fixed to the lowest index carry this key
+        if solver.pop("tie_break", "lowest-index") != "lowest-index":
+            raise ValueError("only the lowest-index tie break is supported")
+        kwargs["solver"] = SolverConfig(**solver)
     return ExperimentConfig(**kwargs)
 
 

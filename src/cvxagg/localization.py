@@ -8,8 +8,10 @@ star hull of a class G scales members by alpha in [0, 1]; its localized set
 keeps only scalings with P(alpha h) <= lambda.
 
 Segment excess-loss classes are one-parameter families whose population and
-empirical means are quadratics in theta, so per-dataset suprema are computed
-from closed-form critical points plus a dense theta grid as a safeguard.
+empirical means are quadratics in theta.  Every supremum over theta in [0, 1]
+used here is of a piecewise quadratic or rational function, so it is attained
+at 0, 1, or a closed-form breakpoint or stationary point; the suprema are
+evaluated exactly on those candidates, for all datasets and segments at once.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .solver import erm_segment
 SEGMENT_KIND = "segment-excess-loss"
 SPAN_KIND = "span-ball"
 CUSTOM_KIND = "custom-enumerated"
-
-DEFAULT_THETA_GRID = 10_001
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,72 +70,88 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), int(rep)]))
 
 
-def _segment_loss_basis(segment: Segment, problem: DiscreteProblem):
+def _rep_counts(probs: np.ndarray, n: int, reps: int, seed: int, rep_offset: int = 0) -> np.ndarray:
+    """Sampled atom counts, shape (reps, atoms); row r from the (seed, rep_offset + r) stream."""
+    return np.array([_rep_rng(seed, rep_offset + rep).multinomial(n, probs) for rep in range(reps)])
+
+
+def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarray:
     """Atom-wise quadratic basis of the excess loss along the segment.
 
     With g_theta = g_j + theta (g_i - g_j) and g_star the population segment
     minimizer, the excess loss at an atom is a(z) theta^2 + b(z) theta + c(z).
+    Returns the coefficients (a, b, c) on the last axis, shape (atoms, 3).
     """
     _, g_star = erm_segment(segment, problem)
     x = problem.x_indices
     y = problem.y_values
     u = segment.endpoint_j[x]
     v = (segment.endpoint_i - segment.endpoint_j)[x]
-    a = v * v
-    b = -2.0 * v * (y - u)
-    c = (y - u) ** 2 - (y - g_star[x]) ** 2
-    return a, b, c
+    return np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
 
 
-def _real_roots_quadratic(a: float, b: float, c: float) -> list[float]:
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)]
+def _segment_coefficients(segments, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int = 0):
+    """Excess-loss quadratics: population, shape (segments, 3), and empirical
+    on reps size-n datasets from _rep_counts, shape (reps, segments, 3).
+    """
+    basis = np.stack([_segment_loss_basis(seg, problem) for seg in segments], axis=1)
+    counts = _rep_counts(problem.probabilities, n, reps, seed, rep_offset)
+    return np.tensordot(problem.probabilities, basis, axes=1), np.tensordot(counts, basis, axes=1) / n
 
 
-def _poly_eval(coeffs: tuple[float, float, float], theta: np.ndarray) -> np.ndarray:
-    a, b, c = coeffs
+def _poly(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Quadratics q[..., (a, b, c)] at theta[..., k]."""
+    a, b, c = (q[..., i, None] for i in range(3))
     return (a * theta + b) * theta + c
 
 
-def _candidate_thetas(extra, grid_size: int) -> np.ndarray:
-    pts = list(np.linspace(0.0, 1.0, grid_size))
-    for t in extra:
-        if np.isfinite(t) and 0.0 <= t <= 1.0:
-            pts.append(float(t))
-    return np.asarray(pts)
+def _points(q: np.ndarray) -> np.ndarray:
+    """Vertex and real roots of the quadratics q[..., (a, b, c)], shape (..., 3).
+
+    A point that does not exist (no vertex of a line, complex roots, the
+    second root of a line) is NaN or infinite.
+    """
+    a, b, c = np.moveaxis(q, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(b * b - 4.0 * a * c)
+        lo = np.where(a == 0.0, -c / b, (-b - root) / (2.0 * a))
+        hi = np.where(a == 0.0, np.nan, (-b + root) / (2.0 * a))
+        return np.stack([-b / (2.0 * a), lo, hi], axis=-1)
 
 
-def _segment_star_sup(pop, diff, level: float, grid_size: int) -> float:
-    """sup over theta, alpha of alpha |D(theta)| with alpha P L <= level.
+def _candidates(*points: np.ndarray) -> np.ndarray:
+    """theta in {0, 1} plus every listed point in [0, 1]; the rest become NaN.
+
+    points are arrays (..., k) whose leading axes broadcast together.  Every
+    candidate lies in [0, 1], so a max over candidates never exceeds the
+    supremum over [0, 1]; NaN candidates are skipped by np.fmax.
+    """
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in points))
+    pts = np.concatenate(
+        [np.broadcast_to([0.0, 1.0], lead + (2,))] + [np.broadcast_to(p, lead + p.shape[-1:]) for p in points],
+        axis=-1,
+    )
+    return np.where((pts >= 0.0) & (pts <= 1.0), pts, np.nan)
+
+
+def _max(values: np.ndarray) -> np.ndarray:
+    """Max over the candidate axis, skipping NaN candidates."""
+    return np.fmax.reduce(values, axis=-1)
+
+
+def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:
+    """sup over theta, alpha of alpha |D(theta)| with alpha PL(theta) <= level.
 
     pop = coefficients of P L_theta, diff = coefficients of (P - P_n) L_theta.
-    The optimal alpha is min(1, level / P L); the objective is piecewise
-    rational, so the exact extrema are among the polynomial critical points,
-    augmented with a dense grid.
+    The optimal alpha is min(1, level / PL).  Where PL <= level the objective
+    |D| peaks at the vertex of D or a root of PL - level; elsewhere it is
+    level |D| / PL, stationary at the roots of the numerator of (D / PL)',
+    whose cubic term cancels.
     """
-    pa, pb, pc = pop
-    da, db, dc = diff
-    extra = []
-    if da != 0.0:
-        extra.append(-db / (2.0 * da))
-    extra.extend(_real_roots_quadratic(da, db, dc))
-    extra.extend(_real_roots_quadratic(pa, pb, pc - level))
-    if pa != 0.0:
-        extra.append(-pb / (2.0 * pa))
-    # interior critical points of D / PL on the capped region
-    num = np.polysub(np.polymul([2.0 * da, db], [pa, pb, pc]), np.polymul([da, db, dc], [2.0 * pa, pb]))
-    if np.any(num != 0.0):
-        extra.extend(r.real for r in np.roots(num) if abs(r.imag) < 1e-9)
-    theta = _candidate_thetas(extra, grid_size)
-    pl = _poly_eval(pop, theta)
-    d = np.abs(_poly_eval(diff, theta))
-    alpha = np.where(pl > level, level / np.where(pl > level, pl, 1.0), 1.0)
-    return float(np.max(alpha * d))
+    (pa, pb, pc), (da, db, dc) = np.moveaxis(pop, -1, 0), np.moveaxis(diff, -1, 0)
+    ratio = np.stack([da * pb - db * pa, 2.0 * (da * pc - dc * pa), db * pc - dc * pb], axis=-1)
+    theta = _candidates(_points(diff), _points(pop - [0.0, 0.0, level]), _points(ratio))
+    return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
 
 
 def _span_basis(dictionary: Dictionary, problem: DiscreteProblem, rel_tol: float = 1e-12):
@@ -165,7 +181,6 @@ def localized_sup(
     n: int,
     reps: int,
     seed: int,
-    theta_grid: int = DEFAULT_THETA_GRID,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E sup |(P - P_n) h| over the localized star hull.
 
@@ -180,35 +195,23 @@ def localized_sup(
         raise ValueError("n must be at least 1")
     probs = problem.probabilities
     level = cls.level_lambda
-    sups = np.empty(reps)
 
     if cls.kind == SEGMENT_KIND:
-        a, b, c = _segment_loss_basis(cls.segment, problem)
-        pop = (float(probs @ a), float(probs @ b), float(probs @ c))
-        for rep in range(reps):
-            counts = _rep_rng(seed, rep).multinomial(n, probs)
-            emp = (float(counts @ a) / n, float(counts @ b) / n, float(counts @ c) / n)
-            diff = (pop[0] - emp[0], pop[1] - emp[1], pop[2] - emp[2])
-            sups[rep] = _segment_star_sup(pop, diff, level, theta_grid)
+        pop, emp = _segment_coefficients([cls.segment], problem, n, reps, seed)
+        sups = _segment_star_sup(pop, pop - emp, level)[:, 0]
     elif cls.kind == SPAN_KIND:
         basis = _span_basis(cls.dictionary, problem)
         atom_vals = basis[:, problem.x_indices] if basis.size else np.zeros((0, probs.size))
-        root_level = math.sqrt(level)
-        for rep in range(reps):
-            counts = _rep_rng(seed, rep).multinomial(n, probs)
-            delta = probs - counts / n
-            v = atom_vals @ delta
-            sups[rep] = root_level * float(np.linalg.norm(v))
+        delta = probs - _rep_counts(probs, n, reps, seed) / n
+        sups = math.sqrt(level) * np.linalg.norm(delta @ atom_vals.T, axis=1)
     else:
         H = np.vstack(cls.functions)
         if H.shape[1] != probs.size:
             raise ValueError("enumerated functions must be tabulated on the problem atoms")
         ph = H @ probs
         cap = np.where(ph > 0, np.minimum(1.0, level / np.where(ph > 0, ph, 1.0)), 1.0)
-        for rep in range(reps):
-            counts = _rep_rng(seed, rep).multinomial(n, probs)
-            delta = probs - counts / n
-            sups[rep] = float(np.max(cap * np.abs(H @ delta)))
+        delta = probs - _rep_counts(probs, n, reps, seed) / n
+        sups = np.max(cap * np.abs(delta @ H.T), axis=1)
 
     estimate = float(np.mean(sups))
     std_error = float(np.std(sups, ddof=1) / math.sqrt(reps))
@@ -350,57 +353,32 @@ class IsomorphismReport:
         return (max(0.0, self.violation_rate - half), min(1.0, self.violation_rate + half))
 
 
-def _max_deficit(pop, diff, level: float, grid_size: int) -> float:
-    """sup over theta of |D(theta)| - max(PL(theta), level) / 2."""
-    pa, pb, pc = pop
-    da, db, dc = diff
-    extra = []
-    if da != 0.0:
-        extra.append(-db / (2.0 * da))
-    extra.extend(_real_roots_quadratic(da, db, dc))
-    extra.extend(_real_roots_quadratic(pa, pb, pc - level))
-    if pa != 0.0:
-        extra.append(-pb / (2.0 * pa))
-    # stationary points of |D| - PL/2 on each sign branch of D
-    for sign in (1.0, -1.0):
-        denom = 2.0 * sign * da - pa
-        if denom != 0.0:
-            extra.append((pb / 2.0 - sign * db) / denom)
-    theta = _candidate_thetas(extra, grid_size)
-    pl = _poly_eval(pop, theta)
-    d = np.abs(_poly_eval(diff, theta))
-    return float(np.max(d - 0.5 * np.maximum(pl, level)))
+def _max_deficit(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:
+    """sup over theta of |D(theta)| - max(PL(theta), level) / 2.
+
+    The function is quadratic between the roots of D and of PL - level; on each
+    piece it peaks at an end, the vertex of D, or a vertex of +-2D - PL.
+    """
+    theta = _candidates(
+        _points(diff), _points(pop - [0.0, 0.0, level]), _points(2.0 * diff - pop), _points(-2.0 * diff - pop)
+    )
+    return _max(np.abs(_poly(diff, theta)) - 0.5 * np.maximum(_poly(pop, theta), level))
 
 
-def _needed_level(pop, diff, grid_size: int) -> float:
+def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Smallest level that avoids violation on this segment and dataset.
 
     The deviation |D| must exceed both PL/2 and level/2 to violate, so the
-    needed level is the sup of 2|D| over the region {|D| > PL/2}.
+    needed level is the sup of 2|D| over the closed region {|D| >= PL/2}: at
+    0, 1, the vertex of D, or a root of D -+ PL/2 on the region's boundary.
     """
-    pa, pb, pc = pop
-    da, db, dc = diff
-    extra = []
-    if da != 0.0:
-        extra.append(-db / (2.0 * da))
-    extra.extend(_real_roots_quadratic(da, db, dc))
-    extra.extend(_real_roots_quadratic(da - pa / 2.0, db - pb / 2.0, dc - pc / 2.0))
-    extra.extend(_real_roots_quadratic(da + pa / 2.0, db + pb / 2.0, dc + pc / 2.0))
-    theta = _candidate_thetas(extra, grid_size)
-    pl = _poly_eval(pop, theta)
-    d = np.abs(_poly_eval(diff, theta))
-    needed = np.where(d >= 0.5 * pl, 2.0 * d, 0.0)
-    return float(np.max(needed))
-
-
-def _segment_tables(segments, problem):
-    tables = []
-    for seg in segments:
-        a, b, c = _segment_loss_basis(seg, problem)
-        probs = problem.probabilities
-        pop = (float(probs @ a), float(probs @ b), float(probs @ c))
-        tables.append((np.vstack([a, b, c]), pop))
-    return tables
+    edges = np.concatenate([_points(diff - 0.5 * pop)[..., 1:], _points(diff + 0.5 * pop)[..., 1:]], axis=-1)
+    theta = _candidates(_points(diff)[..., :1], edges)
+    d = np.abs(_poly(diff, theta))
+    member = d >= 0.5 * _poly(pop, theta)
+    # the roots are region members even where rounding puts |D| an ulp below PL/2
+    member[..., -edges.shape[-1]:] = True
+    return _max(np.where(member, 2.0 * d, 0.0))
 
 
 def isomorphism_check(
@@ -412,18 +390,18 @@ def isomorphism_check(
     reps: int,
     seed: int,
     num_net_functions: int | None = None,
-    theta_grid: int = DEFAULT_THETA_GRID,
     rep_offset: int = 0,
 ) -> IsomorphismReport:
     """Monte Carlo check of the two-sided comparison over a family of segments.
 
     Each replication draws a fresh size-n dataset, computes the exact
     population and empirical excess-loss quadratics for every segment, and
-    looks for any theta violating |P L - P_n L| <= max(P L, gamma)/2 through
-    closed-form critical points plus a theta grid.  On non-violating datasets
-    the empirical segment minimizer's population excess is compared to gamma.
-    Replication r uses the stream derived from (seed, rep_offset + r), so a
-    run may be split into chunks without changing its outcome.
+    looks for any theta violating |P L - P_n L| <= max(P L, gamma)/2, exactly,
+    over the breakpoints and stationary points of the deficit.  On
+    non-violating datasets the empirical segment minimizer's population excess
+    is compared to gamma.  Replication r uses the stream derived from
+    (seed, rep_offset + r), so a run may be split into chunks without changing
+    its outcome.
     """
     segments = list(segments)
     if not segments:
@@ -432,30 +410,15 @@ def isomorphism_check(
         raise ValueError("reps must be at least 1")
     N = num_net_functions if num_net_functions is not None else len(segments)
     level = gamma(x, problem.bound_b, N, n, c0)
-    tables = _segment_tables(segments, problem)
-    probs = problem.probabilities
+    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
 
-    violations = 0
-    erm_checked = 0
-    erm_failures = 0
-    for rep in range(reps):
-        counts = _rep_rng(seed, rep_offset + rep).multinomial(n, probs)
-        violated = False
-        max_erm_excess = 0.0
-        for basis, pop in tables:
-            emp = (basis @ counts) / n
-            diff = (pop[0] - emp[0], pop[1] - emp[1], pop[2] - emp[2])
-            if _max_deficit(pop, (float(diff[0]), float(diff[1]), float(diff[2])), level, theta_grid) > 0.0:
-                violated = True
-            ea, eb = float(emp[0]), float(emp[1])
-            theta_hat = 0.0 if ea <= 0.0 else min(1.0, max(0.0, -eb / (2.0 * ea)))
-            max_erm_excess = max(max_erm_excess, _poly_eval(pop, np.array([theta_hat]))[0])
-        if violated:
-            violations += 1
-        else:
-            erm_checked += 1
-            if max_erm_excess > level + 1e-12:
-                erm_failures += 1
+    violated = np.any(_max_deficit(pop, pop - emp, level) > 0.0, axis=1)
+    ea, eb = emp[..., 0], emp[..., 1]
+    theta_hat = np.where(ea > 0.0, np.clip(-eb / (2.0 * np.where(ea > 0.0, ea, 1.0)), 0.0, 1.0), 0.0)
+    erm_excess = np.max(_poly(pop, theta_hat[..., None])[..., 0], axis=1)
+    violations = int(np.count_nonzero(violated))
+    erm_checked = reps - violations
+    erm_failures = int(np.count_nonzero(~violated & (erm_excess > level + 1e-12)))
     bound = 4.0 * math.exp(-x)
     return IsomorphismReport(
         x=float(x),
@@ -480,7 +443,6 @@ def calibrate_c0(
     seed: int,
     num_net_functions: int | None = None,
     target_scale: float = 1.0,
-    theta_grid: int = DEFAULT_THETA_GRID,
 ) -> float:
     """Smallest c0 whose level keeps the violation rate at or below the target.
 
@@ -498,19 +460,8 @@ def calibrate_c0(
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
     N = num_net_functions if num_net_functions is not None else len(segments)
-    tables = _segment_tables(segments, problem)
-    probs = problem.probabilities
-
-    needed = np.empty(reps)
-    for rep in range(reps):
-        counts = _rep_rng(seed, rep).multinomial(n, probs)
-        worst = 0.0
-        for basis, pop in tables:
-            emp = (basis @ counts) / n
-            diff = (float(pop[0] - emp[0]), float(pop[1] - emp[1]), float(pop[2] - emp[2]))
-            worst = max(worst, _needed_level(pop, diff, theta_grid))
-        needed[rep] = worst
-    order = np.sort(needed)[::-1]
+    pop, emp = _segment_coefficients(segments, problem, n, reps, seed)
+    order = np.sort(np.max(_needed_level(pop, pop - emp), axis=1))[::-1]
 
     b2 = problem.bound_b**2
     c0 = 0.0

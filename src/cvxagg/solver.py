@@ -28,15 +28,12 @@ class SolverConfig:
 
     max_iterations: int = 100_000
     tolerance: float = 1e-8
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only the lowest-index tie break is supported")
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,12 +126,12 @@ def empirical_sparsified_identity(
     """Both sides of the empirical sparsification identity.
 
     lhs: expectation over the m draws of the empirical risk of their average,
-    computed by enumerating multisets with multinomial weights (when the net
-    fits under the cap; otherwise the identity value is used).
+    computed by enumerating multisets with multinomial weights.
     rhs: R_n(f_w) + (1/m) * mean_i Var_J f_J(x_i).
 
     The two sides agree to 1e-12 by construction; a mismatch indicates a
-    numerical fault and raises.
+    numerical fault and raises.  A net larger than cap cannot be enumerated,
+    so the check cannot be made and ValueError is raised.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -140,6 +140,9 @@ def empirical_sparsified_identity(
     weights = w.weights
     if weights.size != M:
         raise ValueError("weight length does not match dictionary size")
+    total = math.comb(M + m - 1, m)
+    if total > cap:
+        raise ValueError(f"net has {total} elements, above the enumeration cap {cap}")
 
     base = empirical_risk(combine(dictionary, w), samples)
     s1 = weights @ vals
@@ -148,20 +151,16 @@ def empirical_sparsified_identity(
     correction = float(np.mean(per_x[samples.x_indices])) / m
     rhs = base + correction
 
-    total = math.comb(M + m - 1, m)
-    if total <= cap:
-        log_w = np.full(M, -np.inf)
-        pos = weights > 0
-        log_w[pos] = np.log(weights[pos])
-        lhs = 0.0
-        for indices in itertools.combinations_with_replacement(range(M), m):
-            counts = np.bincount(indices, minlength=M)
-            if np.any(counts[~pos] > 0):
-                continue
-            prob = math.exp(_multiset_log_prob(counts, log_w, m))
-            lhs += prob * empirical_risk(combine(dictionary, counts / m), samples)
-    else:
-        lhs = rhs
+    log_w = np.full(M, -np.inf)
+    pos = weights > 0
+    log_w[pos] = np.log(weights[pos])
+    lhs = 0.0
+    for indices in itertools.combinations_with_replacement(range(M), m):
+        counts = np.bincount(indices, minlength=M)
+        if np.any(counts[~pos] > 0):
+            continue
+        prob = math.exp(_multiset_log_prob(counts, log_w, m))
+        lhs += prob * empirical_risk(combine(dictionary, counts / m), samples)
 
     scale = 1.0 + abs(rhs)
     if abs(lhs - rhs) > 1e-12 * scale:

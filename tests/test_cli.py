@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvxagg import csvio
+import cvxagg
+from cvxagg import csvio, localization
 from cvxagg.cli import main
 from cvxagg.experiments import ExperimentConfig, make_problem, save_config
+from cvxagg.localization import IsomorphismReport
 from cvxagg.model import SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
 
@@ -45,6 +49,22 @@ def test_csv_round_trips(workspace):
     assert np.array_equal(draws.y_values, ref_draws.y_values)
     assert draws.seed == 4
     assert weights.weights == pytest.approx([0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (csvio.read_dictionary, "x_index,f0\n0,0.1\n2,0.2\n"),
+        (csvio.read_dictionary, "x_index,f0\n0,0.1\n0,0.2\n"),
+        (csvio.read_weights, "index,weight\n0,0.5\n5,0.5\n"),
+    ],
+    ids=["dictionary-gap", "dictionary-duplicate", "weights-gap"],
+)
+def test_csv_readers_reject_bad_indices(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="0..1"):
+        reader(path)
 
 
 def test_rates_subcommand(capsys):
@@ -156,37 +176,47 @@ def test_isomorphism_subcommand(workspace, capsys):
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "x,c0,violations,trials,violation_rate,bound,gamma"
+    assert lines[0] == (
+        "x,c0,violations,trials,violation_rate,bound,gamma,"
+        "erm_checked,erm_implication_failures,resolution_limited"
+    )
     assert len(lines) == 3
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert int(fields[2]) + int(fields[7]) == 20
+        assert fields[8] == "0" and fields[9] == "0"
 
 
-def test_isomorphism_jobs_invariant(workspace, capsys):
-    args = [
-        "isomorphism",
-        "--problem",
-        str(workspace["problem"]),
-        "--dict",
-        str(workspace["dict"]),
-        "--n",
-        "64",
-        "--x",
-        "1",
-        "--c0",
-        "1.0",
-        "--num-functions",
-        "4",
-        "--num-segments",
-        "4",
-        "--reps",
-        "15",
-        "--seed",
-        "3",
-    ]
-    assert main(args + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "4"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):
+    failing = IsomorphismReport(
+        x=1.0, trials=5, violations=1, bound=1.0, gamma_or_rho=0.1, erm_checked=4, erm_implication_failures=2
+    )
+    monkeypatch.setattr(localization, "isomorphism_check", lambda *args, **kwargs: failing)
+    code = main(
+        [
+            "isomorphism",
+            "--problem",
+            str(workspace["problem"]),
+            "--dict",
+            str(workspace["dict"]),
+            "--n",
+            "64",
+            "--x",
+            "1",
+            "--c0",
+            "2.0",
+            "--num-functions",
+            "4",
+            "--num-segments",
+            "4",
+            "--reps",
+            "5",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[1].endswith(",4,2,0")
+    assert "ERM implication" in captured.err
 
 
 def test_experiment_subcommand(workspace, capsys):
@@ -204,10 +234,13 @@ def test_experiment_subcommand(workspace, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the cvxagg this test imported, installed or not
+    src = str(Path(cvxagg.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cvxagg", "rates", "--n-grid", "64", "--m-grid", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("n,M,psi,phi,regime")

@@ -164,6 +164,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+def test_config_loads_legacy_tie_break(tmp_path):
+    path = tmp_path / "legacy.json"
+    solver = {"max_iterations": 500, "tolerance": 1e-9, "tie_break": "lowest-index"}
+    path.write_text(json.dumps({"grid": [[64, 2]], "solver": solver}))
+    assert load_config(path).solver == SolverConfig(max_iterations=500, tolerance=1e-9)
+    path.write_text(json.dumps({"grid": [[64, 2]], "solver": dict(solver, tie_break="random")}))
+    with pytest.raises(ValueError):
+        load_config(path)
+
+
 def test_trial_record_fields_in_order():
     record = TrialRecord(n=64, M=2, replication=0, excess_risk=0.1, oracle_risk=0.2, seed=3)
     assert list(record.__dataclass_fields__) == [

@@ -6,6 +6,10 @@ import pytest
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
+    _max_deficit,
+    _needed_level,
+    _segment_coefficients,
+    _segment_star_sup,
     LocalizedClass,
     calibrate_c0,
     enumerated_class,
@@ -248,6 +252,51 @@ def test_calibrate_c0_meets_targets_on_calibration_data():
     for x in xs:
         report = isomorphism_check(segments, problem, n=128, x=x, c0=c0, reps=300, seed=53)
         assert report.violation_rate <= min(1.0, 4 * math.exp(-x)) + 1e-12
+
+
+def test_segment_evaluators_match_a_fine_grid():
+    # criterion-8 fixture: 20 datasets x 10 segments, against a 200 001-point
+    # theta grid; each exact value lies between the grid max and the grid max
+    # plus spacing x a Lipschitz bound of its objective (for the needed level,
+    # of 2|D| on its region)
+    problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
+    segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
+    pop, emp = _segment_coefficients(segments, problem, n=256, reps=20, seed=90)
+    # plus one pair, D = theta and PL = theta^2 + 0.01, whose star sup at a
+    # level below min PL sits at the stationary point theta = 0.1 of |D| / PL
+    diff = np.vstack([(pop - emp).reshape(-1, 3), [0.0, 1.0, 0.0]])
+    pop = np.vstack([np.broadcast_to(pop, emp.shape).reshape(-1, 3), [1.0, 0.0, 0.01]])
+    pairs = diff.shape[0]
+    theta = np.linspace(0.0, 1.0, 200_001)
+    spacing = theta[1]
+    slope_d = 2.0 * np.abs(diff[:, 0]) + np.abs(diff[:, 1])
+    slope_p = 2.0 * np.abs(pop[:, 0]) + np.abs(pop[:, 1])
+    size_d = np.abs(diff).sum(axis=1)
+    levels = (0.005, 0.05, 0.2)
+
+    exact = {("needed", None): _needed_level(pop, diff)}
+    lipschitz = {("needed", None): 2.0 * slope_d}
+    for level in levels:
+        exact["star", level] = _segment_star_sup(pop, diff, level)
+        exact["deficit", level] = _max_deficit(pop, diff, level)
+        lipschitz["star", level] = slope_d + size_d * slope_p / level
+        lipschitz["deficit", level] = slope_d + 0.5 * slope_p
+    assert all(v.shape == (pairs,) for v in exact.values())
+    assert np.any(exact["deficit", 0.05] > 0.0) and np.any(exact["deficit", 0.05] < 0.0)
+    assert exact["star", 0.005][-1] == pytest.approx(0.005 * 0.1 / 0.02)
+
+    grid = {key: np.empty(pairs) for key in exact}
+    for start in range(0, pairs, 10):
+        rows = slice(start, start + 10)
+        pl = np.polynomial.polynomial.polyval(theta, pop[rows, ::-1].T)
+        d = np.abs(np.polynomial.polynomial.polyval(theta, diff[rows, ::-1].T))
+        grid["needed", None][rows] = np.max(np.where(d >= 0.5 * pl, 2.0 * d, 0.0), axis=1)
+        for level in levels:
+            grid["star", level][rows] = np.max(np.minimum(1.0, level / np.maximum(pl, level)) * d, axis=1)
+            grid["deficit", level][rows] = np.max(d - 0.5 * np.maximum(pl, level), axis=1)
+    for key, value in exact.items():
+        assert np.all(value >= grid[key] - 1e-14), key
+        assert np.all(value <= grid[key] + spacing * lipschitz[key]), key
 
 
 def test_random_net_segments_deterministic():

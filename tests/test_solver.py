@@ -26,8 +26,6 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tie_break="random")
 
 
 def test_erm_hull_clamped_mean_example():

@@ -226,3 +226,15 @@ def test_empirical_identity_random_instances():
         w = random_weights(rng, 3)
         lhs, rhs = empirical_sparsified_identity(w, 3, d, s)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_empirical_identity_rejects_net_above_cap():
+    rng = np.random.default_rng(19)
+    p = random_problem(rng, K=3)
+    d = random_dictionary(rng, M=3, K=3)
+    s = sample(p, 10, seed=2)
+    w = random_weights(rng, 3)
+    # C(3 + 3 - 1, 3) = 10 multisets
+    empirical_sparsified_identity(w, 3, d, s, cap=10)
+    with pytest.raises(ValueError):
+        empirical_sparsified_identity(w, 3, d, s, cap=9)
