@@ -1,7 +1,9 @@
 """Convex aggregation by empirical risk minimization over a finite dictionary.
 
-Core objects live in `model`; exact risks in `risk`; simplex/segment/convex
-solvers in `solver`; sparsification nets in `sparsify`; localized
+Core objects live in `model`: problems and samples are both weighted-atom
+measures (`x_indices`, `y_values`, `probabilities`), so one code path gives the
+population and the empirical risk.  Exact risks live in `risk`; hull and
+segment solvers in `solver`; sparsification nets in `sparsify`; localized
 empirical-process machinery in `localization`; rate curves in `rates`; the
 Monte Carlo harness in `experiments`; CSV round-trips in `csvio`.
 """
@@ -27,21 +29,10 @@ from .risk import (
     population_risk,
     variance_term,
 )
-from .solver import (
-    ConstrainedSolution,
-    ErmSolution,
-    SolverConfig,
-    erm_constrained,
-    erm_convex_hull,
-    erm_oracle,
-    erm_segment,
-    project_box,
-    project_simplex,
-)
+from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_segment
 
 __all__ = [
     "BernsteinReport",
-    "ConstrainedSolution",
     "Dictionary",
     "DiscreteProblem",
     "ErmSolution",
@@ -54,9 +45,7 @@ __all__ = [
     "bernstein_check",
     "combine",
     "empirical_risk",
-    "erm_constrained",
     "erm_convex_hull",
-    "erm_oracle",
     "erm_segment",
     "excess_loss_mean",
     "excess_loss_second_moment",
@@ -64,8 +53,6 @@ __all__ = [
     "multiset_average",
     "phi_n",
     "population_risk",
-    "project_box",
-    "project_simplex",
     "psi_c",
     "sample",
     "oracle_inequality_residual",

@@ -103,9 +103,20 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_sparsify(args) -> int:
-    dictionary = csvio.read_dictionary(args.dict_path)
+def _read_problem_and_dictionary(args):
+    """The --problem and --dict files, checked to share one design."""
     problem = csvio.read_problem(args.problem_path)
+    dictionary = csvio.read_dictionary(args.dict_path)
+    if problem.num_design_points != dictionary.num_design_points:
+        raise ValueError(
+            f"problem has {problem.num_design_points} design points, "
+            f"dictionary has {dictionary.num_design_points}"
+        )
+    return problem, dictionary
+
+
+def _cmd_sparsify(args) -> int:
+    problem, dictionary = _read_problem_and_dictionary(args)
     weights = csvio.read_weights(args.weights_path)
     ms = sparsify.sparsify_random(weights, args.m, args.seed)
     combined_risk = population_risk(combine(dictionary, weights), problem)
@@ -132,8 +143,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_isomorphism(args) -> int:
-    problem = csvio.read_problem(args.problem_path)
-    dictionary = csvio.read_dictionary(args.dict_path)
+    problem, dictionary = _read_problem_and_dictionary(args)
     segments = localization.random_net_segments(
         dictionary, args.m, args.num_functions, args.num_segments, args.seed
     )

@@ -28,6 +28,17 @@ SEGMENT_KIND = "segment-excess-loss"
 SPAN_KIND = "span-ball"
 CUSTOM_KIND = "custom-enumerated"
 
+# Gram eigenvalues below this fraction of the largest count as rank deficiency
+SPAN_REL_TOL = 1e-12
+# peeling stops once a term is below this fraction of the running sum, or
+# raises after PEEL_MAX_TERMS shells
+PEEL_TRUNCATE_REL = 1e-15
+PEEL_MAX_TERMS = 300
+# fixed-point search bracket and the relative width at which bisection stops
+FIXED_POINT_FLOOR = 1e-300
+FIXED_POINT_CEILING = 1e12
+FIXED_POINT_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class LocalizedClass:
@@ -154,25 +165,25 @@ def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.nda
     return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
 
 
-def _span_basis(dictionary: Dictionary, problem: DiscreteProblem, rel_tol: float = 1e-12):
+def _span_basis(dictionary: Dictionary, problem: DiscreteProblem):
     """Orthonormal basis of the dictionary span in the design marginal."""
     F = dictionary.values
     px = problem.marginal_x
     gram = (F * px) @ F.T
     eigvals, vecs = np.linalg.eigh(gram)
     top = float(eigvals[-1]) if eigvals.size else 0.0
-    keep = eigvals > max(top * rel_tol, 1e-300)
+    keep = eigvals > max(top * SPAN_REL_TOL, 1e-300)
     if not np.any(keep):
         return np.zeros((0, F.shape[1]))
     return (vecs[:, keep] / np.sqrt(eigvals[keep])).T @ F
 
 
-def span_rank(dictionary: Dictionary, problem: DiscreteProblem, rel_tol: float = 1e-12) -> int:
+def span_rank(dictionary: Dictionary, problem: DiscreteProblem) -> int:
     """Rank of the dictionary Gram matrix under the design marginal.
 
     Duplicated or linearly dependent rows do not increase the rank.
     """
-    return _span_basis(dictionary, problem, rel_tol).shape[0]
+    return _span_basis(dictionary, problem).shape[0]
 
 
 def localized_sup(
@@ -234,7 +245,7 @@ def rademacher_span_bound(b: float, mu: float, n: int, M_prime: int) -> float:
     return 8.0 * b * math.sqrt(M_prime * mu / n)
 
 
-def peeling_bound(per_level, lam: float, truncate_rel: float = 1e-15, max_terms: int = 300) -> float:
+def peeling_bound(per_level, lam: float) -> float:
     """sum_i 2^{-i} per_level(2^{i+1} lambda) over dyadic shells.
 
     per_level must make the weighted series converge (any c sqrt(mu) shape
@@ -245,7 +256,7 @@ def peeling_bound(per_level, lam: float, truncate_rel: float = 1e-15, max_terms:
         raise ValueError("lambda must be positive")
     total = 0.0
     prev = math.inf
-    for i in range(max_terms):
+    for i in range(PEEL_MAX_TERMS):
         mu = 2.0 ** (i + 1) * lam
         if not math.isfinite(mu):
             raise ValueError("peeling levels overflowed before the series converged")
@@ -255,18 +266,13 @@ def peeling_bound(per_level, lam: float, truncate_rel: float = 1e-15, max_terms:
         if i > 0 and term > 0 and term >= prev:
             raise ValueError("peeling series does not converge: terms are not decreasing")
         total += term
-        if term <= truncate_rel * total:
+        if term <= PEEL_TRUNCATE_REL * total:
             return total
         prev = term
     raise ValueError("peeling series did not converge within the term cap")
 
 
-def fixed_point(
-    bound,
-    lo: float = 1e-300,
-    hi: float = 1e12,
-    rel_tol: float = 1e-9,
-) -> float:
+def fixed_point(bound) -> float:
     """Smallest lambda with bound(lambda) <= lambda / 8, by log-space bisection.
 
     Requires bound(lambda)/lambda non-increasing (the star-hull property),
@@ -274,6 +280,7 @@ def fixed_point(
     on a geometric grid.  Returns the bracket floor when even the floor
     already satisfies the inequality (e.g. bound identically 0).
     """
+    lo, hi = FIXED_POINT_FLOOR, FIXED_POINT_CEILING
     if bound(lo) <= lo / 8.0:
         return lo
     while bound(hi) > hi / 8.0:
@@ -288,7 +295,7 @@ def fixed_point(
             raise ValueError("bound(lambda)/lambda is not non-increasing; not a star-hull bound")
 
     low, high = lo, hi
-    while high / low > 1.0 + rel_tol:
+    while high / low > 1.0 + FIXED_POINT_REL_TOL:
         mid = math.sqrt(low * high)
         if bound(mid) <= mid / 8.0:
             high = mid

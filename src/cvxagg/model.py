@@ -6,11 +6,17 @@ samples are (x-index, y) pairs drawn from the atoms.  Tabulating everything
 keeps population expectations exact finite sums, so tests can use noise-free
 oracles.  All types are frozen after construction and safe to share across
 workers.
+
+Problems and samples are both weighted-atom measures: parallel arrays
+`x_indices`, `y_values` and `probabilities`, with mass p_i on the atom
+(x_i, y_i) for a problem and 1/n on each pair for a sample.  Risks and solvers
+read only these three fields, so the same code computes the population risk R
+and the empirical risk R_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,11 +136,15 @@ class Dictionary:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n i.i.d. draws (x-index, y), plus the seed that produced them."""
+    """n i.i.d. draws (x-index, y), plus the seed that produced them.
+
+    As a measure, every pair carries mass 1/n in `probabilities`.
+    """
 
     x_indices: np.ndarray
     y_values: np.ndarray
     seed: int
+    probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_indices", _freeze(self.x_indices, np.int64))
@@ -148,6 +158,7 @@ class SampleSet:
             raise ValueError("x indices must be nonnegative")
         if not np.all(np.isfinite(self.y_values)):
             raise ValueError("y values must be finite")
+        object.__setattr__(self, "probabilities", _freeze(np.full(self.n, 1.0 / self.n), np.float64))
 
     @property
     def n(self) -> int:

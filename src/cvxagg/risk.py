@@ -13,6 +13,9 @@ import numpy as np
 
 from .model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights
 
+# excess losses with a smaller second moment are treated as a.s. zero
+DEGENERATE_TOL = 1e-13
+
 
 def _check_tabulated(f: np.ndarray, num_points: int) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
@@ -22,21 +25,23 @@ def _check_tabulated(f: np.ndarray, num_points: int) -> np.ndarray:
 
 
 def population_risk(f: np.ndarray, problem: DiscreteProblem) -> float:
-    """E (Y - f(X))^2 as an exact sum over atoms."""
-    f = _check_tabulated(f, problem.num_design_points)
-    resid = problem.y_values - f[problem.x_indices]
-    return float(problem.probabilities @ (resid * resid))
+    """E (Y - f(X))^2 as an exact sum over atoms; f must span the problem's design."""
+    return empirical_risk(_check_tabulated(f, problem.num_design_points), problem)
 
 
-def empirical_risk(f: np.ndarray, samples: SampleSet) -> float:
-    """(1/n) sum (y_i - f(x_i))^2 over the sample."""
+def empirical_risk(f: np.ndarray, measure: SampleSet | DiscreteProblem) -> float:
+    """sum_i p_i (y_i - f(x_i))^2 over the atoms of a weighted measure.
+
+    On a SampleSet (p_i = 1/n) this is the empirical risk R_n; on a problem,
+    the population risk R.
+    """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1:
         raise ValueError("function vector must be 1-D")
-    if samples.x_indices.max() >= f.size:
-        raise ValueError("sample refers to design points outside the tabulated function")
-    resid = samples.y_values - f[samples.x_indices]
-    return float(resid @ resid) / samples.n
+    if measure.x_indices.max() >= f.size:
+        raise ValueError("measure refers to design points outside the tabulated function")
+    resid = measure.y_values - f[measure.x_indices]
+    return float(measure.probabilities @ (resid * resid))
 
 
 def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
@@ -76,7 +81,7 @@ def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscretePr
 class BernsteinReport:
     """Outcome of checking E L^2 <= B * E L over a sampled function class.
 
-    Entries with second moment below degenerate_tol are excluded from
+    Entries with second moment below DEGENERATE_TOL are excluded from
     max_ratio (the inequality is vacuous for an a.s. zero excess loss) and
     counted in `degenerate`.
     """
@@ -88,13 +93,7 @@ class BernsteinReport:
     degenerate: int
 
 
-def bernstein_check(
-    class_sample,
-    f_star: np.ndarray,
-    problem: DiscreteProblem,
-    B: float,
-    degenerate_tol: float = 1e-13,
-) -> BernsteinReport:
+def bernstein_check(class_sample, f_star: np.ndarray, problem: DiscreteProblem, B: float) -> BernsteinReport:
     """Check the second-moment condition for each function in class_sample.
 
     f_star must be the exact risk minimizer of the convex class the sample was
@@ -107,7 +106,7 @@ def bernstein_check(
     for f in class_sample:
         mean = excess_loss_mean(f, f_star, problem)
         second = excess_loss_second_moment(f, f_star, problem)
-        if second <= degenerate_tol:
+        if second <= DEGENERATE_TOL:
             degenerate += 1
             continue
         tested += 1

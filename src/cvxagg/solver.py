@@ -1,14 +1,15 @@
-"""Empirical risk minimization over the simplex, segments, and convex sets.
+"""Risk minimization over the convex hull of a dictionary and over segments.
 
 The hull solver is Frank-Wolfe with away steps and exact line search.  The
-empirical (or population) squared risk is a quadratic w' G w - 2 c' w + k in
-the weights, where G, c, k are sufficient statistics of the data, so every
-iteration costs O(M) after an O(K M^2) setup.  Termination is certified by
-the linear-minimization duality gap, which upper bounds the suboptimality of
-the returned iterate.
+squared risk is a quadratic w' G w - 2 c' w + k in the weights, where G, c, k
+are sufficient statistics of the data, so every iteration costs O(M) after an
+O(K M^2) setup.  Termination is certified by the linear-minimization duality
+gap, which upper bounds the suboptimality of the returned iterate.
 
-Solvers read only design indices, y values, and (for population objectives)
-atom probabilities; they never look at a problem's bound_b.
+The data is any weighted-atom measure (see `model`): solvers read only its
+`x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
+risk minimizer and a problem the population one.  They never look at a
+problem's bound_b.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, SampleSet, Segment, SimplexWeights
+from .model import Dictionary, Segment, SimplexWeights
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,6 @@ class ErmSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstrainedSolution:
-    """Projected-gradient minimizer over a caller-supplied closed convex set."""
-
-    coefficients: np.ndarray
-    risk: float
-    fixed_point_residual: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True, eq=False)
 class _Quadratic:
     gram: np.ndarray
     linear: np.ndarray
@@ -78,43 +68,16 @@ class _Quadratic:
         return 2.0 * (self.gram @ w - self.linear)
 
 
-def _quadratic_from_sample(dictionary: Dictionary, samples: SampleSet) -> _Quadratic:
+def _quadratic(dictionary: Dictionary, measure) -> _Quadratic:
     F = dictionary.values
     K = dictionary.num_design_points
-    x = samples.x_indices
+    x, y, p = measure.x_indices, measure.y_values, measure.probabilities
     if x.max() >= K:
-        raise ValueError("sample refers to design points outside the dictionary")
-    n = samples.n
-    freq = np.bincount(x, minlength=K) / n
-    ymass = np.bincount(x, weights=samples.y_values, minlength=K) / n
-    const = float(samples.y_values @ samples.y_values) / n
-    return _Quadratic((F * freq) @ F.T, F @ ymass, const)
-
-
-def _quadratic_from_problem(dictionary: Dictionary, problem) -> _Quadratic:
-    F = dictionary.values
-    K = dictionary.num_design_points
-    x = np.asarray(problem.x_indices)
-    if int(x.max()) >= K:
-        raise ValueError("problem refers to design points outside the dictionary")
-    p = np.asarray(problem.probabilities, dtype=np.float64)
-    y = np.asarray(problem.y_values, dtype=np.float64)
+        raise ValueError("data refers to design points outside the dictionary")
     px = np.bincount(x, weights=p, minlength=K)
     ymass = np.bincount(x, weights=p * y, minlength=K)
     const = float(p @ (y * y))
     return _Quadratic((F * px) @ F.T, F @ ymass, const)
-
-
-def _quadratic(dictionary: Dictionary, data) -> _Quadratic:
-    if isinstance(data, SampleSet):
-        return _quadratic_from_sample(dictionary, data)
-    return _quadratic_from_problem(dictionary, data)
-
-
-def _risk_of(f: np.ndarray, data) -> float:
-    if isinstance(data, SampleSet):
-        return risk.empirical_risk(f, data)
-    return risk.population_risk(f, data)
 
 
 def _restricted_minimum(G: np.ndarray, c: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -226,9 +189,10 @@ def erm_convex_hull(
 ) -> ErmSolution:
     """Minimize the squared risk over the convex hull of the dictionary.
 
-    `data` is a SampleSet (empirical risk) or a DiscreteProblem (exact
-    population risk).  Ties in the linear-minimization oracle break to the
-    lowest dictionary index, so the output is deterministic.
+    `data` is a weighted-atom measure: a sample (empirical risk) or a
+    problem (exact population risk).  Ties in the linear-minimization
+    oracle break to the lowest dictionary index, so the output is
+    deterministic.
     """
     cfg = config or SolverConfig()
     quad = _quadratic(dictionary, data)
@@ -236,7 +200,7 @@ def erm_convex_hull(
     f = w @ dictionary.values
     return ErmSolution(
         weights=SimplexWeights(w),
-        empirical_risk=max(_risk_of(f, data), 0.0),
+        empirical_risk=max(risk.empirical_risk(f, data), 0.0),
         duality_gap=gap,
         iterations=iterations,
         converged=converged,
@@ -263,34 +227,6 @@ def simplex_grid(size_m: int, resolution: int) -> np.ndarray:
     return counts / resolution
 
 
-def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolution:
-    """Exhaustive minimization over the simplex grid; a test oracle.
-
-    Guarded to M <= 4 because the grid has C(r + M - 1, M - 1) points.  The
-    returned risk is within 4 b^2 M / grid_resolution of the true hull
-    minimum for b-bounded data.
-    """
-    if dictionary.size_M > 4:
-        raise ValueError("grid oracle is limited to dictionaries with at most 4 functions")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be at least 1")
-    quad = _quadratic(dictionary, data)
-    W = simplex_grid(dictionary.size_M, grid_resolution)
-    vals = np.einsum("ij,ij->i", W @ quad.gram, W) - 2.0 * (W @ quad.linear)
-    best = int(np.argmin(vals))
-    w = W[best]
-    grad = quad.gradient(w)
-    gap = max(float(grad @ w) - float(grad.min()), 0.0)
-    f = w @ dictionary.values
-    return ErmSolution(
-        weights=SimplexWeights(w),
-        empirical_risk=max(_risk_of(f, data), 0.0),
-        duality_gap=gap,
-        iterations=W.shape[0],
-        converged=True,
-    )
-
-
 def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:
     """Closed-form risk minimizer over a segment.
 
@@ -298,109 +234,12 @@ def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:
     clamped to [0, 1]; degenerate segments (endpoints equal a.e.) return
     theta = 0 by convention.
     """
-    if isinstance(data, SampleSet):
-        x = data.x_indices
-        if x.max() >= segment.endpoint_i.size:
-            raise ValueError("sample refers to design points outside the segment endpoints")
-        gj = segment.endpoint_j[x]
-        d = segment.endpoint_i[x] - gj
-        den = float(d @ d) / data.n
-        num = float((data.y_values - gj) @ d) / data.n
-    else:
-        x = np.asarray(data.x_indices)
-        p = np.asarray(data.probabilities, dtype=np.float64)
-        y = np.asarray(data.y_values, dtype=np.float64)
-        gj = segment.endpoint_j[x]
-        d = segment.endpoint_i[x] - gj
-        den = float(p @ (d * d))
-        num = float(p @ ((y - gj) * d))
+    x, y, p = data.x_indices, data.y_values, data.probabilities
+    if x.max() >= segment.endpoint_i.size:
+        raise ValueError("data refers to design points outside the segment endpoints")
+    gj = segment.endpoint_j[x]
+    d = segment.endpoint_i[x] - gj
+    den = float(p @ (d * d))
+    num = float(p @ ((y - gj) * d))
     theta = 0.0 if den <= 0.0 else min(1.0, max(0.0, num / den))
     return theta, segment.at(theta)
-
-
-def erm_constrained(
-    dictionary: Dictionary,
-    data,
-    project,
-    config: SolverConfig | None = None,
-    fixed_point_tol: float = 1e-12,
-) -> ConstrainedSolution:
-    """Accelerated projected gradient over an arbitrary closed convex set.
-
-    `project` must be an exact Euclidean projection onto the feasible set; it
-    may return a raw vector or SimplexWeights.  Iterates until the
-    projected-gradient fixed-point residual falls below fixed_point_tol
-    (scaled) or the iteration cap is reached; non-convergence is flagged, not
-    raised.
-    """
-    cfg = config or SolverConfig()
-    quad = _quadratic(dictionary, data)
-    M = quad.linear.size
-
-    def proj(v: np.ndarray) -> np.ndarray:
-        out = project(v)
-        out = getattr(out, "weights", out)
-        return np.asarray(out, dtype=np.float64)
-
-    eigs = np.linalg.eigvalsh(quad.gram)
-    L = max(2.0 * float(eigs[-1]), 1e-12)
-    w = proj(np.zeros(M))
-    f_w = quad.value(w)
-    y = w.copy()
-    t = 1.0
-    converged = False
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        w_next = proj(y - quad.gradient(y) / L)
-        f_next = quad.value(w_next)
-        if f_next > f_w:
-            # momentum overshoot: restart from the plain descent step
-            w_next = proj(w - quad.gradient(w) / L)
-            f_next = quad.value(w_next)
-            t = 1.0
-        residual = float(np.linalg.norm(w_next - proj(w_next - quad.gradient(w_next) / L)))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = w_next + ((t - 1.0) / t_next) * (w_next - w)
-        w, f_w, t = w_next, f_next, t_next
-        if residual <= fixed_point_tol * (1.0 + float(np.linalg.norm(w))):
-            converged = True
-            break
-    f = w @ dictionary.values
-    return ConstrainedSolution(
-        coefficients=w,
-        risk=max(_risk_of(f, data), 0.0),
-        fixed_point_residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def project_simplex(v) -> SimplexWeights:
-    """Euclidean projection onto the probability simplex.
-
-    Points already on the simplex are returned unchanged, which makes the
-    projection exactly idempotent.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty 1-D vector")
-    if np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= 1e-12:
-        return SimplexWeights(v)
-    u = np.sort(v)[::-1]
-    cumsum = np.cumsum(u)
-    ranks = np.arange(1, v.size + 1)
-    feasible = u + (1.0 - cumsum) / ranks > 0.0
-    rho = int(np.nonzero(feasible)[0][-1])
-    shift = (1.0 - cumsum[rho]) / (rho + 1.0)
-    return SimplexWeights(np.maximum(v + shift, 0.0))
-
-
-def project_box(v, lower, upper) -> np.ndarray:
-    """Euclidean projection onto the box [lower, upper] (scalars or vectors)."""
-    v = np.asarray(v, dtype=np.float64)
-    lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), v.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=np.float64), v.shape)
-    if np.any(lower > upper):
-        raise ValueError("box lower bounds exceed upper bounds")
-    return np.clip(v, lower, upper)

@@ -19,6 +19,8 @@ from .risk import empirical_risk, population_risk, variance_term
 from .solver import simplex_grid
 
 DEFAULT_NET_CAP = 10**6
+# hull grid of net_approximation_gap: at least this many steps per coordinate
+NET_GAP_GRID_RESOLUTION = 48
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,7 @@ def empirical_sparsified_identity(
     return lhs, rhs
 
 
-def net_approximation_gap(
-    dictionary: Dictionary,
-    problem: DiscreteProblem,
-    m: int,
-    grid_resolution: int = 48,
-    cap: int = DEFAULT_NET_CAP,
-) -> float:
+def net_approximation_gap(dictionary: Dictionary, problem: DiscreteProblem, m: int) -> float:
     """min over the net of the risk, minus the minimal risk over the hull.
 
     The hull minimum is a grid scan at a resolution divisible by m, evaluated
@@ -192,9 +188,9 @@ def net_approximation_gap(
         raise ValueError("m must be at least 1")
     if dictionary.size_M > 4:
         raise ValueError("net gap evaluation is limited to dictionaries with at most 4 functions")
-    net = enumerate_net(dictionary, m, cap=cap)
+    net = enumerate_net(dictionary, m)
     net_min = min(population_risk(multiset_average(dictionary, ms), problem) for ms in net)
-    resolution = m * max(1, -(-grid_resolution // m))
+    resolution = m * max(1, -(-NET_GAP_GRID_RESOLUTION // m))
     grid = simplex_grid(dictionary.size_M, resolution)
     hull_min = np.inf
     best = grid[0]

@@ -1,14 +1,22 @@
-"""Shared generators and brute-force oracles for the test suite."""
+"""Shared generators, brute-force oracles and reference solvers for the test
+suite.
+
+The reference solvers read data only through the weighted-atom measure
+protocol (`x_indices`, `y_values`, `probabilities`), so each works on a
+SampleSet and on a DiscreteProblem alike.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
-from cvxagg.risk import population_risk
+from cvxagg.risk import empirical_risk, population_risk
+from cvxagg.solver import ErmSolution, SolverConfig, simplex_grid
 
 
 def random_problem(rng, K=3, b=1.0, atoms_per_x=2) -> DiscreteProblem:
@@ -57,3 +65,138 @@ def enumerated_sparsified_risk(w, m, dictionary, problem) -> float:
         counts = np.bincount(sequence, minlength=M)
         total += prob * population_risk(combine(dictionary, counts / m), problem)
     return total
+
+
+def _hull_gradient(dictionary: Dictionary, measure, w: np.ndarray) -> np.ndarray:
+    """Gradient in w of the measure's squared risk of w @ dictionary.values."""
+    F = dictionary.values[:, measure.x_indices]
+    resid = measure.y_values - w @ F
+    return -2.0 * (F @ (measure.probabilities * resid))
+
+
+def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolution:
+    """Exhaustive minimization over the simplex grid; a test oracle.
+
+    Guarded to M <= 4 because the grid has C(r + M - 1, M - 1) points.  The
+    returned risk is within 4 b^2 M / grid_resolution of the true hull
+    minimum for b-bounded data.
+    """
+    if dictionary.size_M > 4:
+        raise ValueError("grid oracle is limited to dictionaries with at most 4 functions")
+    if grid_resolution < 1:
+        raise ValueError("grid_resolution must be at least 1")
+    W = simplex_grid(dictionary.size_M, grid_resolution)
+    resid = data.y_values - (W @ dictionary.values)[:, data.x_indices]
+    w = W[int(np.argmin((resid * resid) @ data.probabilities))]
+    grad = _hull_gradient(dictionary, data, w)
+    return ErmSolution(
+        weights=SimplexWeights(w),
+        empirical_risk=max(empirical_risk(w @ dictionary.values, data), 0.0),
+        duality_gap=max(float(grad @ w) - float(grad.min()), 0.0),
+        iterations=W.shape[0],
+        converged=True,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ConstrainedSolution:
+    """Projected-gradient minimizer over a caller-supplied closed convex set."""
+
+    coefficients: np.ndarray
+    risk: float
+    fixed_point_residual: float
+    iterations: int
+    converged: bool
+
+
+def erm_constrained(
+    dictionary: Dictionary,
+    data,
+    project,
+    config: SolverConfig | None = None,
+    fixed_point_tol: float = 1e-12,
+) -> ConstrainedSolution:
+    """Accelerated projected gradient over an arbitrary closed convex set.
+
+    `project` must be an exact Euclidean projection onto the feasible set; it
+    may return a raw vector or SimplexWeights.  Iterates until the
+    projected-gradient fixed-point residual falls below fixed_point_tol
+    (scaled) or the iteration cap is reached; non-convergence is flagged, not
+    raised.
+    """
+    cfg = config or SolverConfig()
+    F = dictionary.values[:, data.x_indices]
+    M = dictionary.size_M
+
+    def value(w: np.ndarray) -> float:
+        return empirical_risk(w @ dictionary.values, data)
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        return _hull_gradient(dictionary, data, w)
+
+    def proj(v: np.ndarray) -> np.ndarray:
+        out = project(v)
+        out = getattr(out, "weights", out)
+        return np.asarray(out, dtype=np.float64)
+
+    # the Hessian is 2 F diag(p) F', so its top eigenvalue is a Lipschitz constant
+    L = max(2.0 * float(np.linalg.eigvalsh((F * data.probabilities) @ F.T)[-1]), 1e-12)
+    w = proj(np.zeros(M))
+    f_w = value(w)
+    y = w.copy()
+    t = 1.0
+    converged = False
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        w_next = proj(y - gradient(y) / L)
+        f_next = value(w_next)
+        if f_next > f_w:
+            # momentum overshoot: restart from the plain descent step
+            w_next = proj(w - gradient(w) / L)
+            f_next = value(w_next)
+            t = 1.0
+        residual = float(np.linalg.norm(w_next - proj(w_next - gradient(w_next) / L)))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = w_next + ((t - 1.0) / t_next) * (w_next - w)
+        w, f_w, t = w_next, f_next, t_next
+        if residual <= fixed_point_tol * (1.0 + float(np.linalg.norm(w))):
+            converged = True
+            break
+    return ConstrainedSolution(
+        coefficients=w,
+        risk=max(empirical_risk(w @ dictionary.values, data), 0.0),
+        fixed_point_residual=residual,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def project_simplex(v) -> SimplexWeights:
+    """Euclidean projection onto the probability simplex.
+
+    Points already on the simplex are returned unchanged, which makes the
+    projection exactly idempotent.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("input must be a nonempty 1-D vector")
+    if np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= 1e-12:
+        return SimplexWeights(v)
+    u = np.sort(v)[::-1]
+    cumsum = np.cumsum(u)
+    ranks = np.arange(1, v.size + 1)
+    feasible = u + (1.0 - cumsum) / ranks > 0.0
+    rho = int(np.nonzero(feasible)[0][-1])
+    shift = (1.0 - cumsum[rho]) / (rho + 1.0)
+    return SimplexWeights(np.maximum(v + shift, 0.0))
+
+
+def project_box(v, lower, upper) -> np.ndarray:
+    """Euclidean projection onto the box [lower, upper] (scalars or vectors)."""
+    v = np.asarray(v, dtype=np.float64)
+    lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), v.shape)
+    upper = np.broadcast_to(np.asarray(upper, dtype=np.float64), v.shape)
+    if np.any(lower > upper):
+        raise ValueError("box lower bounds exceed upper bounds")
+    return np.clip(v, lower, upper)

@@ -43,7 +43,7 @@ from cvxagg.risk import (
     population_risk,
     variance_term,
 )
-from cvxagg.solver import SolverConfig, erm_convex_hull, erm_oracle, erm_segment, simplex_grid
+from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment, simplex_grid
 from cvxagg.sparsify import (
     enumerate_net,
     expected_sparsified_risk,
@@ -51,7 +51,7 @@ from cvxagg.sparsify import (
     net_cardinality_bound,
 )
 
-from _support import enumerated_sparsified_risk, random_dictionary, random_problem, random_weights
+from _support import enumerated_sparsified_risk, erm_oracle, random_dictionary, random_problem, random_weights
 
 
 def _report(num: int, description: str, ok: bool, started: float) -> None:

@@ -187,6 +187,25 @@ def test_isomorphism_subcommand(workspace, capsys):
         assert fields[8] == "0" and fields[9] == "0"
 
 
+@pytest.mark.parametrize("problem_k, dict_k", [(6, 4), (4, 6)], ids=["problem-larger", "dictionary-larger"])
+@pytest.mark.parametrize("command", ["isomorphism", "sparsify"])
+def test_design_size_mismatch_exits_one(tmp_path, capsys, command, problem_k, dict_k):
+    problem, _ = make_problem("inside-hull", K=problem_k, M=3, b=1.0, seed=2)
+    _, dictionary = make_problem("inside-hull", K=dict_k, M=3, b=1.0, seed=2)
+    csvio.write_problem(problem, tmp_path / "problem.csv")
+    csvio.write_dictionary(dictionary, tmp_path / "dict.csv")
+    csvio.write_weights(SimplexWeights(np.array([0.2, 0.3, 0.5])), tmp_path / "weights.csv")
+    extra = {
+        "isomorphism": ["--n", "32", "--c0", "2.0", "--reps", "10", "--num-functions", "4", "--num-segments", "3"],
+        "sparsify": ["--weights", str(tmp_path / "weights.csv"), "--m", "2"],
+    }[command]
+    code = main([command, "--problem", str(tmp_path / "problem.csv"), "--dict", str(tmp_path / "dict.csv"), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: problem has {problem_k} design points, dictionary has {dict_k}"
+    )
+
+
 def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):
     failing = IsomorphismReport(
         x=1.0, trials=5, violations=1, bound=1.0, gamma_or_rho=0.1, erm_checked=4, erm_implication_failures=2
@@ -233,14 +252,26 @@ def test_experiment_subcommand(workspace, capsys):
     assert len(report["points"]) == 2
 
 
-def test_module_entry_point():
-    # the child imports the cvxagg this test imported, installed or not
+def _child_env() -> dict:
+    # children import the cvxagg this test imported, installed or not
     src = str(Path(cvxagg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "cvxagg", "rates", "--n-grid", "64", "--m-grid", "2"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("n,M,psi,phi,regime")
+
+
+@pytest.mark.parametrize("script", ["run_rate_experiment.py", "run_isomorphism_study.py"])
+def test_study_scripts_start(script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    result = subprocess.run([sys.executable, str(path), "--help"], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage:")

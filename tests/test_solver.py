@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine
+from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk, population_risk
-from cvxagg.solver import (
-    SolverConfig,
+from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment, simplex_grid
+
+from _support import (
     erm_constrained,
-    erm_convex_hull,
     erm_oracle,
-    erm_segment,
+    exhaustive_sample,
     project_box,
     project_simplex,
-    simplex_grid,
+    random_dictionary,
+    random_problem,
 )
-
-from _support import random_dictionary, random_problem
 
 
 def test_config_validation():
@@ -263,3 +262,54 @@ def test_project_box():
     assert out == pytest.approx([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
         project_box(np.array([0.0]), 1.0, 0.0)
+
+
+def _law_and_sample(rng, K=5, n=60):
+    """A problem with atom masses in multiples of 1/n, and the n-pair sample
+    whose empirical law it is."""
+    # every atom has mass at least 1/n and the first exactly 1/n, which is
+    # what exhaustive_sample needs to recover n
+    counts = np.concatenate([[1], rng.multinomial(n - 2 * K, np.full(2 * K - 1, 1.0 / (2 * K - 1))) + 1])
+    x = np.repeat(np.arange(K), 2)
+    problem = DiscreteProblem(x, rng.uniform(-1, 1, 2 * K), counts / n, bound_b=1.0)
+    return problem, exhaustive_sample(problem)
+
+
+def test_sample_and_its_empirical_law_are_one_measure():
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        p, s = _law_and_sample(rng)
+        d = random_dictionary(rng, M=4, K=5)
+        on_sample, on_law = erm_convex_hull(d, s), erm_convex_hull(d, p)
+        assert np.allclose(on_sample.weights.weights, on_law.weights.weights, rtol=0.0, atol=1e-12)
+        assert on_sample.empirical_risk == pytest.approx(on_law.empirical_risk, abs=1e-12)
+        seg = Segment(d.row(0), d.row(1))
+        assert erm_segment(seg, s)[0] == pytest.approx(erm_segment(seg, p)[0], abs=1e-12)
+
+
+def test_hull_weights_ignore_row_order_and_duplication():
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        p = random_problem(rng, K=5)
+        d = random_dictionary(rng, M=4, K=5)
+        s = sample(p, 60, seed=int(rng.integers(2**31)))
+        w = erm_convex_hull(d, s).weights.weights
+        order = rng.permutation(s.n)
+        permuted = SampleSet(s.x_indices[order], s.y_values[order], seed=0)
+        doubled = SampleSet(np.repeat(s.x_indices, 2), np.repeat(s.y_values, 2), seed=0)
+        for other in (permuted, doubled):
+            assert np.allclose(erm_convex_hull(d, other).weights.weights, w, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["sample", "problem"])
+@pytest.mark.parametrize("solver", ["hull", "segment"])
+def test_solvers_reject_out_of_range_design_indices(solver, kind):
+    # the data has design points 0..2; the dictionary and the segment only 0..1
+    x, y = np.array([0, 1, 2]), np.array([0.1, -0.2, 0.3])
+    data = SampleSet(x, y, seed=0) if kind == "sample" else DiscreteProblem(x, y, np.full(3, 1 / 3), 1.0)
+    d = Dictionary(np.array([[0.5, -0.5], [0.25, 0.0]]))
+    with pytest.raises(ValueError, match="outside"):
+        if solver == "hull":
+            erm_convex_hull(d, data)
+        else:
+            erm_segment(Segment(d.row(0), d.row(1)), data)
