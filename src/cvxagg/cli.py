@@ -95,6 +95,8 @@ def _cmd_solve(args) -> int:
         "duality_gap": solution.duality_gap,
         "iterations": solution.iterations,
         "converged": solution.converged,
+        "stop_reason": solution.stop_reason,
+        "kkt_solves": solution.kkt_solves,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not solution.converged:

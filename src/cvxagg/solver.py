@@ -45,6 +45,13 @@ class ErmSolution:
     from scratch, so empirical_risk - duality_gap lower bounds the true
     minimum.  `converged` is False when the iteration cap was hit first; the
     solution is still returned, flagged.
+
+    stop_reason says why the iteration loop ended: "gap" (the certificate met
+    the tolerance), "repeat_vertex" (the oracle named an active vertex, so
+    rounding blocks further progress), "no_descent" (the corrective step did
+    not lower the risk) or "max_iterations".  `converged` is decided by the
+    final recomputed gap, whatever the reason.  kkt_solves counts the
+    corrective affine solves.
     """
 
     weights: SimplexWeights
@@ -52,20 +59,38 @@ class ErmSolution:
     duality_gap: float
     iterations: int
     converged: bool
+    stop_reason: str
+    kkt_solves: int
     history: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class _Quadratic:
-    gram: np.ndarray
+    """The squared risk of w @ F, kept on the K design points.
+
+    With f = w @ F the fitted values, the risk is f'(px f) - 2 ymass'f + k and
+    its gradient in w is 2 (F (px f) - F ymass), so no M x M Gram is formed.
+    """
+
+    values: np.ndarray
+    mass: np.ndarray
+    ymass: np.ndarray
     linear: np.ndarray
     constant: float
 
-    def value(self, w: np.ndarray) -> float:
-        return float(w @ self.gram @ w - 2.0 * (self.linear @ w) + self.constant)
+    def value(self, f: np.ndarray) -> float:
+        return float(f @ (self.mass * f) - 2.0 * (self.ymass @ f) + self.constant)
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.gram @ w - self.linear)
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.values @ (self.mass * f) - self.linear)
+
+    def fitted(self, support, u: np.ndarray) -> np.ndarray:
+        return u @ self.values[support]
+
+    def gram(self, support) -> np.ndarray:
+        """The Gram block of the functions in support."""
+        rows = self.values[support]
+        return (rows * self.mass) @ rows.T
 
 
 def _quadratic(dictionary: Dictionary, measure) -> _Quadratic:
@@ -77,10 +102,10 @@ def _quadratic(dictionary: Dictionary, measure) -> _Quadratic:
     px = np.bincount(x, weights=p, minlength=K)
     ymass = np.bincount(x, weights=p * y, minlength=K)
     const = float(p @ (y * y))
-    return _Quadratic((F * px) @ F.T, F @ ymass, const)
+    return _Quadratic(F, px, ymass, F @ ymass, const)
 
 
-def _restricted_minimum(G: np.ndarray, c: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _restricted_minimum(quad: _Quadratic, support: np.ndarray) -> np.ndarray:
     """Affine minimizer of w'Gw - 2c'w over {sum w_S = 1, w off-support = 0}.
 
     The KKT system is consistent even when the restricted Gram is singular
@@ -89,10 +114,10 @@ def _restricted_minimum(G: np.ndarray, c: np.ndarray, support: np.ndarray) -> np
     """
     k = support.size
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * G[np.ix_(support, support)]
+    kkt[:k, :k] = 2.0 * quad.gram(support)
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * c[support], [1.0]])
+    rhs = np.concatenate([2.0 * quad.linear[support], [1.0]])
     solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return solution[:k]
 
@@ -105,45 +130,53 @@ def _minimize_fw(quad: _Quadratic, config: SolverConfig, record_history: bool):
     vertices (affine KKT solves with line-search drops, as in min-norm-point
     methods).  On a quadratic this terminates in finitely many vertex
     additions, so tight duality-gap tolerances are reachable even when the
-    Gram matrix is rank deficient.
+    Gram matrix is rank deficient.  The iterate's fitted values f = w @ F
+    are carried along, so an iteration costs one O(MK) gradient.
     """
-    G, c = quad.gram, quad.linear
-    M = c.size
-    vertex_values = np.diag(G) - 2.0 * c
+    F = quad.values
+    M = F.shape[0]
+    vertex_values = (F * F) @ quad.mass - 2.0 * quad.linear
     start = int(np.argmin(vertex_values))
     support = [start]
     u = np.array([1.0])
     w = np.zeros(M)
     w[start] = 1.0
-    history = [quad.value(w)] if record_history else None
+    f = F[start]
+    best_value = quad.value(f)
+    history = [best_value] if record_history else None
     tol = config.tolerance
     converged = False
+    stop_reason = "max_iterations"
+    kkt_solves = 0
     iterations = 0
-    best_value = quad.value(w)
 
     for iterations in range(1, config.max_iterations + 1):
-        grad = quad.gradient(w)
+        grad = quad.gradient(f)
         s = int(np.argmin(grad))
         gap = float(grad @ w) - float(grad[s])
         if gap <= tol:
             converged = True
+            stop_reason = "gap"
             break
         if s in support:
             # w is already affine-optimal on its face, so a repeat vertex can
             # only be floating-point noise; no further progress is possible.
+            stop_reason = "repeat_vertex"
             break
 
         support.append(s)
         u = np.append(u, 0.0)
         while True:
             added = support.index(s) if s in support else None
-            v = _restricted_minimum(G, c, np.array(support))
+            v = _restricted_minimum(quad, np.array(support))
+            kkt_solves += 1
             if added is not None and v[added] <= 0.0:
                 # rounding starved the new vertex; take a plain line-search
                 # step toward it instead of cycling
                 d = -u.copy()
                 d[added] += 1.0
-                curv = float(d @ G[np.ix_(support, support)] @ d)
+                g = quad.fitted(support, d)
+                curv = float(g @ (quad.mass * g))
                 step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
                 u = u * (1.0 - step)
                 u[added] += step
@@ -166,19 +199,21 @@ def _minimize_fw(quad: _Quadratic, config: SolverConfig, record_history: bool):
         u = u / u.sum()
         w = np.zeros(M)
         w[support] = u
-        value = quad.value(w)
+        f = quad.fitted(support, u)
+        value = quad.value(f)
         if record_history:
             history.append(value)
         if value >= best_value:
             # no measurable descent left; stop rather than stall
+            stop_reason = "no_descent"
             break
         best_value = value
 
-    grad = quad.gradient(w)
+    grad = quad.gradient(f)
     gap = max(float(grad @ w) - float(grad.min()), 0.0)
     if gap <= tol:
         converged = True
-    return w, gap, iterations, converged, history
+    return w, gap, iterations, converged, history, stop_reason, kkt_solves
 
 
 def erm_convex_hull(
@@ -196,7 +231,7 @@ def erm_convex_hull(
     """
     cfg = config or SolverConfig()
     quad = _quadratic(dictionary, data)
-    w, gap, iterations, converged, history = _minimize_fw(quad, cfg, record_history)
+    w, gap, iterations, converged, history, stop_reason, kkt_solves = _minimize_fw(quad, cfg, record_history)
     f = w @ dictionary.values
     return ErmSolution(
         weights=SimplexWeights(w),
@@ -204,6 +239,8 @@ def erm_convex_hull(
         duality_gap=gap,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
+        kkt_solves=kkt_solves,
         history=tuple(history) if history is not None else None,
     )
 

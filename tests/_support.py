@@ -95,6 +95,8 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
         duality_gap=max(float(grad @ w) - float(grad.min()), 0.0),
         iterations=W.shape[0],
         converged=True,
+        stop_reason="exhaustive",
+        kkt_solves=0,
     )
 
 
