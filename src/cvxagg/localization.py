@@ -166,16 +166,18 @@ def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.nda
 
 
 def _span_basis(dictionary: Dictionary, problem: DiscreteProblem):
-    """Orthonormal basis of the dictionary span in the design marginal."""
+    """Orthonormal basis of the dictionary span in the design marginal.
+
+    The Gram (F px) F' is A A' for A = F sqrt(px), so its eigenpairs come from
+    a thin SVD of A in O(M K^2) time and O(M K) memory.
+    """
     F = dictionary.values
-    px = problem.marginal_x
-    gram = (F * px) @ F.T
-    eigvals, vecs = np.linalg.eigh(gram)
-    top = float(eigvals[-1]) if eigvals.size else 0.0
-    keep = eigvals > max(top * SPAN_REL_TOL, 1e-300)
+    U, sigma, _ = np.linalg.svd(F * np.sqrt(problem.marginal_x), full_matrices=False)
+    eigvals = sigma * sigma
+    keep = eigvals > max(eigvals.max(initial=0.0) * SPAN_REL_TOL, 1e-300)
     if not np.any(keep):
         return np.zeros((0, F.shape[1]))
-    return (vecs[:, keep] / np.sqrt(eigvals[keep])).T @ F
+    return (U[:, keep] / sigma[keep]).T @ F
 
 
 def span_rank(dictionary: Dictionary, problem: DiscreteProblem) -> int:

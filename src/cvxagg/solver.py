@@ -1,10 +1,12 @@
 """Risk minimization over the convex hull of a dictionary and over segments.
 
-The hull solver is Frank-Wolfe with away steps and exact line search.  The
-squared risk is a quadratic w' G w - 2 c' w + k in the weights, where G, c, k
-are sufficient statistics of the data, so every iteration costs O(M) after an
-O(K M^2) setup.  Termination is certified by the linear-minimization duality
-gap, which upper bounds the suboptimality of the returned iterate.
+The hull solver is fully corrective Frank-Wolfe.  The squared risk of the
+weights w depends on them only through the fitted values f = w @ F on the K
+design points, so the solver works there: with the data's mass px and
+label mass ymass on each design point, every iteration costs O(M K) time and
+the solver holds O(M K) memory, with no M x M Gram matrix.  Termination is
+certified by the linear-minimization duality gap, which upper bounds the
+suboptimality of the returned iterate.
 
 The data is any weighted-atom measure (see `model`): solvers read only its
 `x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
@@ -110,14 +112,18 @@ def _restricted_minimum(quad: _Quadratic, support: np.ndarray) -> np.ndarray:
 
     The KKT system is consistent even when the restricted Gram is singular
     (null directions of the Gram never carry a linear term), so lstsq returns
-    an exact minimizer.
+    an exact minimizer.  The Gram rows are divided by the power of two nearest
+    above the block's largest diagonal entry, so at any data scale they stay
+    comparable to the unit constraint row and lstsq's rank cutoff keeps it.
     """
     k = support.size
+    block = quad.gram(support)
+    _, exponent = np.frexp(block.diagonal().max())
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * quad.gram(support)
+    kkt[:k, :k] = np.ldexp(2.0 * block, -exponent)
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * quad.linear[support], [1.0]])
+    rhs = np.concatenate([np.ldexp(2.0 * quad.linear[support], -exponent), [1.0]])
     solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return solution[:k]
 

@@ -93,6 +93,8 @@ def test_solve_subcommand_round_trip(workspace, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
+    assert payload["stop_reason"] == "gap"
+    assert payload["kkt_solves"] >= payload["iterations"] - 1
     weights = SimplexWeights(np.array(payload["weights"]))
     assert abs(sum(payload["weights"]) - 1.0) <= 1e-10
     dictionary = csvio.read_dictionary(workspace["dict"])
@@ -116,6 +118,7 @@ def test_solve_nonconvergence_exit_code(workspace, capsys):
         ]
     )
     assert code == 2
+    assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iterations"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_span_rank_ignores_duplicate_rows():
     d1 = Dictionary(base)
     d2 = Dictionary(np.vstack([base, base[0], 0.5 * base[1]]))
     assert span_rank(d1, p) == span_rank(d2, p) == 3
+
+
+def test_span_rank_at_large_m_in_bounded_memory():
+    # 20 000 functions spanning a rank-5 subspace; an M x M Gram would be 3.2 GB
+    rng = np.random.default_rng(3)
+    p = random_problem(rng, K=16)
+    d = Dictionary(rng.uniform(-1, 1, size=(20_000, 5)) @ rng.uniform(-1, 1, size=(5, 16)))
+    tracemalloc.start()
+    try:
+        rank = span_rank(d, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 5
+    assert peak < 64 * 2**20
 
 
 def test_peeling_bound_zero_and_first_term():

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -102,6 +103,26 @@ def test_erm_hull_nonconvergence_is_flagged():
     sol = erm_convex_hull(d, s, SolverConfig(max_iterations=1, tolerance=1e-16))
     assert not sol.converged
     assert sol.duality_gap >= 0.0
+
+
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        (SolverConfig(), "gap"),
+        (SolverConfig(max_iterations=1, tolerance=1e-16), "max_iterations"),
+        # no gap reaches 1e-300, so the oracle ends up naming an active vertex
+        (SolverConfig(tolerance=1e-300), "repeat_vertex"),
+    ],
+)
+def test_erm_hull_reports_why_it_stopped(config, reason):
+    rng = np.random.default_rng(0)
+    p = random_problem(rng, K=8)
+    d = random_dictionary(rng, M=20, K=8)
+    sol = erm_convex_hull(d, sample(p, 64, seed=0), config)
+    assert sol.stop_reason == reason
+    assert sol.converged == (sol.duality_gap <= config.tolerance)
+    # every iteration but a final certifying one adds a vertex and solves
+    assert sol.kkt_solves >= sol.iterations - 1 >= 0
 
 
 def test_erm_hull_never_reads_bound_b():
@@ -222,16 +243,18 @@ def test_erm_constrained_box_separable_closed_form():
 
 
 def test_erm_constrained_simplex_agrees_with_hull_solver():
+    # the second dictionary holds 20 functions on 5 design points, each twice,
+    # so its Gram is rank deficient
     rng = np.random.default_rng(53)
-    from cvxagg.model import sample
-
-    p = random_problem(rng, K=3)
-    d = random_dictionary(rng, M=4, K=3)
-    s = sample(p, 60, seed=8)
     cfg = SolverConfig(tolerance=1e-10)
-    fw = erm_convex_hull(d, s, cfg)
-    pg = erm_constrained(d, s, project=project_simplex, config=cfg)
-    assert pg.risk == pytest.approx(fw.empirical_risk, abs=2e-10)
+    for K, M, copies, n, seed in ((3, 4, 1, 60, 8), (5, 20, 2, 80, 4)):
+        p = random_problem(rng, K=K)
+        d = Dictionary(np.tile(random_dictionary(rng, M=M, K=K).values, (copies, 1)))
+        s = sample(p, n, seed=seed)
+        fw = erm_convex_hull(d, s, cfg)
+        pg = erm_constrained(d, s, project=project_simplex, config=cfg)
+        assert fw.converged
+        assert pg.risk == pytest.approx(fw.empirical_risk, abs=2e-10)
 
 
 def test_project_simplex_examples():
@@ -313,3 +336,41 @@ def test_solvers_reject_out_of_range_design_indices(solver, kind):
             erm_convex_hull(d, data)
         else:
             erm_segment(Segment(d.row(0), d.row(1)), data)
+
+
+def test_hull_solve_at_large_m_in_bounded_memory():
+    # a dense M x M Gram alone would take 80 GB here; the design-space solver
+    # keeps O(M K) arrays
+    rng = np.random.default_rng(67)
+    p = random_problem(rng, K=16)
+    d = random_dictionary(rng, M=100_000, K=16)
+    s = sample(p, 1024, seed=1)
+    tracemalloc.start()
+    try:
+        sol = erm_convex_hull(d, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("exponent", range(-6, 7))
+def test_hull_solution_scales_with_the_data(exponent):
+    # (F, y) -> (sF, sy) multiplies the risk by s^2 and leaves the minimizer,
+    # so with the tolerance scaled alike the weights must not move
+    scale = 10.0**exponent
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, K=16)
+        d = random_dictionary(rng, M=64, K=16)
+        s = sample(p, 512, seed=seed)
+        base = erm_convex_hull(d, s)
+        scaled = erm_convex_hull(
+            Dictionary(scale * d.values),
+            SampleSet(s.x_indices, scale * s.y_values, seed=0),
+            SolverConfig(tolerance=1e-8 * scale**2),
+        )
+        assert scaled.converged
+        assert np.allclose(scaled.weights.weights, base.weights.weights, rtol=0.0, atol=1e-10)
+        assert scaled.empirical_risk == pytest.approx(scale**2 * base.empirical_risk, rel=1e-10)
