@@ -45,14 +45,13 @@ class ErmSolution:
 
     duality_gap is the Frank-Wolfe gap at the returned weights, recomputed
     from scratch, so empirical_risk - duality_gap lower bounds the true
-    minimum.  `converged` is False when the iteration cap was hit first; the
-    solution is still returned, flagged.
+    minimum.  `converged` says whether that gap meets the tolerance; an
+    unconverged solution is still returned, flagged.
 
     stop_reason says why the iteration loop ended: "gap" (the certificate met
     the tolerance), "repeat_vertex" (the oracle named an active vertex, so
     rounding blocks further progress), "no_descent" (the corrective step did
-    not lower the risk) or "max_iterations".  `converged` is decided by the
-    final recomputed gap, whatever the reason.  kkt_solves counts the
+    not lower the risk) or "max_iterations".  kkt_solves counts the
     corrective affine solves.
     """
 
