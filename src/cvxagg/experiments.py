@@ -262,7 +262,6 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     tasks = []
-    incomplete = False
     for n, M in cfg.grid:
         problem_seed = derive_seed(cfg.master_seed, n, M, "problem")
         problem, dictionary = make_problem(
@@ -273,7 +272,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
             (rep, derive_seed(cfg.master_seed, n, M, rep))
             for rep in range(cfg.replications)
         ]
-        step = max(1, math.ceil(len(chunk) / max(jobs, 1) / 4))
+        step = max(1, math.ceil(len(chunk) / jobs / 4))
         for start in range(0, len(chunk), step):
             tasks.append((problem, dictionary, n, cfg.solver, oracle_risk, chunk[start : start + step]))
 
@@ -283,7 +282,6 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_cell_task, tasks))
     records = [record for chunk in chunks for record in chunk]
-    records.sort(key=lambda r: (cfg.grid.index((r.n, r.M)), r.replication))
     incomplete = any(not r.converged for r in records)
 
     by_cell: dict[tuple[int, int], list[TrialRecord]] = {}

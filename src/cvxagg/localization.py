@@ -472,7 +472,6 @@ def calibrate_c0(
     pop, emp = _segment_coefficients(segments, problem, n, reps, seed)
     order = np.sort(np.max(_needed_level(pop, pop - emp), axis=1))[::-1]
 
-    b2 = problem.bound_b**2
     c0 = 0.0
     for x in x_levels:
         target = target_scale * min(1.0, 4.0 * math.exp(-x))
@@ -480,7 +479,7 @@ def calibrate_c0(
         if allowed >= reps:
             continue
         level_req = float(order[allowed])
-        denom = b2 * (x + 2.0 * math.log(N)) / n
+        denom = gamma(x, problem.bound_b, N, n, 1.0)
         if denom > 0:
             c0 = max(c0, level_req / denom)
     return c0

@@ -72,12 +72,6 @@ class DiscreteProblem:
         object.__setattr__(self, "_marginal_x", _freeze(marginal, np.float64))
         object.__setattr__(self, "_regression", _freeze(regression, np.float64))
 
-    @classmethod
-    def from_atoms(cls, atoms, bound_b: float) -> "DiscreteProblem":
-        """Build from an iterable of (x_index, y_value, probability) triples."""
-        xs, ys, ps = zip(*atoms)
-        return cls(np.array(xs), np.array(ys), np.array(ps), bound_b)
-
     @property
     def num_atoms(self) -> int:
         return self.x_indices.size
@@ -236,9 +230,6 @@ class Multiset:
         if self.indices[-1] >= size_m:
             raise ValueError(f"index {self.indices[-1]} out of range for dictionary of size {size_m}")
         return np.bincount(np.array(self.indices), minlength=size_m).astype(np.float64)
-
-    def to_weights(self, size_m: int) -> SimplexWeights:
-        return SimplexWeights(self.counts(size_m) / self.m)
 
 
 @dataclass(frozen=True, eq=False)

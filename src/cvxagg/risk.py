@@ -59,22 +59,25 @@ def excess_loss_second_moment(f: np.ndarray, f_star: np.ndarray, problem: Discre
     return float(problem.probabilities @ (diff * diff))
 
 
+def mixture_variance(w: SimplexWeights, dictionary: Dictionary) -> np.ndarray:
+    """Var_J f_J(x) at every design point x, where J picks row j with probability w_j."""
+    weights, vals = w.weights, dictionary.values
+    s1 = weights @ vals
+    s2 = weights @ (vals * vals)
+    return np.maximum(s2 - s1 * s1, 0.0)
+
+
 def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscreteProblem) -> float:
     """E_X Var_J f_J(X) where J picks dictionary row j with probability w_j.
 
     The Y part of Var_J(Y - f_J(X)) cancels because Y is held fixed, so this
     is the exact per-point mixture variance averaged over the X marginal.
     """
-    weights = w.weights
-    if weights.size != dictionary.size_M:
+    if w.weights.size != dictionary.size_M:
         raise ValueError("weight length does not match dictionary size")
     if dictionary.num_design_points != problem.num_design_points:
         raise ValueError("dictionary and problem are tabulated on different designs")
-    vals = dictionary.values
-    s1 = weights @ vals
-    s2 = weights @ (vals * vals)
-    per_x = np.maximum(s2 - s1 * s1, 0.0)
-    return float(problem.marginal_x @ per_x)
+    return float(problem.marginal_x @ mixture_variance(w, dictionary))
 
 
 @dataclass(frozen=True)

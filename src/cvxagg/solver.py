@@ -1,12 +1,14 @@
 """Risk minimization over the convex hull of a dictionary and over segments.
 
 The hull solver is fully corrective Frank-Wolfe.  The squared risk of the
-weights w depends on them only through the fitted values f = w @ F on the K
-design points, so the solver works there: with the data's mass px and
-label mass ymass on each design point, every iteration costs O(M K) time and
-the solver holds O(M K) memory, with no M x M Gram matrix.  Termination is
-certified by the linear-minimization duality gap, which upper bounds the
-suboptimality of the returned iterate.
+weights w depends on them only through the fitted values on the K design
+points, so it is a least-squares problem there: with px the data's mass on
+each design point and ymass its label mass, the risk is
+||w @ A - target||^2 plus a constant, where A = F * sqrt(px) and
+target = ymass / sqrt(px).  Every iteration costs O(M K) time and the solver
+holds O(M K) memory, with no M x M Gram matrix.  Termination is certified by
+the linear-minimization duality gap, which upper bounds the suboptimality of
+the returned iterate.
 
 The data is any weighted-atom measure (see `model`): solvers read only its
 `x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
@@ -52,7 +54,7 @@ class ErmSolution:
     the tolerance), "repeat_vertex" (the oracle named an active vertex, so
     rounding blocks further progress), "no_descent" (the corrective step did
     not lower the risk) or "max_iterations".  kkt_solves counts the
-    corrective affine solves.
+    corrective least-squares solves.
     """
 
     weights: SimplexWeights
@@ -62,170 +64,119 @@ class ErmSolution:
     converged: bool
     stop_reason: str
     kkt_solves: int
-    history: tuple | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class _Quadratic:
-    """The squared risk of w @ F, kept on the K design points.
+def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
+    """A and target with risk(w) = ||w @ A - target||^2 + a constant.
 
-    With f = w @ F the fitted values, the risk is f'(px f) - 2 ymass'f + k and
-    its gradient in w is 2 (F (px f) - F ymass), so no M x M Gram is formed.
+    Design points the data gives no mass get a zero column in A and a zero
+    target.
     """
-
-    values: np.ndarray
-    mass: np.ndarray
-    ymass: np.ndarray
-    linear: np.ndarray
-    constant: float
-
-    def value(self, f: np.ndarray) -> float:
-        return float(f @ (self.mass * f) - 2.0 * (self.ymass @ f) + self.constant)
-
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.values @ (self.mass * f) - self.linear)
-
-    def fitted(self, support, u: np.ndarray) -> np.ndarray:
-        return u @ self.values[support]
-
-    def gram(self, support) -> np.ndarray:
-        """The Gram block of the functions in support."""
-        rows = self.values[support]
-        return (rows * self.mass) @ rows.T
-
-
-def _quadratic(dictionary: Dictionary, measure) -> _Quadratic:
     F = dictionary.values
     K = dictionary.num_design_points
     x, y, p = measure.x_indices, measure.y_values, measure.probabilities
     if x.max() >= K:
         raise ValueError("data refers to design points outside the dictionary")
-    px = np.bincount(x, weights=p, minlength=K)
+    root = np.sqrt(np.bincount(x, weights=p, minlength=K))
     ymass = np.bincount(x, weights=p * y, minlength=K)
-    const = float(p @ (y * y))
-    return _Quadratic(F, px, ymass, F @ ymass, const)
+    target = np.divide(ymass, root, out=np.zeros(K), where=root > 0.0)
+    return F * root, target
 
 
-def _restricted_minimum(quad: _Quadratic, support: np.ndarray) -> np.ndarray:
-    """Affine minimizer of w'Gw - 2c'w over {sum w_S = 1, w off-support = 0}.
+def _restricted_minimum(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimizer of ||u @ rows - target|| over the affine hull sum(u) = 1.
 
-    The KKT system is consistent even when the restricted Gram is singular
-    (null directions of the Gram never carry a linear term), so lstsq returns
-    an exact minimizer.  The Gram rows are divided by the power of two nearest
-    above the block's largest diagonal entry, so at any data scale they stay
-    comparable to the unit constraint row and lstsq's rank cutoff keeps it.
+    With u = (1 - sum z, z) the problem is unconstrained least squares in z
+    on the differences rows[1:] - rows[0].  lstsq returns an exact minimizer
+    even when those differences are rank deficient, and its rank cutoff is
+    relative to their largest singular value, so the step is the same at any
+    data scale.
     """
-    k = support.size
-    block = quad.gram(support)
-    _, exponent = np.frexp(block.diagonal().max())
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = np.ldexp(2.0 * block, -exponent)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([np.ldexp(2.0 * quad.linear[support], -exponent), [1.0]])
-    solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return solution[:k]
+    z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
+    return np.concatenate([[1.0 - z.sum()], z])
 
 
-def _minimize_fw(quad: _Quadratic, config: SolverConfig, record_history: bool):
-    """Fully corrective Frank-Wolfe on the simplex.
+def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
+    """Fully corrective Frank-Wolfe on the simplex for ||w @ A - target||^2.
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
-    vertices (affine KKT solves with line-search drops, as in min-norm-point
-    methods).  On a quadratic this terminates in finitely many vertex
-    additions, so tight duality-gap tolerances are reachable even when the
-    Gram matrix is rank deficient.  The iterate's fitted values f = w @ F
-    are carried along, so an iteration costs one O(MK) gradient.
+    vertices (unconstrained least squares on their affine hull, with
+    line-search drops, as in Wolfe's min-norm-point method).  On a quadratic
+    this terminates in finitely many vertex additions, so tight duality-gap
+    tolerances are reachable even when A is rank deficient.  The active set
+    and its weights are carried as arrays, with the newest vertex last, and
+    so are the fitted values g = u @ A[support]; an iteration costs one
+    O(MK) gradient.
     """
-    F = quad.values
-    M = F.shape[0]
-    vertex_values = (F * F) @ quad.mass - 2.0 * quad.linear
-    start = int(np.argmin(vertex_values))
-    support = [start]
+    start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
+    support = np.array([start])
     u = np.array([1.0])
-    w = np.zeros(M)
-    w[start] = 1.0
-    f = F[start]
-    best_value = quad.value(f)
-    history = [best_value] if record_history else None
-    tol = config.tolerance
-    converged = False
+    g = A[start]
+    best_value = float((g - target) @ (g - target))
     stop_reason = "max_iterations"
     kkt_solves = 0
-    iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        grad = quad.gradient(f)
+        grad = 2.0 * (A @ (g - target))
         s = int(np.argmin(grad))
-        gap = float(grad @ w) - float(grad[s])
-        if gap <= tol:
-            converged = True
+        gap = float(grad[support] @ u) - float(grad[s])
+        if gap <= config.tolerance:
             stop_reason = "gap"
             break
         if s in support:
-            # w is already affine-optimal on its face, so a repeat vertex can
+            # u is already affine-optimal on its face, so a repeat vertex can
             # only be floating-point noise; no further progress is possible.
             stop_reason = "repeat_vertex"
             break
 
-        support.append(s)
+        support = np.append(support, s)
         u = np.append(u, 0.0)
-        while True:
-            added = support.index(s) if s in support else None
-            v = _restricted_minimum(quad, np.array(support))
+        done = False
+        while not done:
+            rows = A[support]
+            v = _restricted_minimum(rows, target)
             kkt_solves += 1
-            if added is not None and v[added] <= 0.0:
+            if support[-1] == s and v[-1] <= 0.0:
                 # rounding starved the new vertex; take a plain line-search
                 # step toward it instead of cycling
-                d = -u.copy()
-                d[added] += 1.0
-                g = quad.fitted(support, d)
-                curv = float(g @ (quad.mass * g))
+                d = -u
+                d[-1] += 1.0
+                step_values = d @ rows
+                curv = float(step_values @ step_values)
                 step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
                 u = u * (1.0 - step)
-                u[added] += step
-                break
-            if v.min() >= -1e-12:
+                u[-1] += step
+                done = True
+            elif v.min() >= -1e-12:
                 u = np.maximum(v, 0.0)
-                break
-            blocked = v < 0.0
-            ratios = u[blocked] / (u[blocked] - v[blocked])
-            gamma = float(ratios.min())
-            u = u + gamma * (v - u)
-            u[u <= 1e-14] = 0.0
+                done = True
+            else:
+                blocked = v < 0.0
+                ratios = u[blocked] / (u[blocked] - v[blocked])
+                u = u + float(ratios.min()) * (v - u)
+                u[u <= 1e-14] = 0.0
             keep = u > 0.0
-            support = [j for j, kept in zip(support, keep) if kept]
-            u = u[keep]
+            support, u = support[keep], u[keep]
 
-        keep = u > 0.0
-        support = [j for j, kept in zip(support, keep) if kept]
-        u = u[keep]
         u = u / u.sum()
-        w = np.zeros(M)
-        w[support] = u
-        f = quad.fitted(support, u)
-        value = quad.value(f)
-        if record_history:
-            history.append(value)
+        g = u @ A[support]
+        value = float((g - target) @ (g - target))
         if value >= best_value:
             # no measurable descent left; stop rather than stall
             stop_reason = "no_descent"
             break
         best_value = value
 
-    grad = quad.gradient(f)
-    gap = max(float(grad @ w) - float(grad.min()), 0.0)
-    if gap <= tol:
-        converged = True
-    return w, gap, iterations, converged, history, stop_reason, kkt_solves
+    grad = 2.0 * (A @ (g - target))
+    gap = max(float(grad[support] @ u) - float(grad.min()), 0.0)
+    return support, u, gap, iterations, stop_reason, kkt_solves
 
 
 def erm_convex_hull(
     dictionary: Dictionary,
     data,
     config: SolverConfig | None = None,
-    record_history: bool = False,
 ) -> ErmSolution:
     """Minimize the squared risk over the convex hull of the dictionary.
 
@@ -235,18 +186,18 @@ def erm_convex_hull(
     deterministic.
     """
     cfg = config or SolverConfig()
-    quad = _quadratic(dictionary, data)
-    w, gap, iterations, converged, history, stop_reason, kkt_solves = _minimize_fw(quad, cfg, record_history)
+    support, u, gap, iterations, stop_reason, kkt_solves = _minimize_fw(*_least_squares(dictionary, data), cfg)
+    w = np.zeros(dictionary.size_M)
+    w[support] = u
     f = w @ dictionary.values
     return ErmSolution(
         weights=SimplexWeights(w),
         empirical_risk=max(risk.empirical_risk(f, data), 0.0),
         duality_gap=gap,
         iterations=iterations,
-        converged=converged,
+        converged=gap <= cfg.tolerance,
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
-        history=tuple(history) if history is not None else None,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dictionary, DiscreteProblem, Multiset, SampleSet, SimplexWeights, combine, multiset_average
-from .risk import empirical_risk, population_risk, variance_term
+from .risk import empirical_risk, mixture_variance, population_risk, variance_term
 from .solver import simplex_grid
 
 DEFAULT_NET_CAP = 10**6
@@ -147,10 +147,7 @@ def empirical_sparsified_identity(
         raise ValueError(f"net has {total} elements, above the enumeration cap {cap}")
 
     base = empirical_risk(combine(dictionary, w), samples)
-    s1 = weights @ vals
-    s2 = weights @ (vals * vals)
-    per_x = np.maximum(s2 - s1 * s1, 0.0)
-    correction = float(np.mean(per_x[samples.x_indices])) / m
+    correction = float(np.mean(mixture_variance(w, dictionary)[samples.x_indices])) / m
     rhs = base + correction
 
     log_w = np.full(M, -np.inf)

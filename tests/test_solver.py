@@ -69,18 +69,6 @@ def test_erm_hull_deterministic_repeat():
     assert a.iterations == b.iterations
 
 
-def test_erm_hull_history_monotone():
-    rng = np.random.default_rng(13)
-    p = random_problem(rng, K=5)
-    d = random_dictionary(rng, M=8, K=5)
-    from cvxagg.model import sample
-
-    s = sample(p, 128, seed=3)
-    sol = erm_convex_hull(d, s, record_history=True)
-    hist = np.array(sol.history)
-    assert np.all(np.diff(hist) <= 1e-15)
-
-
 def test_erm_hull_risk_consistent_with_risk_module():
     rng = np.random.default_rng(17)
     p = random_problem(rng, K=3)
@@ -244,13 +232,16 @@ def test_erm_constrained_box_separable_closed_form():
 
 def test_erm_constrained_simplex_agrees_with_hull_solver():
     # the second dictionary holds 20 functions on 5 design points, each twice,
-    # so its Gram is rank deficient
+    # so its Gram is rank deficient; the third sample has 6 pairs on 16 design
+    # points, so most design points carry no mass
     rng = np.random.default_rng(53)
     cfg = SolverConfig(tolerance=1e-10)
-    for K, M, copies, n, seed in ((3, 4, 1, 60, 8), (5, 20, 2, 80, 4)):
+    for K, M, copies, n, seed in ((3, 4, 1, 60, 8), (5, 20, 2, 80, 4), (16, 12, 1, 6, 2)):
         p = random_problem(rng, K=K)
         d = Dictionary(np.tile(random_dictionary(rng, M=M, K=K).values, (copies, 1)))
         s = sample(p, n, seed=seed)
+        if n < K:
+            assert np.unique(s.x_indices).size < K
         fw = erm_convex_hull(d, s, cfg)
         pg = erm_constrained(d, s, project=project_simplex, config=cfg)
         assert fw.converged
