@@ -19,10 +19,8 @@ from .model import (
     multiset_average,
     sample,
 )
-from .rates import RatePoint, gap_ratio, phi_n, psi_c, oracle_inequality_residual
+from .rates import RatePoint, gap_ratio, phi_n, psi_c
 from .risk import (
-    BernsteinReport,
-    bernstein_check,
     empirical_risk,
     excess_loss_mean,
     excess_loss_second_moment,
@@ -32,7 +30,6 @@ from .risk import (
 from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_segment
 
 __all__ = [
-    "BernsteinReport",
     "Dictionary",
     "DiscreteProblem",
     "ErmSolution",
@@ -42,7 +39,6 @@ __all__ = [
     "Segment",
     "SimplexWeights",
     "SolverConfig",
-    "bernstein_check",
     "combine",
     "empirical_risk",
     "erm_convex_hull",
@@ -55,6 +51,5 @@ __all__ = [
     "population_risk",
     "psi_c",
     "sample",
-    "oracle_inequality_residual",
     "variance_term",
 ]

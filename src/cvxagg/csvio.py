@@ -1,10 +1,11 @@
-"""CSV round-trips for problems, dictionaries, samples, and weights.
+"""CSV files for problems, dictionaries, samples, and weights.
 
 One file per entity, header row naming the columns, one row per atom (or
 design point, sample pair, weight).  Scalar metadata that belongs to the
 whole entity (a problem's bound, a sample's seed) is carried in a constant
-column, which keeps the files plain CSV.  Floats are written with repr so
-round-trips are exact.
+column, which keeps the files plain CSV.  Every file the CLI takes has a
+reader here, which checks it as it reads; dictionaries and samples also have
+writers, which write floats with repr so round-trips are exact.
 """
 
 from __future__ import annotations
@@ -26,16 +27,27 @@ def _write_rows(path, header, rows) -> None:
     Path(path).write_text(buffer.getvalue())
 
 
+def _data_rows(path, reader, width: int) -> list[list[str]]:
+    """The nonempty rows left in reader, each required to have width fields."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, the header has {width}")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows
+
+
 def _read_rows(path, expected_header) -> list[list[str]]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, found {header}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return rows
+        return _data_rows(path, reader, len(header))
 
 
 def _index_order(path, column: str, values) -> np.ndarray:
@@ -45,17 +57,6 @@ def _index_order(path, column: str, values) -> np.ndarray:
     if not np.array_equal(indices[order], np.arange(indices.size)):
         raise ValueError(f"{path}: {column} values must be exactly 0..{indices.size - 1}")
     return order
-
-
-def write_problem(problem: DiscreteProblem, path) -> None:
-    _write_rows(
-        path,
-        ["x_index", "y_value", "probability", "bound_b"],
-        [
-            [int(x), repr(float(y)), repr(float(p)), repr(float(problem.bound_b))]
-            for x, y, p in zip(problem.x_indices, problem.y_values, problem.probabilities)
-        ],
-    )
 
 
 def read_problem(path) -> DiscreteProblem:
@@ -87,9 +88,7 @@ def read_dictionary(path) -> Dictionary:
         header = next(reader, None)
         if not header or header[0] != "x_index" or len(header) < 2:
             raise ValueError(f"{path}: expected header x_index,f0,f1,...")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+        rows = _data_rows(path, reader, len(header))
     order = _index_order(path, "x_index", (r[0] for r in rows))
     table = np.array([[float(v) for v in rows[i][1:]] for i in order])
     return Dictionary(table.T)
@@ -115,14 +114,6 @@ def read_samples(path) -> SampleSet:
         np.array([int(r[0]) for r in rows]),
         np.array([float(r[1]) for r in rows]),
         seed=int(rows[0][2]),
-    )
-
-
-def write_weights(weights: SimplexWeights, path) -> None:
-    _write_rows(
-        path,
-        ["index", "weight"],
-        [[j, repr(float(w))] for j, w in enumerate(weights.weights)],
     )
 
 

@@ -212,16 +212,14 @@ def run_trial(
     n: int,
     solver_config: SolverConfig,
     seed: int,
-    replication: int = 0,
-    oracle_risk: float | None = None,
+    replication: int,
+    oracle_risk: float,
 ) -> TrialRecord:
     """Draw a size-n sample, run hull ERM, record the exact population excess.
 
-    oracle_risk is the population hull minimum; pass it when running many
-    trials on the same problem so it is computed once.
+    oracle_risk is the population hull minimum (`population_oracle`),
+    computed once per problem and shared by its trials.
     """
-    if oracle_risk is None:
-        oracle_risk = population_oracle(dictionary, problem).empirical_risk
     draws = sample(problem, n, seed)
     solution = erm_convex_hull(dictionary, draws, solver_config)
     fitted = combine(dictionary, solution.weights)
@@ -370,13 +368,16 @@ def write_outputs(report: RateReport, out_dir) -> None:
     )
 
 
+def _check_keys(keys, cls, what: str) -> None:
+    unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file keyed by the field names."""
     raw = json.loads(Path(path).read_text())
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(raw, ExperimentConfig, "config")
     kwargs = dict(raw)
     if "grid" in kwargs:
         kwargs["grid"] = tuple((int(n), int(M)) for n, M in kwargs["grid"])
@@ -385,6 +386,7 @@ def load_config(path) -> ExperimentConfig:
         # configs written before ties were fixed to the lowest index carry this key
         if solver.pop("tie_break", "lowest-index") != "lowest-index":
             raise ValueError("only the lowest-index tie break is supported")
+        _check_keys(solver, SolverConfig, "solver config")
         kwargs["solver"] = SolverConfig(**solver)
     return ExperimentConfig(**kwargs)
 

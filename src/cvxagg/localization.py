@@ -1,17 +1,18 @@
 """Localized empirical-process suprema, peeling, fixed points, and the
 two-sided empirical/population risk comparison on segments.
 
-Function classes live on the atom space of a discrete problem: a class member
-is a vector of values, one per (x, y) atom, so P h and P_n h are exact dot
-products with the atom probabilities and the sampled atom frequencies.  The
-star hull of a class G scales members by alpha in [0, 1]; its localized set
-keeps only scalings with P(alpha h) <= lambda.
+The localized class is a segment's excess-loss class: the excess losses
+L_theta of the points theta of the segment, tabulated on the (x, y) atoms of
+a discrete problem, so P L_theta and P_n L_theta are exact dot products with
+the atom probabilities and the sampled atom frequencies.  Its star hull
+scales each L_theta by alpha in [0, 1], and the localized set keeps only
+scalings with P(alpha L_theta) <= lambda.
 
-Segment excess-loss classes are one-parameter families whose population and
-empirical means are quadratics in theta.  Every supremum over theta in [0, 1]
-used here is of a piecewise quadratic or rational function, so it is attained
-at 0, 1, or a closed-form breakpoint or stationary point; the suprema are
-evaluated exactly on those candidates, for all datasets and segments at once.
+The population and empirical means of L_theta are quadratics in theta.
+Every supremum over theta in [0, 1] used here is of a piecewise quadratic or
+rational function, so it is attained at 0, 1, or a closed-form breakpoint or
+stationary point; the suprema are evaluated exactly on those candidates, for
+all datasets and segments at once.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ import numpy as np
 from .model import Dictionary, DiscreteProblem, Multiset, Segment, multiset_average
 from .solver import erm_segment
 
-SEGMENT_KIND = "segment-excess-loss"
-SPAN_KIND = "span-ball"
-CUSTOM_KIND = "custom-enumerated"
-
-# Gram eigenvalues below this fraction of the largest count as rank deficiency
-SPAN_REL_TOL = 1e-12
 # peeling stops once a term is below this fraction of the running sum, or
 # raises after PEEL_MAX_TERMS shells
 PEEL_TRUNCATE_REL = 1e-15
@@ -42,39 +37,18 @@ FIXED_POINT_REL_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LocalizedClass:
-    """A function class together with its localization level.
+    """A segment's excess-loss class together with its localization level."""
 
-    kind selects the parameterization: a segment's excess-loss class, the
-    ball {f in span(dictionary): P f^2 <= level} in the design marginal, or an
-    explicit finite list of atom-tabulated functions.
-    """
-
-    kind: str
+    segment: Segment
     level_lambda: float
-    segment: Segment | None = None
-    dictionary: Dictionary | None = None
-    functions: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in (SEGMENT_KIND, SPAN_KIND, CUSTOM_KIND):
-            raise ValueError(f"unknown localized-class kind {self.kind!r}")
         if not self.level_lambda > 0:
             raise ValueError("level_lambda must be positive")
-        needed = {SEGMENT_KIND: self.segment, SPAN_KIND: self.dictionary, CUSTOM_KIND: self.functions}
-        if needed[self.kind] is None:
-            raise ValueError(f"kind {self.kind!r} is missing its parameters")
 
 
 def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
-    return LocalizedClass(kind=SEGMENT_KIND, level_lambda=level, segment=segment)
-
-
-def span_ball_class(dictionary: Dictionary, level: float) -> LocalizedClass:
-    return LocalizedClass(kind=SPAN_KIND, level_lambda=level, dictionary=dictionary)
-
-
-def enumerated_class(functions, level: float) -> LocalizedClass:
-    return LocalizedClass(kind=CUSTOM_KIND, level_lambda=level, functions=tuple(np.asarray(f, float) for f in functions))
+    return LocalizedClass(segment, level)
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -165,29 +139,6 @@ def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.nda
     return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
 
 
-def _span_basis(dictionary: Dictionary, problem: DiscreteProblem):
-    """Orthonormal basis of the dictionary span in the design marginal.
-
-    The Gram (F px) F' is A A' for A = F sqrt(px), so its eigenpairs come from
-    a thin SVD of A in O(M K^2) time and O(M K) memory.
-    """
-    F = dictionary.values
-    U, sigma, _ = np.linalg.svd(F * np.sqrt(problem.marginal_x), full_matrices=False)
-    eigvals = sigma * sigma
-    keep = eigvals > max(eigvals.max(initial=0.0) * SPAN_REL_TOL, 1e-300)
-    if not np.any(keep):
-        return np.zeros((0, F.shape[1]))
-    return (U[:, keep] / sigma[keep]).T @ F
-
-
-def span_rank(dictionary: Dictionary, problem: DiscreteProblem) -> int:
-    """Rank of the dictionary Gram matrix under the design marginal.
-
-    Duplicated or linearly dependent rows do not increase the rank.
-    """
-    return _span_basis(dictionary, problem).shape[0]
-
-
 def localized_sup(
     cls: LocalizedClass,
     problem: DiscreteProblem,
@@ -206,26 +157,8 @@ def localized_sup(
         raise ValueError("at least 2 replications are required for a standard error")
     if n < 1:
         raise ValueError("n must be at least 1")
-    probs = problem.probabilities
-    level = cls.level_lambda
-
-    if cls.kind == SEGMENT_KIND:
-        pop, emp = _segment_coefficients([cls.segment], problem, n, reps, seed)
-        sups = _segment_star_sup(pop, pop - emp, level)[:, 0]
-    elif cls.kind == SPAN_KIND:
-        basis = _span_basis(cls.dictionary, problem)
-        atom_vals = basis[:, problem.x_indices] if basis.size else np.zeros((0, probs.size))
-        delta = probs - _rep_counts(probs, n, reps, seed) / n
-        sups = math.sqrt(level) * np.linalg.norm(delta @ atom_vals.T, axis=1)
-    else:
-        H = np.vstack(cls.functions)
-        if H.shape[1] != probs.size:
-            raise ValueError("enumerated functions must be tabulated on the problem atoms")
-        ph = H @ probs
-        cap = np.where(ph > 0, np.minimum(1.0, level / np.where(ph > 0, ph, 1.0)), 1.0)
-        delta = probs - _rep_counts(probs, n, reps, seed) / n
-        sups = np.max(cap * np.abs(delta @ H.T), axis=1)
-
+    pop, emp = _segment_coefficients([cls.segment], problem, n, reps, seed)
+    sups = _segment_star_sup(pop, pop - emp, cls.level_lambda)[:, 0]
     estimate = float(np.mean(sups))
     std_error = float(np.std(sups, ddof=1) / math.sqrt(reps))
     return estimate, std_error
@@ -236,15 +169,6 @@ def rademacher_segment_bound(b: float, mu: float, n: int) -> float:
     if mu < 0 or n < 1:
         raise ValueError("mu must be nonnegative and n at least 1")
     return 8.0 * b * math.sqrt(mu / n)
-
-
-def rademacher_span_bound(b: float, mu: float, n: int, M_prime: int) -> float:
-    """Localized complexity ceiling 8 b sqrt(M' mu / n) for a span of rank M'."""
-    if M_prime < 1:
-        raise ValueError("M_prime must be at least 1")
-    if mu < 0 or n < 1:
-        raise ValueError("mu must be nonnegative and n at least 1")
-    return 8.0 * b * math.sqrt(M_prime * mu / n)
 
 
 def peeling_bound(per_level, lam: float) -> float:
@@ -315,25 +239,19 @@ def gamma(x: float, b: float, N: int, n: int, c0: float) -> float:
     return c0 * b * b * (x + 2.0 * math.log(N)) / n
 
 
-def rho_n(x: float, lambda_star: float, B: float, sup_norm: float, n: int, c0: float) -> float:
-    """Comparison level max(lambda_star, c0 (B + sup_norm) x / n); never below lambda_star."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if min(x, lambda_star, B, sup_norm, c0) < 0:
-        raise ValueError("arguments must be nonnegative")
-    return max(lambda_star, c0 * (B + sup_norm) * x / n)
-
-
 @dataclass(frozen=True)
 class IsomorphismReport:
     """Violation tally for the two-sided excess-risk comparison on segments.
 
     A trial counts as a violation when any tested segment contains a point
     whose empirical/population excess-risk deviation exceeds half the max of
-    the excess risk and the level gamma_or_rho.  erm_checked counts the
+    the excess risk and the level gamma.  erm_checked counts the
     non-violating trials, on which the segment ERM's population excess is
     additionally compared against the level; erm_implication_failures should
     be 0 whenever the comparison logic is sound.
+
+    gamma_or_rho holds the level gamma; the field keeps its name because the
+    CLI, the scripts and the benchmark read it.
     """
 
     x: float
@@ -355,11 +273,6 @@ class IsomorphismReport:
             return 0.0
         p = self.violation_rate
         return math.sqrt(p * (1.0 - p) / self.trials)
-
-    @property
-    def rate_ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.rate_std_error
-        return (max(0.0, self.violation_rate - half), min(1.0, self.violation_rate + half))
 
 
 def _max_deficit(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:

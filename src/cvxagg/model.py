@@ -65,12 +65,7 @@ class DiscreteProblem:
         k = int(x.max()) + 1
         if np.unique(x).size != k:
             raise ValueError("x indices must cover 0..K-1 without gaps")
-        marginal = np.bincount(x, weights=p, minlength=k)
-        ymass = np.bincount(x, weights=p * y, minlength=k)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            regression = np.where(marginal > 0, ymass / np.where(marginal > 0, marginal, 1.0), 0.0)
-        object.__setattr__(self, "_marginal_x", _freeze(marginal, np.float64))
-        object.__setattr__(self, "_regression", _freeze(regression, np.float64))
+        object.__setattr__(self, "_marginal_x", _freeze(np.bincount(x, weights=p, minlength=k), np.float64))
 
     @property
     def num_atoms(self) -> int:
@@ -84,18 +79,6 @@ class DiscreteProblem:
     def marginal_x(self) -> np.ndarray:
         """Marginal law of X over the design points."""
         return self._marginal_x
-
-    @property
-    def regression_values(self) -> np.ndarray:
-        """E[Y | X = x] per design point (0 where the marginal mass is 0)."""
-        return self._regression
-
-    @property
-    def atoms(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(x), float(y), float(p))
-            for x, y, p in zip(self.x_indices, self.y_values, self.probabilities)
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +104,6 @@ class Dictionary:
 
     def row(self, j: int) -> np.ndarray:
         return self.values[j]
-
-    def validate_bounded(self, bound_b: float) -> None:
-        """Raise unless every tabulated value satisfies |f(x)| <= bound_b."""
-        if float(np.abs(self.values).max()) > bound_b:
-            raise ValueError("dictionary values exceed the problem bound")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +168,6 @@ class SimplexWeights:
 
     def __len__(self) -> int:
         return self.weights.size
-
-    @classmethod
-    def vertex(cls, size_m: int, index: int) -> "SimplexWeights":
-        w = np.zeros(size_m)
-        w[index] = 1.0
-        return cls(w)
-
-    @classmethod
-    def uniform(cls, size_m: int) -> "SimplexWeights":
-        return cls(np.full(size_m, 1.0 / size_m))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Aggregation rate curves and the oracle-inequality residual.
+"""Aggregation rate curves: the optimal convex-aggregation rate and the older one.
 
 All logarithms are natural.  The rates are meaningful up to multiplicative
 constants, so the experiment harness fits constants instead of assuming 1.
@@ -46,13 +46,6 @@ def gap_ratio(n: int, M: int) -> float:
     are not yet ordered; for n >= 8 it is >= 1 everywhere.
     """
     return phi_n(n, M) / psi_c(n, M)
-
-
-def oracle_inequality_residual(n: int, M: int, x: float, b: float, c0: float) -> float:
-    """Oracle-inequality residual c0 * b^2 * max(psi_c, x/n) at deviation x."""
-    if x < 0 or b < 0 or c0 < 0:
-        raise ValueError("x, b, and c0 must be nonnegative")
-    return c0 * b * b * max(psi_c(n, M), x / n)
 
 
 @dataclass(frozen=True)

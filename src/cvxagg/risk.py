@@ -1,4 +1,4 @@
-"""Exact squared risks, excess losses, and Bernstein-condition diagnostics.
+"""Exact squared risks, excess-loss moments, and the sparsification variance.
 
 Every expectation here is an exact finite sum over the problem atoms; nothing
 in this module is Monte Carlo.  That keeps these functions usable as
@@ -7,14 +7,9 @@ noise-free oracles for the stochastic machinery elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights
-
-# excess losses with a smaller second moment are treated as a.s. zero
-DEGENERATE_TOL = 1e-13
 
 
 def _check_tabulated(f: np.ndarray, num_points: int) -> np.ndarray:
@@ -79,48 +74,3 @@ def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscretePr
         raise ValueError("dictionary and problem are tabulated on different designs")
     return float(problem.marginal_x @ mixture_variance(w, dictionary))
 
-
-@dataclass(frozen=True)
-class BernsteinReport:
-    """Outcome of checking E L^2 <= B * E L over a sampled function class.
-
-    Entries with second moment below DEGENERATE_TOL are excluded from
-    max_ratio (the inequality is vacuous for an a.s. zero excess loss) and
-    counted in `degenerate`.
-    """
-
-    constant_B: float
-    max_ratio: float
-    violations: int
-    tested: int
-    degenerate: int
-
-
-def bernstein_check(class_sample, f_star: np.ndarray, problem: DiscreteProblem, B: float) -> BernsteinReport:
-    """Check the second-moment condition for each function in class_sample.
-
-    f_star must be the exact risk minimizer of the convex class the sample was
-    drawn from; otherwise excess means can be negative and ratios meaningless.
-    """
-    max_ratio = 0.0
-    violations = 0
-    tested = 0
-    degenerate = 0
-    for f in class_sample:
-        mean = excess_loss_mean(f, f_star, problem)
-        second = excess_loss_second_moment(f, f_star, problem)
-        if second <= DEGENERATE_TOL:
-            degenerate += 1
-            continue
-        tested += 1
-        ratio = second / mean if mean > 0 else np.inf
-        max_ratio = max(max_ratio, ratio)
-        if ratio > B:
-            violations += 1
-    return BernsteinReport(
-        constant_B=float(B),
-        max_ratio=float(max_ratio),
-        violations=violations,
-        tested=tested,
-        degenerate=degenerate,
-    )

@@ -2,45 +2,24 @@
 
 The net of all m-fold multiset averages approximates the convex hull: drawing
 m i.i.d. rows with probabilities w and averaging them has expected risk
-R(f_w) + variance/m, an exact identity used both as the primary computation
-and (via full enumeration) as its own cross-check.
+R(f_w) + variance/m, an exact identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Multiset, SampleSet, SimplexWeights, combine, multiset_average
-from .risk import empirical_risk, mixture_variance, population_risk, variance_term
+from .model import Dictionary, DiscreteProblem, Multiset, SimplexWeights, combine, multiset_average
+from .risk import population_risk, variance_term
 from .solver import simplex_grid
 
+# enumerate_net refuses nets with more elements than this
 DEFAULT_NET_CAP = 10**6
 # hull grid of net_approximation_gap: at least this many steps per coordinate
 NET_GAP_GRID_RESOLUTION = 48
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Size bookkeeping for the net of m-fold averages over M symbols."""
-
-    size_M: int
-    m: int
-    cardinality_N: int
-
-    def __post_init__(self):
-        if self.size_M < 1 or self.m < 1:
-            raise ValueError("size_M and m must be at least 1")
-        expected = math.comb(self.size_M + self.m - 1, self.m)
-        if self.cardinality_N != expected:
-            raise ValueError(f"cardinality_N must equal C(M+m-1, m) = {expected}")
-
-
-def net_spec(size_M: int, m: int) -> NetSpec:
-    return NetSpec(size_M, m, math.comb(size_M + m - 1, m))
 
 
 def choose_m(n: int, M: int) -> int:
@@ -56,13 +35,13 @@ def choose_m(n: int, M: int) -> int:
     return max(1, math.ceil(math.sqrt(n / math.log(math.e * M / math.sqrt(n)))))
 
 
-def enumerate_net(dictionary: Dictionary, m: int, cap: int = DEFAULT_NET_CAP) -> list[Multiset]:
+def enumerate_net(dictionary: Dictionary, m: int) -> list[Multiset]:
     """All multisets of m indices from the dictionary, in lexicographic order."""
     if m < 1:
         raise ValueError("m must be at least 1")
     total = math.comb(dictionary.size_M + m - 1, m)
-    if total > cap:
-        raise ValueError(f"net has {total} elements, above the enumeration cap {cap}")
+    if total > DEFAULT_NET_CAP:
+        raise ValueError(f"net has {total} elements, above the enumeration cap {DEFAULT_NET_CAP}")
     return [Multiset(c) for c in itertools.combinations_with_replacement(range(dictionary.size_M), m)]
 
 
@@ -107,69 +86,6 @@ def expected_sparsified_risk(
         raise ValueError("m must be at least 1")
     base = population_risk(combine(dictionary, w), problem)
     return base + variance_term(w, dictionary, problem) / m
-
-
-def _multiset_log_prob(counts: np.ndarray, log_w: np.ndarray, m: int) -> float:
-    # multinomial mass of an unordered multiset with the given counts
-    out = math.lgamma(m + 1)
-    for c, lw in zip(counts, log_w):
-        if c > 0:
-            out += c * lw - math.lgamma(c + 1)
-    return out
-
-
-def empirical_sparsified_identity(
-    w: SimplexWeights,
-    m: int,
-    dictionary: Dictionary,
-    samples: SampleSet,
-    cap: int = DEFAULT_NET_CAP,
-) -> tuple[float, float]:
-    """Both sides of the empirical sparsification identity.
-
-    lhs: expectation over the m draws of the empirical risk of their average,
-    computed by enumerating multisets with multinomial weights.
-    rhs: R_n(f_w) + (1/m) * mean_i Var_J f_J(x_i).
-
-    The two sides agree to 1e-12 by construction; a mismatch indicates a
-    numerical fault and raises.  A net larger than cap cannot be enumerated,
-    so the check cannot be made and ValueError is raised.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    M = dictionary.size_M
-    vals = dictionary.values
-    weights = w.weights
-    if weights.size != M:
-        raise ValueError("weight length does not match dictionary size")
-    total = math.comb(M + m - 1, m)
-    if total > cap:
-        raise ValueError(f"net has {total} elements, above the enumeration cap {cap}")
-
-    base = empirical_risk(combine(dictionary, w), samples)
-    correction = float(np.mean(mixture_variance(w, dictionary)[samples.x_indices])) / m
-    rhs = base + correction
-
-    log_w = np.full(M, -np.inf)
-    pos = weights > 0
-    log_w[pos] = np.log(weights[pos])
-    lhs = 0.0
-    for indices in itertools.combinations_with_replacement(range(M), m):
-        counts = np.bincount(indices, minlength=M)
-        if np.any(counts[~pos] > 0):
-            continue
-        prob = math.exp(_multiset_log_prob(counts, log_w, m))
-        lhs += prob * empirical_risk(combine(dictionary, counts / m), samples)
-
-    scale = 1.0 + abs(rhs)
-    if abs(lhs - rhs) > 1e-12 * scale:
-        raise ArithmeticError(
-            f"sparsification identity mismatch: enumeration {lhs!r} vs identity {rhs!r}"
-        )
-    b_sup = float(np.abs(vals).max())
-    if correction > 4.0 * b_sup * b_sup / m + 1e-12:
-        raise ArithmeticError("variance correction exceeds its (2b)^2 / m ceiling")
-    return lhs, rhs
 
 
 def net_approximation_gap(dictionary: Dictionary, problem: DiscreteProblem, m: int) -> float:

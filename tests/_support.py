@@ -1,5 +1,5 @@
-"""Shared generators, brute-force oracles and reference solvers for the test
-suite.
+"""Shared generators, brute-force oracles, reference solvers and CSV writers
+for the test suite.
 
 The reference solvers read data only through the weighted-atom measure
 protocol (`x_indices`, `y_values`, `probabilities`), so each works on a
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -202,3 +203,18 @@ def project_box(v, lower, upper) -> np.ndarray:
     if np.any(lower > upper):
         raise ValueError("box lower bounds exceed upper bounds")
     return np.clip(v, lower, upper)
+
+
+def write_problem(problem: DiscreteProblem, path) -> None:
+    """problem.csv as the CLI reads it: x_index,y_value,probability,bound_b."""
+    rows = [
+        f"{int(x)},{float(y)!r},{float(p)!r},{problem.bound_b!r}"
+        for x, y, p in zip(problem.x_indices, problem.y_values, problem.probabilities)
+    ]
+    Path(path).write_text("\n".join(["x_index,y_value,probability,bound_b", *rows]) + "\n")
+
+
+def write_weights(weights: SimplexWeights, path) -> None:
+    """weights.csv as the CLI reads it: index,weight."""
+    rows = [f"{j},{float(w)!r}" for j, w in enumerate(weights.weights)]
+    Path(path).write_text("\n".join(["index,weight", *rows]) + "\n")

@@ -15,6 +15,8 @@ from cvxagg.localization import IsomorphismReport
 from cvxagg.model import SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
 
+from _support import write_problem, write_weights
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -27,10 +29,10 @@ def workspace(tmp_path):
         "weights": tmp_path / "weights.csv",
         "dir": tmp_path,
     }
-    csvio.write_problem(problem, paths["problem"])
+    write_problem(problem, paths["problem"])
     csvio.write_dictionary(dictionary, paths["dict"])
     csvio.write_samples(draws, paths["samples"])
-    csvio.write_weights(SimplexWeights(np.array([0.2, 0.3, 0.5])), paths["weights"])
+    write_weights(SimplexWeights(np.array([0.2, 0.3, 0.5])), paths["weights"])
     return paths
 
 
@@ -65,6 +67,31 @@ def test_csv_readers_reject_bad_indices(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(ValueError, match="0..1"):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "key, text, fields, width",
+    [
+        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0\n", 3, 4),
+        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0,1.0,9\n", 5, 4),
+        ("samples", "x_index,y_value,seed\n0,0.5\n", 2, 3),
+        ("samples", "x_index,y_value,seed\n0,0.5,4,9\n", 4, 3),
+        ("dict", "x_index,f0,f1\n0,0.1\n1,0.2\n2,0.3\n", 2, 3),
+        ("dict", "x_index,f0,f1\n0,0.1,0.2,0.3\n", 4, 3),
+    ],
+    ids=["problem-short", "problem-long", "samples-short", "samples-long", "dictionary-short", "dictionary-long"],
+)
+def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, fields, width):
+    workspace[key].write_text(text)
+    files = {name: str(workspace[name]) for name in ("problem", "dict", "samples")}
+    if key == "problem":
+        argv = ["isomorphism", "--problem", files["problem"], "--dict", files["dict"], "--n", "32", "--c0", "2.0"]
+    else:
+        argv = ["solve", "--dict", files["dict"], "--samples", files["samples"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {workspace[key]}: line 2 has {fields} fields, the header has {width}"
+    )
 
 
 def test_rates_subcommand(capsys):
@@ -195,9 +222,9 @@ def test_isomorphism_subcommand(workspace, capsys):
 def test_design_size_mismatch_exits_one(tmp_path, capsys, command, problem_k, dict_k):
     problem, _ = make_problem("inside-hull", K=problem_k, M=3, b=1.0, seed=2)
     _, dictionary = make_problem("inside-hull", K=dict_k, M=3, b=1.0, seed=2)
-    csvio.write_problem(problem, tmp_path / "problem.csv")
+    write_problem(problem, tmp_path / "problem.csv")
     csvio.write_dictionary(dictionary, tmp_path / "dict.csv")
-    csvio.write_weights(SimplexWeights(np.array([0.2, 0.3, 0.5])), tmp_path / "weights.csv")
+    write_weights(SimplexWeights(np.array([0.2, 0.3, 0.5])), tmp_path / "weights.csv")
     extra = {
         "isomorphism": ["--n", "32", "--c0", "2.0", "--reps", "10", "--num-functions", "4", "--num-segments", "3"],
         "sparsify": ["--weights", str(tmp_path / "weights.csv"), "--m", "2"],

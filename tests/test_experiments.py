@@ -15,7 +15,7 @@ from cvxagg.experiments import (
     run_trial,
     save_config,
 )
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, combine, sample
+from cvxagg.model import Dictionary, SampleSet, combine, sample
 from cvxagg.risk import population_risk
 from cvxagg.solver import SolverConfig
 
@@ -35,7 +35,6 @@ def test_make_problem_bounds_and_determinism():
         assert np.abs(p1.y_values).max() <= 0.7
         assert np.abs(d1.values).max() <= 0.7
         assert p1.num_design_points == 5
-        d1.validate_bounded(p1.bound_b)
 
 
 def test_make_problem_noiseless_inside_hull_is_realizable():
@@ -46,12 +45,14 @@ def test_make_problem_noiseless_inside_hull_is_realizable():
 
 def test_make_problem_pure_noise_regression_is_zero():
     p, _ = make_problem("pure-noise", K=3, M=2, b=1.0, seed=5)
-    assert p.regression_values == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    ymass = np.bincount(p.x_indices, weights=p.probabilities * p.y_values, minlength=3)
+    assert ymass / p.marginal_x == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
-    record = run_trial(p, d, n=32, solver_config=SolverConfig(), seed=11)
+    oracle_risk = population_oracle(d, p).empirical_risk
+    record = run_trial(p, d, n=32, solver_config=SolverConfig(), seed=11, replication=0, oracle_risk=oracle_risk)
     assert record.excess_risk == pytest.approx(0.0, abs=1e-10)
     assert record.converged
 
@@ -77,7 +78,8 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     p, _ = make_problem("pure-noise", K=3, M=2, b=1.0, seed=17)
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = 12345
-    record = run_trial(p, d, n=40, solver_config=SolverConfig(tolerance=1e-12), seed=seed)
+    oracle_risk = population_oracle(d, p).empirical_risk
+    record = run_trial(p, d, 40, SolverConfig(tolerance=1e-12), seed, replication=0, oracle_risk=oracle_risk)
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(np.mean(draws.y_values)) / c))
     expected_excess = (w_hat * c) ** 2
@@ -162,6 +164,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"grid": [[64, 2]], "replication": 5}))
     with pytest.raises(ValueError):
         load_config(path)
+    path.write_text(json.dumps({"grid": [[64, 2]], "solver": {"max_iter": 5, "tie_break": "lowest-index"}}))
+    with pytest.raises(ValueError, match=r"unknown solver config keys: \['max_iter'\]"):
+        load_config(path)
 
 
 def test_config_loads_legacy_tie_break(tmp_path):
@@ -172,6 +177,7 @@ def test_config_loads_legacy_tie_break(tmp_path):
     path.write_text(json.dumps({"grid": [[64, 2]], "solver": dict(solver, tie_break="random")}))
     with pytest.raises(ValueError):
         load_config(path)
+
 
 
 def test_trial_record_fields_in_order():

@@ -115,7 +115,7 @@ def test_problem_validation():
         DiscreteProblem(np.array([], dtype=int), np.array([]), np.array([]), bound_b=1.0)
 
 
-def test_problem_regression_values_and_marginal():
+def test_problem_marginal_and_design_size():
     p = DiscreteProblem(
         np.array([0, 0, 1]),
         np.array([0.0, 1.0, 0.5]),
@@ -124,8 +124,6 @@ def test_problem_regression_values_and_marginal():
     )
     assert p.num_design_points == 2
     assert p.marginal_x == pytest.approx([0.5, 0.5])
-    assert p.regression_values == pytest.approx([0.5, 0.5])
-    assert p.atoms[0] == (0, 0.0, 0.25)
 
 
 def test_weights_validation_and_cleanup():
@@ -136,15 +134,6 @@ def test_weights_validation_and_cleanup():
     w = SimplexWeights(np.array([1.0, -1e-15, 1e-15]))
     assert w.weights.min() == 0.0
     assert len(w) == 3
-    assert SimplexWeights.vertex(3, 1).weights[1] == 1.0
-    assert SimplexWeights.uniform(4).weights == pytest.approx([0.25] * 4)
-
-
-def test_dictionary_bounds_check():
-    d = Dictionary(np.array([[0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        d.validate_bounded(1.0)
-    d.validate_bounded(2.0)
 
 
 def test_sample_reproducible_and_valid():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvxagg.rates import RatePoint, gap_ratio, phi_n, psi_c, rate_table, oracle_inequality_residual
+from cvxagg.rates import RatePoint, gap_ratio, phi_n, psi_c, rate_table
 
 
 def test_psi_reference_values():
@@ -64,12 +64,6 @@ def test_gap_ratio_known_small_n_exceptions():
     assert gap_ratio(6, 3) < 1.0
 
 
-def test_oracle_inequality_residual_values():
-    assert oracle_inequality_residual(100, 100, 1e6, 1.0, 1.0) == pytest.approx(1e4)
-    assert oracle_inequality_residual(100, 100, 0.0, 1.0, 2.0) == pytest.approx(2 * psi_c(100, 100))
-    assert oracle_inequality_residual(100, 100, 1.0, 1.0, 1.0) == pytest.approx(0.18173, abs=1e-5)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=10**6),
@@ -96,5 +90,3 @@ def test_rates_input_validation():
         psi_c(0, 1)
     with pytest.raises(ValueError):
         phi_n(1, 0)
-    with pytest.raises(ValueError):
-        oracle_inequality_residual(10, 2, -1.0, 1.0, 1.0)

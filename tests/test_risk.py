@@ -3,7 +3,6 @@ import pytest
 
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
 from cvxagg.risk import (
-    bernstein_check,
     empirical_risk,
     excess_loss_mean,
     excess_loss_second_moment,
@@ -139,26 +138,3 @@ def test_variance_term_bounded_by_4b2():
         w = random_weights(rng, 5)
         v = variance_term(w, d, p)
         assert 0.0 <= v <= 4 * b * b
-
-
-def test_bernstein_check_degenerate_only():
-    p = coin_problem()
-    f_star = np.array([0.5])
-    report = bernstein_check([f_star], f_star, p, B=16.0)
-    assert report.degenerate == 1
-    assert report.tested == 0
-    assert report.violations == 0
-    assert report.max_ratio == 0.0
-
-
-def test_bernstein_check_convex_hull_no_violations():
-    rng = np.random.default_rng(29)
-    p = random_problem(rng, K=3, b=1.0)
-    d = random_dictionary(rng, M=3, K=3, b=1.0)
-    cfg = SolverConfig(tolerance=1e-12)
-    f_star = combine(d, erm_convex_hull(d, p, cfg).weights)
-    fs = [combine(d, random_weights(rng, 3)) for _ in range(100)]
-    report = bernstein_check(fs, f_star, p, B=16.0)
-    assert report.violations == 0
-    assert report.max_ratio <= 16.0
-    assert report.tested + report.degenerate == 100

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cvxagg.model import Dictionary, DiscreteProblem, Multiset, SimplexWeights, combine, multiset_average, sample
-from cvxagg.risk import empirical_risk, population_risk, variance_term
+from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
+from cvxagg.risk import population_risk, variance_term
 from cvxagg.sparsify import (
     choose_m,
-    empirical_sparsified_identity,
     enumerate_net,
     expected_sparsified_risk,
     net_approximation_gap,
     net_cardinality_bound,
-    net_spec,
     sparsify_random,
 )
 
@@ -57,18 +55,7 @@ def test_enumerate_net_sizes():
     d2 = Dictionary(np.zeros((2, 1)))
     assert len(enumerate_net(d2, 3)) == 4
     with pytest.raises(ValueError):
-        enumerate_net(Dictionary(np.zeros((50, 1))), 10, cap=1000)
-
-
-def test_net_spec_invariant():
-    spec = net_spec(3, 2)
-    assert spec.cardinality_N == 6
-    with pytest.raises(ValueError):
-        net_spec(0, 1)
-    from cvxagg.sparsify import NetSpec
-
-    with pytest.raises(ValueError):
-        NetSpec(3, 2, 7)
+        enumerate_net(Dictionary(np.zeros((50, 1))), 10)  # C(59, 10) > DEFAULT_NET_CAP
 
 
 def test_net_cardinality_bound_values():
@@ -120,7 +107,7 @@ def test_sparsified_risk_vertex_is_flat_in_m():
     rng = np.random.default_rng(2)
     p = random_problem(rng, K=3)
     d = random_dictionary(rng, M=3, K=3)
-    w = SimplexWeights.vertex(3, 1)
+    w = SimplexWeights(np.eye(3)[1])
     base = population_risk(combine(d, w), p)
     for m in (1, 2, 5, 17):
         assert expected_sparsified_risk(w, m, d, p) == pytest.approx(base, abs=1e-15)
@@ -192,49 +179,3 @@ def test_net_gap_random_problems_within_variance_ceiling():
         gap = net_approximation_gap(d, p, m=m)
         assert gap >= 0.0
         assert gap <= 4.0 / m  # b = 1
-
-
-def test_empirical_identity_vertex():
-    rng = np.random.default_rng(16)
-    p = random_problem(rng, K=3)
-    d = random_dictionary(rng, M=3, K=3)
-    s = sample(p, 20, seed=1)
-    w = SimplexWeights.vertex(3, 2)
-    lhs, rhs = empirical_sparsified_identity(w, 3, d, s)
-    base = empirical_risk(combine(d, w), s)
-    assert lhs == pytest.approx(base, abs=1e-15)
-    assert rhs == pytest.approx(base, abs=1e-15)
-
-
-def test_empirical_identity_half_mix_reference():
-    d = Dictionary(np.array([[0.0], [1.0]]))
-    s = __import__("cvxagg.model", fromlist=["SampleSet"]).SampleSet(
-        np.zeros(6, dtype=int), np.full(6, 0.5), seed=0
-    )
-    w = SimplexWeights(np.array([0.5, 0.5]))
-    lhs, rhs = empirical_sparsified_identity(w, 2, d, s)
-    assert lhs == pytest.approx(0.125, abs=1e-15)
-    assert rhs == pytest.approx(0.125, abs=1e-15)
-
-
-def test_empirical_identity_random_instances():
-    rng = np.random.default_rng(18)
-    for _ in range(10):
-        p = random_problem(rng, K=3)
-        d = random_dictionary(rng, M=3, K=3)
-        s = sample(p, 10, seed=int(rng.integers(1e9)))
-        w = random_weights(rng, 3)
-        lhs, rhs = empirical_sparsified_identity(w, 3, d, s)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_empirical_identity_rejects_net_above_cap():
-    rng = np.random.default_rng(19)
-    p = random_problem(rng, K=3)
-    d = random_dictionary(rng, M=3, K=3)
-    s = sample(p, 10, seed=2)
-    w = random_weights(rng, 3)
-    # C(3 + 3 - 1, 3) = 10 multisets
-    empirical_sparsified_identity(w, 3, d, s, cap=10)
-    with pytest.raises(ValueError):
-        empirical_sparsified_identity(w, 3, d, s, cap=9)
