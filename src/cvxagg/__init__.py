@@ -11,12 +11,10 @@ Monte Carlo harness in `experiments`; CSV round-trips in `csvio`.
 from .model import (
     Dictionary,
     DiscreteProblem,
-    Multiset,
     SampleSet,
     Segment,
     SimplexWeights,
     combine,
-    multiset_average,
     sample,
 )
 from .rates import RatePoint, gap_ratio, phi_n, psi_c
@@ -33,7 +31,6 @@ __all__ = [
     "Dictionary",
     "DiscreteProblem",
     "ErmSolution",
-    "Multiset",
     "RatePoint",
     "SampleSet",
     "Segment",
@@ -46,7 +43,6 @@ __all__ = [
     "excess_loss_mean",
     "excess_loss_second_moment",
     "gap_ratio",
-    "multiset_average",
     "phi_n",
     "population_risk",
     "psi_c",

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import csvio, localization, sparsify
 from .experiments import load_config, run_grid
 from .model import combine
@@ -120,16 +122,14 @@ def _read_problem_and_dictionary(args):
 def _cmd_sparsify(args) -> int:
     problem, dictionary = _read_problem_and_dictionary(args)
     weights = csvio.read_weights(args.weights_path)
-    ms = sparsify.sparsify_random(weights, args.m, args.seed)
+    counts = sparsify.sparsify_random(weights, args.m, args.seed)
     combined_risk = population_risk(combine(dictionary, weights), problem)
-    ms_risk = population_risk(
-        combine(dictionary, ms.counts(dictionary.size_M) / ms.m), problem
-    )
+    average_risk = population_risk(combine(dictionary, counts / args.m), problem)
     expected = sparsify.expected_sparsified_risk(weights, args.m, dictionary, problem)
     lines = ["kind,value"]
-    lines += [f"multiset_index,{i}" for i in ms.indices]
+    lines += [f"multiset_index,{i}" for i in np.repeat(np.arange(counts.size), counts)]
     lines.append(f"risk_combined,{combined_risk!r}")
-    lines.append(f"risk_multiset_average,{ms_risk!r}")
+    lines.append(f"risk_multiset_average,{average_risk!r}")
     lines.append(f"risk_expected_sparsified,{expected!r}")
     lines.append(f"variance_term,{variance_term(weights, dictionary, problem)!r}")
     _emit("\n".join(lines) + "\n", args.out)

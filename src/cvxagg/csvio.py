@@ -72,9 +72,12 @@ def read_problem(path) -> DiscreteProblem:
     )
 
 
+def _dictionary_header(size_m: int) -> list[str]:
+    return ["x_index"] + [f"f{j}" for j in range(size_m)]
+
+
 def write_dictionary(dictionary: Dictionary, path) -> None:
-    M = dictionary.size_M
-    header = ["x_index"] + [f"f{j}" for j in range(M)]
+    header = _dictionary_header(dictionary.size_M)
     rows = [
         [k] + [repr(float(v)) for v in dictionary.values[:, k]]
         for k in range(dictionary.num_design_points)
@@ -86,8 +89,8 @@ def read_dictionary(path) -> Dictionary:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if not header or header[0] != "x_index" or len(header) < 2:
-            raise ValueError(f"{path}: expected header x_index,f0,f1,...")
+        if header is None or len(header) < 2 or header != _dictionary_header(len(header) - 1):
+            raise ValueError(f"{path}: expected header x_index,f0,f1,..., found {header}")
         rows = _data_rows(path, reader, len(header))
     order = _index_order(path, "x_index", (r[0] for r in rows))
     table = np.array([[float(v) for v in rows[i][1:]] for i in order])

@@ -368,19 +368,56 @@ def write_outputs(report: RateReport, out_dir) -> None:
     )
 
 
-def _check_keys(keys, cls, what: str) -> None:
-    unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _grid_cell(value) -> bool:
+    return _list_of(_integer)(value) and len(value) == 2
+
+
+# the JSON type each config key must have, as (check, description)
+_JSON_TYPES = {
+    "grid": (_list_of(_grid_cell), "a list of integer [n, M] pairs"),
+    "problem_kind": (lambda value: isinstance(value, str), "a string"),
+    "atoms_K": (_integer, "an integer"),
+    "replications": (_integer, "an integer"),
+    "master_seed": (_integer, "an integer"),
+    "solver": (lambda value: isinstance(value, dict), "an object"),
+    "x_levels": (_list_of(_number), "a list of numbers"),
+    "bound_b": (_number, "a number"),
+    "noise": (_number, "a number"),
+    "max_iterations": (_integer, "an integer"),
+    "tolerance": (_number, "a number"),
+}
+
+
+def _check_keys(raw: dict, cls, what: str) -> None:
+    """Every key names a field of cls and holds a value of that field's JSON type."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        check, description = _JSON_TYPES[key]
+        if not check(value):
+            raise ValueError(f"{what} key {key!r} must be {description}, found {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file keyed by the field names."""
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     _check_keys(raw, ExperimentConfig, "config")
     kwargs = dict(raw)
-    if "grid" in kwargs:
-        kwargs["grid"] = tuple((int(n), int(M)) for n, M in kwargs["grid"])
     if "solver" in kwargs:
         solver = dict(kwargs["solver"])
         # configs written before ties were fixed to the lowest index carry this key

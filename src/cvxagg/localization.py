@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Multiset, Segment, multiset_average
+from .model import Dictionary, DiscreteProblem, Segment, combine
 from .solver import erm_segment
 
 # peeling stops once a term is below this fraction of the running sum, or
@@ -51,13 +51,9 @@ def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
     return LocalizedClass(segment, level)
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), int(rep)]))
-
-
 def _rep_counts(probs: np.ndarray, n: int, reps: int, seed: int, rep_offset: int = 0) -> np.ndarray:
     """Sampled atom counts, shape (reps, atoms); row r from the (seed, rep_offset + r) stream."""
-    return np.array([_rep_rng(seed, rep_offset + rep).multinomial(n, probs) for rep in range(reps)])
+    return np.array([np.random.default_rng([seed, rep_offset + rep]).multinomial(n, probs) for rep in range(reps)])
 
 
 def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarray:
@@ -405,16 +401,19 @@ def random_net_segments(
     num_segments: int,
     seed: int,
 ) -> list[Segment]:
-    """Segments between random m-fold multiset averages of dictionary rows.
+    """Segments between averages of m uniform random dictionary rows.
 
-    Draws num_functions random multisets, then num_segments distinct index
+    Draws num_functions such averages, then num_segments distinct index
     pairs among them, all reproducibly from the seed.
     """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if num_functions < 2:
         raise ValueError("need at least 2 functions to form segments")
     rng = np.random.default_rng(seed)
+    size_m = dictionary.size_M
     functions = [
-        multiset_average(dictionary, Multiset.from_draws(rng.integers(0, dictionary.size_M, size=m)))
+        combine(dictionary, np.bincount(rng.integers(0, size_m, size=m), minlength=size_m) / m)
         for _ in range(num_functions)
     ]
     pairs = [(i, j) for i in range(num_functions) for j in range(i + 1, num_functions)]

@@ -170,36 +170,6 @@ class SimplexWeights:
         return self.weights.size
 
 
-@dataclass(frozen=True)
-class Multiset:
-    """A sorted multiset of m dictionary indices, representing (1/m) sum of rows."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(idx) == 0:
-            raise ValueError("multiset must contain at least one index")
-        if any(i < 0 for i in idx):
-            raise ValueError("indices must be nonnegative")
-        if any(a > b for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be sorted nondecreasing")
-
-    @classmethod
-    def from_draws(cls, draws) -> "Multiset":
-        return cls(tuple(sorted(int(i) for i in draws)))
-
-    @property
-    def m(self) -> int:
-        return len(self.indices)
-
-    def counts(self, size_m: int) -> np.ndarray:
-        if self.indices[-1] >= size_m:
-            raise ValueError(f"index {self.indices[-1]} out of range for dictionary of size {size_m}")
-        return np.bincount(np.array(self.indices), minlength=size_m).astype(np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class Segment:
     """The one-parameter convex model {theta*endpoint_i + (1-theta)*endpoint_j}."""
@@ -229,11 +199,3 @@ def combine(dictionary: Dictionary, weights) -> np.ndarray:
         raise ValueError(f"weight length {w.size} does not match dictionary size {dictionary.size_M}")
     return w @ dictionary.values
 
-
-def multiset_average(dictionary: Dictionary, ms: Multiset) -> np.ndarray:
-    """Average of the dictionary rows named by the multiset.
-
-    Equals combine(dictionary, w) with w_j = count_j / m exactly, so vertex
-    multisets reproduce dictionary rows bit for bit.
-    """
-    return combine(dictionary, ms.counts(dictionary.size_M) / ms.m)

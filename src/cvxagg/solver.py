@@ -18,7 +18,6 @@ problem's bound_b.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,25 +198,6 @@ def erm_convex_hull(
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
     )
-
-
-def simplex_grid(size_m: int, resolution: int) -> np.ndarray:
-    """All weight vectors with coordinates in {0, 1/r, ..., 1}, lexicographic."""
-    if size_m == 1:
-        return np.ones((1, 1))
-    bars = np.array(
-        list(itertools.combinations(range(resolution + size_m - 1), size_m - 1)),
-        dtype=np.int64,
-    )
-    padded = np.hstack(
-        [
-            np.full((bars.shape[0], 1), -1, dtype=np.int64),
-            bars,
-            np.full((bars.shape[0], 1), resolution + size_m - 1, dtype=np.int64),
-        ]
-    )
-    counts = np.diff(padded, axis=1) - 1
-    return counts / resolution
 
 
 def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:

@@ -1,8 +1,9 @@
 """Sparsification of convex combinations by averages of m dictionary draws.
 
-The net of all m-fold multiset averages approximates the convex hull: drawing
-m i.i.d. rows with probabilities w and averaging them has expected risk
-R(f_w) + variance/m, an exact identity.
+An m-fold draw of dictionary rows is its count vector c over the M rows, and
+its average is combine(dictionary, c / m).  The net of all such averages
+approximates the convex hull: drawing m i.i.d. rows with probabilities w and
+averaging them has expected risk R(f_w) + variance/m, an exact identity.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import math
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Multiset, SimplexWeights, combine, multiset_average
+from .model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from .risk import population_risk, variance_term
-from .solver import simplex_grid
 
 # enumerate_net refuses nets with more elements than this
 DEFAULT_NET_CAP = 10**6
@@ -35,14 +35,20 @@ def choose_m(n: int, M: int) -> int:
     return max(1, math.ceil(math.sqrt(n / math.log(math.e * M / math.sqrt(n)))))
 
 
-def enumerate_net(dictionary: Dictionary, m: int) -> list[Multiset]:
-    """All multisets of m indices from the dictionary, in lexicographic order."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    total = math.comb(dictionary.size_M + m - 1, m)
+def enumerate_net(size_m: int, m: int) -> np.ndarray:
+    """Every m-fold average's weights: the (N, M) rows of counts / m.
+
+    The rows are all weight vectors with coordinates in {0, 1/m, ..., 1}
+    summing to 1, N = C(M + m - 1, m), enumerated by stars and bars.
+    """
+    if size_m < 1 or m < 1:
+        raise ValueError("M and m must be at least 1")
+    total = math.comb(size_m + m - 1, m)
     if total > DEFAULT_NET_CAP:
         raise ValueError(f"net has {total} elements, above the enumeration cap {DEFAULT_NET_CAP}")
-    return [Multiset(c) for c in itertools.combinations_with_replacement(range(dictionary.size_M), m)]
+    bars = np.array(list(itertools.combinations(range(m + size_m - 1), size_m - 1)), dtype=np.int64)
+    padded = np.hstack([np.full((total, 1), -1), bars, np.full((total, 1), m + size_m - 1)])
+    return (np.diff(padded, axis=1) - 1) / m
 
 
 def net_cardinality_bound(M: int, m: int) -> tuple[int, float]:
@@ -65,13 +71,12 @@ def net_cardinality_bound(M: int, m: int) -> tuple[int, float]:
     return exact, bound
 
 
-def sparsify_random(w: SimplexWeights, m: int, seed: int) -> Multiset:
-    """m i.i.d. categorical draws from w, returned as a sorted multiset."""
+def sparsify_random(w: SimplexWeights, m: int, seed: int) -> np.ndarray:
+    """m i.i.d. categorical draws from w, returned as counts over the M rows."""
     if m < 1:
         raise ValueError("m must be at least 1")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(w), size=m, p=w.weights)
-    return Multiset.from_draws(draws)
+    return np.bincount(rng.choice(len(w), size=m, p=w.weights), minlength=len(w))
 
 
 def expected_sparsified_risk(
@@ -101,10 +106,10 @@ def net_approximation_gap(dictionary: Dictionary, problem: DiscreteProblem, m: i
         raise ValueError("m must be at least 1")
     if dictionary.size_M > 4:
         raise ValueError("net gap evaluation is limited to dictionaries with at most 4 functions")
-    net = enumerate_net(dictionary, m)
-    net_min = min(population_risk(multiset_average(dictionary, ms), problem) for ms in net)
+    net = enumerate_net(dictionary.size_M, m)
+    net_min = min(population_risk(combine(dictionary, row), problem) for row in net)
     resolution = m * max(1, -(-NET_GAP_GRID_RESOLUTION // m))
-    grid = simplex_grid(dictionary.size_M, resolution)
+    grid = enumerate_net(dictionary.size_M, resolution)
     hull_min = np.inf
     best = grid[0]
     for row in grid:

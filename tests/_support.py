@@ -17,7 +17,8 @@ import numpy as np
 
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
 from cvxagg.risk import empirical_risk, population_risk
-from cvxagg.solver import ErmSolution, SolverConfig, simplex_grid
+from cvxagg.solver import ErmSolution, SolverConfig
+from cvxagg.sparsify import enumerate_net
 
 
 def random_problem(rng, K=3, b=1.0, atoms_per_x=2) -> DiscreteProblem:
@@ -86,7 +87,7 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
         raise ValueError("grid oracle is limited to dictionaries with at most 4 functions")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be at least 1")
-    W = simplex_grid(dictionary.size_M, grid_resolution)
+    W = enumerate_net(dictionary.size_M, grid_resolution)
     resid = data.y_values - (W @ dictionary.values)[:, data.x_indices]
     w = W[int(np.argmin((resid * resid) @ data.probabilities))]
     grad = _hull_gradient(dictionary, data, w)

@@ -32,7 +32,6 @@ from cvxagg.model import (
     Segment,
     SimplexWeights,
     combine,
-    multiset_average,
     sample,
 )
 from cvxagg.rates import gap_ratio, phi_n, psi_c
@@ -43,7 +42,7 @@ from cvxagg.risk import (
     population_risk,
     variance_term,
 )
-from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment, simplex_grid
+from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
 from cvxagg.sparsify import (
     enumerate_net,
     expected_sparsified_risk,
@@ -98,12 +97,10 @@ def test_criterion_02_net_approximation_chain():
         b = float(rng.uniform(0.5, 2.0))
         p = random_problem(rng, K=K, b=b)
         d = random_dictionary(rng, M=M, K=K, b=b)
-        net_min = min(
-            population_risk(multiset_average(d, ms), p) for ms in enumerate_net(d, m)
-        )
+        net_min = min(population_risk(combine(d, row), p) for row in enumerate_net(M, m))
         resolution = m * max(1, -(-48 // m))
         hull_min, best = np.inf, None
-        for row in simplex_grid(M, resolution):
+        for row in enumerate_net(M, resolution):
             value = population_risk(combine(d, row), p)
             if value < hull_min:
                 hull_min, best = value, row
@@ -123,8 +120,7 @@ def test_criterion_03_net_cardinality():
     ok = True
     for M in range(1, 11):
         for m in range(1, 7):
-            d = Dictionary(np.zeros((M, 1)))
-            ok = ok and len(enumerate_net(d, m)) == math.comb(M + m - 1, m)
+            ok = ok and len(enumerate_net(M, m)) == math.comb(M + m - 1, m)
     # the (2eM/m)^m bound is provable only for m <= M + 1; inside the stated
     # M <= 50, m <= 10 box it is arithmetically false at exactly 7 corners
     # (all with m > M + 1), which the sweep pins down explicitly

@@ -94,6 +94,21 @@ def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, f
     )
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["x_index,y_value,probability,bound_b", "x_index,f1,f0,f2", "x_index,f0,f1,f3", "index,f0,f1,f2"],
+    ids=["problem-file", "permuted", "skipped", "first-column"],
+)
+def test_dictionary_header_must_be_x_index_then_f_columns(workspace, capsys, header):
+    if header.startswith("x_index,y_value"):
+        workspace["dict"].write_text(workspace["problem"].read_text())
+    else:
+        lines = workspace["dict"].read_text().splitlines()
+        workspace["dict"].write_text("\n".join([header] + lines[1:]) + "\n")
+    assert main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"])]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {workspace['dict']}: expected header x_index,f0,f1,...")
+
+
 def test_rates_subcommand(capsys):
     code = main(["rates", "--n-grid", "64,256", "--m-grid", "2,16"])
     assert code == 0
@@ -236,6 +251,19 @@ def test_design_size_mismatch_exits_one(tmp_path, capsys, command, problem_k, di
     )
 
 
+@pytest.mark.parametrize("command", ["isomorphism", "sparsify"])
+def test_net_size_below_one_exits_one(workspace, capsys, command):
+    extra = {
+        "isomorphism": ["--n", "32", "--c0", "2.0", "--reps", "10"],
+        "sparsify": ["--weights", str(workspace["weights"])],
+    }[command]
+    code = main(
+        [command, "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]), "--m", "0", *extra]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: m must be at least 1")
+
+
 def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):
     failing = IsomorphismReport(
         x=1.0, trials=5, violations=1, bound=1.0, gamma_or_rho=0.1, erm_checked=4, erm_implication_failures=2
@@ -280,6 +308,23 @@ def test_experiment_subcommand(workspace, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["incomplete"] is False
     assert len(report["points"]) == 2
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"replications": "5"}, "replications"),
+        ({"solver": 5}, "solver"),
+        ({"grid": [[64, 2]], "solver": {"tolerance": "1e-8"}}, "tolerance"),
+    ],
+    ids=["replications-string", "solver-number", "tolerance-string"],
+)
+def test_experiment_config_of_wrong_type_exits_one(workspace, capsys, raw, key):
+    cfg_path = workspace["dir"] / "exp.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(workspace["dir"] / "results")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key '{key}' must be" in err
 
 
 def _child_env() -> dict:

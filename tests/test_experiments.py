@@ -167,6 +167,35 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"grid": [[64, 2]], "solver": {"max_iter": 5, "tie_break": "lowest-index"}}))
     with pytest.raises(ValueError, match=r"unknown solver config keys: \['max_iter'\]"):
         load_config(path)
+    path.write_text("5")
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"replications": "5"}, "replications"),
+        ({"master_seed": True}, "master_seed"),
+        ({"atoms_K": 4.0}, "atoms_K"),
+        ({"bound_b": "1"}, "bound_b"),
+        ({"noise": None}, "noise"),
+        ({"x_levels": "12"}, "x_levels"),
+        ({"problem_kind": 1}, "problem_kind"),
+        ({"solver": 5}, "solver"),
+        ({"solver": {"tolerance": "1e-8"}}, "tolerance"),
+        ({"solver": {"max_iterations": False}}, "max_iterations"),
+        ({"grid": [[64, 2.5]]}, "grid"),
+        ({"grid": [[64, 2, 3]]}, "grid"),
+        ({"grid": [64, 2]}, "grid"),
+        ({"grid": {"64": 2}}, "grid"),
+    ],
+)
+def test_config_rejects_wrong_value_types(tmp_path, raw, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"key '{key}' must be"):
+        load_config(path)
 
 
 def test_config_loads_legacy_tie_break(tmp_path):

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from cvxagg.model import (
     Dictionary,
     DiscreteProblem,
-    Multiset,
     SampleSet,
     SimplexWeights,
     combine,
-    multiset_average,
     sample,
 )
 
@@ -44,39 +42,6 @@ def test_combine_rejects_dimension_mismatch():
     d = two_constant_dictionary()
     with pytest.raises(ValueError):
         combine(d, np.array([1.0, 0.0, 0.0]))
-
-
-def test_multiset_average_examples():
-    d = two_constant_dictionary()
-    assert multiset_average(d, Multiset((0, 0))) == pytest.approx([0.0])
-    assert multiset_average(d, Multiset((0, 1))) == pytest.approx([0.5])
-    # three copies of f2 and one of f1: count ratio 3/4
-    assert multiset_average(d, Multiset((0, 1, 1, 1))) == pytest.approx([0.75])
-
-
-def test_multiset_average_matches_count_weights_exactly():
-    rng = np.random.default_rng(5)
-    d = random_dictionary(rng, M=4, K=3)
-    ms = Multiset((0, 1, 1, 3, 3, 3))
-    counts = np.array([1, 2, 0, 3]) / 6
-    assert np.array_equal(multiset_average(d, ms), combine(d, counts))
-
-
-def test_multiset_vertex_reproduces_row_bitwise():
-    rng = np.random.default_rng(6)
-    d = random_dictionary(rng, M=3, K=4)
-    ms = Multiset((2, 2, 2))
-    assert np.array_equal(multiset_average(d, ms), d.row(2))
-
-
-def test_multiset_validation():
-    with pytest.raises(ValueError):
-        Multiset((2, 1))
-    with pytest.raises(ValueError):
-        Multiset(())
-    with pytest.raises(ValueError):
-        Multiset((0, 1)).counts(1)
-    assert Multiset.from_draws([3, 1, 2]).indices == (1, 2, 3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -44,18 +44,30 @@ def test_choose_m_rejects_small_dictionaries():
 
 
 def test_enumerate_net_m3_k2():
-    d = Dictionary(np.zeros((3, 1)))
-    net = enumerate_net(d, 2)
-    assert [ms.indices for ms in net] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    counts = [[0, 0, 2], [0, 1, 1], [0, 2, 0], [1, 0, 1], [1, 1, 0], [2, 0, 0]]
+    assert np.array_equal(enumerate_net(3, 2), np.array(counts) / 2)
 
 
 def test_enumerate_net_sizes():
-    d1 = Dictionary(np.zeros((1, 1)))
-    assert len(enumerate_net(d1, 5)) == 1
-    d2 = Dictionary(np.zeros((2, 1)))
-    assert len(enumerate_net(d2, 3)) == 4
+    assert np.array_equal(enumerate_net(1, 5), [[1.0]])
+    assert enumerate_net(2, 3).shape == (4, 2)
+    net = enumerate_net(3, 4)
+    assert net.shape == (15, 3)  # C(4 + 2, 2)
+    assert np.allclose(net.sum(axis=1), 1.0)
+    assert net.min() >= 0.0
+    assert len({tuple(row) for row in net}) == 15
     with pytest.raises(ValueError):
-        enumerate_net(Dictionary(np.zeros((50, 1))), 10)  # C(59, 10) > DEFAULT_NET_CAP
+        enumerate_net(50, 10)  # C(59, 10) > DEFAULT_NET_CAP
+    with pytest.raises(ValueError):
+        enumerate_net(3, 0)
+
+
+def test_net_vertex_reproduces_row_bitwise():
+    rng = np.random.default_rng(6)
+    d = random_dictionary(rng, M=3, K=4)
+    vertex = enumerate_net(3, 3)[0]
+    assert np.array_equal(vertex, [0.0, 0.0, 1.0])
+    assert np.array_equal(combine(d, vertex), d.row(2))
 
 
 def test_net_cardinality_bound_values():
@@ -90,11 +102,11 @@ def test_net_cardinality_bound_dominates_where_it_can():
 
 def test_sparsify_random_vertex_and_reproducibility():
     w = SimplexWeights(np.array([0.0, 1.0, 0.0]))
-    ms = sparsify_random(w, 5, seed=3)
-    assert ms.indices == (1, 1, 1, 1, 1)
+    assert np.array_equal(sparsify_random(w, 5, seed=3), [0, 5, 0])
     u = SimplexWeights(np.array([0.3, 0.3, 0.4]))
-    assert sparsify_random(u, 7, seed=9).indices == sparsify_random(u, 7, seed=9).indices
-    assert sparsify_random(u, 1, seed=0).m == 1
+    assert np.array_equal(sparsify_random(u, 7, seed=9), sparsify_random(u, 7, seed=9))
+    assert sparsify_random(u, 7, seed=9).sum() == 7
+    assert sparsify_random(u, 1, seed=0).sum() == 1
 
 
 def test_sparsified_risk_reference_binomial_case():
