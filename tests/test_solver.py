@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk, population_risk
 from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
+from cvxagg.sparsify import enumerate_net
 
 from _support import (
     erm_constrained,
@@ -150,6 +151,15 @@ def test_erm_oracle_vertex_resolution():
     sol = erm_oracle(d, s, 4)
     assert sol.weights.weights == pytest.approx([0.0, 1.0])
     assert sol.empirical_risk == 0.0
+
+
+def test_simplex_grid_counts():
+    # The hull grid erm_oracle searches: {0, 1/r, ..., 1}^M on the simplex.
+    assert enumerate_net(1, 7).shape == (1, 1)
+    grid = enumerate_net(3, 4)
+    assert grid.shape == (15, 3)  # C(4 + 2, 2)
+    assert np.allclose(grid.sum(axis=1), 1.0)
+    assert grid.min() >= 0.0
 
 
 def test_erm_segment_degenerate_theta_zero():
