@@ -99,6 +99,7 @@ def _cmd_solve(args) -> int:
         "converged": solution.converged,
         "stop_reason": solution.stop_reason,
         "kkt_solves": solution.kkt_solves,
+        "drop_steps": solution.drop_steps,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not solution.converged:

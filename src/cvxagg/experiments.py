@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("bound_b must be positive")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
+        if not all(0.0 <= x < math.inf for x in self.x_levels):
+            raise ValueError(f"x_levels must be finite and nonnegative, found {list(self.x_levels)}")
 
 
 @dataclass(frozen=True)

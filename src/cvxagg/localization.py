@@ -13,10 +13,19 @@ Every supremum over theta in [0, 1] used here is of a piecewise quadratic or
 rational function, so it is attained at 0, 1, or a closed-form breakpoint or
 stationary point; the suprema are evaluated exactly on those candidates, for
 all datasets and segments at once.
+
+Dataset r of a Monte Carlo run is drawn from the (seed, rep_offset + r)
+stream, so (problem, n, reps, seed, rep_offset) fixes every dataset.  Callers
+sweep levels on one draw (x levels in the isomorphism check, localization
+levels in localized_sup), so calls with equal arguments share one draw: the
+last atom counts and the last segment quadratics are kept and reused.  Only
+the level changes between such calls, and the level enters after the draw,
+so a shared draw gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +60,17 @@ def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
     return LocalizedClass(segment, level)
 
 
-def _rep_counts(probs: np.ndarray, n: int, reps: int, seed: int, rep_offset: int = 0) -> np.ndarray:
-    """Sampled atom counts, shape (reps, atoms); row r from the (seed, rep_offset + r) stream."""
-    return np.array([np.random.default_rng([seed, rep_offset + rep]).multinomial(n, probs) for rep in range(reps)])
+@functools.lru_cache(maxsize=1)
+def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int) -> np.ndarray:
+    """Sampled atom counts, shape (reps, atoms); row r from the (seed, rep_offset + r) stream.
+
+    The last call's read-only result is reused by the next call with equal
+    arguments; a problem compares by identity, and the cache holds it.
+    """
+    probs = problem.probabilities
+    counts = np.array([np.random.default_rng([seed, rep_offset + rep]).multinomial(n, probs) for rep in range(reps)])
+    counts.setflags(write=False)
+    return counts
 
 
 def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarray:
@@ -71,13 +88,23 @@ def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarra
     return np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
 
 
-def _segment_coefficients(segments, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int = 0):
+@functools.lru_cache(maxsize=1)
+def _segment_coefficients(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int):
     """Excess-loss quadratics: population, shape (segments, 3), and empirical
     on reps size-n datasets from _rep_counts, shape (reps, segments, 3).
+
+    Both arrays are read-only.  The last call's result is reused by the next
+    call with the same segments (compared by identity), problem, n, reps,
+    seed and rep_offset: those fix every dataset, so a reused result equals
+    a recomputed one bit for bit.
     """
     basis = np.stack([_segment_loss_basis(seg, problem) for seg in segments], axis=1)
-    counts = _rep_counts(problem.probabilities, n, reps, seed, rep_offset)
-    return np.tensordot(problem.probabilities, basis, axes=1), np.tensordot(counts, basis, axes=1) / n
+    counts = _rep_counts(problem, n, reps, seed, rep_offset)
+    pop = np.tensordot(problem.probabilities, basis, axes=1)
+    emp = np.tensordot(counts, basis, axes=1) / n
+    pop.setflags(write=False)
+    emp.setflags(write=False)
+    return pop, emp
 
 
 def _poly(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -92,12 +119,18 @@ def _points(q: np.ndarray) -> np.ndarray:
     A point that does not exist (no vertex of a line, complex roots, the
     second root of a line) is NaN or infinite.
     """
-    a, b, c = np.moveaxis(q, -1, 0)
+    a, b, c = q[..., 0], q[..., 1], q[..., 2]
+    out = np.empty(q.shape)
+    line = a == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(b * b - 4.0 * a * c)
-        lo = np.where(a == 0.0, -c / b, (-b - root) / (2.0 * a))
-        hi = np.where(a == 0.0, np.nan, (-b + root) / (2.0 * a))
-        return np.stack([-b / (2.0 * a), lo, hi], axis=-1)
+        two_a = 2.0 * a
+        np.divide(-b, two_a, out=out[..., 0])
+        np.divide(-b - root, two_a, out=out[..., 1])
+        np.divide(-c, b, out=out[..., 1], where=line)
+        np.divide(-b + root, two_a, out=out[..., 2])
+    out[..., 2][line] = np.nan
+    return out
 
 
 def _candidates(*points: np.ndarray) -> np.ndarray:
@@ -129,8 +162,12 @@ def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.nda
     level |D| / PL, stationary at the roots of the numerator of (D / PL)',
     whose cubic term cancels.
     """
-    (pa, pb, pc), (da, db, dc) = np.moveaxis(pop, -1, 0), np.moveaxis(diff, -1, 0)
-    ratio = np.stack([da * pb - db * pa, 2.0 * (da * pc - dc * pa), db * pc - dc * pb], axis=-1)
+    pa, pb, pc = pop[..., 0], pop[..., 1], pop[..., 2]
+    da, db, dc = diff[..., 0], diff[..., 1], diff[..., 2]
+    ratio = np.empty(np.broadcast_shapes(pop.shape, diff.shape))
+    np.subtract(da * pb, db * pa, out=ratio[..., 0])
+    np.multiply(2.0, da * pc - dc * pa, out=ratio[..., 1])
+    np.subtract(db * pc, dc * pb, out=ratio[..., 2])
     theta = _candidates(_points(diff), _points(pop - [0.0, 0.0, level]), _points(ratio))
     return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
 
@@ -153,7 +190,7 @@ def localized_sup(
         raise ValueError("at least 2 replications are required for a standard error")
     if n < 1:
         raise ValueError("n must be at least 1")
-    pop, emp = _segment_coefficients([cls.segment], problem, n, reps, seed)
+    pop, emp = _segment_coefficients((cls.segment,), problem, n, reps, seed, 0)
     sups = _segment_star_sup(pop, pop - emp, cls.level_lambda)[:, 0]
     estimate = float(np.mean(sups))
     std_error = float(np.std(sups, ddof=1) / math.sqrt(reps))
@@ -230,8 +267,8 @@ def gamma(x: float, b: float, N: int, n: int, c0: float) -> float:
     """Union-bound localization level c0 b^2 (x + 2 log N) / n for N net points."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be at least 1")
-    if x < 0 or b < 0 or c0 < 0:
-        raise ValueError("x, b, and c0 must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= b < math.inf and 0 <= c0 < math.inf):
+        raise ValueError("x, b, and c0 must be finite and nonnegative")
     return c0 * b * b * (x + 2.0 * math.log(N)) / n
 
 
@@ -321,7 +358,7 @@ def isomorphism_check(
     (seed, rep_offset + r), so a run may be split into chunks without changing
     its outcome.
     """
-    segments = list(segments)
+    segments = tuple(segments)
     if not segments:
         raise ValueError("at least one segment is required")
     if reps < 1:
@@ -370,7 +407,7 @@ def calibrate_c0(
     result is the max over x levels.  The value is an empirical calibration
     for a reference family, not a universal constant.
     """
-    segments = list(segments)
+    segments = tuple(segments)
     if not segments:
         raise ValueError("at least one segment is required")
     if reps < 1:
@@ -378,17 +415,17 @@ def calibrate_c0(
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
     N = num_net_functions if num_net_functions is not None else len(segments)
-    pop, emp = _segment_coefficients(segments, problem, n, reps, seed)
+    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, 0)
     order = np.sort(np.max(_needed_level(pop, pop - emp), axis=1))[::-1]
 
     c0 = 0.0
     for x in x_levels:
+        denom = gamma(x, problem.bound_b, N, n, 1.0)
         target = target_scale * min(1.0, 4.0 * math.exp(-x))
         allowed = int(math.floor(target * reps))
         if allowed >= reps:
             continue
         level_req = float(order[allowed])
-        denom = gamma(x, problem.bound_b, N, n, 1.0)
         if denom > 0:
             c0 = max(c0, level_req / denom)
     return c0

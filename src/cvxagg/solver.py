@@ -53,7 +53,9 @@ class ErmSolution:
     the tolerance), "repeat_vertex" (the oracle named an active vertex, so
     rounding blocks further progress), "no_descent" (the corrective step did
     not lower the risk) or "max_iterations".  kkt_solves counts the
-    corrective least-squares solves.
+    corrective least-squares solves, and drop_steps those of them whose
+    minimizer had a negative weight: the iterate then moved toward it only
+    as far as the simplex boundary and dropped the vertex that reached 0.
     """
 
     weights: SimplexWeights
@@ -63,6 +65,7 @@ class ErmSolution:
     converged: bool
     stop_reason: str
     kkt_solves: int
+    drop_steps: int
 
 
 def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +118,7 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
     best_value = float((g - target) @ (g - target))
     stop_reason = "max_iterations"
     kkt_solves = 0
+    drop_steps = 0
 
     for iterations in range(1, config.max_iterations + 1):
         grad = 2.0 * (A @ (g - target))
@@ -151,6 +155,7 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
                 u = np.maximum(v, 0.0)
                 done = True
             else:
+                drop_steps += 1
                 blocked = v < 0.0
                 ratios = u[blocked] / (u[blocked] - v[blocked])
                 u = u + float(ratios.min()) * (v - u)
@@ -169,7 +174,7 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
 
     grad = 2.0 * (A @ (g - target))
     gap = max(float(grad[support] @ u) - float(grad.min()), 0.0)
-    return support, u, gap, iterations, stop_reason, kkt_solves
+    return support, u, gap, iterations, stop_reason, kkt_solves, drop_steps
 
 
 def erm_convex_hull(
@@ -185,7 +190,9 @@ def erm_convex_hull(
     deterministic.
     """
     cfg = config or SolverConfig()
-    support, u, gap, iterations, stop_reason, kkt_solves = _minimize_fw(*_least_squares(dictionary, data), cfg)
+    support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = _minimize_fw(
+        *_least_squares(dictionary, data), cfg
+    )
     w = np.zeros(dictionary.size_M)
     w[support] = u
     f = w @ dictionary.values
@@ -197,6 +204,7 @@ def erm_convex_hull(
         converged=gap <= cfg.tolerance,
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
+        drop_steps=drop_steps,
     )
 
 

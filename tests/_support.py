@@ -99,6 +99,7 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
         converged=True,
         stop_reason="exhaustive",
         kkt_solves=0,
+        drop_steps=0,
     )
 
 

@@ -137,6 +137,7 @@ def test_solve_subcommand_round_trip(workspace, capsys):
     assert payload["converged"] is True
     assert payload["stop_reason"] == "gap"
     assert payload["kkt_solves"] >= payload["iterations"] - 1
+    assert 0 <= payload["drop_steps"] <= payload["kkt_solves"]
     weights = SimplexWeights(np.array(payload["weights"]))
     assert abs(sum(payload["weights"]) - 1.0) <= 1e-10
     dictionary = csvio.read_dictionary(workspace["dict"])
@@ -264,6 +265,20 @@ def test_net_size_below_one_exits_one(workspace, capsys, command):
     assert capsys.readouterr().err.startswith("error: m must be at least 1")
 
 
+@pytest.mark.parametrize("c0", [None, "2.0"], ids=["calibrated", "given"])
+@pytest.mark.parametrize("x", ["nan", "inf", "1,nan"])
+def test_isomorphism_non_finite_x_exits_one(workspace, capsys, x, c0):
+    extra = ["--c0", c0] if c0 else []
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--x", x, "--reps", "10", "--num-functions", "4", "--num-segments", "3", *extra,
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: x, b, and c0 must be finite and nonnegative")
+
+
 def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):
     failing = IsomorphismReport(
         x=1.0, trials=5, violations=1, bound=1.0, gamma_or_rho=0.1, erm_checked=4, erm_implication_failures=2
@@ -325,6 +340,18 @@ def test_experiment_config_of_wrong_type_exits_one(workspace, capsys, raw, key):
     assert main(["experiment", "--config", str(cfg_path), "--out", str(workspace["dir"] / "results")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"key '{key}' must be" in err
+
+
+@pytest.mark.parametrize("x_levels", [[-5.0, float("nan")], [float("inf")]], ids=["negative-nan", "inf"])
+def test_experiment_x_levels_not_finite_and_nonnegative_exit_one(workspace, capsys, x_levels):
+    # such levels used to reach report.json as NaN (not strict JSON) or as
+    # a tail bound 4 exp(5) for x = -5
+    cfg_path = workspace["dir"] / "exp.json"
+    cfg_path.write_text(json.dumps({"grid": [[8, 2]], "replications": 2, "x_levels": x_levels}))
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: x_levels must be finite and nonnegative")
+    assert not out_dir.exists()
 
 
 def _child_env() -> dict:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(replications=0)
     assert len(DEFAULT_GRID) == 20
+
+
+@pytest.mark.parametrize("x_levels", [[-5.0, math.nan], [-1e-300], [math.nan], [1.0, math.inf], [-math.inf]])
+def test_experiment_config_rejects_x_levels_not_finite_and_nonnegative(x_levels):
+    with pytest.raises(ValueError, match="x_levels must be finite and nonnegative"):
+        ExperimentConfig(grid=[(8, 2)], replications=2, x_levels=x_levels)
+    assert ExperimentConfig(grid=[(8, 2)], replications=2, x_levels=[0.0, 3.5]).x_levels == (0.0, 3.5)
 
 
 def test_run_grid_single_cell_report_shape():

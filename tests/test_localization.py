@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cvxagg import localization
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
     _max_deficit,
     _needed_level,
+    _rep_counts,
     _segment_coefficients,
     _segment_star_sup,
     LocalizedClass,
@@ -21,7 +23,7 @@ from cvxagg.localization import (
     random_net_segments,
     segment_excess_loss_class,
 )
-from cvxagg.model import Segment
+from cvxagg.model import DiscreteProblem, Segment
 from cvxagg.solver import erm_segment
 
 from _support import random_dictionary, random_problem
@@ -102,6 +104,123 @@ def test_gamma_values():
     assert gamma(1.0, 1.0, 6, 100, 1.0) == pytest.approx(0.04583519, abs=1e-7)
     assert gamma(0.0, 1.0, 6, 100, 1.0) == pytest.approx(2 * math.log(6) / 100)
     assert gamma(1.0, 2.0, 6, 100, 1.0) == pytest.approx(4 * 0.04583519, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", [0, 1, 4], ids=["x", "b", "c0"])
+def test_gamma_rejects_non_finite_arguments(position, bad):
+    args = [1.0, 1.0, 6, 100, 1.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gamma(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_isomorphism_functions_reject_non_finite_x(bad):
+    # at a non-finite x the check used to pass silently (violations 0, bound
+    # nan) and the calibration to return c0 = 0
+    problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
+    segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
+    with pytest.raises(ValueError, match="finite"):
+        isomorphism_check(segments, problem, n=32, x=bad, c0=1.0, reps=10, seed=23)
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_c0(segments, problem, n=32, x_levels=[bad], reps=10, seed=24)
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_c0(segments, problem, n=32, x_levels=[1.0, bad], reps=10, seed=24)
+
+
+def _clear_draw_caches():
+    _rep_counts.cache_clear()
+    _segment_coefficients.cache_clear()
+
+
+@pytest.fixture
+def draw_fixture():
+    problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=71)
+    segments = random_net_segments(dictionary, m=2, num_functions=5, num_segments=4, seed=72)
+    return problem, segments
+
+
+def _fresh(call):
+    _clear_draw_caches()
+    return call()
+
+
+def test_reused_draws_give_the_results_of_fresh_draws(draw_fixture):
+    problem, segments = draw_fixture
+    classes = [segment_excess_loss_class(segments[0], level) for level in (0.01, 0.1)]
+    _clear_draw_caches()
+    sups = [localized_sup(cls, problem, n=64, reps=30, seed=73) for cls in classes]
+    assert _segment_coefficients.cache_info().hits == 1
+    assert sups == [_fresh(lambda cls=cls: localized_sup(cls, problem, n=64, reps=30, seed=73)) for cls in classes]
+
+    def check(x, reps=40, rep_offset=0):
+        return isomorphism_check(segments, problem, n=64, x=x, c0=1.0, reps=reps, seed=74, rep_offset=rep_offset)
+
+    _clear_draw_caches()
+    reports = [check(1.0), check(2.0)]
+    assert _segment_coefficients.cache_info().hits == 1
+    assert reports == [_fresh(lambda: check(1.0)), _fresh(lambda: check(2.0))]
+
+    # a run split by rep_offset reuses each part's draw within the part
+    _clear_draw_caches()
+    parts = [check(1.0, 15), check(2.0, 15), check(1.0, 25, 15), check(2.0, 25, 15)]
+    assert _segment_coefficients.cache_info().hits == 2
+    assert parts == [
+        _fresh(lambda: check(1.0, 15)),
+        _fresh(lambda: check(2.0, 15)),
+        _fresh(lambda: check(1.0, 25, 15)),
+        _fresh(lambda: check(2.0, 25, 15)),
+    ]
+    whole = _rep_counts(problem, 64, 40, 74, 0)
+    assert np.array_equal(whole, np.vstack([_rep_counts(problem, 64, 15, 74, 0), _rep_counts(problem, 64, 25, 74, 15)]))
+
+
+def test_reused_draws_are_read_only(draw_fixture):
+    problem, segments = draw_fixture
+    counts = _rep_counts(problem, 64, 5, 1, 0)
+    pop, emp = _segment_coefficients(tuple(segments), problem, 64, 5, 1, 0)
+    for array in (counts, pop, emp):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.fixture
+def counted_generators(monkeypatch):
+    """The seeds of every np.random.default_rng call localization makes."""
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(localization.np.random, "default_rng", counting)
+    return seeds
+
+
+def test_a_second_x_level_draws_no_rows(draw_fixture, counted_generators):
+    problem, segments = draw_fixture
+    _clear_draw_caches()
+    for x in (1.0, 2.0, 3.0):
+        isomorphism_check(segments, problem, n=64, x=x, c0=1.0, reps=20, seed=75, rep_offset=3)
+        assert counted_generators == [[75, 3 + r] for r in range(20)]
+
+
+@pytest.mark.parametrize("change", ["seed", "rep_offset", "n", "reps", "problem"])
+def test_a_changed_argument_draws_again(draw_fixture, counted_generators, change):
+    problem, _ = draw_fixture
+    args = {"problem": problem, "n": 64, "reps": 10, "seed": 76, "rep_offset": 0}
+    _clear_draw_caches()
+    _rep_counts(*args.values())
+    _rep_counts(*args.values())
+    assert len(counted_generators) == 10
+    # an equal but distinct problem is another key: problems compare by identity
+    replacement = DiscreteProblem(problem.x_indices, problem.y_values, problem.probabilities, problem.bound_b)
+    args[change] = replacement if change == "problem" else args[change] + 1
+    _rep_counts(*args.values())
+    assert len(counted_generators) == 10 + args["reps"]
 
 
 def test_localized_sup_requires_reps():
@@ -230,7 +349,7 @@ def test_segment_evaluators_match_a_fine_grid():
     # of 2|D| on its region)
     problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
     segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
-    pop, emp = _segment_coefficients(segments, problem, n=256, reps=20, seed=90)
+    pop, emp = _segment_coefficients(tuple(segments), problem, 256, 20, 90, 0)
     # plus one pair, D = theta and PL = theta^2 + 0.01, whose star sup at a
     # level below min PL sits at the stationary point theta = 0.1 of |D| / PL
     diff = np.vstack([(pop - emp).reshape(-1, 3), [0.0, 1.0, 0.0]])

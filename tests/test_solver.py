@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvxagg.experiments import make_problem
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk, population_risk
 from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
@@ -112,6 +113,19 @@ def test_erm_hull_reports_why_it_stopped(config, reason):
     assert sol.converged == (sol.duality_gap <= config.tolerance)
     # every iteration but a final certifying one adds a vertex and solves
     assert sol.kkt_solves >= sol.iterations - 1 >= 0
+
+
+def test_erm_hull_counts_its_drop_steps():
+    # each added vertex costs one corrective solve, and each drop step one
+    # more; the final iteration adds no vertex when it stops on the gap
+    drops = []
+    for seed in range(10):
+        p, d = make_problem("outside-hull", K=16, M=64, b=1.0, seed=seed)
+        sol = erm_convex_hull(d, sample(p, 256, seed=seed))
+        additions = sol.iterations - (sol.stop_reason in ("gap", "repeat_vertex"))
+        assert sol.kkt_solves == additions + sol.drop_steps
+        drops.append(sol.drop_steps)
+    assert min(drops) >= 0 and max(drops) > 0
 
 
 def test_erm_hull_never_reads_bound_b():
