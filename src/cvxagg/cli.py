@@ -100,6 +100,7 @@ def _cmd_solve(args) -> int:
         "stop_reason": solution.stop_reason,
         "kkt_solves": solution.kkt_solves,
         "drop_steps": solution.drop_steps,
+        "refactorizations": solution.refactorizations,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not solution.converged:
@@ -146,6 +147,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_isomorphism(args) -> int:
+    if not args.x:
+        raise ValueError("--x must name at least one level")
     problem, dictionary = _read_problem_and_dictionary(args)
     segments = localization.random_net_segments(
         dictionary, args.m, args.num_functions, args.num_segments, args.seed

@@ -12,6 +12,7 @@ reproduces independently and worker count never changes the output.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -25,7 +26,7 @@ import numpy as np
 
 from .model import Dictionary, DiscreteProblem, combine, sample
 from .rates import phi_n, psi_c
-from .risk import population_risk
+from .risk import bayes_risk, population_risk
 from .solver import ErmSolution, SolverConfig, erm_convex_hull
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
@@ -92,7 +93,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class PointSummary:
-    """Excess-risk statistics for one (n, M) cell."""
+    """Excess-risk statistics for one (n, M) cell, and its trials' hull solves
+    summed up in `solver` (see `_solver_statistics`)."""
 
     n: int
     M: int
@@ -106,6 +108,7 @@ class PointSummary:
     q75: float
     q90: float
     max_excess: float
+    solver: dict
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,13 @@ def make_problem(
 
 
 def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSolution:
-    """Minimal population risk over the hull, certified to a 1e-10 duality gap."""
+    """Minimal population risk over the hull, certified to a 1e-10 duality gap.
+
+    `run_grid` calls it for outside-hull and pure-noise cells.  An
+    inside-hull problem's regression function lies in the hull by
+    construction, so there the hull minimum is the Bayes risk
+    (`risk.bayes_risk`), which needs no solve.
+    """
     cfg = SolverConfig(max_iterations=2_000_000, tolerance=ORACLE_TOLERANCE)
     solution = erm_convex_hull(dictionary, problem, cfg)
     if not solution.converged:
@@ -216,17 +225,18 @@ def run_trial(
     seed: int,
     replication: int,
     oracle_risk: float,
-) -> TrialRecord:
+) -> tuple[TrialRecord, ErmSolution]:
     """Draw a size-n sample, run hull ERM, record the exact population excess.
 
-    oracle_risk is the population hull minimum (`population_oracle`),
-    computed once per problem and shared by its trials.
+    Returns the trial's record and the hull solve itself.  oracle_risk is
+    the population hull minimum, computed once per problem and shared by its
+    trials.
     """
     draws = sample(problem, n, seed)
     solution = erm_convex_hull(dictionary, draws, solver_config)
     fitted = combine(dictionary, solution.weights)
     excess = population_risk(fitted, problem) - oracle_risk
-    return TrialRecord(
+    record = TrialRecord(
         n=n,
         M=dictionary.size_M,
         replication=replication,
@@ -235,20 +245,39 @@ def run_trial(
         seed=seed,
         converged=solution.converged,
     )
+    return record, solution
 
 
-def _cell_task(args) -> list[TrialRecord]:
+# the ErmSolution counters that report.json sums up per cell
+_SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "refactorizations", "duality_gap")
+
+
+def _cell_task(args) -> list[tuple[TrialRecord, dict]]:
+    """A chunk of one cell's trials, each with its solve's counters (the
+    weights are left behind)."""
     problem, dictionary, n, solver_cfg, oracle_risk, jobs_chunk = args
-    records = []
+    trials = []
     for replication, seed in jobs_chunk:
-        records.append(
-            run_trial(problem, dictionary, n, solver_cfg, seed, replication, oracle_risk)
-        )
-    return records
+        record, solution = run_trial(problem, dictionary, n, solver_cfg, seed, replication, oracle_risk)
+        trials.append((record, {name: getattr(solution, name) for name in _SOLVE_COUNTERS}))
+    return trials
 
 
 def _quantile(values, q: float) -> float:
     return float(np.quantile(np.asarray(values), q))
+
+
+def _solver_statistics(solves) -> dict:
+    """Iteration median and max, counter totals, a stop-reason tally and the
+    largest duality gap over a cell's hull solves."""
+    iterations = [solve["iterations"] for solve in solves]
+    return {
+        "iterations_median": statistics.median(iterations),
+        "iterations_max": max(iterations),
+        **{name: sum(solve[name] for solve in solves) for name in ("kkt_solves", "drop_steps", "refactorizations")},
+        "stop_reasons": dict(collections.Counter(solve["stop_reason"] for solve in solves)),
+        "max_duality_gap": max(solve["duality_gap"] for solve in solves),
+    }
 
 
 def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
@@ -256,6 +285,8 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
 
     One problem is generated per (n, M) cell from a seed hashed out of
     (master_seed, n, M); replications share it and vary only the sample.
+    Its hull minimum is the Bayes risk for inside-hull problems and a
+    `population_oracle` solve for the other kinds.
     When out_dir is given, trials.csv and report.json are written there; the
     bytes are identical for any worker count.
     """
@@ -267,7 +298,10 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         problem, dictionary = make_problem(
             cfg.problem_kind, cfg.atoms_K, M, cfg.bound_b, problem_seed, cfg.noise
         )
-        oracle_risk = population_oracle(dictionary, problem).empirical_risk
+        if cfg.problem_kind == "inside-hull":
+            oracle_risk = bayes_risk(problem)
+        else:
+            oracle_risk = population_oracle(dictionary, problem).empirical_risk
         chunk = [
             (rep, derive_seed(cfg.master_seed, n, M, rep))
             for rep in range(cfg.replications)
@@ -281,12 +315,15 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_cell_task, tasks))
-    records = [record for chunk in chunks for record in chunk]
+    trials = [trial for chunk in chunks for trial in chunk]
+    records = [record for record, _ in trials]
     incomplete = any(not r.converged for r in records)
 
     by_cell: dict[tuple[int, int], list[TrialRecord]] = {}
-    for record in records:
+    solves: dict[tuple[int, int], list[dict]] = {}
+    for record, solve in trials:
         by_cell.setdefault((record.n, record.M), []).append(record)
+        solves.setdefault((record.n, record.M), []).append(solve)
 
     points = []
     for n, M in cfg.grid:
@@ -305,6 +342,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
                 q75=_quantile(cell, 0.75),
                 q90=_quantile(cell, 0.90),
                 max_excess=float(np.max(cell)),
+                solver=_solver_statistics(solves[(n, M)]),
             )
         )
 

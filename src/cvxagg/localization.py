@@ -408,8 +408,11 @@ def calibrate_c0(
     for a reference family, not a universal constant.
     """
     segments = tuple(segments)
+    x_levels = tuple(x_levels)
     if not segments:
         raise ValueError("at least one segment is required")
+    if not x_levels:
+        raise ValueError("at least one x level is required")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if not 0 < target_scale <= 1:

@@ -39,6 +39,19 @@ def empirical_risk(f: np.ndarray, measure: SampleSet | DiscreteProblem) -> float
     return float(measure.probabilities @ (resid * resid))
 
 
+def bayes_risk(problem: DiscreteProblem) -> float:
+    """E (Y - E[Y | X])^2: the smallest risk of any function of X.
+
+    When the regression function E[Y | X] lies in the hull of a dictionary,
+    this is the hull minimum, computed from the problem alone.
+    """
+    K = problem.num_design_points
+    x, p = problem.x_indices, problem.probabilities
+    px = problem.marginal_x
+    ymass = np.bincount(x, weights=p * problem.y_values, minlength=K)
+    return population_risk(np.divide(ymass, px, out=np.zeros(K), where=px > 0.0), problem)
+
+
 def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
     """R(f) - R(f_star); the excess risk when f_star minimizes over the class."""
     return population_risk(f, problem) - population_risk(f_star, problem)

@@ -5,10 +5,13 @@ weights w depends on them only through the fitted values on the K design
 points, so it is a least-squares problem there: with px the data's mass on
 each design point and ymass its label mass, the risk is
 ||w @ A - target||^2 plus a constant, where A = F * sqrt(px) and
-target = ymass / sqrt(px).  Every iteration costs O(M K) time and the solver
-holds O(M K) memory, with no M x M Gram matrix.  Termination is certified by
-the linear-minimization duality gap, which upper bounds the suboptimality of
-the returned iterate.
+target = ymass / sqrt(px).  The corrective step, least squares on the active
+vertices' affine hull, runs on a QR factor of the active face that is
+updated as vertices enter and leave (Wolfe's min-norm-point method keeps such
+a triangular factor), so an iteration costs one O(M K) gradient plus O(K |S|)
+for the factor, and the solver holds O(M K + K |S|) memory, with no M x M
+Gram matrix.  Termination is certified by the linear-minimization duality gap,
+which upper bounds the suboptimality of the returned iterate.
 
 The data is any weighted-atom measure (see `model`): solvers read only its
 `x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
@@ -18,6 +21,7 @@ problem's bound_b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +54,15 @@ class ErmSolution:
     unconverged solution is still returned, flagged.
 
     stop_reason says why the iteration loop ended: "gap" (the certificate met
-    the tolerance), "repeat_vertex" (the oracle named an active vertex, so
-    rounding blocks further progress), "no_descent" (the corrective step did
-    not lower the risk) or "max_iterations".  kkt_solves counts the
-    corrective least-squares solves, and drop_steps those of them whose
-    minimizer had a negative weight: the iterate then moved toward it only
-    as far as the simplex boundary and dropped the vertex that reached 0.
+    the tolerance), "repeat_vertex" (the oracle named a vertex that is active
+    or numerically in the span of the active face, so rounding blocks
+    further progress), "no_descent" (the corrective step did not lower the
+    risk) or "max_iterations".  kkt_solves counts the corrective
+    least-squares solves, and drop_steps those of them whose minimizer had a
+    negative weight: the iterate then moved toward it only as far as the
+    simplex boundary and dropped the vertex that reached 0.
+    refactorizations counts the drops that removed the face's base vertex,
+    after which the solver's QR factor is rebuilt instead of updated.
     """
 
     weights: SimplexWeights
@@ -66,6 +73,7 @@ class ErmSolution:
     stop_reason: str
     kkt_solves: int
     drop_steps: int
+    refactorizations: int
 
 
 def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
@@ -85,17 +93,146 @@ def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndar
     return F * root, target
 
 
-def _restricted_minimum(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimizer of ||u @ rows - target|| over the affine hull sum(u) = 1.
+_EPS = float(np.finfo(float).eps)
 
-    With u = (1 - sum z, z) the problem is unconstrained least squares in z
-    on the differences rows[1:] - rows[0].  lstsq returns an exact minimizer
-    even when those differences are rank deficient, and its rank cutoff is
-    relative to their largest singular value, so the step is the same at any
-    data scale.
+
+class _Face:
+    """The active vertices, with a QR factor of their affine hull kept current.
+
+    With base vertex a0 = A[support[0]], the k = |S| - 1 differences
+    D = (A[support[1:]] - a0).T (K x k) are kept as D = Q R, with Q's columns
+    orthonormal and R upper triangular, together with c = Q.T (target - a0)
+    and T = R^-1.  For a capacity of C columns, row i of `rows` is
+    [R[i, :C] | T[:C, i] | c[i] | Q[:, i]]: a deletion rotates rows i and
+    i + 1 of R, c and Q.T and columns i and i + 1 of T by the same Givens
+    rotation, so one 2 x 2 product updates all four.  `indices` and
+    `vertices` hold the active indices, base first and newest last, and the
+    rows A[support].  The buffers double when the face outgrows them, so
+    memory stays O(K |S|).
     """
-    z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
-    return np.concatenate([[1.0 - z.sum()], z])
+
+    def __init__(self, A: np.ndarray, target: np.ndarray, start: int):
+        self.A, self.target, self.K = A, target, A.shape[1]
+        self.k = self.capacity = self.refactorizations = 0
+        self._grow(min(self.K, 8))
+        self._rebuild([start])
+
+    @property
+    def support(self) -> np.ndarray:
+        """The active vertex indices, base first and newest last."""
+        return self.indices[: self.k + 1]
+
+    def _grow(self, capacity: int) -> None:
+        """Reallocate the buffers for `capacity` columns, keeping the factor."""
+        K, k, old = self.K, self.k, self.capacity
+        rows = np.zeros((capacity, 2 * capacity + 1 + K))
+        indices = np.zeros(capacity + 1, dtype=np.intp)
+        vertices = np.zeros((capacity + 1, K))
+        if old:
+            rows[:k, :k] = self.rows[:k, :k]
+            rows[:k, capacity : capacity + k] = self.rows[:k, old : old + k]
+            rows[:k, 2 * capacity :] = self.rows[:k, 2 * old :]
+            indices[: k + 1] = self.support
+            vertices[: k + 1] = self.vertices[: k + 1]
+        self.rows, self.indices, self.vertices, self.capacity = rows, indices, vertices, capacity
+
+    def append(self, s: int) -> bool:
+        """Add vertex s as the last column, by Gram-Schmidt: O(K k).
+
+        The residual is orthogonalized a second time when the first pass
+        cancelled more than half of the difference's squared norm.  Returns
+        False, and leaves the factor as it was, when the new difference is
+        numerically in the span of the others: its residual is at most
+        K eps times its norm, a cutoff free of the data's scale.
+        """
+        K, k = self.K, self.k
+        if k == K:
+            return False
+        C = self.capacity
+        Qt = self.rows[:k, 2 * C + 1 :]
+        d = self.A[s] - self.vertices[0]
+        w = Qt @ d
+        r = d - w @ Qt
+        dd, rr = float(d @ d), float(r @ r)
+        if rr < 0.5 * dd:
+            again = Qt @ r
+            r -= again @ Qt
+            w += again
+            rr = float(r @ r)
+        if rr <= (K * _EPS) ** 2 * dd:
+            return False
+        if k == C:
+            self._grow(min(K, 2 * C))
+            C = self.capacity
+        B, rho = self.rows, math.sqrt(rr)
+        row = B[k]
+        row[:] = 0.0
+        row[k] = rho
+        row[C : C + k] = (w @ B[:k, C : C + k]) / -rho
+        row[C + k] = 1.0 / rho
+        np.divide(r, rho, out=row[2 * C + 1 :])
+        row[2 * C] = row[2 * C + 1 :] @ self.offset
+        B[:k, k] = w
+        B[:k, C + k] = 0.0
+        self.indices[k + 1] = s
+        self.vertices[k + 1] = self.A[s]
+        self.k = k + 1
+        return True
+
+    def drop(self, positions: list) -> None:
+        """Remove the vertices at these support positions (ascending).
+
+        A vertex other than the base leaves by Givens rotations that restore
+        R's triangle, O(K k); when the base leaves, the factor is rebuilt.
+        """
+        if positions[0] == 0:
+            self.refactorizations += 1
+            self._rebuild(np.delete(self.support, positions))
+            return
+        B, I, V, C = self.rows, self.indices, self.vertices, self.capacity
+        for p in reversed(positions):
+            j, k = p - 1, self.k
+            # delete column j of R, row j of T (column j of T.T) and vertex p
+            B[:k, j : k - 1] = B[:k, j + 1 : k]
+            B[:k, C + j : C + k - 1] = B[:k, C + j + 1 : C + k]
+            I[p:k] = I[p + 1 : k + 1]
+            V[p:k] = V[p + 1 : k + 1]
+            # rotate rows i and i + 1 to zero the new subdiagonal entry (i + 1, i)
+            for i in range(j, k - 1):
+                a, b = B[i, i], B[i + 1, i]
+                h = math.hypot(a, b)
+                B[i : i + 2, i:] = np.array([[a / h, b / h], [-b / h, a / h]]) @ B[i : i + 2, i:]
+                B[i + 1, i] = 0.0
+            self.k = k - 1
+
+    def _rebuild(self, support) -> None:
+        """Factor the face on `support` from scratch, O(K k^2)."""
+        k, B, C = len(support) - 1, self.rows, self.capacity
+        self.k = k
+        self.indices[: k + 1] = support
+        self.vertices[: k + 1] = self.A[support]
+        self.offset = self.target - self.vertices[0]
+        if k:
+            Q, R = np.linalg.qr((self.vertices[1 : k + 1] - self.vertices[0]).T)
+            B[:k] = 0.0
+            B[:k, :k] = R
+            B[:k, C : C + k] = np.triu(np.linalg.inv(R)).T
+            B[:k, 2 * C] = self.offset @ Q
+            B[:k, 2 * C + 1 :] = Q.T
+
+    def minimizer(self) -> np.ndarray:
+        """Minimizer of ||u @ A[support] - target|| over the affine hull sum(u) = 1.
+
+        With u = (1 - sum z, z) this is least squares in z on D, solved by
+        the triangular product z = R^-1 c, O(k^2).
+        """
+        k, C = self.k, self.capacity
+        z = self.rows[:k, 2 * C] @ self.rows[:k, C : C + k]
+        return np.concatenate(([1.0 - z.sum()], z))
+
+    def point(self, u: np.ndarray) -> np.ndarray:
+        """The fitted values u @ A[support]."""
+        return u @ self.vertices[: self.k + 1]
 
 
 def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
@@ -103,16 +240,25 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
-    vertices (unconstrained least squares on their affine hull, with
-    line-search drops, as in Wolfe's min-norm-point method).  On a quadratic
-    this terminates in finitely many vertex additions, so tight duality-gap
-    tolerances are reachable even when A is rank deficient.  The active set
-    and its weights are carried as arrays, with the newest vertex last, and
-    so are the fitted values g = u @ A[support]; an iteration costs one
-    O(MK) gradient.
+    vertices (least squares on their affine hull, with line-search drops, as
+    in Wolfe's min-norm-point method).  On a quadratic this terminates in
+    finitely many vertex additions, so tight duality-gap tolerances are
+    reachable even when A is rank deficient.
+
+    The active vertices are carried as a `_Face`: a QR factor of their
+    difference matrix that an entering vertex extends by one Gram-Schmidt
+    column and a leaving one shrinks by Givens rotations, each O(K |S|).
+    Only the base vertex's departure rebuilds it, O(K |S|^2), and
+    refactorizations counts those.  A corrective step is then the product
+    of the kept triangular inverse R^-1 with c, O(|S|^2), on top of the
+    iteration's O(MK) gradient.  An entering vertex whose difference is
+    numerically in the span of the face's differences ends the solve with
+    "repeat_vertex", as an active one does: in exact arithmetic a vertex
+    with a positive gap is affinely independent of an affine-optimal face,
+    so only rounding names it.
     """
     start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
-    support = np.array([start])
+    face = _Face(A, target, start)
     u = np.array([1.0])
     g = A[start]
     best_value = float((g - target) @ (g - target))
@@ -123,29 +269,28 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
     for iterations in range(1, config.max_iterations + 1):
         grad = 2.0 * (A @ (g - target))
         s = int(np.argmin(grad))
-        gap = float(grad[support] @ u) - float(grad[s])
+        gap = float(grad[face.support] @ u) - float(grad[s])
         if gap <= config.tolerance:
             stop_reason = "gap"
             break
-        if s in support:
-            # u is already affine-optimal on its face, so a repeat vertex can
-            # only be floating-point noise; no further progress is possible.
+        if s in face.support or not face.append(s):
+            # u is already affine-optimal on its face, so a vertex on that
+            # face can only be named by floating-point noise; no further
+            # progress is possible.
             stop_reason = "repeat_vertex"
             break
 
-        support = np.append(support, s)
-        u = np.append(u, 0.0)
+        u = np.concatenate((u, [0.0]))
         done = False
         while not done:
-            rows = A[support]
-            v = _restricted_minimum(rows, target)
+            v = face.minimizer()
             kkt_solves += 1
-            if support[-1] == s and v[-1] <= 0.0:
+            if face.support[-1] == s and v[-1] <= 0.0:
                 # rounding starved the new vertex; take a plain line-search
                 # step toward it instead of cycling
                 d = -u
                 d[-1] += 1.0
-                step_values = d @ rows
+                step_values = face.point(d)
                 curv = float(step_values @ step_values)
                 step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
                 u = u * (1.0 - step)
@@ -161,10 +306,12 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
                 u = u + float(ratios.min()) * (v - u)
                 u[u <= 1e-14] = 0.0
             keep = u > 0.0
-            support, u = support[keep], u[keep]
+            if not keep.all():
+                face.drop(np.flatnonzero(~keep).tolist())
+                u = u[keep]
 
         u = u / u.sum()
-        g = u @ A[support]
+        g = face.point(u)
         value = float((g - target) @ (g - target))
         if value >= best_value:
             # no measurable descent left; stop rather than stall
@@ -173,8 +320,8 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
         best_value = value
 
     grad = 2.0 * (A @ (g - target))
-    gap = max(float(grad[support] @ u) - float(grad.min()), 0.0)
-    return support, u, gap, iterations, stop_reason, kkt_solves, drop_steps
+    gap = max(float(grad[face.support] @ u) - float(grad.min()), 0.0)
+    return face, u, gap, iterations, stop_reason, kkt_solves, drop_steps
 
 
 def erm_convex_hull(
@@ -190,11 +337,11 @@ def erm_convex_hull(
     deterministic.
     """
     cfg = config or SolverConfig()
-    support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = _minimize_fw(
+    face, u, gap, iterations, stop_reason, kkt_solves, drop_steps = _minimize_fw(
         *_least_squares(dictionary, data), cfg
     )
     w = np.zeros(dictionary.size_M)
-    w[support] = u
+    w[face.support] = u
     f = w @ dictionary.values
     return ErmSolution(
         weights=SimplexWeights(w),
@@ -205,6 +352,7 @@ def erm_convex_hull(
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
         drop_steps=drop_steps,
+        refactorizations=face.refactorizations,
     )
 
 

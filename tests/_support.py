@@ -3,7 +3,8 @@ for the test suite.
 
 The reference solvers read data only through the weighted-atom measure
 protocol (`x_indices`, `y_values`, `probabilities`), so each works on a
-SampleSet and on a DiscreteProblem alike.
+SampleSet and on a DiscreteProblem alike.  `lstsq_minimize_fw` is the hull
+solver as it was before its corrective step ran on an updated QR factor.
 """
 
 from __future__ import annotations
@@ -100,7 +101,78 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
         stop_reason="exhaustive",
         kkt_solves=0,
         drop_steps=0,
+        refactorizations=0,
     )
+
+
+def lstsq_minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
+    """Fully corrective Frank-Wolfe for ||w @ A - target||^2 with a fresh
+    `np.linalg.lstsq` on the active set's affine hull at every corrective
+    step; a reference for `solver._minimize_fw`.
+
+    Returns (support, u, gap, iterations, stop_reason, kkt_solves,
+    drop_steps) with the active set as an index array.
+    """
+    start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
+    support = np.array([start])
+    u = np.array([1.0])
+    g = A[start]
+    best_value = float((g - target) @ (g - target))
+    stop_reason = "max_iterations"
+    kkt_solves = 0
+    drop_steps = 0
+
+    for iterations in range(1, config.max_iterations + 1):
+        grad = 2.0 * (A @ (g - target))
+        s = int(np.argmin(grad))
+        gap = float(grad[support] @ u) - float(grad[s])
+        if gap <= config.tolerance:
+            stop_reason = "gap"
+            break
+        if s in support:
+            stop_reason = "repeat_vertex"
+            break
+
+        support = np.append(support, s)
+        u = np.append(u, 0.0)
+        done = False
+        while not done:
+            rows = A[support]
+            z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
+            v = np.concatenate([[1.0 - z.sum()], z])
+            kkt_solves += 1
+            if support[-1] == s and v[-1] <= 0.0:
+                d = -u
+                d[-1] += 1.0
+                step_values = d @ rows
+                curv = float(step_values @ step_values)
+                step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
+                u = u * (1.0 - step)
+                u[-1] += step
+                done = True
+            elif v.min() >= -1e-12:
+                u = np.maximum(v, 0.0)
+                done = True
+            else:
+                drop_steps += 1
+                blocked = v < 0.0
+                ratios = u[blocked] / (u[blocked] - v[blocked])
+                u = u + float(ratios.min()) * (v - u)
+                u[u <= 1e-14] = 0.0
+            keep = u > 0.0
+            support, u = support[keep], u[keep]
+
+        u = u / u.sum()
+        g = u @ A[support]
+        value = float((g - target) @ (g - target))
+        if value >= best_value:
+            stop_reason = "no_descent"
+            break
+        best_value = value
+
+    grad = 2.0 * (A @ (g - target))
+    gap = max(float(grad[support] @ u) - float(grad.min()), 0.0)
+    return support, u, gap, iterations, stop_reason, kkt_solves, drop_steps
 
 
 @dataclass(frozen=True, eq=False)

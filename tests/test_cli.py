@@ -138,6 +138,7 @@ def test_solve_subcommand_round_trip(workspace, capsys):
     assert payload["stop_reason"] == "gap"
     assert payload["kkt_solves"] >= payload["iterations"] - 1
     assert 0 <= payload["drop_steps"] <= payload["kkt_solves"]
+    assert payload["refactorizations"] >= 0
     weights = SimplexWeights(np.array(payload["weights"]))
     assert abs(sum(payload["weights"]) - 1.0) <= 1e-10
     dictionary = csvio.read_dictionary(workspace["dict"])
@@ -277,6 +278,24 @@ def test_isomorphism_non_finite_x_exits_one(workspace, capsys, x, c0):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: x, b, and c0 must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("c0", [None, "2.0"], ids=["calibrated", "given"])
+@pytest.mark.parametrize("x", ["", ","])
+def test_isomorphism_empty_x_exits_one(workspace, capsys, x, c0):
+    # an empty level list used to exit 0 with a header-only CSV
+    out = workspace["dir"] / "iso.csv"
+    extra = ["--c0", c0] if c0 else []
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--x", x, "--reps", "10", "--num-functions", "3", "--num-segments", "3",
+            "--out", str(out), *extra,
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --x must name at least one level")
+    assert not out.exists()
 
 
 def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):

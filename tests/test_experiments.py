@@ -6,6 +6,7 @@ import pytest
 
 from cvxagg.experiments import (
     DEFAULT_GRID,
+    ORACLE_TOLERANCE,
     ExperimentConfig,
     TrialRecord,
     derive_seed,
@@ -17,8 +18,8 @@ from cvxagg.experiments import (
     save_config,
 )
 from cvxagg.model import Dictionary, SampleSet, combine, sample
-from cvxagg.risk import population_risk
-from cvxagg.solver import SolverConfig
+from cvxagg.risk import bayes_risk, population_risk
+from cvxagg.solver import SolverConfig, erm_convex_hull
 
 
 def test_derive_seed_stable_and_distinct():
@@ -44,6 +45,48 @@ def test_make_problem_noiseless_inside_hull_is_realizable():
     assert oracle.empirical_risk == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("K", [4, 16, 64])
+@pytest.mark.parametrize("noise", [0.0, 0.5, 1.0])
+def test_bayes_risk_is_the_inside_hull_minimum(K, noise):
+    # the regression function of an inside-hull problem is a hull point, so
+    # the certified hull minimum is the Bayes risk; outside the hull it is not
+    inside, d = make_problem("inside-hull", K=K, M=2 * K, b=1.0, seed=K, noise=noise)
+    assert abs(bayes_risk(inside) - population_oracle(d, inside).empirical_risk) <= ORACLE_TOLERANCE
+    outside, d = make_problem("outside-hull", K=K, M=2 * K, b=1.0, seed=K, noise=noise)
+    assert bayes_risk(outside) < population_oracle(d, outside).empirical_risk - ORACLE_TOLERANCE
+
+
+def test_run_grid_reports_solver_statistics_per_cell():
+    cfg = ExperimentConfig(grid=((48, 2), (48, 16), (96, 8)), replications=5, master_seed=4)
+    report = run_grid(cfg)
+    for point in report.points:
+        problem, d = make_problem(
+            cfg.problem_kind, cfg.atoms_K, point.M, cfg.bound_b,
+            derive_seed(cfg.master_seed, point.n, point.M, "problem"), cfg.noise,
+        )
+        solves = [
+            erm_convex_hull(d, sample(problem, point.n, derive_seed(cfg.master_seed, point.n, point.M, rep)))
+            for rep in range(cfg.replications)
+        ]
+        iterations = sorted(sol.iterations for sol in solves)
+        assert point.solver == {
+            "iterations_median": iterations[len(iterations) // 2],
+            "iterations_max": iterations[-1],
+            "kkt_solves": sum(sol.kkt_solves for sol in solves),
+            "drop_steps": sum(sol.drop_steps for sol in solves),
+            "refactorizations": sum(sol.refactorizations for sol in solves),
+            "stop_reasons": {"gap": cfg.replications},
+            "max_duality_gap": max(sol.duality_gap for sol in solves),
+        }
+    # inside-hull cells take the Bayes risk as their hull minimum
+    for record in report.records:
+        problem, _ = make_problem(
+            cfg.problem_kind, cfg.atoms_K, record.M, cfg.bound_b,
+            derive_seed(cfg.master_seed, record.n, record.M, "problem"), cfg.noise,
+        )
+        assert record.oracle_risk == bayes_risk(problem)
+
+
 def test_make_problem_pure_noise_regression_is_zero():
     p, _ = make_problem("pure-noise", K=3, M=2, b=1.0, seed=5)
     ymass = np.bincount(p.x_indices, weights=p.probabilities * p.y_values, minlength=3)
@@ -53,7 +96,7 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    record = run_trial(p, d, n=32, solver_config=SolverConfig(), seed=11, replication=0, oracle_risk=oracle_risk)
+    record, _ = run_trial(p, d, n=32, solver_config=SolverConfig(), seed=11, replication=0, oracle_risk=oracle_risk)
     assert record.excess_risk == pytest.approx(0.0, abs=1e-10)
     assert record.converged
 
@@ -80,7 +123,7 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = 12345
     oracle_risk = population_oracle(d, p).empirical_risk
-    record = run_trial(p, d, 40, SolverConfig(tolerance=1e-12), seed, replication=0, oracle_risk=oracle_risk)
+    record, _ = run_trial(p, d, 40, SolverConfig(tolerance=1e-12), seed, replication=0, oracle_risk=oracle_risk)
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(np.mean(draws.y_values)) / c))
     expected_excess = (w_hat * c) ** 2
@@ -130,7 +173,7 @@ def test_run_grid_records_recompute_exactly():
             derive_seed(cfg.master_seed, record.n, record.M, "problem"),
             cfg.noise,
         )
-        redone = run_trial(
+        redone, _ = run_trial(
             p, d, record.n, cfg.solver, record.seed, record.replication, record.oracle_risk
         )
         assert redone.excess_risk == record.excess_risk

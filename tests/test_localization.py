@@ -129,6 +129,14 @@ def test_isomorphism_functions_reject_non_finite_x(bad):
         calibrate_c0(segments, problem, n=32, x_levels=[1.0, bad], reps=10, seed=24)
 
 
+def test_calibrate_c0_rejects_empty_x_levels():
+    # with no level there is nothing to calibrate; c0 = 0.0 used to come back
+    problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
+    segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
+    with pytest.raises(ValueError, match="at least one x level"):
+        calibrate_c0(segments, problem, n=32, x_levels=[], reps=10, seed=24)
+
+
 def _clear_draw_caches():
     _rep_counts.cache_clear()
     _segment_coefficients.cache_clear()

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from cvxagg.experiments import make_problem
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk, population_risk
-from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
+from cvxagg.solver import SolverConfig, _Face, _least_squares, erm_convex_hull, erm_segment
 from cvxagg.sparsify import enumerate_net
 
 from _support import (
     erm_constrained,
     erm_oracle,
     exhaustive_sample,
+    lstsq_minimize_fw,
     project_box,
     project_simplex,
     random_dictionary,
@@ -362,6 +363,23 @@ def test_hull_solve_at_large_m_in_bounded_memory():
     assert peak < 64 * 2**20
 
 
+def test_hull_solve_on_a_large_design_in_bounded_memory():
+    # the corrective step's factor grows with the active face, not with the
+    # K x K that K = 50 000 design points would take (60 GB)
+    rng = np.random.default_rng(73)
+    p = random_problem(rng, K=50_000)
+    d = random_dictionary(rng, M=6, K=50_000)
+    s = sample(p, 200, seed=2)
+    tracemalloc.start()
+    try:
+        sol = erm_convex_hull(d, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("exponent", range(-6, 7))
 def test_hull_solution_scales_with_the_data(exponent):
     # (F, y) -> (sF, sy) multiplies the risk by s^2 and leaves the minimizer,
@@ -381,3 +399,138 @@ def test_hull_solution_scales_with_the_data(exponent):
         assert scaled.converged
         assert np.allclose(scaled.weights.weights, base.weights.weights, rtol=0.0, atol=1e-10)
         assert scaled.empirical_risk == pytest.approx(scale**2 * base.empirical_risk, rel=1e-10)
+
+
+def _assert_face_matches_lstsq(face, A, target):
+    """The factor's corrective minimizer equals lstsq's on the same face."""
+    rows = A[face.support]
+    z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
+    expected = np.concatenate([[1.0 - z.sum()], z])
+    got = face.minimizer()
+    assert got.shape == expected.shape
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _append_checked(face, A, s):
+    """Append s; a refused vertex must lie in the span of the face's differences."""
+    k = face.k
+    if face.append(s):
+        assert face.k == k + 1 and face.support[-1] == s
+    else:
+        assert face.k == k and s not in face.support
+        rows = A[face.support]
+        d = A[s] - rows[0]
+        if k:
+            D = (rows[1:] - rows[0]).T
+            d = d - D @ np.linalg.lstsq(D, d, rcond=None)[0]
+        assert np.linalg.norm(d) <= 1e-10 * np.linalg.norm(A[s] - rows[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    exponent=st.integers(-6, 6),
+    zero_columns=st.booleans(),
+    duplicate_rows=st.booleans(),
+    moves=st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=40),
+)
+def test_face_factor_matches_lstsq_over_add_drop_sequences(
+    seed, K, exponent, zero_columns, duplicate_rows, moves
+):
+    # a nonnegative move enters vertex move % M; a negative one drops the
+    # support positions named by the bits of -move (position 0 is the base)
+    rng = np.random.default_rng(seed)
+    M = 2 * K + 3
+    A = rng.uniform(-1.0, 1.0, size=(M, K))
+    if zero_columns:
+        A[:, : (K + 1) // 2] = 0.0  # design points the data gives no mass
+    if duplicate_rows:
+        A[M // 2 :] = A[: M - M // 2]
+    A *= 10.0**exponent
+    target = rng.uniform(-1.0, 1.0, size=K) * 10.0**exponent
+    face = _Face(A, target, int(rng.integers(M)))
+    _assert_face_matches_lstsq(face, A, target)
+    for move in moves:
+        if move >= 0:
+            if move % M in face.support:
+                continue
+            _append_checked(face, A, move % M)
+        else:
+            n = len(face.support)
+            positions = [i for i in range(n) if (-move >> i) & 1][: n - 1]
+            if not positions:
+                continue
+            face.drop(positions)
+        assert face.k == len(face.support) - 1
+        _assert_face_matches_lstsq(face, A, target)
+
+
+@pytest.mark.parametrize("case", ["base_deletion", "full_face", "zero_mass_columns", "duplicate_rows"])
+def test_face_factor_cases(case):
+    rng = np.random.default_rng(71)
+    K, M = 5, 12
+    A = rng.uniform(-1.0, 1.0, size=(M, K))
+    if case == "zero_mass_columns":
+        A[:, [1, 3]] = 0.0
+    if case == "duplicate_rows":
+        A[6:] = A[:6]
+    target = rng.uniform(-1.0, 1.0, size=K)
+    face = _Face(A, target, 0)
+    for s in range(1, M):
+        _append_checked(face, A, s)
+        _assert_face_matches_lstsq(face, A, target)
+    rank = {"zero_mass_columns": K - 2}.get(case, K)
+    assert face.k == rank  # the face spans the rank of A, and nothing more enters
+    if case == "duplicate_rows":
+        assert not set(face.support) & set(range(6, M))
+    refactorizations = face.refactorizations
+    face.drop([0, 2])
+    assert face.refactorizations == refactorizations + 1
+    _assert_face_matches_lstsq(face, A, target)
+    face.drop([1])
+    assert face.refactorizations == refactorizations + 1
+    _assert_face_matches_lstsq(face, A, target)
+
+
+@pytest.mark.parametrize(
+    "kind, K, M, n, seeds",
+    [
+        ("outside-hull", 16, 64, 256, range(20)),
+        ("outside-hull", 128, 512, 1024, range(3)),
+        # faces of about 50 vertices, with drops and a rebuilt factor
+        ("inside-hull", 64, 256, 1024, range(2)),
+    ],
+)
+def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
+    # the updated factor replaces a fresh lstsq per corrective step; the
+    # iterates must not move
+    for seed in seeds:
+        p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
+        s = sample(p, n, seed=seed)
+        sol = erm_convex_hull(d, s)
+        support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = lstsq_minimize_fw(
+            *_least_squares(d, s), SolverConfig()
+        )
+        w = np.zeros(M)
+        w[support] = u
+        assert (sol.iterations, sol.stop_reason) == (iterations, stop_reason)
+        assert (sol.kkt_solves, sol.drop_steps) == (kkt_solves, drop_steps)
+        assert np.abs(sol.weights.weights - w).max() <= 1e-12
+        assert sol.duality_gap == pytest.approx(gap, rel=0.0, abs=1e-12)
+
+
+def test_a_vertex_spanned_by_the_face_ends_the_solve():
+    # noiseless labels at a hull point of a K=3 design: the optimal face
+    # spans all of R^3, so with no reachable tolerance the oracle's next
+    # vertex is numerically dependent on it and the solve stops there
+    rng = np.random.default_rng(0)
+    K, M = 3, 12
+    d = Dictionary(rng.uniform(-1.0, 1.0, size=(M, K)))
+    regression = rng.dirichlet(np.ones(M)) @ d.values
+    p = DiscreteProblem(np.arange(K), regression, np.full(K, 1.0 / K), 1.0)
+    sol = erm_convex_hull(d, p, SolverConfig(tolerance=1e-300))
+    assert sol.stop_reason == "repeat_vertex"
+    assert np.count_nonzero(sol.weights.weights) <= K + 1
+    assert sol.empirical_risk <= 1e-30
+    assert sol.duality_gap <= 1e-15
