@@ -139,6 +139,9 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    for flag, grid in (("--n-grid", args.n_grid), ("--m-grid", args.m_grid)):
+        if not grid:
+            raise ValueError(f"{flag} must name at least one value")
     lines = ["n,M,psi,phi,regime"]
     for point in rate_table(args.n_grid, args.m_grid):
         lines.append(f"{point.n},{point.M},{point.psi!r},{point.phi!r},{point.regime}")

@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise ValueError("atoms_K must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not self.bound_b > 0:
-            raise ValueError("bound_b must be positive")
+        if not 0 < self.bound_b < math.inf:
+            raise ValueError(f"bound_b must be positive and finite, found {self.bound_b}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if not all(0.0 <= x < math.inf for x in self.x_levels):
@@ -179,8 +179,8 @@ def make_problem(
         raise ValueError(f"unknown problem kind {kind!r}")
     if K < 1 or M < 1:
         raise ValueError("K and M must be at least 1")
-    if not b > 0:
-        raise ValueError("b must be positive")
+    if not 0 < b < math.inf:
+        raise ValueError(f"bound_b must be positive and finite, found {b}")
     rng = np.random.default_rng(seed)
     px = rng.dirichlet(np.ones(K))
     px = px / px.sum()
@@ -469,8 +469,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    data = dataclasses.asdict(cfg)
-    data["grid"] = [list(cell) for cell in cfg.grid]
-    data["x_levels"] = list(cfg.x_levels)
-    data["solver"] = dataclasses.asdict(cfg.solver)
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")

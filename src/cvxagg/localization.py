@@ -14,13 +14,13 @@ rational function, so it is attained at 0, 1, or a closed-form breakpoint or
 stationary point; the suprema are evaluated exactly on those candidates, for
 all datasets and segments at once.
 
-Dataset r of a Monte Carlo run is drawn from the (seed, rep_offset + r)
-stream, so (problem, n, reps, seed, rep_offset) fixes every dataset.  Callers
-sweep levels on one draw (x levels in the isomorphism check, localization
-levels in localized_sup), so calls with equal arguments share one draw: the
-last atom counts and the last segment quadratics are kept and reused.  Only
-the level changes between such calls, and the level enters after the draw,
-so a shared draw gives the same bits as a fresh one.
+Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
+n, [seed, rep_offset + r]), so (problem, n, reps, seed, rep_offset) fixes
+every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
+check, localization levels in localized_sup), so calls with equal arguments
+share one draw: the last atom counts and the last segment quadratics are kept
+and reused.  Only the level changes between such calls, and the level enters
+after the draw, so a shared draw gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, combine
+from .model import Dictionary, DiscreteProblem, Segment, combine, draw_counts
 from .solver import erm_segment
 
 # peeling stops once a term is below this fraction of the running sum, or
@@ -62,13 +62,12 @@ def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
 
 @functools.lru_cache(maxsize=1)
 def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int) -> np.ndarray:
-    """Sampled atom counts, shape (reps, atoms); row r from the (seed, rep_offset + r) stream.
+    """Sampled atom counts, shape (reps, atoms); row r is draw_counts(problem, n, [seed, rep_offset + r]).
 
     The last call's read-only result is reused by the next call with equal
     arguments; a problem compares by identity, and the cache holds it.
     """
-    probs = problem.probabilities
-    counts = np.array([np.random.default_rng([seed, rep_offset + rep]).multinomial(n, probs) for rep in range(reps)])
+    counts = np.array([draw_counts(problem, n, [seed, rep_offset + rep]) for rep in range(reps)])
     counts.setflags(write=False)
     return counts
 

@@ -68,10 +68,6 @@ class DiscreteProblem:
         object.__setattr__(self, "_marginal_x", _freeze(np.bincount(x, weights=p, minlength=k), np.float64))
 
     @property
-    def num_atoms(self) -> int:
-        return self.x_indices.size
-
-    @property
     def num_design_points(self) -> int:
         return int(self.x_indices.max()) + 1
 
@@ -137,13 +133,17 @@ class SampleSet:
         return self.x_indices.size
 
 
-def sample(problem: DiscreteProblem, n: int, seed: int) -> SampleSet:
-    """Draw n i.i.d. pairs from the problem's atom law, reproducibly."""
+def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
+    """Atom counts of n i.i.d. draws from the problem's law: one multinomial from default_rng(seed)."""
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    atom_idx = rng.choice(problem.num_atoms, size=n, p=problem.probabilities)
-    return SampleSet(problem.x_indices[atom_idx], problem.y_values[atom_idx], seed=int(seed))
+    return np.random.default_rng(seed).multinomial(n, problem.probabilities)
+
+
+def sample(problem: DiscreteProblem, n: int, seed: int) -> SampleSet:
+    """Draw n i.i.d. pairs from the problem's atom law, listed atom by atom."""
+    counts = draw_counts(problem, n, seed)
+    return SampleSet(np.repeat(problem.x_indices, counts), np.repeat(problem.y_values, counts), seed=int(seed))
 
 
 @dataclass(frozen=True, eq=False)

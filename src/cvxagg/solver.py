@@ -40,8 +40,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, found {self.tolerance}")
 
 
 @dataclass(frozen=True, eq=False)

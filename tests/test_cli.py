@@ -120,6 +120,15 @@ def test_rates_subcommand(capsys):
     assert first[4] == "small-M"
 
 
+@pytest.mark.parametrize("n_grid, m_grid, flag", [("", "2", "--n-grid"), ("64", ",", "--m-grid"), (",", "", "--n-grid")])
+def test_rates_empty_grid_exits_one(tmp_path, capsys, n_grid, m_grid, flag):
+    # an empty grid used to exit 0 with a header-only CSV
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--n-grid", n_grid, "--m-grid", m_grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must name at least one value")
+    assert not out.exists()
+
+
 def test_solve_subcommand_round_trip(workspace, capsys):
     code = main(
         [
@@ -163,6 +172,16 @@ def test_solve_nonconvergence_exit_code(workspace, capsys):
     )
     assert code == 2
     assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iterations"
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+def test_solve_non_finite_tolerance_exits_one(workspace, capsys, tol):
+    # an infinite tolerance used to stop every solve at its start vertex as converged
+    code = main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"]), "--tol", tol])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance must be positive and finite")
+    assert captured.out == ""
 
 
 def test_usage_errors_exit_one(capsys):
@@ -370,6 +389,26 @@ def test_experiment_x_levels_not_finite_and_nonnegative_exit_one(workspace, caps
     out_dir = workspace["dir"] / "results"
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: x_levels must be finite and nonnegative")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"solver": {"tolerance": Infinity}', "tolerance must be positive and finite"),
+        ('"solver": {"tolerance": 1e400}', "tolerance must be positive and finite"),
+        ('"bound_b": Infinity', "bound_b must be positive and finite"),
+    ],
+    ids=["tolerance-infinity", "tolerance-overflow", "bound-b-infinity"],
+)
+def test_experiment_config_not_finite_exits_one(workspace, capsys, entry, message):
+    # an infinite tolerance used to mark start-vertex solves converged (exit 0),
+    # and an infinite bound_b failed inside the problem generator (exit 2)
+    cfg_path = workspace["dir"] / "exp.json"
+    cfg_path.write_text('{"grid": [[64, 2]], "replications": 2, ' + entry + "}")
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out_dir.exists()
 
 

@@ -150,6 +150,14 @@ def test_experiment_config_rejects_x_levels_not_finite_and_nonnegative(x_levels)
     assert ExperimentConfig(grid=[(8, 2)], replications=2, x_levels=[0.0, 3.5]).x_levels == (0.0, 3.5)
 
 
+@pytest.mark.parametrize("bound_b", [math.inf, math.nan, 0.0])
+def test_bound_b_must_be_positive_and_finite(bound_b):
+    with pytest.raises(ValueError, match="bound_b must be positive and finite"):
+        ExperimentConfig(bound_b=bound_b)
+    with pytest.raises(ValueError, match="bound_b must be positive and finite"):
+        make_problem("inside-hull", K=3, M=2, b=bound_b, seed=0)
+
+
 def test_run_grid_single_cell_report_shape():
     cfg = ExperimentConfig(grid=((64, 2),), replications=1, master_seed=3)
     report = run_grid(cfg)

@@ -23,7 +23,7 @@ from cvxagg.localization import (
     random_net_segments,
     segment_excess_loss_class,
 )
-from cvxagg.model import DiscreteProblem, Segment
+from cvxagg.model import DiscreteProblem, Segment, draw_counts
 from cvxagg.solver import erm_segment
 
 from _support import random_dictionary, random_problem
@@ -184,6 +184,14 @@ def test_reused_draws_give_the_results_of_fresh_draws(draw_fixture):
     assert np.array_equal(whole, np.vstack([_rep_counts(problem, 64, 15, 74, 0), _rep_counts(problem, 64, 25, 74, 15)]))
 
 
+def test_rep_counts_rows_are_model_draws(draw_fixture):
+    # the Monte Carlo datasets come from the one sampler, row r on stream (seed, offset + r)
+    problem, _ = draw_fixture
+    for offset in (0, 7):
+        counts = _rep_counts(problem, 64, 6, 3, offset)
+        assert np.array_equal(counts, [draw_counts(problem, 64, [3, offset + r]) for r in range(6)])
+
+
 def test_reused_draws_are_read_only(draw_fixture):
     problem, segments = draw_fixture
     counts = _rep_counts(problem, 64, 5, 1, 0)
@@ -258,7 +266,7 @@ def test_localized_sup_single_function_matches_direct_simulation():
     sims = []
     rng2 = np.random.default_rng(999)
     for _ in range(600):
-        idx = rng2.choice(p.num_atoms, size=50, p=p.probabilities)
+        idx = rng2.choice(p.x_indices.size, size=50, p=p.probabilities)
         sims.append(float(np.max(np.abs(pl - losses[:, idx].mean(axis=1)))))
     direct = float(np.mean(sims))
     direct_se = float(np.std(sims, ddof=1) / math.sqrt(len(sims)))

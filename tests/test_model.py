@@ -9,6 +9,7 @@ from cvxagg.model import (
     SampleSet,
     SimplexWeights,
     combine,
+    draw_counts,
     sample,
 )
 
@@ -114,6 +115,19 @@ def test_sample_reproducible_and_valid():
     assert np.abs(s1.y_values).max() <= p.bound_b
     with pytest.raises(ValueError):
         sample(p, 0, seed=1)
+
+
+def test_sample_lists_the_drawn_counts_atom_by_atom():
+    rng = np.random.default_rng(3)
+    p = random_problem(rng, K=4)
+    for n, seed in ((1, 0), (37, 5), (500, 11)):
+        counts = draw_counts(p, n, seed)
+        assert counts.sum() == n
+        s = sample(p, n, seed)
+        assert np.array_equal(s.x_indices, np.repeat(p.x_indices, counts))
+        assert np.array_equal(s.y_values, np.repeat(p.y_values, counts))
+    with pytest.raises(ValueError):
+        draw_counts(p, 0, seed=1)
 
 
 def test_sampleset_validation():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import types
 
@@ -29,6 +30,9 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
+    for tolerance in (math.inf, math.nan, -1e-8):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverConfig(tolerance=tolerance)
 
 
 def test_erm_hull_clamped_mean_example():
@@ -101,7 +105,8 @@ def test_erm_hull_nonconvergence_is_flagged():
     [
         (SolverConfig(), "gap"),
         (SolverConfig(max_iterations=1, tolerance=1e-16), "max_iterations"),
-        # no gap reaches 1e-300, so the oracle ends up naming an active vertex
+        # on this sample no gap reaches 1e-300 (asserted below), so the oracle
+        # ends up naming an active vertex
         (SolverConfig(tolerance=1e-300), "repeat_vertex"),
     ],
 )
@@ -109,9 +114,12 @@ def test_erm_hull_reports_why_it_stopped(config, reason):
     rng = np.random.default_rng(0)
     p = random_problem(rng, K=8)
     d = random_dictionary(rng, M=20, K=8)
-    sol = erm_convex_hull(d, sample(p, 64, seed=0), config)
+    # the seed-0 sample ends the 1e-300 solve on an exact zero gap, so on "gap"
+    sol = erm_convex_hull(d, sample(p, 64, seed=1), config)
     assert sol.stop_reason == reason
     assert sol.converged == (sol.duality_gap <= config.tolerance)
+    if reason != "gap":
+        assert sol.duality_gap > config.tolerance
     # every iteration but a final certifying one adds a vertex and solves
     assert sol.kkt_solves >= sol.iterations - 1 >= 0
 
