@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Calibrate the comparison constant on one problem family and tabulate
-violation rates of the two-sided excess-risk comparison across x levels."""
+violation rates of the two-sided excess-risk comparison across x levels.
+Exits 2 when the ERM implication fails on any non-violating dataset, as
+`cvxagg isomorphism` does."""
 
 import argparse
 import math
+import sys
 
 from cvxagg.experiments import make_problem
 from cvxagg.localization import calibrate_c0, isomorphism_check, random_net_segments
@@ -40,6 +43,7 @@ def main() -> int:
     )
     print(f"calibrated c0 = {c0:.4f} on {args.reps} calibration datasets")
     print("  x    gamma     rate     bound    erm_failures")
+    failures = 0
     for x in args.x:
         report = isomorphism_check(
             segments,
@@ -55,6 +59,10 @@ def main() -> int:
             f"{x:4.1f}  {report.gamma_or_rho:.5f}  {report.violation_rate:.4f}  "
             f"{min(1.0, 4 * math.exp(-x)):.4f}   {report.erm_implication_failures}"
         )
+        failures += report.erm_implication_failures
+    if failures:
+        print(f"ERM implication failed on {failures} non-violating datasets", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -459,12 +459,8 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(raw, ExperimentConfig, "config")
     kwargs = dict(raw)
     if "solver" in kwargs:
-        solver = dict(kwargs["solver"])
-        # configs written before ties were fixed to the lowest index carry this key
-        if solver.pop("tie_break", "lowest-index") != "lowest-index":
-            raise ValueError("only the lowest-index tie break is supported")
-        _check_keys(solver, SolverConfig, "solver config")
-        kwargs["solver"] = SolverConfig(**solver)
+        _check_keys(kwargs["solver"], SolverConfig, "solver config")
+        kwargs["solver"] = SolverConfig(**kwargs["solver"])
     return ExperimentConfig(**kwargs)
 
 

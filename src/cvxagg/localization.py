@@ -14,6 +14,13 @@ rational function, so it is attained at 0, 1, or a closed-form breakpoint or
 stationary point; the suprema are evaluated exactly on those candidates, for
 all datasets and segments at once.
 
+The two-sided comparison reads one evaluator: a dataset's smallest
+violation-free level, the sup of 2|P L - P_n L| over the closed set of
+segment points where |P L - P_n L| >= P L / 2.  isomorphism_check counts a
+dataset as violating when that level exceeds gamma, and calibrate_c0 takes
+an order statistic of the same levels, so a c0 calibrated on a draw meets
+its target when checked on that draw.
+
 Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
 n, [seed, rep_offset + r]), so (problem, n, reps, seed, rep_offset) fixes
 every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
@@ -276,8 +283,9 @@ class IsomorphismReport:
     """Violation tally for the two-sided excess-risk comparison on segments.
 
     A trial counts as a violation when any tested segment contains a point
-    whose empirical/population excess-risk deviation exceeds half the max of
-    the excess risk and the level gamma.  erm_checked counts the
+    whose empirical/population excess-risk deviation is at least half its
+    excess risk and above half the level gamma; the first comparison is not
+    strict, so a tie there counts.  erm_checked counts the
     non-violating trials, on which the segment ERM's population excess is
     additionally compared against the level; erm_implication_failures should
     be 0 whenever the comparison logic is sound.
@@ -307,18 +315,6 @@ class IsomorphismReport:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _max_deficit(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:
-    """sup over theta of |D(theta)| - max(PL(theta), level) / 2.
-
-    The function is quadratic between the roots of D and of PL - level; on each
-    piece it peaks at an end, the vertex of D, or a vertex of +-2D - PL.
-    """
-    theta = _candidates(
-        _points(diff), _points(pop - [0.0, 0.0, level]), _points(2.0 * diff - pop), _points(-2.0 * diff - pop)
-    )
-    return _max(np.abs(_poly(diff, theta)) - 0.5 * np.maximum(_poly(pop, theta), level))
-
-
 def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Smallest level that avoids violation on this segment and dataset.
 
@@ -333,6 +329,22 @@ def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     # the roots are region members even where rounding puts |D| an ulp below PL/2
     member[..., -edges.shape[-1]:] = True
     return _max(np.where(member, 2.0 * d, 0.0))
+
+
+def _dataset_levels(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int, net_size):
+    """The start shared by isomorphism_check and calibrate_c0.
+
+    Returns N, the net size in the level's union bound; the population and
+    empirical segment quadratics; and, per dataset, its smallest
+    violation-free level, the max of _needed_level over segments, shape (reps,).
+    """
+    if not segments:
+        raise ValueError("at least one segment is required")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    N = net_size if net_size is not None else len(segments)
+    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
+    return N, pop, emp, np.max(_needed_level(pop, pop - emp), axis=1)
 
 
 def isomorphism_check(
@@ -350,29 +362,25 @@ def isomorphism_check(
 
     Each replication draws a fresh size-n dataset, computes the exact
     population and empirical excess-loss quadratics for every segment, and
-    looks for any theta violating |P L - P_n L| <= max(P L, gamma)/2, exactly,
-    over the breakpoints and stationary points of the deficit.  On
+    counts as a violation when its smallest violation-free level exceeds
+    gamma: some theta has |P L - P_n L| >= P L / 2 and > gamma / 2.  On
     non-violating datasets the empirical segment minimizer's population excess
-    is compared to gamma.  Replication r uses the stream derived from
+    is compared to gamma, with a slack of 1e-12 b^2 for rounding, which
+    scales with the data.  Replication r uses the stream derived from
     (seed, rep_offset + r), so a run may be split into chunks without changing
     its outcome.
     """
-    segments = tuple(segments)
-    if not segments:
-        raise ValueError("at least one segment is required")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    N = num_net_functions if num_net_functions is not None else len(segments)
-    level = gamma(x, problem.bound_b, N, n, c0)
-    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
+    b = problem.bound_b
+    N, pop, emp, needed = _dataset_levels(tuple(segments), problem, n, reps, seed, rep_offset, num_net_functions)
+    level = gamma(x, b, N, n, c0)
 
-    violated = np.any(_max_deficit(pop, pop - emp, level) > 0.0, axis=1)
+    violated = needed > level
     ea, eb = emp[..., 0], emp[..., 1]
     theta_hat = np.where(ea > 0.0, np.clip(-eb / (2.0 * np.where(ea > 0.0, ea, 1.0)), 0.0, 1.0), 0.0)
     erm_excess = np.max(_poly(pop, theta_hat[..., None])[..., 0], axis=1)
     violations = int(np.count_nonzero(violated))
     erm_checked = reps - violations
-    erm_failures = int(np.count_nonzero(~violated & (erm_excess > level + 1e-12)))
+    erm_failures = int(np.count_nonzero(~violated & (erm_excess > level + 1e-12 * b * b)))
     bound = 4.0 * math.exp(-x)
     return IsomorphismReport(
         x=float(x),
@@ -400,36 +408,38 @@ def calibrate_c0(
 ) -> float:
     """Smallest c0 whose level keeps the violation rate at or below the target.
 
-    For each calibration dataset the minimal violation-free level is computed
-    once (it does not depend on c0); the per-x requirement is then an order
-    statistic of those levels at rate target_scale * min(1, 4 exp(-x)).  The
-    result is the max over x levels.  The value is an empirical calibration
-    for a reference family, not a universal constant.
+    Each calibration dataset's smallest violation-free level, the quantity
+    isomorphism_check compares with gamma, does not depend on c0.  Per x
+    level the required level is the order statistic of those levels that
+    leaves floor(target * reps) datasets above it, at rate
+    target = target_scale * min(1, 4 exp(-x)), and c0 is raised ulp by ulp
+    until gamma, as it rounds, reaches that level.  So isomorphism_check at
+    the returned c0 on the calibration draw (same seed, rep_offset 0) finds at
+    most floor(target * reps) violations at every x.  The result is the max
+    over x levels.  The value is an empirical calibration for a reference
+    family, not a universal constant.
     """
-    segments = tuple(segments)
     x_levels = tuple(x_levels)
-    if not segments:
-        raise ValueError("at least one segment is required")
     if not x_levels:
         raise ValueError("at least one x level is required")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
-    N = num_net_functions if num_net_functions is not None else len(segments)
-    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, 0)
-    order = np.sort(np.max(_needed_level(pop, pop - emp), axis=1))[::-1]
+    b = problem.bound_b
+    N, _, _, needed = _dataset_levels(tuple(segments), problem, n, reps, seed, 0, num_net_functions)
+    order = np.sort(needed)[::-1]
 
     c0 = 0.0
     for x in x_levels:
-        denom = gamma(x, problem.bound_b, N, n, 1.0)
+        denom = gamma(x, b, N, n, 1.0)
         target = target_scale * min(1.0, 4.0 * math.exp(-x))
         allowed = int(math.floor(target * reps))
-        if allowed >= reps:
+        if allowed >= reps or not denom > 0:
             continue
         level_req = float(order[allowed])
-        if denom > 0:
-            c0 = max(c0, level_req / denom)
+        c = level_req / denom
+        while gamma(x, b, N, n, c) < level_req:
+            c = math.nextafter(c, math.inf)
+        c0 = max(c0, c)
     return c0
 
 

@@ -9,7 +9,7 @@ target = ymass / sqrt(px).  The corrective step, least squares on the active
 vertices' affine hull, runs on a QR factor of the active face that is
 updated as vertices enter and leave (Wolfe's min-norm-point method keeps such
 a triangular factor), so an iteration costs one O(M K) gradient plus O(K |S|)
-for the factor, and the solver holds O(M K + K |S|) memory, with no M x M
+for the factor, and the solver holds O(M K) memory, with no M x M
 Gram matrix.  Termination is certified by the linear-minimization duality gap,
 which upper bounds the suboptimality of the returned iterate.
 
@@ -107,14 +107,18 @@ class _Face:
     i + 1 of R, c and Q.T and columns i and i + 1 of T by the same Givens
     rotation, so one 2 x 2 product updates all four.  `indices` and
     `vertices` hold the active indices, base first and newest last, and the
-    rows A[support].  The buffers double when the face outgrows them, so
-    memory stays O(K |S|).
+    rows A[support].  A face has at most C = min(K, M - 1) differences (a
+    K-dimensional span, M distinct vertices), so the buffers are allocated
+    once at that capacity: memory O(K min(K, M)), within the order of A.
     """
 
     def __init__(self, A: np.ndarray, target: np.ndarray, start: int):
-        self.A, self.target, self.K = A, target, A.shape[1]
-        self.k = self.capacity = self.refactorizations = 0
-        self._grow(min(self.K, 8))
+        K, C = A.shape[1], min(A.shape[1], A.shape[0] - 1)
+        self.A, self.target, self.K, self.capacity = A, target, K, C
+        self.k = self.refactorizations = 0
+        self.rows = np.zeros((C, 2 * C + 1 + K))
+        self.indices = np.zeros(C + 1, dtype=np.intp)
+        self.vertices = np.zeros((C + 1, K))
         self._rebuild([start])
 
     @property
@@ -122,22 +126,8 @@ class _Face:
         """The active vertex indices, base first and newest last."""
         return self.indices[: self.k + 1]
 
-    def _grow(self, capacity: int) -> None:
-        """Reallocate the buffers for `capacity` columns, keeping the factor."""
-        K, k, old = self.K, self.k, self.capacity
-        rows = np.zeros((capacity, 2 * capacity + 1 + K))
-        indices = np.zeros(capacity + 1, dtype=np.intp)
-        vertices = np.zeros((capacity + 1, K))
-        if old:
-            rows[:k, :k] = self.rows[:k, :k]
-            rows[:k, capacity : capacity + k] = self.rows[:k, old : old + k]
-            rows[:k, 2 * capacity :] = self.rows[:k, 2 * old :]
-            indices[: k + 1] = self.support
-            vertices[: k + 1] = self.vertices[: k + 1]
-        self.rows, self.indices, self.vertices, self.capacity = rows, indices, vertices, capacity
-
     def append(self, s: int) -> bool:
-        """Add vertex s as the last column, by Gram-Schmidt: O(K k).
+        """Add the inactive vertex s as the last column, by Gram-Schmidt: O(K k).
 
         The residual is orthogonalized a second time when the first pass
         cancelled more than half of the difference's squared norm.  Returns
@@ -161,9 +151,6 @@ class _Face:
             rr = float(r @ r)
         if rr <= (K * _EPS) ** 2 * dd:
             return False
-        if k == C:
-            self._grow(min(K, 2 * C))
-            C = self.capacity
         B, rho = self.rows, math.sqrt(rr)
         row = B[k]
         row[:] = 0.0

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +414,14 @@ def test_experiment_config_not_finite_exits_one(workspace, capsys, entry, messag
     assert not out_dir.exists()
 
 
+def test_experiment_config_tie_break_exits_one(workspace, capsys):
+    # ties always break to the lowest index; the old key is unknown like any other
+    cfg_path = workspace["dir"] / "exp.json"
+    cfg_path.write_text(json.dumps({"grid": [[64, 2]], "solver": {"tie_break": "lowest-index"}}))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(workspace["dir"] / "results")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown solver config keys: ['tie_break']")
+
+
 def _child_env() -> dict:
     # children import the cvxagg this test imported, installed or not
     src = str(Path(cvxagg.__file__).resolve().parents[1])
@@ -435,3 +445,22 @@ def test_study_scripts_start(script):
     result = subprocess.run([sys.executable, str(path), "--help"], capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("failures, code", [(0, 0), (1, 2)])
+def test_isomorphism_study_exit_code(monkeypatch, capsys, failures, code):
+    # the study script follows cvxagg isomorphism: exit 2 on any ERM
+    # implication failure, here injected into every report
+    check = localization.isomorphism_check
+
+    def injected(*args, **kwargs):
+        report = check(*args, **kwargs)
+        return dataclasses.replace(report, erm_implication_failures=report.erm_implication_failures + failures)
+
+    monkeypatch.setattr(localization, "isomorphism_check", injected)
+    monkeypatch.setattr(sys, "argv", ["run_isomorphism_study.py", "--reps", "20", "--x", "1", "2"])
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_isomorphism_study.py"
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_info.value.code == code
+    assert ("ERM implication failed on 2 non-violating datasets" in capsys.readouterr().err) == bool(failures)

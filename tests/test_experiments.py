@@ -224,7 +224,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         load_config(path)
     path.write_text(json.dumps({"grid": [[64, 2]], "solver": {"max_iter": 5, "tie_break": "lowest-index"}}))
-    with pytest.raises(ValueError, match=r"unknown solver config keys: \['max_iter'\]"):
+    with pytest.raises(ValueError, match=r"unknown solver config keys: \['max_iter', 'tie_break'\]"):
         load_config(path)
     path.write_text("5")
     with pytest.raises(ValueError, match="config must be a JSON object"):
@@ -257,14 +257,14 @@ def test_config_rejects_wrong_value_types(tmp_path, raw, key):
         load_config(path)
 
 
-def test_config_loads_legacy_tie_break(tmp_path):
+def test_config_rejects_legacy_tie_break(tmp_path):
+    # ties always break to the lowest index, so the old key is unknown like any other
     path = tmp_path / "legacy.json"
-    solver = {"max_iterations": 500, "tolerance": 1e-9, "tie_break": "lowest-index"}
-    path.write_text(json.dumps({"grid": [[64, 2]], "solver": solver}))
-    assert load_config(path).solver == SolverConfig(max_iterations=500, tolerance=1e-9)
-    path.write_text(json.dumps({"grid": [[64, 2]], "solver": dict(solver, tie_break="random")}))
-    with pytest.raises(ValueError):
-        load_config(path)
+    for tie_break in ("lowest-index", "random"):
+        solver = {"max_iterations": 500, "tolerance": 1e-9, "tie_break": tie_break}
+        path.write_text(json.dumps({"grid": [[64, 2]], "solver": solver}))
+        with pytest.raises(ValueError, match=r"unknown solver config keys: \['tie_break'\]"):
+            load_config(path)
 
 
 

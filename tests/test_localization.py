@@ -7,7 +7,6 @@ from cvxagg import localization
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
-    _max_deficit,
     _needed_level,
     _rep_counts,
     _segment_coefficients,
@@ -23,7 +22,7 @@ from cvxagg.localization import (
     random_net_segments,
     segment_excess_loss_class,
 )
-from cvxagg.model import DiscreteProblem, Segment, draw_counts
+from cvxagg.model import Dictionary, DiscreteProblem, Segment, draw_counts
 from cvxagg.solver import erm_segment
 
 from _support import random_dictionary, random_problem
@@ -358,11 +357,53 @@ def test_calibrate_c0_meets_targets_on_calibration_data():
         assert report.violation_rate <= min(1.0, 4 * math.exp(-x)) + 1e-12
 
 
+@pytest.mark.parametrize("target_scale", [1.0, 0.9])
+@pytest.mark.parametrize("seed", [2, 10])
+def test_calibrated_c0_meets_its_target_on_the_calibration_draw(seed, target_scale):
+    # the check and the calibration read the same per-dataset levels, and c0
+    # is rounded up until gamma reaches the order statistic, so on the same
+    # draw at most floor(target * reps) datasets violate at every x; a c0
+    # rounded to nearest let gamma fall an ulp short (seed 10, x = 4: 37 > 36)
+    problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=seed)
+    segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=seed + 1)
+    xs, reps = [1.0, 2.0, 3.0, 4.0], 500
+    c0 = calibrate_c0(segments, problem, 256, xs, reps, seed + 2, num_net_functions=10, target_scale=target_scale)
+    for x in xs:
+        report = isomorphism_check(segments, problem, 256, x, c0, reps, seed + 2, num_net_functions=10)
+        assert report.violations <= math.floor(target_scale * min(1.0, 4.0 * math.exp(-x)) * reps), x
+
+
+def test_isomorphism_check_is_free_of_the_data_scale():
+    # (F, y, b) -> (sF, sy, sb) scales every excess loss and gamma by s^2, so
+    # the calibrated c0 and every count must stay; the ERM implication's
+    # rounding slack scales with b^2, so at s = 1e-6 it is not 15 gamma wide
+    problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
+    xs = [1.0, 2.0, 3.0, 4.0]
+    results = {}
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        p = DiscreteProblem(problem.x_indices, scale * problem.y_values, problem.probabilities, scale * problem.bound_b)
+        d = Dictionary(scale * dictionary.values)
+        segments = random_net_segments(d, m=2, num_functions=10, num_segments=10, seed=89)
+        c0 = calibrate_c0(segments, p, 256, xs, 300, 90, num_net_functions=10, target_scale=0.9)
+        reports = [isomorphism_check(segments, p, 256, x, c0, 300, 91, num_net_functions=10) for x in xs]
+        results[scale] = c0, reports
+    c0, reports = results[1.0]
+    assert c0 > 0 and sum(r.violations for r in reports) > 0 and sum(r.erm_checked for r in reports) > 0
+    for scale, (c0_s, reports_s) in results.items():
+        assert c0_s == pytest.approx(c0, rel=1e-12, abs=0.0), scale
+        for r, r_s in zip(reports, reports_s):
+            counts = (r.violations, r.erm_checked, r.erm_implication_failures)
+            assert (r_s.violations, r_s.erm_checked, r_s.erm_implication_failures) == counts, (scale, r.x)
+            assert r_s.gamma_or_rho == pytest.approx(scale**2 * r.gamma_or_rho, rel=1e-12, abs=0.0), (scale, r.x)
+
+
 def test_segment_evaluators_match_a_fine_grid():
     # criterion-8 fixture: 20 datasets x 10 segments, against a 200 001-point
     # theta grid; each exact value lies between the grid max and the grid max
     # plus spacing x a Lipschitz bound of its objective (for the needed level,
-    # of 2|D| on its region)
+    # of 2|D| on its region).  A level violates, needed > level, exactly when
+    # sup |D| - max(PL, level) / 2 > 0, so wherever the grid's deficit is
+    # farther from 0 than spacing x its Lipschitz bound, the two must agree
     problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
     segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
     pop, emp = _segment_coefficients(tuple(segments), problem, 256, 20, 90, 0)
@@ -382,14 +423,12 @@ def test_segment_evaluators_match_a_fine_grid():
     lipschitz = {("needed", None): 2.0 * slope_d}
     for level in levels:
         exact["star", level] = _segment_star_sup(pop, diff, level)
-        exact["deficit", level] = _max_deficit(pop, diff, level)
         lipschitz["star", level] = slope_d + size_d * slope_p / level
-        lipschitz["deficit", level] = slope_d + 0.5 * slope_p
     assert all(v.shape == (pairs,) for v in exact.values())
-    assert np.any(exact["deficit", 0.05] > 0.0) and np.any(exact["deficit", 0.05] < 0.0)
     assert exact["star", 0.005][-1] == pytest.approx(0.005 * 0.1 / 0.02)
 
     grid = {key: np.empty(pairs) for key in exact}
+    deficit = {level: np.empty(pairs) for level in levels}
     for start in range(0, pairs, 10):
         rows = slice(start, start + 10)
         pl = np.polynomial.polynomial.polyval(theta, pop[rows, ::-1].T)
@@ -397,10 +436,16 @@ def test_segment_evaluators_match_a_fine_grid():
         grid["needed", None][rows] = np.max(np.where(d >= 0.5 * pl, 2.0 * d, 0.0), axis=1)
         for level in levels:
             grid["star", level][rows] = np.max(np.minimum(1.0, level / np.maximum(pl, level)) * d, axis=1)
-            grid["deficit", level][rows] = np.max(d - 0.5 * np.maximum(pl, level), axis=1)
+            deficit[level][rows] = np.max(d - 0.5 * np.maximum(pl, level), axis=1)
     for key, value in exact.items():
         assert np.all(value >= grid[key] - 1e-14), key
         assert np.all(value <= grid[key] + spacing * lipschitz[key]), key
+    needed = exact["needed", None]
+    for level in levels:
+        clear = np.abs(deficit[level]) > spacing * (slope_d + 0.5 * slope_p)
+        assert np.array_equal(needed[clear] > level, deficit[level][clear] > 0.0), level
+        if level == 0.05:
+            assert np.any(clear & (needed > level)) and np.any(clear & (needed <= level))
 
 
 def test_random_net_segments_deterministic():

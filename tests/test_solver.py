@@ -356,7 +356,7 @@ def test_solvers_reject_out_of_range_design_indices(solver, kind):
 
 def test_hull_solve_at_large_m_in_bounded_memory():
     # a dense M x M Gram alone would take 80 GB here; the design-space solver
-    # keeps O(M K) arrays
+    # keeps O(M K) arrays, its face factor sized for min(K, M - 1) = 16 columns
     rng = np.random.default_rng(67)
     p = random_problem(rng, K=16)
     d = random_dictionary(rng, M=100_000, K=16)
@@ -372,8 +372,9 @@ def test_hull_solve_at_large_m_in_bounded_memory():
 
 
 def test_hull_solve_on_a_large_design_in_bounded_memory():
-    # the corrective step's factor grows with the active face, not with the
-    # K x K that K = 50 000 design points would take (60 GB)
+    # the corrective step's factor is sized for the largest face, min(K, M - 1)
+    # = 5 columns, not for the K x K that K = 50 000 design points would take
+    # (60 GB)
     rng = np.random.default_rng(73)
     p = random_problem(rng, K=50_000)
     d = random_dictionary(rng, M=6, K=50_000)
