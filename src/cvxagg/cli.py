@@ -100,7 +100,6 @@ def _cmd_solve(args) -> int:
         "stop_reason": solution.stop_reason,
         "kkt_solves": solution.kkt_solves,
         "drop_steps": solution.drop_steps,
-        "refactorizations": solution.refactorizations,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not solution.converged:

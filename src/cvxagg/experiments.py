@@ -188,13 +188,11 @@ def make_problem(
     if kind == "inside-hull":
         hidden = rng.dirichlet(np.ones(M))
         regression = hidden @ values
-        amplitude = noise * (b - np.abs(regression))
     elif kind == "outside-hull":
         regression = rng.uniform(-b, b, size=K)
-        amplitude = noise * (b - np.abs(regression))
     else:
         regression = np.zeros(K)
-        amplitude = np.full(K, noise * b)
+    amplitude = noise * (b - np.abs(regression))
     x_indices = np.repeat(np.arange(K), 2)
     y_values = np.clip(np.stack([regression - amplitude, regression + amplitude], axis=1).ravel(), -b, b)
     probabilities = np.repeat(px / 2.0, 2)
@@ -249,7 +247,7 @@ def run_trial(
 
 
 # the ErmSolution counters that report.json sums up per cell
-_SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "refactorizations", "duality_gap")
+_SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "duality_gap")
 
 
 def _cell_task(args) -> list[tuple[TrialRecord, dict]]:
@@ -274,7 +272,8 @@ def _solver_statistics(solves) -> dict:
     return {
         "iterations_median": statistics.median(iterations),
         "iterations_max": max(iterations),
-        **{name: sum(solve[name] for solve in solves) for name in ("kkt_solves", "drop_steps", "refactorizations")},
+        "kkt_solves": sum(solve["kkt_solves"] for solve in solves),
+        "drop_steps": sum(solve["drop_steps"] for solve in solves),
         "stop_reasons": dict(collections.Counter(solve["stop_reason"] for solve in solves)),
         "max_duality_gap": max(solve["duality_gap"] for solve in solves),
     }

@@ -331,20 +331,25 @@ def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return _max(np.where(member, 2.0 * d, 0.0))
 
 
-def _dataset_levels(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int, net_size):
-    """The start shared by isomorphism_check and calibrate_c0.
-
-    Returns N, the net size in the level's union bound; the population and
-    empirical segment quadratics; and, per dataset, its smallest
-    violation-free level, the max of _needed_level over segments, shape (reps,).
-    """
+def _net_size(segments: tuple, reps: int, net_size) -> int:
+    """N, the net size in the level's union bound, once the family and the
+    rep count are checked; callers check their levels with it before drawing."""
     if not segments:
         raise ValueError("at least one segment is required")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    N = net_size if net_size is not None else len(segments)
+    return net_size if net_size is not None else len(segments)
+
+
+def _dataset_levels(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int):
+    """The draw shared by isomorphism_check and calibrate_c0.
+
+    Returns the population and empirical segment quadratics and, per
+    dataset, its smallest violation-free level, the max of _needed_level
+    over segments, shape (reps,).
+    """
     pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
-    return N, pop, emp, np.max(_needed_level(pop, pop - emp), axis=1)
+    return pop, emp, np.max(_needed_level(pop, pop - emp), axis=1)
 
 
 def isomorphism_check(
@@ -370,9 +375,9 @@ def isomorphism_check(
     (seed, rep_offset + r), so a run may be split into chunks without changing
     its outcome.
     """
-    b = problem.bound_b
-    N, pop, emp, needed = _dataset_levels(tuple(segments), problem, n, reps, seed, rep_offset, num_net_functions)
-    level = gamma(x, b, N, n, c0)
+    b, segments = problem.bound_b, tuple(segments)
+    level = gamma(x, b, _net_size(segments, reps, num_net_functions), n, c0)
+    pop, emp, needed = _dataset_levels(segments, problem, n, reps, seed, rep_offset)
 
     violated = needed > level
     ea, eb = emp[..., 0], emp[..., 1]
@@ -424,13 +429,14 @@ def calibrate_c0(
         raise ValueError("at least one x level is required")
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
-    b = problem.bound_b
-    N, _, _, needed = _dataset_levels(tuple(segments), problem, n, reps, seed, 0, num_net_functions)
+    b, segments = problem.bound_b, tuple(segments)
+    N = _net_size(segments, reps, num_net_functions)
+    denoms = [gamma(x, b, N, n, 1.0) for x in x_levels]
+    _, _, needed = _dataset_levels(segments, problem, n, reps, seed, 0)
     order = np.sort(needed)[::-1]
 
     c0 = 0.0
-    for x in x_levels:
-        denom = gamma(x, b, N, n, 1.0)
+    for x, denom in zip(x_levels, denoms):
         target = target_scale * min(1.0, 4.0 * math.exp(-x))
         allowed = int(math.floor(target * reps))
         if allowed >= reps or not denom > 0:

@@ -61,8 +61,6 @@ class ErmSolution:
     least-squares solves, and drop_steps those of them whose minimizer had a
     negative weight: the iterate then moved toward it only as far as the
     simplex boundary and dropped the vertex that reached 0.
-    refactorizations counts the drops that removed the face's base vertex,
-    after which the solver's QR factor is rebuilt instead of updated.
     """
 
     weights: SimplexWeights
@@ -73,7 +71,6 @@ class ErmSolution:
     stop_reason: str
     kkt_solves: int
     drop_steps: int
-    refactorizations: int
 
 
 def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
@@ -105,21 +102,26 @@ class _Face:
     and T = R^-1.  For a capacity of C columns, row i of `rows` is
     [R[i, :C] | T[:C, i] | c[i] | Q[:, i]]: a deletion rotates rows i and
     i + 1 of R, c and Q.T and columns i and i + 1 of T by the same Givens
-    rotation, so one 2 x 2 product updates all four.  `indices` and
-    `vertices` hold the active indices, base first and newest last, and the
-    rows A[support].  A face has at most C = min(K, M - 1) differences (a
-    K-dimensional span, M distinct vertices), so the buffers are allocated
-    once at that capacity: memory O(K min(K, M)), within the order of A.
+    rotation, so one 2 x 2 product updates all four.  The face starts at one
+    vertex and changes only by `append` and `drop`; the factor is never
+    computed from scratch.  `indices` and `vertices` hold the active
+    indices, base first and newest last, and the rows A[support], and
+    `offset` is target - a0.  A face has at most C = min(K, M - 1)
+    differences (a K-dimensional span, M distinct vertices), so the buffers
+    are allocated once at that capacity: memory O(K min(K, M)), within the
+    order of A.
     """
 
     def __init__(self, A: np.ndarray, target: np.ndarray, start: int):
         K, C = A.shape[1], min(A.shape[1], A.shape[0] - 1)
         self.A, self.target, self.K, self.capacity = A, target, K, C
-        self.k = self.refactorizations = 0
+        self.k = 0
         self.rows = np.zeros((C, 2 * C + 1 + K))
         self.indices = np.zeros(C + 1, dtype=np.intp)
         self.vertices = np.zeros((C + 1, K))
-        self._rebuild([start])
+        self.indices[0] = start
+        self.vertices[0] = A[start]
+        self.offset = target - A[start]
 
     @property
     def support(self) -> np.ndarray:
@@ -167,18 +169,23 @@ class _Face:
         return True
 
     def drop(self, positions: list) -> None:
-        """Remove the vertices at these support positions (ascending).
+        """Remove the vertices at these support positions (ascending), each O(K k).
 
-        A vertex other than the base leaves by Givens rotations that restore
-        R's triangle, O(K k); when the base leaves, the factor is rebuilt.
+        A vertex p > 0 takes column p - 1 of D out of the factor.  When the
+        base a0 leaves, a1 becomes the base and D loses its column 0 while
+        every other column shifts by a1 - a0 = D[:, 0] = R[0, 0] Q e0; Q stays,
+        R and c lose R[0, 0] from their row 0, and T without its row 0 is
+        still a left inverse because T[1:, 0] = 0.  Either way, the deleted
+        column leaves R upper Hessenberg from that column on, and Givens
+        rotations restore its triangle (Gill, Golub, Murray and Saunders 1974).
         """
-        if positions[0] == 0:
-            self.refactorizations += 1
-            self._rebuild(np.delete(self.support, positions))
-            return
         B, I, V, C = self.rows, self.indices, self.vertices, self.capacity
         for p in reversed(positions):
-            j, k = p - 1, self.k
+            j, k = max(p - 1, 0), self.k
+            if p == 0:
+                B[0, 1:k] -= B[0, 0]
+                B[0, 2 * C] -= B[0, 0]
+                self.offset = self.target - V[1]
             # delete column j of R, row j of T (column j of T.T) and vertex p
             B[:k, j : k - 1] = B[:k, j + 1 : k]
             B[:k, C + j : C + k - 1] = B[:k, C + j + 1 : C + k]
@@ -191,21 +198,6 @@ class _Face:
                 B[i : i + 2, i:] = np.array([[a / h, b / h], [-b / h, a / h]]) @ B[i : i + 2, i:]
                 B[i + 1, i] = 0.0
             self.k = k - 1
-
-    def _rebuild(self, support) -> None:
-        """Factor the face on `support` from scratch, O(K k^2)."""
-        k, B, C = len(support) - 1, self.rows, self.capacity
-        self.k = k
-        self.indices[: k + 1] = support
-        self.vertices[: k + 1] = self.A[support]
-        self.offset = self.target - self.vertices[0]
-        if k:
-            Q, R = np.linalg.qr((self.vertices[1 : k + 1] - self.vertices[0]).T)
-            B[:k] = 0.0
-            B[:k, :k] = R
-            B[:k, C : C + k] = np.triu(np.linalg.inv(R)).T
-            B[:k, 2 * C] = self.offset @ Q
-            B[:k, 2 * C + 1 :] = Q.T
 
     def minimizer(self) -> np.ndarray:
         """Minimizer of ||u @ A[support] - target|| over the affine hull sum(u) = 1.
@@ -234,15 +226,14 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
 
     The active vertices are carried as a `_Face`: a QR factor of their
     difference matrix that an entering vertex extends by one Gram-Schmidt
-    column and a leaving one shrinks by Givens rotations, each O(K |S|).
-    Only the base vertex's departure rebuilds it, O(K |S|^2), and
-    refactorizations counts those.  A corrective step is then the product
-    of the kept triangular inverse R^-1 with c, O(|S|^2), on top of the
-    iteration's O(MK) gradient.  An entering vertex whose difference is
-    numerically in the span of the face's differences ends the solve with
-    "repeat_vertex", as an active one does: in exact arithmetic a vertex
-    with a positive gap is affinely independent of an affine-optimal face,
-    so only rounding names it.
+    column and a leaving one, the base vertex included, shrinks by Givens
+    rotations, each O(K |S|).  A corrective step is then the product of the
+    kept triangular inverse R^-1 with c, O(|S|^2), on top of the iteration's
+    O(MK) gradient.  An entering vertex whose difference is numerically in
+    the span of the face's differences ends the solve with "repeat_vertex",
+    as an active one does: in exact arithmetic a vertex with a positive gap
+    is affinely independent of an affine-optimal face, so only rounding
+    names it.
     """
     start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
     face = _Face(A, target, start)
@@ -339,7 +330,6 @@ def erm_convex_hull(
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
         drop_steps=drop_steps,
-        refactorizations=face.refactorizations,
     )
 
 

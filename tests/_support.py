@@ -101,7 +101,6 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
         stop_reason="exhaustive",
         kkt_solves=0,
         drop_steps=0,
-        refactorizations=0,
     )
 
 

@@ -74,7 +74,6 @@ def test_run_grid_reports_solver_statistics_per_cell():
             "iterations_max": iterations[-1],
             "kkt_solves": sum(sol.kkt_solves for sol in solves),
             "drop_steps": sum(sol.drop_steps for sol in solves),
-            "refactorizations": sum(sol.refactorizations for sol in solves),
             "stop_reasons": {"gap": cfg.replications},
             "max_duality_gap": max(sol.duality_gap for sol in solves),
         }

@@ -115,17 +115,23 @@ def test_gamma_rejects_non_finite_arguments(position, bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_isomorphism_functions_reject_non_finite_x(bad):
+def test_isomorphism_functions_reject_non_finite_x(bad, counted_generators):
     # at a non-finite x the check used to pass silently (violations 0, bound
-    # nan) and the calibration to return c0 = 0
+    # nan) and the calibration to return c0 = 0; the levels are checked
+    # before any dataset is drawn
     problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
     segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
+    _clear_draw_caches()
+    counted_generators.clear()
     with pytest.raises(ValueError, match="finite"):
         isomorphism_check(segments, problem, n=32, x=bad, c0=1.0, reps=10, seed=23)
+    with pytest.raises(ValueError, match="finite"):
+        isomorphism_check(segments, problem, n=32, x=1.0, c0=bad, reps=10, seed=23)
     with pytest.raises(ValueError, match="finite"):
         calibrate_c0(segments, problem, n=32, x_levels=[bad], reps=10, seed=24)
     with pytest.raises(ValueError, match="finite"):
         calibrate_c0(segments, problem, n=32, x_levels=[1.0, bad], reps=10, seed=24)
+    assert counted_generators == []
 
 
 def test_calibrate_c0_rejects_empty_x_levels():

@@ -19,7 +19,7 @@ SEARCHED = [
     ROOT / "perfbench" / "tracing.py",
     ROOT / "tests" / "test_acceptance.py",
 ]
-# the sparsity level of the planned lower-bound problem family (ROADMAP item 1)
+# the sparsity level of the planned lower-bound problem family (ROADMAP item 2)
 ALLOWED = {"choose_m"}
 
 

@@ -420,6 +420,27 @@ def _assert_face_matches_lstsq(face, A, target):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def _assert_factor_is_current(face, A, target, tol=1e-12):
+    """Q.T Q = I, D = Q R, T R = I and c = Q.T (target - a0) on the current face.
+
+    Nothing ever recomputes the factor, so these must hold after any run of
+    appends and drops.  D and c are differences of vertices and the target,
+    rounded at their scale, so they are compared relative to it.
+    """
+    k, C = face.k, face.capacity
+    B = face.rows[:k]
+    R, T, c, Q = B[:, :k], B[:, C : C + k].T, B[:, 2 * C], B[:, 2 * C + 1 :].T
+    rows = A[face.support]
+    D, offset = (rows[1:] - rows[0]).T, target - rows[0]
+    identity, scale = np.eye(k), np.linalg.norm(rows) + np.linalg.norm(target)
+    assert np.array_equal(R, np.triu(R)) and np.array_equal(T, np.triu(T))
+    assert np.linalg.norm(Q.T @ Q - identity) <= tol
+    assert np.linalg.norm(D - Q @ R) <= tol * scale
+    assert np.linalg.norm(T @ R - identity) <= tol * np.linalg.norm(T) * np.linalg.norm(R)
+    assert np.linalg.norm(c - Q.T @ offset) <= tol * scale
+    assert np.array_equal(face.offset, offset)
+
+
 def _append_checked(face, A, s):
     """Append s; a refused vertex must lie in the span of the face's differences."""
     k = face.k
@@ -472,6 +493,7 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
                 continue
             face.drop(positions)
         assert face.k == len(face.support) - 1
+        _assert_factor_is_current(face, A, target)
         _assert_face_matches_lstsq(face, A, target)
 
 
@@ -493,12 +515,15 @@ def test_face_factor_cases(case):
     assert face.k == rank  # the face spans the rank of A, and nothing more enters
     if case == "duplicate_rows":
         assert not set(face.support) & set(range(6, M))
-    refactorizations = face.refactorizations
-    face.drop([0, 2])
-    assert face.refactorizations == refactorizations + 1
+    _assert_factor_is_current(face, A, target)
+    support = face.support.tolist()
+    face.drop([0, 2])  # the base vertex leaves with another
+    assert face.support.tolist() == support[1:2] + support[3:]
+    _assert_factor_is_current(face, A, target)
     _assert_face_matches_lstsq(face, A, target)
     face.drop([1])
-    assert face.refactorizations == refactorizations + 1
+    assert face.support.tolist() == support[1:2] + support[4:]
+    _assert_factor_is_current(face, A, target)
     _assert_face_matches_lstsq(face, A, target)
 
 
@@ -507,7 +532,7 @@ def test_face_factor_cases(case):
     [
         ("outside-hull", 16, 64, 256, range(20)),
         ("outside-hull", 128, 512, 1024, range(3)),
-        # faces of about 50 vertices, with drops and a rebuilt factor
+        # faces of about 50 vertices, with drops, three of them of the base vertex
         ("inside-hull", 64, 256, 1024, range(2)),
     ],
 )
