@@ -14,11 +14,9 @@ import sys
 
 import numpy as np
 
-from . import csvio, localization, sparsify
-from .experiments import load_config, run_grid
-from .model import combine
-from .rates import rate_table
-from .risk import population_risk, variance_term
+# Only what `solve` runs is imported here; each other command imports its
+# modules in its handler, so a `solve` child does not pay for them.
+from . import csvio
 from .solver import SolverConfig, erm_convex_hull
 
 
@@ -121,6 +119,10 @@ def _read_problem_and_dictionary(args):
 
 
 def _cmd_sparsify(args) -> int:
+    from . import sparsify
+    from .model import combine
+    from .risk import population_risk, variance_term
+
     problem, dictionary = _read_problem_and_dictionary(args)
     weights = csvio.read_weights(args.weights_path)
     counts = sparsify.sparsify_random(weights, args.m, args.seed)
@@ -138,6 +140,8 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from .rates import rate_table
+
     for flag, grid in (("--n-grid", args.n_grid), ("--m-grid", args.m_grid)):
         if not grid:
             raise ValueError(f"{flag} must name at least one value")
@@ -149,6 +153,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_isomorphism(args) -> int:
+    from . import localization
+
     if not args.x:
         raise ValueError("--x must name at least one level")
     problem, dictionary = _read_problem_and_dictionary(args)
@@ -189,6 +195,8 @@ def _cmd_isomorphism(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import load_config, run_grid
+
     cfg = load_config(args.config)
     report = run_grid(cfg, out_dir=args.out, jobs=args.jobs)
     print(f"c_hat={report.c_hat!r} points={len(report.points)} incomplete={report.incomplete}")

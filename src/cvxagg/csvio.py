@@ -10,6 +10,7 @@ writers, which write floats with repr so round-trips are exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from pathlib import Path
@@ -27,27 +28,35 @@ def _write_rows(path, header, rows) -> None:
     Path(path).write_text(buffer.getvalue())
 
 
-def _data_rows(path, reader, width: int) -> list[list[str]]:
-    """The nonempty rows left in reader, each required to have width fields."""
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, the header has {width}")
-        rows.append(row)
-    if not rows:
+def _data_rows(path, records, width: int) -> list:
+    """The items of records, (line number, field count, item) triples, each required to have width fields."""
+    items = []
+    for line_num, fields, item in records:
+        if fields != width:
+            raise ValueError(f"{path}: line {line_num} has {fields} fields, the header has {width}")
+        items.append(item)
+    if not items:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return items
+
+
+@contextlib.contextmanager
+def _csv_errors(path, line_num):
+    """Re-raise csv.Error as a ValueError naming path and the line that line_num() gives."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {line_num()}: {exc}") from exc
 
 
 def _read_rows(path, expected_header) -> list[list[str]]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ValueError(f"{path}: expected header {expected_header}, found {header}")
-        return _data_rows(path, reader, len(header))
+        with _csv_errors(path, lambda: reader.line_num):
+            header = next(reader, None)
+            if header != expected_header:
+                raise ValueError(f"{path}: expected header {expected_header}, found {header}")
+            return _data_rows(path, ((reader.line_num, len(row), row) for row in reader if row), len(header))
 
 
 def _index_order(path, column: str, values) -> np.ndarray:
@@ -85,16 +94,47 @@ def write_dictionary(dictionary: Dictionary, path) -> None:
     _write_rows(path, header, rows)
 
 
+def _split(path, line_num: int, line: str) -> list[str]:
+    """The fields of one line of CSV."""
+    with _csv_errors(path, lambda: line_num):
+        return next(csv.reader([line]))
+
+
+def _dictionary_record(path, line_num: int, line: str):
+    """(line number, field count, (x_index field, line)) for one data line.
+
+    Only a line holding a quote needs the csv module; any other line splits
+    at its commas, so no Python string is made per value.
+    """
+    if '"' in line:
+        row = _split(path, line_num, line)
+        return line_num, len(row), (row[0], line)
+    return line_num, line.count(",") + 1, (line.partition(",")[0], line)
+
+
 def read_dictionary(path) -> Dictionary:
+    """The dictionary in path; its values are parsed by one numpy pass over the data lines."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header != _dictionary_header(len(header) - 1):
-            raise ValueError(f"{path}: expected header x_index,f0,f1,..., found {header}")
-        rows = _data_rows(path, reader, len(header))
-    order = _index_order(path, "x_index", (r[0] for r in rows))
-    table = np.array([[float(v) for v in rows[i][1:]] for i in order])
-    return Dictionary(table.T)
+        lines = [(line_num, line.rstrip("\r\n")) for line_num, line in enumerate(handle, 1)]
+    header = _split(path, *lines[0]) if lines else None
+    if header is None or len(header) < 2 or header != _dictionary_header(len(header) - 1):
+        raise ValueError(f"{path}: expected header x_index,f0,f1,..., found {header}")
+    records = (_dictionary_record(path, line_num, line) for line_num, line in lines[1:] if line)
+    rows = _data_rows(path, records, len(header))
+    order = _index_order(path, "x_index", (first for first, _ in rows))
+    try:
+        # comments=None: numpy's default "#" would silently cut a row short
+        table = np.loadtxt(
+            [line for _, line in rows],
+            delimiter=",",
+            usecols=range(1, len(header)),
+            ndmin=2,
+            comments=None,
+            quotechar='"',
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return Dictionary(table[order].T)
 
 
 def write_samples(samples: SampleSet, path) -> None:

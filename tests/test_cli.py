@@ -14,7 +14,7 @@ from cvxagg import csvio, localization
 from cvxagg.cli import main
 from cvxagg.experiments import ExperimentConfig, make_problem, save_config
 from cvxagg.localization import IsomorphismReport
-from cvxagg.model import SimplexWeights, combine, sample
+from cvxagg.model import Dictionary, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
 
 from _support import write_problem, write_weights
@@ -53,6 +53,12 @@ def test_csv_round_trips(workspace):
     assert np.array_equal(draws.y_values, ref_draws.y_values)
     assert draws.seed == 4
     assert weights.weights == pytest.approx([0.2, 0.3, 0.5])
+    # repr-written extremes come back bit for bit, and quoted fields read as csv reads them
+    extremes = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5e-300, 1.0 / 3.0]])
+    csvio.write_dictionary(Dictionary(extremes), workspace["dict"])
+    assert csvio.read_dictionary(workspace["dict"]).values.tobytes() == extremes.tobytes()
+    workspace["dict"].write_text('x_index,f0,f1\n"1","0.5",-0.0\n0,0.25,"1e-3"\n')
+    assert csvio.read_dictionary(workspace["dict"]).values.tolist() == [[0.25, 0.5], [1e-3, -0.0]]
 
 
 @pytest.mark.parametrize(
@@ -72,18 +78,23 @@ def test_csv_readers_reject_bad_indices(tmp_path, reader, text):
 
 
 @pytest.mark.parametrize(
-    "key, text, fields, width",
+    "key, text, fields, width, line",
     [
-        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0\n", 3, 4),
-        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0,1.0,9\n", 5, 4),
-        ("samples", "x_index,y_value,seed\n0,0.5\n", 2, 3),
-        ("samples", "x_index,y_value,seed\n0,0.5,4,9\n", 4, 3),
-        ("dict", "x_index,f0,f1\n0,0.1\n1,0.2\n2,0.3\n", 2, 3),
-        ("dict", "x_index,f0,f1\n0,0.1,0.2,0.3\n", 4, 3),
+        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0\n", 3, 4, 2),
+        ("problem", "x_index,y_value,probability,bound_b\n0,0.5,1.0,1.0,9\n", 5, 4, 2),
+        ("samples", "x_index,y_value,seed\n0,0.5\n", 2, 3, 2),
+        ("samples", "x_index,y_value,seed\n0,0.5,4,9\n", 4, 3, 2),
+        ("dict", "x_index,f0,f1\n0,0.1\n1,0.2\n2,0.3\n", 2, 3, 2),
+        ("dict", "x_index,f0,f1\n0,0.1,0.2,0.3\n", 4, 3, 2),
+        ("dict", "x_index,f0,f1\n0,0.1,0.2\n\n1,0.3\n", 2, 3, 4),
+        ("dict", 'x_index,f0,f1\n0,"0.1,0.2",0.3,0.4\n', 4, 3, 2),
     ],
-    ids=["problem-short", "problem-long", "samples-short", "samples-long", "dictionary-short", "dictionary-long"],
+    ids=[
+        "problem-short", "problem-long", "samples-short", "samples-long", "dictionary-short", "dictionary-long",
+        "dictionary-after-blank-line", "dictionary-quoted-comma",
+    ],
 )
-def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, fields, width):
+def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, fields, width, line):
     workspace[key].write_text(text)
     files = {name: str(workspace[name]) for name in ("problem", "dict", "samples")}
     if key == "problem":
@@ -92,8 +103,40 @@ def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, f
         argv = ["solve", "--dict", files["dict"], "--samples", files["samples"]]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {workspace[key]}: line 2 has {fields} fields, the header has {width}"
+        f"error: {workspace[key]}: line {line} has {fields} fields, the header has {width}"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x_index,f0\n0,0.1#x\n1,0.2\n", "could not convert string '0.1#x'"),
+        ("x_index,f0\n0,1_0.5\n1,0.2\n", "could not convert string '1_0.5'"),
+        ("x_index,f0\n0,0.1\n1.0,0.2\n", "invalid literal for int() with base 10: '1.0'"),
+    ],
+    ids=["comment-mark", "underscore", "float-index"],
+)
+def test_dictionary_fields_that_do_not_parse_exit_one(workspace, capsys, text, message):
+    # under numpy's default comment mark, 0.1#x would read as 0.1
+    workspace["dict"].write_text(text)
+    assert main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("samples", "x_index,y_value,seed\n0," + "1" * 200_000 + ",4\n"),
+        ("dict", 'x_index,f0\n0,"' + "1" * 200_000 + '"\n'),
+    ],
+    ids=["samples", "dictionary-quoted"],
+)
+def test_csv_module_errors_exit_one(workspace, capsys, key, text):
+    # a field over the csv module's size limit used to escape as a _csv.Error traceback
+    workspace[key].write_text(text)
+    assert main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"])]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {workspace[key]}: line 2: field larger than field limit")
 
 
 @pytest.mark.parametrize(
@@ -440,6 +483,20 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("n,M,psi,phi,regime")
+
+
+def test_solve_imports_only_what_it_runs(workspace):
+    # a `solve` child starts without the experiment, localization and sparsify layers
+    code = (
+        "import sys; from cvxagg.cli import main; "
+        "code = main(['solve', '--dict', sys.argv[1], '--samples', sys.argv[2], '--out', sys.argv[3]]); "
+        "print(code, sorted({'cvxagg.experiments', 'cvxagg.localization', 'cvxagg.sparsify', "
+        "'concurrent.futures'} & set(sys.modules)))"
+    )
+    paths = [str(workspace[key]) for key in ("dict", "samples")] + [str(workspace["dir"] / "solution.json")]
+    result = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 []"
 
 
 @pytest.mark.parametrize("script", ["run_rate_experiment.py", "run_isomorphism_study.py"])
