@@ -177,17 +177,24 @@ def _cmd_isomorphism(args) -> int:
         "erm_checked,erm_implication_failures,resolution_limited"
     ]
     failures = 0
+    notes = []
     for x in args.x:
         report = localization.isomorphism_check(
             segments, problem, args.n, x, c0, reps=args.reps, seed=args.seed, num_net_functions=args.num_functions
         )
         failures += report.erm_implication_failures
+        if report.bound >= 1.0:
+            notes.append(
+                f"note: x={x!r}: the bound 4 exp(-x) = {report.bound!r} is at least 1, so its rate check cannot fail"
+            )
         lines.append(
             f"{x!r},{c0!r},{report.violations},{report.trials},{report.violation_rate!r},{report.bound!r},"
             f"{report.gamma_or_rho!r},{report.erm_checked},{report.erm_implication_failures},"
             f"{int(report.resolution_limited)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
+    for note in notes:
+        print(note, file=sys.stderr)
     if failures:
         print(f"ERM implication failed on {failures} non-violating datasets", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,12 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _data_rows(path, records, width: int) -> list:
-    """The items of records, (line number, field count, item) triples, each required to have width fields."""
+    """(line number, item) for each of records, (line number, field count, item) triples that must have width fields."""
     items = []
     for line_num, fields, item in records:
         if fields != width:
             raise ValueError(f"{path}: line {line_num} has {fields} fields, the header has {width}")
-        items.append(item)
+        items.append((line_num, item))
     if not items:
         raise ValueError(f"{path}: no data rows")
     return items
@@ -49,7 +50,8 @@ def _csv_errors(path, line_num):
         raise ValueError(f"{path}: line {line_num()}: {exc}") from exc
 
 
-def _read_rows(path, expected_header) -> list[list[str]]:
+def _read_rows(path, expected_header) -> list[tuple[int, list[str]]]:
+    """(line number, fields) for each data row of path, whose header must be expected_header."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         with _csv_errors(path, lambda: reader.line_num):
@@ -59,9 +61,20 @@ def _read_rows(path, expected_header) -> list[list[str]]:
             return _data_rows(path, ((reader.line_num, len(row), row) for row in reader if row), len(header))
 
 
+def _column(path, rows, column: int, kind) -> list:
+    """Field column of each (line number, fields) row, read by kind; a field kind rejects names its line."""
+    values = []
+    for line_num, fields in rows:
+        try:
+            values.append(kind(fields[column]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_num}: {exc}") from None
+    return values
+
+
 def _index_order(path, column: str, values) -> np.ndarray:
     """Row order that sorts an index column, which must hold exactly 0..K-1."""
-    indices = np.array([int(v) for v in values])
+    indices = np.array(values)
     order = np.argsort(indices, kind="stable")
     if not np.array_equal(indices[order], np.arange(indices.size)):
         raise ValueError(f"{path}: {column} values must be exactly 0..{indices.size - 1}")
@@ -70,14 +83,14 @@ def _index_order(path, column: str, values) -> np.ndarray:
 
 def read_problem(path) -> DiscreteProblem:
     rows = _read_rows(path, ["x_index", "y_value", "probability", "bound_b"])
-    bounds = {row[3] for row in rows}
+    bounds = {row[3] for _, row in rows}
     if len(bounds) != 1:
         raise ValueError(f"{path}: bound_b column must be constant")
     return DiscreteProblem(
-        np.array([int(r[0]) for r in rows]),
-        np.array([float(r[1]) for r in rows]),
-        np.array([float(r[2]) for r in rows]),
-        bound_b=float(rows[0][3]),
+        np.array(_column(path, rows, 0, int)),
+        np.array(_column(path, rows, 1, float)),
+        np.array(_column(path, rows, 2, float)),
+        bound_b=_column(path, rows[:1], 3, float)[0],
     )
 
 
@@ -121,11 +134,11 @@ def read_dictionary(path) -> Dictionary:
         raise ValueError(f"{path}: expected header x_index,f0,f1,..., found {header}")
     records = (_dictionary_record(path, line_num, line) for line_num, line in lines[1:] if line)
     rows = _data_rows(path, records, len(header))
-    order = _index_order(path, "x_index", (first for first, _ in rows))
+    order = _index_order(path, "x_index", _column(path, rows, 0, int))
     try:
         # comments=None: numpy's default "#" would silently cut a row short
         table = np.loadtxt(
-            [line for _, line in rows],
+            [line for _, (_, line) in rows],
             delimiter=",",
             usecols=range(1, len(header)),
             ndmin=2,
@@ -133,7 +146,12 @@ def read_dictionary(path) -> Dictionary:
             quotechar='"',
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # numpy counts data rows from 0; name the file line instead
+        message = str(exc)
+        row = re.search(r" at row (\d+)", message)
+        if row is not None:
+            message = f"line {rows[int(row[1])][0]}: {message[:row.start()]}{message[row.end():]}"
+        raise ValueError(f"{path}: {message}") from exc
     return Dictionary(table[order].T)
 
 
@@ -150,17 +168,17 @@ def write_samples(samples: SampleSet, path) -> None:
 
 def read_samples(path) -> SampleSet:
     rows = _read_rows(path, ["x_index", "y_value", "seed"])
-    seeds = {row[2] for row in rows}
+    seeds = {row[2] for _, row in rows}
     if len(seeds) != 1:
         raise ValueError(f"{path}: seed column must be constant")
     return SampleSet(
-        np.array([int(r[0]) for r in rows]),
-        np.array([float(r[1]) for r in rows]),
-        seed=int(rows[0][2]),
+        np.array(_column(path, rows, 0, int)),
+        np.array(_column(path, rows, 1, float)),
+        seed=_column(path, rows[:1], 2, int)[0],
     )
 
 
 def read_weights(path) -> SimplexWeights:
     rows = _read_rows(path, ["index", "weight"])
-    order = _index_order(path, "index", (r[0] for r in rows))
-    return SimplexWeights(np.array([float(rows[i][1]) for i in order]))
+    order = _index_order(path, "index", _column(path, rows, 0, int))
+    return SimplexWeights(np.array(_column(path, rows, 1, float))[order])

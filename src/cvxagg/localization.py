@@ -12,7 +12,9 @@ The population and empirical means of L_theta are quadratics in theta.
 Every supremum over theta in [0, 1] used here is of a piecewise quadratic or
 rational function, so it is attained at 0, 1, or a closed-form breakpoint or
 stationary point; the suprema are evaluated exactly on those candidates, for
-all datasets and segments at once.
+all datasets and segments at once.  Each evaluator stacks the quadratics
+whose vertices and roots it needs and finds every candidate in one root
+pass, so it makes a fixed number of numpy calls whatever the batch.
 
 The two-sided comparison reads one evaluator: a dataset's smallest
 violation-free level, the sup of 2|P L - P_n L| over the closed set of
@@ -27,7 +29,10 @@ every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
 check, localization levels in localized_sup), so calls with equal arguments
 share one draw: the last atom counts and the last segment quadratics are kept
 and reused.  Only the level changes between such calls, and the level enters
-after the draw, so a shared draw gives the same bits as a fresh one.
+after the draw, so a shared draw gives the same bits as a fresh one.  A
+segment's population loss basis, the excess loss tabulated on the atoms,
+does not depend on the draw at all; it is tabulated once per (segment,
+problem) pair and kept for every later draw.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ PEEL_MAX_TERMS = 300
 FIXED_POINT_FLOOR = 1e-300
 FIXED_POINT_CEILING = 1e12
 FIXED_POINT_REL_TOL = 1e-9
+# segment loss bases kept, one per (segment, problem) pair
+BASIS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,19 +86,27 @@ def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offs
     return counts
 
 
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarray:
     """Atom-wise quadratic basis of the excess loss along the segment.
 
     With g_theta = g_j + theta (g_i - g_j) and g_star the population segment
     minimizer, the excess loss at an atom is a(z) theta^2 + b(z) theta + c(z).
     Returns the coefficients (a, b, c) on the last axis, shape (atoms, 3).
+
+    The basis depends on the segment and the problem only, so it is
+    tabulated once per pair: the result is read-only and cached, keyed by
+    identity (segments and problems compare by identity), for the last
+    BASIS_CACHE_SIZE pairs.
     """
     _, g_star = erm_segment(segment, problem)
     x = problem.x_indices
     y = problem.y_values
     u = segment.endpoint_j[x]
     v = (segment.endpoint_i - segment.endpoint_j)[x]
-    return np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
+    basis = np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
+    basis.setflags(write=False)
+    return basis
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,9 +120,10 @@ def _segment_coefficients(segments: tuple, problem: DiscreteProblem, n: int, rep
     a recomputed one bit for bit.
     """
     basis = np.stack([_segment_loss_basis(seg, problem) for seg in segments], axis=1)
+    flat = basis.reshape(basis.shape[0], -1)
     counts = _rep_counts(problem, n, reps, seed, rep_offset)
-    pop = np.tensordot(problem.probabilities, basis, axes=1)
-    emp = np.tensordot(counts, basis, axes=1) / n
+    pop = (problem.probabilities @ flat).reshape(basis.shape[1:])
+    emp = (counts @ flat / n).reshape(counts.shape[:1] + basis.shape[1:])
     pop.setflags(write=False)
     emp.setflags(write=False)
     return pop, emp
@@ -119,39 +135,46 @@ def _poly(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (a * theta + b) * theta + c
 
 
-def _points(q: np.ndarray) -> np.ndarray:
-    """Vertex and real roots of the quadratics q[..., (a, b, c)], shape (..., 3).
+def _points(q: np.ndarray, out: np.ndarray) -> None:
+    """Vertex and real roots of the quadratics q[..., (a, b, c)], written to out[..., 3].
 
     A point that does not exist (no vertex of a line, complex roots, the
-    second root of a line) is NaN or infinite.
+    second root of a line) is NaN or infinite.  The caller ignores divide
+    and invalid floating-point errors.
     """
     a, b, c = q[..., 0], q[..., 1], q[..., 2]
-    out = np.empty(q.shape)
     line = a == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(b * b - 4.0 * a * c)
-        two_a = 2.0 * a
-        np.divide(-b, two_a, out=out[..., 0])
-        np.divide(-b - root, two_a, out=out[..., 1])
-        np.divide(-c, b, out=out[..., 1], where=line)
-        np.divide(-b + root, two_a, out=out[..., 2])
-    out[..., 2][line] = np.nan
-    return out
+    minus_b = -b
+    root = np.sqrt(b * b - 4.0 * a * c)
+    two_a = 2.0 * a
+    np.divide(minus_b, two_a, out=out[..., 0])
+    np.divide(minus_b - root, two_a, out=out[..., 1])
+    np.divide(-c, b, out=out[..., 1], where=line)
+    np.divide(minus_b + root, two_a, out=out[..., 2])
+    np.copyto(out[..., 2], np.nan, where=line)
 
 
-def _candidates(*points: np.ndarray) -> np.ndarray:
-    """theta in {0, 1} plus every listed point in [0, 1]; the rest become NaN.
+def _thetas(q: np.ndarray) -> np.ndarray:
+    """Candidate thetas for k stacked quadratics q[..., k, (a, b, c)], shape (..., 2 + 3k).
 
-    points are arrays (..., k) whose leading axes broadcast together.  Every
-    candidate lies in [0, 1], so a max over candidates never exceeds the
-    supremum over [0, 1]; NaN candidates are skipped by np.fmax.
+    Slots 0 and 1 hold theta = 0 and 1; slots 2 + 3j .. 4 + 3j hold the
+    vertex and roots of quadratic j, all found in one pass.  A point outside
+    [0, 1], or one that does not exist, is NaN.  Every candidate lies in
+    [0, 1], so a max over candidates never exceeds the supremum over [0, 1];
+    NaN candidates are skipped by np.fmax.
     """
-    lead = np.broadcast_shapes(*(p.shape[:-1] for p in points))
-    pts = np.concatenate(
-        [np.broadcast_to([0.0, 1.0], lead + (2,))] + [np.broadcast_to(p, lead + p.shape[-1:]) for p in points],
-        axis=-1,
-    )
-    return np.where((pts >= 0.0) & (pts <= 1.0), pts, np.nan)
+    theta = np.empty(q.shape[:-2] + (2 + 3 * q.shape[-2],))
+    theta[..., 0] = 0.0
+    theta[..., 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _points(q, theta[..., 2:].reshape(q.shape))
+    np.copyto(theta, np.nan, where=(theta < 0.0) | (theta > 1.0))
+    return theta
+
+
+def _stacked(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """An empty (..., 3, 3) array for three quadratics on the broadcast batch of pop and diff."""
+    return np.empty(np.broadcast_shapes(pop.shape, diff.shape)[:-1] + (3, 3))
 
 
 def _max(values: np.ndarray) -> np.ndarray:
@@ -166,15 +189,19 @@ def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.nda
     The optimal alpha is min(1, level / PL).  Where PL <= level the objective
     |D| peaks at the vertex of D or a root of PL - level; elsewhere it is
     level |D| / PL, stationary at the roots of the numerator of (D / PL)',
-    whose cubic term cancels.
+    whose cubic term cancels.  The three quadratics D, PL - level and that
+    numerator are stacked, so one root pass finds every candidate.
     """
     pa, pb, pc = pop[..., 0], pop[..., 1], pop[..., 2]
     da, db, dc = diff[..., 0], diff[..., 1], diff[..., 2]
-    ratio = np.empty(np.broadcast_shapes(pop.shape, diff.shape))
-    np.subtract(da * pb, db * pa, out=ratio[..., 0])
-    np.multiply(2.0, da * pc - dc * pa, out=ratio[..., 1])
-    np.subtract(db * pc, dc * pb, out=ratio[..., 2])
-    theta = _candidates(_points(diff), _points(pop - [0.0, 0.0, level]), _points(ratio))
+    q = _stacked(pop, diff)
+    q[..., 0, :] = diff
+    q[..., 1, :] = pop
+    q[..., 1, 2] -= level
+    np.subtract(da * pb, db * pa, out=q[..., 2, 0])
+    np.multiply(2.0, da * pc - dc * pa, out=q[..., 2, 1])
+    np.subtract(db * pc, dc * pb, out=q[..., 2, 2])
+    theta = _thetas(q)
     return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
 
 
@@ -315,19 +342,32 @@ class IsomorphismReport:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+# _needed_level's candidate slots in _thetas over the stack (D, D - PL/2, D + PL/2):
+# the roots of D and the vertices of D -+ PL/2 are not candidates, and the
+# roots of D -+ PL/2 lie on the region's boundary
+_NEEDED_UNUSED = [3, 4, 5, 8]
+_NEEDED_EDGES = [6, 7, 9, 10]
+
+
 def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Smallest level that avoids violation on this segment and dataset.
 
     The deviation |D| must exceed both PL/2 and level/2 to violate, so the
     needed level is the sup of 2|D| over the closed region {|D| >= PL/2}: at
     0, 1, the vertex of D, or a root of D -+ PL/2 on the region's boundary.
+    D, D - PL/2 and D + PL/2 are stacked, so one root pass finds them all.
     """
-    edges = np.concatenate([_points(diff - 0.5 * pop)[..., 1:], _points(diff + 0.5 * pop)[..., 1:]], axis=-1)
-    theta = _candidates(_points(diff)[..., :1], edges)
+    q = _stacked(pop, diff)
+    half = 0.5 * pop
+    q[..., 0, :] = diff
+    np.subtract(diff, half, out=q[..., 1, :])
+    np.add(diff, half, out=q[..., 2, :])
+    theta = _thetas(q)
+    theta[..., _NEEDED_UNUSED] = np.nan
     d = np.abs(_poly(diff, theta))
     member = d >= 0.5 * _poly(pop, theta)
     # the roots are region members even where rounding puts |D| an ulp below PL/2
-    member[..., -edges.shape[-1]:] = True
+    member[..., _NEEDED_EDGES] = True
     return _max(np.where(member, 2.0 * d, 0.0))
 
 
@@ -423,6 +463,11 @@ def calibrate_c0(
     most floor(target * reps) violations at every x.  The result is the max
     over x levels.  The value is an empirical calibration for a reference
     family, not a universal constant.
+
+    A level whose target rate is 1 (any rate meets it) or whose gamma is 0
+    for every c0 constrains nothing and is skipped; when every level is
+    skipped there is nothing to calibrate, and ValueError is raised before
+    any dataset is drawn.
     """
     x_levels = tuple(x_levels)
     if not x_levels:
@@ -431,16 +476,19 @@ def calibrate_c0(
         raise ValueError("target_scale must be in (0, 1]")
     b, segments = problem.bound_b, tuple(segments)
     N = _net_size(segments, reps, num_net_functions)
-    denoms = [gamma(x, b, N, n, 1.0) for x in x_levels]
+    constraints = []
+    for x in x_levels:
+        denom = gamma(x, b, N, n, 1.0)
+        allowed = int(math.floor(target_scale * min(1.0, 4.0 * math.exp(-x)) * reps))
+        if allowed < reps and denom > 0:
+            constraints.append((x, denom, allowed))
+    if not constraints:
+        raise ValueError("nothing to calibrate: every x level has a target violation rate of 1 or a gamma of 0")
     _, _, needed = _dataset_levels(segments, problem, n, reps, seed, 0)
     order = np.sort(needed)[::-1]
 
     c0 = 0.0
-    for x, denom in zip(x_levels, denoms):
-        target = target_scale * min(1.0, 4.0 * math.exp(-x))
-        allowed = int(math.floor(target * reps))
-        if allowed >= reps or not denom > 0:
-            continue
+    for x, denom, allowed in constraints:
         level_req = float(order[allowed])
         c = level_req / denom
         while gamma(x, b, N, n, c) < level_req:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -122,6 +123,34 @@ def test_dictionary_fields_that_do_not_parse_exit_one(workspace, capsys, text, m
     assert main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "reader, text, line, message",
+    [
+        (csvio.read_problem, "x_index,y_value,probability,bound_b\n0,0.5,0.5,1\n1,0.5,half,1\n", 3, "'half'"),
+        (csvio.read_problem, "x_index,y_value,probability,bound_b\n0,0.5,1.0,one\n", 2, "'one'"),
+        (csvio.read_samples, "x_index,y_value,seed\n0,0.5,4\n\n1.5,0.5,4\n", 4, "'1.5'"),
+        (csvio.read_samples, "x_index,y_value,seed\n0,0.5,s\n", 2, "'s'"),
+        (csvio.read_weights, "index,weight\n0,0.5\n1,x\n", 3, "'x'"),
+        (csvio.read_weights, "index,weight\n0,0.5\n1.0,0.5\n", 3, "'1.0'"),
+        (csvio.read_dictionary, "x_index,f0\n0,0.1\n1.0,0.2\n", 3, "'1.0'"),
+        (csvio.read_dictionary, "x_index,f0,f1\n0,0.1,0.2\n\n1,0.3,abc\n", 4, "'abc'"),
+    ],
+    ids=[
+        "problem-probability", "problem-bound", "samples-index", "samples-seed", "weights-weight", "weights-index",
+        "dictionary-index", "dictionary-value",
+    ],
+)
+def test_fields_that_do_not_parse_name_their_line(tmp_path, reader, text, line, message):
+    # the field conversions used to name neither the file nor the line, and
+    # numpy's errors gave a data-row index counted from 0
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: line {line}: ") and message in str(info.value)
+    assert "row" not in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -363,6 +392,38 @@ def test_isomorphism_empty_x_exits_one(workspace, capsys, x, c0):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --x must name at least one level")
     assert not out.exists()
+
+
+def test_isomorphism_with_nothing_to_calibrate_exits_one(workspace, capsys):
+    # 4 exp(-1) > 1, so at x = 1 any c0 meets the target; the calibration
+    # used to return c0 0.0 and exit 0 with every dataset violating
+    out = workspace["dir"] / "iso.csv"
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--x", "1", "--reps", "10", "--num-functions", "3", "--num-segments", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: nothing to calibrate")
+    assert not out.exists()
+
+
+def test_isomorphism_says_which_rate_checks_cannot_fail(workspace, capsys):
+    argv = [
+        "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+        "--n", "32", "--reps", "10", "--num-functions", "3", "--num-segments", "3", "--c0", "2.0",
+    ]
+    assert main(argv + ["--x", "1,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"note: x=1.0: the bound 4 exp(-x) = {4.0 * math.exp(-1.0)!r} is at least 1, so its rate check cannot fail"
+    ]
+    # the note is on stderr only: the x = 2 row is the row of a run without x = 1
+    assert main(argv + ["--x", "2"]) == 0
+    alone = capsys.readouterr()
+    assert alone.err == "" and alone.out.splitlines()[1] == captured.out.splitlines()[2]
 
 
 def test_isomorphism_implication_failure_exit_code(workspace, capsys, monkeypatch):

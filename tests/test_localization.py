@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvxagg import localization
 from cvxagg.experiments import make_problem
@@ -10,6 +12,7 @@ from cvxagg.localization import (
     _needed_level,
     _rep_counts,
     _segment_coefficients,
+    _segment_loss_basis,
     _segment_star_sup,
     LocalizedClass,
     calibrate_c0,
@@ -142,6 +145,34 @@ def test_calibrate_c0_rejects_empty_x_levels():
         calibrate_c0(segments, problem, n=32, x_levels=[], reps=10, seed=24)
 
 
+@pytest.mark.parametrize(
+    "xs, target_scale, bound_b",
+    [([1.0], 1.0, 1.0), ([0.5, 1.0, math.log(4.0)], 1.0, 1.0), ([2.0, 3.0], 0.9, 0.0)],
+    ids=["rate-one", "rates-one", "zero-gamma"],
+)
+def test_calibrate_c0_rejects_levels_that_constrain_nothing(counted_generators, xs, target_scale, bound_b):
+    # a level whose target rate is 1 is met by any c0, and one whose gamma is 0
+    # for every c0 cannot be reached; with only such levels c0 = 0.0 used to
+    # come back, so the check at x = 1 reported every dataset violating
+    problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
+    if bound_b == 0.0:
+        problem = DiscreteProblem(problem.x_indices, 0.0 * problem.y_values, problem.probabilities, 0.0)
+    segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
+    _clear_draw_caches()
+    counted_generators.clear()
+    with pytest.raises(ValueError, match="nothing to calibrate"):
+        calibrate_c0(segments, problem, n=32, x_levels=xs, reps=10, seed=24, target_scale=target_scale)
+    assert counted_generators == []
+
+
+def test_calibrate_c0_skips_a_level_that_constrains_nothing():
+    problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
+    segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
+    alone = calibrate_c0(segments, problem, n=32, x_levels=[2.0], reps=40, seed=24)
+    assert alone > 0
+    assert calibrate_c0(segments, problem, n=32, x_levels=[1.0, 2.0], reps=40, seed=24) == alone
+
+
 def _clear_draw_caches():
     _rep_counts.cache_clear()
     _segment_coefficients.cache_clear()
@@ -242,6 +273,103 @@ def test_a_changed_argument_draws_again(draw_fixture, counted_generators, change
     args[change] = replacement if change == "problem" else args[change] + 1
     _rep_counts(*args.values())
     assert len(counted_generators) == 10 + args["reps"]
+
+
+def _erm_segment_calls(monkeypatch):
+    calls = []
+
+    def counting(segment, data):
+        calls.append(segment)
+        return erm_segment(segment, data)
+
+    monkeypatch.setattr(localization, "erm_segment", counting)
+    return calls
+
+
+def test_loss_bases_are_tabulated_once_and_read_only(draw_fixture, monkeypatch):
+    problem, segments = draw_fixture
+    calls = _erm_segment_calls(monkeypatch)
+    _segment_loss_basis.cache_clear()
+    basis = _segment_loss_basis(segments[0], problem)
+    assert _segment_loss_basis(segments[0], problem) is basis and len(calls) == 1
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0] = 0
+    # segments and problems are keys by identity: an equal but distinct one is tabulated again
+    copy = Segment(segments[0].endpoint_i, segments[0].endpoint_j)
+    twin = DiscreteProblem(problem.x_indices, problem.y_values, problem.probabilities, problem.bound_b)
+    assert np.array_equal(_segment_loss_basis(copy, problem), basis) and len(calls) == 2
+    assert np.array_equal(_segment_loss_basis(segments[0], twin), basis) and len(calls) == 3
+
+
+def test_a_second_level_of_a_sweep_tabulates_no_basis(draw_fixture, monkeypatch):
+    # levels outside, segments inside: every call tabulates its quadratics
+    # again, since the draw cache keeps one entry, but each basis only once
+    problem, segments = draw_fixture
+    calls = _erm_segment_calls(monkeypatch)
+    _segment_loss_basis.cache_clear()
+    _clear_draw_caches()
+    for level in (0.01, 0.1):
+        for segment in segments:
+            localized_sup(segment_excess_loss_class(segment, level), problem, n=64, reps=10, seed=80)
+        assert calls == segments
+
+
+def test_cached_bases_give_the_results_of_fresh_ones(draw_fixture):
+    problem, segments = draw_fixture
+
+    def run():
+        c0 = calibrate_c0(segments, problem, 64, [2.0, 3.0], 40, 77, target_scale=0.9)
+        reports = [isomorphism_check(segments, problem, 64, x, c0, 40, 78) for x in (2.0, 3.0)]
+        sups = [localized_sup(segment_excess_loss_class(s, 0.05), problem, 64, 40, 79) for s in segments]
+        return c0, reports, sups
+
+    _segment_loss_basis.cache_clear()
+    first = run()
+    assert _segment_loss_basis.cache_info().misses == len(segments)
+    _clear_draw_caches()
+    cached = run()
+    _segment_loss_basis.cache_clear()
+    _clear_draw_caches()
+    assert cached == first == run()
+
+
+def _coefficient_batch(data, rows, segments):
+    """Population (segments, 3) and difference (rows, segments, 3) quadratics,
+    with lines, constants and all-zero differences among them."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    pop = rng.normal(size=(segments, 3)) * scale
+    pop[:, 0] = np.abs(pop[:, 0])
+    diff = rng.normal(size=(rows, segments, 3)) * scale / 4.0
+    for q in (pop, diff):
+        kinds = rng.integers(0, 4, size=q.shape[:-1])
+        q[kinds == 1, 0] = 0.0  # a line
+        q[kinds == 2, :2] = 0.0  # a constant
+        q[kinds == 3, :] = 0.0  # zero
+    return pop, diff
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), segments=st.integers(1, 4), level=st.floats(1e-4, 10.0))
+def test_segment_evaluators_treat_entries_independently(data, rows, segments, level):
+    # each (dataset, segment) entry's value is a function of that entry
+    # alone: permuted, duplicated and sliced batches give the same bits
+    pop, diff = _coefficient_batch(data, rows, segments)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    row_order, seg_order = rng.permutation(rows), rng.permutation(segments)
+    repeats = rng.integers(0, rows, size=rows + 3)
+    for evaluate in (_needed_level, lambda p, d: _segment_star_sup(p, d, level)):
+        whole = evaluate(pop, diff)
+        assert whole.shape == (rows, segments) and np.all(whole >= 0.0)
+        shuffled = evaluate(pop[seg_order], diff[row_order][:, seg_order])
+        assert shuffled.tobytes() == whole[row_order][:, seg_order].tobytes()
+        assert evaluate(pop, diff[repeats]).tobytes() == whole[repeats].tobytes()
+        for r in range(rows):
+            assert evaluate(pop, diff[r : r + 1]).tobytes() == whole[r : r + 1].tobytes()
+            for s in range(segments):
+                single = evaluate(pop[s : s + 1], diff[r : r + 1, s : s + 1])
+                assert single.tobytes() == whole[r : r + 1, s : s + 1].tobytes()
 
 
 def test_localized_sup_requires_reps():
