@@ -261,10 +261,6 @@ def _cell_task(args) -> list[tuple[TrialRecord, dict]]:
     return trials
 
 
-def _quantile(values, q: float) -> float:
-    return float(np.quantile(np.asarray(values), q))
-
-
 def _solver_statistics(solves) -> dict:
     """Iteration median and max, counter totals, a stop-reason tally and the
     largest duality gap over a cell's hull solves."""
@@ -327,6 +323,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     points = []
     for n, M in cfg.grid:
         cell = [r.excess_risk for r in by_cell[(n, M)]]
+        q10, q25, q75, q90 = np.quantile(cell, (0.10, 0.25, 0.75, 0.90)).tolist()
         points.append(
             PointSummary(
                 n=n,
@@ -336,10 +333,10 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
                 replications=len(cell),
                 mean_excess=float(np.mean(cell)),
                 median_excess=float(statistics.median(cell)),
-                q10=_quantile(cell, 0.10),
-                q25=_quantile(cell, 0.25),
-                q75=_quantile(cell, 0.75),
-                q90=_quantile(cell, 0.90),
+                q10=q10,
+                q25=q25,
+                q75=q75,
+                q90=q90,
                 max_excess=float(np.max(cell)),
                 solver=_solver_statistics(solves[(n, M)]),
             )

@@ -91,6 +91,7 @@ def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndar
 
 
 _EPS = float(np.finfo(float).eps)
+_ZERO = np.zeros(1)
 
 
 class _Face:
@@ -106,10 +107,12 @@ class _Face:
     vertex and changes only by `append` and `drop`; the factor is never
     computed from scratch.  `indices` and `vertices` hold the active
     indices, base first and newest last, and the rows A[support], and
-    `offset` is target - a0.  A face has at most C = min(K, M - 1)
-    differences (a K-dimensional span, M distinct vertices), so the buffers
-    are allocated once at that capacity: memory O(K min(K, M)), within the
-    order of A.
+    `offset` is target - a0.  `active` is the length-M membership mask of
+    the support, kept by `append` and `drop`, so testing a vertex costs one
+    lookup.  A face has at most C = min(K, M - 1) differences (a
+    K-dimensional span, M distinct vertices), so the buffers are allocated
+    once at that capacity, as is the 2 x 2 `rotation`: memory
+    O(K min(K, M) + M), within the order of A.
     """
 
     def __init__(self, A: np.ndarray, target: np.ndarray, start: int):
@@ -119,8 +122,11 @@ class _Face:
         self.rows = np.zeros((C, 2 * C + 1 + K))
         self.indices = np.zeros(C + 1, dtype=np.intp)
         self.vertices = np.zeros((C + 1, K))
+        self.active = np.zeros(A.shape[0], dtype=bool)
+        self.rotation = np.empty((2, 2))
         self.indices[0] = start
         self.vertices[0] = A[start]
+        self.active[start] = True
         self.offset = target - A[start]
 
     @property
@@ -145,19 +151,20 @@ class _Face:
         d = self.A[s] - self.vertices[0]
         w = Qt @ d
         r = d - w @ Qt
-        dd, rr = float(d @ d), float(r @ r)
+        # x.dot(x) is the BLAS dot that x @ x calls, with less dispatch
+        dd, rr = float(d.dot(d)), float(r.dot(r))
         if rr < 0.5 * dd:
             again = Qt @ r
             r -= again @ Qt
             w += again
-            rr = float(r @ r)
+            rr = float(r.dot(r))
         if rr <= (K * _EPS) ** 2 * dd:
             return False
         B, rho = self.rows, math.sqrt(rr)
         row = B[k]
         row[:] = 0.0
         row[k] = rho
-        row[C : C + k] = (w @ B[:k, C : C + k]) / -rho
+        np.divide(w @ B[:k, C : C + k], -rho, out=row[C : C + k])
         row[C + k] = 1.0 / rho
         np.divide(r, rho, out=row[2 * C + 1 :])
         row[2 * C] = row[2 * C + 1 :] @ self.offset
@@ -165,6 +172,7 @@ class _Face:
         B[:k, C + k] = 0.0
         self.indices[k + 1] = s
         self.vertices[k + 1] = self.A[s]
+        self.active[s] = True
         self.k = k + 1
         return True
 
@@ -179,9 +187,10 @@ class _Face:
         column leaves R upper Hessenberg from that column on, and Givens
         rotations restore its triangle (Gill, Golub, Murray and Saunders 1974).
         """
-        B, I, V, C = self.rows, self.indices, self.vertices, self.capacity
+        B, I, V, C, G = self.rows, self.indices, self.vertices, self.capacity, self.rotation
         for p in reversed(positions):
             j, k = max(p - 1, 0), self.k
+            self.active[I[p]] = False
             if p == 0:
                 B[0, 1:k] -= B[0, 0]
                 B[0, 2 * C] -= B[0, 0]
@@ -193,9 +202,12 @@ class _Face:
             V[p:k] = V[p + 1 : k + 1]
             # rotate rows i and i + 1 to zero the new subdiagonal entry (i + 1, i)
             for i in range(j, k - 1):
-                a, b = B[i, i], B[i + 1, i]
+                a, b = B[i : i + 2, i].tolist()
                 h = math.hypot(a, b)
-                B[i : i + 2, i:] = np.array([[a / h, b / h], [-b / h, a / h]]) @ B[i : i + 2, i:]
+                G[0, 0] = G[1, 1] = a / h
+                G[0, 1] = b / h
+                G[1, 0] = -b / h
+                B[i : i + 2, i:] = G @ B[i : i + 2, i:]
                 B[i + 1, i] = 0.0
             self.k = k - 1
 
@@ -203,11 +215,14 @@ class _Face:
         """Minimizer of ||u @ A[support] - target|| over the affine hull sum(u) = 1.
 
         With u = (1 - sum z, z) this is least squares in z on D, solved by
-        the triangular product z = R^-1 c, O(k^2).
+        the triangular product z = R^-1 c, O(k^2), written straight into the
+        returned vector.
         """
         k, C = self.k, self.capacity
-        z = self.rows[:k, 2 * C] @ self.rows[:k, C : C + k]
-        return np.concatenate(([1.0 - z.sum()], z))
+        v = np.empty(k + 1)
+        np.matmul(self.rows[:k, 2 * C], self.rows[:k, C : C + k], out=v[1:])
+        v[0] = 1.0 - np.add.reduce(v[1:])
+        return v
 
     def point(self, u: np.ndarray) -> np.ndarray:
         """The fitted values u @ A[support]."""
@@ -229,76 +244,81 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
     column and a leaving one, the base vertex included, shrinks by Givens
     rotations, each O(K |S|).  A corrective step is then the product of the
     kept triangular inverse R^-1 with c, O(|S|^2), on top of the iteration's
-    O(MK) gradient.  An entering vertex whose difference is numerically in
-    the span of the face's differences ends the solve with "repeat_vertex",
-    as an active one does: in exact arithmetic a vertex with a positive gap
-    is affinely independent of an affine-optimal face, so only rounding
-    names it.
+    O(MK) gradient.  Each iteration forms the residual g - target of its
+    fitted values g once: its squared norm is the value, and A @ (2 resid)
+    the next gradient, where doubling is exact.  An entering vertex whose
+    difference is numerically in the span of the face's differences ends
+    the solve with "repeat_vertex", as an active one (`face.active`) does:
+    in exact arithmetic a vertex with a positive gap is affinely independent
+    of an affine-optimal face, so only rounding names it.
     """
-    start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
+    start = int((np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)).argmin())
     face = _Face(A, target, start)
     u = np.array([1.0])
-    g = A[start]
-    best_value = float((g - target) @ (g - target))
+    resid = A[start] - target
+    best_value = float(resid.dot(resid))
     stop_reason = "max_iterations"
     kkt_solves = 0
     drop_steps = 0
 
+    # np.minimum.reduce and np.add.reduce are ndarray.min and .sum without
+    # their Python wrappers, which cost more than the work at small K
     for iterations in range(1, config.max_iterations + 1):
-        grad = 2.0 * (A @ (g - target))
-        s = int(np.argmin(grad))
-        gap = float(grad[face.support] @ u) - float(grad[s])
+        grad = A @ (2.0 * resid)
+        s = int(grad.argmin())
+        gap = float(grad[face.indices[: face.k + 1]] @ u) - float(grad[s])
         if gap <= config.tolerance:
             stop_reason = "gap"
             break
-        if s in face.support or not face.append(s):
+        if face.active[s] or not face.append(s):
             # u is already affine-optimal on its face, so a vertex on that
             # face can only be named by floating-point noise; no further
             # progress is possible.
             stop_reason = "repeat_vertex"
             break
 
-        u = np.concatenate((u, [0.0]))
+        u = np.concatenate((u, _ZERO))
         done = False
         while not done:
             v = face.minimizer()
             kkt_solves += 1
-            if face.support[-1] == s and v[-1] <= 0.0:
+            if face.indices[face.k] == s and v[-1] <= 0.0:
                 # rounding starved the new vertex; take a plain line-search
                 # step toward it instead of cycling
                 d = -u
                 d[-1] += 1.0
                 step_values = face.point(d)
-                curv = float(step_values @ step_values)
+                curv = float(step_values.dot(step_values))
                 step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
                 u = u * (1.0 - step)
                 u[-1] += step
                 done = True
-            elif v.min() >= -1e-12:
+            elif np.minimum.reduce(v) >= -1e-12:
                 u = np.maximum(v, 0.0)
                 done = True
             else:
                 drop_steps += 1
                 blocked = v < 0.0
                 ratios = u[blocked] / (u[blocked] - v[blocked])
-                u = u + float(ratios.min()) * (v - u)
+                u = u + float(np.minimum.reduce(ratios)) * (v - u)
                 u[u <= 1e-14] = 0.0
-            keep = u > 0.0
-            if not keep.all():
+            # not `min(u) <= 0`: a NaN weight leaves the face as a zero does
+            if not np.minimum.reduce(u) > 0.0:
+                keep = u > 0.0
                 face.drop(np.flatnonzero(~keep).tolist())
                 u = u[keep]
 
-        u = u / u.sum()
-        g = face.point(u)
-        value = float((g - target) @ (g - target))
+        u = u / np.add.reduce(u)
+        resid = face.point(u) - target
+        value = float(resid.dot(resid))
         if value >= best_value:
             # no measurable descent left; stop rather than stall
             stop_reason = "no_descent"
             break
         best_value = value
 
-    grad = 2.0 * (A @ (g - target))
-    gap = max(float(grad[face.support] @ u) - float(grad.min()), 0.0)
+    grad = A @ (2.0 * resid)
+    gap = max(float(grad[face.indices[: face.k + 1]] @ u) - float(np.minimum.reduce(grad)), 0.0)
     return face, u, gap, iterations, stop_reason, kkt_solves, drop_steps
 
 

@@ -381,6 +381,21 @@ def test_localized_sup_requires_reps():
         localized_sup(cls, p, n=10, reps=1, seed=0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=39),
+    exponent=st.integers(-12, 6),
+    constant=st.booleans(),
+)
+def test_mean_and_std_error_match_numpy_bit_for_bit(values, exponent, constant):
+    x = np.array(values) * 10.0**exponent
+    if constant:
+        x[:] = x[0]
+    expected = (float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size)))
+    got = localization._mean_and_std_error(x)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
 def test_localized_sup_single_function_matches_direct_simulation():
     rng = np.random.default_rng(3)
     p = random_problem(rng, K=3)

@@ -441,13 +441,21 @@ def _assert_factor_is_current(face, A, target, tol=1e-12):
     assert np.array_equal(face.offset, offset)
 
 
+def _assert_mask_is_current(face):
+    """The membership mask marks exactly the support."""
+    assert np.array_equal(np.flatnonzero(face.active), np.sort(face.support))
+
+
 def _append_checked(face, A, s):
-    """Append s; a refused vertex must lie in the span of the face's differences."""
-    k = face.k
+    """Append s; a refused vertex must lie in the span of the face's differences
+    and leave the membership mask as it was."""
+    k, active = face.k, face.active.copy()
     if face.append(s):
         assert face.k == k + 1 and face.support[-1] == s
+        _assert_mask_is_current(face)
     else:
         assert face.k == k and s not in face.support
+        assert np.array_equal(face.active, active)
         rows = A[face.support]
         d = A[s] - rows[0]
         if k:
@@ -481,6 +489,7 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
     target = rng.uniform(-1.0, 1.0, size=K) * 10.0**exponent
     face = _Face(A, target, int(rng.integers(M)))
     _assert_face_matches_lstsq(face, A, target)
+    _assert_mask_is_current(face)
     for move in moves:
         if move >= 0:
             if move % M in face.support:
@@ -493,6 +502,7 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
                 continue
             face.drop(positions)
         assert face.k == len(face.support) - 1
+        _assert_mask_is_current(face)
         _assert_factor_is_current(face, A, target)
         _assert_face_matches_lstsq(face, A, target)
 
@@ -519,10 +529,12 @@ def test_face_factor_cases(case):
     support = face.support.tolist()
     face.drop([0, 2])  # the base vertex leaves with another
     assert face.support.tolist() == support[1:2] + support[3:]
+    _assert_mask_is_current(face)
     _assert_factor_is_current(face, A, target)
     _assert_face_matches_lstsq(face, A, target)
     face.drop([1])
     assert face.support.tolist() == support[1:2] + support[4:]
+    _assert_mask_is_current(face)
     _assert_factor_is_current(face, A, target)
     _assert_face_matches_lstsq(face, A, target)
 
