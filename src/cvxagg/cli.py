@@ -207,6 +207,13 @@ def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     report = run_grid(cfg, out_dir=args.out, jobs=args.jobs)
     print(f"c_hat={report.c_hat!r} points={len(report.points)} incomplete={report.incomplete}")
+    # a deviation row's frequency is at most 1, so it cannot fail a bound of 1 or more
+    for x, bound in {row.x: row.bound for row in report.deviation}.items():
+        if bound >= 1.0:
+            print(
+                f"note: x={x!r}: the bound 4 exp(-x) = {bound!r} is at least 1, so its deviation rows cannot fail",
+                file=sys.stderr,
+            )
     if report.incomplete:
         print("experiment incomplete: some trials did not converge", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ import numpy as np
 from .model import Dictionary, DiscreteProblem, combine, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
-from .solver import ErmSolution, SolverConfig, erm_convex_hull
+from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_batch
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))
@@ -215,6 +215,41 @@ def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSo
     return solution
 
 
+def run_trials(
+    problem: DiscreteProblem,
+    dictionary: Dictionary,
+    n: int,
+    solver_config: SolverConfig,
+    trials,
+    oracle_risk: float,
+) -> list[tuple[TrialRecord, ErmSolution]]:
+    """Draw a size-n sample per (replication, seed) trial, run hull ERM on
+    all of them as one batch, and record each exact population excess.
+
+    Returns each trial's record and its hull solve, in order.  oracle_risk
+    is the population hull minimum, computed once per problem and shared by
+    its trials.  A trial's solve has the same bits in any batch, so any
+    split of the trials gives the same records.
+    """
+    trials = list(trials)
+    draws = [sample(problem, n, seed) for _, seed in trials]
+    solutions = erm_convex_hull_batch(dictionary, draws, solver_config)
+    out = []
+    for (replication, seed), solution in zip(trials, solutions):
+        fitted = combine(dictionary, solution.weights)
+        record = TrialRecord(
+            n=n,
+            M=dictionary.size_M,
+            replication=replication,
+            excess_risk=population_risk(fitted, problem) - oracle_risk,
+            oracle_risk=oracle_risk,
+            seed=seed,
+            converged=solution.converged,
+        )
+        out.append((record, solution))
+    return out
+
+
 def run_trial(
     problem: DiscreteProblem,
     dictionary: Dictionary,
@@ -224,26 +259,8 @@ def run_trial(
     replication: int,
     oracle_risk: float,
 ) -> tuple[TrialRecord, ErmSolution]:
-    """Draw a size-n sample, run hull ERM, record the exact population excess.
-
-    Returns the trial's record and the hull solve itself.  oracle_risk is
-    the population hull minimum, computed once per problem and shared by its
-    trials.
-    """
-    draws = sample(problem, n, seed)
-    solution = erm_convex_hull(dictionary, draws, solver_config)
-    fitted = combine(dictionary, solution.weights)
-    excess = population_risk(fitted, problem) - oracle_risk
-    record = TrialRecord(
-        n=n,
-        M=dictionary.size_M,
-        replication=replication,
-        excess_risk=excess,
-        oracle_risk=oracle_risk,
-        seed=seed,
-        converged=solution.converged,
-    )
-    return record, solution
+    """One trial of `run_trials`: a batch of one."""
+    return run_trials(problem, dictionary, n, solver_config, [(replication, seed)], oracle_risk)[0]
 
 
 # the ErmSolution counters that report.json sums up per cell
@@ -251,14 +268,13 @@ _SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "dua
 
 
 def _cell_task(args) -> list[tuple[TrialRecord, dict]]:
-    """A chunk of one cell's trials, each with its solve's counters (the
-    weights are left behind)."""
+    """A chunk of one cell's trials, solved as one batch, each with its
+    solve's counters (the weights are left behind)."""
     problem, dictionary, n, solver_cfg, oracle_risk, jobs_chunk = args
-    trials = []
-    for replication, seed in jobs_chunk:
-        record, solution = run_trial(problem, dictionary, n, solver_cfg, seed, replication, oracle_risk)
-        trials.append((record, {name: getattr(solution, name) for name in _SOLVE_COUNTERS}))
-    return trials
+    return [
+        (record, {name: getattr(solution, name) for name in _SOLVE_COUNTERS})
+        for record, solution in run_trials(problem, dictionary, n, solver_cfg, jobs_chunk, oracle_risk)
+    ]
 
 
 def _solver_statistics(solves) -> dict:
@@ -282,8 +298,15 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     (master_seed, n, M); replications share it and vary only the sample.
     Its hull minimum is the Bayes risk for inside-hull problems and a
     `population_oracle` solve for the other kinds.
-    When out_dir is given, trials.csv and report.json are written there; the
-    bytes are identical for any worker count.
+
+    A cell's trials are hull-solved together (`run_trials`): with one
+    worker, all of a cell's replications form one batch; with more, each
+    worker takes batches of about a quarter of its share.  A batch runs
+    about as many Frank-Wolfe rounds as its longest solve has iterations,
+    where one-at-a-time solving ran the sum of them.  A trial's solve has
+    the same bits in any batch (see `solver`), so when out_dir is given,
+    trials.csv and report.json are written there with bytes identical for
+    any worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -301,7 +324,8 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
             (rep, derive_seed(cfg.master_seed, n, M, rep))
             for rep in range(cfg.replications)
         ]
-        step = max(1, math.ceil(len(chunk) / jobs / 4))
+        # one batch per cell on one worker; with more, a few chunks per worker
+        step = len(chunk) if jobs == 1 else max(1, math.ceil(len(chunk) / jobs / 4))
         for start in range(0, len(chunk), step):
             tasks.append((problem, dictionary, n, cfg.solver, oracle_risk, chunk[start : start + step]))
 

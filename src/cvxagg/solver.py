@@ -8,10 +8,27 @@ each design point and ymass its label mass, the risk is
 target = ymass / sqrt(px).  The corrective step, least squares on the active
 vertices' affine hull, runs on a QR factor of the active face that is
 updated as vertices enter and leave (Wolfe's min-norm-point method keeps such
-a triangular factor), so an iteration costs one O(M K) gradient plus O(K |S|)
-for the factor, and the solver holds O(M K) memory, with no M x M
-Gram matrix.  Termination is certified by the linear-minimization duality gap,
-which upper bounds the suboptimality of the returned iterate.
+a triangular factor), so an iteration costs one O(M K) gradient plus O(K C)
+for the factor, C = min(K, M - 1), and the solver holds O(M K) memory, with
+no M x M Gram matrix.  Termination is certified by the linear-minimization
+duality gap, which upper bounds the suboptimality of the returned iterate.
+
+The solver is batched: `erm_convex_hull_batch` solves many datasets on one
+dictionary, such as a rate-grid cell's replications, in rounds of one
+iteration of every dataset still running, so the per-call cost of numpy is
+paid once per round instead of once per dataset.  `erm_convex_hull`, a batch
+of one, serves everything else.  The contract is that a dataset's weights,
+gap, counters and stop reason have the same bits in any batch, so results
+never depend on how the work was split.  Two things keep it.  Every product
+is taken per dataset: `np.matmul` over a stack makes one BLAS call per
+dataset, of shapes that depend on that dataset alone, whereas one GEMM over
+the batch rounds a row differently from the same row multiplied alone (on
+OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
+M in {16, 256, 512} and 2 to 10 rows differed from the row's GEMV, and no
+row of a stacked matmul or of np.einsum differed; the stacked matmul took
+about half np.einsum's time at these sizes).  And every dataset's face is
+padded to the fixed capacity C, never to the batch's largest face, so the
+lengths it is reduced over do not depend on the others.
 
 The data is any weighted-atom measure (see `model`): solvers read only its
 `x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
@@ -74,12 +91,12 @@ class ErmSolution:
 
 
 def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
-    """A and target with risk(w) = ||w @ A - target||^2 + a constant.
+    """root and target with risk(w) = ||(w @ F) * root - target||^2 + a constant.
 
-    Design points the data gives no mass get a zero column in A and a zero
-    target.
+    root = sqrt(px) and target = ymass / root on the K design points, so the
+    rows of A = F * root are the vertices.  Design points the data gives no
+    mass get a zero root and a zero target.
     """
-    F = dictionary.values
     K = dictionary.num_design_points
     x, y, p = measure.x_indices, measure.y_values, measure.probabilities
     if x.max() >= K:
@@ -87,97 +104,143 @@ def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndar
     root = np.sqrt(np.bincount(x, weights=p, minlength=K))
     ymass = np.bincount(x, weights=p * y, minlength=K)
     target = np.divide(ymass, root, out=np.zeros(K), where=root > 0.0)
-    return F * root, target
+    return root, target
 
 
 _EPS = float(np.finfo(float).eps)
-_ZERO = np.zeros(1)
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[b] . y[b] for every rep b."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _vecmat(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x[b] @ Y[b] for every rep b, or x[b] @ Y for a shared 2-D Y."""
+    return np.matmul(x[:, None, :], Y)[:, 0]
+
+
+def _matvec(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y[b] @ x[b] for every rep b."""
+    return np.matmul(Y, x[:, :, None])[:, :, 0]
+
+
+# ErmSolution.stop_reason by the codes the batched solver keeps per rep; 0 is
+# a rep still iterating
+_STOP_REASONS = ("", "gap", "repeat_vertex", "no_descent", "max_iterations")
+_GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 
 
 class _Face:
-    """The active vertices, with a QR factor of their affine hull kept current.
+    """Each rep's active vertices, with a QR factor of their affine hull kept current.
 
-    With base vertex a0 = A[support[0]], the k = |S| - 1 differences
-    D = (A[support[1:]] - a0).T (K x k) are kept as D = Q R, with Q's columns
-    orthonormal and R upper triangular, together with c = Q.T (target - a0)
-    and T = R^-1.  For a capacity of C columns, row i of `rows` is
-    [R[i, :C] | T[:C, i] | c[i] | Q[:, i]]: a deletion rotates rows i and
-    i + 1 of R, c and Q.T and columns i and i + 1 of T by the same Givens
-    rotation, so one 2 x 2 product updates all four.  The face starts at one
-    vertex and changes only by `append` and `drop`; the factor is never
-    computed from scratch.  `indices` and `vertices` hold the active
-    indices, base first and newest last, and the rows A[support], and
-    `offset` is target - a0.  `active` is the length-M membership mask of
-    the support, kept by `append` and `drop`, so testing a vertex costs one
-    lookup.  A face has at most C = min(K, M - 1) differences (a
-    K-dimensional span, M distinct vertices), so the buffers are allocated
-    once at that capacity, as is the 2 x 2 `rotation`: memory
-    O(K min(K, M) + M), within the order of A.
+    A batch of B reps shares the dictionary F; rep b's vertices are the rows
+    of A_b = F * root[b] and its target is target[b].  Per rep, with base
+    vertex a0 = A_b[support[0]], the k = |S| - 1 differences
+    D = (A_b[support[1:]] - a0).T (K x k) are kept as D = Q R, with Q's
+    columns orthonormal and R upper triangular, together with c = Q.T (target
+    - a0) and T = R^-1.  For a capacity of C columns, row i of rep b's block
+    `rows[b]` is [R[i, :C] | T[:C, i] | c[i] | Q[:, i]]: a deletion rotates
+    rows i and i + 1 of R, c and Q.T and columns i and i + 1 of T by the same
+    Givens rotation.  The face starts at one vertex per rep and changes only
+    by `append` and `drop`; the factor is never computed from scratch.
+    `indices` and `vertices` hold the active indices, base first and newest
+    last, and the rows A_b[support], `offset` is target - a0, and `active`
+    is the (B, M) membership mask of the supports.
+
+    Every rep's buffers are padded to the fixed capacity C = min(K, M - 1)
+    (a face has at most C differences: a K-dimensional span, M distinct
+    vertices), never to the batch's largest face: rows, R columns and T
+    columns past a rep's k are exactly zero, as are the solver's weights past
+    its support, so every product a rep takes part in has shapes fixed by K
+    and M alone.
+    `z` = T c, the corrective minimizer's free part, is kept with the
+    factor.  Memory is O(B K C + B M), within the order of the batch's data.
     """
 
-    def __init__(self, A: np.ndarray, target: np.ndarray, start: int):
-        K, C = A.shape[1], min(A.shape[1], A.shape[0] - 1)
-        self.A, self.target, self.K, self.capacity = A, target, K, C
-        self.k = 0
-        self.rows = np.zeros((C, 2 * C + 1 + K))
-        self.indices = np.zeros(C + 1, dtype=np.intp)
-        self.vertices = np.zeros((C + 1, K))
-        self.active = np.zeros(A.shape[0], dtype=bool)
-        self.rotation = np.empty((2, 2))
-        self.indices[0] = start
-        self.vertices[0] = A[start]
-        self.active[start] = True
-        self.offset = target - A[start]
+    def __init__(self, F: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
+        B, K = root.shape
+        C = min(K, F.shape[0] - 1)
+        self.F, self.root, self.target, self.K, self.capacity = F, root, target, K, C
+        self.k = np.zeros(B, dtype=np.intp)
+        self.rows = np.zeros((B, C, 2 * C + 1 + K))
+        self.indices = np.zeros((B, C + 1), dtype=np.intp)
+        self.vertices = np.zeros((B, C + 1, K))
+        self.active = np.zeros((B, F.shape[0]), dtype=bool)
+        self.indices[:, 0] = start
+        self.vertices[:, 0] = F[start] * root
+        self.active[np.arange(B), start] = True
+        self.offset = target - self.vertices[:, 0]
+        self.z = np.zeros((B, C))
 
-    @property
-    def support(self) -> np.ndarray:
-        """The active vertex indices, base first and newest last."""
-        return self.indices[: self.k + 1]
+    def support(self, b: int) -> np.ndarray:
+        """Rep b's active vertex indices, base first and newest last."""
+        return self.indices[b, : self.k[b] + 1]
 
-    def append(self, s: int) -> bool:
-        """Add the inactive vertex s as the last column, by Gram-Schmidt: O(K k).
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the reps where mask is set."""
+        for name in ("root", "target", "k", "rows", "indices", "vertices", "active", "offset", "z"):
+            setattr(self, name, getattr(self, name)[mask])
 
-        The residual is orthogonalized a second time when the first pass
-        cancelled more than half of the difference's squared norm.  Returns
-        False, and leaves the factor as it was, when the new difference is
-        numerically in the span of the others: its residual is at most
+    def append(self, s: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """Add the inactive vertex s[i] as the last column of rep b[i]'s face
+        (of every rep when b is None), by Gram-Schmidt.
+
+        The residual is orthogonalized twice (classical Gram-Schmidt twice),
+        which keeps Q's columns orthonormal to rounding with no per-rep
+        branch.  Returns the mask of the reps that took their vertex.  A rep
+        refuses it, and keeps its factor as it was, when the new difference
+        is numerically in the span of the others: its residual is at most
         K eps times its norm, a cutoff free of the data's scale.
         """
-        K, k = self.K, self.k
-        if k == K:
-            return False
-        C = self.capacity
-        Qt = self.rows[:k, 2 * C + 1 :]
-        d = self.A[s] - self.vertices[0]
-        w = Qt @ d
-        r = d - w @ Qt
-        # x.dot(x) is the BLAS dot that x @ x calls, with less dispatch
-        dd, rr = float(d.dot(d)), float(r.dot(r))
-        if rr < 0.5 * dd:
-            again = Qt @ r
-            r -= again @ Qt
-            w += again
-            rr = float(r.dot(r))
-        if rr <= (K * _EPS) ** 2 * dd:
-            return False
-        B, rho = self.rows, math.sqrt(rr)
-        row = B[k]
-        row[:] = 0.0
-        row[k] = rho
-        np.divide(w @ B[:k, C : C + k], -rho, out=row[C : C + k])
-        row[C + k] = 1.0 / rho
-        np.divide(r, rho, out=row[2 * C + 1 :])
-        row[2 * C] = row[2 * C + 1 :] @ self.offset
-        B[:k, k] = w
-        B[:k, C + k] = 0.0
-        self.indices[k + 1] = s
-        self.vertices[k + 1] = self.A[s]
-        self.active[s] = True
-        self.k = k + 1
-        return True
+        K, C = self.K, self.capacity
+        every = b is None
+        b, sel = (np.arange(self.k.size), slice(None)) if every else (b, b)
+        k = self.k[sel]
+        a = self.F[s] * self.root[sel]
+        d = a - self.vertices[sel, 0]
+        Qt, T = self.rows[sel, :, 2 * C + 1 :], self.rows[sel, :, C : 2 * C]
+        w = _matvec(Qt, d)
+        r = d - _vecmat(w, Qt)
+        again = _matvec(Qt, r)
+        r -= _vecmat(again, Qt)
+        w += again
+        dd, rr = _rowdot(d, d), _rowdot(r, r)
+        # `rr <= cutoff`, not `rr > cutoff`: a NaN residual is taken, not refused
+        refused = (rr <= (K * _EPS) ** 2 * dd) | (k == C)
+        offset = self.offset[sel]
+        if refused.any():
+            every, ok = False, ~refused
+            b, k, s, a, w, r, rr, offset, T = (x[ok] for x in (b, k, s, a, w, r, rr, offset, T))
+        rho = np.sqrt(rr)
+        m = np.arange(b.size)
+        row = np.empty((b.size, 2 * C + 1 + K))
+        row[:, :C] = 0.0
+        row[m, k] = rho
+        rho = rho[:, None]
+        np.divide(_vecmat(w, T), -rho, out=row[:, C : 2 * C])
+        np.divide(r, rho, out=row[:, 2 * C + 1 :])
+        row[:, 2 * C] = _rowdot(row[:, 2 * C + 1 :], offset)
+        row[m, C + k] = 1.0 / rho[:, 0]
+        # z = T c gains the new row's term; the rows above it keep theirs
+        term = row[:, 2 * C, None] * row[:, C : 2 * C]
+        self.rows[b, :, k] = w  # column k of R above row k; w is 0 from row k on
+        self.rows[b, k] = row
+        k = k + 1
+        self.indices[b, k] = s
+        self.vertices[b, k] = a
+        self.active[b, s] = True
+        if every:
+            self.z += term
+            self.k += 1
+        else:
+            self.z[b] += term
+            self.k[b] = k
+        return ~refused
 
-    def drop(self, positions: list) -> None:
-        """Remove the vertices at these support positions (ascending), each O(K k).
+    def drop(self, b: np.ndarray, positions: np.ndarray) -> None:
+        """Remove from rep b[i]'s face the vertices at the support positions
+        where positions[i] is set, highest first, each O(K k).
 
         A vertex p > 0 takes column p - 1 of D out of the factor.  When the
         base a0 leaves, a1 becomes the base and D loses its column 0 while
@@ -186,51 +249,66 @@ class _Face:
         still a left inverse because T[1:, 0] = 0.  Either way, the deleted
         column leaves R upper Hessenberg from that column on, and Givens
         rotations restore its triangle (Gill, Golub, Murray and Saunders 1974).
-        """
-        B, I, V, C, G = self.rows, self.indices, self.vertices, self.capacity, self.rotation
-        for p in reversed(positions):
-            j, k = max(p - 1, 0), self.k
-            self.active[I[p]] = False
-            if p == 0:
-                B[0, 1:k] -= B[0, 0]
-                B[0, 2 * C] -= B[0, 0]
-                self.offset = self.target - V[1]
-            # delete column j of R, row j of T (column j of T.T) and vertex p
-            B[:k, j : k - 1] = B[:k, j + 1 : k]
-            B[:k, C + j : C + k - 1] = B[:k, C + j + 1 : C + k]
-            I[p:k] = I[p + 1 : k + 1]
-            V[p:k] = V[p + 1 : k + 1]
-            # rotate rows i and i + 1 to zero the new subdiagonal entry (i + 1, i)
-            for i in range(j, k - 1):
-                a, b = B[i : i + 2, i].tolist()
-                h = math.hypot(a, b)
-                G[0, 0] = G[1, 1] = a / h
-                G[0, 1] = b / h
-                G[1, 0] = -b / h
-                B[i : i + 2, i:] = G @ B[i : i + 2, i:]
-                B[i + 1, i] = 0.0
-            self.k = k - 1
+        The row and the columns the face no longer uses are zeroed.
 
-    def minimizer(self) -> np.ndarray:
-        """Minimizer of ||u @ A[support] - target|| over the affine hull sum(u) = 1.
+        Each rep rotates its own rows, one 2 x 2 product per rotation, a
+        product whose shapes depend on the rep alone.  Drops come in about
+        one corrective step in seven, so a loop over the reps that drop
+        costs less than batching each rotation across them.
+        """
+        C, G = self.capacity, np.empty((2, 2))
+        for rep, where in zip(b.tolist(), positions):
+            R, I, V = self.rows[rep], self.indices[rep], self.vertices[rep]
+            for p in reversed(where.nonzero()[0].tolist()):
+                j, k = max(p - 1, 0), int(self.k[rep])
+                self.active[rep, I[p]] = False
+                if p == 0:
+                    R[0, 1:k] -= R[0, 0]
+                    R[0, 2 * C] -= R[0, 0]
+                    self.offset[rep] = self.target[rep] - V[1]
+                # delete column j of R, row j of T (column j of T.T) and vertex p
+                R[:k, j : k - 1] = R[:k, j + 1 : k]
+                R[:k, C + j : C + k - 1] = R[:k, C + j + 1 : C + k]
+                I[p:k] = I[p + 1 : k + 1]
+                V[p:k] = V[p + 1 : k + 1]
+                # rotate rows i and i + 1 to zero the new subdiagonal entry (i + 1, i)
+                for i in range(j, k - 1):
+                    x, y = R.item(i, i), R.item(i + 1, i)
+                    h = math.hypot(x, y)
+                    G[0, 0] = G[1, 1] = x / h
+                    G[0, 1] = y / h
+                    G[1, 0] = -y / h
+                    R[i : i + 2, i:] = G @ R[i : i + 2, i:]
+                    R[i + 1, i] = 0.0
+                R[k - 1] = 0.0
+                R[:k, k - 1] = 0.0
+                R[:k, C + k - 1] = 0.0
+                self.k[rep] = k - 1
+            self.z[rep] = R[:, 2 * C] @ R[:, C : 2 * C]
+
+    def minimizer(self, b) -> np.ndarray:
+        """Per rep, the minimizer of ||u @ A_b[support] - target|| over the
+        affine hull sum(u) = 1, padded with zeros to C + 1 entries.
 
         With u = (1 - sum z, z) this is least squares in z on D, solved by
-        the triangular product z = R^-1 c, O(k^2), written straight into the
-        returned vector.
+        the triangular product z = R^-1 c = T c, which `z` keeps current:
+        `append` adds the new row's term and `drop` recomputes it.  `b`
+        indexes the reps, or is a slice.
         """
-        k, C = self.k, self.capacity
-        v = np.empty(k + 1)
-        np.matmul(self.rows[:k, 2 * C], self.rows[:k, C : C + k], out=v[1:])
-        v[0] = 1.0 - np.add.reduce(v[1:])
+        z = self.z[b]
+        v = np.empty((z.shape[0], self.capacity + 1))
+        v[:, 1:] = z
+        v[:, 0] = 1.0 - np.add.reduce(z, axis=1)
         return v
 
-    def point(self, u: np.ndarray) -> np.ndarray:
-        """The fitted values u @ A[support]."""
-        return u @ self.vertices[: self.k + 1]
+    def point(self, u: np.ndarray, b=slice(None)) -> np.ndarray:
+        """The fitted values u[i] @ A_b[support] of reps b."""
+        return _vecmat(u, self.vertices[b])
 
 
-def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
-    """Fully corrective Frank-Wolfe on the simplex for ||w @ A - target||^2.
+def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
+    """Fully corrective Frank-Wolfe on the simplex for ||(w @ F) * root[b] - target[b]||^2,
+    for every rep b of a batch at once.
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
@@ -242,84 +320,204 @@ def _minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
     The active vertices are carried as a `_Face`: a QR factor of their
     difference matrix that an entering vertex extends by one Gram-Schmidt
     column and a leaving one, the base vertex included, shrinks by Givens
-    rotations, each O(K |S|).  A corrective step is then the product of the
-    kept triangular inverse R^-1 with c, O(|S|^2), on top of the iteration's
-    O(MK) gradient.  Each iteration forms the residual g - target of its
-    fitted values g once: its squared norm is the value, and A @ (2 resid)
-    the next gradient, where doubling is exact.  An entering vertex whose
-    difference is numerically in the span of the face's differences ends
-    the solve with "repeat_vertex", as an active one (`face.active`) does:
-    in exact arithmetic a vertex with a positive gap is affinely independent
-    of an affine-optimal face, so only rounding names it.
+    rotations.  A corrective step is then the product of the kept
+    triangular inverse R^-1 with c, on top of the iteration's O(MK)
+    gradient.  Each iteration forms the residual resid = g - target of its
+    fitted values once: its squared norm is the value, and
+    (root * 2 resid) @ F.T the next gradient, where doubling is exact, so no
+    per-rep A = F * root is formed and memory is O(B K + M K).  An entering
+    vertex whose difference is numerically in the span of the face's
+    differences ends the rep's solve with "repeat_vertex", as an active one
+    does: in exact arithmetic a vertex with a positive gap is affinely
+    independent of an affine-optimal face, so only rounding names it.
+
+    The reps iterate in rounds: one round is one iteration of every rep
+    still running, and a rep whose solve has ended leaves the batch, so the
+    batch runs as many rounds as its longest solve has iterations, each a
+    few dozen numpy calls whatever the batch size.  Every step is
+    elementwise, a per-rep product (see the module docstring) or a per-rep
+    reduction over a length fixed by K and M (see `_Face`), so a rep's
+    weights, gap, counters and stop reason have the same bits whichever
+    batch it is solved in.  Ties in the linear-minimization oracle break to
+    the lowest index.
+
+    Returns, per rep in order, (support, u, gap, iterations, stop_reason,
+    kkt_solves, drop_steps).
     """
-    start = int((np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)).argmin())
-    face = _Face(A, target, start)
-    u = np.array([1.0])
-    resid = A[start] - target
-    best_value = float(resid.dot(resid))
-    stop_reason = "max_iterations"
-    kkt_solves = 0
-    drop_steps = 0
+    F, root, target = (np.ascontiguousarray(x, dtype=float) for x in (F, root, target))
+    B = root.shape[0]
+    start = (_vecmat(root * root, (F * F).T) - 2.0 * _vecmat(root * target, F.T)).argmin(axis=1)
+    face = _Face(F, root, target, start)
+    C = face.capacity
+    slots = np.arange(C + 1)
+    u = np.zeros((B, C + 1))
+    u[:, 0] = 1.0
+    resid = face.vertices[:, 0] - target
+    best = _rowdot(resid, resid)
+    root2 = 2.0 * root
+    ids = n = np.arange(B)
+    reason = np.zeros(B, dtype=np.intp)
+    drop_steps = np.zeros(B, dtype=np.intp)
+    results = [None] * B
 
-    # np.minimum.reduce and np.add.reduce are ndarray.min and .sum without
-    # their Python wrappers, which cost more than the work at small K
-    for iterations in range(1, config.max_iterations + 1):
-        grad = A @ (2.0 * resid)
-        s = int(grad.argmin())
-        gap = float(grad[face.indices[: face.k + 1]] @ u) - float(grad[s])
-        if gap <= config.tolerance:
-            stop_reason = "gap"
-            break
-        if face.active[s] or not face.append(s):
-            # u is already affine-optimal on its face, so a vertex on that
-            # face can only be named by floating-point noise; no further
-            # progress is possible.
-            stop_reason = "repeat_vertex"
-            break
+    def finish(stopped, gap, s, it):
+        """Record the reps where stopped is set and take them out of the batch;
+        returns gap and s for the reps left.
 
-        u = np.concatenate((u, _ZERO))
-        done = False
-        while not done:
-            v = face.minimizer()
-            kkt_solves += 1
-            if face.indices[face.k] == s and v[-1] <= 0.0:
-                # rounding starved the new vertex; take a plain line-search
-                # step toward it instead of cycling
-                d = -u
-                d[-1] += 1.0
-                step_values = face.point(d)
-                curv = float(step_values.dot(step_values))
-                step = 1.0 if curv <= 0.0 else min(1.0, gap / (2.0 * curv))
-                u = u * (1.0 - step)
-                u[-1] += step
-                done = True
-            elif np.minimum.reduce(v) >= -1e-12:
-                u = np.maximum(v, 0.0)
-                done = True
-            else:
-                drop_steps += 1
-                blocked = v < 0.0
-                ratios = u[blocked] / (u[blocked] - v[blocked])
-                u = u + float(np.minimum.reduce(ratios)) * (v - u)
-                u[u <= 1e-14] = 0.0
-            # not `min(u) <= 0`: a NaN weight leaves the face as a zero does
-            if not np.minimum.reduce(u) > 0.0:
-                keep = u > 0.0
-                face.drop(np.flatnonzero(~keep).tolist())
-                u = u[keep]
+        A rep stopped on "gap" or "repeat_vertex" in round it, and added a
+        vertex in every earlier round; one that stopped on "no_descent" or
+        "max_iterations" did so in round it - 1, after adding a vertex in
+        each round up to it.  Every added vertex costs one corrective solve,
+        and every drop step one more.
+        """
+        nonlocal u, resid, best, root2, ids, n, reason, drop_steps
+        for i in stopped.nonzero()[0].tolist():
+            code = int(reason[i])
+            iterations = it if code in (_GAP, _REPEAT) else it - 1
+            kkt_solves = iterations - (code in (_GAP, _REPEAT)) + int(drop_steps[i])
+            results[ids[i]] = (
+                face.support(i).copy(), u[i, : face.k[i] + 1].copy(), max(float(gap[i]), 0.0),
+                iterations, _STOP_REASONS[code], kkt_solves, int(drop_steps[i]),
+            )
+        keep = ~stopped
+        face.keep(keep)
+        u, resid, best, root2, ids, reason, drop_steps = (
+            x[keep] for x in (u, resid, best, root2, ids, reason, drop_steps)
+        )
+        n = np.arange(ids.size)
+        return gap[keep], s[keep]
 
-        u = u / np.add.reduce(u)
-        resid = face.point(u) - target
-        value = float(resid.dot(resid))
-        if value >= best_value:
+    ending = False
+    # np.errstate: the drop step's ratios are taken for every weight and kept
+    # only where v < 0, and a line search may divide by a zero curvature
+    it = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while n.size:
+            it += 1
+            grad = _vecmat(root2 * resid, F.T)
+            s = grad.argmin(axis=1)
+            gap = _rowdot(grad[n[:, None], face.indices], u) - grad[n, s]
+            # a rep whose solve ended last round (no descent, iteration cap)
+            # came back only for the gap at its final weights
+            at_gap, repeat = gap <= config.tolerance, face.active[n, s]
+            if ending or (at_gap | repeat).any():
+                fresh = reason == 0
+                reason[fresh & repeat] = _REPEAT
+                reason[fresh & at_gap] = _GAP
+                gap, s = finish(reason != 0, gap, s, it)
+                if not n.size:
+                    break
+            taken = face.append(s)
+            if not taken.all():
+                reason[~taken] = _REPEAT
+                gap, s = finish(~taken, gap, s, it)
+                if not n.size:
+                    break
+
+            # Wolfe's minor cycles: the first pass takes every rep, later
+            # passes the reps whose last one was a drop step
+            pending = n
+            while pending.size:
+                sel = slice(None) if pending is n else pending
+                v = face.minimizer(sel)
+                k = face.k[sel]
+                new = np.maximum(v, 0.0)
+                # the usual pass: every support weight of v is positive (v is
+                # 0 past the support), so each rep is done and keeps its face
+                if (np.add.reduce(v > 0.0, axis=1) > k).all():
+                    u[sel] = new
+                    break
+                up = u[sel]
+                done = v.min(axis=1) >= -1e-12
+                m = np.arange(pending.size)
+                starved = v[m, k] <= 0.0
+                if starved.any():
+                    # rounding starved the new vertex; take a plain
+                    # line-search step toward it instead of cycling
+                    starved &= face.indices[pending, k] == s[sel]
+                    w = starved.nonzero()[0]
+                    d = -up[w]
+                    d[m[: w.size], k[w]] += 1.0
+                    values = face.point(d, pending[w])
+                    curv = _rowdot(values, values)
+                    step = np.where(curv <= 0.0, 1.0, np.fmin(1.0, gap[pending[w]] / (2.0 * curv)))
+                    line = up[w] * (1.0 - step)[:, None]
+                    line[m[: w.size], k[w]] += step
+                    new[w] = line
+                    done |= starved
+                stepping = (~done).nonzero()[0]
+                if stepping.size:
+                    # a drop step: move toward v until the first weight reaches 0
+                    uw, vw = up[stepping], v[stepping]
+                    ratio = np.where(vw < 0.0, uw / (uw - vw), np.inf).min(axis=1)
+                    moved = uw + ratio[:, None] * (vw - uw)
+                    moved[moved <= 1e-14] = 0.0
+                    new[stepping] = moved
+                    drop_steps[pending[stepping]] += 1
+                # a rep with a support weight not > 0 (a NaN leaves the face as
+                # a zero does) has fewer than k + 1 positive weights
+                leaving = (np.add.reduce(new > 0.0, axis=1) <= k).nonzero()[0]
+                if leaving.size:
+                    out = ~(new[leaving] > 0.0) & (slots <= k[leaving, None])
+                    face.drop(pending[leaving], out)
+                    for i, gone in zip(leaving.tolist(), out):
+                        kept = new[i, ~gone]
+                        new[i, kept.size :] = 0.0
+                        new[i, : kept.size] = kept
+                if pending is n:
+                    u = new
+                else:
+                    u[pending] = new
+                pending = pending[stepping]
+
+            u /= np.add.reduce(u, axis=1)[:, None]
+            resid = face.point(u) - face.target
+            value = _rowdot(resid, resid)
             # no measurable descent left; stop rather than stall
-            stop_reason = "no_descent"
-            break
-        best_value = value
+            worse = value >= best
+            best = value
+            capped = it == config.max_iterations
+            ending = capped or worse.any()
+            if ending:
+                reason[:] = np.where(worse, _NO_DESCENT, _MAX_ITERATIONS if capped else 0)
+    return results
 
-    grad = A @ (2.0 * resid)
-    gap = max(float(grad[face.indices[: face.k + 1]] @ u) - float(np.minimum.reduce(grad)), 0.0)
-    return face, u, gap, iterations, stop_reason, kkt_solves, drop_steps
+
+def erm_convex_hull_batch(dictionary: Dictionary, datasets, config: SolverConfig | None = None) -> list:
+    """Minimize each dataset's squared risk over the convex hull of the
+    dictionary, as one batched solve; returns one ErmSolution per dataset.
+
+    Each dataset is a weighted-atom measure: a sample (empirical risk) or a
+    problem (exact population risk).  Ties in the linear-minimization
+    oracle break to the lowest dictionary index, and a dataset's solution
+    has the same bits in any batch (see `_minimize_fw`), so the output is
+    deterministic.
+    """
+    cfg = config or SolverConfig()
+    F = dictionary.values
+    datasets = list(datasets)
+    inputs = [_least_squares(dictionary, data) for data in datasets]
+    root = np.array([root for root, _ in inputs]).reshape(len(inputs), F.shape[1])
+    target = np.array([target for _, target in inputs]).reshape(root.shape)
+    solutions = []
+    for data, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
+        datasets, _minimize_fw(F, root, target, cfg)
+    ):
+        w = np.zeros(dictionary.size_M)
+        w[support] = u
+        solutions.append(
+            ErmSolution(
+                weights=SimplexWeights(w),
+                empirical_risk=max(risk.empirical_risk(w @ F, data), 0.0),
+                duality_gap=gap,
+                iterations=iterations,
+                converged=gap <= cfg.tolerance,
+                stop_reason=stop_reason,
+                kkt_solves=kkt_solves,
+                drop_steps=drop_steps,
+            )
+        )
+    return solutions
 
 
 def erm_convex_hull(
@@ -330,27 +528,11 @@ def erm_convex_hull(
     """Minimize the squared risk over the convex hull of the dictionary.
 
     `data` is a weighted-atom measure: a sample (empirical risk) or a
-    problem (exact population risk).  Ties in the linear-minimization
-    oracle break to the lowest dictionary index, so the output is
-    deterministic.
+    problem (exact population risk).  This is a batch of one of
+    `erm_convex_hull_batch`, so it gives the bits that dataset gets in any
+    batch.
     """
-    cfg = config or SolverConfig()
-    face, u, gap, iterations, stop_reason, kkt_solves, drop_steps = _minimize_fw(
-        *_least_squares(dictionary, data), cfg
-    )
-    w = np.zeros(dictionary.size_M)
-    w[face.support] = u
-    f = w @ dictionary.values
-    return ErmSolution(
-        weights=SimplexWeights(w),
-        empirical_risk=max(risk.empirical_risk(f, data), 0.0),
-        duality_gap=gap,
-        iterations=iterations,
-        converged=gap <= cfg.tolerance,
-        stop_reason=stop_reason,
-        kkt_solves=kkt_solves,
-        drop_steps=drop_steps,
-    )
+    return erm_convex_hull_batch(dictionary, [data], config)[0]
 
 
 def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:

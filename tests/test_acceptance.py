@@ -12,9 +12,11 @@ import pytest
 
 from cvxagg.experiments import (
     ExperimentConfig,
+    derive_seed,
     make_problem,
     population_oracle,
     run_grid,
+    run_trial,
 )
 from cvxagg.localization import (
     calibrate_c0,
@@ -334,3 +336,23 @@ def test_criterion_11_determinism(tmp_path):
         tmp_path / "parallel" / "report.json"
     ).read_bytes()
     _report(11, "byte-identical trials.csv and report.json across reruns and --jobs", ok, started)
+
+
+def test_criterion_12_batch_invariance(rate_report):
+    # criterion 6's run solved each cell's trials in batches of 13 (jobs=4);
+    # the first five trials of every cell, each solved alone, give the same bits
+    started = time.time()
+    cfg, report = rate_report
+    ok = True
+    for record in report.records:
+        if record.replication >= 5:
+            continue
+        problem, dictionary = make_problem(
+            cfg.problem_kind, cfg.atoms_K, record.M, cfg.bound_b,
+            derive_seed(cfg.master_seed, record.n, record.M, "problem"), cfg.noise,
+        )
+        alone, _ = run_trial(
+            problem, dictionary, record.n, cfg.solver, record.seed, record.replication, record.oracle_risk
+        )
+        ok = ok and alone == record
+    _report(12, "trials solved alone match the batched rate run bit for bit", ok, started)

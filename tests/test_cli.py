@@ -472,6 +472,28 @@ def test_experiment_subcommand(workspace, capsys):
     assert len(report["points"]) == 2
 
 
+def test_experiment_says_which_deviation_rows_cannot_fail(workspace, capsys):
+    out_dir = workspace["dir"] / "results"
+    argv = ["experiment", "--out", str(out_dir), "--config"]
+    for name, x_levels in (("both", (1.0, 2.0)), ("two", (2.0,))):
+        cfg = ExperimentConfig(grid=((48, 2), (48, 3)), replications=4, master_seed=6, x_levels=x_levels)
+        save_config(cfg, workspace["dir"] / f"{name}.json")
+    assert main(argv + [str(workspace["dir"] / "both.json")]) == 0
+    both = capsys.readouterr()
+    assert both.err.splitlines() == [
+        f"note: x=1.0: the bound 4 exp(-x) = {4.0 * math.exp(-1.0)!r} is at least 1, so its deviation rows cannot fail"
+    ]
+    trials, report = ((out_dir / name).read_bytes() for name in ("trials.csv", "report.json"))
+    # the note is on stderr only: stdout, trials.csv and the x = 2 rows of
+    # report.json are those of a run without x = 1
+    assert main(argv + [str(workspace["dir"] / "two.json")]) == 0
+    alone = capsys.readouterr()
+    assert alone.err == "" and alone.out == both.out
+    assert (out_dir / "trials.csv").read_bytes() == trials
+    rows = json.loads(report)["deviation"]
+    assert json.loads((out_dir / "report.json").read_text())["deviation"] == [row for row in rows if row["x"] == 2.0]
+
+
 @pytest.mark.parametrize(
     "raw, key",
     [

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from cvxagg.experiments import make_problem
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk, population_risk
-from cvxagg.solver import SolverConfig, _Face, _least_squares, erm_convex_hull, erm_segment
+from cvxagg.solver import (
+    SolverConfig,
+    _Face,
+    _least_squares,
+    _minimize_fw,
+    erm_convex_hull,
+    erm_convex_hull_batch,
+    erm_segment,
+)
 from cvxagg.sparsify import enumerate_net
 
 from _support import (
@@ -410,27 +418,37 @@ def test_hull_solution_scales_with_the_data(exponent):
         assert scaled.empirical_risk == pytest.approx(scale**2 * base.empirical_risk, rel=1e-10)
 
 
-def _assert_face_matches_lstsq(face, A, target):
-    """The factor's corrective minimizer equals lstsq's on the same face."""
-    rows = A[face.support]
+def _rep_data(face, b):
+    """Rep b's vertex matrix A_b = F * root[b] and its target."""
+    return face.F * face.root[b], face.target[b]
+
+
+def _assert_face_matches_lstsq(face, b):
+    """Rep b's corrective minimizer equals lstsq's on the same face, and is 0 past it."""
+    A, target = _rep_data(face, b)
+    rows = A[face.support(b)]
     z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
     expected = np.concatenate([[1.0 - z.sum()], z])
-    got = face.minimizer()
-    assert got.shape == expected.shape
-    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    got = face.minimizer(np.array([b]))[0]
+    assert got.shape == (face.capacity + 1,) and not got[expected.size :].any()
+    assert np.linalg.norm(got[: expected.size] - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def _assert_factor_is_current(face, A, target, tol=1e-12):
-    """Q.T Q = I, D = Q R, T R = I and c = Q.T (target - a0) on the current face.
+def _assert_factor_is_current(face, b, tol=1e-12):
+    """Q.T Q = I, D = Q R, T R = I and c = Q.T (target - a0) on rep b's current
+    face, and every buffer entry past that face is 0.
 
     Nothing ever recomputes the factor, so these must hold after any run of
     appends and drops.  D and c are differences of vertices and the target,
-    rounded at their scale, so they are compared relative to it.
+    rounded at their scale, so they are compared relative to it.  The zero
+    padding is what keeps the shapes of a rep's products the same in any
+    batch.
     """
-    k, C = face.k, face.capacity
-    B = face.rows[:k]
+    A, target = _rep_data(face, b)
+    k, C = face.k[b], face.capacity
+    B = face.rows[b, :k]
     R, T, c, Q = B[:, :k], B[:, C : C + k].T, B[:, 2 * C], B[:, 2 * C + 1 :].T
-    rows = A[face.support]
+    rows = A[face.support(b)]
     D, offset = (rows[1:] - rows[0]).T, target - rows[0]
     identity, scale = np.eye(k), np.linalg.norm(rows) + np.linalg.norm(target)
     assert np.array_equal(R, np.triu(R)) and np.array_equal(T, np.triu(T))
@@ -438,30 +456,43 @@ def _assert_factor_is_current(face, A, target, tol=1e-12):
     assert np.linalg.norm(D - Q @ R) <= tol * scale
     assert np.linalg.norm(T @ R - identity) <= tol * np.linalg.norm(T) * np.linalg.norm(R)
     assert np.linalg.norm(c - Q.T @ offset) <= tol * scale
-    assert np.array_equal(face.offset, offset)
+    assert np.array_equal(face.offset[b], offset)
+    assert not face.rows[b, k:].any()
+    assert not face.rows[b, :, k:C].any() and not face.rows[b, :, C + k : 2 * C].any()
 
 
-def _assert_mask_is_current(face):
-    """The membership mask marks exactly the support."""
-    assert np.array_equal(np.flatnonzero(face.active), np.sort(face.support))
+def _assert_mask_is_current(face, b):
+    """Rep b's membership mask marks exactly its support."""
+    assert np.array_equal(np.flatnonzero(face.active[b]), np.sort(face.support(b)))
 
 
-def _append_checked(face, A, s):
-    """Append s; a refused vertex must lie in the span of the face's differences
-    and leave the membership mask as it was."""
-    k, active = face.k, face.active.copy()
-    if face.append(s):
-        assert face.k == k + 1 and face.support[-1] == s
-        _assert_mask_is_current(face)
-    else:
-        assert face.k == k and s not in face.support
-        assert np.array_equal(face.active, active)
-        rows = A[face.support]
-        d = A[s] - rows[0]
-        if k:
-            D = (rows[1:] - rows[0]).T
-            d = d - D @ np.linalg.lstsq(D, d, rcond=None)[0]
-        assert np.linalg.norm(d) <= 1e-10 * np.linalg.norm(A[s] - rows[0])
+def _append_checked(face, reps, s):
+    """Append s[i] to rep reps[i]; a refused vertex must lie in the span of
+    that rep's face differences and leave its membership mask as it was."""
+    k, active = face.k[reps].copy(), face.active[reps].copy()
+    taken = face.append(s, reps)
+    for i, b in enumerate(reps.tolist()):
+        if taken[i]:
+            assert face.k[b] == k[i] + 1 and face.support(b)[-1] == s[i]
+            _assert_mask_is_current(face, b)
+        else:
+            assert face.k[b] == k[i] and s[i] not in face.support(b)
+            assert np.array_equal(face.active[b], active[i])
+            A, _ = _rep_data(face, b)
+            rows = A[face.support(b)]
+            d = A[s[i]] - rows[0]
+            if k[i]:
+                D = (rows[1:] - rows[0]).T
+                d = d - D @ np.linalg.lstsq(D, d, rcond=None)[0]
+            assert np.linalg.norm(d) <= 1e-10 * np.linalg.norm(A[s[i]] - rows[0])
+
+
+def _drop_positions(face, drops):
+    """Drop, from each rep b in the dict, the support positions drops[b]."""
+    mask = np.zeros((len(drops), face.capacity + 1), dtype=bool)
+    for i, positions in enumerate(drops.values()):
+        mask[i, positions] = True
+    face.drop(np.array(list(drops)), mask)
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,72 +502,89 @@ def _append_checked(face, A, s):
     exponent=st.integers(-6, 6),
     zero_columns=st.booleans(),
     duplicate_rows=st.booleans(),
-    moves=st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=40),
+    moves=st.lists(st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=40), min_size=1, max_size=3),
 )
 def test_face_factor_matches_lstsq_over_add_drop_sequences(
     seed, K, exponent, zero_columns, duplicate_rows, moves
 ):
-    # a nonnegative move enters vertex move % M; a negative one drops the
-    # support positions named by the bits of -move (position 0 is the base)
+    # each rep of one face runs its own sequence of moves: a nonnegative move
+    # enters vertex move % M; a negative one drops the support positions named
+    # by the bits of -move (position 0 is the base)
     rng = np.random.default_rng(seed)
-    M = 2 * K + 3
-    A = rng.uniform(-1.0, 1.0, size=(M, K))
-    if zero_columns:
-        A[:, : (K + 1) // 2] = 0.0  # design points the data gives no mass
+    M, reps = 2 * K + 3, len(moves)
+    F = rng.uniform(-1.0, 1.0, size=(M, K)) * 10.0**exponent
     if duplicate_rows:
-        A[M // 2 :] = A[: M - M // 2]
-    A *= 10.0**exponent
-    target = rng.uniform(-1.0, 1.0, size=K) * 10.0**exponent
-    face = _Face(A, target, int(rng.integers(M)))
-    _assert_face_matches_lstsq(face, A, target)
-    _assert_mask_is_current(face)
-    for move in moves:
-        if move >= 0:
-            if move % M in face.support:
+        F[M // 2 :] = F[: M - M // 2]
+    root = rng.uniform(0.5, 1.5, size=(reps, K))
+    if zero_columns:
+        root[:, : (K + 1) // 2] = 0.0  # design points the data gives no mass
+    target = rng.uniform(-1.0, 1.0, size=(reps, K)) * 10.0**exponent
+    face = _Face(F, root, target, rng.integers(M, size=reps))
+    for b in range(reps):
+        _assert_face_matches_lstsq(face, b)
+        _assert_mask_is_current(face, b)
+    for step in range(max(map(len, moves))):
+        adds, drops = {}, {}
+        for b, sequence in enumerate(moves):
+            if step >= len(sequence):
                 continue
-            _append_checked(face, A, move % M)
-        else:
-            n = len(face.support)
-            positions = [i for i in range(n) if (-move >> i) & 1][: n - 1]
-            if not positions:
-                continue
-            face.drop(positions)
-        assert face.k == len(face.support) - 1
-        _assert_mask_is_current(face)
-        _assert_factor_is_current(face, A, target)
-        _assert_face_matches_lstsq(face, A, target)
+            move = sequence[step]
+            if move >= 0:
+                if move % M not in face.support(b):
+                    adds[b] = move % M
+            else:
+                n = len(face.support(b))
+                positions = [i for i in range(n) if (-move >> i) & 1][: n - 1]
+                if positions:
+                    drops[b] = positions
+        if adds:
+            _append_checked(face, np.array(list(adds)), np.array(list(adds.values())))
+        if drops:
+            _drop_positions(face, drops)
+        for b in range(reps):
+            assert face.k[b] == len(face.support(b)) - 1
+            _assert_mask_is_current(face, b)
+            _assert_factor_is_current(face, b)
+            _assert_face_matches_lstsq(face, b)
 
 
 @pytest.mark.parametrize("case", ["base_deletion", "full_face", "zero_mass_columns", "duplicate_rows"])
 def test_face_factor_cases(case):
     rng = np.random.default_rng(71)
-    K, M = 5, 12
-    A = rng.uniform(-1.0, 1.0, size=(M, K))
+    K, M, reps = 5, 12, 3
+    F = rng.uniform(-1.0, 1.0, size=(M, K))
+    root = rng.uniform(0.5, 1.5, size=(reps, K))
     if case == "zero_mass_columns":
-        A[:, [1, 3]] = 0.0
+        root[:, [1, 3]] = 0.0
     if case == "duplicate_rows":
-        A[6:] = A[:6]
-    target = rng.uniform(-1.0, 1.0, size=K)
-    face = _Face(A, target, 0)
+        F[6:] = F[:6]
+    target = rng.uniform(-1.0, 1.0, size=(reps, K))
+    face = _Face(F, root, target, np.zeros(reps, dtype=np.intp))
+    every = np.arange(reps)
     for s in range(1, M):
-        _append_checked(face, A, s)
-        _assert_face_matches_lstsq(face, A, target)
+        _append_checked(face, every, np.full(reps, s))
+        for b in every:
+            _assert_face_matches_lstsq(face, b)
     rank = {"zero_mass_columns": K - 2}.get(case, K)
-    assert face.k == rank  # the face spans the rank of A, and nothing more enters
-    if case == "duplicate_rows":
-        assert not set(face.support) & set(range(6, M))
-    _assert_factor_is_current(face, A, target)
-    support = face.support.tolist()
-    face.drop([0, 2])  # the base vertex leaves with another
-    assert face.support.tolist() == support[1:2] + support[3:]
-    _assert_mask_is_current(face)
-    _assert_factor_is_current(face, A, target)
-    _assert_face_matches_lstsq(face, A, target)
-    face.drop([1])
-    assert face.support.tolist() == support[1:2] + support[4:]
-    _assert_mask_is_current(face)
-    _assert_factor_is_current(face, A, target)
-    _assert_face_matches_lstsq(face, A, target)
+    for b in every:
+        assert face.k[b] == rank  # the face spans the rank of A, and nothing more enters
+        if case == "duplicate_rows":
+            assert not set(face.support(b)) & set(range(6, M))
+        _assert_factor_is_current(face, b)
+    # each rep drops its own positions in two batched drops; rep 0 drops the
+    # base vertex with another, rep 1 drops the base alone on its second drop
+    sequences = {0: ([0, 2], [1]), 1: ([1, 3], [0]), 2: ([2], [0, 1])}
+    supports = {b: face.support(b).tolist() for b in every}
+    support = supports[0]
+    for turn, expected in enumerate((support[1:2] + support[3:], support[1:2] + support[4:])):
+        _drop_positions(face, {b: sequences[b][turn] for b in every})
+        assert face.support(0).tolist() == expected
+        for b in every:
+            supports[b] = [j for i, j in enumerate(supports[b]) if i not in sequences[b][turn]]
+            assert face.support(b).tolist() == supports[b]
+            _assert_mask_is_current(face, b)
+            _assert_factor_is_current(face, b)
+            _assert_face_matches_lstsq(face, b)
 
 
 @pytest.mark.parametrize(
@@ -544,19 +592,19 @@ def test_face_factor_cases(case):
     [
         ("outside-hull", 16, 64, 256, range(20)),
         ("outside-hull", 128, 512, 1024, range(3)),
-        # faces of about 50 vertices, with drops, three of them of the base vertex
+        # faces of about 50 vertices, with drops, three of them of the base
+        # vertex, and two in the batch of both samples of the seed-0 problem
         ("inside-hull", 64, 256, 1024, range(2)),
     ],
 )
 def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
     # the updated factor replaces a fresh lstsq per corrective step; the
-    # iterates must not move
-    for seed in seeds:
-        p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
-        s = sample(p, n, seed=seed)
-        sol = erm_convex_hull(d, s)
+    # iterates must not move, for a sample solved alone or in a batch of
+    # samples of one problem
+    def follows(sol, d, s):
+        root, target = _least_squares(d, s)
         support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = lstsq_minimize_fw(
-            *_least_squares(d, s), SolverConfig()
+            d.values * root, target, SolverConfig()
         )
         w = np.zeros(M)
         w[support] = u
@@ -564,6 +612,15 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
         assert (sol.kkt_solves, sol.drop_steps) == (kkt_solves, drop_steps)
         assert np.abs(sol.weights.weights - w).max() <= 1e-12
         assert sol.duality_gap == pytest.approx(gap, rel=0.0, abs=1e-12)
+
+    for seed in seeds:
+        p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
+        s = sample(p, n, seed=seed)
+        follows(erm_convex_hull(d, s), d, s)
+    p, d = make_problem(kind, K=K, M=M, b=1.0, seed=0)
+    samples = [sample(p, n, seed=seed) for seed in seeds]
+    for sol, s in zip(erm_convex_hull_batch(d, samples), samples):
+        follows(sol, d, s)
 
 
 def test_a_vertex_spanned_by_the_face_ends_the_solve():
@@ -580,3 +637,55 @@ def test_a_vertex_spanned_by_the_face_ends_the_solve():
     assert np.count_nonzero(sol.weights.weights) <= K + 1
     assert sol.empirical_risk <= 1e-30
     assert sol.duality_gap <= 1e-15
+
+
+def _solve_key(solve):
+    """A rep's solve as bytes and numbers, so that == compares every bit."""
+    support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = solve
+    return (support.tobytes(), u.tobytes(), float(gap).hex(), iterations, stop_reason, kkt_solves, drop_steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["inside-hull", "outside-hull", "pure-noise"]),
+    K=st.sampled_from([1, 2, 3, 4, 5, 6, 16, 256]),
+    M=st.sampled_from([1, 2, 3, 8, 17, 64, 512]),
+    n=st.sampled_from([4, 256, 4096]),
+    reps=st.integers(1, 5),
+    exponent=st.integers(-6, 6),
+    duplicate_rows=st.booleans(),
+    stopping=st.sampled_from(["gap", "cap", "tiny tolerance"]),
+)
+def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, exponent, duplicate_rows, stopping):
+    # a rep's weights, gap, iterations, stop reason and counters have the same
+    # bits alone, in a permuted, sliced or duplicated batch, and from
+    # non-contiguous inputs; the reps are samples of one problem, as in a
+    # rate-grid cell, and n = 4 leaves design points with zero mass
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
+    F = scale * d.values
+    if duplicate_rows:
+        F[M // 2 :] = F[: M - M // 2]
+    inputs = [_least_squares(d, sample(p, n, seed=seed + r)) for r in range(reps)]
+    root = np.array([root for root, _ in inputs])
+    target = scale * np.array([target for _, target in inputs])
+    config = {
+        "gap": SolverConfig(tolerance=1e-8 * scale**2),
+        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
+        "tiny tolerance": SolverConfig(tolerance=1e-300),
+    }[stopping]
+    alone = [_solve_key(_minimize_fw(F, root[r : r + 1], target[r : r + 1], config)[0]) for r in range(reps)]
+    whole = [_solve_key(solve) for solve in _minimize_fw(F, root, target, config)]
+    assert whole == alone
+    order = rng.permutation(reps)
+    assert [_solve_key(x) for x in _minimize_fw(F, root[order], target[order], config)] == [alone[r] for r in order]
+    lo, hi = sorted(rng.integers(0, reps + 1, size=2))
+    assert [_solve_key(x) for x in _minimize_fw(F, root[lo:hi], target[lo:hi], config)] == alone[lo:hi]
+    repeats = rng.integers(0, reps, size=reps + 3)
+    assert [_solve_key(x) for x in _minimize_fw(F, root[repeats], target[repeats], config)] == [alone[r] for r in repeats]
+    strided_root, strided_target = np.zeros((reps, 2 * K)), np.zeros((2 * K, reps))
+    strided_root[:, ::2], strided_target[::2] = root, target.T
+    got = _minimize_fw(np.asfortranarray(F), strided_root[:, ::2], strided_target[::2].T, config)
+    assert [_solve_key(x) for x in got] == alone
