@@ -215,34 +215,40 @@ def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSo
     return solution
 
 
-def run_trials(
-    problem: DiscreteProblem,
-    dictionary: Dictionary,
-    n: int,
-    solver_config: SolverConfig,
-    trials,
-    oracle_risk: float,
-) -> list[tuple[TrialRecord, ErmSolution]]:
-    """Draw a size-n sample per (replication, seed) trial, run hull ERM on
-    all of them as one batch, and record each exact population excess.
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """What the trials of one (n, M) grid cell share: the problem, its
+    dictionary, the sample size n, and the population hull minimum
+    oracle_risk, computed once per problem."""
 
-    Returns each trial's record and its hull solve, in order.  oracle_risk
-    is the population hull minimum, computed once per problem and shared by
-    its trials.  A trial's solve has the same bits in any batch, so any
-    split of the trials gives the same records.
+    problem: DiscreteProblem
+    dictionary: Dictionary
+    n: int
+    oracle_risk: float
+
+
+def run_trials(trials, solver_config: SolverConfig) -> list[tuple[TrialRecord, ErmSolution]]:
+    """Draw a size-n sample per (cell, replication, seed) trial, run hull ERM
+    on all of them as one batch, and record each exact population excess.
+
+    The trials may come from several cells, as long as their dictionaries
+    share one shape (M, K), as the cells of one M in a rate grid do.
+    Returns each trial's record and its hull solve, in order.  A trial's
+    solve has the same bits in any batch, so any split of the trials gives
+    the same records.
     """
     trials = list(trials)
-    draws = [sample(problem, n, seed) for _, seed in trials]
-    solutions = erm_convex_hull_batch(dictionary, draws, solver_config)
+    draws = [sample(cell.problem, cell.n, seed) for cell, _, seed in trials]
+    solutions = erm_convex_hull_batch([cell.dictionary for cell, _, _ in trials], draws, solver_config)
     out = []
-    for (replication, seed), solution in zip(trials, solutions):
-        fitted = combine(dictionary, solution.weights)
+    for (cell, replication, seed), solution in zip(trials, solutions):
+        fitted = combine(cell.dictionary, solution.weights)
         record = TrialRecord(
-            n=n,
-            M=dictionary.size_M,
+            n=cell.n,
+            M=cell.dictionary.size_M,
             replication=replication,
-            excess_risk=population_risk(fitted, problem) - oracle_risk,
-            oracle_risk=oracle_risk,
+            excess_risk=population_risk(fitted, cell.problem) - cell.oracle_risk,
+            oracle_risk=cell.oracle_risk,
             seed=seed,
             converged=solution.converged,
         )
@@ -260,20 +266,20 @@ def run_trial(
     oracle_risk: float,
 ) -> tuple[TrialRecord, ErmSolution]:
     """One trial of `run_trials`: a batch of one."""
-    return run_trials(problem, dictionary, n, solver_config, [(replication, seed)], oracle_risk)[0]
+    return run_trials([(Cell(problem, dictionary, n, oracle_risk), replication, seed)], solver_config)[0]
 
 
 # the ErmSolution counters that report.json sums up per cell
 _SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "duality_gap")
 
 
-def _cell_task(args) -> list[tuple[TrialRecord, dict]]:
-    """A chunk of one cell's trials, solved as one batch, each with its
-    solve's counters (the weights are left behind)."""
-    problem, dictionary, n, solver_cfg, oracle_risk, jobs_chunk = args
+def _batch_task(args) -> list[tuple[TrialRecord, dict]]:
+    """A batch of trials, solved together, each with its solve's counters
+    (the weights are left behind)."""
+    trials, solver_cfg = args
     return [
         (record, {name: getattr(solution, name) for name in _SOLVE_COUNTERS})
-        for record, solution in run_trials(problem, dictionary, n, solver_cfg, jobs_chunk, oracle_risk)
+        for record, solution in run_trials(trials, solver_cfg)
     ]
 
 
@@ -299,18 +305,21 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     Its hull minimum is the Bayes risk for inside-hull problems and a
     `population_oracle` solve for the other kinds.
 
-    A cell's trials are hull-solved together (`run_trials`): with one
-    worker, all of a cell's replications form one batch; with more, each
-    worker takes batches of about a quarter of its share.  A batch runs
-    about as many Frank-Wolfe rounds as its longest solve has iterations,
-    where one-at-a-time solving ran the sum of them.  A trial's solve has
-    the same bits in any batch (see `solver`), so when out_dir is given,
+    Trials are hull-solved in batches (`run_trials`), and every cell's
+    dictionary is (M, atoms_K), so the trials of all the cells of one M can
+    share a batch.  With one worker, each M's trials form one batch; with
+    more, each M's trials are cut into batches of about a quarter of a
+    worker's share, and no more workers start than there are batches.  A
+    batch runs about as many Frank-Wolfe rounds as its longest solve has
+    iterations, where one-at-a-time solving ran the sum of them.  The
+    records come in grid order, then replication order.  A trial's solve
+    has the same bits in any batch (see `solver`), so when out_dir is given,
     trials.csv and report.json are written there with bytes identical for
     any worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    tasks = []
+    by_m: dict[int, list] = {}
     for n, M in cfg.grid:
         problem_seed = derive_seed(cfg.master_seed, n, M, "problem")
         problem, dictionary = make_problem(
@@ -320,29 +329,29 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
             oracle_risk = bayes_risk(problem)
         else:
             oracle_risk = population_oracle(dictionary, problem).empirical_risk
-        chunk = [
-            (rep, derive_seed(cfg.master_seed, n, M, rep))
-            for rep in range(cfg.replications)
-        ]
-        # one batch per cell on one worker; with more, a few chunks per worker
-        step = len(chunk) if jobs == 1 else max(1, math.ceil(len(chunk) / jobs / 4))
-        for start in range(0, len(chunk), step):
-            tasks.append((problem, dictionary, n, cfg.solver, oracle_risk, chunk[start : start + step]))
+        cell = Cell(problem, dictionary, n, oracle_risk)
+        by_m.setdefault(M, []).extend(
+            (cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications)
+        )
+    batches = []
+    for trials in by_m.values():
+        # one batch per M on one worker; with more, a few batches per worker
+        step = len(trials) if jobs == 1 else max(1, math.ceil(len(trials) / jobs / 4))
+        batches.extend((trials[start : start + step], cfg.solver) for start in range(0, len(trials), step))
 
     if jobs == 1:
-        chunks = [_cell_task(t) for t in tasks]
+        solved = [_batch_task(batch) for batch in batches]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_cell_task, tasks))
-    trials = [trial for chunk in chunks for trial in chunk]
-    records = [record for record, _ in trials]
-    incomplete = any(not r.converged for r in records)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            solved = list(pool.map(_batch_task, batches))
 
-    by_cell: dict[tuple[int, int], list[TrialRecord]] = {}
-    solves: dict[tuple[int, int], list[dict]] = {}
-    for record, solve in trials:
-        by_cell.setdefault((record.n, record.M), []).append(record)
-        solves.setdefault((record.n, record.M), []).append(solve)
+    by_cell: dict[tuple[int, int], list[TrialRecord]] = {key: [] for key in cfg.grid}
+    solves: dict[tuple[int, int], list[dict]] = {key: [] for key in cfg.grid}
+    for record, solve in (trial for batch in solved for trial in batch):
+        by_cell[(record.n, record.M)].append(record)
+        solves[(record.n, record.M)].append(solve)
+    records = [record for cell_records in by_cell.values() for record in cell_records]
+    incomplete = any(not r.converged for r in records)
 
     points = []
     for n, M in cfg.grid:

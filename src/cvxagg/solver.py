@@ -13,14 +13,16 @@ for the factor, C = min(K, M - 1), and the solver holds O(M K) memory, with
 no M x M Gram matrix.  Termination is certified by the linear-minimization
 duality gap, which upper bounds the suboptimality of the returned iterate.
 
-The solver is batched: `erm_convex_hull_batch` solves many datasets on one
-dictionary, such as a rate-grid cell's replications, in rounds of one
-iteration of every dataset still running, so the per-call cost of numpy is
-paid once per round instead of once per dataset.  `erm_convex_hull`, a batch
-of one, serves everything else.  The contract is that a dataset's weights,
-gap, counters and stop reason have the same bits in any batch, so results
-never depend on how the work was split.  Two things keep it.  Every product
-is taken per dataset: `np.matmul` over a stack makes one BLAS call per
+The solver is batched: `erm_convex_hull_batch` solves many datasets, each
+on its own dictionary, as long as every dictionary has one shape (M, K):
+such as the replications of all the rate-grid cells of one M.  It runs in
+rounds of one iteration of every dataset still running, so the per-call
+cost of numpy is paid once per round instead of once per dataset, and it
+holds each distinct dictionary once.  `erm_convex_hull`, a batch of one,
+serves everything else.  The contract is that a dataset's weights, gap,
+counters and stop reason have the same bits in any batch, so results never
+depend on how the work was split.  Two things keep it.  Every product is
+taken per dataset: `np.matmul` over a stack makes one BLAS call per
 dataset, of shapes that depend on that dataset alone, whereas one GEMM over
 the batch rounds a row differently from the same row multiplied alone (on
 OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
@@ -125,6 +127,25 @@ def _matvec(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(Y, x[:, :, None])[:, :, 0]
 
 
+def _runs(which: np.ndarray) -> list:
+    """(g, lo, hi) for each run of reps lo..hi - 1 on dictionary g, for a
+    `which` sorted by dictionary."""
+    edges = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), which.size]
+    return [(int(which[lo]), lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+
+
+def _by_dictionary(x: np.ndarray, Y: list, runs: list) -> np.ndarray:
+    """x[b] @ Y[g] for every rep b, g its dictionary: one stacked product per
+    run of reps on one dictionary, so each rep's product is the one it gets
+    alone.  A batch on one dictionary takes its product whole, uncopied."""
+    if len(runs) == 1:
+        return _vecmat(x, Y[runs[0][0]])
+    out = np.empty((x.shape[0], Y[0].shape[1]))
+    for g, lo, hi in runs:
+        out[lo:hi] = _vecmat(x[lo:hi], Y[g])
+    return out
+
+
 # ErmSolution.stop_reason by the codes the batched solver keeps per rep; 0 is
 # a rep still iterating
 _STOP_REASONS = ("", "gap", "repeat_vertex", "no_descent", "max_iterations")
@@ -134,8 +155,9 @@ _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 class _Face:
     """Each rep's active vertices, with a QR factor of their affine hull kept current.
 
-    A batch of B reps shares the dictionary F; rep b's vertices are the rows
-    of A_b = F * root[b] and its target is target[b].  Per rep, with base
+    F is a (G, M, K) stack of dictionaries, each held once, and rep b's is
+    F[which[b]]; its vertices are the rows of A_b = F[which[b]] * root[b]
+    and its target is target[b].  Per rep, with base
     vertex a0 = A_b[support[0]], the k = |S| - 1 differences
     D = (A_b[support[1:]] - a0).T (K x k) are kept as D = Q R, with Q's
     columns orthonormal and R upper triangular, together with c = Q.T (target
@@ -158,17 +180,17 @@ class _Face:
     factor.  Memory is O(B K C + B M), within the order of the batch's data.
     """
 
-    def __init__(self, F: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
+    def __init__(self, F: np.ndarray, which: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
         B, K = root.shape
-        C = min(K, F.shape[0] - 1)
-        self.F, self.root, self.target, self.K, self.capacity = F, root, target, K, C
+        C = min(K, F.shape[1] - 1)
+        self.F, self.which, self.root, self.target, self.K, self.capacity = F, which, root, target, K, C
         self.k = np.zeros(B, dtype=np.intp)
         self.rows = np.zeros((B, C, 2 * C + 1 + K))
         self.indices = np.zeros((B, C + 1), dtype=np.intp)
         self.vertices = np.zeros((B, C + 1, K))
-        self.active = np.zeros((B, F.shape[0]), dtype=bool)
+        self.active = np.zeros((B, F.shape[1]), dtype=bool)
         self.indices[:, 0] = start
-        self.vertices[:, 0] = F[start] * root
+        self.vertices[:, 0] = F[which, start] * root
         self.active[np.arange(B), start] = True
         self.offset = target - self.vertices[:, 0]
         self.z = np.zeros((B, C))
@@ -178,8 +200,8 @@ class _Face:
         return self.indices[b, : self.k[b] + 1]
 
     def keep(self, mask: np.ndarray) -> None:
-        """Keep only the reps where mask is set."""
-        for name in ("root", "target", "k", "rows", "indices", "vertices", "active", "offset", "z"):
+        """Keep only the reps where mask is set; the dictionaries stay."""
+        for name in ("which", "root", "target", "k", "rows", "indices", "vertices", "active", "offset", "z"):
             setattr(self, name, getattr(self, name)[mask])
 
     def append(self, s: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -197,7 +219,7 @@ class _Face:
         every = b is None
         b, sel = (np.arange(self.k.size), slice(None)) if every else (b, b)
         k = self.k[sel]
-        a = self.F[s] * self.root[sel]
+        a = self.F[self.which[sel], s] * self.root[sel]
         d = a - self.vertices[sel, 0]
         Qt, T = self.rows[sel, :, 2 * C + 1 :], self.rows[sel, :, C : 2 * C]
         w = _matvec(Qt, d)
@@ -306,9 +328,10 @@ class _Face:
         return _vecmat(u, self.vertices[b])
 
 
-def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
-    """Fully corrective Frank-Wolfe on the simplex for ||(w @ F) * root[b] - target[b]||^2,
-    for every rep b of a batch at once.
+def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
+    """Fully corrective Frank-Wolfe on the simplex for
+    ||(w @ F[which[b]]) * root[b] - target[b]||^2, for every rep b of a batch
+    at once; F is a (G, M, K) stack of dictionaries.
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
@@ -324,8 +347,12 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
     triangular inverse R^-1 with c, on top of the iteration's O(MK)
     gradient.  Each iteration forms the residual resid = g - target of its
     fitted values once: its squared norm is the value, and
-    (root * 2 resid) @ F.T the next gradient, where doubling is exact, so no
-    per-rep A = F * root is formed and memory is O(B K + M K).  An entering
+    (root * 2 resid) @ F[which[b]].T the next gradient, where doubling is
+    exact, so no per-rep A_b is formed and memory is O(B K + G M K).  The
+    reps are sorted by dictionary, so each dictionary's reps form one run
+    of the batch and each gradient is one stacked product per run, on a
+    transposed view of that dictionary: a rep's product has the shapes and
+    memory layout it has alone.  An entering
     vertex whose difference is numerically in the span of the face's
     differences ends the rep's solve with "repeat_vertex", as an active one
     does: in exact arithmetic a vertex with a positive gap is affinely
@@ -345,9 +372,13 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
     kkt_solves, drop_steps).
     """
     F, root, target = (np.ascontiguousarray(x, dtype=float) for x in (F, root, target))
-    B = root.shape[0]
-    start = (_vecmat(root * root, (F * F).T) - 2.0 * _vecmat(root * target, F.T)).argmin(axis=1)
-    face = _Face(F, root, target, start)
+    which = np.asarray(which, dtype=np.intp)
+    order = np.argsort(which, kind="stable")
+    which, root, target = which[order], root[order], target[order]
+    B, runs, Ft = root.shape[0], _runs(which), [f.T for f in F]
+    square = _by_dictionary(root * root, [f.T for f in F * F], runs)
+    start = (square - 2.0 * _by_dictionary(root * target, Ft, runs)).argmin(axis=1)
+    face = _Face(F, which, root, target, start)
     C = face.capacity
     slots = np.arange(C + 1)
     u = np.zeros((B, C + 1))
@@ -355,7 +386,7 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
     resid = face.vertices[:, 0] - target
     best = _rowdot(resid, resid)
     root2 = 2.0 * root
-    ids = n = np.arange(B)
+    ids, n = order, np.arange(B)
     reason = np.zeros(B, dtype=np.intp)
     drop_steps = np.zeros(B, dtype=np.intp)
     results = [None] * B
@@ -370,7 +401,7 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
         each round up to it.  Every added vertex costs one corrective solve,
         and every drop step one more.
         """
-        nonlocal u, resid, best, root2, ids, n, reason, drop_steps
+        nonlocal u, resid, best, root2, ids, n, reason, drop_steps, runs
         for i in stopped.nonzero()[0].tolist():
             code = int(reason[i])
             iterations = it if code in (_GAP, _REPEAT) else it - 1
@@ -384,7 +415,7 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
         u, resid, best, root2, ids, reason, drop_steps = (
             x[keep] for x in (u, resid, best, root2, ids, reason, drop_steps)
         )
-        n = np.arange(ids.size)
+        n, runs = np.arange(ids.size), _runs(face.which)
         return gap[keep], s[keep]
 
     ending = False
@@ -394,7 +425,7 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
     with np.errstate(divide="ignore", invalid="ignore"):
         while n.size:
             it += 1
-            grad = _vecmat(root2 * resid, F.T)
+            grad = _by_dictionary(root2 * resid, Ft, runs)
             s = grad.argmin(axis=1)
             gap = _rowdot(grad[n[:, None], face.indices], u) - grad[n, s]
             # a rep whose solve ended last round (no descent, iteration cap)
@@ -483,32 +514,44 @@ def _minimize_fw(F: np.ndarray, root: np.ndarray, target: np.ndarray, config: So
     return results
 
 
-def erm_convex_hull_batch(dictionary: Dictionary, datasets, config: SolverConfig | None = None) -> list:
-    """Minimize each dataset's squared risk over the convex hull of the
+def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = None) -> list:
+    """Minimize each dataset's squared risk over the convex hull of its
     dictionary, as one batched solve; returns one ErmSolution per dataset.
 
-    Each dataset is a weighted-atom measure: a sample (empirical risk) or a
-    problem (exact population risk).  Ties in the linear-minimization
-    oracle break to the lowest dictionary index, and a dataset's solution
-    has the same bits in any batch (see `_minimize_fw`), so the output is
-    deterministic.
+    dictionaries[i] is dataset i's dictionary, and every dictionary of the
+    batch must have one shape (M, K); a dictionary object named by several
+    datasets is held once.  Each dataset is a weighted-atom measure: a
+    sample (empirical risk) or a problem (exact population risk).  Ties in
+    the linear-minimization oracle break to the lowest dictionary index, and
+    a dataset's solution has the same bits in any batch (see
+    `_minimize_fw`), so the output is deterministic.
     """
     cfg = config or SolverConfig()
-    F = dictionary.values
-    datasets = list(datasets)
-    inputs = [_least_squares(dictionary, data) for data in datasets]
-    root = np.array([root for root, _ in inputs]).reshape(len(inputs), F.shape[1])
-    target = np.array([target for _, target in inputs]).reshape(root.shape)
+    dictionaries, datasets = list(dictionaries), list(datasets)
+    if len(dictionaries) != len(datasets):
+        raise ValueError(f"{len(dictionaries)} dictionaries for {len(datasets)} datasets")
+    if not datasets:
+        return []
+    held = list({id(d): d for d in dictionaries}.values())
+    if len({d.values.shape for d in held}) > 1:
+        raise ValueError("the dictionaries of one batch must all have one shape (M, K)")
+    slot = {id(d): g for g, d in enumerate(held)}
+    which = [slot[id(d)] for d in dictionaries]
+    # a lone dictionary, as in every batch of one, is viewed, not copied
+    F = np.stack([d.values for d in held]) if len(held) > 1 else held[0].values[None]
+    inputs = [_least_squares(d, data) for d, data in zip(dictionaries, datasets)]
+    root = np.array([root for root, _ in inputs])
+    target = np.array([target for _, target in inputs])
     solutions = []
-    for data, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
-        datasets, _minimize_fw(F, root, target, cfg)
+    for dictionary, data, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
+        dictionaries, datasets, _minimize_fw(F, which, root, target, cfg)
     ):
         w = np.zeros(dictionary.size_M)
         w[support] = u
         solutions.append(
             ErmSolution(
                 weights=SimplexWeights(w),
-                empirical_risk=max(risk.empirical_risk(w @ F, data), 0.0),
+                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
                 duality_gap=gap,
                 iterations=iterations,
                 converged=gap <= cfg.tolerance,
@@ -532,7 +575,7 @@ def erm_convex_hull(
     `erm_convex_hull_batch`, so it gives the bits that dataset gets in any
     batch.
     """
-    return erm_convex_hull_batch(dictionary, [data], config)[0]
+    return erm_convex_hull_batch([dictionary], [data], config)[0]
 
 
 def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:

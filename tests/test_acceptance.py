@@ -339,8 +339,9 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def test_criterion_12_batch_invariance(rate_report):
-    # criterion 6's run solved each cell's trials in batches of 13 (jobs=4);
-    # the first five trials of every cell, each solved alone, give the same bits
+    # criterion 6's run (jobs=4) batched the 800 trials of each M's four
+    # cells together, cut into batches of 50; the first five trials of every
+    # cell, each solved alone, give the same bits
     started = time.time()
     cfg, report = rate_report
     ok = True

@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 import math
 
 import numpy as np
 import pytest
 
+from cvxagg import experiments
 from cvxagg.experiments import (
     DEFAULT_GRID,
     ORACLE_TOLERANCE,
@@ -207,6 +209,76 @@ def test_run_grid_outputs_byte_identical(tmp_path):
     assert a_json == b_json
     header = a_csv.decode().splitlines()[0]
     assert header == "n,M,replication,excess_risk,oracle_risk,seed,converged"
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace run_grid's process pool by a stand-in that maps the batches in
+    this process, and record every batch run_grid solves, at any jobs.
+
+    Returns (pools, batches): the max_workers each pool was made with, and
+    per batch the (n, M) cells of its trials, in order.
+    """
+    pools, batches = [], []
+    solve = experiments._batch_task
+
+    def recorded(args):
+        batches.append([(cell.n, cell.dictionary.size_M) for cell, _, _ in args[0]])
+        return solve(args)
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, iterable):
+            return [fn(x) for x in iterable]
+
+    monkeypatch.setattr(experiments, "_batch_task", recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return pools, batches
+
+
+def _rows(path):
+    """trials.csv's (n, M, replication) per row, in file order."""
+    return [tuple(map(int, line.split(",")[:3])) for line in path.read_text().splitlines()[1:]]
+
+
+def test_run_grid_rows_come_in_grid_then_replication_order(tmp_path, in_process_pool):
+    # the two cells of each M share batches: at jobs=1 one batch per M, and
+    # at jobs=3 an M's 14 trials go in batches of ceil(14 / 3 / 4) = 2, the
+    # fourth of which holds replication 6 of one cell and 0 of the other
+    pools, batches = in_process_pool
+    grid = ((48, 2), (96, 3), (48, 3), (96, 2))
+    cfg = ExperimentConfig(grid=grid, replications=7, master_seed=3)
+    expected = [(n, M, rep) for n, M in grid for rep in range(7)]
+    run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
+    assert batches == [[(48, 2)] * 7 + [(96, 2)] * 7, [(96, 3)] * 7 + [(48, 3)] * 7]
+    batches.clear()
+    run_grid(cfg, out_dir=tmp_path / "three", jobs=3)
+    assert pools == [3] and len(batches) == 14
+    assert batches[3] == [(48, 2), (96, 2)] and batches[10] == [(96, 3), (48, 3)]
+    for name in ("trials.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+    assert _rows(tmp_path / "one" / "trials.csv") == expected
+
+
+def test_run_grid_starts_no_more_workers_than_batches(tmp_path, in_process_pool):
+    # two cells of two replications make four batches of one at any jobs > 1,
+    # so four workers serve jobs=5000; the stand-in pool starts no process
+    pools, batches = in_process_pool
+    cfg = ExperimentConfig(grid=((32, 2), (32, 3)), replications=2, master_seed=4)
+    run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
+    batches.clear()
+    run_grid(cfg, out_dir=tmp_path / "many", jobs=5000)
+    assert pools == [4] and len(batches) == 4
+    for name in ("trials.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
 
 
 def test_config_round_trip(tmp_path):

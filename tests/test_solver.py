@@ -419,8 +419,8 @@ def test_hull_solution_scales_with_the_data(exponent):
 
 
 def _rep_data(face, b):
-    """Rep b's vertex matrix A_b = F * root[b] and its target."""
-    return face.F * face.root[b], face.target[b]
+    """Rep b's vertex matrix A_b = F[which[b]] * root[b] and its target."""
+    return face.F[face.which[b]] * face.root[b], face.target[b]
 
 
 def _assert_face_matches_lstsq(face, b):
@@ -519,7 +519,7 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
     if zero_columns:
         root[:, : (K + 1) // 2] = 0.0  # design points the data gives no mass
     target = rng.uniform(-1.0, 1.0, size=(reps, K)) * 10.0**exponent
-    face = _Face(F, root, target, rng.integers(M, size=reps))
+    face = _Face(F[None], np.zeros(reps, dtype=np.intp), root, target, rng.integers(M, size=reps))
     for b in range(reps):
         _assert_face_matches_lstsq(face, b)
         _assert_mask_is_current(face, b)
@@ -559,7 +559,7 @@ def test_face_factor_cases(case):
     if case == "duplicate_rows":
         F[6:] = F[:6]
     target = rng.uniform(-1.0, 1.0, size=(reps, K))
-    face = _Face(F, root, target, np.zeros(reps, dtype=np.intp))
+    face = _Face(F[None], np.zeros(reps, dtype=np.intp), root, target, np.zeros(reps, dtype=np.intp))
     every = np.arange(reps)
     for s in range(1, M):
         _append_checked(face, every, np.full(reps, s))
@@ -619,7 +619,7 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
         follows(erm_convex_hull(d, s), d, s)
     p, d = make_problem(kind, K=K, M=M, b=1.0, seed=0)
     samples = [sample(p, n, seed=seed) for seed in seeds]
-    for sol, s in zip(erm_convex_hull_batch(d, samples), samples):
+    for sol, s in zip(erm_convex_hull_batch([d] * len(samples), samples), samples):
         follows(sol, d, s)
 
 
@@ -676,16 +676,97 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
         "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
         "tiny tolerance": SolverConfig(tolerance=1e-300),
     }[stopping]
-    alone = [_solve_key(_minimize_fw(F, root[r : r + 1], target[r : r + 1], config)[0]) for r in range(reps)]
-    whole = [_solve_key(solve) for solve in _minimize_fw(F, root, target, config)]
+
+    def fw(F, root, target):
+        return _minimize_fw(F[None], np.zeros(len(root), dtype=np.intp), root, target, config)
+
+    alone = [_solve_key(fw(F, root[r : r + 1], target[r : r + 1])[0]) for r in range(reps)]
+    whole = [_solve_key(solve) for solve in fw(F, root, target)]
     assert whole == alone
     order = rng.permutation(reps)
-    assert [_solve_key(x) for x in _minimize_fw(F, root[order], target[order], config)] == [alone[r] for r in order]
+    assert [_solve_key(x) for x in fw(F, root[order], target[order])] == [alone[r] for r in order]
     lo, hi = sorted(rng.integers(0, reps + 1, size=2))
-    assert [_solve_key(x) for x in _minimize_fw(F, root[lo:hi], target[lo:hi], config)] == alone[lo:hi]
+    assert [_solve_key(x) for x in fw(F, root[lo:hi], target[lo:hi])] == alone[lo:hi]
     repeats = rng.integers(0, reps, size=reps + 3)
-    assert [_solve_key(x) for x in _minimize_fw(F, root[repeats], target[repeats], config)] == [alone[r] for r in repeats]
+    assert [_solve_key(x) for x in fw(F, root[repeats], target[repeats])] == [alone[r] for r in repeats]
     strided_root, strided_target = np.zeros((reps, 2 * K)), np.zeros((2 * K, reps))
     strided_root[:, ::2], strided_target[::2] = root, target.T
-    got = _minimize_fw(np.asfortranarray(F), strided_root[:, ::2], strided_target[::2].T, config)
+    got = fw(np.asfortranarray(F), strided_root[:, ::2], strided_target[::2].T)
     assert [_solve_key(x) for x in got] == alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["inside-hull", "outside-hull", "pure-noise"]),
+    K=st.sampled_from([1, 2, 3, 5, 16, 64]),
+    M=st.sampled_from([1, 2, 3, 8, 17, 64, 256]),
+    n=st.sampled_from([4, 256, 4096]),
+    dictionaries=st.integers(1, 4),
+    reps=st.integers(1, 8),
+    exponent=st.integers(-6, 6),
+    stopping=st.sampled_from(["gap", "cap", "tiny tolerance"]),
+)
+def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
+    seed, kind, K, M, n, dictionaries, reps, exponent, stopping
+):
+    # reps drawn from several problems, each on its own dictionary of one
+    # shape (M, K) and in any order, as the cells of one M of a rate grid
+    # share a batch: a rep's solve has the same bits alone, in the mixed
+    # batch, and in permuted, sliced, duplicated and non-contiguous batches
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    problems = [make_problem(kind, K=K, M=M, b=1.0, seed=seed + g) for g in range(dictionaries)]
+    F = scale * np.array([d.values for _, d in problems])
+    which = rng.integers(0, dictionaries, size=reps)
+    inputs = [
+        _least_squares(problems[g][1], sample(problems[g][0], n, seed=seed + r)) for r, g in enumerate(which)
+    ]
+    root = np.array([root for root, _ in inputs])
+    target = scale * np.array([target for _, target in inputs])
+    config = {
+        "gap": SolverConfig(tolerance=1e-8 * scale**2),
+        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
+        "tiny tolerance": SolverConfig(tolerance=1e-300),
+    }[stopping]
+
+    def fw(F, which, root, target):
+        return [_solve_key(solve) for solve in _minimize_fw(F, which, root, target, config)]
+
+    alone = [
+        fw(F[g][None], np.zeros(1, dtype=np.intp), root[r : r + 1], target[r : r + 1])[0]
+        for r, g in enumerate(which)
+    ]
+    assert fw(F, which, root, target) == alone
+    order = rng.permutation(reps)
+    assert fw(F, which[order], root[order], target[order]) == [alone[r] for r in order]
+    lo, hi = sorted(rng.integers(0, reps + 1, size=2))
+    assert fw(F, which[lo:hi], root[lo:hi], target[lo:hi]) == alone[lo:hi]
+    repeats = rng.integers(0, reps, size=reps + 3)
+    assert fw(F, which[repeats], root[repeats], target[repeats]) == [alone[r] for r in repeats]
+    # a stack in Fortran order, with every dictionary also held a second
+    # time, and strided rows of root and target
+    doubled = np.asfortranarray(np.concatenate([F, F]))
+    strided_root, strided_target = np.zeros((reps, 2 * K)), np.zeros((2 * K, reps))
+    strided_root[:, ::2], strided_target[::2] = root, target.T
+    twice = which + dictionaries * rng.integers(0, 2, size=reps)
+    assert fw(doubled, twice, strided_root[:, ::2], strided_target[::2].T) == alone
+
+
+def test_a_batch_holds_dictionaries_of_one_shape():
+    # the public batch takes a dictionary per dataset: a mixed batch of one
+    # shape gives each dataset its solution alone, and mixed shapes are refused
+    (p1, d1), (p2, d2), (p3, d3) = (
+        make_problem("outside-hull", K=8, M=M, b=1.0, seed=s) for s, M in ((1, 16), (2, 16), (3, 17))
+    )
+    data = [sample(p, 64, seed=s) for s, p in enumerate((p1, p2, p1))]
+    batch = erm_convex_hull_batch([d1, d2, d1], data)
+    for sol, d, s in zip(batch, (d1, d2, d1), data):
+        lone = erm_convex_hull(d, s)
+        assert sol.weights.weights.tobytes() == lone.weights.weights.tobytes()
+        counters = ("empirical_risk", "duality_gap", "iterations", "stop_reason", "kkt_solves", "drop_steps")
+        assert [getattr(sol, name) for name in counters] == [getattr(lone, name) for name in counters]
+    with pytest.raises(ValueError, match="one shape"):
+        erm_convex_hull_batch([d1, d3], [data[0], sample(p3, 64, seed=0)])
+    with pytest.raises(ValueError, match="dictionaries for"):
+        erm_convex_hull_batch([d1], data)
