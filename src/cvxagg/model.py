@@ -16,7 +16,7 @@ and the empirical risk R_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,13 @@ class Dictionary:
 class SampleSet:
     """n i.i.d. draws (x-index, y), plus the seed that produced them.
 
-    As a measure, every pair carries mass 1/n in `probabilities`.
+    As a measure, every pair carries mass 1/n in `probabilities`, built
+    when asked for rather than held beside the pairs.
     """
 
     x_indices: np.ndarray
     y_values: np.ndarray
     seed: int
-    probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_indices", _freeze(self.x_indices, np.int64))
@@ -126,11 +126,14 @@ class SampleSet:
             raise ValueError("x indices must be nonnegative")
         if not np.all(np.isfinite(self.y_values)):
             raise ValueError("y values must be finite")
-        object.__setattr__(self, "probabilities", _freeze(np.full(self.n, 1.0 / self.n), np.float64))
 
     @property
     def n(self) -> int:
         return self.x_indices.size
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return _freeze(np.full(self.n, 1.0 / self.n), np.float64)
 
 
 def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:

@@ -134,12 +134,18 @@ def _runs(which: np.ndarray) -> list:
     return [(int(which[lo]), lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
 
 
+def _rows(F, runs: list, s: np.ndarray) -> np.ndarray:
+    """Row s[i] of rep i's dictionary for every rep i: one gather per run."""
+    out = np.empty((s.size, F[0].shape[1]))
+    for g, lo, hi in runs:
+        out[lo:hi] = F[g][s[lo:hi]]
+    return out
+
+
 def _by_dictionary(x: np.ndarray, Y: list, runs: list) -> np.ndarray:
     """x[b] @ Y[g] for every rep b, g its dictionary: one stacked product per
     run of reps on one dictionary, so each rep's product is the one it gets
-    alone.  A batch on one dictionary takes its product whole, uncopied."""
-    if len(runs) == 1:
-        return _vecmat(x, Y[runs[0][0]])
+    alone."""
     out = np.empty((x.shape[0], Y[0].shape[1]))
     for g, lo, hi in runs:
         out[lo:hi] = _vecmat(x[lo:hi], Y[g])
@@ -155,9 +161,10 @@ _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 class _Face:
     """Each rep's active vertices, with a QR factor of their affine hull kept current.
 
-    F is a (G, M, K) stack of dictionaries, each held once, and rep b's is
-    F[which[b]]; its vertices are the rows of A_b = F[which[b]] * root[b]
-    and its target is target[b].  Per rep, with base
+    F holds G (M, K) dictionaries, each once and uncopied, and rep b's is
+    F[which[b]]; `runs` lists the runs of reps on one dictionary.  Rep b's
+    vertices are the rows of A_b = F[which[b]] * root[b] and its target is
+    target[b].  Per rep, with base
     vertex a0 = A_b[support[0]], the k = |S| - 1 differences
     D = (A_b[support[1:]] - a0).T (K x k) are kept as D = Q R, with Q's
     columns orthonormal and R upper triangular, together with c = Q.T (target
@@ -180,17 +187,18 @@ class _Face:
     factor.  Memory is O(B K C + B M), within the order of the batch's data.
     """
 
-    def __init__(self, F: np.ndarray, which: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
+    def __init__(self, F, which: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
         B, K = root.shape
-        C = min(K, F.shape[1] - 1)
+        C = min(K, F[0].shape[0] - 1)
         self.F, self.which, self.root, self.target, self.K, self.capacity = F, which, root, target, K, C
+        self.runs = _runs(which)
         self.k = np.zeros(B, dtype=np.intp)
         self.rows = np.zeros((B, C, 2 * C + 1 + K))
         self.indices = np.zeros((B, C + 1), dtype=np.intp)
         self.vertices = np.zeros((B, C + 1, K))
-        self.active = np.zeros((B, F.shape[1]), dtype=bool)
+        self.active = np.zeros((B, F[0].shape[0]), dtype=bool)
         self.indices[:, 0] = start
-        self.vertices[:, 0] = F[which, start] * root
+        self.vertices[:, 0] = _rows(F, self.runs, start) * root
         self.active[np.arange(B), start] = True
         self.offset = target - self.vertices[:, 0]
         self.z = np.zeros((B, C))
@@ -200,9 +208,16 @@ class _Face:
         return self.indices[b, : self.k[b] + 1]
 
     def keep(self, mask: np.ndarray) -> None:
-        """Keep only the reps where mask is set; the dictionaries stay."""
+        """Keep only the reps where mask is set; the dictionaries stay.
+
+        The kept reps move to the front of each buffer, which becomes a view
+        of that prefix, so the buffers are not allocated again as reps finish."""
+        m = int(np.count_nonzero(mask))
         for name in ("which", "root", "target", "k", "rows", "indices", "vertices", "active", "offset", "z"):
-            setattr(self, name, getattr(self, name)[mask])
+            buf = getattr(self, name)
+            buf[:m] = buf[mask]
+            setattr(self, name, buf[:m])
+        self.runs = _runs(self.which)
 
     def append(self, s: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         """Add the inactive vertex s[i] as the last column of rep b[i]'s face
@@ -219,7 +234,7 @@ class _Face:
         every = b is None
         b, sel = (np.arange(self.k.size), slice(None)) if every else (b, b)
         k = self.k[sel]
-        a = self.F[self.which[sel], s] * self.root[sel]
+        a = _rows(self.F, self.runs if every else _runs(self.which[b]), s) * self.root[sel]
         d = a - self.vertices[sel, 0]
         Qt, T = self.rows[sel, :, 2 * C + 1 :], self.rows[sel, :, C : 2 * C]
         w = _matvec(Qt, d)
@@ -328,10 +343,10 @@ class _Face:
         return _vecmat(u, self.vertices[b])
 
 
-def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
+def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
     """Fully corrective Frank-Wolfe on the simplex for
     ||(w @ F[which[b]]) * root[b] - target[b]||^2, for every rep b of a batch
-    at once; F is a (G, M, K) stack of dictionaries.
+    at once; F is a sequence of G (M, K) dictionaries.
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
@@ -371,13 +386,15 @@ def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, con
     Returns, per rep in order, (support, u, gap, iterations, stop_reason,
     kkt_solves, drop_steps).
     """
-    F, root, target = (np.ascontiguousarray(x, dtype=float) for x in (F, root, target))
+    F = [np.ascontiguousarray(f, dtype=float) for f in F]
+    root, target = (np.ascontiguousarray(x, dtype=float) for x in (root, target))
     which = np.asarray(which, dtype=np.intp)
     order = np.argsort(which, kind="stable")
     which, root, target = which[order], root[order], target[order]
     B, runs, Ft = root.shape[0], _runs(which), [f.T for f in F]
-    square = _by_dictionary(root * root, [f.T for f in F * F], runs)
-    start = (square - 2.0 * _by_dictionary(root * target, Ft, runs)).argmin(axis=1)
+    start = (
+        _by_dictionary(root * root, [(f * f).T for f in F], runs) - 2.0 * _by_dictionary(root * target, Ft, runs)
+    ).argmin(axis=1)
     face = _Face(F, which, root, target, start)
     C = face.capacity
     slots = np.arange(C + 1)
@@ -401,7 +418,7 @@ def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, con
         each round up to it.  Every added vertex costs one corrective solve,
         and every drop step one more.
         """
-        nonlocal u, resid, best, root2, ids, n, reason, drop_steps, runs
+        nonlocal u, resid, best, root2, ids, n, reason, drop_steps
         for i in stopped.nonzero()[0].tolist():
             code = int(reason[i])
             iterations = it if code in (_GAP, _REPEAT) else it - 1
@@ -415,7 +432,7 @@ def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, con
         u, resid, best, root2, ids, reason, drop_steps = (
             x[keep] for x in (u, resid, best, root2, ids, reason, drop_steps)
         )
-        n, runs = np.arange(ids.size), _runs(face.which)
+        n = np.arange(ids.size)
         return gap[keep], s[keep]
 
     ending = False
@@ -425,7 +442,7 @@ def _minimize_fw(F: np.ndarray, which, root: np.ndarray, target: np.ndarray, con
     with np.errstate(divide="ignore", invalid="ignore"):
         while n.size:
             it += 1
-            grad = _by_dictionary(root2 * resid, Ft, runs)
+            grad = _by_dictionary(root2 * resid, Ft, face.runs)
             s = grad.argmin(axis=1)
             gap = _rowdot(grad[n[:, None], face.indices], u) - grad[n, s]
             # a rep whose solve ended last round (no descent, iteration cap)
@@ -537,8 +554,7 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
         raise ValueError("the dictionaries of one batch must all have one shape (M, K)")
     slot = {id(d): g for g, d in enumerate(held)}
     which = [slot[id(d)] for d in dictionaries]
-    # a lone dictionary, as in every batch of one, is viewed, not copied
-    F = np.stack([d.values for d in held]) if len(held) > 1 else held[0].values[None]
+    F = [d.values for d in held]
     inputs = [_least_squares(d, data) for d, data in zip(dictionaries, datasets)]
     root = np.array([root for root, _ in inputs])
     target = np.array([target for _, target in inputs])
