@@ -1,7 +1,7 @@
 """Convex aggregation by empirical risk minimization over a finite dictionary.
 
-Core objects live in `model`: problems and samples are both weighted-atom
-measures (`x_indices`, `y_values`, `probabilities`), so one code path gives the
+Core objects live in `model`: a problem and a sample (atoms weighted by
+their draw counts) are both a `Measure`, so one code path gives the
 population and the empirical risk.  Exact risks live in `risk`; hull and
 segment solvers in `solver`; sparsification nets in `sparsify`; localized
 empirical-process machinery in `localization`; rate curves in `rates`; the

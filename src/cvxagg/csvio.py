@@ -156,17 +156,14 @@ def read_dictionary(path) -> Dictionary:
 
 
 def write_samples(samples: SampleSet, path) -> None:
-    _write_rows(
-        path,
-        ["x_index", "y_value", "seed"],
-        [
-            [int(x), repr(float(y)), samples.seed]
-            for x, y in zip(samples.x_indices, samples.y_values)
-        ],
-    )
+    """One row per draw: each atom's pair, repeated its count times, atom by atom."""
+    x = np.repeat(samples.x_indices, samples.counts).tolist()
+    y = np.repeat(samples.y_values, samples.counts).tolist()
+    _write_rows(path, ["x_index", "y_value", "seed"], [[a, repr(b), samples.seed] for a, b in zip(x, y)])
 
 
 def read_samples(path) -> SampleSet:
+    """The sample in path: each row's pair is an atom drawn once."""
     rows = _read_rows(path, ["x_index", "y_value", "seed"])
     seeds = {row[2] for _, row in rows}
     if len(seeds) != 1:
@@ -174,6 +171,7 @@ def read_samples(path) -> SampleSet:
     return SampleSet(
         np.array(_column(path, rows, 0, int)),
         np.array(_column(path, rows, 1, float)),
+        np.ones(len(rows), dtype=np.int64),
         seed=_column(path, rows[:1], 2, int)[0],
     )
 

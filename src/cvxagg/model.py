@@ -2,21 +2,21 @@
 
 A problem is a joint law of (X, Y) supported on finitely many atoms, a
 dictionary is a matrix of function values tabulated on the design points, and
-samples are (x-index, y) pairs drawn from the atoms.  Tabulating everything
-keeps population expectations exact finite sums, so tests can use noise-free
-oracles.  All types are frozen after construction and safe to share across
-workers.
+a sample is atom counts: how often each of its (x-index, y) pairs was drawn.
+Tabulating everything keeps population expectations exact finite sums, so
+tests can use noise-free oracles.  All types are frozen after construction
+and safe to share across workers.
 
-Problems and samples are both weighted-atom measures: parallel arrays
-`x_indices`, `y_values` and `probabilities`, with mass p_i on the atom
-(x_i, y_i) for a problem and 1/n on each pair for a sample.  Risks and solvers
-read only these three fields, so the same code computes the population risk R
-and the empirical risk R_n.
+Problems and samples are both a `Measure`: parallel arrays `x_indices`,
+`y_values` and `probabilities`, with mass p_i on the atom (x_i, y_i).  A
+sample drawn from a problem is the problem's own atoms with masses count / n,
+the empirical law P_n.  Risks and solvers read only these three fields, so
+the same code computes the population risk R and the empirical risk R_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,51 +30,66 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteProblem:
-    """Joint law of (X, Y) on finitely many atoms.
+def _whole(values, name: str) -> np.ndarray:
+    """values as a frozen int64 array, which must hold them exactly: 1.7 is refused, not truncated."""
+    with np.errstate(invalid="ignore"):
+        whole = _freeze(values, np.int64)
+    if not np.array_equal(whole, values):
+        raise ValueError(f"non-whole {name}")
+    return whole
 
-    X takes values in {0, ..., num_design_points - 1}; atom i carries the pair
-    (x_indices[i], y_values[i]) with mass probabilities[i].  bound_b dominates
-    |Y| and, by convention, every dictionary value used with the problem.
-    """
+
+@dataclass(frozen=True, eq=False)
+class Measure:
+    """Mass probabilities[i], nonnegative and summing to 1, on the atom (x_indices[i], y_values[i])."""
 
     x_indices: np.ndarray
     y_values: np.ndarray
     probabilities: np.ndarray
-    bound_b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x_indices", _freeze(self.x_indices, np.int64))
+        object.__setattr__(self, "x_indices", _whole(self.x_indices, "x indices"))
         object.__setattr__(self, "y_values", _freeze(self.y_values, np.float64))
         object.__setattr__(self, "probabilities", _freeze(self.probabilities, np.float64))
-        object.__setattr__(self, "bound_b", float(self.bound_b))
         x, y, p = self.x_indices, self.y_values, self.probabilities
         if x.ndim != 1 or x.size == 0 or y.shape != x.shape or p.shape != x.shape:
             raise ValueError("atoms must be nonempty parallel 1-D arrays")
-        if not np.isfinite(self.bound_b) or self.bound_b < 0:
-            raise ValueError("bound_b must be a finite nonnegative real")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
             raise ValueError("atom values must be finite")
         if np.any(p < 0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        if np.any(np.abs(y) > self.bound_b):
-            raise ValueError("every |y| must be at most bound_b")
         if x.min() < 0:
             raise ValueError("x indices must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteProblem(Measure):
+    """Joint law of (X, Y) on finitely many atoms.
+
+    X takes values in {0, ..., num_design_points - 1}, each of which some
+    atom covers.  bound_b dominates |Y| and, by convention, every dictionary
+    value used with the problem.
+    """
+
+    bound_b: float
+    marginal_x: np.ndarray = field(init=False)  # the law of X over the design points
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "bound_b", float(self.bound_b))
+        if not np.isfinite(self.bound_b) or self.bound_b < 0:
+            raise ValueError("bound_b must be a finite nonnegative real")
+        if np.any(np.abs(self.y_values) > self.bound_b):
+            raise ValueError("every |y| must be at most bound_b")
+        x, p = self.x_indices, self.probabilities
         k = int(x.max()) + 1
         if np.unique(x).size != k:
             raise ValueError("x indices must cover 0..K-1 without gaps")
-        object.__setattr__(self, "_marginal_x", _freeze(np.bincount(x, weights=p, minlength=k), np.float64))
+        object.__setattr__(self, "marginal_x", _freeze(np.bincount(x, weights=p, minlength=k), np.float64))
 
     @property
     def num_design_points(self) -> int:
         return int(self.x_indices.max()) + 1
-
-    @property
-    def marginal_x(self) -> np.ndarray:
-        """Marginal law of X over the design points."""
-        return self._marginal_x
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,37 +118,27 @@ class Dictionary:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
-    """n i.i.d. draws (x-index, y), plus the seed that produced them.
+class SampleSet(Measure):
+    """n draws, as the count of each atom (x_indices[i], y_values[i]), and the
+    seed that produced them; atom i has mass counts[i] / n."""
 
-    As a measure, every pair carries mass 1/n in `probabilities`, built
-    when asked for rather than held beside the pairs.
-    """
-
-    x_indices: np.ndarray
-    y_values: np.ndarray
+    probabilities: np.ndarray = field(init=False)
+    counts: np.ndarray
     seed: int
+    n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_indices", _freeze(self.x_indices, np.int64))
-        object.__setattr__(self, "y_values", _freeze(self.y_values, np.float64))
+        counts = _whole(self.counts, "counts")
+        n = int(counts.sum())
+        if counts.size == 0 or counts.min() < 0 or n < 1:
+            raise ValueError("counts must be nonnegative, with at least one draw")
+        if int(self.seed) != self.seed:
+            raise ValueError("non-whole seed")
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "seed", int(self.seed))
-        if self.x_indices.ndim != 1 or self.x_indices.size == 0:
-            raise ValueError("sample must contain at least one pair")
-        if self.y_values.shape != self.x_indices.shape:
-            raise ValueError("x indices and y values must have equal length")
-        if self.x_indices.min() < 0:
-            raise ValueError("x indices must be nonnegative")
-        if not np.all(np.isfinite(self.y_values)):
-            raise ValueError("y values must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.x_indices.size
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return _freeze(np.full(self.n, 1.0 / self.n), np.float64)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "probabilities", counts / n)
+        super().__post_init__()
 
 
 def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
@@ -144,9 +149,8 @@ def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
 
 
 def sample(problem: DiscreteProblem, n: int, seed: int) -> SampleSet:
-    """Draw n i.i.d. pairs from the problem's atom law, listed atom by atom."""
-    counts = draw_counts(problem, n, seed)
-    return SampleSet(np.repeat(problem.x_indices, counts), np.repeat(problem.y_values, counts), seed=int(seed))
+    """n i.i.d. draws from the problem's law: its atoms, with their draw counts."""
+    return SampleSet(problem.x_indices, problem.y_values, draw_counts(problem, n, seed), seed)
 
 
 @dataclass(frozen=True, eq=False)

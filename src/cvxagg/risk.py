@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights
+from .model import Dictionary, DiscreteProblem, Measure, SimplexWeights
 
 
 def _check_tabulated(f: np.ndarray, num_points: int) -> np.ndarray:
@@ -24,11 +24,11 @@ def population_risk(f: np.ndarray, problem: DiscreteProblem) -> float:
     return empirical_risk(_check_tabulated(f, problem.num_design_points), problem)
 
 
-def empirical_risk(f: np.ndarray, measure: SampleSet | DiscreteProblem) -> float:
-    """sum_i p_i (y_i - f(x_i))^2 over the atoms of a weighted measure.
+def empirical_risk(f: np.ndarray, measure: Measure) -> float:
+    """sum_i p_i (y_i - f(x_i))^2 over the atoms of a measure.
 
-    On a SampleSet (p_i = 1/n) this is the empirical risk R_n; on a problem,
-    the population risk R.
+    On a sample (p_i = count_i / n) this is the empirical risk R_n; on a
+    problem, the population risk R.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1:
@@ -45,11 +45,9 @@ def bayes_risk(problem: DiscreteProblem) -> float:
     When the regression function E[Y | X] lies in the hull of a dictionary,
     this is the hull minimum, computed from the problem alone.
     """
-    K = problem.num_design_points
-    x, p = problem.x_indices, problem.probabilities
     px = problem.marginal_x
-    ymass = np.bincount(x, weights=p * problem.y_values, minlength=K)
-    return population_risk(np.divide(ymass, px, out=np.zeros(K), where=px > 0.0), problem)
+    ymass = np.bincount(problem.x_indices, weights=problem.probabilities * problem.y_values, minlength=px.size)
+    return population_risk(np.divide(ymass, px, out=np.zeros(px.size), where=px > 0.0), problem)
 
 
 def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
@@ -61,8 +59,7 @@ def excess_loss_second_moment(f: np.ndarray, f_star: np.ndarray, problem: Discre
     """Exact second moment of the excess loss (y-f)^2 - (y-f_star)^2."""
     f = _check_tabulated(f, problem.num_design_points)
     f_star = _check_tabulated(f_star, problem.num_design_points)
-    y = problem.y_values
-    x = problem.x_indices
+    x, y = problem.x_indices, problem.y_values
     diff = (y - f[x]) ** 2 - (y - f_star[x]) ** 2
     return float(problem.probabilities @ (diff * diff))
 

@@ -32,10 +32,10 @@ about half np.einsum's time at these sizes).  And every dataset's face is
 padded to the fixed capacity C, never to the batch's largest face, so the
 lengths it is reduced over do not depend on the others.
 
-The data is any weighted-atom measure (see `model`): solvers read only its
-`x_indices`, `y_values` and `probabilities`, so a sample gives the empirical
-risk minimizer and a problem the population one.  They never look at a
-problem's bound_b.
+The data is any `model.Measure`: solvers read only its `x_indices`,
+`y_values` and `probabilities`, so a sample (atoms weighted by their draw
+counts) gives the empirical risk minimizer and a problem the population
+one.  They never look at a problem's bound_b.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Segment, SimplexWeights
+from .model import Dictionary, Measure, Segment, SimplexWeights
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class ErmSolution:
     drop_steps: int
 
 
-def _least_squares(dictionary: Dictionary, measure) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares(dictionary: Dictionary, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
     """root and target with risk(w) = ||(w @ F) * root - target||^2 + a constant.
 
     root = sqrt(px) and target = ymass / root on the K design points, so the
@@ -537,8 +537,8 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
 
     dictionaries[i] is dataset i's dictionary, and every dictionary of the
     batch must have one shape (M, K); a dictionary object named by several
-    datasets is held once.  Each dataset is a weighted-atom measure: a
-    sample (empirical risk) or a problem (exact population risk).  Ties in
+    datasets is held once.  Each dataset is a `Measure`: a sample
+    (empirical risk) or a problem (exact population risk).  Ties in
     the linear-minimization oracle break to the lowest dictionary index, and
     a dataset's solution has the same bits in any batch (see
     `_minimize_fw`), so the output is deterministic.
@@ -581,20 +581,19 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
 
 def erm_convex_hull(
     dictionary: Dictionary,
-    data,
+    data: Measure,
     config: SolverConfig | None = None,
 ) -> ErmSolution:
     """Minimize the squared risk over the convex hull of the dictionary.
 
-    `data` is a weighted-atom measure: a sample (empirical risk) or a
-    problem (exact population risk).  This is a batch of one of
-    `erm_convex_hull_batch`, so it gives the bits that dataset gets in any
-    batch.
+    `data` is a `Measure`: a sample (empirical risk) or a problem (exact
+    population risk).  This is a batch of one of `erm_convex_hull_batch`,
+    so it gives the bits that dataset gets in any batch.
     """
     return erm_convex_hull_batch([dictionary], [data], config)[0]
 
 
-def erm_segment(segment: Segment, data) -> tuple[float, np.ndarray]:
+def erm_segment(segment: Segment, data: Measure) -> tuple[float, np.ndarray]:
     """Closed-form risk minimizer over a segment.
 
     theta_hat = <y - g_j, g_i - g_j> / ||g_i - g_j||^2 under the data measure,

@@ -1,9 +1,11 @@
 """Shared generators, brute-force oracles, reference solvers and CSV writers
 for the test suite.
 
-The reference solvers read data only through the weighted-atom measure
-protocol (`x_indices`, `y_values`, `probabilities`), so each works on a
-SampleSet and on a DiscreteProblem alike.  `lstsq_minimize_fw` is the hull
+The reference solvers read data only through the fields of a
+`cvxagg.model.Measure` (`x_indices`, `y_values`, `probabilities`), so each
+works on a SampleSet and on a DiscreteProblem alike.  `exhaustive_sample`
+builds a sample from atom counts, and `pairs` from a list of pairs, each
+drawn once, as `csvio.read_samples` does.  `lstsq_minimize_fw` is the hull
 solver as it was before its corrective step ran on an updated QR factor.
 """
 
@@ -40,19 +42,22 @@ def random_weights(rng, M) -> SimplexWeights:
     return SimplexWeights(rng.dirichlet(np.ones(M)))
 
 
-def exhaustive_sample(problem: DiscreteProblem, copies_per_unit: int = 1) -> SampleSet:
+def exhaustive_sample(problem: DiscreteProblem) -> SampleSet:
     """A sample whose empirical frequencies reproduce integer-multiple atom
-    probabilities exactly.
+    probabilities exactly: the problem's atoms, each counted n p_i times.
 
     Only valid when every probability is an integer multiple of 1/n for the
     implied n; callers construct problems that satisfy this.
     """
     n_units = round(1.0 / problem.probabilities.min())
-    counts = np.round(problem.probabilities * n_units).astype(int) * copies_per_unit
-    assert abs(float(counts.sum() / (n_units * copies_per_unit)) - 1.0) < 1e-12
-    x = np.repeat(problem.x_indices, counts)
-    y = np.repeat(problem.y_values, counts)
-    return SampleSet(x, y, seed=0)
+    counts = np.round(problem.probabilities * n_units).astype(int)
+    assert abs(float(counts.sum() / n_units) - 1.0) < 1e-12
+    return SampleSet(problem.x_indices, problem.y_values, counts, seed=0)
+
+
+def pairs(x, y) -> SampleSet:
+    """The sample of the pairs (x[i], y[i]), each drawn once."""
+    return SampleSet(x, y, np.ones(len(x), dtype=int), seed=0)
 
 
 def enumerated_sparsified_risk(w, m, dictionary, problem) -> float:

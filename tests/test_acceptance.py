@@ -55,6 +55,20 @@ from cvxagg.sparsify import (
 from _support import enumerated_sparsified_risk, erm_oracle, random_dictionary, random_problem, random_weights
 
 
+def _margin(bound: float, value: float, se: float) -> str:
+    """How far value lies below bound, in standard errors; the Monte Carlo
+    rows below fail under -2."""
+    if se > 0:
+        return f"margin={(bound - value) / se:+.1f} se"
+    return "margin=+inf se" if value <= bound else "margin=-inf se"
+
+
+def _unfailable(x: float, check: str) -> str:
+    """A label for a check at level x whose tail bound 4 exp(-x) is at least
+    1: a frequency is at most 1, so that check cannot fail."""
+    return f" [{check} cannot fail: 4 exp(-x) >= 1]" if 4.0 * math.exp(-x) >= 1.0 else ""
+
+
 def _report(num: int, description: str, ok: bool, started: float) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"[criterion {num:2d}] {verdict} ({time.time() - started:.1f}s): {description}")
@@ -196,10 +210,10 @@ def test_criterion_05_solver_certification():
 
         seg = Segment(rng.uniform(-b, b, K), rng.uniform(-b, b, K))
         theta, minimizer = erm_segment(seg, s)
-        xs = s.x_indices
+        xs = np.repeat(s.x_indices, s.counts)
         u = seg.endpoint_j[xs]
         v = seg.endpoint_i[xs] - u
-        resid = s.y_values - u
+        resid = np.repeat(s.y_values, s.counts) - u
         a2 = float(v @ v) / n
         a1 = -2.0 * float(resid @ v) / n
         a0 = float(resid @ resid) / n
@@ -241,7 +255,10 @@ def test_criterion_07_deviation_form(rate_report):
         freq = float(np.mean(excesses > threshold))
         se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / excesses.size)
         bound = 4.0 * math.exp(-x)
-        print(f"    x={x}: freq={freq:.4f} bound={bound:.4f} (+2se={2*se:.4f})")
+        print(
+            f"    x={x}: freq={freq:.4f} bound={bound:.4f} (+2se={2*se:.4f}) "
+            f"{_margin(bound, freq, se)}{_unfailable(x, 'this row')}"
+        )
         ok = ok and freq <= bound + 2.0 * se
     _report(7, "tail frequencies at (1024, 64) under 4 exp(-x) + 2 SE", ok, started)
 
@@ -269,7 +286,8 @@ def test_criterion_08_isomorphism_violation_rate():
         limit = min(1.0, 4.0 * math.exp(-x)) + 2.0 * report.rate_std_error
         print(
             f"    x={x}: rate={report.violation_rate:.4f} bound={4 * math.exp(-x):.4f} "
-            f"erm_failures={report.erm_implication_failures}/{report.erm_checked}"
+            f"{_margin(min(1.0, 4.0 * math.exp(-x)), report.violation_rate, report.rate_std_error)} "
+            f"erm_failures={report.erm_implication_failures}/{report.erm_checked}{_unfailable(x, 'the rate check')}"
         )
         ok = ok and report.violation_rate <= limit
         ok = ok and report.erm_implication_failures == 0

@@ -17,6 +17,7 @@ from cvxagg.experiments import ExperimentConfig, make_problem, save_config
 from cvxagg.localization import IsomorphismReport
 from cvxagg.model import Dictionary, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
+from cvxagg.solver import erm_convex_hull
 
 from _support import write_problem, write_weights
 
@@ -50,8 +51,8 @@ def test_csv_round_trips(workspace):
     assert problem.bound_b == ref_problem.bound_b
     assert np.array_equal(dictionary.values, ref_dict.values)
     ref_draws = sample(ref_problem, 50, seed=4)
-    assert np.array_equal(draws.x_indices, ref_draws.x_indices)
-    assert np.array_equal(draws.y_values, ref_draws.y_values)
+    assert np.array_equal(draws.x_indices, np.repeat(ref_draws.x_indices, ref_draws.counts))
+    assert np.array_equal(draws.y_values, np.repeat(ref_draws.y_values, ref_draws.counts))
     assert draws.seed == 4
     assert weights.weights == pytest.approx([0.2, 0.3, 0.5])
     # repr-written extremes come back bit for bit, and quoted fields read as csv reads them
@@ -60,6 +61,30 @@ def test_csv_round_trips(workspace):
     assert csvio.read_dictionary(workspace["dict"]).values.tobytes() == extremes.tobytes()
     workspace["dict"].write_text('x_index,f0,f1\n"1","0.5",-0.0\n0,0.25,"1e-3"\n')
     assert csvio.read_dictionary(workspace["dict"]).values.tolist() == [[0.25, 0.5], [1e-3, -0.0]]
+
+
+@pytest.mark.parametrize("kind", ["inside-hull", "outside-hull", "pure-noise"])
+def test_a_sample_and_its_written_pairs_are_one_measure(tmp_path, kind):
+    # model.sample gives the problem's atoms with their draw counts; written
+    # out, the file lists each atom's pair once per draw, atom by atom, and
+    # read back it is one atom per pair. The two forms solve alike.
+    path = tmp_path / "samples.csv"
+    for n in (16, 256, 4096):
+        for seed in range(4):
+            problem, dictionary = make_problem(kind, K=16, M=64, b=1.0, seed=seed)
+            counted = sample(problem, n, seed)
+            csvio.write_samples(counted, path)
+            listing = zip(problem.x_indices.tolist(), problem.y_values.tolist(), counted.counts.tolist())
+            assert path.read_text() == "x_index,y_value,seed\n" + "".join(
+                f"{x},{y!r},{seed}\n" * count for x, y, count in listing
+            )
+            paired = csvio.read_samples(path)
+            assert (paired.n, paired.seed, paired.x_indices.size) == (n, seed, n)
+            a, b = erm_convex_hull(dictionary, counted), erm_convex_hull(dictionary, paired)
+            assert np.array_equal(np.flatnonzero(a.weights.weights), np.flatnonzero(b.weights.weights))
+            assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason)
+            assert np.abs(a.weights.weights - b.weights.weights).max() <= 1e-12
+            assert abs(a.empirical_risk - b.empirical_risk) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -108,7 +108,7 @@ def test_run_trial_exhaustive_sample_has_tiny_excess():
     p, d = make_problem("inside-hull", K=3, M=4, b=1.0, seed=13)
     oracle = population_oracle(d, p)
     counts = np.round(p.probabilities * 10_000_000).astype(int)
-    s = SampleSet(np.repeat(p.x_indices, counts), np.repeat(p.y_values, counts), seed=0)
+    s = SampleSet(p.x_indices, p.y_values, counts, seed=0)
     from cvxagg.solver import erm_convex_hull
 
     sol = erm_convex_hull(d, s, SolverConfig(tolerance=1e-12))
@@ -126,7 +126,7 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     oracle_risk = population_oracle(d, p).empirical_risk
     record, _ = run_trial(p, d, 40, SolverConfig(tolerance=1e-12), seed, replication=0, oracle_risk=oracle_risk)
     draws = sample(p, 40, seed)
-    w_hat = min(1.0, max(0.0, float(np.mean(draws.y_values)) / c))
+    w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
     assert record.oracle_risk == pytest.approx(population_risk(np.zeros(3), p), abs=1e-10)
     assert record.excess_risk == pytest.approx(expected_excess, abs=1e-8)

@@ -107,7 +107,7 @@ def test_sample_reproducible_and_valid():
     p = random_problem(rng, K=3)
     s1 = sample(p, 100, seed=42)
     s2 = sample(p, 100, seed=42)
-    assert np.array_equal(s1.x_indices, s2.x_indices)
+    assert np.array_equal(s1.counts, s2.counts)
     assert np.array_equal(s1.y_values, s2.y_values)
     assert s1.seed == 42
     assert s1.n == 100
@@ -118,23 +118,54 @@ def test_sample_reproducible_and_valid():
 
 
 def test_sample_lists_the_drawn_counts_atom_by_atom():
+    # the counts form: the problem's atoms at every n, weighted count / n
     rng = np.random.default_rng(3)
     p = random_problem(rng, K=4)
     for n, seed in ((1, 0), (37, 5), (500, 11)):
         counts = draw_counts(p, n, seed)
         assert counts.sum() == n
         s = sample(p, n, seed)
-        assert np.array_equal(s.x_indices, np.repeat(p.x_indices, counts))
-        assert np.array_equal(s.y_values, np.repeat(p.y_values, counts))
+        assert np.array_equal(s.x_indices, p.x_indices)
+        assert np.array_equal(s.y_values, p.y_values)
+        assert np.array_equal(s.counts, counts)
+        assert np.array_equal(s.probabilities, counts / n)
     with pytest.raises(ValueError):
         draw_counts(p, 0, seed=1)
 
 
 def test_sampleset_validation():
     with pytest.raises(ValueError):
-        SampleSet(np.array([], dtype=int), np.array([]), seed=0)
+        SampleSet(np.array([], dtype=int), np.array([]), np.array([], dtype=int), seed=0)
     with pytest.raises(ValueError):
-        SampleSet(np.array([0, 1]), np.array([0.0]), seed=0)
+        SampleSet(np.array([0, 1]), np.array([0.0]), np.array([1, 1]), seed=0)
+    with pytest.raises(ValueError, match="at least one draw"):
+        SampleSet(np.array([0, 1]), np.array([0.0, 1.0]), np.array([0, 0]), seed=0)
+    with pytest.raises(ValueError, match="at least one draw"):
+        SampleSet(np.array([0, 1]), np.array([0.0, 1.0]), np.array([2, -1]), seed=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiscreteProblem(np.array([0.0, 1.7]), np.array([0.0, 0.0]), np.array([0.5, 0.5]), bound_b=1.0),
+        lambda: DiscreteProblem(np.array([0.0, np.nan]), np.array([0.0, 0.0]), np.array([0.5, 0.5]), bound_b=1.0),
+        lambda: SampleSet(np.array([0.9, 2.5]), np.array([0.0, 0.0]), np.array([1, 1]), seed=0),
+        lambda: SampleSet(np.array([0, 1]), np.array([0.0, 0.0]), np.array([1.0, 0.5]), seed=0),
+    ],
+    ids=["problem", "problem-nan", "sample", "sample-counts"],
+)
+def test_measures_reject_indices_that_are_not_whole(build):
+    # 1.7 used to become 1 and 2.5 to become 2, silently
+    with pytest.raises(ValueError, match="non-whole"):
+        build()
+
+
+def test_a_sample_seed_must_be_whole_and_whole_floats_pass():
+    with pytest.raises(ValueError, match="non-whole seed"):
+        SampleSet(np.array([0]), np.array([0.0]), np.array([1]), seed=1.9)
+    assert SampleSet(np.array([0.0, 2.0]), np.array([0.0, 0.0]), np.array([1, 1]), seed=3.0).seed == 3
+    whole = DiscreteProblem(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.5, 0.5]), bound_b=1.0)
+    assert whole.x_indices.dtype == np.int64 and whole.x_indices.tolist() == [0, 1]
 
 
 def test_types_are_immutable():

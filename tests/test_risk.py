@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
+from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from cvxagg.risk import (
     empirical_risk,
     excess_loss_mean,
@@ -11,7 +11,7 @@ from cvxagg.risk import (
 )
 from cvxagg.solver import SolverConfig, erm_convex_hull
 
-from _support import exhaustive_sample, random_dictionary, random_problem, random_weights
+from _support import exhaustive_sample, pairs, random_dictionary, random_problem, random_weights
 
 
 def coin_problem():
@@ -40,14 +40,14 @@ def test_population_risk_dimension_mismatch():
 
 
 def test_empirical_risk_hand_sum():
-    s = SampleSet(np.zeros(4, dtype=int), np.array([0.9, 0.7, 0.8, 0.6]), seed=0)
+    s = pairs(np.zeros(4, dtype=int), np.array([0.9, 0.7, 0.8, 0.6]))
     assert empirical_risk(np.array([0.75]), s) == pytest.approx(0.0125)
 
 
 def test_empirical_risk_interpolation_and_single_point():
-    s = SampleSet(np.array([0, 1]), np.array([0.2, -0.4]), seed=0)
+    s = pairs(np.array([0, 1]), np.array([0.2, -0.4]))
     assert empirical_risk(np.array([0.2, -0.4]), s) == 0.0
-    one = SampleSet(np.array([0]), np.array([0.0]), seed=0)
+    one = pairs(np.array([0]), np.array([0.0]))
     assert empirical_risk(np.array([1.0]), one) == pytest.approx(1.0)
 
 

@@ -26,6 +26,7 @@ from _support import (
     erm_oracle,
     exhaustive_sample,
     lstsq_minimize_fw,
+    pairs,
     project_box,
     project_simplex,
     random_dictionary,
@@ -45,7 +46,7 @@ def test_config_validation():
 
 def test_erm_hull_clamped_mean_example():
     d = Dictionary(np.array([[0.0], [1.0]]))
-    s = SampleSet(np.zeros(4, dtype=int), np.array([0.0, 1.0, 1.0, 1.0]), seed=0)
+    s = pairs(np.zeros(4, dtype=int), np.array([0.0, 1.0, 1.0, 1.0]))
     sol = erm_convex_hull(d, s)
     assert sol.weights.weights == pytest.approx([0.25, 0.75], abs=1e-9)
     assert sol.empirical_risk == pytest.approx(0.1875, abs=1e-12)
@@ -56,7 +57,7 @@ def test_erm_hull_clamped_mean_example():
 def test_erm_hull_interpolating_vertex():
     # second row reproduces the sample exactly, so it is the minimizer
     d = Dictionary(np.array([[0.0, 0.0], [0.5, -0.5]]))
-    s = SampleSet(np.array([0, 1, 0]), np.array([0.5, -0.5, 0.5]), seed=0)
+    s = pairs(np.array([0, 1, 0]), np.array([0.5, -0.5, 0.5]))
     sol = erm_convex_hull(d, s)
     assert sol.empirical_risk == pytest.approx(0.0, abs=1e-15)
     assert sol.weights.weights == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -64,7 +65,7 @@ def test_erm_hull_interpolating_vertex():
 
 def test_erm_hull_single_function():
     d = Dictionary(np.array([[0.25, -0.3]]))
-    s = SampleSet(np.array([0, 1]), np.array([0.9, 0.1]), seed=0)
+    s = pairs(np.array([0, 1]), np.array([0.9, 0.1]))
     sol = erm_convex_hull(d, s)
     assert sol.weights.weights == pytest.approx([1.0])
     assert sol.converged
@@ -178,7 +179,7 @@ def test_erm_oracle_matches_fw_and_guards():
 
 def test_erm_oracle_vertex_resolution():
     d = Dictionary(np.array([[0.0], [1.0]]))
-    s = SampleSet(np.zeros(3, dtype=int), np.array([1.0, 1.0, 1.0]), seed=0)
+    s = pairs(np.zeros(3, dtype=int), np.array([1.0, 1.0, 1.0]))
     sol = erm_oracle(d, s, 4)
     assert sol.weights.weights == pytest.approx([0.0, 1.0])
     assert sol.empirical_risk == 0.0
@@ -258,7 +259,7 @@ def test_erm_constrained_singleton():
 def test_erm_constrained_box_separable_closed_form():
     # disjoint supports make the objective separable per coordinate
     d = Dictionary(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    s = SampleSet(np.array([0, 0, 1, 1]), np.array([0.4, 0.6, 1.5, 1.7]), seed=0)
+    s = pairs(np.array([0, 0, 1, 1]), np.array([0.4, 0.6, 1.5, 1.7]))
     sol = erm_constrained(d, s, project=lambda v: project_box(v, 0.0, 1.0))
     assert sol.coefficients == pytest.approx([0.5, 1.0], abs=1e-8)
 
@@ -274,7 +275,7 @@ def test_erm_constrained_simplex_agrees_with_hull_solver():
         d = Dictionary(np.tile(random_dictionary(rng, M=M, K=K).values, (copies, 1)))
         s = sample(p, n, seed=seed)
         if n < K:
-            assert np.unique(s.x_indices).size < K
+            assert np.unique(s.x_indices[s.counts > 0]).size < K
         fw = erm_convex_hull(d, s, cfg)
         pg = erm_constrained(d, s, project=project_simplex, config=cfg)
         assert fw.converged
@@ -341,9 +342,9 @@ def test_hull_weights_ignore_row_order_and_duplication():
         d = random_dictionary(rng, M=4, K=5)
         s = sample(p, 60, seed=int(rng.integers(2**31)))
         w = erm_convex_hull(d, s).weights.weights
-        order = rng.permutation(s.n)
-        permuted = SampleSet(s.x_indices[order], s.y_values[order], seed=0)
-        doubled = SampleSet(np.repeat(s.x_indices, 2), np.repeat(s.y_values, 2), seed=0)
+        order = rng.permutation(s.x_indices.size)
+        permuted = SampleSet(s.x_indices[order], s.y_values[order], s.counts[order], seed=0)
+        doubled = SampleSet(np.repeat(s.x_indices, 2), np.repeat(s.y_values, 2), np.repeat(s.counts, 2), seed=0)
         for other in (permuted, doubled):
             assert np.allclose(erm_convex_hull(d, other).weights.weights, w, rtol=0.0, atol=1e-12)
 
@@ -353,7 +354,7 @@ def test_hull_weights_ignore_row_order_and_duplication():
 def test_solvers_reject_out_of_range_design_indices(solver, kind):
     # the data has design points 0..2; the dictionary and the segment only 0..1
     x, y = np.array([0, 1, 2]), np.array([0.1, -0.2, 0.3])
-    data = SampleSet(x, y, seed=0) if kind == "sample" else DiscreteProblem(x, y, np.full(3, 1 / 3), 1.0)
+    data = pairs(x, y) if kind == "sample" else DiscreteProblem(x, y, np.full(3, 1 / 3), 1.0)
     d = Dictionary(np.array([[0.5, -0.5], [0.25, 0.0]]))
     with pytest.raises(ValueError, match="outside"):
         if solver == "hull":
@@ -410,7 +411,7 @@ def test_hull_solution_scales_with_the_data(exponent):
         base = erm_convex_hull(d, s)
         scaled = erm_convex_hull(
             Dictionary(scale * d.values),
-            SampleSet(s.x_indices, scale * s.y_values, seed=0),
+            SampleSet(s.x_indices, scale * s.y_values, s.counts, seed=0),
             SolverConfig(tolerance=1e-8 * scale**2),
         )
         assert scaled.converged
