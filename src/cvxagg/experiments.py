@@ -256,19 +256,6 @@ def run_trials(trials, solver_config: SolverConfig) -> list[tuple[TrialRecord, E
     return out
 
 
-def run_trial(
-    problem: DiscreteProblem,
-    dictionary: Dictionary,
-    n: int,
-    solver_config: SolverConfig,
-    seed: int,
-    replication: int,
-    oracle_risk: float,
-) -> tuple[TrialRecord, ErmSolution]:
-    """One trial of `run_trials`: a batch of one."""
-    return run_trials([(Cell(problem, dictionary, n, oracle_risk), replication, seed)], solver_config)[0]
-
-
 # the ErmSolution counters that report.json sums up per cell
 _SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "duality_gap")
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from cvxagg.experiments import (
+    Cell,
     ExperimentConfig,
     derive_seed,
     make_problem,
     population_oracle,
     run_grid,
-    run_trial,
+    run_trials,
 )
 from cvxagg.localization import (
     calibrate_c0,
@@ -370,8 +371,7 @@ def test_criterion_12_batch_invariance(rate_report):
             cfg.problem_kind, cfg.atoms_K, record.M, cfg.bound_b,
             derive_seed(cfg.master_seed, record.n, record.M, "problem"), cfg.noise,
         )
-        alone, _ = run_trial(
-            problem, dictionary, record.n, cfg.solver, record.seed, record.replication, record.oracle_risk
-        )
+        cell = Cell(problem, dictionary, record.n, record.oracle_risk)
+        alone, _ = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
         ok = ok and alone == record
     _report(12, "trials solved alone match the batched rate run bit for bit", ok, started)

@@ -138,7 +138,7 @@ def test_rows_not_as_wide_as_the_header_exit_one(workspace, capsys, key, text, f
     [
         ("x_index,f0\n0,0.1#x\n1,0.2\n", "could not convert string '0.1#x'"),
         ("x_index,f0\n0,1_0.5\n1,0.2\n", "could not convert string '1_0.5'"),
-        ("x_index,f0\n0,0.1\n1.0,0.2\n", "invalid literal for int() with base 10: '1.0'"),
+        ("x_index,f0\n0,0.1\n1.0,0.2\n", "could not convert string '1.0' to int64"),
     ],
     ids=["comment-mark", "underscore", "float-index"],
 )
@@ -161,10 +161,12 @@ def test_dictionary_fields_that_do_not_parse_exit_one(workspace, capsys, text, m
         (csvio.read_weights, "index,weight\n0,0.5\n1.0,0.5\n", 3, "'1.0'"),
         (csvio.read_dictionary, "x_index,f0\n0,0.1\n1.0,0.2\n", 3, "'1.0'"),
         (csvio.read_dictionary, "x_index,f0,f1\n0,0.1,0.2\n\n1,0.3,abc\n", 4, "'abc'"),
+        (csvio.read_samples, 'x_index,y_value,seed\n0,"0.5,4\n1,0.5,4\n', 2, "unexpected end of data"),
+        (csvio.read_dictionary, 'x_index,f0\n0,"0.5" \n', 2, "',' expected after '\"'"),
     ],
     ids=[
         "problem-probability", "problem-bound", "samples-index", "samples-seed", "weights-weight", "weights-index",
-        "dictionary-index", "dictionary-value",
+        "dictionary-index", "dictionary-value", "samples-open-quote", "dictionary-text-after-quote",
     ],
 )
 def test_fields_that_do_not_parse_name_their_line(tmp_path, reader, text, line, message):
@@ -179,18 +181,76 @@ def test_fields_that_do_not_parse_name_their_line(tmp_path, reader, text, line, 
 
 
 @pytest.mark.parametrize(
-    "key, text",
+    "key, text, message",
     [
-        ("samples", "x_index,y_value,seed\n0," + "1" * 200_000 + ",4\n"),
-        ("dict", 'x_index,f0\n0,"' + "1" * 200_000 + '"\n'),
+        ("samples", 'x_index,y_value,seed\n0,"' + "1" * 200_000 + '",4\n', "field larger than field limit"),
+        ("dict", 'x_index,f0\n0,"' + "1" * 200_000 + '"\n', "field larger than field limit"),
+        ("samples", "x_index,y_value,seed\n0," + "1" * 200_000 + ",4\n", "y_value is inf, not finite"),
     ],
-    ids=["samples", "dictionary-quoted"],
+    ids=["samples", "dictionary-quoted", "samples-unquoted"],
 )
-def test_csv_module_errors_exit_one(workspace, capsys, key, text):
-    # a field over the csv module's size limit used to escape as a _csv.Error traceback
+def test_csv_module_errors_exit_one(workspace, capsys, key, text, message):
+    # a field over the csv module's size limit used to escape as a _csv.Error
+    # traceback; only a quoted line goes through the csv module, and unquoted
+    # the same digits parse, to inf
     workspace[key].write_text(text)
     assert main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"])]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {workspace[key]}: line 2: field larger than field limit")
+    assert capsys.readouterr().err.startswith(f"error: {workspace[key]}: line 2: {message}")
+
+
+# a file of two data rows, for each reader, with the index and one float of its
+# third line left open; line 2 is always well formed
+_TWO_ROWS = {
+    "problem": (csvio.read_problem, "x_index,y_value,probability,bound_b\n0,0.5,0.5,1\n{index},{value},0.5,1\n"),
+    "samples": (csvio.read_samples, "x_index,y_value,seed\n0,0.5,4\n{index},{value},4\n"),
+    "weights": (csvio.read_weights, "index,weight\n0,0.5\n{index},{value}\n"),
+    "dictionary": (csvio.read_dictionary, "x_index,f0\n0,0.5\n{index},{value}\n"),
+}
+_BAD_FIELDS = {
+    "index-underscore": ("index", "1_0"),
+    "index-fullwidth": ("index", "\uff11"),  # a fullwidth digit one
+    "index-float": ("index", "1.0"),
+    "index-int64-overflow": ("index", str(2**63)),
+    "value-underscore": ("value", "1_0"),
+    "value-fullwidth": ("value", "\uff11"),
+    "value-comment-mark": ("value", "0.1#x"),
+    "value-inf": ("value", "inf"),
+    "value-nan": ("value", "nan"),
+    "value-overflow": ("value", "1e999"),
+}
+
+
+@pytest.mark.parametrize("column, field", list(_BAD_FIELDS.values()), ids=list(_BAD_FIELDS))
+@pytest.mark.parametrize("name", list(_TWO_ROWS))
+def test_all_four_readers_refuse_the_same_fields(tmp_path, name, column, field):
+    # integer columns take exact int64 literals and float columns finite
+    # numpy literals, in all four files: Python's int() and float() used to
+    # take 1_0 and a fullwidth 1 in every file but the dictionary's values,
+    # and an index past int64 or a non-finite float raised an error naming
+    # no file or line
+    reader, template = _TWO_ROWS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(template.format(index=1, value=0.5))
+    reader(path)
+    path.write_text(template.format(**{"index": 1, "value": 0.5, column: field}))
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: line 3: ")
+
+
+@pytest.mark.parametrize("key", ["samples", "problem"])
+def test_an_index_beyond_int64_exits_one(workspace, capsys, key):
+    # numpy's OverflowError is an ArithmeticError, which used to exit 2 with no file or line
+    lines = workspace[key].read_text().splitlines()
+    lines[2] = str(2**64) + lines[2][lines[2].index(","):]
+    workspace[key].write_text("\n".join(lines) + "\n")
+    files = {name: str(workspace[name]) for name in ("problem", "dict", "samples")}
+    if key == "problem":
+        argv = ["isomorphism", "--problem", files["problem"], "--dict", files["dict"], "--n", "32", "--c0", "2.0"]
+    else:
+        argv = ["solve", "--dict", files["dict"], "--samples", files["samples"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {workspace[key]}: line 3: could not convert string")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from cvxagg import experiments
 from cvxagg.experiments import (
     DEFAULT_GRID,
     ORACLE_TOLERANCE,
+    Cell,
     ExperimentConfig,
     TrialRecord,
     derive_seed,
@@ -16,7 +17,7 @@ from cvxagg.experiments import (
     make_problem,
     population_oracle,
     run_grid,
-    run_trial,
+    run_trials,
     save_config,
 )
 from cvxagg.model import Dictionary, SampleSet, combine, sample
@@ -97,7 +98,7 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    record, _ = run_trial(p, d, n=32, solver_config=SolverConfig(), seed=11, replication=0, oracle_risk=oracle_risk)
+    record, _ = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())[0]
     assert record.excess_risk == pytest.approx(0.0, abs=1e-10)
     assert record.converged
 
@@ -124,7 +125,7 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = 12345
     oracle_risk = population_oracle(d, p).empirical_risk
-    record, _ = run_trial(p, d, 40, SolverConfig(tolerance=1e-12), seed, replication=0, oracle_risk=oracle_risk)
+    record, _ = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))[0]
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
@@ -182,9 +183,8 @@ def test_run_grid_records_recompute_exactly():
             derive_seed(cfg.master_seed, record.n, record.M, "problem"),
             cfg.noise,
         )
-        redone, _ = run_trial(
-            p, d, record.n, cfg.solver, record.seed, record.replication, record.oracle_risk
-        )
+        cell = Cell(p, d, record.n, record.oracle_risk)
+        redone, _ = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
         assert redone.excess_risk == record.excess_risk
         assert record.excess_risk >= -1e-10
 
