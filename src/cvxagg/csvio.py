@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,12 @@ def _read_table(path, expected: str, row_dtype) -> np.ndarray:
         raise ValueError(f"{path}: no data rows")
     line_nums, data = zip(*rows)
     try:
-        # comments=None: numpy's default "#" would silently cut a row short
-        table = np.loadtxt(data, dtype=dtype, delimiter=",", ndmin=1, comments=None, quotechar='"')
+        with warnings.catch_warnings():
+            # a numpy that still has the fallback deprecated in 1.23 parses a bad integer field
+            # as a float and truncates it, with only this warning; as an error, the field is refused
+            warnings.simplefilter("error", DeprecationWarning)
+            # comments=None: numpy's default "#" would silently cut a row short
+            table = np.loadtxt(data, dtype=dtype, delimiter=",", ndmin=1, comments=None, quotechar='"')
     except ValueError as exc:
         # numpy counts data rows from 0; name the file line instead
         message = str(exc)

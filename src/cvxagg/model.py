@@ -134,6 +134,8 @@ class SampleSet(Measure):
             raise ValueError("counts must be nonnegative, with at least one draw")
         if int(self.seed) != self.seed:
             raise ValueError("non-whole seed")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError("seed does not fit in int64, the seed column of samples.csv")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "n", n)

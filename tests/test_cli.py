@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +238,32 @@ def test_all_four_readers_refuse_the_same_fields(tmp_path, name, column, field):
     with pytest.raises(ValueError) as info:
         reader(path)
     assert str(info.value).startswith(f"{path}: line 3: ")
+
+
+@pytest.mark.parametrize("name", list(_TWO_ROWS))
+def test_an_integer_parsed_via_a_float_is_refused(tmp_path, monkeypatch, name):
+    # a numpy with the fallback deprecated in 1.23 parses a bad integer field
+    # as a float and truncates it (1.7 to 1), only warning once; this loadtxt
+    # does that, with the conversion error numpy raises when the warning is an
+    # error, so the readers must refuse the field whatever numpy is installed
+    loadtxt = np.loadtxt
+
+    def falling_back(lines, **kwargs):
+        fields = lines[1].split(",")
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError(f"could not convert string {fields[0]!r} to int64 at row 1, column 1.") from exc
+        return loadtxt([lines[0], ",".join([str(int(float(fields[0])))] + fields[1:])], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", falling_back)
+    reader, template = _TWO_ROWS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(template.format(index=1.7, value=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: could not convert string '1.7'"):
+            reader(path)
 
 
 @pytest.mark.parametrize("key", ["samples", "problem"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvxagg import csvio
 from cvxagg.model import (
     Dictionary,
     DiscreteProblem,
@@ -166,6 +167,21 @@ def test_a_sample_seed_must_be_whole_and_whole_floats_pass():
     assert SampleSet(np.array([0.0, 2.0]), np.array([0.0, 0.0]), np.array([1, 1]), seed=3.0).seed == 3
     whole = DiscreteProblem(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.5, 0.5]), bound_b=1.0)
     assert whole.x_indices.dtype == np.int64 and whole.x_indices.tolist() == [0, 1]
+
+
+def test_a_sample_seed_must_fit_the_int64_seed_column(tmp_path):
+    # samples.csv reads its seed column as int64, so a sample that could not
+    # be read back is refused when it is built, and the int64 extremes round-trip
+    problem = DiscreteProblem(np.array([0, 1]), np.array([0.0, 0.5]), np.array([0.5, 0.5]), bound_b=1.0)
+    for seed in (2**63, 2.0**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match="seed does not fit in int64"):
+            SampleSet(np.array([0]), np.array([0.0]), np.array([1]), seed=seed)
+    with pytest.raises(ValueError, match="seed does not fit in int64"):
+        sample(problem, 4, 2**63)
+    path = tmp_path / "samples.csv"
+    for seed in (2**63 - 1, -(2**63)):
+        csvio.write_samples(SampleSet(np.array([0]), np.array([0.0]), np.array([2]), seed=seed), path)
+        assert csvio.read_samples(path).seed == seed
 
 
 def test_types_are_immutable():
