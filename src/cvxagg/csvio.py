@@ -8,7 +8,8 @@ column, which keeps the files plain CSV; its rows must agree by value, so
 all four read through `_read_table`, which checks the file as it reads: the
 header, each row's field count, and every field, parsed by one `np.loadtxt`
 pass.  Integer columns (x_index, index, seed) must be exact int64 literals,
-so 1.0, 1_0, a fullwidth digit or an overflowing index is refused; float
+so 1.0, 1_0, a fullwidth digit or an overflowing index is refused on any
+numpy (one that parses a bad integer via a float warns, an error here); float
 columns must parse as numpy parses them (no underscore literals such as
 1_0.5, no "#" comment) and be finite, so inf, nan and 1e999 are refused.
 Each such error names the file and line.  Dictionaries and samples also
