@@ -123,6 +123,12 @@ class DeviationRow:
     bound: float
 
 
+def _fields(row) -> dict:
+    """A summary row's fields by name, its values not copied (unlike
+    dataclasses.asdict, which deep-copies every cell's solver dict)."""
+    return {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+
+
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Grid summaries, the constant fitted on even cells, and tail tables.
@@ -146,13 +152,13 @@ class RateReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "points": [dataclasses.asdict(p) for p in self.points],
+            "points": [_fields(p) for p in self.points],
             "c_hat": self.c_hat,
             "c_hat_phi": self.c_hat_phi,
             "fit_indices": list(self.fit_indices),
             "validation_indices": list(self.validation_indices),
             "validation_ratios": list(self.validation_ratios),
-            "deviation": [dataclasses.asdict(d) for d in self.deviation],
+            "deviation": [_fields(d) for d in self.deviation],
             "incomplete": self.incomplete,
             "bound_b": self.bound_b,
         }
@@ -232,7 +238,8 @@ def run_trials(trials, solver_config: SolverConfig) -> list[tuple[TrialRecord, E
     on all of them as one batch, and record each exact population excess.
 
     The trials may come from several cells, as long as their dictionaries
-    share one shape (M, K), as the cells of one M in a rate grid do.
+    share one K and one capacity min(K, M - 1), as the cells of a rate grid
+    whose M give one capacity do.
     Returns each trial's record and its hull solve, in order.  A trial's
     solve has the same bits in any batch, so any split of the trials gives
     the same records.
@@ -293,10 +300,12 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     `population_oracle` solve for the other kinds.
 
     Trials are hull-solved in batches (`run_trials`), and every cell's
-    dictionary is (M, atoms_K), so the trials of all the cells of one M can
-    share a batch.  With one worker, each M's trials form one batch; with
-    more, each M's trials are cut into batches of about a quarter of a
-    worker's share, and no more workers start than there are batches.  A
+    dictionary is (M, atoms_K), so the trials of all the cells of one
+    capacity min(atoms_K, M - 1) can share a batch: at atoms_K = 16 the
+    cells of M = 64 and M = 256 share one.  With one worker, each
+    capacity's trials form one batch; with more, each capacity's trials are
+    cut into batches of about a quarter of a worker's share, and no more
+    workers start than there are batches.  A
     batch runs about as many Frank-Wolfe rounds as its longest solve has
     iterations, where one-at-a-time solving ran the sum of them.  The
     records come in grid order, then replication order.  A trial's solve
@@ -306,7 +315,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    by_m: dict[int, list] = {}
+    by_capacity: dict[int, list] = {}
     for n, M in cfg.grid:
         problem_seed = derive_seed(cfg.master_seed, n, M, "problem")
         problem, dictionary = make_problem(
@@ -317,12 +326,12 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         else:
             oracle_risk = population_oracle(dictionary, problem).empirical_risk
         cell = Cell(problem, dictionary, n, oracle_risk)
-        by_m.setdefault(M, []).extend(
+        by_capacity.setdefault(min(cfg.atoms_K, M - 1), []).extend(
             (cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications)
         )
     batches = []
-    for trials in by_m.values():
-        # one batch per M on one worker; with more, a few batches per worker
+    for trials in by_capacity.values():
+        # one batch per capacity on one worker; with more, a few batches per worker
         step = len(trials) if jobs == 1 else max(1, math.ceil(len(trials) / jobs / 4))
         batches.extend((trials[start : start + step], cfg.solver) for start in range(0, len(trials), step))
 

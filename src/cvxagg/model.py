@@ -31,7 +31,11 @@ def _freeze(values, dtype) -> np.ndarray:
 
 
 def _whole(values, name: str) -> np.ndarray:
-    """values as a frozen int64 array, which must hold them exactly: 1.7 is refused, not truncated."""
+    """values as a frozen int64 array, which must hold them exactly: 1.7 is refused, not truncated.
+
+    An int64 array holds them by its type, so it is frozen with no compare."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return _freeze(values, np.int64)
     with np.errstate(invalid="ignore"):
         whole = _freeze(values, np.int64)
     if not np.array_equal(whole, values):
@@ -54,9 +58,9 @@ class Measure:
         x, y, p = self.x_indices, self.y_values, self.probabilities
         if x.ndim != 1 or x.size == 0 or y.shape != x.shape or p.shape != x.shape:
             raise ValueError("atoms must be nonempty parallel 1-D arrays")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(y).all() and np.isfinite(p).all()):
             raise ValueError("atom values must be finite")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
+        if (p < 0).any() or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         if x.min() < 0:
             raise ValueError("x indices must be nonnegative")

@@ -14,8 +14,9 @@ no M x M Gram matrix.  Termination is certified by the linear-minimization
 duality gap, which upper bounds the suboptimality of the returned iterate.
 
 The solver is batched: `erm_convex_hull_batch` solves many datasets, each
-on its own dictionary, as long as every dictionary has one shape (M, K):
-such as the replications of all the rate-grid cells of one M.  It runs in
+on its own dictionary, as long as every dictionary has one K and one
+capacity C = min(K, M - 1): such as the replications of all the rate-grid
+cells whose M give one C, M = 64 and 256 at K = 16.  It runs in
 rounds of one iteration of every dataset still running, so the per-call
 cost of numpy is paid once per round instead of once per dataset, and it
 holds each distinct dictionary once.  `erm_convex_hull`, a batch of one,
@@ -29,8 +30,10 @@ OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
 M in {16, 256, 512} and 2 to 10 rows differed from the row's GEMV, and no
 row of a stacked matmul or of np.einsum differed; the stacked matmul took
 about half np.einsum's time at these sizes).  And every dataset's face is
-padded to the fixed capacity C, never to the batch's largest face, so the
-lengths it is reduced over do not depend on the others.
+padded to the capacity C, never to the batch's largest face, so the lengths
+it is reduced over do not depend on the others.  Dictionaries of different
+M share a batch only through the oracle's gradient rows, padded to the
+largest M with +inf, which never wins an argmin.
 
 The data is any `model.Measure`: solvers read only its `x_indices`,
 `y_values` and `probabilities`, so a sample (atoms weighted by their draw
@@ -92,20 +95,27 @@ class ErmSolution:
     drop_steps: int
 
 
-def _least_squares(dictionary: Dictionary, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """root and target with risk(w) = ||(w @ F) * root - target||^2 + a constant.
+def _least_squares(K: int, datasets) -> tuple[np.ndarray, np.ndarray]:
+    """root[b] and target[b] with risk_b(w) = ||(w @ F) * root[b] - target[b]||^2
+    + a constant, for each dataset b of a batch on K design points.
 
     root = sqrt(px) and target = ymass / root on the K design points, so the
     rows of A = F * root are the vertices.  Design points the data gives no
-    mass get a zero root and a zero target.
+    mass get a zero root and a zero target.  One bincount pair serves the
+    batch: dataset b's design indices are offset by b K, so each bin sums
+    its own dataset's atoms in their order, and row b has the bits of that
+    dataset's bincount alone.
     """
-    K = dictionary.num_design_points
-    x, y, p = measure.x_indices, measure.y_values, measure.probabilities
+    x = np.concatenate([data.x_indices for data in datasets])
     if x.max() >= K:
         raise ValueError("data refers to design points outside the dictionary")
-    root = np.sqrt(np.bincount(x, weights=p, minlength=K))
-    ymass = np.bincount(x, weights=p * y, minlength=K)
-    target = np.divide(ymass, root, out=np.zeros(K), where=root > 0.0)
+    B = len(datasets)
+    x = x + np.repeat(np.arange(0, B * K, K), [data.x_indices.size for data in datasets])
+    p = np.concatenate([data.probabilities for data in datasets])
+    y = np.concatenate([data.y_values for data in datasets])
+    root = np.sqrt(np.bincount(x, weights=p, minlength=B * K)).reshape(B, K)
+    ymass = np.bincount(x, weights=p * y, minlength=B * K).reshape(B, K)
+    target = np.divide(ymass, root, out=np.zeros((B, K)), where=root > 0.0)
     return root, target
 
 
@@ -142,13 +152,17 @@ def _rows(F, runs: list, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_dictionary(x: np.ndarray, Y: list, runs: list) -> np.ndarray:
+def _by_dictionary(x: np.ndarray, Y: list, runs: list, width: int) -> np.ndarray:
     """x[b] @ Y[g] for every rep b, g its dictionary: one stacked product per
     run of reps on one dictionary, so each rep's product is the one it gets
-    alone."""
-    out = np.empty((x.shape[0], Y[0].shape[1]))
+    alone.  Each row is padded to `width` columns with +inf, which never
+    wins an argmin over the row."""
+    out = np.empty((x.shape[0], width))
     for g, lo, hi in runs:
-        out[lo:hi] = _vecmat(x[lo:hi], Y[g])
+        m = Y[g].shape[1]
+        out[lo:hi, :m] = _vecmat(x[lo:hi], Y[g])
+        if m < width:
+            out[lo:hi, m:] = np.inf
     return out
 
 
@@ -161,8 +175,9 @@ _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 class _Face:
     """Each rep's active vertices, with a QR factor of their affine hull kept current.
 
-    F holds G (M, K) dictionaries, each once and uncopied, and rep b's is
-    F[which[b]]; `runs` lists the runs of reps on one dictionary.  Rep b's
+    F holds G dictionaries of K columns and one capacity C (below), each
+    once and uncopied, and rep b's is F[which[b]]; `runs` lists the runs of
+    reps on one dictionary.  Rep b's
     vertices are the rows of A_b = F[which[b]] * root[b] and its target is
     target[b].  Per rep, with base
     vertex a0 = A_b[support[0]], the k = |S| - 1 differences
@@ -175,14 +190,14 @@ class _Face:
     by `append` and `drop`; the factor is never computed from scratch.
     `indices` and `vertices` hold the active indices, base first and newest
     last, and the rows A_b[support], `offset` is target - a0, and `active`
-    is the (B, M) membership mask of the supports.
+    is the (B, max M) membership mask of the supports.
 
-    Every rep's buffers are padded to the fixed capacity C = min(K, M - 1)
-    (a face has at most C differences: a K-dimensional span, M distinct
-    vertices), never to the batch's largest face: rows, R columns and T
-    columns past a rep's k are exactly zero, as are the solver's weights past
-    its support, so every product a rep takes part in has shapes fixed by K
-    and M alone.
+    Every rep's buffers are padded to the capacity C = min(K, M - 1) (a face
+    has at most C differences: a K-dimensional span, M distinct vertices),
+    which every dictionary of the batch shares, never to the batch's largest
+    face: rows, R columns and T columns past a rep's k are exactly zero, as
+    are the solver's weights past its support, so every product a rep takes
+    part in has shapes fixed by its own dictionary's (M, K) and by C alone.
     `z` = T c, the corrective minimizer's free part, is kept with the
     factor.  Memory is O(B K C + B M), within the order of the batch's data.
     """
@@ -196,7 +211,7 @@ class _Face:
         self.rows = np.zeros((B, C, 2 * C + 1 + K))
         self.indices = np.zeros((B, C + 1), dtype=np.intp)
         self.vertices = np.zeros((B, C + 1, K))
-        self.active = np.zeros((B, F[0].shape[0]), dtype=bool)
+        self.active = np.zeros((B, max(f.shape[0] for f in F)), dtype=bool)
         self.indices[:, 0] = start
         self.vertices[:, 0] = _rows(F, self.runs, start) * root
         self.active[np.arange(B), start] = True
@@ -346,7 +361,8 @@ class _Face:
 def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
     """Fully corrective Frank-Wolfe on the simplex for
     ||(w @ F[which[b]]) * root[b] - target[b]||^2, for every rep b of a batch
-    at once; F is a sequence of G (M, K) dictionaries.
+    at once; F is a sequence of G dictionaries of K columns and one capacity
+    min(K, M - 1), whose row counts M may differ.
 
     Each outer iteration adds the vertex named by the linear-minimization
     oracle, then re-optimizes exactly over the convex hull of the active
@@ -367,7 +383,9 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     reps are sorted by dictionary, so each dictionary's reps form one run
     of the batch and each gradient is one stacked product per run, on a
     transposed view of that dictionary: a rep's product has the shapes and
-    memory layout it has alone.  An entering
+    memory layout it has alone.  Its gradient goes into a row padded to the
+    batch's largest M with +inf, so padding never wins the oracle's argmin,
+    and its start vertex is taken over its own dictionary's M.  An entering
     vertex whose difference is numerically in the span of the face's
     differences ends the rep's solve with "repeat_vertex", as an active one
     does: in exact arithmetic a vertex with a positive gap is affinely
@@ -378,7 +396,8 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     batch runs as many rounds as its longest solve has iterations, each a
     few dozen numpy calls whatever the batch size.  Every step is
     elementwise, a per-rep product (see the module docstring) or a per-rep
-    reduction over a length fixed by K and M (see `_Face`), so a rep's
+    reduction over a length fixed by its own dictionary's (M, K) and by the
+    capacity (see `_Face`), so a rep's
     weights, gap, counters and stop reason have the same bits whichever
     batch it is solved in.  Ties in the linear-minimization oracle break to
     the lowest index.
@@ -392,9 +411,11 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     order = np.argsort(which, kind="stable")
     which, root, target = which[order], root[order], target[order]
     B, runs, Ft = root.shape[0], _runs(which), [f.T for f in F]
-    start = (
-        _by_dictionary(root * root, [(f * f).T for f in F], runs) - 2.0 * _by_dictionary(root * target, Ft, runs)
-    ).argmin(axis=1)
+    width = max(f.shape[0] for f in F)
+    mass, pull = root * root, root * target
+    start = np.empty(B, dtype=np.intp)
+    for g, lo, hi in runs:
+        start[lo:hi] = (_vecmat(mass[lo:hi], (F[g] * F[g]).T) - 2.0 * _vecmat(pull[lo:hi], Ft[g])).argmin(axis=1)
     face = _Face(F, which, root, target, start)
     C = face.capacity
     slots = np.arange(C + 1)
@@ -442,7 +463,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     with np.errstate(divide="ignore", invalid="ignore"):
         while n.size:
             it += 1
-            grad = _by_dictionary(root2 * resid, Ft, face.runs)
+            grad = _by_dictionary(root2 * resid, Ft, face.runs, width)
             s = grad.argmin(axis=1)
             gap = _rowdot(grad[n[:, None], face.indices], u) - grad[n, s]
             # a rep whose solve ended last round (no descent, iteration cap)
@@ -536,8 +557,9 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
     dictionary, as one batched solve; returns one ErmSolution per dataset.
 
     dictionaries[i] is dataset i's dictionary, and every dictionary of the
-    batch must have one shape (M, K); a dictionary object named by several
-    datasets is held once.  Each dataset is a `Measure`: a sample
+    batch must have one number of design points K and one capacity
+    min(K, M - 1), so their M may differ only where that capacity is K; a
+    dictionary object named by several datasets is held once.  Each dataset is a `Measure`: a sample
     (empirical risk) or a problem (exact population risk).  Ties in
     the linear-minimization oracle break to the lowest dictionary index, and
     a dataset's solution has the same bits in any batch (see
@@ -550,14 +572,17 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
     if not datasets:
         return []
     held = list({id(d): d for d in dictionaries}.values())
-    if len({d.values.shape for d in held}) > 1:
-        raise ValueError("the dictionaries of one batch must all have one shape (M, K)")
+    K = sorted({d.num_design_points for d in held})
+    if len(K) > 1:
+        raise ValueError(f"the dictionaries of one batch must all have one K, found K = {K}")
+    K = K[0]
+    capacities = sorted({min(K, d.size_M - 1) for d in held})
+    if len(capacities) > 1:
+        raise ValueError(f"the dictionaries of one batch must all have one capacity min(K, M - 1), found {capacities}")
     slot = {id(d): g for g, d in enumerate(held)}
     which = [slot[id(d)] for d in dictionaries]
     F = [d.values for d in held]
-    inputs = [_least_squares(d, data) for d, data in zip(dictionaries, datasets)]
-    root = np.array([root for root, _ in inputs])
-    target = np.array([target for _, target in inputs])
+    root, target = _least_squares(K, datasets)
     solutions = []
     for dictionary, data, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
         dictionaries, datasets, _minimize_fw(F, which, root, target, cfg)

@@ -250,9 +250,10 @@ def _rows(path):
 
 
 def test_run_grid_rows_come_in_grid_then_replication_order(tmp_path, in_process_pool):
-    # the two cells of each M share batches: at jobs=1 one batch per M, and
-    # at jobs=3 an M's 14 trials go in batches of ceil(14 / 3 / 4) = 2, the
-    # fourth of which holds replication 6 of one cell and 0 of the other
+    # the two cells of each M share batches (M = 2 and 3 have capacities
+    # min(16, M - 1) of 1 and 2): at jobs=1 one batch per M, and at jobs=3
+    # an M's 14 trials go in batches of ceil(14 / 3 / 4) = 2, the fourth of
+    # which holds replication 6 of one cell and 0 of the other
     pools, batches = in_process_pool
     grid = ((48, 2), (96, 3), (48, 3), (96, 2))
     cfg = ExperimentConfig(grid=grid, replications=7, master_seed=3)
@@ -279,6 +280,24 @@ def test_run_grid_starts_no_more_workers_than_batches(tmp_path, in_process_pool)
     assert pools == [4] and len(batches) == 4
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
+
+
+def test_run_grid_batches_the_cells_of_one_capacity_together(tmp_path, in_process_pool):
+    # at atoms_K = 2 the face capacity min(2, M - 1) is 1 for M = 2 and 2 for
+    # M = 3, 5 and 9, so at jobs=1 the cells of M = 5, 9 and 3 share one
+    # batch; at jobs=2 the capacity-2 group's 9 trials go in batches of
+    # ceil(9 / 2 / 4) = 2, the second of which holds an M = 5 and an M = 9
+    # trial, and the bytes are the same
+    pools, batches = in_process_pool
+    grid = ((32, 5), (32, 2), (64, 9), (64, 3))
+    cfg = ExperimentConfig(grid=grid, atoms_K=2, replications=3, master_seed=6)
+    run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
+    assert batches == [[(32, 5)] * 3 + [(64, 9)] * 3 + [(64, 3)] * 3, [(32, 2)] * 3]
+    batches.clear()
+    run_grid(cfg, out_dir=tmp_path / "two", jobs=2)
+    assert pools == [2] and len(batches) == 8 and batches[1] == [(32, 5), (64, 9)]
+    for name in ("trials.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_config_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvxagg.experiments import make_problem
@@ -603,7 +603,7 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
     # iterates must not move, for a sample solved alone or in a batch of
     # samples of one problem
     def follows(sol, d, s):
-        root, target = _least_squares(d, s)
+        (root,), (target,) = _least_squares(d.num_design_points, [s])
         support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = lstsq_minimize_fw(
             d.values * root, target, SolverConfig()
         )
@@ -669,9 +669,8 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
     F = scale * d.values
     if duplicate_rows:
         F[M // 2 :] = F[: M - M // 2]
-    inputs = [_least_squares(d, sample(p, n, seed=seed + r)) for r in range(reps)]
-    root = np.array([root for root, _ in inputs])
-    target = scale * np.array([target for _, target in inputs])
+    root, target = _least_squares(K, [sample(p, n, seed=seed + r) for r in range(reps)])
+    target = scale * target
     config = {
         "gap": SolverConfig(tolerance=1e-8 * scale**2),
         "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
@@ -702,29 +701,41 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
     kind=st.sampled_from(["inside-hull", "outside-hull", "pure-noise"]),
     K=st.sampled_from([1, 2, 3, 5, 16, 64]),
     M=st.sampled_from([1, 2, 3, 8, 17, 64, 256]),
+    more_m=st.lists(st.sampled_from([1, 2, 7, 40, 200]), max_size=2),
     n=st.sampled_from([4, 256, 4096]),
     dictionaries=st.integers(1, 4),
     reps=st.integers(1, 8),
     exponent=st.integers(-6, 6),
     stopping=st.sampled_from(["gap", "cap", "tiny tolerance"]),
+    lifted=st.booleans(),
+)
+@example(
+    seed=3, kind="outside-hull", K=16, M=64, more_m=[200], n=256, dictionaries=3, reps=8, exponent=0,
+    stopping="gap", lifted=True,
 )
 def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
-    seed, kind, K, M, n, dictionaries, reps, exponent, stopping
+    seed, kind, K, M, more_m, n, dictionaries, reps, exponent, stopping, lifted
 ):
-    # reps drawn from several problems, each on its own dictionary of one
-    # shape (M, K) and in any order, as the cells of one M of a rate grid
-    # share a batch: a rep's solve has the same bits alone, in the mixed
-    # batch, and in permuted, sliced, duplicated and non-contiguous batches
+    # reps drawn from several problems, each on its own dictionary of K
+    # columns and one capacity min(K, M - 1), and in any order, as the cells
+    # of one capacity of a rate grid share a batch.  Past M = K + 1 the
+    # capacity is K for every M, so there the dictionaries have up to three
+    # row counts, K + 1 + 200 among them, and K = 1 takes any M >= 2.  A
+    # rep's solve has the same bits alone, in the mixed batch, and in
+    # permuted, sliced, duplicated and non-contiguous batches.  Lifted
+    # dictionaries lie above every label, so every gradient entry of a
+    # dictionary is positive, and only a padding of +inf stays out of the
+    # oracle's argmin
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
-    problems = [make_problem(kind, K=K, M=M, b=1.0, seed=seed + g) for g in range(dictionaries)]
-    F = scale * np.array([d.values for _, d in problems])
-    which = rng.integers(0, dictionaries, size=reps)
-    inputs = [
-        _least_squares(problems[g][1], sample(problems[g][0], n, seed=seed + r)) for r, g in enumerate(which)
+    sizes = [M] if M <= K else [M, *(K + m for m in more_m)]
+    problems = [
+        make_problem(kind, K=K, M=sizes[g % len(sizes)], b=1.0, seed=seed + g) for g in range(dictionaries)
     ]
-    root = np.array([root for root, _ in inputs])
-    target = scale * np.array([target for _, target in inputs])
+    F = [scale * (d.values + 3.0 * lifted) for _, d in problems]
+    which = rng.integers(0, dictionaries, size=reps)
+    root, target = _least_squares(K, [sample(problems[g][0], n, seed=seed + r) for r, g in enumerate(which)])
+    target = scale * target
     config = {
         "gap": SolverConfig(tolerance=1e-8 * scale**2),
         "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
@@ -735,7 +746,7 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
         return [_solve_key(solve) for solve in _minimize_fw(F, which, root, target, config)]
 
     alone = [
-        fw(F[g][None], np.zeros(1, dtype=np.intp), root[r : r + 1], target[r : r + 1])[0]
+        fw([F[g]], np.zeros(1, dtype=np.intp), root[r : r + 1], target[r : r + 1])[0]
         for r, g in enumerate(which)
     ]
     assert fw(F, which, root, target) == alone
@@ -745,29 +756,66 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     assert fw(F, which[lo:hi], root[lo:hi], target[lo:hi]) == alone[lo:hi]
     repeats = rng.integers(0, reps, size=reps + 3)
     assert fw(F, which[repeats], root[repeats], target[repeats]) == [alone[r] for r in repeats]
-    # a stack in Fortran order, with every dictionary also held a second
-    # time, and strided rows of root and target
-    doubled = np.asfortranarray(np.concatenate([F, F]))
+    # dictionaries in Fortran order, each also held a second time, and
+    # strided rows of root and target
+    doubled = [np.asfortranarray(f) for f in F + F]
     strided_root, strided_target = np.zeros((reps, 2 * K)), np.zeros((2 * K, reps))
     strided_root[:, ::2], strided_target[::2] = root, target.T
     twice = which + dictionaries * rng.integers(0, 2, size=reps)
     assert fw(doubled, twice, strided_root[:, ::2], strided_target[::2].T) == alone
 
 
-def test_a_batch_holds_dictionaries_of_one_shape():
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 20),
+    atoms=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    zeros=st.booleans(),
+)
+def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, zeros):
+    # one bincount pair over the batch gives every dataset the bits of its
+    # own bincount, for datasets of different atom counts whose atoms leave
+    # design points out or give them zero mass
+    rng = np.random.default_rng(seed)
+    datasets = []
+    for size in atoms:
+        counts = rng.integers(0 if zeros else 1, 4, size=size)
+        counts[rng.integers(size)] += 1
+        datasets.append(
+            SampleSet(rng.integers(0, K, size=size), rng.uniform(-1.0, 1.0, size=size), counts, seed)
+        )
+    root, target = _least_squares(K, datasets)
+    assert root.shape == target.shape == (len(atoms), K)
+    for b, data in enumerate(datasets):
+        x, y, p = data.x_indices, data.y_values, data.probabilities
+        own = np.sqrt(np.bincount(x, weights=p, minlength=K))
+        ymass = np.bincount(x, weights=p * y, minlength=K)
+        assert root[b].tobytes() == own.tobytes()
+        assert target[b].tobytes() == np.divide(ymass, own, out=np.zeros(K), where=own > 0.0).tobytes()
+    with pytest.raises(ValueError, match="outside the dictionary"):
+        _least_squares(K, [*datasets, SampleSet([K], [0.0], [1], seed)])
+
+
+def test_a_batch_holds_dictionaries_of_one_k_and_one_capacity():
     # the public batch takes a dictionary per dataset: a mixed batch of one
-    # shape gives each dataset its solution alone, and mixed shapes are refused
-    (p1, d1), (p2, d2), (p3, d3) = (
-        make_problem("outside-hull", K=8, M=M, b=1.0, seed=s) for s, M in ((1, 16), (2, 16), (3, 17))
+    # K and one capacity, here K = 8 with M = 16 and 17 (capacity 8), gives
+    # each dataset its solution alone, and a mixed K or a mixed capacity is
+    # refused
+    (p1, d1), (p2, d2), (p3, d3), (p4, d4), (p5, d5) = (
+        make_problem("outside-hull", K=K, M=M, b=1.0, seed=s)
+        for s, K, M in ((1, 8, 16), (2, 8, 16), (3, 8, 17), (4, 9, 16), (5, 8, 5))
     )
-    data = [sample(p, 64, seed=s) for s, p in enumerate((p1, p2, p1))]
-    batch = erm_convex_hull_batch([d1, d2, d1], data)
-    for sol, d, s in zip(batch, (d1, d2, d1), data):
+    dictionaries = (d1, d2, d3, d1)
+    data = [sample(p, 64, seed=s) for s, p in enumerate((p1, p2, p3, p1))]
+    batch = erm_convex_hull_batch(dictionaries, data)
+    for sol, d, s in zip(batch, dictionaries, data):
         lone = erm_convex_hull(d, s)
         assert sol.weights.weights.tobytes() == lone.weights.weights.tobytes()
         counters = ("empirical_risk", "duality_gap", "iterations", "stop_reason", "kkt_solves", "drop_steps")
         assert [getattr(sol, name) for name in counters] == [getattr(lone, name) for name in counters]
-    with pytest.raises(ValueError, match="one shape"):
-        erm_convex_hull_batch([d1, d3], [data[0], sample(p3, 64, seed=0)])
+    with pytest.raises(ValueError, match="one K"):
+        erm_convex_hull_batch([d1, d4], [data[0], sample(p4, 64, seed=0)])
+    with pytest.raises(ValueError, match=r"one capacity min\(K, M - 1\), found \[4, 8\]"):
+        erm_convex_hull_batch([d1, d5], [data[0], sample(p5, 64, seed=0)])
     with pytest.raises(ValueError, match="dictionaries for"):
         erm_convex_hull_batch([d1], data)
