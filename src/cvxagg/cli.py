@@ -206,7 +206,17 @@ def _cmd_experiment(args) -> int:
 
     cfg = load_config(args.config)
     report = run_grid(cfg, out_dir=args.out, jobs=args.jobs)
-    print(f"c_hat={report.c_hat!r} points={len(report.points)} incomplete={report.incomplete}")
+    lines = [
+        f"c_hat={report.c_hat!r} c_hat_phi={report.c_hat_phi!r} "
+        f"points={len(report.points)} incomplete={report.incomplete}",
+        "n,M,psi,mean_excess,ratio,role",
+    ]
+    # one row per grid cell; ratio is the quantity c_hat maximises over the fit cells
+    b2 = report.bound_b**2
+    for i, p in enumerate(report.points):
+        role = "fit" if i in report.fit_indices else "val"
+        lines.append(f"{p.n},{p.M},{p.psi!r},{p.mean_excess!r},{p.mean_excess / (b2 * p.psi)!r},{role}")
+    sys.stdout.write("\n".join(lines) + "\n")
     # a deviation row's frequency is at most 1, so it cannot fail a bound of 1 or more
     for x, bound in {row.x: row.bound for row in report.deviation}.items():
         if bound >= 1.0:

@@ -12,8 +12,9 @@ so 1.0, 1_0, a fullwidth digit or an overflowing index is refused on any
 numpy (one that parses a bad integer via a float warns, an error here); float
 columns must parse as numpy parses them (no underscore literals such as
 1_0.5, no "#" comment) and be finite, so inf, nan and 1e999 are refused.
-Each such error names the file and line.  Dictionaries and samples also
-have writers, which write floats with repr so round-trips are exact.
+Each such error names the file and line.  Problems, dictionaries and
+samples also have writers, which write floats with repr so round-trips are
+exact.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def read_problem(path) -> DiscreteProblem:
     return DiscreteProblem(
         table["x_index"], table["y_value"], table["probability"], bound_b=_constant(path, table, "bound_b")
     )
+
+
+def write_problem(problem: DiscreteProblem, path) -> None:
+    rows = zip(problem.x_indices.tolist(), problem.y_values.tolist(), problem.probabilities.tolist())
+    _write_rows(path, _PROBLEM.names, [[x, repr(y), repr(p), repr(problem.bound_b)] for x, y, p in rows])
 
 
 def _dictionary_header(size_m: int) -> list[str]:

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -291,6 +292,13 @@ def _solver_statistics(solves) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """Run every grid cell, fit the rate constant, and assemble the report.
 
@@ -302,10 +310,11 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     Trials are hull-solved in batches (`run_trials`), and every cell's
     dictionary is (M, atoms_K), so the trials of all the cells of one
     capacity min(atoms_K, M - 1) can share a batch: at atoms_K = 16 the
-    cells of M = 64 and M = 256 share one.  With one worker, each
-    capacity's trials form one batch; with more, each capacity's trials are
-    cut into batches of about a quarter of a worker's share, and no more
-    workers start than there are batches.  A
+    cells of M = 64 and M = 256 share one.  jobs is first capped at the
+    CPUs the process may use.  With one worker, each capacity's trials
+    form one batch; with more, each capacity's trials are cut into batches
+    of about a quarter of a worker's share, and no more workers start than
+    there are batches.  A
     batch runs about as many Frank-Wolfe rounds as its longest solve has
     iterations, where one-at-a-time solving ran the sum of them.  The
     records come in grid order, then replication order.  A trial's solve
@@ -315,6 +324,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, _usable_cpus())
     by_capacity: dict[int, list] = {}
     for n, M in cfg.grid:
         problem_seed = derive_seed(cfg.master_seed, n, M, "problem")

@@ -328,7 +328,7 @@ class IsomorphismReport:
     be 0 whenever the comparison logic is sound.
 
     gamma_or_rho holds the level gamma; the field keeps its name because the
-    CLI, the scripts and the benchmark read it.
+    CLI and the benchmark read it.
     """
 
     x: float

@@ -214,7 +214,8 @@ def test_run_grid_outputs_byte_identical(tmp_path):
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replace run_grid's process pool by a stand-in that maps the batches in
-    this process, and record every batch run_grid solves, at any jobs.
+    this process, and record every batch run_grid solves, at any jobs.  The
+    process may use 8 CPUs, on any machine, unless a test says otherwise.
 
     Returns (pools, batches): the max_workers each pool was made with, and
     per batch the (n, M) cells of its trials, in order.
@@ -240,6 +241,7 @@ def in_process_pool(monkeypatch):
             return [fn(x) for x in iterable]
 
     monkeypatch.setattr(experiments, "_batch_task", recorded)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools, batches
 
@@ -278,6 +280,21 @@ def test_run_grid_starts_no_more_workers_than_batches(tmp_path, in_process_pool)
     batches.clear()
     run_grid(cfg, out_dir=tmp_path / "many", jobs=5000)
     assert pools == [4] and len(batches) == 4
+    for name in ("trials.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
+
+
+def test_run_grid_starts_no_more_workers_than_cpus(tmp_path, in_process_pool, monkeypatch):
+    # jobs is capped at the 2 CPUs before the batches are cut: each
+    # capacity's 16 trials go in batches of ceil(16 / 2 / 4) = 2, not the
+    # 16 batches of one that jobs=1000 would make
+    pools, batches = in_process_pool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(grid=((32, 2), (32, 3)), replications=16, master_seed=4)
+    run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
+    batches.clear()
+    run_grid(cfg, out_dir=tmp_path / "many", jobs=1000)
+    assert pools == [2] and [len(batch) for batch in batches] == [2] * 16
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
 

@@ -2,8 +2,9 @@
 
 A public top-level function or class, or a public method or property, in
 `src/cvxagg/*.py` must appear as a whole word somewhere other than its own
-`def`/`class` line: in the library, the scripts, the benchmark workload and
-tracer, or the acceptance suite.  A name only its own unit tests call fails.
+`def`/`class` line: in the library, the CI workflow, the benchmark workload
+and tracer, or the acceptance suite.  A name only its own unit tests call
+fails.
 """
 
 import ast
@@ -14,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "cvxagg"
 SEARCHED = [
     *sorted(LIBRARY.glob("*.py")),
-    *sorted((ROOT / "scripts").glob("*.py")),
+    ROOT / ".github" / "workflows" / "tests.yml",
     ROOT / "perfbench" / "workload.py",
     ROOT / "perfbench" / "tracing.py",
     ROOT / "tests" / "test_acceptance.py",
