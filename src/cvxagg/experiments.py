@@ -16,6 +16,7 @@ import collections
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,17 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 
+def _whole(value, name: str) -> int:
+    """value as an int, which must equal it: 2.5 is refused, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be whole, found {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full specification of a rate experiment; see the README for file keys."""
@@ -56,8 +68,10 @@ class ExperimentConfig:
     noise: float = 0.5
 
     def __post_init__(self):
-        grid = tuple((int(n), int(M)) for n, M in self.grid)
+        grid = tuple((_whole(n, "grid entries"), _whole(M, "grid entries")) for n, M in self.grid)
         object.__setattr__(self, "grid", grid)
+        for name in ("atoms_K", "replications", "master_seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         object.__setattr__(self, "x_levels", tuple(float(x) for x in self.x_levels))
         if not grid:
             raise ValueError("grid must be nonempty")
@@ -81,7 +95,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One ERM trial: exact population excess risk against the hull optimum."""
+    """One ERM trial: exact population excess risk against the hull optimum,
+    and its hull solve's counters (see `solver.ErmSolution`)."""
 
     n: int
     M: int
@@ -89,7 +104,12 @@ class TrialRecord:
     excess_risk: float
     oracle_risk: float
     seed: int
-    converged: bool = True
+    converged: bool
+    iterations: int
+    stop_reason: str
+    kkt_solves: int
+    drop_steps: int
+    duality_gap: float
 
 
 @dataclass(frozen=True)
@@ -234,16 +254,12 @@ class Cell:
     oracle_risk: float
 
 
-def run_trials(trials, solver_config: SolverConfig) -> list[tuple[TrialRecord, ErmSolution]]:
+def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
     """Draw a size-n sample per (cell, replication, seed) trial, run hull ERM
     on all of them as one batch, and record each exact population excess.
 
-    The trials may come from several cells, as long as their dictionaries
-    share one K and one capacity min(K, M - 1), as the cells of a rate grid
-    whose M give one capacity do.
-    Returns each trial's record and its hull solve, in order.  A trial's
-    solve has the same bits in any batch, so any split of the trials gives
-    the same records.
+    Returns each trial's record, in order.  A trial's solve has the same
+    bits in any batch, so any split of the trials gives the same records.
     """
     trials = list(trials)
     draws = [sample(cell.problem, cell.n, seed) for cell, _, seed in trials]
@@ -259,36 +275,27 @@ def run_trials(trials, solver_config: SolverConfig) -> list[tuple[TrialRecord, E
             oracle_risk=cell.oracle_risk,
             seed=seed,
             converged=solution.converged,
+            iterations=solution.iterations,
+            stop_reason=solution.stop_reason,
+            kkt_solves=solution.kkt_solves,
+            drop_steps=solution.drop_steps,
+            duality_gap=solution.duality_gap,
         )
-        out.append((record, solution))
+        out.append(record)
     return out
 
 
-# the ErmSolution counters that report.json sums up per cell
-_SOLVE_COUNTERS = ("iterations", "stop_reason", "kkt_solves", "drop_steps", "duality_gap")
-
-
-def _batch_task(args) -> list[tuple[TrialRecord, dict]]:
-    """A batch of trials, solved together, each with its solve's counters
-    (the weights are left behind)."""
-    trials, solver_cfg = args
-    return [
-        (record, {name: getattr(solution, name) for name in _SOLVE_COUNTERS})
-        for record, solution in run_trials(trials, solver_cfg)
-    ]
-
-
-def _solver_statistics(solves) -> dict:
+def _solver_statistics(records) -> dict:
     """Iteration median and max, counter totals, a stop-reason tally and the
     largest duality gap over a cell's hull solves."""
-    iterations = [solve["iterations"] for solve in solves]
+    iterations = [r.iterations for r in records]
     return {
         "iterations_median": statistics.median(iterations),
         "iterations_max": max(iterations),
-        "kkt_solves": sum(solve["kkt_solves"] for solve in solves),
-        "drop_steps": sum(solve["drop_steps"] for solve in solves),
-        "stop_reasons": dict(collections.Counter(solve["stop_reason"] for solve in solves)),
-        "max_duality_gap": max(solve["duality_gap"] for solve in solves),
+        "kkt_solves": sum(r.kkt_solves for r in records),
+        "drop_steps": sum(r.drop_steps for r in records),
+        "stop_reasons": dict(collections.Counter(r.stop_reason for r in records)),
+        "max_duality_gap": max(r.duality_gap for r in records),
     }
 
 
@@ -307,25 +314,21 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     Its hull minimum is the Bayes risk for inside-hull problems and a
     `population_oracle` solve for the other kinds.
 
-    Trials are hull-solved in batches (`run_trials`), and every cell's
-    dictionary is (M, atoms_K), so the trials of all the cells of one
-    capacity min(atoms_K, M - 1) can share a batch: at atoms_K = 16 the
-    cells of M = 64 and M = 256 share one.  jobs is first capped at the
-    CPUs the process may use.  With one worker, each capacity's trials
-    form one batch; with more, each capacity's trials are cut into batches
-    of about a quarter of a worker's share, and no more workers start than
-    there are batches.  A
-    batch runs about as many Frank-Wolfe rounds as its longest solve has
-    iterations, where one-at-a-time solving ran the sum of them.  The
-    records come in grid order, then replication order.  A trial's solve
-    has the same bits in any batch (see `solver`), so when out_dir is given,
-    trials.csv and report.json are written there with bytes identical for
-    any worker count.
+    Trials are hull-solved in batches (`run_trials`).  jobs is first
+    capped at the CPUs the process may use.  With one worker, every trial
+    of the grid forms one batch; with more, the trials, in grid order, are
+    cut into batches of about a quarter of a worker's share, and no more
+    workers start than there are batches.  A batch runs about as many
+    Frank-Wolfe rounds as its longest solve has iterations, where
+    one-at-a-time solving ran the sum of them.  The records come in grid
+    order, then replication order.  A trial's solve has the same bits in
+    any batch (see `solver`), so when out_dir is given, trials.csv and
+    report.json are written there with bytes identical for any worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     jobs = min(jobs, _usable_cpus())
-    by_capacity: dict[int, list] = {}
+    trials = []
     for n, M in cfg.grid:
         problem_seed = derive_seed(cfg.master_seed, n, M, "problem")
         problem, dictionary = make_problem(
@@ -336,27 +339,20 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         else:
             oracle_risk = population_oracle(dictionary, problem).empirical_risk
         cell = Cell(problem, dictionary, n, oracle_risk)
-        by_capacity.setdefault(min(cfg.atoms_K, M - 1), []).extend(
-            (cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications)
-        )
-    batches = []
-    for trials in by_capacity.values():
-        # one batch per capacity on one worker; with more, a few batches per worker
-        step = len(trials) if jobs == 1 else max(1, math.ceil(len(trials) / jobs / 4))
-        batches.extend((trials[start : start + step], cfg.solver) for start in range(0, len(trials), step))
+        trials.extend((cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications))
 
     if jobs == 1:
-        solved = [_batch_task(batch) for batch in batches]
+        records = run_trials(trials, cfg.solver)
     else:
+        step = max(1, math.ceil(len(trials) / jobs / 4))
+        batches = [trials[start : start + step] for start in range(0, len(trials), step)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            solved = list(pool.map(_batch_task, batches))
+            solved = pool.map(run_trials, batches, itertools.repeat(cfg.solver))
+            records = [record for batch in solved for record in batch]
 
     by_cell: dict[tuple[int, int], list[TrialRecord]] = {key: [] for key in cfg.grid}
-    solves: dict[tuple[int, int], list[dict]] = {key: [] for key in cfg.grid}
-    for record, solve in (trial for batch in solved for trial in batch):
+    for record in records:
         by_cell[(record.n, record.M)].append(record)
-        solves[(record.n, record.M)].append(solve)
-    records = [record for cell_records in by_cell.values() for record in cell_records]
     incomplete = any(not r.converged for r in records)
 
     points = []
@@ -377,7 +373,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
                 q75=q75,
                 q90=q90,
                 max_excess=float(np.max(cell)),
-                solver=_solver_statistics(solves[(n, M)]),
+                solver=_solver_statistics(by_cell[(n, M)]),
             )
         )
 

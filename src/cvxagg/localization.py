@@ -66,8 +66,8 @@ class LocalizedClass:
     level_lambda: float
 
     def __post_init__(self):
-        if not self.level_lambda > 0:
-            raise ValueError("level_lambda must be positive")
+        if not 0 < self.level_lambda < math.inf:
+            raise ValueError(f"level_lambda must be positive and finite, found {self.level_lambda}")
 
 
 def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:

@@ -14,19 +14,17 @@ no M x M Gram matrix.  Termination is certified by the linear-minimization
 duality gap, which upper bounds the suboptimality of the returned iterate.
 
 The solver is batched: `erm_convex_hull_batch` solves many datasets, each
-on its own dictionary, as long as every dictionary has one K and one
-capacity C = min(K, M - 1): such as the replications of all the rate-grid
-cells whose M give one C, M = 64 and 256 at K = 16.  It runs in
-rounds of one iteration of every dataset still running, so the per-call
-cost of numpy is paid once per round instead of once per dataset, and it
-holds each distinct dictionary once.  `erm_convex_hull`, a batch of one,
-serves everything else.  The contract is that a dataset's weights, gap,
-counters and stop reason have the same bits in any batch, so results never
-depend on how the work was split.  Two things keep it.  Every product is
-taken per dataset: `np.matmul` over a stack makes one BLAS call per
-dataset, of shapes that depend on that dataset alone, whereas one GEMM over
-the batch rounds a row differently from the same row multiplied alone (on
-OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
+on its own dictionary of any K and M.  It solves the datasets of one K and
+one C together, in rounds of one iteration of every dataset still running,
+so the per-call cost of numpy is paid once per round instead of once per
+dataset, and it holds each distinct dictionary once.  `erm_convex_hull`, a
+batch of one, serves everything else.  The contract is that a dataset's
+weights, gap, counters and stop reason have the same bits in any batch, so
+results never depend on how the work was split.  Two things keep it.  Every
+product is taken per dataset: `np.matmul` over a stack makes one BLAS call
+per dataset, of shapes that depend on that dataset alone, whereas one GEMM
+over the batch rounds a row differently from the same row multiplied alone
+(on OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
 M in {16, 256, 512} and 2 to 10 rows differed from the row's GEMV, and no
 row of a stacked matmul or of np.einsum differed; the stacked matmul took
 about half np.einsum's time at these sizes).  And every dataset's face is
@@ -554,45 +552,39 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
 
 def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = None) -> list:
     """Minimize each dataset's squared risk over the convex hull of its
-    dictionary, as one batched solve; returns one ErmSolution per dataset.
+    dictionary, as one batched solve; returns one ErmSolution per dataset,
+    in input order.
 
-    dictionaries[i] is dataset i's dictionary, and every dictionary of the
-    batch must have one number of design points K and one capacity
-    min(K, M - 1), so their M may differ only where that capacity is K; a
-    dictionary object named by several datasets is held once.  Each dataset is a `Measure`: a sample
-    (empirical risk) or a problem (exact population risk).  Ties in
-    the linear-minimization oracle break to the lowest dictionary index, and
-    a dataset's solution has the same bits in any batch (see
-    `_minimize_fw`), so the output is deterministic.
+    dictionaries[i] is dataset i's dictionary, of any K and M; a dictionary
+    object named by several datasets is held once.  Each dataset is a
+    `Measure`: a sample (empirical risk) or a problem (exact population
+    risk).  Ties in the linear-minimization oracle break to the lowest
+    dictionary index, and a dataset's solution has the same bits in any
+    batch (see `_minimize_fw`), so the output is deterministic.
     """
     cfg = config or SolverConfig()
     dictionaries, datasets = list(dictionaries), list(datasets)
     if len(dictionaries) != len(datasets):
         raise ValueError(f"{len(dictionaries)} dictionaries for {len(datasets)} datasets")
-    if not datasets:
-        return []
-    held = list({id(d): d for d in dictionaries}.values())
-    K = sorted({d.num_design_points for d in held})
-    if len(K) > 1:
-        raise ValueError(f"the dictionaries of one batch must all have one K, found K = {K}")
-    K = K[0]
-    capacities = sorted({min(K, d.size_M - 1) for d in held})
-    if len(capacities) > 1:
-        raise ValueError(f"the dictionaries of one batch must all have one capacity min(K, M - 1), found {capacities}")
-    slot = {id(d): g for g, d in enumerate(held)}
-    which = [slot[id(d)] for d in dictionaries]
-    F = [d.values for d in held]
-    root, target = _least_squares(K, datasets)
-    solutions = []
-    for dictionary, data, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
-        dictionaries, datasets, _minimize_fw(F, which, root, target, cfg)
-    ):
-        w = np.zeros(dictionary.size_M)
-        w[support] = u
-        solutions.append(
-            ErmSolution(
+    # one `_minimize_fw` per K and face capacity, whose buffers are sized by both
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, d in enumerate(dictionaries):
+        K = d.num_design_points
+        groups.setdefault((K, min(K, d.size_M - 1)), []).append(i)
+    solutions = [None] * len(datasets)
+    for (K, _), members in groups.items():
+        held = list({id(dictionaries[i]): dictionaries[i] for i in members}.values())
+        slot = {id(d): g for g, d in enumerate(held)}
+        which = [slot[id(dictionaries[i])] for i in members]
+        root, target = _least_squares(K, [datasets[i] for i in members])
+        solved = _minimize_fw([d.values for d in held], which, root, target, cfg)
+        for i, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(members, solved):
+            dictionary = dictionaries[i]
+            w = np.zeros(dictionary.size_M)
+            w[support] = u
+            solutions[i] = ErmSolution(
                 weights=SimplexWeights(w),
-                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
+                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, datasets[i]), 0.0),
                 duality_gap=gap,
                 iterations=iterations,
                 converged=gap <= cfg.tolerance,
@@ -600,7 +592,6 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
                 kkt_solves=kkt_solves,
                 drop_steps=drop_steps,
             )
-        )
     return solutions
 
 

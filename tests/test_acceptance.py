@@ -358,14 +358,11 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def test_criterion_12_batch_invariance(rate_report):
-    # criterion 6's run (jobs=4, capped at the CPUs the process may use)
-    # batched the trials of the cells of each face capacity min(16, M - 1)
-    # together: 800 for each of M = 2, 4 and 16, cut into batches of 50 at 4
-    # workers (100 at 2), and 1 600 for M = 64 and 256 (both capacity 16),
-    # cut into batches of 100 (200 at 2), each within one 200-rep cell, so
-    # mixed-M batches are covered by the solver tests and CI's jobs=1
-    # experiment instead; the first five trials of every cell, each solved
-    # alone, give the same bits
+    # criterion 6's run (jobs=4, capped at the CPUs the process may use) cut
+    # its 4 000 trials, in grid order, into batches of 250 at 4 workers (500
+    # at 2), each holding trials of cells of different M; the first five
+    # trials of every cell, each solved alone, give the same bits and the
+    # same solve counters
     started = time.time()
     cfg, report = rate_report
     ok = True
@@ -377,6 +374,6 @@ def test_criterion_12_batch_invariance(rate_report):
             derive_seed(cfg.master_seed, record.n, record.M, "problem"), cfg.noise,
         )
         cell = Cell(problem, dictionary, record.n, record.oracle_risk)
-        alone, _ = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
+        alone = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
         ok = ok and alone == record
     _report(12, "trials solved alone match the batched rate run bit for bit", ok, started)

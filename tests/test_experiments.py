@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 
@@ -98,7 +99,7 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    record, _ = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())[0]
+    record = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())[0]
     assert record.excess_risk == pytest.approx(0.0, abs=1e-10)
     assert record.converged
 
@@ -125,7 +126,7 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = 12345
     oracle_risk = population_oracle(d, p).empirical_risk
-    record, _ = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))[0]
+    record = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))[0]
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
@@ -143,6 +144,27 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(replications=0)
     assert len(DEFAULT_GRID) == 20
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"grid": ((64.9, 2.5),)}, "grid entries"),
+        ({"grid": ((64, math.nan),)}, "grid entries"),
+        ({"grid": ((math.inf, 2),)}, "grid entries"),
+        ({"atoms_K": 2.5}, "atoms_K"),
+        ({"replications": 2.5}, "replications"),
+        ({"master_seed": 0.5}, "master_seed"),
+        ({"master_seed": "7"}, "master_seed"),
+    ],
+)
+def test_experiment_config_refuses_non_whole_counts(kwargs, name):
+    # 2.5 is refused, not truncated; a whole float is taken as its int
+    with pytest.raises(ValueError, match=f"{name} must be whole"):
+        ExperimentConfig(**{"grid": ((64, 2),), "replications": 2, **kwargs})
+    cfg = ExperimentConfig(grid=((64.0, 2.0),), atoms_K=4.0, replications=2.0, master_seed=7.0)
+    assert (cfg.grid, cfg.atoms_K, cfg.replications, cfg.master_seed) == (((64, 2),), 4, 2, 7)
+    assert all(type(v) is int for v in (*cfg.grid[0], cfg.atoms_K, cfg.replications, cfg.master_seed))
 
 
 @pytest.mark.parametrize("x_levels", [[-5.0, math.nan], [-1e-300], [math.nan], [1.0, math.inf], [-math.inf]])
@@ -184,7 +206,7 @@ def test_run_grid_records_recompute_exactly():
             cfg.noise,
         )
         cell = Cell(p, d, record.n, record.oracle_risk)
-        redone, _ = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
+        redone = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
         assert redone.excess_risk == record.excess_risk
         assert record.excess_risk >= -1e-10
 
@@ -221,11 +243,11 @@ def in_process_pool(monkeypatch):
     per batch the (n, M) cells of its trials, in order.
     """
     pools, batches = [], []
-    solve = experiments._batch_task
+    solve = experiments.run_trials
 
-    def recorded(args):
-        batches.append([(cell.n, cell.dictionary.size_M) for cell, _, _ in args[0]])
-        return solve(args)
+    def recorded(trials, solver_config):
+        batches.append([(cell.n, cell.dictionary.size_M) for cell, _, _ in trials])
+        return solve(trials, solver_config)
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -237,10 +259,10 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, iterable):
-            return [fn(x) for x in iterable]
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
 
-    monkeypatch.setattr(experiments, "_batch_task", recorded)
+    monkeypatch.setattr(experiments, "run_trials", recorded)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools, batches
@@ -252,20 +274,19 @@ def _rows(path):
 
 
 def test_run_grid_rows_come_in_grid_then_replication_order(tmp_path, in_process_pool):
-    # the two cells of each M share batches (M = 2 and 3 have capacities
-    # min(16, M - 1) of 1 and 2): at jobs=1 one batch per M, and at jobs=3
-    # an M's 14 trials go in batches of ceil(14 / 3 / 4) = 2, the fourth of
-    # which holds replication 6 of one cell and 0 of the other
+    # at jobs=3 the 28 trials, in grid order, go in batches of
+    # ceil(28 / 3 / 4) = 3, so the third holds replication 6 of the first
+    # cell and replications 0 and 1 of the second
     pools, batches = in_process_pool
     grid = ((48, 2), (96, 3), (48, 3), (96, 2))
     cfg = ExperimentConfig(grid=grid, replications=7, master_seed=3)
     expected = [(n, M, rep) for n, M in grid for rep in range(7)]
     run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
-    assert batches == [[(48, 2)] * 7 + [(96, 2)] * 7, [(96, 3)] * 7 + [(48, 3)] * 7]
+    assert batches == [[(n, M) for n, M, _ in expected]]
     batches.clear()
     run_grid(cfg, out_dir=tmp_path / "three", jobs=3)
-    assert pools == [3] and len(batches) == 14
-    assert batches[3] == [(48, 2), (96, 2)] and batches[10] == [(96, 3), (48, 3)]
+    assert pools == [3] and [len(batch) for batch in batches] == [3] * 9 + [1]
+    assert batches[2] == [(48, 2), (96, 3), (96, 3)]
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
     assert _rows(tmp_path / "one" / "trials.csv") == expected
@@ -285,34 +306,32 @@ def test_run_grid_starts_no_more_workers_than_batches(tmp_path, in_process_pool)
 
 
 def test_run_grid_starts_no_more_workers_than_cpus(tmp_path, in_process_pool, monkeypatch):
-    # jobs is capped at the 2 CPUs before the batches are cut: each
-    # capacity's 16 trials go in batches of ceil(16 / 2 / 4) = 2, not the
-    # 16 batches of one that jobs=1000 would make
+    # jobs is capped at the 2 CPUs before the batches are cut: the 32
+    # trials go in batches of ceil(32 / 2 / 4) = 4, not the 32 batches of
+    # one that jobs=1000 would make
     pools, batches = in_process_pool
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     cfg = ExperimentConfig(grid=((32, 2), (32, 3)), replications=16, master_seed=4)
     run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
     batches.clear()
     run_grid(cfg, out_dir=tmp_path / "many", jobs=1000)
-    assert pools == [2] and [len(batch) for batch in batches] == [2] * 16
+    assert pools == [2] and [len(batch) for batch in batches] == [4] * 8
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
 
 
-def test_run_grid_batches_the_cells_of_one_capacity_together(tmp_path, in_process_pool):
-    # at atoms_K = 2 the face capacity min(2, M - 1) is 1 for M = 2 and 2 for
-    # M = 3, 5 and 9, so at jobs=1 the cells of M = 5, 9 and 3 share one
-    # batch; at jobs=2 the capacity-2 group's 9 trials go in batches of
-    # ceil(9 / 2 / 4) = 2, the second of which holds an M = 5 and an M = 9
-    # trial, and the bytes are the same
+def test_run_grid_solves_every_trial_in_one_batch_at_one_worker(tmp_path, in_process_pool):
+    # at jobs=1 the 12 trials of four cells of different M form one batch;
+    # at jobs=2 they go in batches of ceil(12 / 2 / 4) = 2, the second of
+    # which holds an M = 5 and an M = 2 trial, and the bytes are the same
     pools, batches = in_process_pool
     grid = ((32, 5), (32, 2), (64, 9), (64, 3))
     cfg = ExperimentConfig(grid=grid, atoms_K=2, replications=3, master_seed=6)
     run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
-    assert batches == [[(32, 5)] * 3 + [(64, 9)] * 3 + [(64, 3)] * 3, [(32, 2)] * 3]
+    assert batches == [[cell for cell in grid for _ in range(3)]]
     batches.clear()
     run_grid(cfg, out_dir=tmp_path / "two", jobs=2)
-    assert pools == [2] and len(batches) == 8 and batches[1] == [(32, 5), (64, 9)]
+    assert pools == [2] and len(batches) == 6 and batches[1] == [(32, 5), (32, 2)]
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
@@ -376,8 +395,8 @@ def test_config_rejects_legacy_tie_break(tmp_path):
 
 
 def test_trial_record_fields_in_order():
-    record = TrialRecord(n=64, M=2, replication=0, excess_risk=0.1, oracle_risk=0.2, seed=3)
-    assert list(record.__dataclass_fields__) == [
+    # trials.csv's columns come first, then the solve's counters
+    assert [f.name for f in dataclasses.fields(TrialRecord)] == [
         "n",
         "M",
         "replication",
@@ -385,4 +404,9 @@ def test_trial_record_fields_in_order():
         "oracle_risk",
         "seed",
         "converged",
+        "iterations",
+        "stop_reason",
+        "kkt_solves",
+        "drop_steps",
+        "duality_gap",
     ]

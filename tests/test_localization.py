@@ -33,7 +33,7 @@ from _support import random_dictionary, random_problem
 
 def test_localized_class_validation():
     seg = Segment(np.array([0.0]), np.array([1.0]))
-    for level in (0.0, -0.1, math.nan):
+    for level in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             LocalizedClass(seg, level)
     assert segment_excess_loss_class(seg, 0.1).level_lambda == 0.1

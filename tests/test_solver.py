@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvxagg.experiments import make_problem
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
+from cvxagg import solver
 from cvxagg.risk import empirical_risk, population_risk
 from cvxagg.solver import (
     SolverConfig,
@@ -717,8 +718,8 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     seed, kind, K, M, more_m, n, dictionaries, reps, exponent, stopping, lifted
 ):
     # reps drawn from several problems, each on its own dictionary of K
-    # columns and one capacity min(K, M - 1), and in any order, as the cells
-    # of one capacity of a rate grid share a batch.  Past M = K + 1 the
+    # columns and one capacity min(K, M - 1), and in any order, as the
+    # datasets of one group of erm_convex_hull_batch are.  Past M = K + 1 the
     # capacity is K for every M, so there the dictionaries have up to three
     # row counts, K + 1 + 200 among them, and K = 1 takes any M >= 2.  A
     # rep's solve has the same bits alone, in the mixed batch, and in
@@ -796,26 +797,34 @@ def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, zeros)
         _least_squares(K, [*datasets, SampleSet([K], [0.0], [1], seed)])
 
 
-def test_a_batch_holds_dictionaries_of_one_k_and_one_capacity():
-    # the public batch takes a dictionary per dataset: a mixed batch of one
-    # K and one capacity, here K = 8 with M = 16 and 17 (capacity 8), gives
-    # each dataset its solution alone, and a mixed K or a mixed capacity is
-    # refused
-    (p1, d1), (p2, d2), (p3, d3), (p4, d4), (p5, d5) = (
+def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
+    # one public batch holds K = 8 and K = 9 and M = 5, 16 and 17, so faces
+    # of capacity min(K, M - 1) = 4 and 8; the datasets come shuffled and
+    # one dictionary is named twice.  Each gets the solution it gets alone,
+    # in input order, and the batch makes one solve per K and capacity
+    problems = [
         make_problem("outside-hull", K=K, M=M, b=1.0, seed=s)
-        for s, K, M in ((1, 8, 16), (2, 8, 16), (3, 8, 17), (4, 9, 16), (5, 8, 5))
-    )
-    dictionaries = (d1, d2, d3, d1)
-    data = [sample(p, 64, seed=s) for s, p in enumerate((p1, p2, p3, p1))]
+        for s, K, M in ((1, 8, 16), (2, 9, 5), (3, 8, 17), (4, 8, 5), (5, 8, 16))
+    ]
+    order = [3, 0, 4, 1, 0, 2]
+    dictionaries = [problems[g][1] for g in order]
+    data = [sample(problems[g][0], 64, seed=r) for r, g in enumerate(order)]
+    calls = []
+
+    def recorded(F, which, root, target, config):
+        calls.append((root.shape[1], [f.shape[0] for f in F], len(which)))
+        return _minimize_fw(F, which, root, target, config)
+
+    monkeypatch.setattr(solver, "_minimize_fw", recorded)
     batch = erm_convex_hull_batch(dictionaries, data)
-    for sol, d, s in zip(batch, dictionaries, data):
+    assert calls == [(8, [5], 1), (8, [16, 16, 17], 4), (9, [5], 1)]
+    counters = (
+        "empirical_risk", "duality_gap", "iterations", "converged", "stop_reason", "kkt_solves", "drop_steps",
+    )
+    for sol, d, s in zip(batch, dictionaries, data, strict=True):
         lone = erm_convex_hull(d, s)
         assert sol.weights.weights.tobytes() == lone.weights.weights.tobytes()
-        counters = ("empirical_risk", "duality_gap", "iterations", "stop_reason", "kkt_solves", "drop_steps")
         assert [getattr(sol, name) for name in counters] == [getattr(lone, name) for name in counters]
-    with pytest.raises(ValueError, match="one K"):
-        erm_convex_hull_batch([d1, d4], [data[0], sample(p4, 64, seed=0)])
-    with pytest.raises(ValueError, match=r"one capacity min\(K, M - 1\), found \[4, 8\]"):
-        erm_convex_hull_batch([d1, d5], [data[0], sample(p5, 64, seed=0)])
+    assert erm_convex_hull_batch([], []) == []
     with pytest.raises(ValueError, match="dictionaries for"):
-        erm_convex_hull_batch([d1], data)
+        erm_convex_hull_batch(dictionaries[:1], data)
