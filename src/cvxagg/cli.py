@@ -20,12 +20,16 @@ from . import csvio
 from .solver import SolverConfig, erm_convex_hull
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _comma_list(text: str, flag: str, parse, what: str) -> list:
+    """The flag's comma-separated values, each read by parse.  An empty list
+    or an empty entry ('64,,256', '2,') is refused, naming the flag."""
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"{flag} must name at least one {what}, with no empty entry: {text!r}")
+    try:
+        return [parse(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {what}s, found {text!r}") from None
 
 
 def _emit(text: str, out_path) -> None:
@@ -59,15 +63,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     rates = sub.add_parser("rates", help="rate table over an (n, M) grid, CSV out")
-    rates.add_argument("--n-grid", type=_int_list, required=True)
-    rates.add_argument("--m-grid", type=_int_list, required=True)
+    rates.add_argument("--n-grid", required=True)
+    rates.add_argument("--m-grid", required=True)
     rates.add_argument("--out", default=None)
 
     iso = sub.add_parser("isomorphism", help="violation rates for the segment comparison, CSV out")
     iso.add_argument("--problem", dest="problem_path", required=True)
     iso.add_argument("--dict", dest="dict_path", required=True)
     iso.add_argument("--n", type=int, required=True)
-    iso.add_argument("--x", type=_float_list, default=[1.0, 2.0])
+    iso.add_argument("--x", default="1,2")
     iso.add_argument("--c0", type=float, default=None, help="comparison constant; calibrated when omitted")
     iso.add_argument("--m", type=int, default=2, help="multiset size for the net functions")
     iso.add_argument("--num-functions", type=int, default=10)
@@ -142,11 +146,10 @@ def _cmd_sparsify(args) -> int:
 def _cmd_rates(args) -> int:
     from .rates import rate_table
 
-    for flag, grid in (("--n-grid", args.n_grid), ("--m-grid", args.m_grid)):
-        if not grid:
-            raise ValueError(f"{flag} must name at least one value")
+    n_grid = _comma_list(args.n_grid, "--n-grid", int, "value")
+    m_grid = _comma_list(args.m_grid, "--m-grid", int, "value")
     lines = ["n,M,psi,phi,regime"]
-    for point in rate_table(args.n_grid, args.m_grid):
+    for point in rate_table(n_grid, m_grid):
         lines.append(f"{point.n},{point.M},{point.psi!r},{point.phi!r},{point.regime}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -155,8 +158,7 @@ def _cmd_rates(args) -> int:
 def _cmd_isomorphism(args) -> int:
     from . import localization
 
-    if not args.x:
-        raise ValueError("--x must name at least one level")
+    levels = _comma_list(args.x, "--x", float, "level")
     problem, dictionary = _read_problem_and_dictionary(args)
     segments = localization.random_net_segments(
         dictionary, args.m, args.num_functions, args.num_segments, args.seed
@@ -167,7 +169,7 @@ def _cmd_isomorphism(args) -> int:
             segments,
             problem,
             args.n,
-            args.x,
+            levels,
             reps=args.reps,
             seed=args.seed + 1,
             num_net_functions=args.num_functions,
@@ -178,7 +180,7 @@ def _cmd_isomorphism(args) -> int:
     ]
     failures = 0
     notes = []
-    for x in args.x:
+    for x in levels:
         report = localization.isomorphism_check(
             segments, problem, args.n, x, c0, reps=args.reps, seed=args.seed, num_net_functions=args.num_functions
         )

@@ -26,10 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, combine, sample
+# `sample` is not called here; it stays a module attribute because
+# perfbench/tracing.py wraps experiments.sample
+from .model import Dictionary, DiscreteProblem, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
-from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_batch
+from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))
@@ -258,31 +260,46 @@ def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
     """Draw a size-n sample per (cell, replication, seed) trial, run hull ERM
     on all of them as one batch, and record each exact population excess.
 
+    Each run of consecutive trials of one cell is drawn as one counts
+    matrix, a row per trial from its own seed's Generator
+    (`model.draw_count_matrix`, which checks the matrix once), and is one
+    block of probability rows counts / n over the cell problem's atoms for
+    `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
+    weight matrices it returns.  No sample, weights or solution object is
+    built per trial; a trial's excess is the population risk of its
+    fitted values w @ F, minus the cell's oracle risk.
+
     Returns each trial's record, in order.  A trial's solve has the same
-    bits in any batch, so any split of the trials gives the same records.
+    bits in any batch, the bits of erm_convex_hull(cell.dictionary,
+    sample(cell.problem, cell.n, seed)), so any split of the trials gives
+    the same records.
     """
-    trials = list(trials)
-    draws = [sample(cell.problem, cell.n, seed) for cell, _, seed in trials]
-    solutions = erm_convex_hull_batch([cell.dictionary for cell, _, _ in trials], draws, solver_config)
-    out = []
-    for (cell, replication, seed), solution in zip(trials, solutions):
-        fitted = combine(cell.dictionary, solution.weights)
-        record = TrialRecord(
-            n=cell.n,
-            M=cell.dictionary.size_M,
-            replication=replication,
-            excess_risk=population_risk(fitted, cell.problem) - cell.oracle_risk,
-            oracle_risk=cell.oracle_risk,
-            seed=seed,
-            converged=solution.converged,
-            iterations=solution.iterations,
-            stop_reason=solution.stop_reason,
-            kkt_solves=solution.kkt_solves,
-            drop_steps=solution.drop_steps,
-            duality_gap=solution.duality_gap,
-        )
-        out.append(record)
-    return out
+    runs = [(cell, list(run)) for cell, run in itertools.groupby(trials, key=lambda trial: trial[0])]
+    blocks = []
+    for cell, run in runs:
+        counts = draw_count_matrix(cell.problem, cell.n, [seed for _, _, seed in run])
+        blocks.append((cell.dictionary, cell.problem, counts / cell.n))
+    records = []
+    for (cell, run), (weights, solves) in zip(runs, erm_convex_hull_blocks(blocks, solver_config)):
+        for (_, replication, seed), w, (gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
+            run, weights, solves
+        ):
+            record = TrialRecord(
+                n=cell.n,
+                M=cell.dictionary.size_M,
+                replication=replication,
+                excess_risk=population_risk(w @ cell.dictionary.values, cell.problem) - cell.oracle_risk,
+                oracle_risk=cell.oracle_risk,
+                seed=seed,
+                converged=gap <= solver_config.tolerance,
+                iterations=iterations,
+                stop_reason=stop_reason,
+                kkt_solves=kkt_solves,
+                drop_steps=drop_steps,
+                duality_gap=gap,
+            )
+            records.append(record)
+    return records
 
 
 def _solver_statistics(records) -> dict:

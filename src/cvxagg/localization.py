@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, combine, draw_counts
+from .model import Dictionary, DiscreteProblem, Segment, combine, draw_count_matrix
 from .solver import erm_segment
 
 # peeling stops once a term is below this fraction of the running sum, or
@@ -81,7 +81,7 @@ def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offs
     The last call's read-only result is reused by the next call with equal
     arguments; a problem compares by identity, and the cache holds it.
     """
-    counts = np.array([draw_counts(problem, n, [seed, rep_offset + rep]) for rep in range(reps)])
+    counts = draw_count_matrix(problem, n, [[seed, rep_offset + rep] for rep in range(reps)])
     counts.setflags(write=False)
     return counts
 

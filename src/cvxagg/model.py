@@ -154,9 +154,40 @@ def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(n, problem.probabilities)
 
 
+def draw_count_matrix(problem: DiscreteProblem, n: int, seeds) -> np.ndarray:
+    """Atom counts of one size-n sample per seed, shape (seeds, atoms): row r
+    is draw_counts(problem, n, seeds[r]), from its own Generator.
+
+    The matrix is checked once with the checks a `SampleSet` runs on each
+    sample's counts; the atoms are the problem's, already checked.
+    """
+    counts = np.array([draw_counts(problem, n, seed) for seed in seeds], dtype=np.int64)
+    if counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    if (counts.sum(axis=1) != n).any():
+        raise ValueError(f"every row of counts must sum to the sample size {n}")
+    if (np.abs((counts / n).sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
+        raise ValueError("every row of counts / n must sum to 1")
+    return counts
+
+
 def sample(problem: DiscreteProblem, n: int, seed: int) -> SampleSet:
     """n i.i.d. draws from the problem's law: its atoms, with their draw counts."""
     return SampleSet(problem.x_indices, problem.y_values, draw_counts(problem, n, seed), seed)
+
+
+def simplex_rows(w: np.ndarray) -> np.ndarray:
+    """w, a float matrix, once every row is checked to be a point of the
+    simplex (finite, at least -1e-12, summing to 1 within WEIGHT_SUM_TOL) and
+    clamped at 0 in place."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if w.min() < -1e-12:
+        raise ValueError("weights must be nonnegative")
+    if (np.abs(w.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+        raise ValueError("weights must sum to 1")
+    np.maximum(w, 0.0, out=w)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +200,7 @@ class SimplexWeights:
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if w.min() < -1e-12:
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1")
-        np.maximum(w, 0.0, out=w)
+        simplex_rows(w[None, :])
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

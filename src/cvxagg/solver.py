@@ -13,18 +13,21 @@ for the factor, C = min(K, M - 1), and the solver holds O(M K) memory, with
 no M x M Gram matrix.  Termination is certified by the linear-minimization
 duality gap, which upper bounds the suboptimality of the returned iterate.
 
-The solver is batched: `erm_convex_hull_batch` solves many datasets, each
-on its own dictionary of any K and M.  It solves the datasets of one K and
-one C together, in rounds of one iteration of every dataset still running,
-so the per-call cost of numpy is paid once per round instead of once per
-dataset, and it holds each distinct dictionary once.  `erm_convex_hull`, a
-batch of one, serves everything else.  The contract is that a dataset's
-weights, gap, counters and stop reason have the same bits in any batch, so
-results never depend on how the work was split.  Two things keep it.  Every
-product is taken per dataset: `np.matmul` over a stack makes one BLAS call
-per dataset, of shapes that depend on that dataset alone, whereas one GEMM
-over the batch rounds a row differently from the same row multiplied alone
-(on OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
+The solver is batched: `erm_convex_hull_blocks` solves many datasets, each
+on its own dictionary of any K and M, given as blocks of datasets that share
+a dictionary and atoms, one probability row per dataset, and returns each
+block's weights as one matrix.  It solves the datasets of one K and one C
+together, in rounds of one iteration of every dataset still running, so the
+per-call cost of numpy is paid once per round instead of once per dataset,
+and it holds each distinct dictionary once.  `erm_convex_hull_batch` wraps
+each dataset, a block of one, as an `ErmSolution`, and `erm_convex_hull`, a
+batch of one, serves the CLI and the population oracle.  The contract is
+that a dataset's weights, gap, counters and stop reason have the same bits
+in any batch, so results never depend on how the work was split.  Two
+things keep it.  Every product is taken per dataset: `np.matmul` over a
+stack makes one BLAS call per dataset, of shapes that depend on that
+dataset alone, whereas one GEMM over the batch rounds a row differently
+from the same row multiplied alone (on OpenBLAS with one thread, all 153 rows tried at K in {16, 64, 256},
 M in {16, 256, 512} and 2 to 10 rows differed from the row's GEMV, and no
 row of a stacked matmul or of np.einsum differed; the stacked matmul took
 about half np.einsum's time at these sizes).  And every dataset's face is
@@ -41,13 +44,14 @@ one.  They never look at a problem's bound_b.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights
+from .model import Dictionary, Measure, Segment, SimplexWeights, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -93,24 +97,29 @@ class ErmSolution:
     drop_steps: int
 
 
-def _least_squares(K: int, datasets) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares(K: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     """root[b] and target[b] with risk_b(w) = ||(w @ F) * root[b] - target[b]||^2
     + a constant, for each dataset b of a batch on K design points.
 
+    blocks are (atoms, probabilities) pairs: row r of the (reps, atoms)
+    matrix probabilities is one dataset's mass on the atoms' x_indices and
+    y_values, and the datasets are numbered block by block, row by row.
     root = sqrt(px) and target = ymass / root on the K design points, so the
     rows of A = F * root are the vertices.  Design points the data gives no
     mass get a zero root and a zero target.  One bincount pair serves the
-    batch: dataset b's design indices are offset by b K, so each bin sums
-    its own dataset's atoms in their order, and row b has the bits of that
-    dataset's bincount alone.
+    batch: dataset b's design indices are offset by b K, and the bincount
+    reads the atoms in order within a dataset and the datasets in order, so
+    each bin sums its own dataset's atoms in their order, and row b has the
+    bits of that dataset's bincount alone.
     """
-    x = np.concatenate([data.x_indices for data in datasets])
+    reps = [P.shape[0] for _, P in blocks]
+    B = sum(reps)
+    x = np.concatenate([np.tile(atoms.x_indices, r) for (atoms, _), r in zip(blocks, reps)])
     if x.max() >= K:
         raise ValueError("data refers to design points outside the dictionary")
-    B = len(datasets)
-    x = x + np.repeat(np.arange(0, B * K, K), [data.x_indices.size for data in datasets])
-    p = np.concatenate([data.probabilities for data in datasets])
-    y = np.concatenate([data.y_values for data in datasets])
+    x += np.repeat(np.arange(0, B * K, K), np.repeat([atoms.x_indices.size for atoms, _ in blocks], reps))
+    p = np.concatenate([P.ravel() for _, P in blocks])
+    y = np.concatenate([np.tile(atoms.y_values, r) for (atoms, _), r in zip(blocks, reps)])
     root = np.sqrt(np.bincount(x, weights=p, minlength=B * K)).reshape(B, K)
     ymass = np.bincount(x, weights=p * y, minlength=B * K).reshape(B, K)
     target = np.divide(ymass, root, out=np.zeros((B, K)), where=root > 0.0)
@@ -241,7 +250,12 @@ class _Face:
         branch.  Returns the mask of the reps that took their vertex.  A rep
         refuses it, and keeps its factor as it was, when the new difference
         is numerically in the span of the others: its residual is at most
-        K eps times its norm, a cutoff free of the data's scale.
+        64 K eps times its norm, a cutoff free of the data's scale.  A
+        factor kept through drops leaves an exactly dependent difference a
+        residual of up to a few K eps (4 K eps over 67 000 appends in random
+        add and drop sequences; K eps alone let a duplicate of an active
+        vertex in, and its R^-1 grew to 1e16), while no independent vertex
+        of the default rate grid kept less than 1e8 K eps.
         """
         K, C = self.K, self.capacity
         every = b is None
@@ -257,7 +271,7 @@ class _Face:
         w += again
         dd, rr = _rowdot(d, d), _rowdot(r, r)
         # `rr <= cutoff`, not `rr > cutoff`: a NaN residual is taken, not refused
-        refused = (rr <= (K * _EPS) ** 2 * dd) | (k == C)
+        refused = (rr <= (64 * K * _EPS) ** 2 * dd) | (k == C)
         offset = self.offset[sel]
         if refused.any():
             every, ok = False, ~refused
@@ -550,41 +564,70 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     return results
 
 
+def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
+    """Minimize the squared risk over the convex hull of a dictionary for
+    every dataset of every block, as one batched solve per (K, capacity).
+
+    A block is (dictionary, atoms, probabilities): a `Dictionary` of any K
+    and M, a `Measure` whose x_indices and y_values the block's datasets
+    share, and a (datasets, atoms) matrix whose row r is dataset r's mass on
+    them, checked by the caller.  Datasets are grouped by K and face
+    capacity min(K, M - 1), in order of first appearance, here and nowhere
+    else; a dictionary named by several blocks is held once.  Ties in the
+    linear-minimization oracle break to the lowest dictionary index, and a
+    dataset's solution has the same bits in any batch (see `_minimize_fw`).
+
+    Returns, per block, (weights, solves): the (datasets, M) weight matrix,
+    checked once by `model.simplex_rows`, and per dataset its (duality_gap,
+    iterations, stop_reason, kkt_solves, drop_steps), as in `ErmSolution`.
+    """
+    cfg = config or SolverConfig()
+    blocks = list(blocks)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (dictionary, _, _) in enumerate(blocks):
+        K = dictionary.num_design_points
+        groups.setdefault((K, min(K, dictionary.size_M - 1)), []).append(i)
+    out = [None] * len(blocks)
+    for (K, _), members in groups.items():
+        held = list({id(blocks[i][0]): blocks[i][0] for i in members}.values())
+        slot = {id(d): g for g, d in enumerate(held)}
+        reps = [blocks[i][2].shape[0] for i in members]
+        which = np.repeat([slot[id(blocks[i][0])] for i in members], reps)
+        root, target = _least_squares(K, [blocks[i][1:] for i in members])
+        solved = iter(_minimize_fw([d.values for d in held], which, root, target, cfg))
+        for i, count in zip(members, reps):
+            weights = np.zeros((count, blocks[i][0].size_M))
+            solves = []
+            for row, (support, u, *solve) in zip(weights, itertools.islice(solved, count)):
+                row[support] = u
+                solves.append(tuple(solve))
+            out[i] = (simplex_rows(weights), solves)
+    return out
+
+
 def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = None) -> list:
     """Minimize each dataset's squared risk over the convex hull of its
     dictionary, as one batched solve; returns one ErmSolution per dataset,
     in input order.
 
-    dictionaries[i] is dataset i's dictionary, of any K and M; a dictionary
-    object named by several datasets is held once.  Each dataset is a
-    `Measure`: a sample (empirical risk) or a problem (exact population
-    risk).  Ties in the linear-minimization oracle break to the lowest
-    dictionary index, and a dataset's solution has the same bits in any
-    batch (see `_minimize_fw`), so the output is deterministic.
+    dictionaries[i] is dataset i's dictionary, of any K and M.  Each dataset
+    is a `Measure`: a sample (empirical risk) or a problem (exact population
+    risk).  Each is a block of one of `erm_convex_hull_blocks`, so it gets
+    the bits it gets in any batch; this wraps each solve as an
+    `ErmSolution` with its risk at the returned weights.
     """
     cfg = config or SolverConfig()
     dictionaries, datasets = list(dictionaries), list(datasets)
     if len(dictionaries) != len(datasets):
         raise ValueError(f"{len(dictionaries)} dictionaries for {len(datasets)} datasets")
-    # one `_minimize_fw` per K and face capacity, whose buffers are sized by both
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(dictionaries):
-        K = d.num_design_points
-        groups.setdefault((K, min(K, d.size_M - 1)), []).append(i)
-    solutions = [None] * len(datasets)
-    for (K, _), members in groups.items():
-        held = list({id(dictionaries[i]): dictionaries[i] for i in members}.values())
-        slot = {id(d): g for g, d in enumerate(held)}
-        which = [slot[id(dictionaries[i])] for i in members]
-        root, target = _least_squares(K, [datasets[i] for i in members])
-        solved = _minimize_fw([d.values for d in held], which, root, target, cfg)
-        for i, (support, u, gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(members, solved):
-            dictionary = dictionaries[i]
-            w = np.zeros(dictionary.size_M)
-            w[support] = u
-            solutions[i] = ErmSolution(
+    blocks = [(d, data, data.probabilities[None, :]) for d, data in zip(dictionaries, datasets)]
+    solutions = []
+    for (dictionary, data, _), (weights, solves) in zip(blocks, erm_convex_hull_blocks(blocks, cfg)):
+        (gap, iterations, stop_reason, kkt_solves, drop_steps), w = solves[0], weights[0]
+        solutions.append(
+            ErmSolution(
                 weights=SimplexWeights(w),
-                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, datasets[i]), 0.0),
+                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
                 duality_gap=gap,
                 iterations=iterations,
                 converged=gap <= cfg.tolerance,
@@ -592,6 +635,7 @@ def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = 
                 kkt_solves=kkt_solves,
                 drop_steps=drop_steps,
             )
+        )
     return solutions
 
 

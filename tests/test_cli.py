@@ -319,6 +319,19 @@ def test_rates_empty_grid_exits_one(tmp_path, capsys, n_grid, m_grid, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n_grid, m_grid, flag",
+    [("64,,256", "2,", "--n-grid"), ("64", "2,", "--m-grid"), (",64", "2", "--n-grid"), ("64", "2,,16", "--m-grid")],
+)
+def test_rates_grid_with_an_empty_entry_exits_one(tmp_path, capsys, n_grid, m_grid, flag):
+    # empty entries used to be dropped: --n-grid 64,,256 --m-grid 2, exited
+    # 0 with two rows, losing a grid cell unnoticed
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--n-grid", n_grid, "--m-grid", m_grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must name at least one value, with no empty entry")
+    assert not out.exists()
+
+
 def test_solve_subcommand_round_trip(workspace, capsys):
     code = main(
         [
@@ -502,6 +515,22 @@ def test_isomorphism_empty_x_exits_one(workspace, capsys, x, c0):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --x must name at least one level")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", ["1,,2", "2,", ",2"])
+def test_isomorphism_x_with_an_empty_entry_exits_one(workspace, capsys, x):
+    # --x 1,,2 used to be read as --x 1,2
+    out = workspace["dir"] / "iso.csv"
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--x", x, "--c0", "2.0", "--reps", "10", "--num-functions", "3", "--num-segments", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --x must name at least one level, with no empty entry")
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cvxagg import experiments
+from cvxagg import experiments, model, solver
 from cvxagg.experiments import (
     DEFAULT_GRID,
     ORACLE_TOLERANCE,
@@ -180,6 +180,94 @@ def test_bound_b_must_be_positive_and_finite(bound_b):
         ExperimentConfig(bound_b=bound_b)
     with pytest.raises(ValueError, match="bound_b must be positive and finite"):
         make_problem("inside-hull", K=3, M=2, b=bound_b, seed=0)
+
+
+def _key(r, excess):
+    """A trial's excess and the counters of its solve r (a TrialRecord or an
+    ErmSolution), floats as hex, so == compares every bit."""
+    return (excess.hex(), r.iterations, r.stop_reason, r.kkt_solves, r.drop_steps, r.duality_gap.hex(), r.converged)
+
+
+@pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
+def test_run_trials_match_the_measure_path_bit_for_bit(kind):
+    # a trial drawn as a row of its cell's counts matrix and solved in a
+    # block gets the bits of its sample drawn alone as a SampleSet and solved
+    # as an ErmSolution, at M = 1, 2, K, K + 1 and 4K and at n = 1, 7, 49 and
+    # 64, with the trials in grid order and interleaved across cells.  At
+    # n = 49, counts / n and counts * (1 / n) differ for 22 of the 50 counts
+    K, cfg = 3, SolverConfig()
+    trials = []
+    for n in (1, 7, 49, 64):
+        for M in (1, 2, K, K + 1, 4 * K):
+            p, d = make_problem(kind, K=K, M=M, b=1.0, seed=derive_seed(5, n, M, "problem"))
+            oracle = bayes_risk(p) if kind == "inside-hull" else population_oracle(d, p).empirical_risk
+            cell = Cell(p, d, n, oracle)
+            trials += [(cell, rep, derive_seed(5, n, M, rep)) for rep in range(3)]
+    expected = []
+    for cell, _, seed in trials:
+        solution = erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed), cfg)
+        excess = population_risk(combine(cell.dictionary, solution.weights), cell.problem) - cell.oracle_risk
+        expected.append(_key(solution, excess))
+    shuffled = np.random.default_rng(0).permutation(len(trials))
+    for order in (np.arange(len(trials)), shuffled):
+        records = run_trials([trials[i] for i in order], cfg)
+        assert [_key(r, r.excess_risk) for r in records] == [expected[i] for i in order]
+        assert [(r.replication, r.seed) for r in records] == [trials[i][1:] for i in order]
+
+
+def _draw_with(change):
+    """model.draw_counts with change applied to the counts of seed 2."""
+    draw = model.draw_counts
+
+    def drawn(problem, n, seed):
+        counts = draw(problem, n, seed)
+        if seed == 2:
+            change(counts)
+        return counts
+
+    return drawn
+
+
+def _solve_with(support, u):
+    """solver._minimize_fw with the second solve's weights replaced by u on support."""
+    minimize = solver._minimize_fw
+
+    def solved(*args):
+        results = minimize(*args)
+        results[1] = (np.array(support), np.array(u), *results[1][2:])
+        return results
+
+    return solved
+
+
+def _negative(counts):
+    counts[1] += counts[0] + 1
+    counts[0] = -1
+
+
+def _short(counts):
+    counts[counts.argmax()] -= 1
+
+
+@pytest.mark.parametrize(
+    "module, name, replacement, message",
+    [
+        (model, "draw_counts", _draw_with(_negative), "counts must be nonnegative"),
+        (model, "draw_counts", _draw_with(_short), "every row of counts must sum to the sample size 16"),
+        (solver, "_minimize_fw", _solve_with([0, 1], [1.0 + 1e-9, -1e-9]), "weights must be nonnegative"),
+        (solver, "_minimize_fw", _solve_with([0, 1], [0.5, 0.5 + 1e-9]), "weights must sum to 1"),
+        (solver, "_minimize_fw", _solve_with([0], [np.nan]), "weights must be finite"),
+    ],
+    ids=["negative-count", "row-sums-to-n-minus-1", "negative-weight", "weights-off-the-simplex", "nan-weight"],
+)
+def test_run_trials_checks_its_counts_matrix_and_weight_matrix(monkeypatch, module, name, replacement, message):
+    # the per-trial SampleSet and SimplexWeights checks run once per matrix;
+    # one bad row of counts or of weights fails the whole call
+    p, d = make_problem("outside-hull", K=3, M=4, b=1.0, seed=8)
+    cell = Cell(p, d, 16, 0.0)
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(ValueError, match=message):
+        run_trials([(cell, rep, rep + 1) for rep in range(3)], SolverConfig())
 
 
 def test_run_grid_single_cell_report_shape():

@@ -35,6 +35,12 @@ from _support import (
 )
 
 
+def _blocks(datasets) -> list:
+    """Each dataset as a block of one for `_least_squares`: its atoms and its
+    probabilities as a one-row matrix."""
+    return [(data, data.probabilities[None, :]) for data in datasets]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
@@ -506,6 +512,9 @@ def _drop_positions(face, drops):
     duplicate_rows=st.booleans(),
     moves=st.lists(st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=40), min_size=1, max_size=3),
 )
+# vertex 9 duplicates vertex 4, active after two base drops; its residual,
+# 1.2 K eps, passed a cutoff of K eps and made the factor singular
+@example(seed=20169, K=4, exponent=1, zero_columns=True, duplicate_rows=True, moves=[[0, 228, -1, 4, -1, 834]])
 def test_face_factor_matches_lstsq_over_add_drop_sequences(
     seed, K, exponent, zero_columns, duplicate_rows, moves
 ):
@@ -604,7 +613,7 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
     # iterates must not move, for a sample solved alone or in a batch of
     # samples of one problem
     def follows(sol, d, s):
-        (root,), (target,) = _least_squares(d.num_design_points, [s])
+        (root,), (target,) = _least_squares(d.num_design_points, _blocks([s]))
         support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = lstsq_minimize_fw(
             d.values * root, target, SolverConfig()
         )
@@ -670,7 +679,7 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
     F = scale * d.values
     if duplicate_rows:
         F[M // 2 :] = F[: M - M // 2]
-    root, target = _least_squares(K, [sample(p, n, seed=seed + r) for r in range(reps)])
+    root, target = _least_squares(K, _blocks(sample(p, n, seed=seed + r) for r in range(reps)))
     target = scale * target
     config = {
         "gap": SolverConfig(tolerance=1e-8 * scale**2),
@@ -735,7 +744,7 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     ]
     F = [scale * (d.values + 3.0 * lifted) for _, d in problems]
     which = rng.integers(0, dictionaries, size=reps)
-    root, target = _least_squares(K, [sample(problems[g][0], n, seed=seed + r) for r, g in enumerate(which)])
+    root, target = _least_squares(K, _blocks(sample(problems[g][0], n, seed=seed + r) for r, g in enumerate(which)))
     target = scale * target
     config = {
         "gap": SolverConfig(tolerance=1e-8 * scale**2),
@@ -771,30 +780,35 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     seed=st.integers(0, 2**32 - 1),
     K=st.integers(1, 20),
     atoms=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    rows=st.integers(1, 4),
     zeros=st.booleans(),
 )
-def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, zeros):
+def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, rows, zeros):
     # one bincount pair over the batch gives every dataset the bits of its
-    # own bincount, for datasets of different atom counts whose atoms leave
-    # design points out or give them zero mass
+    # own bincount, for blocks of different atom counts whose atoms leave
+    # design points out or give them zero mass, and whose several rows of
+    # counts share the block's atoms
     rng = np.random.default_rng(seed)
-    datasets = []
+    blocks, datasets = [], []
     for size in atoms:
-        counts = rng.integers(0 if zeros else 1, 4, size=size)
-        counts[rng.integers(size)] += 1
-        datasets.append(
-            SampleSet(rng.integers(0, K, size=size), rng.uniform(-1.0, 1.0, size=size), counts, seed)
-        )
-    root, target = _least_squares(K, datasets)
-    assert root.shape == target.shape == (len(atoms), K)
+        x, y = rng.integers(0, K, size=size), rng.uniform(-1.0, 1.0, size=size)
+        counts = rng.integers(0 if zeros else 1, 4, size=(rows, size))
+        counts[np.arange(rows), rng.integers(size, size=rows)] += 1
+        block = [SampleSet(x, y, row, seed) for row in counts]
+        blocks.append((block[0], np.array([data.probabilities for data in block])))
+        datasets += block
+    root, target = _least_squares(K, blocks)
+    assert root.shape == target.shape == (len(atoms) * rows, K)
     for b, data in enumerate(datasets):
         x, y, p = data.x_indices, data.y_values, data.probabilities
         own = np.sqrt(np.bincount(x, weights=p, minlength=K))
         ymass = np.bincount(x, weights=p * y, minlength=K)
         assert root[b].tobytes() == own.tobytes()
         assert target[b].tobytes() == np.divide(ymass, own, out=np.zeros(K), where=own > 0.0).tobytes()
+    alone = _least_squares(K, _blocks(datasets))
+    assert root.tobytes() == alone[0].tobytes() and target.tobytes() == alone[1].tobytes()
     with pytest.raises(ValueError, match="outside the dictionary"):
-        _least_squares(K, [*datasets, SampleSet([K], [0.0], [1], seed)])
+        _least_squares(K, [*blocks, *_blocks([SampleSet([K], [0.0], [1], seed)])])
 
 
 def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
