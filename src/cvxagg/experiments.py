@@ -31,7 +31,7 @@ import numpy as np
 from .model import Dictionary, DiscreteProblem, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
-from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
+from .solver import ErmSolution, SolverConfig, _whole, erm_convex_hull, erm_convex_hull_blocks
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))
@@ -42,17 +42,6 @@ def derive_seed(*parts) -> int:
     """Stable 63-bit seed from the string forms of the parts."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
-
-
-def _whole(value, name: str) -> int:
-    """value as an int, which must equal it: 2.5 is refused, not truncated."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be whole, found {value!r}")
-    return whole
 
 
 @dataclass(frozen=True)
@@ -280,9 +269,9 @@ def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
         counts = draw_count_matrix(cell.problem, cell.n, [seed for _, _, seed in run])
         blocks.append((cell.dictionary, cell.problem, counts / cell.n))
     records = []
-    for (cell, run), (weights, solves) in zip(runs, erm_convex_hull_blocks(blocks, solver_config)):
-        for (_, replication, seed), w, (gap, iterations, stop_reason, kkt_solves, drop_steps) in zip(
-            run, weights, solves
+    for (cell, run), (weights, *solves) in zip(runs, erm_convex_hull_blocks(blocks, solver_config)):
+        for (_, replication, seed), w, gap, iterations, stop_reason, kkt_solves, drop_steps in zip(
+            run, weights, *(x.tolist() for x in solves)
         ):
             record = TrialRecord(
                 n=cell.n,

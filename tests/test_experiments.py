@@ -229,13 +229,15 @@ def _draw_with(change):
 
 
 def _solve_with(support, u):
-    """solver._minimize_fw with the second solve's weights replaced by u on support."""
+    """solver._minimize_fw with the second solve's row of the weight matrix
+    replaced by u on support."""
     minimize = solver._minimize_fw
 
     def solved(*args):
-        results = minimize(*args)
-        results[1] = (np.array(support), np.array(u), *results[1][2:])
-        return results
+        weights, *counters = minimize(*args)
+        weights[1] = 0.0
+        weights[1, support] = u
+        return (weights, *counters)
 
     return solved
 

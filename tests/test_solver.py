@@ -8,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvxagg.experiments import make_problem
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, Segment, SimplexWeights, combine, sample
+from cvxagg.model import (
+    Dictionary,
+    DiscreteProblem,
+    SampleSet,
+    Segment,
+    SimplexWeights,
+    combine,
+    draw_count_matrix,
+    sample,
+)
 from cvxagg import solver
 from cvxagg.risk import empirical_risk, population_risk
 from cvxagg.solver import (
@@ -17,7 +26,7 @@ from cvxagg.solver import (
     _least_squares,
     _minimize_fw,
     erm_convex_hull,
-    erm_convex_hull_batch,
+    erm_convex_hull_blocks,
     erm_segment,
 )
 from cvxagg.sparsify import enumerate_net
@@ -49,6 +58,18 @@ def test_config_validation():
     for tolerance in (math.inf, math.nan, -1e-8):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SolverConfig(tolerance=tolerance)
+
+
+def test_config_refuses_a_non_whole_iteration_cap():
+    # a cap of 1.5 never equals the iteration count, so the solve would run
+    # on to its gap; it is refused, and a whole float becomes an int
+    for cap in (1.5, math.inf, math.nan, "3", None):
+        with pytest.raises(ValueError, match="max_iterations must be whole"):
+            SolverConfig(max_iterations=cap)
+    assert type(SolverConfig(max_iterations=2.0).max_iterations) is int
+    p, d = make_problem("outside-hull", K=16, M=64, b=1.0, seed=0)
+    sol = erm_convex_hull(d, sample(p, 256, seed=0), SolverConfig(max_iterations=2.0))
+    assert (sol.iterations, sol.stop_reason) == (2, "max_iterations")
 
 
 def test_erm_hull_clamped_mean_example():
@@ -426,6 +447,11 @@ def test_hull_solution_scales_with_the_data(exponent):
         assert scaled.empirical_risk == pytest.approx(scale**2 * base.empirical_risk, rel=1e-10)
 
 
+def _support(face, b):
+    """Rep b's active vertex indices, base first and newest last."""
+    return face.indices[b, : face.k[b] + 1]
+
+
 def _rep_data(face, b):
     """Rep b's vertex matrix A_b = F[which[b]] * root[b] and its target."""
     return face.F[face.which[b]] * face.root[b], face.target[b]
@@ -434,7 +460,7 @@ def _rep_data(face, b):
 def _assert_face_matches_lstsq(face, b):
     """Rep b's corrective minimizer equals lstsq's on the same face, and is 0 past it."""
     A, target = _rep_data(face, b)
-    rows = A[face.support(b)]
+    rows = A[_support(face, b)]
     z = np.linalg.lstsq((rows[1:] - rows[0]).T, target - rows[0], rcond=None)[0]
     expected = np.concatenate([[1.0 - z.sum()], z])
     got = face.minimizer(np.array([b]))[0]
@@ -456,7 +482,7 @@ def _assert_factor_is_current(face, b, tol=1e-12):
     k, C = face.k[b], face.capacity
     B = face.rows[b, :k]
     R, T, c, Q = B[:, :k], B[:, C : C + k].T, B[:, 2 * C], B[:, 2 * C + 1 :].T
-    rows = A[face.support(b)]
+    rows = A[_support(face, b)]
     D, offset = (rows[1:] - rows[0]).T, target - rows[0]
     identity, scale = np.eye(k), np.linalg.norm(rows) + np.linalg.norm(target)
     assert np.array_equal(R, np.triu(R)) and np.array_equal(T, np.triu(T))
@@ -471,28 +497,29 @@ def _assert_factor_is_current(face, b, tol=1e-12):
 
 def _assert_mask_is_current(face, b):
     """Rep b's membership mask marks exactly its support."""
-    assert np.array_equal(np.flatnonzero(face.active[b]), np.sort(face.support(b)))
+    assert np.array_equal(np.flatnonzero(face.active[b]), np.sort(_support(face, b)))
 
 
-def _append_checked(face, reps, s):
-    """Append s[i] to rep reps[i]; a refused vertex must lie in the span of
-    that rep's face differences and leave its membership mask as it was."""
-    k, active = face.k[reps].copy(), face.active[reps].copy()
-    taken = face.append(s, reps)
-    for i, b in enumerate(reps.tolist()):
-        if taken[i]:
-            assert face.k[b] == k[i] + 1 and face.support(b)[-1] == s[i]
+def _append_checked(face, s):
+    """Append s[b] to every rep b, as the solver does; a refused vertex must
+    lie in the span of that rep's face differences and leave its membership
+    mask as it was."""
+    k, active = face.k.copy(), face.active.copy()
+    taken = face.append(s)
+    for b in range(s.size):
+        if taken[b]:
+            assert face.k[b] == k[b] + 1 and _support(face, b)[-1] == s[b]
             _assert_mask_is_current(face, b)
         else:
-            assert face.k[b] == k[i] and s[i] not in face.support(b)
-            assert np.array_equal(face.active[b], active[i])
+            assert face.k[b] == k[b] and s[b] not in _support(face, b)
+            assert np.array_equal(face.active[b], active[b])
             A, _ = _rep_data(face, b)
-            rows = A[face.support(b)]
-            d = A[s[i]] - rows[0]
-            if k[i]:
+            rows = A[_support(face, b)]
+            d = A[s[b]] - rows[0]
+            if k[b]:
                 D = (rows[1:] - rows[0]).T
                 d = d - D @ np.linalg.lstsq(D, d, rcond=None)[0]
-            assert np.linalg.norm(d) <= 1e-10 * np.linalg.norm(A[s[i]] - rows[0])
+            assert np.linalg.norm(d) <= 1e-10 * np.linalg.norm(A[s[b]] - rows[0])
 
 
 def _drop_positions(face, drops):
@@ -510,19 +537,34 @@ def _drop_positions(face, drops):
     exponent=st.integers(-6, 6),
     zero_columns=st.booleans(),
     duplicate_rows=st.booleans(),
-    moves=st.lists(st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=40), min_size=1, max_size=3),
+    reps=st.integers(1, 3),
+    moves=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 2**12), st.lists(st.sets(st.integers(0, 6), max_size=3), max_size=2)),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
 )
 # vertex 9 duplicates vertex 4, active after two base drops; its residual,
 # 1.2 K eps, passed a cutoff of K eps and made the factor singular
-@example(seed=20169, K=4, exponent=1, zero_columns=True, duplicate_rows=True, moves=[[0, 228, -1, 4, -1, 834]])
+@example(
+    seed=20169, K=4, exponent=1, zero_columns=True, duplicate_rows=True, reps=1,
+    moves=[[(0, [])] * 3, [(8, [{0}])] * 3, [(4, [{0}])] * 3, [(9, [])] * 3],
+)
 def test_face_factor_matches_lstsq_over_add_drop_sequences(
-    seed, K, exponent, zero_columns, duplicate_rows, moves
+    seed, K, exponent, zero_columns, duplicate_rows, reps, moves
 ):
-    # each rep of one face runs its own sequence of moves: a nonnegative move
-    # enters vertex move % M; a negative one drops the support positions named
-    # by the bits of -move (position 0 is the base)
+    # every step, as in the solver, every rep b of one face enters a vertex:
+    # with (vertex, drops) = moves[step][b], the first inactive one at or after
+    # vertex % M, cyclically.  Then it runs up to two drops, one per set in
+    # drops, of the support positions in that set (position 0 is the base; K
+    # is at most 6, so any position can go), so drops can follow one another
+    # with no append between
     rng = np.random.default_rng(seed)
-    M, reps = 2 * K + 3, len(moves)
+    M = 2 * K + 3
     F = rng.uniform(-1.0, 1.0, size=(M, K)) * 10.0**exponent
     if duplicate_rows:
         F[M // 2 :] = F[: M - M // 2]
@@ -534,29 +576,26 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
     for b in range(reps):
         _assert_face_matches_lstsq(face, b)
         _assert_mask_is_current(face, b)
-    for step in range(max(map(len, moves))):
-        adds, drops = {}, {}
-        for b, sequence in enumerate(moves):
-            if step >= len(sequence):
-                continue
-            move = sequence[step]
-            if move >= 0:
-                if move % M not in face.support(b):
-                    adds[b] = move % M
-            else:
-                n = len(face.support(b))
-                positions = [i for i in range(n) if (-move >> i) & 1][: n - 1]
-                if positions:
-                    drops[b] = positions
-        if adds:
-            _append_checked(face, np.array(list(adds)), np.array(list(adds.values())))
-        if drops:
-            _drop_positions(face, drops)
-        for b in range(reps):
-            assert face.k[b] == len(face.support(b)) - 1
-            _assert_mask_is_current(face, b)
-            _assert_factor_is_current(face, b)
-            _assert_face_matches_lstsq(face, b)
+    for step in moves:
+        s = np.empty(reps, dtype=np.intp)
+        for b, (vertex, _) in enumerate(step[:reps]):
+            s[b] = next(j % M for j in range(vertex, vertex + M) if not face.active[b, j % M])
+        _append_checked(face, s)
+        for turn in range(2):
+            drops = {}
+            for b, (_, sets) in enumerate(step[:reps]):
+                n = len(_support(face, b))
+                if turn < len(sets):
+                    positions = sorted(i for i in sets[turn] if i < n)[: n - 1]
+                    if positions:
+                        drops[b] = positions
+            if drops:
+                _drop_positions(face, drops)
+            for b in range(reps):
+                assert face.k[b] == len(_support(face, b)) - 1
+                _assert_mask_is_current(face, b)
+                _assert_factor_is_current(face, b)
+                _assert_face_matches_lstsq(face, b)
 
 
 @pytest.mark.parametrize("case", ["base_deletion", "full_face", "zero_mass_columns", "duplicate_rows"])
@@ -573,26 +612,26 @@ def test_face_factor_cases(case):
     face = _Face(F[None], np.zeros(reps, dtype=np.intp), root, target, np.zeros(reps, dtype=np.intp))
     every = np.arange(reps)
     for s in range(1, M):
-        _append_checked(face, every, np.full(reps, s))
+        _append_checked(face, np.full(reps, s))
         for b in every:
             _assert_face_matches_lstsq(face, b)
     rank = {"zero_mass_columns": K - 2}.get(case, K)
     for b in every:
         assert face.k[b] == rank  # the face spans the rank of A, and nothing more enters
         if case == "duplicate_rows":
-            assert not set(face.support(b)) & set(range(6, M))
+            assert not set(_support(face, b)) & set(range(6, M))
         _assert_factor_is_current(face, b)
     # each rep drops its own positions in two batched drops; rep 0 drops the
     # base vertex with another, rep 1 drops the base alone on its second drop
     sequences = {0: ([0, 2], [1]), 1: ([1, 3], [0]), 2: ([2], [0, 1])}
-    supports = {b: face.support(b).tolist() for b in every}
+    supports = {b: _support(face, b).tolist() for b in every}
     support = supports[0]
     for turn, expected in enumerate((support[1:2] + support[3:], support[1:2] + support[4:])):
         _drop_positions(face, {b: sequences[b][turn] for b in every})
-        assert face.support(0).tolist() == expected
+        assert _support(face, 0).tolist() == expected
         for b in every:
             supports[b] = [j for i, j in enumerate(supports[b]) if i not in sequences[b][turn]]
-            assert face.support(b).tolist() == supports[b]
+            assert _support(face, b).tolist() == supports[b]
             _assert_mask_is_current(face, b)
             _assert_factor_is_current(face, b)
             _assert_face_matches_lstsq(face, b)
@@ -610,28 +649,29 @@ def test_face_factor_cases(case):
 )
 def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
     # the updated factor replaces a fresh lstsq per corrective step; the
-    # iterates must not move, for a sample solved alone or in a batch of
-    # samples of one problem
-    def follows(sol, d, s):
+    # iterates must not move, for a sample solved alone or as a row of one
+    # block holding the samples of one problem
+    def follows(weights, gap, iterations, stop_reason, kkt_solves, drop_steps, d, s):
         (root,), (target,) = _least_squares(d.num_design_points, _blocks([s]))
-        support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = lstsq_minimize_fw(
-            d.values * root, target, SolverConfig()
-        )
+        support, u, reference_gap, *counters = lstsq_minimize_fw(d.values * root, target, SolverConfig())
         w = np.zeros(M)
         w[support] = u
-        assert (sol.iterations, sol.stop_reason) == (iterations, stop_reason)
-        assert (sol.kkt_solves, sol.drop_steps) == (kkt_solves, drop_steps)
-        assert np.abs(sol.weights.weights - w).max() <= 1e-12
-        assert sol.duality_gap == pytest.approx(gap, rel=0.0, abs=1e-12)
+        assert [iterations, stop_reason, kkt_solves, drop_steps] == counters
+        assert np.abs(weights - w).max() <= 1e-12
+        assert gap == pytest.approx(reference_gap, rel=0.0, abs=1e-12)
+
+    def fields(sol):
+        return sol.weights.weights, sol.duality_gap, sol.iterations, sol.stop_reason, sol.kkt_solves, sol.drop_steps
 
     for seed in seeds:
         p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
         s = sample(p, n, seed=seed)
-        follows(erm_convex_hull(d, s), d, s)
+        follows(*fields(erm_convex_hull(d, s)), d, s)
     p, d = make_problem(kind, K=K, M=M, b=1.0, seed=0)
     samples = [sample(p, n, seed=seed) for seed in seeds]
-    for sol, s in zip(erm_convex_hull_batch([d] * len(samples), samples), samples):
-        follows(sol, d, s)
+    ((weights, *solves),) = erm_convex_hull_blocks([(d, p, np.array([s.probabilities for s in samples]))])
+    for r, s in enumerate(samples):
+        follows(weights[r], *(x[r].item() for x in solves), d, s)
 
 
 def test_a_vertex_spanned_by_the_face_ends_the_solve():
@@ -650,10 +690,43 @@ def test_a_vertex_spanned_by_the_face_ends_the_solve():
     assert sol.duality_gap <= 1e-15
 
 
-def _solve_key(solve):
-    """A rep's solve as bytes and numbers, so that == compares every bit."""
-    support, u, gap, iterations, stop_reason, kkt_solves, drop_steps = solve
-    return (support.tobytes(), u.tobytes(), float(gap).hex(), iterations, stop_reason, kkt_solves, drop_steps)
+def test_a_face_that_dropped_a_vertex_returns_exactly_its_weights(monkeypatch):
+    # a drop leaves the face slot past a rep's support holding a copy of its
+    # last index, with a weight of 0 in u; the returned weights are u on the
+    # support, bit for bit, and 0 elsewhere.  u and the face are read at the
+    # last update of the fitted values, from which the solve's end changes
+    # neither
+    last = {}
+    point = _Face.point
+
+    def recorded(self, u, b=slice(None)):
+        if isinstance(b, slice):
+            last.update(indices=self.indices[0].copy(), k=int(self.k[0]), u=u[0].copy())
+        return point(self, u, b)
+
+    monkeypatch.setattr(_Face, "point", recorded)
+    stale = 0
+    for seed in range(10):
+        p, d = make_problem("inside-hull", K=8, M=16, b=1.0, seed=seed)
+        root, target = _least_squares(8, _blocks([sample(p, 64, seed=seed)]))
+        weights, _, _, _, _, drops = _minimize_fw([d.values], np.zeros(1, dtype=np.intp), root, target, SolverConfig())
+        if not drops[0]:
+            continue
+        support, u = last["indices"][: last["k"] + 1], last["u"][: last["k"] + 1]
+        expected = np.zeros(16)
+        expected[support] = u
+        assert weights[0].tobytes() == expected.tobytes()
+        stale += last["k"] < 8 and last["indices"][last["k"] + 1] == support[-1]
+    assert stale >= 3
+
+
+def _solve_keys(solved, sizes) -> list:
+    """Each rep's row of every array `_minimize_fw` returns, as bytes, so
+    that == compares every bit; rep b's weights are cut to its M, sizes[b],
+    and must be 0 past it."""
+    weights, *counters = solved
+    assert len(weights) == len(sizes) and all(not weights[b, m:].any() for b, m in enumerate(sizes))
+    return [(weights[b, :m].tobytes(), *(x[b].tobytes() for x in counters)) for b, m in enumerate(sizes)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -688,21 +761,20 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
     }[stopping]
 
     def fw(F, root, target):
-        return _minimize_fw(F[None], np.zeros(len(root), dtype=np.intp), root, target, config)
+        solved = _minimize_fw(F[None], np.zeros(len(root), dtype=np.intp), root, target, config)
+        return _solve_keys(solved, [M] * len(root))
 
-    alone = [_solve_key(fw(F, root[r : r + 1], target[r : r + 1])[0]) for r in range(reps)]
-    whole = [_solve_key(solve) for solve in fw(F, root, target)]
-    assert whole == alone
+    alone = [fw(F, root[r : r + 1], target[r : r + 1])[0] for r in range(reps)]
+    assert fw(F, root, target) == alone
     order = rng.permutation(reps)
-    assert [_solve_key(x) for x in fw(F, root[order], target[order])] == [alone[r] for r in order]
+    assert fw(F, root[order], target[order]) == [alone[r] for r in order]
     lo, hi = sorted(rng.integers(0, reps + 1, size=2))
-    assert [_solve_key(x) for x in fw(F, root[lo:hi], target[lo:hi])] == alone[lo:hi]
+    assert fw(F, root[lo:hi], target[lo:hi]) == alone[lo:hi]
     repeats = rng.integers(0, reps, size=reps + 3)
-    assert [_solve_key(x) for x in fw(F, root[repeats], target[repeats])] == [alone[r] for r in repeats]
+    assert fw(F, root[repeats], target[repeats]) == [alone[r] for r in repeats]
     strided_root, strided_target = np.zeros((reps, 2 * K)), np.zeros((2 * K, reps))
     strided_root[:, ::2], strided_target[::2] = root, target.T
-    got = fw(np.asfortranarray(F), strided_root[:, ::2], strided_target[::2].T)
-    assert [_solve_key(x) for x in got] == alone
+    assert fw(np.asfortranarray(F), strided_root[:, ::2], strided_target[::2].T) == alone
 
 
 @settings(max_examples=100, deadline=None)
@@ -728,7 +800,7 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
 ):
     # reps drawn from several problems, each on its own dictionary of K
     # columns and one capacity min(K, M - 1), and in any order, as the
-    # datasets of one group of erm_convex_hull_batch are.  Past M = K + 1 the
+    # datasets of one group of erm_convex_hull_blocks are.  Past M = K + 1 the
     # capacity is K for every M, so there the dictionaries have up to three
     # row counts, K + 1 + 200 among them, and K = 1 takes any M >= 2.  A
     # rep's solve has the same bits alone, in the mixed batch, and in
@@ -753,7 +825,7 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     }[stopping]
 
     def fw(F, which, root, target):
-        return [_solve_key(solve) for solve in _minimize_fw(F, which, root, target, config)]
+        return _solve_keys(_minimize_fw(F, which, root, target, config), [F[g].shape[0] for g in which])
 
     alone = [
         fw([F[g]], np.zeros(1, dtype=np.intp), root[r : r + 1], target[r : r + 1])[0]
@@ -812,17 +884,21 @@ def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, rows, 
 
 
 def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
-    # one public batch holds K = 8 and K = 9 and M = 5, 16 and 17, so faces
-    # of capacity min(K, M - 1) = 4 and 8; the datasets come shuffled and
-    # one dictionary is named twice.  Each gets the solution it gets alone,
-    # in input order, and the batch makes one solve per K and capacity
+    # one call holds blocks of K = 8 and K = 9 and M = 5, 16 and 17, so faces
+    # of capacity min(K, M - 1) = 4 and 8; the blocks come shuffled, hold 1
+    # to 3 datasets each, and one dictionary is named by two blocks.  Each
+    # dataset gets, bit for bit, the solution it gets alone, each block's
+    # rows in order, and the call makes one solve per K and capacity
     problems = [
         make_problem("outside-hull", K=K, M=M, b=1.0, seed=s)
         for s, K, M in ((1, 8, 16), (2, 9, 5), (3, 8, 17), (4, 8, 5), (5, 8, 16))
     ]
-    order = [3, 0, 4, 1, 0, 2]
-    dictionaries = [problems[g][1] for g in order]
-    data = [sample(problems[g][0], 64, seed=r) for r, g in enumerate(order)]
+    order, rows = [3, 0, 4, 1, 0, 2], [2, 3, 1, 2, 2, 3]
+    seeds = np.split(np.arange(sum(rows)), np.cumsum(rows)[:-1])
+    blocks = [
+        (problems[g][1], problems[g][0], draw_count_matrix(problems[g][0], 64, seeds[i]) / 64)
+        for i, g in enumerate(order)
+    ]
     calls = []
 
     def recorded(F, which, root, target, config):
@@ -830,15 +906,15 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
         return _minimize_fw(F, which, root, target, config)
 
     monkeypatch.setattr(solver, "_minimize_fw", recorded)
-    batch = erm_convex_hull_batch(dictionaries, data)
-    assert calls == [(8, [5], 1), (8, [16, 16, 17], 4), (9, [5], 1)]
-    counters = (
-        "empirical_risk", "duality_gap", "iterations", "converged", "stop_reason", "kkt_solves", "drop_steps",
-    )
-    for sol, d, s in zip(batch, dictionaries, data, strict=True):
-        lone = erm_convex_hull(d, s)
-        assert sol.weights.weights.tobytes() == lone.weights.weights.tobytes()
-        assert [getattr(sol, name) for name in counters] == [getattr(lone, name) for name in counters]
-    assert erm_convex_hull_batch([], []) == []
-    with pytest.raises(ValueError, match="dictionaries for"):
-        erm_convex_hull_batch(dictionaries[:1], data)
+    solved = erm_convex_hull_blocks(blocks)
+    assert calls == [(8, [5], 2), (8, [16, 16, 17], 9), (9, [5], 2)]
+    for (d, p, P), (weights, *counters), block_seeds in zip(blocks, solved, seeds, strict=True):
+        assert weights.shape == (len(block_seeds), d.size_M)
+        for r, seed in enumerate(block_seeds):
+            lone = erm_convex_hull(d, sample(p, 64, seed))
+            assert weights[r].tobytes() == lone.weights.weights.tobytes()
+            assert [x[r].item() for x in counters] == [
+                lone.duality_gap, lone.iterations, lone.stop_reason, lone.kkt_solves, lone.drop_steps,
+            ]
+            assert type(lone.duality_gap) is float and type(lone.iterations) is int
+    assert erm_convex_hull_blocks([]) == []

@@ -9,12 +9,11 @@ from cvxagg.sparsify import (
     choose_m,
     enumerate_net,
     expected_sparsified_risk,
-    net_approximation_gap,
     net_cardinality_bound,
     sparsify_random,
 )
 
-from _support import enumerated_sparsified_risk, random_dictionary, random_problem, random_weights
+from _support import enumerated_sparsified_risk, net_gap, random_dictionary, random_problem, random_weights
 
 
 def two_constant_setup():
@@ -164,7 +163,7 @@ def test_sparsify_random_mean_matches_identity():
 def test_net_gap_zero_when_regression_is_a_vertex():
     d = Dictionary(np.array([[0.25, -0.5], [0.8, 0.1]]))
     p = DiscreteProblem(np.array([0, 1]), np.array([0.25, -0.5]), np.array([0.5, 0.5]), 1.0)
-    assert net_approximation_gap(d, p, m=3) == 0.0
+    assert net_gap(d, p, m=3)[0] == 0.0
 
 
 def test_net_gap_two_point_problem_closed_form():
@@ -172,10 +171,11 @@ def test_net_gap_two_point_problem_closed_form():
     # misses by 1/(2m) for odd m, so the gap is 0 or 1/(4 m^2)
     d, p = two_constant_setup()
     for m in (2, 4):
-        assert net_approximation_gap(d, p, m=m) == pytest.approx(0.0, abs=1e-15)
+        assert net_gap(d, p, m=m)[0] == pytest.approx(0.0, abs=1e-15)
     for m in (1, 3, 5):
-        assert net_approximation_gap(d, p, m=m) == pytest.approx(1 / (4 * m * m), abs=1e-12)
-        assert net_approximation_gap(d, p, m=m) <= 0.25 / m
+        gap, ceiling = net_gap(d, p, m=m)
+        assert gap == pytest.approx(1 / (4 * m * m), abs=1e-12)
+        assert gap <= ceiling <= 0.25 / m
 
 
 def test_net_gap_random_problems_within_variance_ceiling():
@@ -184,6 +184,6 @@ def test_net_gap_random_problems_within_variance_ceiling():
         p = random_problem(rng, K=3)
         d = random_dictionary(rng, M=3, K=3)
         m = int(rng.integers(1, 5))
-        gap = net_approximation_gap(d, p, m=m)
-        assert gap >= 0.0
-        assert gap <= 4.0 / m  # b = 1
+        gap, ceiling = net_gap(d, p, m=m)
+        assert 0.0 <= gap <= ceiling + 1e-12
+        assert ceiling <= 4.0 / m  # b = 1
