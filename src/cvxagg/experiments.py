@@ -28,10 +28,10 @@ import numpy as np
 
 # `sample` is not called here; it stays a module attribute because
 # perfbench/tracing.py wraps experiments.sample
-from .model import Dictionary, DiscreteProblem, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
-from .solver import ErmSolution, SolverConfig, _whole, erm_convex_hull, erm_convex_hull_blocks
+from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))

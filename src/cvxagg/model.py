@@ -30,7 +30,18 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-def _whole(values, name: str) -> np.ndarray:
+def _whole(value, name: str) -> int:
+    """value as an int, which must equal it: 2.5 is refused, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be whole, found {value!r}")
+    return whole
+
+
+def _whole_array(values, name: str) -> np.ndarray:
     """values as a frozen int64 array, which must hold them exactly: 1.7 is refused, not truncated.
 
     An int64 array holds them by its type, so it is frozen with no compare."""
@@ -52,7 +63,7 @@ class Measure:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_indices", _whole(self.x_indices, "x indices"))
+        object.__setattr__(self, "x_indices", _whole_array(self.x_indices, "x indices"))
         object.__setattr__(self, "y_values", _freeze(self.y_values, np.float64))
         object.__setattr__(self, "probabilities", _freeze(self.probabilities, np.float64))
         x, y, p = self.x_indices, self.y_values, self.probabilities
@@ -132,16 +143,15 @@ class SampleSet(Measure):
     n: int = field(init=False)
 
     def __post_init__(self):
-        counts = _whole(self.counts, "counts")
+        counts = _whole_array(self.counts, "counts")
         n = int(counts.sum())
         if counts.size == 0 or counts.min() < 0 or n < 1:
             raise ValueError("counts must be nonnegative, with at least one draw")
-        if int(self.seed) != self.seed:
-            raise ValueError("non-whole seed")
-        if not -(2**63) <= self.seed < 2**63:
+        seed = _whole(self.seed, "seed")
+        if not -(2**63) <= seed < 2**63:
             raise ValueError("seed does not fit in int64, the seed column of samples.csv")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probabilities", counts / n)
         super().__post_init__()

@@ -19,7 +19,7 @@ a dictionary and atoms, one probability row per dataset, and returns each
 block's weights as one matrix.  It solves the datasets of one K and one C
 together, in rounds of one iteration of every dataset still running, so the
 per-call cost of numpy is paid once per round instead of once per dataset,
-and it holds each distinct dictionary once.  `erm_convex_hull`, one block
+and it holds each dictionary uncopied.  `erm_convex_hull`, one block
 of one dataset returned as an `ErmSolution`, serves the CLI and the
 population oracle.  The contract is
 that a dataset's weights, gap, counters and stop reason have the same bits
@@ -50,18 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights, simplex_rows
-
-
-def _whole(value, name: str) -> int:
-    """value as an int, which must equal it: 2.5 is refused, not truncated."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be whole, found {value!r}")
-    return whole
+from .model import Dictionary, Measure, Segment, SimplexWeights, _whole, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -157,8 +146,7 @@ def _matvec(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _runs(which: np.ndarray) -> list:
-    """(g, lo, hi) for each run of reps lo..hi - 1 on dictionary g, for a
-    `which` sorted by dictionary."""
+    """(g, lo, hi) for each maximal run of reps lo..hi - 1 on dictionary g."""
     edges = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), which.size]
     return [(int(which[lo]), lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
 
@@ -194,9 +182,9 @@ _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 class _Face:
     """Each rep's active vertices, with a QR factor of their affine hull kept current.
 
-    F holds G dictionaries of K columns and one capacity C (below), each
-    once and uncopied, and rep b's is F[which[b]]; `runs` lists the runs of
-    reps on one dictionary.  Rep b's
+    F holds G dictionaries of K columns and one capacity C (below),
+    uncopied, and rep b's is F[which[b]]; `runs` lists the runs of reps on
+    one dictionary.  Rep b's
     vertices are the rows of A_b = F[which[b]] * root[b] and its target is
     target[b].  Per rep, with base
     vertex a0 = A_b[support[0]], the k = |S| - 1 differences
@@ -208,8 +196,8 @@ class _Face:
     Givens rotation.  The face starts at one vertex per rep and changes only
     by `append` and `drop`; the factor is never computed from scratch.
     `indices` and `vertices` hold the active indices, base first and newest
-    last, and the rows A_b[support], `offset` is target - a0, and `active`
-    is the (B, max M) membership mask of the supports.
+    last, and the rows A_b[support]; slots past k may still hold a dropped
+    vertex, so a vertex is on the face when slots 0..k hold it.
 
     Every rep's buffers are padded to the capacity C = min(K, M - 1) (a face
     has at most C differences: a K-dimensional span, M distinct vertices),
@@ -218,7 +206,7 @@ class _Face:
     are the solver's weights past its support, so every product a rep takes
     part in has shapes fixed by its own dictionary's (M, K) and by C alone.
     `z` = T c, the corrective minimizer's free part, is kept with the
-    factor.  Memory is O(B K C + B M), within the order of the batch's data.
+    factor.  Memory is O(B K C), within the order of the batch's data.
     """
 
     def __init__(self, F, which: np.ndarray, root: np.ndarray, target: np.ndarray, start: np.ndarray):
@@ -230,11 +218,8 @@ class _Face:
         self.rows = np.zeros((B, C, 2 * C + 1 + K))
         self.indices = np.zeros((B, C + 1), dtype=np.intp)
         self.vertices = np.zeros((B, C + 1, K))
-        self.active = np.zeros((B, max(f.shape[0] for f in F)), dtype=bool)
         self.indices[:, 0] = start
         self.vertices[:, 0] = _rows(F, self.runs, start) * root
-        self.active[np.arange(B), start] = True
-        self.offset = target - self.vertices[:, 0]
         self.z = np.zeros((B, C))
 
     def keep(self, mask: np.ndarray) -> None:
@@ -243,7 +228,7 @@ class _Face:
         The kept reps move to the front of each buffer, which becomes a view
         of that prefix, so the buffers are not allocated again as reps finish."""
         m = int(np.count_nonzero(mask))
-        for name in ("which", "root", "target", "k", "rows", "indices", "vertices", "active", "offset", "z"):
+        for name in ("which", "root", "target", "k", "rows", "indices", "vertices", "z"):
             buf = getattr(self, name)
             buf[:m] = buf[mask]
             setattr(self, name, buf[:m])
@@ -278,7 +263,7 @@ class _Face:
         dd, rr = _rowdot(d, d), _rowdot(r, r)
         # `rr <= cutoff`, not `rr > cutoff`: a NaN residual is taken, not refused
         refused = (rr <= (64 * K * _EPS) ** 2 * dd) | (k == C)
-        offset = self.offset
+        offset = self.target - self.vertices[:, 0]
         if refused.any():
             ok = ~refused
             b, k, s, a, w, r, rr, offset, T = (x[ok] for x in (b, k, s, a, w, r, rr, offset, T))
@@ -299,14 +284,16 @@ class _Face:
         k = k + 1
         self.indices[b, k] = s
         self.vertices[b, k] = a
-        self.active[b, s] = True
         self.z[b] += term
         self.k[b] = k
         return ~refused
 
-    def drop(self, b: np.ndarray, positions: np.ndarray) -> None:
+    def drop(self, b: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Remove from rep b[i]'s face the vertices at the support positions
-        where positions[i] is set, highest first, each O(K k).
+        where positions[i] is set, highest first, each O(K k), and return
+        weights, whose row i holds a weight per support slot of rep b[i],
+        with the same slots removed: the kept weights in support order, then
+        zeros.
 
         A vertex p > 0 takes column p - 1 of D out of the factor.  When the
         base a0 leaves, a1 becomes the base and D loses its column 0 while
@@ -323,20 +310,19 @@ class _Face:
         costs less than batching each rotation across them.
         """
         C, G = self.capacity, np.empty((2, 2))
-        for rep, where in zip(b.tolist(), positions):
+        for rep, where, U in zip(b.tolist(), positions, weights):
             R, I, V = self.rows[rep], self.indices[rep], self.vertices[rep]
             for p in reversed(where.nonzero()[0].tolist()):
                 j, k = max(p - 1, 0), int(self.k[rep])
-                self.active[rep, I[p]] = False
                 if p == 0:
                     R[0, 1:k] -= R[0, 0]
                     R[0, 2 * C] -= R[0, 0]
-                    self.offset[rep] = self.target[rep] - V[1]
                 # delete column j of R, row j of T (column j of T.T) and vertex p
                 R[:k, j : k - 1] = R[:k, j + 1 : k]
                 R[:k, C + j : C + k - 1] = R[:k, C + j + 1 : C + k]
                 I[p:k] = I[p + 1 : k + 1]
                 V[p:k] = V[p + 1 : k + 1]
+                U[p:k], U[k] = U[p + 1 : k + 1], 0.0
                 # rotate rows i and i + 1 to zero the new subdiagonal entry (i + 1, i)
                 for i in range(j, k - 1):
                     x, y = R.item(i, i), R.item(i + 1, i)
@@ -351,6 +337,7 @@ class _Face:
                 R[:k, C + k - 1] = 0.0
                 self.k[rep] = k - 1
             self.z[rep] = R[:, 2 * C] @ R[:, C : 2 * C]
+        return weights
 
     def minimizer(self, b) -> np.ndarray:
         """Per rep, the minimizer of ||u @ A_b[support] - target|| over the
@@ -393,11 +380,11 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     gradient.  Each iteration forms the residual resid = g - target of its
     fitted values once: its squared norm is the value, and
     (root * 2 resid) @ F[which[b]].T the next gradient, where doubling is
-    exact, so no per-rep A_b is formed and memory is O(B K + G M K).  The
-    reps are sorted by dictionary, so each dictionary's reps form one run
-    of the batch and each gradient is one stacked product per run, on a
-    transposed view of that dictionary: a rep's product has the shapes and
-    memory layout it has alone.  Its gradient goes into a row padded to the
+    exact, so no per-rep A_b is formed and memory is O(B K + G M K).  Each
+    gradient is one stacked product per run of reps on one dictionary (a
+    block's reps arrive in order, so they form one run), on a transposed
+    view of that dictionary: a rep's product has the shapes and memory
+    layout it has alone.  Its gradient goes into a row padded to the
     batch's largest M with +inf, so padding never wins the oracle's argmin,
     and its start vertex is taken over its own dictionary's M.  An entering
     vertex whose difference is numerically in the span of the face's
@@ -422,10 +409,9 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     drop_steps.
     """
     F = [np.ascontiguousarray(f, dtype=float) for f in F]
-    root, target = (np.ascontiguousarray(x, dtype=float) for x in (root, target))
-    which = np.asarray(which, dtype=np.intp)
-    order = np.argsort(which, kind="stable")
-    which, root, target = which[order], root[order], target[order]
+    # copies: the face compacts which, root and target in place
+    which = np.array(which, dtype=np.intp)
+    root, target = (np.array(x, dtype=float, order="C") for x in (root, target))
     B, runs, Ft = root.shape[0], _runs(which), [f.T for f in F]
     width = max(f.shape[0] for f in F)
     mass, pull = root * root, root * target
@@ -439,8 +425,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     u[:, 0] = 1.0
     resid = face.vertices[:, 0] - target
     best = _rowdot(resid, resid)
-    root2 = 2.0 * root
-    ids, n = order, np.arange(B)
+    ids = n = np.arange(B)
     reason = np.zeros(B, dtype=np.intp)
     drop_steps = np.zeros(B, dtype=np.intp)
     support = []  # per finish call: the rows, columns and values of weights
@@ -459,7 +444,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         support, the slots up to its k: a drop leaves the slot past k holding
         a copy of slot k's index, which must not take that slot's weight of 0.
         """
-        nonlocal u, resid, best, root2, ids, n, reason, drop_steps
+        nonlocal u, resid, best, ids, n, reason, drop_steps
         i = stopped.nonzero()[0]
         rows, early = ids[i], reason[i] <= _REPEAT  # stopped on "gap" or "repeat_vertex"
         reps, at = (slots <= face.k[i, None]).nonzero()
@@ -471,9 +456,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         drops[rows] = drop_steps[i]
         keep = ~stopped
         face.keep(keep)
-        u, resid, best, root2, ids, reason, drop_steps = (
-            x[keep] for x in (u, resid, best, root2, ids, reason, drop_steps)
-        )
+        u, resid, best, ids, reason, drop_steps = (x[keep] for x in (u, resid, best, ids, reason, drop_steps))
         n = np.arange(ids.size)
         return gap[keep], s[keep]
 
@@ -484,12 +467,13 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     with np.errstate(divide="ignore", invalid="ignore"):
         while n.size:
             it += 1
-            grad = _by_dictionary(root2 * resid, Ft, face.runs, width)
+            grad = _by_dictionary(2.0 * face.root * resid, Ft, face.runs, width)
             s = grad.argmin(axis=1)
             gap = _rowdot(grad[n[:, None], face.indices], u) - grad[n, s]
             # a rep whose solve ended last round (no descent, iteration cap)
             # came back only for the gap at its final weights
-            at_gap, repeat = gap <= config.tolerance, face.active[n, s]
+            repeat = ((face.indices == s[:, None]) & (slots <= face.k[:, None])).any(axis=1)
+            at_gap = gap <= config.tolerance
             if ending or (at_gap | repeat).any():
                 fresh = reason == 0
                 reason[fresh & repeat] = _REPEAT
@@ -549,11 +533,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
                 leaving = (np.add.reduce(new > 0.0, axis=1) <= k).nonzero()[0]
                 if leaving.size:
                     out = ~(new[leaving] > 0.0) & (slots <= k[leaving, None])
-                    face.drop(pending[leaving], out)
-                    for i, gone in zip(leaving.tolist(), out):
-                        kept = new[i, ~gone]
-                        new[i, kept.size :] = 0.0
-                        new[i, : kept.size] = kept
+                    new[leaving] = face.drop(pending[leaving], out, new[leaving])
                 if pending is n:
                     u = new
                 else:
@@ -588,7 +568,7 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     share, and a (datasets, atoms) matrix whose row r is dataset r's mass on
     them, checked by the caller.  Datasets are grouped by K and face
     capacity min(K, M - 1), in order of first appearance, here and nowhere
-    else; a dictionary named by several blocks is held once.  Ties in the
+    else.  A block with no datasets is refused.  Ties in the
     linear-minimization oracle break to the lowest dictionary index, and a
     dataset's solution has the same bits in any batch (see `_minimize_fw`).
 
@@ -600,18 +580,17 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     cfg = config or SolverConfig()
     blocks = list(blocks)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (dictionary, _, _) in enumerate(blocks):
+    for i, (dictionary, _, probabilities) in enumerate(blocks):
+        if not probabilities.shape[0]:
+            raise ValueError(f"block {i} has no datasets: its probability matrix has no rows")
         K = dictionary.num_design_points
         groups.setdefault((K, min(K, dictionary.size_M - 1)), []).append(i)
     out = [None] * len(blocks)
     for (K, _), members in groups.items():
-        held = list({id(blocks[i][0]): blocks[i][0] for i in members}.values())
-        slot = {id(d): g for g, d in enumerate(held)}
         reps = [blocks[i][2].shape[0] for i in members]
-        which = np.repeat([slot[id(blocks[i][0])] for i in members], reps)
         root, target = _least_squares(K, [blocks[i][1:] for i in members])
         weights, gap, iterations, stop, kkt_solves, drop_steps = _minimize_fw(
-            [d.values for d in held], which, root, target, cfg
+            [blocks[i][0].values for i in members], np.repeat(np.arange(len(members)), reps), root, target, cfg
         )
         solves = (gap, iterations, _STOP_REASONS[stop], kkt_solves, drop_steps)
         edges = np.cumsum([0, *reps]).tolist()

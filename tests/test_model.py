@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,8 +164,11 @@ def test_measures_reject_indices_that_are_not_whole(build):
 
 
 def test_a_sample_seed_must_be_whole_and_whole_floats_pass():
-    with pytest.raises(ValueError, match="non-whole seed"):
-        SampleSet(np.array([0]), np.array([0.0]), np.array([1]), seed=1.9)
+    # inf, nan and None get the ValueError of every whole-number setting,
+    # not the OverflowError, numpy error or TypeError of int()
+    for seed in (1.9, math.inf, math.nan, None):
+        with pytest.raises(ValueError, match="seed must be whole"):
+            SampleSet(np.array([0]), np.array([0.0]), np.array([1]), seed=seed)
     assert SampleSet(np.array([0.0, 2.0]), np.array([0.0, 0.0]), np.array([1, 1]), seed=3.0).seed == 3
     whole = DiscreteProblem(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.5, 0.5]), bound_b=1.0)
     assert whole.x_indices.dtype == np.int64 and whole.x_indices.tolist() == [0, 1]

@@ -490,29 +490,21 @@ def _assert_factor_is_current(face, b, tol=1e-12):
     assert np.linalg.norm(D - Q @ R) <= tol * scale
     assert np.linalg.norm(T @ R - identity) <= tol * np.linalg.norm(T) * np.linalg.norm(R)
     assert np.linalg.norm(c - Q.T @ offset) <= tol * scale
-    assert np.array_equal(face.offset[b], offset)
     assert not face.rows[b, k:].any()
     assert not face.rows[b, :, k:C].any() and not face.rows[b, :, C + k : 2 * C].any()
 
 
-def _assert_mask_is_current(face, b):
-    """Rep b's membership mask marks exactly its support."""
-    assert np.array_equal(np.flatnonzero(face.active[b]), np.sort(_support(face, b)))
-
-
 def _append_checked(face, s):
     """Append s[b] to every rep b, as the solver does; a refused vertex must
-    lie in the span of that rep's face differences and leave its membership
-    mask as it was."""
-    k, active = face.k.copy(), face.active.copy()
+    lie in the span of that rep's face differences and leave its support as
+    it was."""
+    k, supports = face.k.copy(), [_support(face, b).copy() for b in range(s.size)]
     taken = face.append(s)
     for b in range(s.size):
         if taken[b]:
-            assert face.k[b] == k[b] + 1 and _support(face, b)[-1] == s[b]
-            _assert_mask_is_current(face, b)
+            assert face.k[b] == k[b] + 1 and _support(face, b).tolist() == [*supports[b], s[b]]
         else:
-            assert face.k[b] == k[b] and s[b] not in _support(face, b)
-            assert np.array_equal(face.active[b], active[b])
+            assert face.k[b] == k[b] and np.array_equal(_support(face, b), supports[b])
             A, _ = _rep_data(face, b)
             rows = A[_support(face, b)]
             d = A[s[b]] - rows[0]
@@ -523,11 +515,20 @@ def _append_checked(face, s):
 
 
 def _drop_positions(face, drops):
-    """Drop, from each rep b in the dict, the support positions drops[b]."""
-    mask = np.zeros((len(drops), face.capacity + 1), dtype=bool)
-    for i, positions in enumerate(drops.values()):
+    """Drop, from each rep b in the dict, the support positions drops[b].
+
+    Each rep's weight row goes through the drop with it, holding 1 + the
+    vertex index in each support slot and zeros past it; the row that comes
+    back must hold the same for the support that is left."""
+    b = np.array(list(drops))
+    mask, weights = np.zeros((b.size, face.capacity + 1), dtype=bool), np.zeros((b.size, face.capacity + 1))
+    for i, (rep, positions) in enumerate(drops.items()):
         mask[i, positions] = True
-    face.drop(np.array(list(drops)), mask)
+        weights[i, : face.k[rep] + 1] = _support(face, rep) + 1.0
+    weights = face.drop(b, mask, weights)
+    for i, rep in enumerate(drops):
+        k = face.k[rep]
+        assert np.array_equal(weights[i, : k + 1], _support(face, rep) + 1.0) and not weights[i, k + 1 :].any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,6 +555,14 @@ def _drop_positions(face, drops):
     seed=20169, K=4, exponent=1, zero_columns=True, duplicate_rows=True, reps=1,
     moves=[[(0, [])] * 3, [(8, [{0}])] * 3, [(4, [{0}])] * 3, [(9, [])] * 3],
 )
+# full K = 6 faces, all C + 1 = 7 positions: rep 0 drops position C, rep 1
+# the base, and rep 2 position C and then two more positions with no append
+# between.  A step later reps 0 and 1 are full again; their next append, at
+# k = C, is refused, and they drop position C once more
+@example(
+    seed=5, K=6, exponent=0, zero_columns=False, duplicate_rows=False, reps=3,
+    moves=[*[[(0, [])] * 3] * 5, [(0, [{6}]), (0, [{0}]), (0, [{6}, {0, 3}])], [(0, [])] * 3, [(0, [{6}])] * 3],
+)
 def test_face_factor_matches_lstsq_over_add_drop_sequences(
     seed, K, exponent, zero_columns, duplicate_rows, reps, moves
 ):
@@ -575,11 +584,10 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
     face = _Face(F[None], np.zeros(reps, dtype=np.intp), root, target, rng.integers(M, size=reps))
     for b in range(reps):
         _assert_face_matches_lstsq(face, b)
-        _assert_mask_is_current(face, b)
     for step in moves:
         s = np.empty(reps, dtype=np.intp)
         for b, (vertex, _) in enumerate(step[:reps]):
-            s[b] = next(j % M for j in range(vertex, vertex + M) if not face.active[b, j % M])
+            s[b] = next(j % M for j in range(vertex, vertex + M) if j % M not in _support(face, b))
         _append_checked(face, s)
         for turn in range(2):
             drops = {}
@@ -593,7 +601,6 @@ def test_face_factor_matches_lstsq_over_add_drop_sequences(
                 _drop_positions(face, drops)
             for b in range(reps):
                 assert face.k[b] == len(_support(face, b)) - 1
-                _assert_mask_is_current(face, b)
                 _assert_factor_is_current(face, b)
                 _assert_face_matches_lstsq(face, b)
 
@@ -632,7 +639,6 @@ def test_face_factor_cases(case):
         for b in every:
             supports[b] = [j for i, j in enumerate(supports[b]) if i not in sequences[b][turn]]
             assert _support(face, b).tolist() == supports[b]
-            _assert_mask_is_current(face, b)
             _assert_factor_is_current(face, b)
             _assert_face_matches_lstsq(face, b)
 
@@ -886,9 +892,10 @@ def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, rows, 
 def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
     # one call holds blocks of K = 8 and K = 9 and M = 5, 16 and 17, so faces
     # of capacity min(K, M - 1) = 4 and 8; the blocks come shuffled, hold 1
-    # to 3 datasets each, and one dictionary is named by two blocks.  Each
-    # dataset gets, bit for bit, the solution it gets alone, each block's
-    # rows in order, and the call makes one solve per K and capacity
+    # to 3 datasets each, and one dictionary is named by two blocks, which
+    # hand it to the solve as two dictionaries.  Each dataset gets, bit for
+    # bit, the solution it gets alone, each block's rows in order, and the
+    # call makes one solve per K and capacity
     problems = [
         make_problem("outside-hull", K=K, M=M, b=1.0, seed=s)
         for s, K, M in ((1, 8, 16), (2, 9, 5), (3, 8, 17), (4, 8, 5), (5, 8, 16))
@@ -907,7 +914,7 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
 
     monkeypatch.setattr(solver, "_minimize_fw", recorded)
     solved = erm_convex_hull_blocks(blocks)
-    assert calls == [(8, [5], 2), (8, [16, 16, 17], 9), (9, [5], 2)]
+    assert calls == [(8, [5], 2), (8, [16, 16, 16, 17], 9), (9, [5], 2)]
     for (d, p, P), (weights, *counters), block_seeds in zip(blocks, solved, seeds, strict=True):
         assert weights.shape == (len(block_seeds), d.size_M)
         for r, seed in enumerate(block_seeds):
@@ -918,3 +925,37 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
             ]
             assert type(lone.duality_gap) is float and type(lone.iterations) is int
     assert erm_convex_hull_blocks([]) == []
+
+
+def test_a_hull_solve_leaves_its_inputs_as_they_were():
+    # the face compacts its which, root and target in place as reps finish,
+    # so the solver must work on copies of them; reps on interleaved
+    # dictionaries, as blocks of one problem each, finish in different rounds
+    problems = [make_problem("outside-hull", K=16, M=64, b=1.0, seed=seed) for seed in range(3)]
+    which = np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.intp)
+    root, target = _least_squares(16, _blocks(sample(problems[g][0], 256, seed=r) for r, g in enumerate(which)))
+    F = [d.values.copy() for _, d in problems]
+    inputs = [which, root, target, *F]
+    before = [x.tobytes() for x in inputs]
+    iterations = _minimize_fw(F, which, root, target, SolverConfig())[2]
+    assert len(set(iterations.tolist())) > 1
+    assert [x.tobytes() for x in inputs] == before
+    blocks = [
+        (problems[g][1], problems[g][0], draw_count_matrix(problems[g][0], 256, [10 * i, 10 * i + 1]) / 256)
+        for i, g in enumerate([0, 1, 0, 2, 1])
+    ]
+    arrays = [x for d, p, P in blocks for x in (d.values, p.probabilities, P)]
+    before = [x.tobytes() for x in arrays]
+    erm_convex_hull_blocks(blocks)
+    assert [x.tobytes() for x in arrays] == before
+
+
+def test_a_block_with_no_datasets_is_refused():
+    # a probability matrix with no rows is refused by its block's position,
+    # alone or beside a block that has rows, before numpy reduces over it
+    p, d = make_problem("inside-hull", K=4, M=8, b=1.0, seed=0)
+    empty = np.empty((0, p.probabilities.size))
+    with pytest.raises(ValueError, match="block 0 has no datasets"):
+        erm_convex_hull_blocks([(d, p, empty)])
+    with pytest.raises(ValueError, match="block 1 has no datasets"):
+        erm_convex_hull_blocks([(d, p, p.probabilities[None, :]), (d, p, empty)])
