@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if not 0 < self.bound_b < math.inf:
             raise ValueError(f"bound_b must be positive and finite, found {self.bound_b}")
+        if not 0.0 < self.bound_b * self.bound_b < math.inf:
+            raise ValueError(f"bound_b squared must be positive and finite, found bound_b = {self.bound_b}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if not all(0.0 <= x < math.inf for x in self.x_levels):
@@ -327,9 +329,11 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     workers start than there are batches.  A batch runs about as many
     Frank-Wolfe rounds as its longest solve has iterations, where
     one-at-a-time solving ran the sum of them.  The records come in grid
-    order, then replication order.  A trial's solve has the same bits in
-    any batch (see `solver`), so when out_dir is given, trials.csv and
-    report.json are written there with bytes identical for any worker count.
+    order, then replication order, so the summary reads their excess risks
+    as one (cells, replications) table whose row i is grid cell i.  A
+    trial's solve has the same bits in any batch (see `solver`), so when
+    out_dir is given, trials.csv and report.json are written there with
+    bytes identical for any worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -356,70 +360,45 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
             solved = pool.map(run_trials, batches, itertools.repeat(cfg.solver))
             records = [record for batch in solved for record in batch]
 
-    by_cell: dict[tuple[int, int], list[TrialRecord]] = {key: [] for key in cfg.grid}
-    for record in records:
-        by_cell[(record.n, record.M)].append(record)
     incomplete = any(not r.converged for r in records)
-
-    points = []
-    for n, M in cfg.grid:
-        cell = [r.excess_risk for r in by_cell[(n, M)]]
-        q10, q25, q75, q90 = np.quantile(cell, (0.10, 0.25, 0.75, 0.90)).tolist()
-        points.append(
-            PointSummary(
-                n=n,
-                M=M,
-                psi=psi_c(n, M),
-                phi=phi_n(n, M),
-                replications=len(cell),
-                mean_excess=float(np.mean(cell)),
-                median_excess=float(statistics.median(cell)),
-                q10=q10,
-                q25=q25,
-                q75=q75,
-                q90=q90,
-                max_excess=float(np.max(cell)),
-                solver=_solver_statistics(by_cell[(n, M)]),
-            )
+    R = cfg.replications
+    excess = np.array([r.excess_risk for r in records]).reshape(len(cfg.grid), R)
+    mean = np.mean(excess, axis=1)
+    quantiles = np.quantile(excess, (0.10, 0.25, 0.75, 0.90), axis=1)
+    summary = np.column_stack((mean, np.median(excess, axis=1), *quantiles, np.max(excess, axis=1)))
+    points = tuple(
+        PointSummary(
+            n, M, psi_c(n, M), phi_n(n, M), R, *row, solver=_solver_statistics(records[i * R : (i + 1) * R])
         )
-
-    b2 = cfg.bound_b**2
-    fit_idx = tuple(range(0, len(cfg.grid), 2))
-    val_idx = tuple(range(1, len(cfg.grid), 2))
-    c_hat = max(points[i].mean_excess / (b2 * points[i].psi) for i in fit_idx)
-    c_hat = max(c_hat, 0.0)
-    c_hat_phi = max(points[i].mean_excess / (b2 * points[i].phi) for i in fit_idx)
-    c_hat_phi = max(c_hat_phi, 0.0)
-    validation_ratios = tuple(
-        points[i].mean_excess / (c_hat * b2 * points[i].psi) if c_hat > 0 else 0.0
-        for i in val_idx
+        for i, ((n, M), row) in enumerate(zip(cfg.grid, summary.tolist()))
     )
 
-    deviation = []
-    for (n, M), cell_records in by_cell.items():
-        psi = psi_c(n, M)
-        for x in cfg.x_levels:
-            threshold = c_hat * b2 * max(psi, x / n)
-            exceed = sum(1 for r in cell_records if r.excess_risk > threshold)
-            deviation.append(
-                DeviationRow(
-                    n=n,
-                    M=M,
-                    x=x,
-                    threshold=threshold,
-                    frequency=exceed / len(cell_records),
-                    bound=4.0 * math.exp(-x),
-                )
-            )
+    b2 = cfg.bound_b**2
+    psi = np.array([p.psi for p in points])
+    phi = np.array([p.phi for p in points])
+    fit_idx = tuple(range(0, len(cfg.grid), 2))
+    val_idx = tuple(range(1, len(cfg.grid), 2))
+    c_hat = max(float(np.max((mean / (b2 * psi))[::2])), 0.0)
+    c_hat_phi = max(float(np.max((mean / (b2 * phi))[::2])), 0.0)
+    validation_ratios = (mean / (c_hat * b2 * psi))[1::2].tolist() if c_hat > 0 else [0.0] * len(val_idx)
+
+    sizes = np.array([n for n, _ in cfg.grid])
+    thresholds = c_hat * b2 * np.maximum(psi[:, None], np.array(cfg.x_levels) / sizes[:, None])
+    frequencies = np.count_nonzero(excess[:, None, :] > thresholds[:, :, None], axis=2) / R
+    deviation = tuple(
+        DeviationRow(n, M, x, threshold, frequency, bound=4.0 * math.exp(-x))
+        for (n, M), cell_thresholds, cell_frequencies in zip(cfg.grid, thresholds.tolist(), frequencies.tolist())
+        for x, threshold, frequency in zip(cfg.x_levels, cell_thresholds, cell_frequencies)
+    )
 
     report = RateReport(
-        points=tuple(points),
+        points=points,
         c_hat=c_hat,
         c_hat_phi=c_hat_phi,
         fit_indices=fit_idx,
         validation_indices=val_idx,
-        validation_ratios=validation_ratios,
-        deviation=tuple(deviation),
+        validation_ratios=tuple(validation_ratios),
+        deviation=deviation,
         incomplete=incomplete,
         bound_b=cfg.bound_b,
         records=tuple(records),

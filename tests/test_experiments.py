@@ -1,7 +1,9 @@
+import collections
 import concurrent.futures
 import dataclasses
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from cvxagg.experiments import (
     DEFAULT_GRID,
     ORACLE_TOLERANCE,
     Cell,
+    DeviationRow,
     ExperimentConfig,
+    PointSummary,
     TrialRecord,
     derive_seed,
     load_config,
@@ -22,6 +26,7 @@ from cvxagg.experiments import (
     save_config,
 )
 from cvxagg.model import Dictionary, SampleSet, combine, sample
+from cvxagg.rates import phi_n, psi_c
 from cvxagg.risk import bayes_risk, population_risk
 from cvxagg.solver import SolverConfig, erm_convex_hull
 
@@ -180,6 +185,14 @@ def test_bound_b_must_be_positive_and_finite(bound_b):
         ExperimentConfig(bound_b=bound_b)
     with pytest.raises(ValueError, match="bound_b must be positive and finite"):
         make_problem("inside-hull", K=3, M=2, b=bound_b, seed=0)
+
+
+@pytest.mark.parametrize("bound_b", [1e-200, 1e200])
+def test_a_bound_b_whose_square_is_not_a_positive_float_is_refused(bound_b):
+    # the summary divides by b^2 to fit c_hat: at 1e-200 it underflows to 0,
+    # at 1e200 it overflows
+    with pytest.raises(ValueError, match="bound_b squared must be positive and finite"):
+        ExperimentConfig(bound_b=bound_b)
 
 
 def _key(r, excess):
@@ -424,6 +437,111 @@ def test_run_grid_solves_every_trial_in_one_batch_at_one_worker(tmp_path, in_pro
     assert pools == [2] and len(batches) == 6 and batches[1] == [(32, 5), (32, 2)]
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def _scalar_summary(cfg, records):
+    """The rate summary one cell at a time, in scalar formulas: per-cell
+    mean, median, quantiles and max, the fit of c_hat and c_hat_phi on the
+    even cells, the validation ratios on the odd cells, and the tail
+    table's exceedances counted one record at a time."""
+    b2 = cfg.bound_b**2
+    points = []
+    for n, M in cfg.grid:
+        cell_records = [r for r in records if (r.n, r.M) == (n, M)]
+        cell = [r.excess_risk for r in cell_records]
+        iterations = [r.iterations for r in cell_records]
+        solver_statistics = {
+            "iterations_median": statistics.median(iterations),
+            "iterations_max": max(iterations),
+            "kkt_solves": sum(r.kkt_solves for r in cell_records),
+            "drop_steps": sum(r.drop_steps for r in cell_records),
+            "stop_reasons": dict(collections.Counter(r.stop_reason for r in cell_records)),
+            "max_duality_gap": max(r.duality_gap for r in cell_records),
+        }
+        q10, q25, q75, q90 = np.quantile(cell, (0.10, 0.25, 0.75, 0.90)).tolist()
+        points.append(
+            PointSummary(
+                n, M, psi_c(n, M), phi_n(n, M), len(cell), float(np.mean(cell)), statistics.median(cell),
+                q10, q25, q75, q90, max(cell), solver_statistics,
+            )
+        )
+    c_hat = max(max(p.mean_excess / (b2 * p.psi) for p in points[::2]), 0.0)
+    c_hat_phi = max(max(p.mean_excess / (b2 * p.phi) for p in points[::2]), 0.0)
+    ratios = tuple(p.mean_excess / (c_hat * b2 * p.psi) if c_hat > 0 else 0.0 for p in points[1::2])
+    deviation = []
+    for p in points:
+        cell = [r.excess_risk for r in records if (r.n, r.M) == (p.n, p.M)]
+        for x in cfg.x_levels:
+            threshold = c_hat * b2 * max(p.psi, x / p.n)
+            frequency = sum(1 for e in cell if e > threshold) / len(cell)
+            deviation.append(DeviationRow(p.n, p.M, x, threshold, frequency, 4.0 * math.exp(-x)))
+    return tuple(points), c_hat, c_hat_phi, ratios, tuple(deviation)
+
+
+def _summarized(monkeypatch, grid, excess, x_levels=(1.0, 2.0)):
+    """run_grid's report on crafted trials: replication r of cell (n, M) has
+    excess_risk excess[n, M][r] and made-up solver counters.  Checks that
+    the report's summary has the bits and types of `_scalar_summary`."""
+    def crafted(trials, solver_config):
+        return [
+            TrialRecord(
+                cell.n, cell.dictionary.size_M, rep, excess[cell.n, cell.dictionary.size_M][rep],
+                cell.oracle_risk, seed, rep % 3 > 0, 3 + 5 * rep % 7, "gap" if rep % 3 else "max_iterations",
+                rep, rep // 2, 1e-9 * rep,
+            )
+            for cell, rep, seed in trials
+        ]
+
+    monkeypatch.setattr(experiments, "run_trials", crafted)
+    cfg = ExperimentConfig(grid=grid, replications=len(excess[grid[0]]), x_levels=x_levels)
+    report = run_grid(cfg)
+    summary = (report.points, report.c_hat, report.c_hat_phi, report.validation_ratios, report.deviation)
+    # repr shows every bit of a float and tells 4 from 4.0 and from np.float64(4.0)
+    assert repr(summary) == repr(_scalar_summary(cfg, report.records))
+    for row in report.points + report.deviation:
+        assert all(type(getattr(row, f.name)).__name__ == f.type for f in dataclasses.fields(row))
+    return report
+
+
+def test_a_two_rep_median_is_the_mean_of_its_two_values(monkeypatch):
+    # the mean of the two middle values, (a + b) / 2, as statistics.median
+    # takes it; np.quantile(..., 0.5) gives 7.549999999999999e-05 here
+    report = _summarized(monkeypatch, ((64, 2), (64, 4)), {(64, 2): [0.000125, 2.6e-05], (64, 4): [0.003, 0.001]})
+    assert report.points[0].median_excess == 7.55e-05
+
+
+def test_an_odd_rep_count_keeps_the_iteration_median_an_integer(monkeypatch):
+    grid = ((48, 2), (96, 3), (48, 3))
+    excess = {key: [0.002 * (i + 1) / (rep + 1) for rep in range(5)] for i, key in enumerate(grid)}
+    report = _summarized(monkeypatch, grid, excess)
+    assert all(type(point.solver["iterations_median"]) is int for point in report.points)
+
+
+def test_a_zero_c_hat_leaves_the_validation_ratios_exactly_zero(monkeypatch):
+    # the fit cells have M = 1 and excess 0, so c_hat = 0 and the ratios are
+    # 0.0: not inf or nan from dividing by c_hat, nor -0.0 from 0 * mean on
+    # the cell whose mean is below 0
+    grid = ((64, 1), (64, 2), (256, 1), (128, 1))
+    excess = {(64, 1): [0.0] * 3, (64, 2): [0.01, 0.0, 0.02], (256, 1): [0.0] * 3, (128, 1): [0.0, -1e-17, 0.0]}
+    report = _summarized(monkeypatch, grid, excess)
+    assert report.c_hat == 0.0 and repr(report.validation_ratios) == "(0.0, 0.0)"
+    assert [d.frequency for d in report.deviation[2:4]] == [2 / 3, 2 / 3]
+
+
+def test_a_tail_threshold_takes_x_over_n_where_it_beats_psi(monkeypatch):
+    # c_hat is fitted on the even cells only, so the first run's c_hat holds
+    # for the second, whose odd cell puts one excess on the x = 3 threshold,
+    # where 3 / 64 beats psi = 2 / 64, one above it and one below; at x = 2
+    # the two tie
+    grid = ((64, 4), (64, 2), (128, 4))
+    excess = {(64, 4): [0.01, 0.03, 0.02], (64, 2): [0.0, 0.0, 0.0], (128, 4): [0.004, 0.001, 0.002]}
+    c_hat = _summarized(monkeypatch, grid, excess, x_levels=(2.0, 3.0)).c_hat
+    threshold = c_hat * (3.0 / 64)
+    excess[64, 2] = [threshold, 2 * threshold, threshold / 2]
+    report = _summarized(monkeypatch, grid, excess, x_levels=(2.0, 3.0))
+    tie, beaten = report.deviation[2:4]
+    assert tie.threshold == c_hat * psi_c(64, 2) and tie.frequency == 2 / 3
+    assert beaten.threshold == threshold > c_hat * psi_c(64, 2) and beaten.frequency == 1 / 3
 
 
 def test_config_round_trip(tmp_path):

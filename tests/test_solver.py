@@ -651,6 +651,8 @@ def test_face_factor_cases(case):
         # faces of about 50 vertices, with drops, three of them of the base
         # vertex, and two in the batch of both samples of the seed-0 problem
         ("inside-hull", 64, 256, 1024, range(2)),
+        # a drop step followed by another drop step, which reads the shifted weights
+        ("pure-noise", 8, 16, 64, [9]),
     ],
 )
 def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
