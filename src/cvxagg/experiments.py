@@ -197,10 +197,13 @@ def make_problem(
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
+    K, M = _whole(K, "K"), _whole(M, "M")
     if K < 1 or M < 1:
         raise ValueError("K and M must be at least 1")
     if not 0 < b < math.inf:
         raise ValueError(f"bound_b must be positive and finite, found {b}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     px = rng.dirichlet(np.ones(K))
     px = px / px.sum()
@@ -221,13 +224,7 @@ def make_problem(
 
 
 def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSolution:
-    """Minimal population risk over the hull, certified to a 1e-10 duality gap.
-
-    `run_grid` calls it for outside-hull and pure-noise cells.  An
-    inside-hull problem's regression function lies in the hull by
-    construction, so there the hull minimum is the Bayes risk
-    (`risk.bayes_risk`), which needs no solve.
-    """
+    """Minimal population risk over the hull, certified to a 1e-10 duality gap."""
     cfg = SolverConfig(max_iterations=2_000_000, tolerance=ORACLE_TOLERANCE)
     solution = erm_convex_hull(dictionary, problem, cfg)
     if not solution.converged:
@@ -239,12 +236,24 @@ def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSo
 class Cell:
     """What the trials of one (n, M) grid cell share: the problem, its
     dictionary, the sample size n, and the population hull minimum
-    oracle_risk, computed once per problem."""
+    oracle_risk, computed once per problem (see `make_cell`)."""
 
     problem: DiscreteProblem
     dictionary: Dictionary
     n: int
     oracle_risk: float
+
+
+def make_cell(cfg: ExperimentConfig, n: int, M: int) -> Cell:
+    """The (n, M) cell of a run of cfg.  Its problem comes from `make_problem` at
+    a seed hashed out of (master_seed, n, M); its hull minimum is the Bayes risk
+    (`risk.bayes_risk`) for inside-hull problems, whose regression function lies
+    in the hull by construction, and a `population_oracle` solve otherwise."""
+    seed = derive_seed(cfg.master_seed, n, M, "problem")
+    problem, dictionary = make_problem(cfg.problem_kind, cfg.atoms_K, M, cfg.bound_b, seed, cfg.noise)
+    if cfg.problem_kind == "inside-hull":
+        return Cell(problem, dictionary, n, bayes_risk(problem))
+    return Cell(problem, dictionary, n, population_oracle(dictionary, problem).empirical_risk)
 
 
 def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
@@ -317,10 +326,7 @@ def _usable_cpus() -> int:
 def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """Run every grid cell, fit the rate constant, and assemble the report.
 
-    One problem is generated per (n, M) cell from a seed hashed out of
-    (master_seed, n, M); replications share it and vary only the sample.
-    Its hull minimum is the Bayes risk for inside-hull problems and a
-    `population_oracle` solve for the other kinds.
+    Each cell is built once, by `make_cell`; its replications vary only the sample.
 
     Trials are hull-solved in batches (`run_trials`).  jobs is first
     capped at the CPUs the process may use.  With one worker, every trial
@@ -340,15 +346,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     jobs = min(jobs, _usable_cpus())
     trials = []
     for n, M in cfg.grid:
-        problem_seed = derive_seed(cfg.master_seed, n, M, "problem")
-        problem, dictionary = make_problem(
-            cfg.problem_kind, cfg.atoms_K, M, cfg.bound_b, problem_seed, cfg.noise
-        )
-        if cfg.problem_kind == "inside-hull":
-            oracle_risk = bayes_risk(problem)
-        else:
-            oracle_risk = population_oracle(dictionary, problem).empirical_risk
-        cell = Cell(problem, dictionary, n, oracle_risk)
+        cell = make_cell(cfg, n, M)
         trials.extend((cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications))
 
     if jobs == 1:

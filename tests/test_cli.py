@@ -13,7 +13,7 @@ import pytest
 import cvxagg
 from cvxagg import csvio, localization
 from cvxagg.cli import main
-from cvxagg.experiments import ExperimentConfig, make_problem, save_config
+from cvxagg.experiments import PROBLEM_KINDS, ExperimentConfig, make_problem, save_config
 from cvxagg.localization import IsomorphismReport
 from cvxagg.model import Dictionary, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
@@ -68,7 +68,7 @@ def test_csv_round_trips(workspace):
     assert csvio.read_dictionary(workspace["dict"]).values.tolist() == [[0.25, 0.5], [1e-3, -0.0]]
 
 
-@pytest.mark.parametrize("kind", ["inside-hull", "outside-hull", "pure-noise"])
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
 def test_a_sample_and_its_written_pairs_are_one_measure(tmp_path, kind):
     # model.sample gives the problem's atoms with their draw counts; written
     # out, the file lists each atom's pair once per draw, atom by atom, and

@@ -19,6 +19,7 @@ from cvxagg.experiments import (
     TrialRecord,
     derive_seed,
     load_config,
+    make_cell,
     make_problem,
     population_oracle,
     run_grid,
@@ -38,7 +39,7 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_make_problem_bounds_and_determinism():
-    for kind in ("inside-hull", "outside-hull", "pure-noise"):
+    for kind in experiments.PROBLEM_KINDS:
         p1, d1 = make_problem(kind, K=5, M=4, b=0.7, seed=9)
         p2, d2 = make_problem(kind, K=5, M=4, b=0.7, seed=9)
         assert np.array_equal(p1.y_values, p2.y_values)
@@ -65,16 +66,59 @@ def test_bayes_risk_is_the_inside_hull_minimum(K, noise):
     assert bayes_risk(outside) < population_oracle(d, outside).empirical_risk - ORACLE_TOLERANCE
 
 
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ({"noise": 2.0}, r"noise must lie in \[0, 1\]"),
+        ({"noise": -1e-9}, r"noise must lie in \[0, 1\]"),
+        ({"noise": math.nan}, r"noise must lie in \[0, 1\]"),
+        ({"K": 2.5}, "K must be whole"),
+        ({"M": 4.5}, "M must be whole"),
+    ],
+)
+def test_make_problem_refuses_noise_outside_the_unit_interval_and_non_whole_sizes(arguments, message):
+    # at noise 2.0 clipping moves E[Y|X] out of the hull, so the Bayes risk
+    # would fall below the hull minimum make_cell takes it to be
+    with pytest.raises(ValueError, match=message):
+        make_problem(**{"kind": "inside-hull", "K": 3, "M": 4, "b": 1.0, "seed": 0, **arguments})
+
+
+@pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
+def test_make_cell_follows_the_hand_recipe_bit_for_bit(kind):
+    # the reference: a cell of a run is make_problem at the seed hashed out of
+    # (master_seed, n, M), with the Bayes risk as the hull minimum of an
+    # inside-hull problem and a population_oracle solve for the other kinds
+    cfg = ExperimentConfig(problem_kind=kind, atoms_K=5, master_seed=7, bound_b=0.8, noise=0.3)
+    for n, M in ((16, 1), (64, 3), (256, 9)):
+        seed = derive_seed(cfg.master_seed, n, M, "problem")
+        p, d = make_problem(kind, cfg.atoms_K, M, cfg.bound_b, seed, cfg.noise)
+        oracle = bayes_risk(p) if kind == "inside-hull" else population_oracle(d, p).empirical_risk
+        cell = make_cell(cfg, n, M)
+        assert (cell.n, cell.problem.bound_b, float(cell.oracle_risk).hex()) == (n, 0.8, float(oracle).hex())
+        assert cell.dictionary.values.tobytes() == d.values.tobytes()
+        for name in ("x_indices", "y_values", "probabilities"):
+            assert getattr(cell.problem, name).tobytes() == getattr(p, name).tobytes()
+
+
+@pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
+@pytest.mark.parametrize("n, M", [(8, 1), (8, 3), (32, 6), (2, 11)])
+def test_a_cell_oracle_risk_lies_between_the_bayes_risk_and_the_best_dictionary_row(kind, n, M):
+    # the hull minimum is at least the Bayes risk and at most the risk of
+    # any hull point, each vertex included
+    cell = make_cell(ExperimentConfig(problem_kind=kind, atoms_K=4, master_seed=n + M), n, M)
+    best_row = min(population_risk(f, cell.problem) for f in cell.dictionary.values)
+    assert bayes_risk(cell.problem) - ORACLE_TOLERANCE <= cell.oracle_risk <= best_row + ORACLE_TOLERANCE
+
+
 def test_run_grid_reports_solver_statistics_per_cell():
     cfg = ExperimentConfig(grid=((48, 2), (48, 16), (96, 8)), replications=5, master_seed=4)
     report = run_grid(cfg)
-    for point in report.points:
-        problem, d = make_problem(
-            cfg.problem_kind, cfg.atoms_K, point.M, cfg.bound_b,
-            derive_seed(cfg.master_seed, point.n, point.M, "problem"), cfg.noise,
-        )
+    for i, point in enumerate(report.points):
+        cell = make_cell(cfg, point.n, point.M)
         solves = [
-            erm_convex_hull(d, sample(problem, point.n, derive_seed(cfg.master_seed, point.n, point.M, rep)))
+            erm_convex_hull(
+                cell.dictionary, sample(cell.problem, point.n, derive_seed(cfg.master_seed, point.n, point.M, rep))
+            )
             for rep in range(cfg.replications)
         ]
         iterations = sorted(sol.iterations for sol in solves)
@@ -86,13 +130,9 @@ def test_run_grid_reports_solver_statistics_per_cell():
             "stop_reasons": {"gap": cfg.replications},
             "max_duality_gap": max(sol.duality_gap for sol in solves),
         }
-    # inside-hull cells take the Bayes risk as their hull minimum
-    for record in report.records:
-        problem, _ = make_problem(
-            cfg.problem_kind, cfg.atoms_K, record.M, cfg.bound_b,
-            derive_seed(cfg.master_seed, record.n, record.M, "problem"), cfg.noise,
-        )
-        assert record.oracle_risk == bayes_risk(problem)
+        # inside-hull cells take the Bayes risk as their hull minimum
+        records = report.records[i * cfg.replications : (i + 1) * cfg.replications]
+        assert {r.oracle_risk for r in records} == {cell.oracle_risk} == {bayes_risk(cell.problem)}
 
 
 def test_make_problem_pure_noise_regression_is_zero():
@@ -209,13 +249,11 @@ def test_run_trials_match_the_measure_path_bit_for_bit(kind):
     # 64, with the trials in grid order and interleaved across cells.  At
     # n = 49, counts / n and counts * (1 / n) differ for 22 of the 50 counts
     K, cfg = 3, SolverConfig()
+    run = ExperimentConfig(problem_kind=kind, atoms_K=K, master_seed=5)
     trials = []
     for n in (1, 7, 49, 64):
         for M in (1, 2, K, K + 1, 4 * K):
-            p, d = make_problem(kind, K=K, M=M, b=1.0, seed=derive_seed(5, n, M, "problem"))
-            oracle = bayes_risk(p) if kind == "inside-hull" else population_oracle(d, p).empirical_risk
-            cell = Cell(p, d, n, oracle)
-            trials += [(cell, rep, derive_seed(5, n, M, rep)) for rep in range(3)]
+            trials += [(make_cell(run, n, M), rep, derive_seed(5, n, M, rep)) for rep in range(3)]
     expected = []
     for cell, _, seed in trials:
         solution = erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed), cfg)
@@ -300,15 +338,7 @@ def test_run_grid_records_recompute_exactly():
     cfg = ExperimentConfig(grid=((64, 2), (64, 4)), replications=5, master_seed=1)
     report = run_grid(cfg)
     for record in report.records:
-        p, d = make_problem(
-            cfg.problem_kind,
-            cfg.atoms_K,
-            record.M,
-            cfg.bound_b,
-            derive_seed(cfg.master_seed, record.n, record.M, "problem"),
-            cfg.noise,
-        )
-        cell = Cell(p, d, record.n, record.oracle_risk)
+        cell = make_cell(cfg, record.n, record.M)
         redone = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
         assert redone.excess_risk == record.excess_risk
         assert record.excess_risk >= -1e-10
