@@ -18,13 +18,7 @@ from .model import (
     sample,
 )
 from .rates import RatePoint, gap_ratio, phi_n, psi_c
-from .risk import (
-    empirical_risk,
-    excess_loss_mean,
-    excess_loss_second_moment,
-    population_risk,
-    variance_term,
-)
+from .risk import empirical_risk, population_risk, variance_term
 from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_segment
 
 __all__ = [
@@ -40,8 +34,6 @@ __all__ = [
     "empirical_risk",
     "erm_convex_hull",
     "erm_segment",
-    "excess_loss_mean",
-    "excess_loss_second_moment",
     "gap_ratio",
     "phi_n",
     "population_risk",

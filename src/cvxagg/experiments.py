@@ -281,7 +281,7 @@ def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
         blocks.append((cell.dictionary, cell.problem, counts / cell.n))
     records = []
     for (cell, run), (weights, *solves) in zip(runs, erm_convex_hull_blocks(blocks, solver_config)):
-        for (_, replication, seed), w, gap, iterations, stop_reason, kkt_solves, drop_steps in zip(
+        for (_, replication, seed), w, gap, converged, iterations, stop_reason, kkt_solves, drop_steps in zip(
             run, weights, *(x.tolist() for x in solves)
         ):
             record = TrialRecord(
@@ -291,7 +291,7 @@ def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
                 excess_risk=population_risk(w @ cell.dictionary.values, cell.problem) - cell.oracle_risk,
                 oracle_risk=cell.oracle_risk,
                 seed=seed,
-                converged=gap <= solver_config.tolerance,
+                converged=converged,
                 iterations=iterations,
                 stop_reason=stop_reason,
                 kkt_solves=kkt_solves,

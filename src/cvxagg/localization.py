@@ -1,5 +1,5 @@
-"""Localized empirical-process suprema, peeling, fixed points, and the
-two-sided empirical/population risk comparison on segments.
+"""Localized empirical-process suprema, the fixed point of a complexity
+bound, and the two-sided empirical/population risk comparison on segments.
 
 The localized class is a segment's excess-loss class: the excess losses
 L_theta of the points theta of the segment, tabulated on the (x, y) atoms of
@@ -27,12 +27,13 @@ Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
 n, [seed, rep_offset + r]), so (problem, n, reps, seed, rep_offset) fixes
 every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
 check, localization levels in localized_sup), so calls with equal arguments
-share one draw: the last atom counts and the last segment quadratics are kept
-and reused.  Only the level changes between such calls, and the level enters
-after the draw, so a shared draw gives the same bits as a fresh one.  A
-segment's population loss basis, the excess loss tabulated on the atoms,
-does not depend on the draw at all; it is tabulated once per (segment,
-problem) pair and kept for every later draw.
+share one draw: the last atom counts, the last segment quadratics and the
+last family's needed levels per dataset are kept and reused, so checks at
+several x on one draw find the needed levels once.  Only the level changes
+between such calls, and the level enters after the draw, so a shared draw
+gives the same bits as a fresh one.  A segment's population loss basis, the
+excess loss tabulated on the atoms, does not depend on the draw at all; it
+is tabulated once per (segment, problem) pair and kept for every later draw.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ import numpy as np
 from .model import Dictionary, DiscreteProblem, Segment, combine, draw_count_matrix
 from .solver import erm_segment
 
-# peeling stops once a term is below this fraction of the running sum, or
-# raises after PEEL_MAX_TERMS shells
-PEEL_TRUNCATE_REL = 1e-15
-PEEL_MAX_TERMS = 300
 # fixed-point search bracket and the relative width at which bisection stops
 FIXED_POINT_FLOOR = 1e-300
 FIXED_POINT_CEILING = 1e12
@@ -240,40 +237,6 @@ def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(float(np.add.reduce(dev * dev)) / (n - 1)) / math.sqrt(n)
 
 
-def rademacher_segment_bound(b: float, mu: float, n: int) -> float:
-    """Localized complexity ceiling 8 b sqrt(mu / n) for a segment class."""
-    if mu < 0 or n < 1:
-        raise ValueError("mu must be nonnegative and n at least 1")
-    return 8.0 * b * math.sqrt(mu / n)
-
-
-def peeling_bound(per_level, lam: float) -> float:
-    """sum_i 2^{-i} per_level(2^{i+1} lambda) over dyadic shells.
-
-    per_level must make the weighted series converge (any c sqrt(mu) shape
-    does); divergence is detected from a non-decreasing positive term and
-    raised rather than summed forever.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    total = 0.0
-    prev = math.inf
-    for i in range(PEEL_MAX_TERMS):
-        mu = 2.0 ** (i + 1) * lam
-        if not math.isfinite(mu):
-            raise ValueError("peeling levels overflowed before the series converged")
-        term = 2.0 ** (-i) * float(per_level(mu))
-        if term < 0 or not math.isfinite(term):
-            raise ValueError("per_level must return finite nonnegative values")
-        if i > 0 and term > 0 and term >= prev:
-            raise ValueError("peeling series does not converge: terms are not decreasing")
-        total += term
-        if term <= PEEL_TRUNCATE_REL * total:
-            return total
-        prev = term
-    raise ValueError("peeling series did not converge within the term cap")
-
-
 def fixed_point(bound) -> float:
     """Smallest lambda with bound(lambda) <= lambda / 8, by log-space bisection.
 
@@ -344,13 +307,6 @@ class IsomorphismReport:
     def violation_rate(self) -> float:
         return self.violations / self.trials if self.trials else 0.0
 
-    @property
-    def rate_std_error(self) -> float:
-        if not self.trials:
-            return 0.0
-        p = self.violation_rate
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
 
 # _needed_level's candidate slots in _thetas over the stack (D, D - PL/2, D + PL/2):
 # the roots of D and the vertices of D -+ PL/2 are not candidates, and the
@@ -391,15 +347,20 @@ def _net_size(segments: tuple, reps: int, net_size) -> int:
     return net_size if net_size is not None else len(segments)
 
 
+@functools.lru_cache(maxsize=1)
 def _dataset_levels(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int):
     """The draw shared by isomorphism_check and calibrate_c0.
 
     Returns the population and empirical segment quadratics and, per
     dataset, its smallest violation-free level, the max of _needed_level
-    over segments, shape (reps,).
+    over segments, shape (reps,).  All three are read-only, and the last
+    call's result is reused, as _segment_coefficients' is, by the next call
+    with the same arguments.
     """
     pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
-    return pop, emp, np.max(_needed_level(pop, pop - emp), axis=1)
+    needed = np.max(_needed_level(pop, pop - emp), axis=1)
+    needed.setflags(write=False)
+    return pop, emp, needed
 
 
 def isomorphism_check(

@@ -128,9 +128,6 @@ class Dictionary:
     def num_design_points(self) -> int:
         return self.values.shape[1]
 
-    def row(self, j: int) -> np.ndarray:
-        return self.values[j]
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet(Measure):

@@ -1,4 +1,4 @@
-"""Exact squared risks, excess-loss moments, and the sparsification variance.
+"""Exact squared risks, the Bayes risk, and the sparsification variance.
 
 Every expectation here is an exact finite sum over the problem atoms; nothing
 in this module is Monte Carlo.  That keeps these functions usable as
@@ -48,20 +48,6 @@ def bayes_risk(problem: DiscreteProblem) -> float:
     px = problem.marginal_x
     ymass = np.bincount(problem.x_indices, weights=problem.probabilities * problem.y_values, minlength=px.size)
     return population_risk(np.divide(ymass, px, out=np.zeros(px.size), where=px > 0.0), problem)
-
-
-def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
-    """R(f) - R(f_star); the excess risk when f_star minimizes over the class."""
-    return population_risk(f, problem) - population_risk(f_star, problem)
-
-
-def excess_loss_second_moment(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
-    """Exact second moment of the excess loss (y-f)^2 - (y-f_star)^2."""
-    f = _check_tabulated(f, problem.num_design_points)
-    f_star = _check_tabulated(f_star, problem.num_design_points)
-    x, y = problem.x_indices, problem.y_values
-    diff = (y - f[x]) ** 2 - (y - f_star[x]) ** 2
-    return float(problem.probabilities @ (diff * diff))
 
 
 def mixture_variance(w: SimplexWeights, dictionary: Dictionary) -> np.ndarray:

@@ -405,8 +405,9 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
 
     Returns arrays with a row per rep, in order: the (B, largest M) weight
     matrix, whose row b is 0 past rep b's M, and per rep the duality gap,
-    iterations, stop code (an index into `_STOP_REASONS`), kkt_solves and
-    drop_steps.
+    whether that gap met the tolerance (the stop rule's own test, read at
+    the rep's final weights), iterations, stop code (an index into
+    `_STOP_REASONS`), kkt_solves and drop_steps.
     """
     F = [np.ascontiguousarray(f, dtype=float) for f in F]
     # copies: the face compacts which, root and target in place
@@ -430,11 +431,12 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     drop_steps = np.zeros(B, dtype=np.intp)
     support = []  # per finish call: the rows, columns and values of weights
     gaps = np.empty(B)
+    converged = np.empty(B, dtype=bool)
     iterations, stops, kkt_solves, drops = (np.empty(B, dtype=np.intp) for _ in range(4))
 
-    def finish(stopped, gap, s, it):
+    def finish(stopped, gap, at_gap, s, it):
         """Record the reps where stopped is set and take them out of the batch;
-        returns gap and s for the reps left.
+        returns gap, at_gap and s for the reps left.
 
         A rep stopped on "gap" or "repeat_vertex" in round it, and added a
         vertex in every earlier round; one that stopped on "no_descent" or
@@ -450,6 +452,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         reps, at = (slots <= face.k[i, None]).nonzero()
         support.append((rows[reps], face.indices[i[reps], at], u[i[reps], at]))
         gaps[rows] = np.where(gap[i] < 0.0, 0.0, gap[i])
+        converged[rows] = at_gap[i]
         iterations[rows] = np.where(early, it, it - 1)
         stops[rows] = reason[i]
         kkt_solves[rows] = iterations[rows] - early + drop_steps[i]
@@ -458,7 +461,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         face.keep(keep)
         u, resid, best, ids, reason, drop_steps = (x[keep] for x in (u, resid, best, ids, reason, drop_steps))
         n = np.arange(ids.size)
-        return gap[keep], s[keep]
+        return gap[keep], at_gap[keep], s[keep]
 
     ending = False
     # np.errstate: the drop step's ratios are taken for every weight and kept
@@ -478,13 +481,13 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
                 fresh = reason == 0
                 reason[fresh & repeat] = _REPEAT
                 reason[fresh & at_gap] = _GAP
-                gap, s = finish(reason != 0, gap, s, it)
+                gap, at_gap, s = finish(reason != 0, gap, at_gap, s, it)
                 if not n.size:
                     break
             taken = face.append(s)
             if not taken.all():
                 reason[~taken] = _REPEAT
-                gap, s = finish(~taken, gap, s, it)
+                gap, at_gap, s = finish(~taken, gap, at_gap, s, it)
                 if not n.size:
                     break
 
@@ -556,7 +559,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     weights = np.zeros((B, width))
     for rows, columns, values in support:
         weights[rows, columns] = values
-    return weights, gaps, iterations, stops, kkt_solves, drops
+    return weights, gaps, converged, iterations, stops, kkt_solves, drops
 
 
 def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
@@ -572,10 +575,12 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     linear-minimization oracle break to the lowest dictionary index, and a
     dataset's solution has the same bits in any batch (see `_minimize_fw`).
 
-    Returns, per block, (weights, duality_gap, iterations, stop_reason,
-    kkt_solves, drop_steps): the (datasets, M) weight matrix, checked once by
-    `model.simplex_rows`, and the other fields of `ErmSolution` as arrays
-    with an entry per dataset.
+    Returns, per block, (weights, duality_gap, converged, iterations,
+    stop_reason, kkt_solves, drop_steps): the (datasets, M) weight matrix,
+    checked once by `model.simplex_rows`, and the other fields of
+    `ErmSolution` as arrays with an entry per dataset.  `converged` is the
+    solver's stop rule, gap <= tolerance, at the final weights; callers read
+    it rather than compare the gap themselves.
     """
     cfg = config or SolverConfig()
     blocks = list(blocks)
@@ -589,10 +594,10 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     for (K, _), members in groups.items():
         reps = [blocks[i][2].shape[0] for i in members]
         root, target = _least_squares(K, [blocks[i][1:] for i in members])
-        weights, gap, iterations, stop, kkt_solves, drop_steps = _minimize_fw(
+        weights, gap, converged, iterations, stop, kkt_solves, drop_steps = _minimize_fw(
             [blocks[i][0].values for i in members], np.repeat(np.arange(len(members)), reps), root, target, cfg
         )
-        solves = (gap, iterations, _STOP_REASONS[stop], kkt_solves, drop_steps)
+        solves = (gap, converged, iterations, _STOP_REASONS[stop], kkt_solves, drop_steps)
         edges = np.cumsum([0, *reps]).tolist()
         for i, lo, hi in zip(members, edges, edges[1:]):
             out[i] = (simplex_rows(weights[lo:hi, : blocks[i][0].size_M]), *(x[lo:hi] for x in solves))
@@ -614,13 +619,13 @@ def erm_convex_hull(
     cfg = config or SolverConfig()
     ((weights, *solve),) = erm_convex_hull_blocks([(dictionary, data, data.probabilities[None, :])], cfg)
     w = weights[0]
-    gap, iterations, stop_reason, kkt_solves, drop_steps = (x.item() for x in solve)
+    gap, converged, iterations, stop_reason, kkt_solves, drop_steps = (x.item() for x in solve)
     return ErmSolution(
         weights=SimplexWeights(w),
         empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
         duality_gap=gap,
         iterations=iterations,
-        converged=gap <= cfg.tolerance,
+        converged=converged,
         stop_reason=stop_reason,
         kkt_solves=kkt_solves,
         drop_steps=drop_steps,

@@ -49,26 +49,6 @@ def enumerate_net(size_m: int, m: int) -> np.ndarray:
     return (np.diff(padded, axis=1) - 1) / m
 
 
-def net_cardinality_bound(M: int, m: int) -> tuple[int, float]:
-    """Exact net cardinality C(M+m-1, m) and the bound (2eM/m)^m.
-
-    The bound is computed in log space so large (M, m) do not overflow; the
-    pair is checked for consistency before returning.
-    """
-    if M < 1 or m < 1:
-        raise ValueError("M and m must be at least 1")
-    exact = math.comb(M + m - 1, m)
-    log_bound = m * (math.log(2.0) + 1.0 + math.log(M) - math.log(m))
-    log_exact = math.lgamma(M + m) - math.lgamma(m + 1) - math.lgamma(M)
-    if log_exact > log_bound + 1e-9:
-        raise ArithmeticError("cardinality bound failed internal consistency check")
-    try:
-        bound = math.exp(log_bound)
-    except OverflowError:
-        bound = math.inf
-    return exact, bound
-
-
 def sparsify_random(w: SimplexWeights, m: int, seed: int) -> np.ndarray:
     """m i.i.d. categorical draws from w, returned as counts over the M rows."""
     if m < 1:

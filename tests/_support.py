@@ -8,6 +8,15 @@ builds a sample from atom counts, and `pairs` from a list of pairs, each
 drawn once, as `csvio.read_samples` does.  `lstsq_minimize_fw` is the hull
 solver as it was before its corrective step ran on an updated QR factor, and
 `net_gap` scans a grid of the hull for the m-net's approximation gap.
+
+The proof's own arithmetic, which the library never runs, is here too, so
+the acceptance criteria can check it against its closed forms: the
+excess-loss moments behind the Bernstein step (`excess_loss_mean`,
+`excess_loss_second_moment`), the net count and its (2eM/m)^m bound
+(`net_cardinality_bound`), the segment class's 8 b sqrt(mu / n) ceiling
+(`rademacher_segment_bound`) and the sum over dyadic shells
+(`peeling_bound`).  `rate_std_error` is the binomial standard error that
+criterion 8 allows an isomorphism check's violation rate.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
-from cvxagg.risk import empirical_risk, population_risk, variance_term
+from cvxagg.risk import _check_tabulated, empirical_risk, population_risk, variance_term
 from cvxagg.solver import ErmSolution, SolverConfig
 from cvxagg.sparsify import enumerate_net
 
@@ -96,6 +105,89 @@ def net_gap(dictionary: Dictionary, problem: DiscreteProblem, m: int) -> tuple[f
         if value < hull_min:
             hull_min, best = value, row
     return net_min - hull_min, variance_term(SimplexWeights(best), dictionary, problem) / m
+
+
+def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
+    """R(f) - R(f_star); the excess risk when f_star minimizes over the class."""
+    return population_risk(f, problem) - population_risk(f_star, problem)
+
+
+def excess_loss_second_moment(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
+    """Exact second moment of the excess loss (y-f)^2 - (y-f_star)^2."""
+    f = _check_tabulated(f, problem.num_design_points)
+    f_star = _check_tabulated(f_star, problem.num_design_points)
+    x, y = problem.x_indices, problem.y_values
+    diff = (y - f[x]) ** 2 - (y - f_star[x]) ** 2
+    return float(problem.probabilities @ (diff * diff))
+
+
+def net_cardinality_bound(M: int, m: int) -> tuple[int, float]:
+    """Exact net cardinality C(M+m-1, m) and the bound (2eM/m)^m.
+
+    The bound is computed in log space so large (M, m) do not overflow; the
+    pair is checked for consistency before returning.
+    """
+    if M < 1 or m < 1:
+        raise ValueError("M and m must be at least 1")
+    exact = math.comb(M + m - 1, m)
+    log_bound = m * (math.log(2.0) + 1.0 + math.log(M) - math.log(m))
+    log_exact = math.lgamma(M + m) - math.lgamma(m + 1) - math.lgamma(M)
+    if log_exact > log_bound + 1e-9:
+        raise ArithmeticError("cardinality bound failed internal consistency check")
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        bound = math.inf
+    return exact, bound
+
+
+# peeling stops once a term is below this fraction of the running sum, or
+# raises after PEEL_MAX_TERMS shells
+PEEL_TRUNCATE_REL = 1e-15
+PEEL_MAX_TERMS = 300
+
+
+def rademacher_segment_bound(b: float, mu: float, n: int) -> float:
+    """Localized complexity ceiling 8 b sqrt(mu / n) for a segment class."""
+    if mu < 0 or n < 1:
+        raise ValueError("mu must be nonnegative and n at least 1")
+    return 8.0 * b * math.sqrt(mu / n)
+
+
+def peeling_bound(per_level, lam: float) -> float:
+    """sum_i 2^{-i} per_level(2^{i+1} lambda) over dyadic shells.
+
+    per_level must make the weighted series converge (any c sqrt(mu) shape
+    does); divergence is detected from a non-decreasing positive term and
+    raised rather than summed forever.
+    """
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    total = 0.0
+    prev = math.inf
+    for i in range(PEEL_MAX_TERMS):
+        mu = 2.0 ** (i + 1) * lam
+        if not math.isfinite(mu):
+            raise ValueError("peeling levels overflowed before the series converged")
+        term = 2.0 ** (-i) * float(per_level(mu))
+        if term < 0 or not math.isfinite(term):
+            raise ValueError("per_level must return finite nonnegative values")
+        if i > 0 and term > 0 and term >= prev:
+            raise ValueError("peeling series does not converge: terms are not decreasing")
+        total += term
+        if term <= PEEL_TRUNCATE_REL * total:
+            return total
+        prev = term
+    raise ValueError("peeling series did not converge within the term cap")
+
+
+def rate_std_error(report) -> float:
+    """Binomial standard error of an `IsomorphismReport`'s violation rate; 0
+    for a report of no trials."""
+    if not report.trials:
+        return 0.0
+    p = report.violation_rate
+    return math.sqrt(p * (1.0 - p) / report.trials)
 
 
 def _hull_gradient(dictionary: Dictionary, measure, w: np.ndarray) -> np.ndarray:

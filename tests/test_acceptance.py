@@ -23,8 +23,6 @@ from cvxagg.localization import (
     fixed_point,
     isomorphism_check,
     localized_sup,
-    peeling_bound,
-    rademacher_segment_bound,
     random_net_segments,
     segment_excess_loss_class,
 )
@@ -37,25 +35,23 @@ from cvxagg.model import (
     sample,
 )
 from cvxagg.rates import gap_ratio, phi_n, psi_c
-from cvxagg.risk import (
-    empirical_risk,
-    excess_loss_mean,
-    excess_loss_second_moment,
-)
+from cvxagg.risk import empirical_risk
 from cvxagg.solver import SolverConfig, erm_convex_hull, erm_segment
-from cvxagg.sparsify import (
-    enumerate_net,
-    expected_sparsified_risk,
-    net_cardinality_bound,
-)
+from cvxagg.sparsify import enumerate_net, expected_sparsified_risk
 
 from _support import (
     enumerated_sparsified_risk,
     erm_oracle,
+    excess_loss_mean,
+    excess_loss_second_moment,
+    net_cardinality_bound,
     net_gap,
+    peeling_bound,
+    rademacher_segment_bound,
     random_dictionary,
     random_problem,
     random_weights,
+    rate_std_error,
 )
 
 
@@ -276,10 +272,10 @@ def test_criterion_08_isomorphism_violation_rate():
         report = isomorphism_check(
             segments, problem, n, x, c0, reps=reps, seed=91, num_net_functions=10
         )
-        limit = min(1.0, 4.0 * math.exp(-x)) + 2.0 * report.rate_std_error
+        limit = min(1.0, 4.0 * math.exp(-x)) + 2.0 * rate_std_error(report)
         print(
             f"    x={x}: rate={report.violation_rate:.4f} bound={4 * math.exp(-x):.4f} "
-            f"{_margin(min(1.0, 4.0 * math.exp(-x)), report.violation_rate, report.rate_std_error)} "
+            f"{_margin(min(1.0, 4.0 * math.exp(-x)), report.violation_rate, rate_std_error(report))} "
             f"erm_failures={report.erm_implication_failures}/{report.erm_checked}{_unfailable(x, 'the rate check')}"
         )
         ok = ok and report.violation_rate <= limit
@@ -292,7 +288,7 @@ def test_criterion_09_localization_bounds():
     rng = np.random.default_rng(1009)
     p = random_problem(rng, K=4, b=1.0)
     d = random_dictionary(rng, M=4, K=4, b=1.0)
-    seg = Segment(d.row(0), d.row(1))
+    seg = Segment(d.values[0], d.values[1])
     n = 256
     ok = True
     for mu in (0.01, 0.04, 0.16):

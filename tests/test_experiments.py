@@ -266,6 +266,32 @@ def test_run_trials_match_the_measure_path_bit_for_bit(kind):
         assert [(r.replication, r.seed) for r in records] == [trials[i][1:] for i in order]
 
 
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SolverConfig(), SolverConfig(max_iterations=1, tolerance=1e-16), SolverConfig(max_iterations=1, tolerance=0.06)],
+    ids=["default", "one-iteration", "one-iteration-wide-tolerance"],
+)
+def test_converged_flags_are_the_solvers_own(cfg):
+    # run_trials and erm_convex_hull copy each dataset's converged flag from
+    # erm_convex_hull_blocks and do not compare the gap with the tolerance
+    # themselves.  One iteration stops every solve on the iteration cap,
+    # with some gaps at the tolerance and some above it: at 1e-16 the
+    # M = 2 solves are exact and the others are not, and 0.06 lies between
+    # gaps of 0.051 and 0.071, so a rule off by a factor of 10 flips a flag
+    run = ExperimentConfig(problem_kind="outside-hull", atoms_K=4, master_seed=3)
+    cells, seeds = [make_cell(run, 64, M) for M in (2, 5, 16)], [11, 12, 13]
+    blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds) / c.n) for c in cells]
+    flags = np.concatenate([converged for _, _, converged, *_ in solver.erm_convex_hull_blocks(blocks, cfg)])
+    records = run_trials([(cell, rep, seed) for cell in cells for rep, seed in enumerate(seeds)], cfg)
+    solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds]
+    assert [r.converged for r in records] == [s.converged for s in solutions] == flags.tolist()
+    if cfg.max_iterations == 1:
+        assert {s.stop_reason for s in solutions} == {"max_iterations"}
+        assert flags.any() and not flags.all()
+    else:
+        assert flags.all()
+
 def _draw_with(change):
     """model.draw_counts with change applied to the counts of seed 2."""
     draw = model.draw_counts

@@ -9,6 +9,7 @@ from cvxagg import localization
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
+    _dataset_levels,
     _needed_level,
     _rep_counts,
     _segment_coefficients,
@@ -20,15 +21,19 @@ from cvxagg.localization import (
     gamma,
     isomorphism_check,
     localized_sup,
-    peeling_bound,
-    rademacher_segment_bound,
     random_net_segments,
     segment_excess_loss_class,
 )
 from cvxagg.model import Dictionary, DiscreteProblem, Segment, draw_counts
 from cvxagg.solver import erm_segment
 
-from _support import random_dictionary, random_problem
+from _support import (
+    peeling_bound,
+    rademacher_segment_bound,
+    random_dictionary,
+    random_problem,
+    rate_std_error,
+)
 
 
 def test_localized_class_validation():
@@ -176,6 +181,7 @@ def test_calibrate_c0_skips_a_level_that_constrains_nothing():
 def _clear_draw_caches():
     _rep_counts.cache_clear()
     _segment_coefficients.cache_clear()
+    _dataset_levels.cache_clear()
 
 
 @pytest.fixture
@@ -203,13 +209,13 @@ def test_reused_draws_give_the_results_of_fresh_draws(draw_fixture):
 
     _clear_draw_caches()
     reports = [check(1.0), check(2.0)]
-    assert _segment_coefficients.cache_info().hits == 1
+    assert _dataset_levels.cache_info().hits == 1
     assert reports == [_fresh(lambda: check(1.0)), _fresh(lambda: check(2.0))]
 
     # a run split by rep_offset reuses each part's draw within the part
     _clear_draw_caches()
     parts = [check(1.0, 15), check(2.0, 15), check(1.0, 25, 15), check(2.0, 25, 15)]
-    assert _segment_coefficients.cache_info().hits == 2
+    assert _dataset_levels.cache_info().hits == 2
     assert parts == [
         _fresh(lambda: check(1.0, 15)),
         _fresh(lambda: check(2.0, 15)),
@@ -218,6 +224,31 @@ def test_reused_draws_give_the_results_of_fresh_draws(draw_fixture):
     ]
     whole = _rep_counts(problem, 64, 40, 74, 0)
     assert np.array_equal(whole, np.vstack([_rep_counts(problem, 64, 15, 74, 0), _rep_counts(problem, 64, 25, 74, 15)]))
+
+
+def test_checks_at_several_x_on_one_draw_find_the_needed_levels_once(draw_fixture, monkeypatch):
+    # the CLI checks every x level on one seed: the second check reads the
+    # first one's needed levels, and each report equals the report of a
+    # check on a fresh draw, field by field
+    problem, segments = draw_fixture
+    calls = []
+
+    def counting(pop, diff):
+        calls.append(diff.shape)
+        return _needed_level(pop, diff)
+
+    monkeypatch.setattr(localization, "_needed_level", counting)
+
+    def check(x):
+        return isomorphism_check(segments, problem, n=64, x=x, c0=0.5, reps=30, seed=81)
+
+    _clear_draw_caches()
+    reports = [check(1.0), check(2.0)]
+    assert len(calls) == 1
+    assert reports == [_fresh(lambda: check(1.0)), _fresh(lambda: check(2.0))]
+    assert len(calls) == 3
+    _, _, needed = _dataset_levels(tuple(segments), problem, 64, 30, 81, 0)
+    assert not needed.flags.writeable
 
 
 def test_rep_counts_rows_are_model_draws(draw_fixture):
@@ -376,7 +407,7 @@ def test_localized_sup_requires_reps():
     rng = np.random.default_rng(2)
     p = random_problem(rng, K=3)
     d = random_dictionary(rng, M=2, K=3)
-    cls = segment_excess_loss_class(Segment(d.row(0), d.row(1)), level=1.0)
+    cls = segment_excess_loss_class(Segment(d.values[0], d.values[1]), level=1.0)
     with pytest.raises(ValueError):
         localized_sup(cls, p, n=10, reps=1, seed=0)
 
@@ -400,7 +431,7 @@ def test_localized_sup_single_function_matches_direct_simulation():
     rng = np.random.default_rng(3)
     p = random_problem(rng, K=3)
     d = random_dictionary(rng, M=2, K=3)
-    seg = Segment(d.row(0), d.row(1))
+    seg = Segment(d.values[0], d.values[1])
     # excess losses L_theta on a theta grid, tabulated on the atoms
     _, g_star = erm_segment(seg, p)
     fitted = np.stack([seg.at(theta) for theta in np.linspace(0.0, 1.0, 2001)])
@@ -427,7 +458,7 @@ def test_localized_sup_shrinks_with_the_level():
     rng = np.random.default_rng(4)
     p = random_problem(rng, K=3)
     d = random_dictionary(rng, M=2, K=3)
-    seg = Segment(d.row(0), d.row(1))
+    seg = Segment(d.values[0], d.values[1])
     estimates = [
         localized_sup(segment_excess_loss_class(seg, level), p, n=25, reps=100, seed=6)[0]
         for level in (1e-4, 1e-2, 1.0)
@@ -440,7 +471,7 @@ def test_localized_sup_segment_under_complexity_bound():
     rng = np.random.default_rng(7)
     p = random_problem(rng, K=4, b=1.0)
     d = random_dictionary(rng, M=4, K=4, b=1.0)
-    seg = Segment(d.row(0), d.row(1))
+    seg = Segment(d.values[0], d.values[1])
     n = 256
     for mu in (0.01, 0.04, 0.16):
         est, se = localized_sup(segment_excess_loss_class(seg, mu), p, n=n, reps=200, seed=8)
@@ -453,7 +484,7 @@ def test_localized_sup_star_hull_ratio_monotone():
     rng = np.random.default_rng(9)
     p = random_problem(rng, K=4)
     d = random_dictionary(rng, M=3, K=4)
-    seg = Segment(d.row(0), d.row(2))
+    seg = Segment(d.values[0], d.values[2])
     ratios = []
     for level in (0.02, 0.08, 0.32):
         est, _ = localized_sup(segment_excess_loss_class(seg, level), p, n=128, reps=60, seed=10)
@@ -491,9 +522,9 @@ def test_isomorphism_check_chunks_reproduce():
 def test_isomorphism_report_ci():
     report = IsomorphismReport(x=1.0, trials=100, violations=10, bound=1.0, gamma_or_rho=0.1)
     assert report.violation_rate == pytest.approx(0.1)
-    assert report.rate_std_error == pytest.approx(math.sqrt(0.1 * 0.9 / 100))
+    assert rate_std_error(report) == pytest.approx(math.sqrt(0.1 * 0.9 / 100))
     empty = IsomorphismReport(x=1.0, trials=0, violations=0, bound=1.0, gamma_or_rho=0.1)
-    assert empty.violation_rate == empty.rate_std_error == 0.0
+    assert empty.violation_rate == rate_std_error(empty) == 0.0
 
 
 def test_calibrate_c0_meets_targets_on_calibration_data():

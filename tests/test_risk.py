@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
-from cvxagg.risk import (
-    empirical_risk,
-    excess_loss_mean,
-    excess_loss_second_moment,
-    population_risk,
-    variance_term,
-)
+from cvxagg.risk import empirical_risk, population_risk, variance_term
 from cvxagg.solver import SolverConfig, erm_convex_hull
 
-from _support import exhaustive_sample, pairs, random_dictionary, random_problem, random_weights
+from _support import (
+    excess_loss_mean,
+    excess_loss_second_moment,
+    exhaustive_sample,
+    pairs,
+    random_dictionary,
+    random_problem,
+    random_weights,
+)
 
 
 def coin_problem():

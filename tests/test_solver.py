@@ -359,7 +359,7 @@ def test_sample_and_its_empirical_law_are_one_measure():
         on_sample, on_law = erm_convex_hull(d, s), erm_convex_hull(d, p)
         assert np.allclose(on_sample.weights.weights, on_law.weights.weights, rtol=0.0, atol=1e-12)
         assert on_sample.empirical_risk == pytest.approx(on_law.empirical_risk, abs=1e-12)
-        seg = Segment(d.row(0), d.row(1))
+        seg = Segment(d.values[0], d.values[1])
         assert erm_segment(seg, s)[0] == pytest.approx(erm_segment(seg, p)[0], abs=1e-12)
 
 
@@ -388,7 +388,7 @@ def test_solvers_reject_out_of_range_design_indices(solver, kind):
         if solver == "hull":
             erm_convex_hull(d, data)
         else:
-            erm_segment(Segment(d.row(0), d.row(1)), data)
+            erm_segment(Segment(d.values[0], d.values[1]), data)
 
 
 def test_hull_solve_at_large_m_in_bounded_memory():
@@ -677,9 +677,9 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
         follows(*fields(erm_convex_hull(d, s)), d, s)
     p, d = make_problem(kind, K=K, M=M, b=1.0, seed=0)
     samples = [sample(p, n, seed=seed) for seed in seeds]
-    ((weights, *solves),) = erm_convex_hull_blocks([(d, p, np.array([s.probabilities for s in samples]))])
+    ((weights, gaps, _, *solves),) = erm_convex_hull_blocks([(d, p, np.array([s.probabilities for s in samples]))])
     for r, s in enumerate(samples):
-        follows(weights[r], *(x[r].item() for x in solves), d, s)
+        follows(weights[r], gaps[r].item(), *(x[r].item() for x in solves), d, s)
 
 
 def test_a_vertex_spanned_by_the_face_ends_the_solve():
@@ -717,7 +717,7 @@ def test_a_face_that_dropped_a_vertex_returns_exactly_its_weights(monkeypatch):
     for seed in range(10):
         p, d = make_problem("inside-hull", K=8, M=16, b=1.0, seed=seed)
         root, target = _least_squares(8, _blocks([sample(p, 64, seed=seed)]))
-        weights, _, _, _, _, drops = _minimize_fw([d.values], np.zeros(1, dtype=np.intp), root, target, SolverConfig())
+        weights, _, _, _, _, _, drops = _minimize_fw([d.values], np.zeros(1, dtype=np.intp), root, target, SolverConfig())
         if not drops[0]:
             continue
         support, u = last["indices"][: last["k"] + 1], last["u"][: last["k"] + 1]
@@ -923,7 +923,7 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
             lone = erm_convex_hull(d, sample(p, 64, seed))
             assert weights[r].tobytes() == lone.weights.weights.tobytes()
             assert [x[r].item() for x in counters] == [
-                lone.duality_gap, lone.iterations, lone.stop_reason, lone.kkt_solves, lone.drop_steps,
+                lone.duality_gap, lone.converged, lone.iterations, lone.stop_reason, lone.kkt_solves, lone.drop_steps,
             ]
             assert type(lone.duality_gap) is float and type(lone.iterations) is int
     assert erm_convex_hull_blocks([]) == []
@@ -939,7 +939,7 @@ def test_a_hull_solve_leaves_its_inputs_as_they_were():
     F = [d.values.copy() for _, d in problems]
     inputs = [which, root, target, *F]
     before = [x.tobytes() for x in inputs]
-    iterations = _minimize_fw(F, which, root, target, SolverConfig())[2]
+    iterations = _minimize_fw(F, which, root, target, SolverConfig())[3]
     assert len(set(iterations.tolist())) > 1
     assert [x.tobytes() for x in inputs] == before
     blocks = [

@@ -5,15 +5,16 @@ import pytest
 
 from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from cvxagg.risk import population_risk, variance_term
-from cvxagg.sparsify import (
-    choose_m,
-    enumerate_net,
-    expected_sparsified_risk,
-    net_cardinality_bound,
-    sparsify_random,
-)
+from cvxagg.sparsify import choose_m, enumerate_net, expected_sparsified_risk, sparsify_random
 
-from _support import enumerated_sparsified_risk, net_gap, random_dictionary, random_problem, random_weights
+from _support import (
+    enumerated_sparsified_risk,
+    net_cardinality_bound,
+    net_gap,
+    random_dictionary,
+    random_problem,
+    random_weights,
+)
 
 
 def two_constant_setup():
@@ -62,7 +63,7 @@ def test_net_vertex_reproduces_row_bitwise():
     d = random_dictionary(rng, M=3, K=4)
     vertex = enumerate_net(3, 3)[0]
     assert np.array_equal(vertex, [0.0, 0.0, 1.0])
-    assert np.array_equal(combine(d, vertex), d.row(2))
+    assert np.array_equal(combine(d, vertex), d.values[2])
 
 
 def test_net_cardinality_bound_values():
