@@ -13,14 +13,16 @@ numpy (one that parses a bad integer via a float warns, an error here); float
 columns must parse as numpy parses them (no underscore literals such as
 1_0.5, no "#" comment) and be finite, so inf, nan and 1e999 are refused.
 Each such error names the file and line.  Problems, dictionaries and
-samples also have writers, which write floats with repr so round-trips are
-exact.
+samples also have writers.  Each builds its file as one string, the header
+line and then one line per row of ints and the reprs of the Python floats
+`.tolist()` gives, and writes it once; a float's repr reads back bit for bit,
+and `tests/test_cli.py::test_csv_round_trips` pins the bytes to what
+`csv.writer` writes for the same rows.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
 import warnings
 from pathlib import Path
@@ -34,14 +36,6 @@ _PROBLEM = np.dtype(
 )
 _SAMPLES = np.dtype([("x_index", np.int64), ("y_value", np.float64), ("seed", np.int64)])
 _WEIGHTS = np.dtype([("index", np.int64), ("weight", np.float64)])
-
-
-def _write_rows(path, header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buffer.getvalue())
 
 
 def _split(path, line_num: int, line: str) -> list[str]:
@@ -127,7 +121,8 @@ def read_problem(path) -> DiscreteProblem:
 
 def write_problem(problem: DiscreteProblem, path) -> None:
     rows = zip(problem.x_indices.tolist(), problem.y_values.tolist(), problem.probabilities.tolist())
-    _write_rows(path, _PROBLEM.names, [[x, repr(y), repr(p), repr(problem.bound_b)] for x, y, p in rows])
+    lines = [f"{x},{y!r},{p!r},{problem.bound_b!r}" for x, y, p in rows]
+    Path(path).write_text("\n".join([",".join(_PROBLEM.names), *lines]) + "\n")
 
 
 def _dictionary_header(size_m: int) -> list[str]:
@@ -135,12 +130,8 @@ def _dictionary_header(size_m: int) -> list[str]:
 
 
 def write_dictionary(dictionary: Dictionary, path) -> None:
-    header = _dictionary_header(dictionary.size_M)
-    rows = [
-        [k] + [repr(float(v)) for v in dictionary.values[:, k]]
-        for k in range(dictionary.num_design_points)
-    ]
-    _write_rows(path, header, rows)
+    lines = [f"{k}," + ",".join(map(repr, column)) for k, column in enumerate(dictionary.values.T.tolist())]
+    Path(path).write_text("\n".join([",".join(_dictionary_header(dictionary.size_M)), *lines]) + "\n")
 
 
 def _dictionary_row(header: list[str]):
@@ -160,7 +151,8 @@ def write_samples(samples: SampleSet, path) -> None:
     """One row per draw: each atom's pair, repeated its count times, atom by atom."""
     x = np.repeat(samples.x_indices, samples.counts).tolist()
     y = np.repeat(samples.y_values, samples.counts).tolist()
-    _write_rows(path, ["x_index", "y_value", "seed"], [[a, repr(b), samples.seed] for a, b in zip(x, y)])
+    lines = [f"{a},{b!r},{samples.seed}" for a, b in zip(x, y)]
+    Path(path).write_text("\n".join([",".join(_SAMPLES.names), *lines]) + "\n")
 
 
 def read_samples(path) -> SampleSet:

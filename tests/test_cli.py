@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from cvxagg import csvio, localization
 from cvxagg.cli import main
 from cvxagg.experiments import PROBLEM_KINDS, ExperimentConfig, make_problem, save_config
 from cvxagg.localization import IsomorphismReport
-from cvxagg.model import Dictionary, SimplexWeights, combine, sample
+from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine, sample
 from cvxagg.risk import empirical_risk
 from cvxagg.solver import erm_convex_hull
 
@@ -55,6 +57,10 @@ def test_csv_round_trips(workspace):
     csvio.write_problem(problem, workspace["problem"])
     assert workspace["problem"].read_bytes() == written
     assert np.array_equal(dictionary.values, ref_dict.values)
+    # a dictionary read back writes the same file
+    written = workspace["dict"].read_bytes()
+    csvio.write_dictionary(dictionary, workspace["dict"])
+    assert workspace["dict"].read_bytes() == written
     ref_draws = sample(ref_problem, 50, seed=4)
     assert np.array_equal(draws.x_indices, np.repeat(ref_draws.x_indices, ref_draws.counts))
     assert np.array_equal(draws.y_values, np.repeat(ref_draws.y_values, ref_draws.counts))
@@ -66,6 +72,26 @@ def test_csv_round_trips(workspace):
     assert csvio.read_dictionary(workspace["dict"]).values.tobytes() == extremes.tobytes()
     workspace["dict"].write_text('x_index,f0,f1\n"1","0.5",-0.0\n0,0.25,"1e-3"\n')
     assert csvio.read_dictionary(workspace["dict"]).values.tolist() == [[0.25, 0.5], [1e-3, -0.0]]
+    # each writer's bytes are what csv.writer writes for the same rows of ints and Python floats
+    def csv_writer_bytes(header, rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        return buffer.getvalue().encode()
+
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, -2.5e-300]
+    path = workspace["dir"] / "pinned.csv"
+    csvio.write_dictionary(Dictionary(np.array([values, values[::-1]])), path)
+    rows = [[k, v, w] for k, (v, w) in enumerate(zip(values, values[::-1]))]
+    assert path.read_bytes() == csv_writer_bytes(["x_index", "f0", "f1"], rows)
+    x, p, b = [0, 1, 1, 2, 2], [-0.0, 5e-324, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], values[2]
+    csvio.write_problem(DiscreteProblem(x, values, p, bound_b=b), path)
+    rows = [[k, v, q, b] for k, v, q in zip(x, values, p)]
+    assert path.read_bytes() == csv_writer_bytes(["x_index", "y_value", "probability", "bound_b"], rows)
+    x, counts = [3, 0, 1, 2, 0], [2, 1, 1, 3, 1]
+    for seed in (0, 2**63 - 1):
+        csvio.write_samples(SampleSet(x, values, counts, seed=seed), path)
+        rows = [[k, v, seed] for k, v, count in zip(x, values, counts) for _ in range(count)]
+        assert path.read_bytes() == csv_writer_bytes(["x_index", "y_value", "seed"], rows)
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
