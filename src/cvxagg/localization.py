@@ -13,8 +13,12 @@ Every supremum over theta in [0, 1] used here is of a piecewise quadratic or
 rational function, so it is attained at 0, 1, or a closed-form breakpoint or
 stationary point; the suprema are evaluated exactly on those candidates, for
 all datasets and segments at once.  Each evaluator stacks the quadratics
-whose vertices and roots it needs and finds every candidate in one root
-pass, so it makes a fixed number of numpy calls whatever the batch.
+whose vertices and roots it needs as coefficient planes a, b and c, each of
+shape (quadratics, *batch), and finds every candidate in one root pass,
+written candidate-major as (candidates, *batch): each candidate's plane is
+contiguous, and the max over candidates is one reduction over the first
+axis.  So an evaluator makes a fixed number of numpy calls whatever the
+batch.
 
 The two-sided comparison reads one evaluator: a dataset's smallest
 violation-free level, the sup of 2|P L - P_n L| over the closed set of
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, combine, draw_count_matrix
+from .model import Dictionary, DiscreteProblem, Segment, _whole, combine, draw_count_matrix
 from .solver import erm_segment
 
 # fixed-point search bracket and the relative width at which bisection stops
@@ -126,80 +130,85 @@ def _segment_coefficients(segments: tuple, problem: DiscreteProblem, n: int, rep
     return pop, emp
 
 
-def _poly(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Quadratics q[..., (a, b, c)] at theta[..., k]."""
-    a, b, c = (q[..., i, None] for i in range(3))
-    return (a * theta + b) * theta + c
+def _poly(q, theta: np.ndarray) -> np.ndarray:
+    """(a theta + b) theta + c for the coefficient planes q = (a, b, c), each
+    broadcasting against the candidate-major theta; one array is allocated."""
+    a, b, c = q
+    value = a * theta
+    value += b
+    value *= theta
+    value += c
+    return value
 
 
-def _points(q: np.ndarray, out: np.ndarray) -> None:
-    """Vertex and real roots of the quadratics q[..., (a, b, c)], written to out[..., 3].
+def _thetas(vertex, roots) -> np.ndarray:
+    """Candidate thetas, candidate-major, shape (2 + v + 2k, *batch).
 
-    A point that does not exist (no vertex of a line, complex roots, the
-    second root of a line) is NaN or infinite.  The caller ignores divide
-    and invalid floating-point errors.
+    vertex = (a, b) are the coefficient planes, each (v, *batch), of the
+    quadratics whose vertices are candidates, and roots = (a, b, c) the
+    planes, each (k, *batch), of those whose real roots are.  Slots 0 and 1
+    hold theta = 0 and 1, then come the v vertices -b / 2a, the k roots
+    (-b - sqrt(b^2 - 4ac)) / 2a, or -c / b for a line, and the k roots
+    (-b + sqrt(b^2 - 4ac)) / 2a, each group written by one divide.  A point
+    that does not exist is NaN or infinite, and a point outside [0, 1] is
+    left there: each caller decides what such a candidate means.
     """
-    a, b, c = q[..., 0], q[..., 1], q[..., 2]
-    line = a == 0.0
-    minus_b = -b
-    root = np.sqrt(b * b - 4.0 * a * c)
-    two_a = 2.0 * a
-    np.divide(minus_b, two_a, out=out[..., 0])
-    np.divide(minus_b - root, two_a, out=out[..., 1])
-    np.divide(-c, b, out=out[..., 1], where=line)
-    np.divide(minus_b + root, two_a, out=out[..., 2])
-    np.copyto(out[..., 2], np.nan, where=line)
-
-
-def _thetas(q: np.ndarray) -> np.ndarray:
-    """Candidate thetas for k stacked quadratics q[..., k, (a, b, c)], shape (..., 2 + 3k).
-
-    Slots 0 and 1 hold theta = 0 and 1; slots 2 + 3j .. 4 + 3j hold the
-    vertex and roots of quadratic j, all found in one pass.  A point outside
-    [0, 1], or one that does not exist, is NaN.  Every candidate lies in
-    [0, 1], so a max over candidates never exceeds the supremum over [0, 1];
-    NaN candidates are skipped by np.fmax.
-    """
-    theta = np.empty(q.shape[:-2] + (2 + 3 * q.shape[-2],))
-    theta[..., 0] = 0.0
-    theta[..., 1] = 1.0
+    va, vb = vertex
+    a, b, c = roots
+    v, k = va.shape[0], a.shape[0]
+    theta = np.empty((2 + v + 2 * k,) + a.shape[1:])
+    theta[0] = 0.0
+    theta[1] = 1.0
+    lower = theta[2 + v : 2 + v + k]
     with np.errstate(divide="ignore", invalid="ignore"):
-        _points(q, theta[..., 2:].reshape(q.shape))
-    np.copyto(theta, np.nan, where=(theta < 0.0) | (theta > 1.0))
+        np.divide(-vb, 2.0 * va, out=theta[2 : 2 + v])
+        minus_b = -b
+        root = np.sqrt(b * b - 4.0 * a * c)
+        two_a = 2.0 * a
+        np.divide(minus_b - root, two_a, out=lower)
+        np.divide(-c, b, out=lower, where=a == 0.0)
+        np.divide(minus_b + root, two_a, out=theta[2 + v + k :])
     return theta
 
 
-def _stacked(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """An empty (..., 3, 3) array for three quadratics on the broadcast batch of pop and diff."""
-    return np.empty(np.broadcast_shapes(pop.shape, diff.shape)[:-1] + (3, 3))
-
-
-def _max(values: np.ndarray) -> np.ndarray:
-    """Max over the candidate axis, skipping NaN candidates."""
-    return np.fmax.reduce(values, axis=-1)
+def _planes(q: np.ndarray):
+    """The coefficient planes (a, b, c) of quadratics q[..., (a, b, c)]: views, one per coefficient."""
+    return q[..., 0], q[..., 1], q[..., 2]
 
 
 def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:
     """sup over theta, alpha of alpha |D(theta)| with alpha PL(theta) <= level.
 
-    pop = coefficients of P L_theta, diff = coefficients of (P - P_n) L_theta.
-    The optimal alpha is min(1, level / PL).  Where PL <= level the objective
-    |D| peaks at the vertex of D or a root of PL - level; elsewhere it is
-    level |D| / PL, stationary at the roots of the numerator of (D / PL)',
-    whose cubic term cancels.  The three quadratics D, PL - level and that
-    numerator are stacked, so one root pass finds every candidate.
+    pop = coefficients of P L_theta, diff = coefficients of (P - P_n) L_theta,
+    on the last axis; diff's leading axes are the batch, and pop broadcasts
+    to it.  The optimal alpha is min(1, level / PL).  Where PL <= level the
+    objective |D| peaks at the vertex of D or a root of PL - level;
+    elsewhere it is level |D| / PL, stationary at the roots of the numerator
+    of (D / PL)', whose cubic term cancels.  D, PL - level and that numerator
+    are stacked as coefficient planes of shape (3, *batch), so one root pass
+    finds every candidate.  A candidate outside [0, 1] is clipped onto it:
+    theta = 0 and 1 are candidates already.
     """
-    pa, pb, pc = pop[..., 0], pop[..., 1], pop[..., 2]
-    da, db, dc = diff[..., 0], diff[..., 1], diff[..., 2]
-    q = _stacked(pop, diff)
-    q[..., 0, :] = diff
-    q[..., 1, :] = pop
-    q[..., 1, 2] -= level
-    np.subtract(da * pb, db * pa, out=q[..., 2, 0])
-    np.multiply(2.0, da * pc - dc * pa, out=q[..., 2, 1])
-    np.subtract(db * pc, dc * pb, out=q[..., 2, 2])
-    theta = _thetas(q)
-    return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
+    pa, pb, pc = _planes(pop)
+    da, db, dc = _planes(diff)
+    q = np.empty((3, 3) + diff.shape[:-1])
+    a, b, c = q
+    a[0], b[0], c[0] = da, db, dc
+    a[1], b[1] = pa, pb
+    np.subtract(pc, level, out=c[1])
+    np.subtract(da * pb, db * pa, out=a[2])
+    np.multiply(2.0, da * pc - dc * pa, out=b[2])
+    np.subtract(db * pc, dc * pb, out=c[2])
+    theta = _thetas((a, b), (a, b, c))
+    np.maximum(theta, 0.0, out=theta)
+    np.minimum(theta, 1.0, out=theta)
+    value = _poly((a[1], b[1], pc), theta)
+    np.maximum(value, level, out=value)
+    np.divide(level, value, out=value)
+    deviation = _poly((a[0], b[0], c[0]), theta)
+    value *= np.abs(deviation, out=deviation)
+    # NaN candidates, points that do not exist, are skipped by np.fmax
+    return np.fmax.reduce(value, axis=0)
 
 
 def localized_sup(
@@ -216,6 +225,7 @@ def localized_sup(
     estimates at different levels with the same seed share datasets and are
     exactly monotone in the level.  Returns (estimate, standard error).
     """
+    reps = _whole(reps, "reps")
     if reps < 2:
         raise ValueError("at least 2 replications are required for a standard error")
     if n < 1:
@@ -243,18 +253,26 @@ def fixed_point(bound) -> float:
     Requires bound(lambda)/lambda non-increasing (the star-hull property),
     which makes the crossing predicate monotone; the property is spot-checked
     on a geometric grid.  Returns the bracket floor when even the floor
-    already satisfies the inequality (e.g. bound identically 0).
+    already satisfies the inequality (e.g. bound identically 0).  A bound
+    value that is NaN or infinite raises ValueError: every comparison with a
+    NaN is False, so the search would return a bracket end as if it crossed.
     """
+    def checked(lam: float) -> float:
+        value = bound(lam)
+        if not math.isfinite(value):
+            raise ValueError(f"bound({lam!r}) is {value!r}, not finite")
+        return value
+
     lo, hi = FIXED_POINT_FLOOR, FIXED_POINT_CEILING
-    if bound(lo) <= lo / 8.0:
+    if checked(lo) <= lo / 8.0:
         return lo
-    while bound(hi) > hi / 8.0:
+    while checked(hi) > hi / 8.0:
         hi *= 8.0
         if hi > 1e300:
             raise ValueError("no crossing of lambda/8 found in the search bracket")
 
     probes = np.geomspace(max(lo, hi * 1e-12), hi, 8)
-    ratios = [bound(t) / t for t in probes]
+    ratios = [checked(t) / t for t in probes]
     for left, right in zip(ratios, ratios[1:]):
         if right > left * (1.0 + 1e-9) + 1e-300:
             raise ValueError("bound(lambda)/lambda is not non-increasing; not a star-hull bound")
@@ -262,7 +280,7 @@ def fixed_point(bound) -> float:
     low, high = lo, hi
     while high / low > 1.0 + FIXED_POINT_REL_TOL:
         mid = math.sqrt(low * high)
-        if bound(mid) <= mid / 8.0:
+        if checked(mid) <= mid / 8.0:
             high = mid
         else:
             low = mid
@@ -308,43 +326,51 @@ class IsomorphismReport:
         return self.violations / self.trials if self.trials else 0.0
 
 
-# _needed_level's candidate slots in _thetas over the stack (D, D - PL/2, D + PL/2):
-# the roots of D and the vertices of D -+ PL/2 are not candidates, and the
-# roots of D -+ PL/2 lie on the region's boundary
-_NEEDED_UNUSED = [3, 4, 5, 8]
-_NEEDED_EDGES = [6, 7, 9, 10]
-
-
 def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Smallest level that avoids violation on this segment and dataset.
 
     The deviation |D| must exceed both PL/2 and level/2 to violate, so the
     needed level is the sup of 2|D| over the closed region {|D| >= PL/2}: at
     0, 1, the vertex of D, or a root of D -+ PL/2 on the region's boundary.
-    D, D - PL/2 and D + PL/2 are stacked, so one root pass finds them all.
+    D -+ PL/2 are stacked as coefficient planes of shape (2, *batch), diff's
+    leading axes, so one root pass finds their roots; the candidates are
+    theta = 0, 1, the vertex of D and those four roots.  A candidate outside
+    [0, 1] becomes NaN, which np.fmax skips: clipped, a root would mark an
+    endpoint that lies outside the region.
     """
-    q = _stacked(pop, diff)
-    half = 0.5 * pop
-    q[..., 0, :] = diff
-    np.subtract(diff, half, out=q[..., 1, :])
-    np.add(diff, half, out=q[..., 2, :])
-    theta = _thetas(q)
-    theta[..., _NEEDED_UNUSED] = np.nan
-    d = np.abs(_poly(diff, theta))
-    member = d >= 0.5 * _poly(pop, theta)
-    # the roots are region members even where rounding puts |D| an ulp below PL/2
-    member[..., _NEEDED_EDGES] = True
-    return _max(np.where(member, 2.0 * d, 0.0))
+    da, db, dc = _planes(diff)
+    ha, hb, hc = _planes(0.5 * pop)
+    q = np.empty((3, 2) + diff.shape[:-1])
+    a, b, c = q
+    np.subtract(da, ha, out=a[0])
+    np.add(da, ha, out=a[1])
+    np.subtract(db, hb, out=b[0])
+    np.add(db, hb, out=b[1])
+    np.subtract(dc, hc, out=c[0])
+    np.add(dc, hc, out=c[1])
+    theta = _thetas((da[None], db[None]), (a, b, c))
+    np.copyto(theta, np.nan, where=(theta < 0.0) | (theta > 1.0))
+    d = _poly((da, db, dc), theta)
+    np.abs(d, out=d)
+    # theta = 0, 1 and the vertex of D count only inside the region (a NaN
+    # vertex stays NaN); the four roots lie on its boundary and count even
+    # where rounding puts |D| an ulp below PL/2
+    outside = d[:3] < 0.5 * _poly(_planes(pop), theta[:3])
+    d *= 2.0
+    np.copyto(d[:3], 0.0, where=outside)
+    return np.fmax.reduce(d, axis=0)
 
 
-def _net_size(segments: tuple, reps: int, net_size) -> int:
-    """N, the net size in the level's union bound, once the family and the
-    rep count are checked; callers check their levels with it before drawing."""
+def _net_size(segments: tuple, reps, net_size) -> tuple[int, int]:
+    """(N, reps): N, the net size in the level's union bound, and reps as an
+    int, once the family and the rep count are checked; callers check their
+    levels with N before drawing."""
     if not segments:
         raise ValueError("at least one segment is required")
+    reps = _whole(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    return net_size if net_size is not None else len(segments)
+    return (net_size if net_size is not None else len(segments)), reps
 
 
 @functools.lru_cache(maxsize=1)
@@ -387,13 +413,14 @@ def isomorphism_check(
     its outcome.
     """
     b, segments = problem.bound_b, tuple(segments)
-    level = gamma(x, b, _net_size(segments, reps, num_net_functions), n, c0)
+    N, reps = _net_size(segments, reps, num_net_functions)
+    level = gamma(x, b, N, n, c0)
     pop, emp, needed = _dataset_levels(segments, problem, n, reps, seed, rep_offset)
 
     violated = needed > level
     ea, eb = emp[..., 0], emp[..., 1]
     theta_hat = np.where(ea > 0.0, np.clip(-eb / (2.0 * np.where(ea > 0.0, ea, 1.0)), 0.0, 1.0), 0.0)
-    erm_excess = np.max(_poly(pop, theta_hat[..., None])[..., 0], axis=1)
+    erm_excess = np.max(_poly(_planes(pop), theta_hat), axis=1)
     violations = int(np.count_nonzero(violated))
     erm_checked = reps - violations
     erm_failures = int(np.count_nonzero(~violated & (erm_excess > level + 1e-12 * b * b)))
@@ -446,7 +473,7 @@ def calibrate_c0(
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
     b, segments = problem.bound_b, tuple(segments)
-    N = _net_size(segments, reps, num_net_functions)
+    N, reps = _net_size(segments, reps, num_net_functions)
     constraints = []
     for x in x_levels:
         denom = gamma(x, b, N, n, 1.0)

@@ -155,7 +155,10 @@ class SampleSet(Measure):
 
 
 def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
-    """Atom counts of n i.i.d. draws from the problem's law: one multinomial from default_rng(seed)."""
+    """Atom counts of n i.i.d. draws from the problem's law: one multinomial from default_rng(seed).
+
+    n must be whole: numpy's multinomial would floor 2.5 to 2 draws."""
+    n = _whole(n, "sample size")
     if n < 1:
         raise ValueError("sample size must be at least 1")
     return np.random.default_rng(seed).multinomial(n, problem.probabilities)

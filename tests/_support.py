@@ -17,6 +17,10 @@ excess-loss moments behind the Bernstein step (`excess_loss_mean`,
 (`rademacher_segment_bound`) and the sum over dyadic shells
 (`peeling_bound`).  `rate_std_error` is the binomial standard error that
 criterion 8 allows an isomorphism check's violation rate.
+
+`_segment_star_sup` and `_needed_level` at the end are slot-major versions
+of the segment-sup evaluators, the reference that `cvxagg.localization`'s
+candidate-major kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -402,3 +406,114 @@ def write_weights(weights: SimplexWeights, path) -> None:
     """weights.csv as the CLI reads it: index,weight."""
     rows = [f"{j},{float(w)!r}" for j, w in enumerate(weights.weights)]
     Path(path).write_text("\n".join(["index,weight", *rows]) + "\n")
+
+
+# Slot-major reference for the segment-sup evaluators: the quadratics stacked
+# as q[..., quadratic, (a, b, c)], the candidates on the last axis.  Every
+# element takes the formula, in the order, of cvxagg.localization's
+# candidate-major kernel, so the two must agree bit for bit.
+
+
+def _poly(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Quadratics q[..., (a, b, c)] at theta[..., k]."""
+    a, b, c = (q[..., i, None] for i in range(3))
+    return (a * theta + b) * theta + c
+
+
+def _points(q: np.ndarray, out: np.ndarray) -> None:
+    """Vertex and real roots of the quadratics q[..., (a, b, c)], written to out[..., 3].
+
+    A point that does not exist (no vertex of a line, complex roots, the
+    second root of a line) is NaN or infinite.  The caller ignores divide
+    and invalid floating-point errors.
+    """
+    a, b, c = q[..., 0], q[..., 1], q[..., 2]
+    line = a == 0.0
+    minus_b = -b
+    root = np.sqrt(b * b - 4.0 * a * c)
+    two_a = 2.0 * a
+    np.divide(minus_b, two_a, out=out[..., 0])
+    np.divide(minus_b - root, two_a, out=out[..., 1])
+    np.divide(-c, b, out=out[..., 1], where=line)
+    np.divide(minus_b + root, two_a, out=out[..., 2])
+    np.copyto(out[..., 2], np.nan, where=line)
+
+
+def _thetas(q: np.ndarray) -> np.ndarray:
+    """Candidate thetas for k stacked quadratics q[..., k, (a, b, c)], shape (..., 2 + 3k).
+
+    Slots 0 and 1 hold theta = 0 and 1; slots 2 + 3j .. 4 + 3j hold the
+    vertex and roots of quadratic j, all found in one pass.  A point outside
+    [0, 1], or one that does not exist, is NaN.  Every candidate lies in
+    [0, 1], so a max over candidates never exceeds the supremum over [0, 1];
+    NaN candidates are skipped by np.fmax.
+    """
+    theta = np.empty(q.shape[:-2] + (2 + 3 * q.shape[-2],))
+    theta[..., 0] = 0.0
+    theta[..., 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _points(q, theta[..., 2:].reshape(q.shape))
+    np.copyto(theta, np.nan, where=(theta < 0.0) | (theta > 1.0))
+    return theta
+
+
+def _stacked(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """An empty (..., 3, 3) array for three quadratics on the broadcast batch of pop and diff."""
+    return np.empty(np.broadcast_shapes(pop.shape, diff.shape)[:-1] + (3, 3))
+
+
+def _max(values: np.ndarray) -> np.ndarray:
+    """Max over the candidate axis, skipping NaN candidates."""
+    return np.fmax.reduce(values, axis=-1)
+
+
+def _segment_star_sup(pop: np.ndarray, diff: np.ndarray, level: float) -> np.ndarray:
+    """sup over theta, alpha of alpha |D(theta)| with alpha PL(theta) <= level.
+
+    pop = coefficients of P L_theta, diff = coefficients of (P - P_n) L_theta.
+    The optimal alpha is min(1, level / PL).  Where PL <= level the objective
+    |D| peaks at the vertex of D or a root of PL - level; elsewhere it is
+    level |D| / PL, stationary at the roots of the numerator of (D / PL)',
+    whose cubic term cancels.  The three quadratics D, PL - level and that
+    numerator are stacked, so one root pass finds every candidate.
+    """
+    pa, pb, pc = pop[..., 0], pop[..., 1], pop[..., 2]
+    da, db, dc = diff[..., 0], diff[..., 1], diff[..., 2]
+    q = _stacked(pop, diff)
+    q[..., 0, :] = diff
+    q[..., 1, :] = pop
+    q[..., 1, 2] -= level
+    np.subtract(da * pb, db * pa, out=q[..., 2, 0])
+    np.multiply(2.0, da * pc - dc * pa, out=q[..., 2, 1])
+    np.subtract(db * pc, dc * pb, out=q[..., 2, 2])
+    theta = _thetas(q)
+    return _max(level / np.maximum(_poly(pop, theta), level) * np.abs(_poly(diff, theta)))
+
+
+# _needed_level's candidate slots in _thetas over the stack (D, D - PL/2, D + PL/2):
+# the roots of D and the vertices of D -+ PL/2 are not candidates, and the
+# roots of D -+ PL/2 lie on the region's boundary
+_NEEDED_UNUSED = [3, 4, 5, 8]
+_NEEDED_EDGES = [6, 7, 9, 10]
+
+
+def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Smallest level that avoids violation on this segment and dataset.
+
+    The deviation |D| must exceed both PL/2 and level/2 to violate, so the
+    needed level is the sup of 2|D| over the closed region {|D| >= PL/2}: at
+    0, 1, the vertex of D, or a root of D -+ PL/2 on the region's boundary.
+    D, D - PL/2 and D + PL/2 are stacked, so one root pass finds them all.
+    """
+    q = _stacked(pop, diff)
+    half = 0.5 * pop
+    q[..., 0, :] = diff
+    np.subtract(diff, half, out=q[..., 1, :])
+    np.add(diff, half, out=q[..., 2, :])
+    theta = _thetas(q)
+    theta[..., _NEEDED_UNUSED] = np.nan
+    d = np.abs(_poly(diff, theta))
+    member = d >= 0.5 * _poly(pop, theta)
+    # the roots are region members even where rounding puts |D| an ulp below PL/2
+    member[..., _NEEDED_EDGES] = True
+    return _max(np.where(member, 2.0 * d, 0.0))

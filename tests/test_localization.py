@@ -27,6 +27,7 @@ from cvxagg.localization import (
 from cvxagg.model import Dictionary, DiscreteProblem, Segment, draw_counts
 from cvxagg.solver import erm_segment
 
+import _support
 from _support import (
     peeling_bound,
     rademacher_segment_bound,
@@ -99,6 +100,20 @@ def test_fixed_point_rejects_non_star_bounds():
         fixed_point(lambda lam: 1e-200 + lam * lam / 1e13)
     with pytest.raises(ValueError):
         fixed_point(lambda lam: lam)  # never crosses lambda/8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["everywhere", "on part of the bracket"])
+def test_fixed_point_refuses_a_non_finite_bound_value(bad, where):
+    # a NaN bound used to make every comparison False, and the search
+    # returned the 1e12 ceiling as if the bound crossed lambda / 8 there
+    def bound(lam):
+        if where == "everywhere" or 1e-3 < lam < 1e3:
+            return bad
+        return 38.0 * math.sqrt(lam / 100)
+
+    with pytest.raises(ValueError, match="not finite"):
+        fixed_point(bound)
 
 
 def test_fixed_point_floor_is_correct_for_superlinear_bounds():
@@ -403,6 +418,32 @@ def test_segment_evaluators_treat_entries_independently(data, rows, segments, le
                 assert single.tobytes() == whole[r : r + 1, s : s + 1].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), segments=st.integers(1, 4), level=st.floats(1e-4, 10.0))
+def test_segment_evaluators_match_the_slot_major_reference(data, rows, segments, level):
+    # the candidate-major kernel keeps every element's formula and order, so
+    # both evaluators give the bits of the slot-major reference
+    pop, diff = _coefficient_batch(data, rows, segments)
+    assert _needed_level(pop, diff).tobytes() == _support._needed_level(pop, diff).tobytes()
+    star = _segment_star_sup(pop, diff, level)
+    assert star.tobytes() == _support._segment_star_sup(pop, diff, level).tobytes()
+
+
+def test_segment_evaluators_match_the_slot_major_reference_on_the_criterion_8_fixture():
+    # 2000 datasets x 10 segments, the batch of the README's isomorphism study,
+    # and one segment at a time, the batch of localized_sup
+    problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
+    segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
+    pop, emp = _segment_coefficients(tuple(segments), problem, 256, 2000, 90, 0)
+    diff = pop - emp
+    assert _needed_level(pop, diff).tobytes() == _support._needed_level(pop, diff).tobytes()
+    for level in (1e-4, 0.005, 0.05, 0.2, 3.0):
+        star = _segment_star_sup(pop, diff, level)
+        assert star.tobytes() == _support._segment_star_sup(pop, diff, level).tobytes(), level
+        one = _segment_star_sup(pop[:1], diff[:, :1], level)
+        assert one.tobytes() == _support._segment_star_sup(pop[:1], diff[:, :1], level).tobytes(), level
+
+
 def test_localized_sup_requires_reps():
     rng = np.random.default_rng(2)
     p = random_problem(rng, K=3)
@@ -410,6 +451,26 @@ def test_localized_sup_requires_reps():
     cls = segment_excess_loss_class(Segment(d.values[0], d.values[1]), level=1.0)
     with pytest.raises(ValueError):
         localized_sup(cls, p, n=10, reps=1, seed=0)
+    # 2.5 used to reach range() and raise a TypeError
+    with pytest.raises(ValueError, match="reps must be whole"):
+        localized_sup(cls, p, n=10, reps=2.5, seed=0)
+    assert localized_sup(cls, p, n=10, reps=4.0, seed=0) == localized_sup(cls, p, n=10, reps=4, seed=0)
+
+
+def test_isomorphism_functions_take_whole_reps_as_ints(draw_fixture):
+    # reps=10.0 used to give a report with float trials and erm_checked
+    problem, segments = draw_fixture
+    report = isomorphism_check(segments, problem, n=64, x=1.0, c0=1.0, reps=10.0, seed=83)
+    assert report == isomorphism_check(segments, problem, n=64, x=1.0, c0=1.0, reps=10, seed=83)
+    assert type(report.trials) is int and type(report.erm_checked) is int
+    c0 = calibrate_c0(segments, problem, n=64, x_levels=[2.0], reps=10.0, seed=84)
+    assert c0 == calibrate_c0(segments, problem, n=64, x_levels=[2.0], reps=10, seed=84)
+    for check in (
+        lambda: isomorphism_check(segments, problem, n=64, x=1.0, c0=1.0, reps=10.5, seed=83),
+        lambda: calibrate_c0(segments, problem, n=64, x_levels=[2.0], reps=10.5, seed=84),
+    ):
+        with pytest.raises(ValueError, match="reps must be whole"):
+            check()
 
 
 @settings(max_examples=300, deadline=None)

@@ -174,6 +174,18 @@ def test_a_sample_seed_must_be_whole_and_whole_floats_pass():
     assert whole.x_indices.dtype == np.int64 and whole.x_indices.tolist() == [0, 1]
 
 
+def test_a_sample_size_must_be_whole():
+    # numpy's multinomial floors n: sample(p, 2.5, 0) used to be a 2-draw sample
+    problem = DiscreteProblem(np.array([0, 1]), np.array([0.0, 0.5]), np.array([0.5, 0.5]), bound_b=1.0)
+    for n in (2.5, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="sample size must be whole"):
+            sample(problem, n, 0)
+        with pytest.raises(ValueError, match="sample size must be whole"):
+            draw_counts(problem, n, 0)
+    assert sample(problem, 3.0, 0).n == 3
+    assert np.array_equal(draw_counts(problem, 3.0, 0), draw_counts(problem, 3, 0))
+
+
 def test_a_sample_seed_must_fit_the_int64_seed_column(tmp_path):
     # samples.csv reads its seed column as int64, so a sample that could not
     # be read back is refused when it is built, and the int64 extremes round-trip
