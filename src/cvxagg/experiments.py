@@ -20,14 +20,12 @@ import itertools
 import json
 import math
 import os
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-# `sample` is not called here; it stays a module attribute because
-# perfbench/tracing.py wraps experiments.sample
+# `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
 from .model import Dictionary, DiscreteProblem, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
@@ -36,6 +34,8 @@ from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))
 ORACLE_TOLERANCE = 1e-10
+# the most trials `run_grid` solves as one batch, so memory follows it, not R
+MAX_BATCH = 2**15
 
 
 def derive_seed(*parts) -> int:
@@ -86,29 +86,43 @@ class ExperimentConfig:
             raise ValueError(f"x_levels must be finite and nonnegative, found {list(self.x_levels)}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One ERM trial: exact population excess risk against the hull optimum,
-    and its hull solve's counters (see `solver.ErmSolution`)."""
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """ERM trials as columns, each a numpy array with an entry per trial: the
+    exact population excess risk against the hull optimum and the counters
+    of the hull solve (`solver.ErmSolution`).  Iteration yields `TrialRecord`s."""
 
-    n: int
-    M: int
-    replication: int
-    excess_risk: float
-    oracle_risk: float
-    seed: int
-    converged: bool
-    iterations: int
-    stop_reason: str
-    kkt_solves: int
-    drop_steps: int
-    duality_gap: float
+    n: np.ndarray
+    M: np.ndarray
+    replication: np.ndarray
+    excess_risk: np.ndarray
+    oracle_risk: np.ndarray
+    seed: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    stop_reason: np.ndarray
+    kkt_solves: np.ndarray
+    drop_steps: np.ndarray
+    duality_gap: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __iter__(self):
+        return map(TrialRecord, *(column.tolist() for column in _fields(self).values()))
+
+
+# one trial of a `Trials`, with its fields in their order
+TrialRecord = dataclasses.make_dataclass(
+    "TrialRecord", [f.name for f in dataclasses.fields(Trials)], frozen=True, namespace={"__module__": __name__}
+)
 
 
 @dataclass(frozen=True)
 class PointSummary:
     """Excess-risk statistics for one (n, M) cell, and its trials' hull solves
-    summed up in `solver` (see `_solver_statistics`)."""
+    summed up in `solver`: the iteration median and max, counter totals, a
+    stop-reason tally and the largest duality gap."""
 
     n: int
     M: int
@@ -138,8 +152,8 @@ class DeviationRow:
 
 
 def _fields(row) -> dict:
-    """A summary row's fields by name, its values not copied (unlike
-    dataclasses.asdict, which deep-copies every cell's solver dict)."""
+    """A dataclass's fields by name, its values not copied (unlike
+    dataclasses.asdict, which deep-copies every solver dict and column)."""
     return {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
 
 
@@ -151,6 +165,7 @@ class RateReport:
     validation_ratios are mean excess / (c_hat b^2 psi) on the odd cells.
     c_hat_phi is the same fit against the older rate curve, kept for
     comparison.  incomplete is set when any trial failed to converge.
+    records is the run's `Trials`, in grid order, then replication order.
     """
 
     points: tuple
@@ -162,7 +177,7 @@ class RateReport:
     deviation: tuple
     incomplete: bool
     bound_b: float
-    records: tuple = field(repr=False, default=())
+    records: Trials = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,64 +271,47 @@ def make_cell(cfg: ExperimentConfig, n: int, M: int) -> Cell:
     return Cell(problem, dictionary, n, population_oracle(dictionary, problem).empirical_risk)
 
 
-def run_trials(trials, solver_config: SolverConfig) -> list[TrialRecord]:
+def run_trials(trials, solver_config: SolverConfig) -> Trials:
     """Draw a size-n sample per (cell, replication, seed) trial, run hull ERM
-    on all of them as one batch, and record each exact population excess.
+    on all of them as one batch, and take each exact population excess.
 
     Each run of consecutive trials of one cell is drawn as one counts
     matrix, a row per trial from its own seed's Generator
     (`model.draw_count_matrix`, which checks the matrix once), and is one
     block of probability rows counts / n over the cell problem's atoms for
     `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
-    weight matrices it returns.  No sample, weights or solution object is
-    built per trial; a trial's excess is the population risk of its
-    fitted values w @ F, minus the cell's oracle risk.
-
-    Returns each trial's record, in order.  A trial's solve has the same
-    bits in any batch, the bits of erm_convex_hull(cell.dictionary,
-    sample(cell.problem, cell.n, seed)), so any split of the trials gives
-    the same records.
+    weight matrices it returns.  Nothing is built per trial: a block's
+    excesses, the population risks of its fitted values w @ F minus the
+    cell's oracle risk, are one stacked product whose 1-D dots of
+    C-contiguous rows give `risk.population_risk`'s bits.  Returns the
+    trials' columns, in order: the same for any split of the trials, since
+    a trial's solve has the same bits in any batch, those of
+    erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed)).
     """
-    runs = [(cell, list(run)) for cell, run in itertools.groupby(trials, key=lambda trial: trial[0])]
+    runs = [(cell, [seed for _, _, seed in run]) for cell, run in itertools.groupby(trials, key=lambda trial: trial[0])]
     blocks = []
-    for cell, run in runs:
-        counts = draw_count_matrix(cell.problem, cell.n, [seed for _, _, seed in run])
+    for cell, seeds in runs:
+        counts = draw_count_matrix(cell.problem, cell.n, seeds)
         blocks.append((cell.dictionary, cell.problem, counts / cell.n))
-    records = []
-    for (cell, run), (weights, *solves) in zip(runs, erm_convex_hull_blocks(blocks, solver_config)):
-        for (_, replication, seed), w, gap, converged, iterations, stop_reason, kkt_solves, drop_steps in zip(
-            run, weights, *(x.tolist() for x in solves)
-        ):
-            record = TrialRecord(
-                n=cell.n,
-                M=cell.dictionary.size_M,
-                replication=replication,
-                excess_risk=population_risk(w @ cell.dictionary.values, cell.problem) - cell.oracle_risk,
-                oracle_risk=cell.oracle_risk,
-                seed=seed,
-                converged=converged,
-                iterations=iterations,
-                stop_reason=stop_reason,
-                kkt_solves=kkt_solves,
-                drop_steps=drop_steps,
-                duality_gap=gap,
-            )
-            records.append(record)
-    return records
-
-
-def _solver_statistics(records) -> dict:
-    """Iteration median and max, counter totals, a stop-reason tally and the
-    largest duality gap over a cell's hull solves."""
-    iterations = [r.iterations for r in records]
-    return {
-        "iterations_median": statistics.median(iterations),
-        "iterations_max": max(iterations),
-        "kkt_solves": sum(r.kkt_solves for r in records),
-        "drop_steps": sum(r.drop_steps for r in records),
-        "stop_reasons": dict(collections.Counter(r.stop_reason for r in records)),
-        "max_duality_gap": max(r.duality_gap for r in records),
-    }
+    solved = erm_convex_hull_blocks(blocks, solver_config)
+    excess = []
+    for (cell, _), (weights, *_) in zip(runs, solved):
+        atoms, fitted = cell.problem, np.matmul(weights[:, None, :], cell.dictionary.values)[:, 0]
+        resid = atoms.y_values - np.take(fitted, atoms.x_indices, axis=1)  # fitted[:, x] has strided rows
+        excess.append(np.matmul((resid * resid)[:, None, :], atoms.probabilities[:, None])[:, 0, 0] - cell.oracle_risk)
+    sizes = [len(seeds) for _, seeds in runs]
+    _, replication, seed = zip(*trials)
+    gap, *counters = map(np.concatenate, zip(*(solves for _, *solves in solved)))
+    return Trials(
+        np.repeat([cell.n for cell, _ in runs], sizes),
+        np.repeat([cell.dictionary.size_M for cell, _ in runs], sizes),
+        np.array(replication),
+        np.concatenate(excess),
+        np.repeat([cell.oracle_risk for cell, _ in runs], sizes),
+        np.array(seed),
+        *counters,
+        gap,
+    )
 
 
 def _usable_cpus() -> int:
@@ -326,20 +324,18 @@ def _usable_cpus() -> int:
 def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """Run every grid cell, fit the rate constant, and assemble the report.
 
-    Each cell is built once, by `make_cell`; its replications vary only the sample.
-
-    Trials are hull-solved in batches (`run_trials`).  jobs is first
-    capped at the CPUs the process may use.  With one worker, every trial
-    of the grid forms one batch; with more, the trials, in grid order, are
-    cut into batches of about a quarter of a worker's share, and no more
-    workers start than there are batches.  A batch runs about as many
-    Frank-Wolfe rounds as its longest solve has iterations, where
-    one-at-a-time solving ran the sum of them.  The records come in grid
-    order, then replication order, so the summary reads their excess risks
-    as one (cells, replications) table whose row i is grid cell i.  A
-    trial's solve has the same bits in any batch (see `solver`), so when
-    out_dir is given, trials.csv and report.json are written there with
-    bytes identical for any worker count.
+    Each cell is built once, by `make_cell`; its replications vary only the
+    sample.  The trials, in grid order, are cut into batches of at most
+    MAX_BATCH trials for `run_trials`, after jobs is capped at the CPUs the
+    process may use: one worker solves the batches in turn; with more, a
+    batch is about a quarter of a worker's share, and no more workers start
+    than there are batches.  A batch runs about as many Frank-Wolfe rounds
+    as its longest solve has iterations, where one-at-a-time solving ran the
+    sum of them.  The columns come in grid, then replication order, so the
+    summary reads each as a (cells, replications) table whose row i is grid
+    cell i.  A trial's solve has the same bits in any batch (see `solver`),
+    so when out_dir is given, trials.csv and report.json are written there
+    with bytes identical for any worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -349,26 +345,34 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         cell = make_cell(cfg, n, M)
         trials.extend((cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications))
 
+    step = MAX_BATCH if jobs == 1 else min(MAX_BATCH, math.ceil(len(trials) / jobs / 4))
+    batches = [trials[start : start + step] for start in range(0, len(trials), step)]
     if jobs == 1:
-        records = run_trials(trials, cfg.solver)
+        solved = map(run_trials, batches, itertools.repeat(cfg.solver))
     else:
-        step = max(1, math.ceil(len(trials) / jobs / 4))
-        batches = [trials[start : start + step] for start in range(0, len(trials), step)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            solved = pool.map(run_trials, batches, itertools.repeat(cfg.solver))
-            records = [record for batch in solved for record in batch]
+            solved = list(pool.map(run_trials, batches, itertools.repeat(cfg.solver)))
+    records = Trials(*map(np.concatenate, zip(*(_fields(batch).values() for batch in solved))))
 
-    incomplete = any(not r.converged for r in records)
+    incomplete = not records.converged.all()
     R = cfg.replications
-    excess = np.array([r.excess_risk for r in records]).reshape(len(cfg.grid), R)
+    excess, iterations = (column.reshape(len(cfg.grid), R) for column in (records.excess_risk, records.iterations))
     mean = np.mean(excess, axis=1)
     quantiles = np.quantile(excess, (0.10, 0.25, 0.75, 0.90), axis=1)
     summary = np.column_stack((mean, np.median(excess, axis=1), *quantiles, np.max(excess, axis=1)))
+    median = np.median(iterations, axis=1)
+    names = ("iterations_median", "iterations_max", "kkt_solves", "drop_steps", "stop_reasons", "max_duality_gap")
+    solver = zip(
+        (median.astype(np.int64) if R % 2 else median).tolist(),  # statistics.median's int at odd R
+        np.max(iterations, axis=1).tolist(),
+        records.kkt_solves.reshape(-1, R).sum(axis=1).tolist(),
+        records.drop_steps.reshape(-1, R).sum(axis=1).tolist(),
+        [dict(collections.Counter(row)) for row in records.stop_reason.reshape(-1, R).tolist()],
+        records.duality_gap.reshape(-1, R).max(axis=1).tolist(),
+    )
     points = tuple(
-        PointSummary(
-            n, M, psi_c(n, M), phi_n(n, M), R, *row, solver=_solver_statistics(records[i * R : (i + 1) * R])
-        )
-        for i, ((n, M), row) in enumerate(zip(cfg.grid, summary.tolist()))
+        PointSummary(n, M, psi_c(n, M), phi_n(n, M), R, *row, solver=dict(zip(names, cell)))
+        for (n, M), row, cell in zip(cfg.grid, summary.tolist(), solver)
     )
 
     b2 = cfg.bound_b**2
@@ -399,7 +403,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         deviation=deviation,
         incomplete=incomplete,
         bound_b=cfg.bound_b,
-        records=tuple(records),
+        records=records,
     )
     if out_dir is not None:
         write_outputs(report, out_dir)
@@ -407,19 +411,15 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
 
 
 def write_outputs(report: RateReport, out_dir) -> None:
-    """Write trials.csv (one row per record) and report.json, deterministically."""
+    """Write trials.csv (one row per trial) and report.json, deterministically."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
+    t = report.records
+    rows = zip(*(c.tolist() for c in (t.n, t.M, t.replication, t.excess_risk, t.oracle_risk, t.seed, t.converged)))
     lines = ["n,M,replication,excess_risk,oracle_risk,seed,converged"]
-    for r in report.records:
-        lines.append(
-            f"{r.n},{r.M},{r.replication},{float(r.excess_risk)!r},"
-            f"{float(r.oracle_risk)!r},{r.seed},{int(r.converged)}"
-        )
+    lines += [f"{n},{M},{rep},{excess!r},{oracle!r},{seed},{ok:d}" for n, M, rep, excess, oracle, seed, ok in rows]
     (path / "trials.csv").write_text("\n".join(lines) + "\n")
-    (path / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    (path / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _integer(value) -> bool:

@@ -17,6 +17,7 @@ from cvxagg.experiments import (
     ExperimentConfig,
     PointSummary,
     TrialRecord,
+    Trials,
     derive_seed,
     load_config,
     make_cell,
@@ -131,8 +132,8 @@ def test_run_grid_reports_solver_statistics_per_cell():
             "max_duality_gap": max(sol.duality_gap for sol in solves),
         }
         # inside-hull cells take the Bayes risk as their hull minimum
-        records = report.records[i * cfg.replications : (i + 1) * cfg.replications]
-        assert {r.oracle_risk for r in records} == {cell.oracle_risk} == {bayes_risk(cell.problem)}
+        oracle_risks = report.records.oracle_risk[i * cfg.replications : (i + 1) * cfg.replications]
+        assert set(oracle_risks.tolist()) == {cell.oracle_risk} == {bayes_risk(cell.problem)}
 
 
 def test_make_problem_pure_noise_regression_is_zero():
@@ -144,9 +145,9 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    record = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())[0]
-    assert record.excess_risk == pytest.approx(0.0, abs=1e-10)
-    assert record.converged
+    trials = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())
+    assert trials.excess_risk.tolist() == pytest.approx([0.0], abs=1e-10)
+    assert trials.converged.tolist() == [True]
 
 
 def test_run_trial_exhaustive_sample_has_tiny_excess():
@@ -171,12 +172,12 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = 12345
     oracle_risk = population_oracle(d, p).empirical_risk
-    record = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))[0]
+    trials = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
-    assert record.oracle_risk == pytest.approx(population_risk(np.zeros(3), p), abs=1e-10)
-    assert record.excess_risk == pytest.approx(expected_excess, abs=1e-8)
+    assert trials.oracle_risk.tolist() == pytest.approx([population_risk(np.zeros(3), p)], abs=1e-10)
+    assert trials.excess_risk.tolist() == pytest.approx([expected_excess], abs=1e-8)
 
 
 def test_experiment_config_validation():
@@ -236,24 +237,47 @@ def test_a_bound_b_whose_square_is_not_a_positive_float_is_refused(bound_b):
 
 
 def _key(r, excess):
-    """A trial's excess and the counters of its solve r (a TrialRecord or an
-    ErmSolution), floats as hex, so == compares every bit."""
+    """A trial's excess and the counters of its solve r (an ErmSolution),
+    floats as hex, so == compares every bit."""
     return (excess.hex(), r.iterations, r.stop_reason, r.kkt_solves, r.drop_steps, r.duality_gap.hex(), r.converged)
 
 
-@pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
-def test_run_trials_match_the_measure_path_bit_for_bit(kind):
+def _keys(trials):
+    """`_key` of every trial of a `Trials`, read off its columns."""
+    columns = (trials.iterations, trials.stop_reason, trials.kkt_solves, trials.drop_steps)
+    return list(
+        zip(
+            map(float.hex, trials.excess_risk.tolist()),
+            *(column.tolist() for column in columns),
+            map(float.hex, trials.duality_gap.tolist()),
+            trials.converged.tolist(),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, K, sizes, widths, reps",
+    [pytest.param(kind, 3, (1, 7, 49, 64), (1, 2, 3, 4, 12), 3, id=kind) for kind in experiments.PROBLEM_KINDS]
+    + [pytest.param(kind, 16, (256,), (2, 17), 200, id=f"K16-{kind}") for kind in experiments.PROBLEM_KINDS],
+)
+def test_run_trials_match_the_measure_path_bit_for_bit(kind, K, sizes, widths, reps):
     # a trial drawn as a row of its cell's counts matrix and solved in a
     # block gets the bits of its sample drawn alone as a SampleSet and solved
     # as an ErmSolution, at M = 1, 2, K, K + 1 and 4K and at n = 1, 7, 49 and
-    # 64, with the trials in grid order and interleaved across cells.  At
-    # n = 49, counts / n and counts * (1 / n) differ for 22 of the 50 counts
-    K, cfg = 3, SolverConfig()
+    # 64, and at K = 16 at 200 replications of M = 2 and 17, with the trials
+    # in grid order (a block per cell) and interleaved across cells (blocks
+    # of one or two).  At n = 49, counts / n and counts * (1 / n) differ for
+    # 22 of the 50 counts.  A block's trials share one squared-residual
+    # table, whose rows must be C-contiguous for their stacked dot with the
+    # probabilities to give population_risk's bits; strided rows move about
+    # a third of the K = 16 excesses
+    cfg = SolverConfig()
     run = ExperimentConfig(problem_kind=kind, atoms_K=K, master_seed=5)
     trials = []
-    for n in (1, 7, 49, 64):
-        for M in (1, 2, K, K + 1, 4 * K):
-            trials += [(make_cell(run, n, M), rep, derive_seed(5, n, M, rep)) for rep in range(3)]
+    for n in sizes:
+        for M in widths:
+            cell = make_cell(run, n, M)
+            trials += [(cell, rep, derive_seed(5, n, M, rep)) for rep in range(reps)]
     expected = []
     for cell, _, seed in trials:
         solution = erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed), cfg)
@@ -261,10 +285,13 @@ def test_run_trials_match_the_measure_path_bit_for_bit(kind):
         expected.append(_key(solution, excess))
     shuffled = np.random.default_rng(0).permutation(len(trials))
     for order in (np.arange(len(trials)), shuffled):
-        records = run_trials([trials[i] for i in order], cfg)
-        assert [_key(r, r.excess_risk) for r in records] == [expected[i] for i in order]
-        assert [(r.replication, r.seed) for r in records] == [trials[i][1:] for i in order]
-
+        batch = run_trials([trials[i] for i in order], cfg)
+        assert _keys(batch) == [expected[i] for i in order]
+        assert list(zip(batch.replication.tolist(), batch.seed.tolist())) == [trials[i][1:] for i in order]
+        cells = [trials[i][0] for i in order]
+        assert batch.n.tolist() == [cell.n for cell in cells]
+        assert batch.M.tolist() == [cell.dictionary.size_M for cell in cells]
+        assert batch.oracle_risk.tolist() == [cell.oracle_risk for cell in cells]
 
 
 @pytest.mark.parametrize(
@@ -283,9 +310,9 @@ def test_converged_flags_are_the_solvers_own(cfg):
     cells, seeds = [make_cell(run, 64, M) for M in (2, 5, 16)], [11, 12, 13]
     blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds) / c.n) for c in cells]
     flags = np.concatenate([converged for _, _, converged, *_ in solver.erm_convex_hull_blocks(blocks, cfg)])
-    records = run_trials([(cell, rep, seed) for cell in cells for rep, seed in enumerate(seeds)], cfg)
+    trials = run_trials([(cell, rep, seed) for cell in cells for rep, seed in enumerate(seeds)], cfg)
     solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds]
-    assert [r.converged for r in records] == [s.converged for s in solutions] == flags.tolist()
+    assert trials.converged.tolist() == [s.converged for s in solutions] == flags.tolist()
     if cfg.max_iterations == 1:
         assert {s.stop_reason for s in solutions} == {"max_iterations"}
         assert flags.any() and not flags.all()
@@ -363,11 +390,12 @@ def test_run_grid_single_cell_report_shape():
 def test_run_grid_records_recompute_exactly():
     cfg = ExperimentConfig(grid=((64, 2), (64, 4)), replications=5, master_seed=1)
     report = run_grid(cfg)
-    for record in report.records:
-        cell = make_cell(cfg, record.n, record.M)
-        redone = run_trials([(cell, record.replication, record.seed)], cfg.solver)[0]
-        assert redone.excess_risk == record.excess_risk
-        assert record.excess_risk >= -1e-10
+    t = report.records
+    cells = {(n, M): make_cell(cfg, n, M) for n, M in cfg.grid}
+    for n, M, rep, seed, excess in zip(*(c.tolist() for c in (t.n, t.M, t.replication, t.seed, t.excess_risk))):
+        redone = run_trials([(cells[n, M], rep, seed)], cfg.solver)
+        assert redone.excess_risk.tolist() == [excess]
+        assert excess >= -1e-10
 
 
 def test_run_grid_median_trend_in_n():
@@ -495,6 +523,27 @@ def test_run_grid_solves_every_trial_in_one_batch_at_one_worker(tmp_path, in_pro
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_run_grid_batches_hold_at_most_max_batch_trials(tmp_path, in_process_pool, monkeypatch):
+    # with the cap at 7, the 60 trials of three cells go in batches of 7 at
+    # jobs=1 and at jobs=2 (where a quarter share, ceil(60 / 2 / 4) = 8,
+    # would be larger); the batches straddle cells, and the files have the
+    # bytes of the run that solves all 60 as one batch
+    pools, batches = in_process_pool
+    grid = ((48, 2), (96, 5), (48, 3))
+    cfg = ExperimentConfig(grid=grid, replications=20, master_seed=2)
+    run_grid(cfg, out_dir=tmp_path / "whole", jobs=1)
+    assert [len(batch) for batch in batches] == [60]
+    monkeypatch.setattr(experiments, "MAX_BATCH", 7)
+    for jobs in (1, 2):
+        batches.clear()
+        run_grid(cfg, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+        assert [len(batch) for batch in batches] == [7] * 8 + [4]
+        assert batches[2] == [(48, 2)] * 6 + [(96, 5)]
+        for name in ("trials.csv", "report.json"):
+            assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / f"jobs{jobs}" / name).read_bytes()
+    assert pools == [2]
+
+
 def _scalar_summary(cfg, records):
     """The rate summary one cell at a time, in scalar formulas: per-cell
     mean, median, quantiles and max, the fit of c_hat and c_hat_phi on the
@@ -539,21 +588,22 @@ def _summarized(monkeypatch, grid, excess, x_levels=(1.0, 2.0)):
     excess_risk excess[n, M][r] and made-up solver counters.  Checks that
     the report's summary has the bits and types of `_scalar_summary`."""
     def crafted(trials, solver_config):
-        return [
-            TrialRecord(
+        rows = [
+            (
                 cell.n, cell.dictionary.size_M, rep, excess[cell.n, cell.dictionary.size_M][rep],
                 cell.oracle_risk, seed, rep % 3 > 0, 3 + 5 * rep % 7, "gap" if rep % 3 else "max_iterations",
                 rep, rep // 2, 1e-9 * rep,
             )
             for cell, rep, seed in trials
         ]
+        return Trials(*map(np.array, zip(*rows)))
 
     monkeypatch.setattr(experiments, "run_trials", crafted)
     cfg = ExperimentConfig(grid=grid, replications=len(excess[grid[0]]), x_levels=x_levels)
     report = run_grid(cfg)
     summary = (report.points, report.c_hat, report.c_hat_phi, report.validation_ratios, report.deviation)
     # repr shows every bit of a float and tells 4 from 4.0 and from np.float64(4.0)
-    assert repr(summary) == repr(_scalar_summary(cfg, report.records))
+    assert repr(summary) == repr(_scalar_summary(cfg, list(report.records)))
     for row in report.points + report.deviation:
         assert all(type(getattr(row, f.name)).__name__ == f.type for f in dataclasses.fields(row))
     return report
@@ -674,3 +724,5 @@ def test_trial_record_fields_in_order():
         "drop_steps",
         "duality_gap",
     ]
+    # a batch's columns, and the rows its iteration yields, keep that order
+    assert [f.name for f in dataclasses.fields(Trials)] == [f.name for f in dataclasses.fields(TrialRecord)]
