@@ -93,16 +93,8 @@ def _cmd_solve(args) -> int:
     samples = csvio.read_samples(args.samples_path)
     cfg = SolverConfig(max_iterations=args.max_iter, tolerance=args.tol)
     solution = erm_convex_hull(dictionary, samples, cfg)
-    payload = {
-        "weights": [float(w) for w in solution.weights.weights],
-        "empirical_risk": solution.empirical_risk,
-        "duality_gap": solution.duality_gap,
-        "iterations": solution.iterations,
-        "converged": solution.converged,
-        "stop_reason": solution.stop_reason,
-        "kkt_solves": solution.kkt_solves,
-        "drop_steps": solution.drop_steps,
-    }
+    # the solution's fields in their order, the weights as a list
+    payload = {**vars(solution), "weights": solution.weights.weights.tolist()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not solution.converged:
         print("solver did not reach its duality-gap tolerance", file=sys.stderr)

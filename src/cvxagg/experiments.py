@@ -179,19 +179,6 @@ class RateReport:
     bound_b: float
     records: Trials = field(repr=False, default=None)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [_fields(p) for p in self.points],
-            "c_hat": self.c_hat,
-            "c_hat_phi": self.c_hat_phi,
-            "fit_indices": list(self.fit_indices),
-            "validation_indices": list(self.validation_indices),
-            "validation_ratios": list(self.validation_ratios),
-            "deviation": [_fields(d) for d in self.deviation],
-            "incomplete": self.incomplete,
-            "bound_b": self.bound_b,
-        }
-
 
 def make_problem(
     kind: str,
@@ -295,22 +282,20 @@ def run_trials(trials, solver_config: SolverConfig) -> Trials:
         blocks.append((cell.dictionary, cell.problem, counts / cell.n))
     solved = erm_convex_hull_blocks(blocks, solver_config)
     excess = []
-    for (cell, _), (weights, *_) in zip(runs, solved):
+    for (cell, _), (weights, _) in zip(runs, solved):
         atoms, fitted = cell.problem, np.matmul(weights[:, None, :], cell.dictionary.values)[:, 0]
         resid = atoms.y_values - np.take(fitted, atoms.x_indices, axis=1)  # fitted[:, x] has strided rows
         excess.append(np.matmul((resid * resid)[:, None, :], atoms.probabilities[:, None])[:, 0, 0] - cell.oracle_risk)
     sizes = [len(seeds) for _, seeds in runs]
     _, replication, seed = zip(*trials)
-    gap, *counters = map(np.concatenate, zip(*(solves for _, *solves in solved)))
     return Trials(
-        np.repeat([cell.n for cell, _ in runs], sizes),
-        np.repeat([cell.dictionary.size_M for cell, _ in runs], sizes),
-        np.array(replication),
-        np.concatenate(excess),
-        np.repeat([cell.oracle_risk for cell, _ in runs], sizes),
-        np.array(seed),
-        *counters,
-        gap,
+        n=np.repeat([cell.n for cell, _ in runs], sizes),
+        M=np.repeat([cell.dictionary.size_M for cell, _ in runs], sizes),
+        replication=np.array(replication),
+        excess_risk=np.concatenate(excess),
+        oracle_risk=np.repeat([cell.oracle_risk for cell, _ in runs], sizes),
+        seed=np.array(seed),
+        **{name: np.concatenate([statistics[name] for _, statistics in solved]) for name in solved[0][1]},
     )
 
 
@@ -337,6 +322,8 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     so when out_dir is given, trials.csv and report.json are written there
     with bytes identical for any worker count.
     """
+    # a jobs of 3.0 runs as 3, and 2.5 is refused, before any cell is built
+    jobs = _whole(jobs, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     jobs = min(jobs, _usable_cpus())
@@ -411,7 +398,9 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
 
 
 def write_outputs(report: RateReport, out_dir) -> None:
-    """Write trials.csv (one row per trial) and report.json, deterministically."""
+    """Write trials.csv (one row per trial) and report.json, deterministically:
+    the report's fields but records, keys sorted, with each summary and
+    deviation row written as its own fields."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     t = report.records
@@ -419,7 +408,8 @@ def write_outputs(report: RateReport, out_dir) -> None:
     lines = ["n,M,replication,excess_risk,oracle_risk,seed,converged"]
     lines += [f"{n},{M},{rep},{excess!r},{oracle!r},{seed},{ok:d}" for n, M, rep, excess, oracle, seed, ok in rows]
     (path / "trials.csv").write_text("\n".join(lines) + "\n")
-    (path / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    fields = {name: value for name, value in _fields(report).items() if name != "records"}
+    (path / "report.json").write_text(json.dumps(fields, default=_fields, indent=2, sort_keys=True) + "\n")
 
 
 def _integer(value) -> bool:

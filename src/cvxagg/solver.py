@@ -16,7 +16,8 @@ duality gap, which upper bounds the suboptimality of the returned iterate.
 The solver is batched: `erm_convex_hull_blocks` solves many datasets, each
 on its own dictionary of any K and M, given as blocks of datasets that share
 a dictionary and atoms, one probability row per dataset, and returns each
-block's weights as one matrix.  It solves the datasets of one K and one C
+block's weights as one matrix and its solves' statistics by `ErmSolution`
+field name.  It solves the datasets of one K and one C
 together, in rounds of one iteration of every dataset still running, so the
 per-call cost of numpy is paid once per round instead of once per dataset,
 and it holds each dictionary uncopied.  `erm_convex_hull`, one block
@@ -432,7 +433,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     support = []  # per finish call: the rows, columns and values of weights
     gaps = np.empty(B)
     converged = np.empty(B, dtype=bool)
-    iterations, stops, kkt_solves, drops = (np.empty(B, dtype=np.intp) for _ in range(4))
+    iterations, stops, drops = (np.empty(B, dtype=np.intp) for _ in range(3))
 
     def finish(stopped, gap, at_gap, s, it):
         """Record the reps where stopped is set and take them out of the batch;
@@ -441,21 +442,19 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         A rep stopped on "gap" or "repeat_vertex" in round it, and added a
         vertex in every earlier round; one that stopped on "no_descent" or
         "max_iterations" did so in round it - 1, after adding a vertex in
-        each round up to it.  Every added vertex costs one corrective solve,
-        and every drop step one more.  A rep's weights are its u on its
-        support, the slots up to its k: a drop leaves the slot past k holding
-        a copy of slot k's index, which must not take that slot's weight of 0.
+        each round up to it.  A rep's weights are its u on its support, the
+        slots up to its k: a drop leaves the slot past k holding a copy of
+        slot k's index, which must not take that slot's weight of 0.
         """
         nonlocal u, resid, best, ids, n, reason, drop_steps
         i = stopped.nonzero()[0]
-        rows, early = ids[i], reason[i] <= _REPEAT  # stopped on "gap" or "repeat_vertex"
+        rows = ids[i]
         reps, at = (slots <= face.k[i, None]).nonzero()
         support.append((rows[reps], face.indices[i[reps], at], u[i[reps], at]))
         gaps[rows] = np.where(gap[i] < 0.0, 0.0, gap[i])
         converged[rows] = at_gap[i]
-        iterations[rows] = np.where(early, it, it - 1)
+        iterations[rows] = np.where(reason[i] <= _REPEAT, it, it - 1)
         stops[rows] = reason[i]
-        kkt_solves[rows] = iterations[rows] - early + drop_steps[i]
         drops[rows] = drop_steps[i]
         keep = ~stopped
         face.keep(keep)
@@ -559,6 +558,10 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     weights = np.zeros((B, width))
     for rows, columns, values in support:
         weights[rows, columns] = values
+    # every added vertex costs one corrective solve, and every drop step one
+    # more; a rep that stopped on "gap" or "repeat_vertex" added no vertex in
+    # its last round
+    kkt_solves = iterations - (stops <= _REPEAT) + drops
     return weights, gaps, converged, iterations, stops, kkt_solves, drops
 
 
@@ -575,12 +578,13 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     linear-minimization oracle break to the lowest dictionary index, and a
     dataset's solution has the same bits in any batch (see `_minimize_fw`).
 
-    Returns, per block, (weights, duality_gap, converged, iterations,
-    stop_reason, kkt_solves, drop_steps): the (datasets, M) weight matrix,
-    checked once by `model.simplex_rows`, and the other fields of
-    `ErmSolution` as arrays with an entry per dataset.  `converged` is the
-    solver's stop rule, gap <= tolerance, at the final weights; callers read
-    it rather than compare the gap themselves.
+    Returns, per block, a pair: the (datasets, M) weight matrix, checked
+    once by `model.simplex_rows`, and the solves' statistics, a dict keyed
+    by `ErmSolution`'s field names after weights and empirical_risk
+    (duality_gap, iterations, converged, stop_reason, kkt_solves and
+    drop_steps, in that order), each an array with an entry per dataset.
+    `converged` is the solver's stop rule, gap <= tolerance, at the final
+    weights; callers read it rather than compare the gap themselves.
     """
     cfg = config or SolverConfig()
     blocks = list(blocks)
@@ -597,10 +601,18 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
         weights, gap, converged, iterations, stop, kkt_solves, drop_steps = _minimize_fw(
             [blocks[i][0].values for i in members], np.repeat(np.arange(len(members)), reps), root, target, cfg
         )
-        solves = (gap, converged, iterations, _STOP_REASONS[stop], kkt_solves, drop_steps)
+        solves = dict(
+            duality_gap=gap,
+            iterations=iterations,
+            converged=converged,
+            stop_reason=_STOP_REASONS[stop],
+            kkt_solves=kkt_solves,
+            drop_steps=drop_steps,
+        )
         edges = np.cumsum([0, *reps]).tolist()
         for i, lo, hi in zip(members, edges, edges[1:]):
-            out[i] = (simplex_rows(weights[lo:hi, : blocks[i][0].size_M]), *(x[lo:hi] for x in solves))
+            statistics = {name: x[lo:hi] for name, x in solves.items()}
+            out[i] = (simplex_rows(weights[lo:hi, : blocks[i][0].size_M]), statistics)
     return out
 
 
@@ -617,18 +629,12 @@ def erm_convex_hull(
     batch.
     """
     cfg = config or SolverConfig()
-    ((weights, *solve),) = erm_convex_hull_blocks([(dictionary, data, data.probabilities[None, :])], cfg)
+    ((weights, statistics),) = erm_convex_hull_blocks([(dictionary, data, data.probabilities[None, :])], cfg)
     w = weights[0]
-    gap, converged, iterations, stop_reason, kkt_solves, drop_steps = (x.item() for x in solve)
     return ErmSolution(
         weights=SimplexWeights(w),
         empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
-        duality_gap=gap,
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
-        kkt_solves=kkt_solves,
-        drop_steps=drop_steps,
+        **{name: x.item() for name, x in statistics.items()},
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cvxagg
-from cvxagg import csvio, localization
+from cvxagg import csvio, experiments, localization
 from cvxagg.cli import main
 from cvxagg.experiments import PROBLEM_KINDS, ExperimentConfig, make_problem, save_config
 from cvxagg.localization import IsomorphismReport
@@ -325,6 +326,32 @@ def test_dictionary_header_must_be_x_index_then_f_columns(workspace, capsys, hea
     assert capsys.readouterr().err.startswith(f"error: {workspace['dict']}: expected header x_index,f0,f1,...")
 
 
+def _reading(workspace, key) -> list:
+    """A command line that reads workspace's file `key`: solve for the
+    samples and dictionary, sparsify for the problem and weights."""
+    files = {name: str(workspace[name]) for name in ("problem", "dict", "samples", "weights")}
+    if key in ("samples", "dict"):
+        return ["solve", "--dict", files["dict"], "--samples", files["samples"]]
+    return ["sparsify", "--dict", files["dict"], "--problem", files["problem"], "--weights", files["weights"], "--m", "4"]
+
+
+@pytest.mark.parametrize("key", ["problem", "dict", "samples", "weights"])
+def test_a_header_only_file_exits_one(workspace, capsys, key):
+    workspace[key].write_text(workspace[key].read_text().splitlines()[0] + "\n")
+    assert main(_reading(workspace, key)) == 1
+    assert capsys.readouterr().err == f"error: {workspace[key]}: no data rows\n"
+
+
+@pytest.mark.parametrize("key, column", [("problem", "bound_b"), ("samples", "seed")])
+def test_a_constant_column_whose_rows_differ_exits_one(workspace, capsys, key, column):
+    # the last field of each row is the constant column; one row of 7 differs
+    header, first, *rest = workspace[key].read_text().splitlines()
+    first = first[: first.rindex(",")] + ",7"
+    workspace[key].write_text("\n".join([header, first, *rest]) + "\n")
+    assert main(_reading(workspace, key)) == 1
+    assert capsys.readouterr().err == f"error: {workspace[key]}: {column} column must be constant\n"
+
+
 def test_rates_subcommand(capsys):
     code = main(["rates", "--n-grid", "64,256", "--m-grid", "2,16"])
     assert code == 0
@@ -355,6 +382,24 @@ def test_rates_grid_with_an_empty_entry_exits_one(tmp_path, capsys, n_grid, m_gr
     out = tmp_path / "rates.csv"
     assert main(["rates", "--n-grid", n_grid, "--m-grid", m_grid, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} must name at least one value, with no empty entry")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", "--n-grid", "64,abc", "--m-grid", "2"], "--n-grid must be a comma-separated list of values"),
+        (["rates", "--n-grid", "64", "--m-grid", "2.5"], "--m-grid must be a comma-separated list of values"),
+        (["isomorphism", "--x", "1,abc", "--c0", "2.0"], "--x must be a comma-separated list of levels"),
+    ],
+    ids=["n-grid", "m-grid", "x"],
+)
+def test_a_list_entry_that_does_not_parse_exits_one(workspace, capsys, argv, message):
+    if argv[0] == "isomorphism":
+        argv = argv + ["--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]), "--n", "32"]
+    out = workspace["dir"] / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}, found ")
     assert not out.exists()
 
 
@@ -737,6 +782,64 @@ def test_experiment_config_tie_break_exits_one(workspace, capsys):
     cfg_path.write_text(json.dumps({"grid": [[64, 2]], "solver": {"tie_break": "lowest-index"}}))
     assert main(["experiment", "--config", str(cfg_path), "--out", str(workspace["dir"] / "results")]) == 1
     assert capsys.readouterr().err.startswith("error: unknown solver config keys: ['tie_break']")
+
+
+@pytest.mark.parametrize("command", ["solve", "rates", "isomorphism", "sparsify"])
+def test_out_writes_exactly_what_stdout_gets(workspace, capsys, command):
+    files = {name: str(workspace[name]) for name in ("problem", "dict", "samples", "weights")}
+    argv = {
+        "solve": ["solve", "--dict", files["dict"], "--samples", files["samples"]],
+        "rates": ["rates", "--n-grid", "64,256", "--m-grid", "2,16"],
+        "isomorphism": [
+            "isomorphism", "--problem", files["problem"], "--dict", files["dict"], "--n", "32", "--x", "2,3",
+            "--c0", "2.0", "--reps", "10", "--num-functions", "3", "--num-segments", "3",
+        ],
+        "sparsify": [
+            "sparsify", "--dict", files["dict"], "--problem", files["problem"], "--weights", files["weights"],
+            "--m", "4", "--seed", "5",
+        ],
+    }[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    out = workspace["dir"] / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = capsys.readouterr()
+    assert printed.out and out.read_bytes() == printed.out.encode()
+    assert written.out == "" and written.err == printed.err
+
+
+def test_experiment_with_unconverged_trials_exits_two(workspace, capsys):
+    # one iteration at a tolerance of 1e-16 leaves the M = 16 solves short of
+    # their gap: the run is incomplete, exits 2, and still writes both files
+    cfg_path = workspace["dir"] / "capped.json"
+    cfg_path.write_text(
+        json.dumps({"grid": [[64, 16]], "replications": 3, "solver": {"max_iterations": 1, "tolerance": 1e-16}})
+    )
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].endswith("points=1 incomplete=True")
+    assert captured.err.splitlines()[-1] == "experiment incomplete: some trials did not converge"
+    assert json.loads((out_dir / "report.json").read_text())["incomplete"] is True
+    rows = (out_dir / "trials.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",0") for row in rows)
+
+
+def test_experiment_with_an_uncertified_population_oracle_exits_two(workspace, capsys, monkeypatch):
+    # an outside-hull cell takes its hull minimum from the population oracle,
+    # which refuses a solve that did not certify its gap; forced here, that
+    # exits 2 before any file is written
+    solve = experiments.erm_convex_hull
+    monkeypatch.setattr(
+        experiments, "erm_convex_hull", lambda *args: dataclasses.replace(solve(*args), converged=False)
+    )
+    cfg_path = workspace["dir"] / "outside.json"
+    save_config(ExperimentConfig(grid=((48, 2),), problem_kind="outside-hull", replications=2), cfg_path)
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: population hull solve did not reach its duality-gap target\n"
+    assert captured.out == "" and not out_dir.exists()
 
 
 def _child_env() -> dict:

@@ -309,7 +309,7 @@ def test_converged_flags_are_the_solvers_own(cfg):
     run = ExperimentConfig(problem_kind="outside-hull", atoms_K=4, master_seed=3)
     cells, seeds = [make_cell(run, 64, M) for M in (2, 5, 16)], [11, 12, 13]
     blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds) / c.n) for c in cells]
-    flags = np.concatenate([converged for _, _, converged, *_ in solver.erm_convex_hull_blocks(blocks, cfg)])
+    flags = np.concatenate([statistics["converged"] for _, statistics in solver.erm_convex_hull_blocks(blocks, cfg)])
     trials = run_trials([(cell, rep, seed) for cell in cells for rep, seed in enumerate(seeds)], cfg)
     solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds]
     assert trials.converged.tolist() == [s.converged for s in solutions] == flags.tolist()
@@ -505,6 +505,25 @@ def test_run_grid_starts_no_more_workers_than_cpus(tmp_path, in_process_pool, mo
     assert pools == [2] and [len(batch) for batch in batches] == [4] * 8
     for name in ("trials.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
+
+
+def test_run_grid_checks_jobs_before_it_builds_a_cell(tmp_path, in_process_pool, monkeypatch):
+    # jobs must be a whole number of at least 1: 0 and 2.5 are refused before
+    # any cell is built, and 3.0 runs as 3 workers, with the bytes of jobs=1
+    pools, batches = in_process_pool
+    built = []
+    make_cell = experiments.make_cell
+    monkeypatch.setattr(experiments, "make_cell", lambda *args: built.append(args) or make_cell(*args))
+    cfg = ExperimentConfig(grid=((32, 2), (32, 3)), replications=4, master_seed=4)
+    for jobs, message in ((0, "jobs must be at least 1"), (2.5, "jobs must be whole, found 2.5")):
+        with pytest.raises(ValueError, match=message):
+            run_grid(cfg, jobs=jobs)
+        assert not built and not batches and not pools
+    run_grid(cfg, out_dir=tmp_path / "one", jobs=1)
+    run_grid(cfg, out_dir=tmp_path / "three", jobs=3.0)
+    assert pools == [3] and len(built) == 4
+    for name in ("trials.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
 
 
 def test_run_grid_solves_every_trial_in_one_batch_at_one_worker(tmp_path, in_process_pool):

@@ -659,27 +659,25 @@ def test_hull_solver_follows_the_lstsq_reference(kind, K, M, n, seeds):
     # the updated factor replaces a fresh lstsq per corrective step; the
     # iterates must not move, for a sample solved alone or as a row of one
     # block holding the samples of one problem
-    def follows(weights, gap, iterations, stop_reason, kkt_solves, drop_steps, d, s):
+    def follows(weights, statistics, d, s):
         (root,), (target,) = _least_squares(d.num_design_points, _blocks([s]))
         support, u, reference_gap, *counters = lstsq_minimize_fw(d.values * root, target, SolverConfig())
         w = np.zeros(M)
         w[support] = u
-        assert [iterations, stop_reason, kkt_solves, drop_steps] == counters
+        assert [statistics[name] for name in ("iterations", "stop_reason", "kkt_solves", "drop_steps")] == counters
         assert np.abs(weights - w).max() <= 1e-12
-        assert gap == pytest.approx(reference_gap, rel=0.0, abs=1e-12)
-
-    def fields(sol):
-        return sol.weights.weights, sol.duality_gap, sol.iterations, sol.stop_reason, sol.kkt_solves, sol.drop_steps
+        assert statistics["duality_gap"] == pytest.approx(reference_gap, rel=0.0, abs=1e-12)
 
     for seed in seeds:
         p, d = make_problem(kind, K=K, M=M, b=1.0, seed=seed)
         s = sample(p, n, seed=seed)
-        follows(*fields(erm_convex_hull(d, s)), d, s)
+        sol = erm_convex_hull(d, s)
+        follows(sol.weights.weights, vars(sol), d, s)
     p, d = make_problem(kind, K=K, M=M, b=1.0, seed=0)
     samples = [sample(p, n, seed=seed) for seed in seeds]
-    ((weights, gaps, _, *solves),) = erm_convex_hull_blocks([(d, p, np.array([s.probabilities for s in samples]))])
+    ((weights, statistics),) = erm_convex_hull_blocks([(d, p, np.array([s.probabilities for s in samples]))])
     for r, s in enumerate(samples):
-        follows(weights[r], gaps[r].item(), *(x[r].item() for x in solves), d, s)
+        follows(weights[r], {name: x[r].item() for name, x in statistics.items()}, d, s)
 
 
 def test_a_vertex_spanned_by_the_face_ends_the_solve():
@@ -726,6 +724,64 @@ def test_a_face_that_dropped_a_vertex_returns_exactly_its_weights(monkeypatch):
         assert weights[0].tobytes() == expected.tobytes()
         stale += last["k"] < 8 and last["indices"][last["k"] + 1] == support[-1]
     assert stale >= 3
+
+
+def test_a_starved_new_vertex_takes_a_line_search_step(monkeypatch):
+    # when rounding gives the vertex that just entered a corrective weight
+    # <= 0, the rep moves toward that vertex by a plain line search instead:
+    # its row becomes (1 - step) u + step e_s, step = min(1, gap / (2 curv)),
+    # with gap the Frank-Wolfe gap at u and curv the squared norm of the
+    # step's fitted values.  The corrective weight is forced to -0.5 once, in
+    # the second round, and the solve then ends as it does unpatched
+    p, d = make_problem("outside-hull", K=16, M=64, b=1.0, seed=0)
+    s = sample(p, 256, seed=0)
+    usual = erm_convex_hull(d, s)
+    minimizer, point = _Face.minimizer, _Face.point
+    seen = {"rounds": 0}
+
+    def starved(self, b):
+        v = minimizer(self, b)
+        if isinstance(b, slice):  # the first pass of a round
+            seen["rounds"] += 1
+            if seen["rounds"] == 2:
+                k = int(self.k[0])
+                seen.update(k=k, indices=self.indices[0, : k + 1].copy(), vertices=self.vertices[0, : k + 1].copy())
+                seen["target"] = self.target[0].copy()
+                v[0, k] = -0.5
+        return v
+
+    def recorded(self, u, b=slice(None)):
+        if "k" in seen and not isinstance(b, slice):  # the line search's direction
+            seen["direction"] = u[0, : seen["k"] + 1].copy()
+        elif "direction" in seen and "after" not in seen:  # the new row, as its fitted values are updated
+            k = int(self.k[0])
+            seen["after"] = (self.indices[0, : k + 1].copy(), u[0, : k + 1].copy())
+        return point(self, u, b)
+
+    monkeypatch.setattr(_Face, "minimizer", starved)
+    monkeypatch.setattr(_Face, "point", recorded)
+    sol = erm_convex_hull(d, s)
+    assert seen["rounds"] >= 3 and "after" in seen
+
+    k, indices, V, direction = seen["k"], seen["indices"], seen["vertices"], seen["direction"]
+    before = -direction
+    before[k] += 1.0
+    assert before[k] == 0.0 and before.min() >= 0.0 and before.sum() == pytest.approx(1.0, abs=1e-14)
+    resid, moved = before @ V - seen["target"], direction @ V
+    gap, curv = -2.0 * resid @ moved, moved @ moved
+    step = min(1.0, gap / (2.0 * curv))
+    assert 0.0 < step < 1.0
+    expected = np.zeros(d.size_M)
+    expected[indices] = (1.0 - step) * before
+    expected[indices[k]] += step
+    after_indices, after_u = seen["after"]
+    assert after_u.min() > 0.0 and after_u.sum() == pytest.approx(1.0, abs=1e-14)
+    after = np.zeros(d.size_M)
+    after[after_indices] = after_u
+    assert np.abs(after - expected).max() <= 1e-12
+
+    assert sol.stop_reason == usual.stop_reason == "gap" and sol.converged
+    assert sol.empirical_risk == pytest.approx(usual.empirical_risk, rel=0.0, abs=1e-8)
 
 
 def _solve_keys(solved, sizes) -> list:
@@ -917,14 +973,14 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
     monkeypatch.setattr(solver, "_minimize_fw", recorded)
     solved = erm_convex_hull_blocks(blocks)
     assert calls == [(8, [5], 2), (8, [16, 16, 16, 17], 9), (9, [5], 2)]
-    for (d, p, P), (weights, *counters), block_seeds in zip(blocks, solved, seeds, strict=True):
+    names = ["duality_gap", "iterations", "converged", "stop_reason", "kkt_solves", "drop_steps"]
+    for (d, p, P), (weights, statistics), block_seeds in zip(blocks, solved, seeds, strict=True):
         assert weights.shape == (len(block_seeds), d.size_M)
+        assert list(statistics) == names
         for r, seed in enumerate(block_seeds):
             lone = erm_convex_hull(d, sample(p, 64, seed))
             assert weights[r].tobytes() == lone.weights.weights.tobytes()
-            assert [x[r].item() for x in counters] == [
-                lone.duality_gap, lone.converged, lone.iterations, lone.stop_reason, lone.kkt_solves, lone.drop_steps,
-            ]
+            assert [statistics[name][r].item() for name in names] == [getattr(lone, name) for name in names]
             assert type(lone.duality_gap) is float and type(lone.iterations) is int
     assert erm_convex_hull_blocks([]) == []
 
