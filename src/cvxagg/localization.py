@@ -30,14 +30,16 @@ its target when checked on that draw.
 Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
 n, [seed, rep_offset + r]), so (problem, n, reps, seed, rep_offset) fixes
 every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
-check, localization levels in localized_sup), so calls with equal arguments
-share one draw: the last atom counts, the last segment quadratics and the
-last family's needed levels per dataset are kept and reused, so checks at
-several x on one draw find the needed levels once.  Only the level changes
-between such calls, and the level enters after the draw, so a shared draw
-gives the same bits as a fresh one.  A segment's population loss basis, the
-excess loss tabulated on the atoms, does not depend on the draw at all; it
-is tabulated once per (segment, problem) pair and kept for every later draw.
+check, localization levels in localized_sup), and the level enters after the
+draw, so the module keeps three caches, each of which gives the bits of a
+fresh computation:
+- one per draw: the last call's atom counts (_rep_counts);
+- one per (segment, problem) pair: the segment's excess loss tabulated on
+  the atoms as a quadratic basis, and its population quadratic, which do not
+  depend on the draw (_segment_loss_basis, the last BASIS_CACHE_SIZE pairs);
+- one per (family, draw): the family's quadratics and each dataset's needed
+  level (_dataset_levels), so checks at several x find them once.
+localized_sup evaluates one segment's table against the cached draw.
 """
 
 from __future__ import annotations
@@ -88,46 +90,33 @@ def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offs
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> np.ndarray:
-    """Atom-wise quadratic basis of the excess loss along the segment.
+def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Atom-wise quadratic basis of the excess loss along the segment, and its population quadratic.
 
     With g_theta = g_j + theta (g_i - g_j) and g_star the population segment
     minimizer, the excess loss at an atom is a(z) theta^2 + b(z) theta + c(z).
-    Returns the coefficients (a, b, c) on the last axis, shape (atoms, 3).
+    Returns the coefficients (a, b, c) on the last axis, shape (atoms, 3),
+    and P L_theta's, problem.probabilities @ basis, shape (3,).  A segment
+    must have one value per design point of the problem.
 
-    The basis depends on the segment and the problem only, so it is
-    tabulated once per pair: the result is read-only and cached, keyed by
-    identity (segments and problems compare by identity), for the last
+    The table depends on the segment and the problem only, so it is built
+    once per pair: both arrays are read-only and cached, keyed by identity
+    (segments and problems compare by identity), for the last
     BASIS_CACHE_SIZE pairs.
     """
+    size, points = segment.endpoint_i.size, problem.num_design_points
+    if size != points:
+        raise ValueError(f"a segment of {size} values does not fit a problem of {points} design points")
     _, g_star = erm_segment(segment, problem)
     x = problem.x_indices
     y = problem.y_values
     u = segment.endpoint_j[x]
     v = (segment.endpoint_i - segment.endpoint_j)[x]
     basis = np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
+    pop = problem.probabilities @ basis
     basis.setflags(write=False)
-    return basis
-
-
-@functools.lru_cache(maxsize=1)
-def _segment_coefficients(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int):
-    """Excess-loss quadratics: population, shape (segments, 3), and empirical
-    on reps size-n datasets from _rep_counts, shape (reps, segments, 3).
-
-    Both arrays are read-only.  The last call's result is reused by the next
-    call with the same segments (compared by identity), problem, n, reps,
-    seed and rep_offset: those fix every dataset, so a reused result equals
-    a recomputed one bit for bit.
-    """
-    basis = np.stack([_segment_loss_basis(seg, problem) for seg in segments], axis=1)
-    flat = basis.reshape(basis.shape[0], -1)
-    counts = _rep_counts(problem, n, reps, seed, rep_offset)
-    pop = (problem.probabilities @ flat).reshape(basis.shape[1:])
-    emp = (counts @ flat / n).reshape(counts.shape[:1] + basis.shape[1:])
     pop.setflags(write=False)
-    emp.setflags(write=False)
-    return pop, emp
+    return basis, pop
 
 
 def _poly(q, theta: np.ndarray) -> np.ndarray:
@@ -230,8 +219,9 @@ def localized_sup(
         raise ValueError("at least 2 replications are required for a standard error")
     if n < 1:
         raise ValueError("n must be at least 1")
-    pop, emp = _segment_coefficients((cls.segment,), problem, n, reps, seed, 0)
-    return _mean_and_std_error(_segment_star_sup(pop, pop - emp, cls.level_lambda)[:, 0])
+    basis, pop = _segment_loss_basis(cls.segment, problem)
+    emp = _rep_counts(problem, n, reps, seed, 0) @ basis / n
+    return _mean_and_std_error(_segment_star_sup(pop, pop - emp, cls.level_lambda))
 
 
 def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
@@ -377,15 +367,20 @@ def _net_size(segments: tuple, reps, net_size) -> tuple[int, int]:
 def _dataset_levels(segments: tuple, problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int):
     """The draw shared by isomorphism_check and calibrate_c0.
 
-    Returns the population and empirical segment quadratics and, per
-    dataset, its smallest violation-free level, the max of _needed_level
-    over segments, shape (reps,).  All three are read-only, and the last
-    call's result is reused, as _segment_coefficients' is, by the next call
-    with the same arguments.
+    Returns the population segment quadratics, shape (segments, 3), the
+    empirical ones on reps size-n datasets from _rep_counts, shape
+    (reps, segments, 3), and each dataset's smallest violation-free level,
+    the max of _needed_level over segments, shape (reps,); all read-only.
+    The next call with the same segments (compared by identity), problem, n,
+    reps, seed and rep_offset, which fix every dataset, reuses the result.
     """
-    pop, emp = _segment_coefficients(segments, problem, n, reps, seed, rep_offset)
+    flat = np.hstack([_segment_loss_basis(segment, problem)[0] for segment in segments])
+    counts = _rep_counts(problem, n, reps, seed, rep_offset)
+    pop = (problem.probabilities @ flat).reshape(len(segments), 3)
+    emp = (counts @ flat / n).reshape(reps, len(segments), 3)
     needed = np.max(_needed_level(pop, pop - emp), axis=1)
-    needed.setflags(write=False)
+    for array in (pop, emp, needed):
+        array.setflags(write=False)
     return pop, emp, needed
 
 
@@ -507,10 +502,14 @@ def random_net_segments(
     Draws num_functions such averages, then num_segments distinct index
     pairs among them, all reproducibly from the seed.
     """
+    m, num_functions = _whole(m, "m"), _whole(num_functions, "num_functions")
+    num_segments = _whole(num_segments, "num_segments")
     if m < 1:
         raise ValueError("m must be at least 1")
     if num_functions < 2:
         raise ValueError("need at least 2 functions to form segments")
+    if num_segments < 1:
+        raise ValueError(f"num_segments must be at least 1, found {num_segments}")
     rng = np.random.default_rng(seed)
     size_m = dictionary.size_M
     functions = [

@@ -20,7 +20,9 @@ criterion 8 allows an isomorphism check's violation rate.
 
 `_segment_star_sup` and `_needed_level` at the end are slot-major versions
 of the segment-sup evaluators, the reference that `cvxagg.localization`'s
-candidate-major kernel must match bit for bit.
+candidate-major kernel must match bit for bit, and `batch_of_one_sup` is
+`localized_sup` evaluated as a family of one segment, whose bits the
+one-segment path must keep.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine
+from cvxagg import localization
+from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine, draw_count_matrix
 from cvxagg.risk import _check_tabulated, empirical_risk, population_risk, variance_term
-from cvxagg.solver import ErmSolution, SolverConfig
+from cvxagg.solver import ErmSolution, SolverConfig, erm_segment
 from cvxagg.sparsify import enumerate_net
 
 
@@ -517,3 +520,23 @@ def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     # the roots are region members even where rounding puts |D| an ulp below PL/2
     member[..., _NEEDED_EDGES] = True
     return _max(np.where(member, 2.0 * d, 0.0))
+
+
+def batch_of_one_sup(segment, problem: DiscreteProblem, n: int, reps: int, seed: int, level: float):
+    """localized_sup's (estimate, standard error), with the segment evaluated as a family of one.
+
+    The segment's (atoms, 3) loss basis is stacked to (atoms, 1, 3), its
+    quadratics are evaluated at (1, 3) and (reps, 1, 3), and column 0 of the
+    (reps, 1) suprema is averaged.
+    """
+    _, g_star = erm_segment(segment, problem)
+    x, y = problem.x_indices, problem.y_values
+    u = segment.endpoint_j[x]
+    v = (segment.endpoint_i - segment.endpoint_j)[x]
+    loss = np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
+    flat = np.stack([loss], axis=1).reshape(loss.shape[0], 3)
+    counts = draw_count_matrix(problem, n, [[seed, rep] for rep in range(reps)])
+    pop = (problem.probabilities @ flat).reshape(1, 3)
+    emp = (counts @ flat / n).reshape(reps, 1, 3)
+    sups = localization._segment_star_sup(pop, pop - emp, level)[:, 0]
+    return float(np.mean(sups)), float(np.std(sups, ddof=1) / math.sqrt(reps))

@@ -557,6 +557,23 @@ def test_net_size_below_one_exits_one(workspace, capsys, command):
     assert capsys.readouterr().err.startswith("error: m must be at least 1")
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_isomorphism_with_no_segment_exits_one(workspace, capsys, count):
+    # -1 used to exit 1 with numpy's "negative dimensions are not allowed",
+    # and 0 to fail later without naming the flag
+    out = workspace["dir"] / "iso.csv"
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--c0", "2.0", "--reps", "10", "--num-functions", "3", "--num-segments", count,
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: num_segments must be at least 1, found {count}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("c0", [None, "2.0"], ids=["calibrated", "given"])
 @pytest.mark.parametrize("x", ["nan", "inf", "1,nan"])
 def test_isomorphism_non_finite_x_exits_one(workspace, capsys, x, c0):

@@ -12,7 +12,6 @@ from cvxagg.localization import (
     _dataset_levels,
     _needed_level,
     _rep_counts,
-    _segment_coefficients,
     _segment_loss_basis,
     _segment_star_sup,
     LocalizedClass,
@@ -195,7 +194,6 @@ def test_calibrate_c0_skips_a_level_that_constrains_nothing():
 
 def _clear_draw_caches():
     _rep_counts.cache_clear()
-    _segment_coefficients.cache_clear()
     _dataset_levels.cache_clear()
 
 
@@ -215,8 +213,12 @@ def test_reused_draws_give_the_results_of_fresh_draws(draw_fixture):
     problem, segments = draw_fixture
     classes = [segment_excess_loss_class(segments[0], level) for level in (0.01, 0.1)]
     _clear_draw_caches()
-    sups = [localized_sup(cls, problem, n=64, reps=30, seed=73) for cls in classes]
-    assert _segment_coefficients.cache_info().hits == 1
+    _segment_loss_basis.cache_clear()
+    sups = [localized_sup(classes[0], problem, n=64, reps=30, seed=73)]
+    # the second level reads the first one's draw and the segment's one table
+    sups.append(localized_sup(classes[1], problem, n=64, reps=30, seed=73))
+    assert (_rep_counts.cache_info().hits, _rep_counts.cache_info().misses) == (1, 1)
+    assert (_segment_loss_basis.cache_info().hits, _segment_loss_basis.cache_info().misses) == (1, 1)
     assert sups == [_fresh(lambda cls=cls: localized_sup(cls, problem, n=64, reps=30, seed=73)) for cls in classes]
 
     def check(x, reps=40, rep_offset=0):
@@ -277,8 +279,9 @@ def test_rep_counts_rows_are_model_draws(draw_fixture):
 def test_reused_draws_are_read_only(draw_fixture):
     problem, segments = draw_fixture
     counts = _rep_counts(problem, 64, 5, 1, 0)
-    pop, emp = _segment_coefficients(tuple(segments), problem, 64, 5, 1, 0)
-    for array in (counts, pop, emp):
+    basis, pop = _segment_loss_basis(segments[0], problem)
+    family = _dataset_levels(tuple(segments), problem, 64, 5, 1, 0)
+    for array in (counts, basis, pop, *family):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -336,21 +339,26 @@ def test_loss_bases_are_tabulated_once_and_read_only(draw_fixture, monkeypatch):
     problem, segments = draw_fixture
     calls = _erm_segment_calls(monkeypatch)
     _segment_loss_basis.cache_clear()
-    basis = _segment_loss_basis(segments[0], problem)
-    assert _segment_loss_basis(segments[0], problem) is basis and len(calls) == 1
-    assert not basis.flags.writeable
-    with pytest.raises(ValueError):
-        basis[0] = 0
+    table = _segment_loss_basis(segments[0], problem)
+    assert _segment_loss_basis(segments[0], problem) is table and len(calls) == 1
+    basis, pop = table
+    assert basis.shape == (problem.x_indices.size, 3) and pop.shape == (3,)
+    assert pop.tobytes() == (problem.probabilities @ basis).tobytes()
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
     # segments and problems are keys by identity: an equal but distinct one is tabulated again
     copy = Segment(segments[0].endpoint_i, segments[0].endpoint_j)
     twin = DiscreteProblem(problem.x_indices, problem.y_values, problem.probabilities, problem.bound_b)
-    assert np.array_equal(_segment_loss_basis(copy, problem), basis) and len(calls) == 2
-    assert np.array_equal(_segment_loss_basis(segments[0], twin), basis) and len(calls) == 3
+    for key, count in (((copy, problem), 2), ((segments[0], twin), 3)):
+        again = _segment_loss_basis(*key)
+        assert all(np.array_equal(a, b) for a, b in zip(again, table)) and len(calls) == count
 
 
 def test_a_second_level_of_a_sweep_tabulates_no_basis(draw_fixture, monkeypatch):
-    # levels outside, segments inside: every call tabulates its quadratics
-    # again, since the draw cache keeps one entry, but each basis only once
+    # levels outside, segments inside: every call evaluates its segment's
+    # cached table against the cached draw, and each table is built once
     problem, segments = draw_fixture
     calls = _erm_segment_calls(monkeypatch)
     _segment_loss_basis.cache_clear()
@@ -431,10 +439,11 @@ def test_segment_evaluators_match_the_slot_major_reference(data, rows, segments,
 
 def test_segment_evaluators_match_the_slot_major_reference_on_the_criterion_8_fixture():
     # 2000 datasets x 10 segments, the batch of the README's isomorphism study,
-    # and one segment at a time, the batch of localized_sup
+    # one segment as a batch of one, and one segment on 1-D coefficients, the
+    # batch of localized_sup, which gives the batch of one's bits
     problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
     segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
-    pop, emp = _segment_coefficients(tuple(segments), problem, 256, 2000, 90, 0)
+    pop, emp, _ = _dataset_levels(tuple(segments), problem, 256, 2000, 90, 0)
     diff = pop - emp
     assert _needed_level(pop, diff).tobytes() == _support._needed_level(pop, diff).tobytes()
     for level in (1e-4, 0.005, 0.05, 0.2, 3.0):
@@ -442,6 +451,9 @@ def test_segment_evaluators_match_the_slot_major_reference_on_the_criterion_8_fi
         assert star.tobytes() == _support._segment_star_sup(pop, diff, level).tobytes(), level
         one = _segment_star_sup(pop[:1], diff[:, :1], level)
         assert one.tobytes() == _support._segment_star_sup(pop[:1], diff[:, :1], level).tobytes(), level
+        flat = _segment_star_sup(pop[0], diff[:, 0], level)
+        assert flat.tobytes() == _support._segment_star_sup(pop[0], diff[:, 0], level).tobytes(), level
+        assert flat.tobytes() == one[:, 0].tobytes(), level
 
 
 def test_localized_sup_requires_reps():
@@ -471,6 +483,52 @@ def test_isomorphism_functions_take_whole_reps_as_ints(draw_fixture):
     ):
         with pytest.raises(ValueError, match="reps must be whole"):
             check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["inside-hull", "outside-hull", "pure-noise"]),
+    K=st.integers(2, 8),
+    M=st.integers(2, 10),
+    n=st.integers(1, 1000),
+    reps=st.integers(2, 50),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-8.0, 2.0), min_size=1, max_size=3),
+)
+def test_localized_sup_gives_the_bits_of_a_batch_of_one(kind, K, M, n, reps, seed, exponents):
+    # localized_sup evaluates one segment's (atoms, 3) table on 1-D
+    # coefficients; it must keep the bits of the segment evaluated as a
+    # family of one, at (1, 3) and (reps, 1, 3)
+    problem, dictionary = make_problem(kind, K=K, M=M, b=1.0, seed=seed % 1000)
+    segments = random_net_segments(dictionary, m=2, num_functions=3, num_segments=2, seed=seed)
+    for segment in segments:
+        for level in (10.0**e for e in exponents):
+            got = localized_sup(segment_excess_loss_class(segment, level), problem, n, reps, seed)
+            want = _support.batch_of_one_sup(segment, problem, n, reps, seed, level)
+            assert [v.hex() for v in got] == [v.hex() for v in want], level
+
+
+@pytest.mark.parametrize("size", [5, 9])
+def test_a_segment_of_another_design_is_refused(counted_generators, size):
+    # on the 6-point criterion-8 problem a 9-point segment used to pass, its
+    # extra values ignored, and a 5-point one failed inside erm_segment; each
+    # entry point now refuses it before drawing a dataset
+    problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
+    segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
+    rng = np.random.default_rng(size)
+    stray = Segment(rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size))
+    family = [*segments[:3], stray]
+    _clear_draw_caches()
+    counted_generators.clear()
+    message = f"a segment of {size} values does not fit a problem of 6 design points"
+    for call in (
+        lambda: localized_sup(segment_excess_loss_class(stray, 0.05), problem, 256, 10, 90),
+        lambda: isomorphism_check(family, problem, 256, 2.0, 1.0, 10, 90),
+        lambda: calibrate_c0(family, problem, 256, [2.0], 10, 91),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert counted_generators == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -647,7 +705,7 @@ def test_segment_evaluators_match_a_fine_grid():
     # farther from 0 than spacing x its Lipschitz bound, the two must agree
     problem, dictionary = make_problem("outside-hull", K=6, M=8, b=1.0, seed=88)
     segments = random_net_segments(dictionary, m=2, num_functions=10, num_segments=10, seed=89)
-    pop, emp = _segment_coefficients(tuple(segments), problem, 256, 20, 90, 0)
+    pop, emp, _ = _dataset_levels(tuple(segments), problem, 256, 20, 90, 0)
     # plus one pair, D = theta and PL = theta^2 + 0.01, whose star sup at a
     # level below min PL sits at the stationary point theta = 0.1 of |D| / PL
     diff = np.vstack([(pop - emp).reshape(-1, 3), [0.0, 1.0, 0.0]])
@@ -697,3 +755,26 @@ def test_random_net_segments_deterministic():
     assert all(np.array_equal(s.endpoint_i, t.endpoint_i) for s, t in zip(a, b))
     with pytest.raises(ValueError):
         random_net_segments(d, m=2, num_functions=3, num_segments=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "argument, value, message",
+    [
+        ("num_segments", 0, "num_segments must be at least 1, found 0"),
+        ("num_segments", -1, "num_segments must be at least 1, found -1"),
+        ("num_segments", 2.5, "num_segments must be whole, found 2.5"),
+        ("num_functions", 4.5, "num_functions must be whole, found 4.5"),
+        ("m", 1.5, "m must be whole, found 1.5"),
+    ],
+)
+def test_random_net_segments_checks_its_counts(argument, value, message):
+    # -1 used to reach numpy's "negative dimensions are not allowed", 0 to
+    # return an empty family and 2.5 to raise a TypeError
+    d = random_dictionary(np.random.default_rng(61), M=6, K=3)
+    counts = {"m": 2, "num_functions": 5, "num_segments": 4}
+    with pytest.raises(ValueError, match=message):
+        random_net_segments(d, **{**counts, argument: value}, seed=7)
+    # whole floats are taken as their ints
+    whole = random_net_segments(d, **{k: float(v) for k, v in counts.items()}, seed=7)
+    for s, t in zip(whole, random_net_segments(d, **counts, seed=7), strict=True):
+        assert np.array_equal(s.endpoint_i, t.endpoint_i) and np.array_equal(s.endpoint_j, t.endpoint_j)
