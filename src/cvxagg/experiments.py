@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 # `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
-from .model import Dictionary, DiscreteProblem, _whole, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _not_bool, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
 from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
@@ -59,28 +59,22 @@ class ExperimentConfig:
     noise: float = 0.5
 
     def __post_init__(self):
-        grid = tuple((_whole(n, "grid entries"), _whole(M, "grid entries")) for n, M in self.grid)
+        grid = tuple((_whole(n, "grid entries", 1), _whole(M, "grid entries", 1)) for n, M in self.grid)
         object.__setattr__(self, "grid", grid)
-        for name in ("atoms_K", "replications", "master_seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        object.__setattr__(self, "x_levels", tuple(float(x) for x in self.x_levels))
+        for name, least in (("atoms_K", 1), ("replications", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
+        object.__setattr__(self, "x_levels", tuple(float(_not_bool(x, "x_levels")) for x in self.x_levels))
         if not grid:
             raise ValueError("grid must be nonempty")
-        if any(n < 1 or M < 1 for n, M in grid):
-            raise ValueError("grid entries must be positive")
         if len(set(grid)) != len(grid):
             raise ValueError("grid entries must be unique")
         if self.problem_kind not in PROBLEM_KINDS:
             raise ValueError(f"problem_kind must be one of {PROBLEM_KINDS}")
-        if self.atoms_K < 1:
-            raise ValueError("atoms_K must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if not 0 < self.bound_b < math.inf:
+        if not 0 < _not_bool(self.bound_b, "bound_b") < math.inf:
             raise ValueError(f"bound_b must be positive and finite, found {self.bound_b}")
         if not 0.0 < self.bound_b * self.bound_b < math.inf:
             raise ValueError(f"bound_b squared must be positive and finite, found bound_b = {self.bound_b}")
-        if not 0.0 <= self.noise <= 1.0:
+        if not 0.0 <= _not_bool(self.noise, "noise") <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if not all(0.0 <= x < math.inf for x in self.x_levels):
             raise ValueError(f"x_levels must be finite and nonnegative, found {list(self.x_levels)}")
@@ -199,12 +193,10 @@ def make_problem(
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    K, M = _whole(K, "K"), _whole(M, "M")
-    if K < 1 or M < 1:
-        raise ValueError("K and M must be at least 1")
-    if not 0 < b < math.inf:
+    K, M = _whole(K, "K", 1), _whole(M, "M", 1)
+    if not 0 < _not_bool(b, "b") < math.inf:
         raise ValueError(f"bound_b must be positive and finite, found {b}")
-    if not 0.0 <= noise <= 1.0:
+    if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     px = rng.dirichlet(np.ones(K))
@@ -322,11 +314,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     so when out_dir is given, trials.csv and report.json are written there
     with bytes identical for any worker count.
     """
-    # a jobs of 3.0 runs as 3, and 2.5 is refused, before any cell is built
-    jobs = _whole(jobs, "jobs")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    jobs = min(jobs, _usable_cpus())
+    jobs = min(_whole(jobs, "jobs", 1), _usable_cpus())
     trials = []
     for n, M in cfg.grid:
         cell = make_cell(cfg, n, M)

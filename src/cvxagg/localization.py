@@ -214,11 +214,8 @@ def localized_sup(
     estimates at different levels with the same seed share datasets and are
     exactly monotone in the level.  Returns (estimate, standard error).
     """
-    reps = _whole(reps, "reps")
-    if reps < 2:
-        raise ValueError("at least 2 replications are required for a standard error")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    # a standard error needs at least 2 replications
+    reps, n = _whole(reps, "reps", 2), _whole(n, "n", 1)
     basis, pop = _segment_loss_basis(cls.segment, problem)
     emp = _rep_counts(problem, n, reps, seed, 0) @ basis / n
     return _mean_and_std_error(_segment_star_sup(pop, pop - emp, cls.level_lambda))
@@ -277,10 +274,9 @@ def fixed_point(bound) -> float:
     return high
 
 
-def gamma(x: float, b: float, N: int, n: int, c0: float) -> float:
-    """Union-bound localization level c0 b^2 (x + 2 log N) / n for N net points."""
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be at least 1")
+def _gamma(x: float, b: float, N: int, n: int, c0: float) -> float:
+    """Union-bound localization level c0 b^2 (x + 2 log N) / n for N net
+    points; N and n are counts its callers have checked (`_net_size`)."""
     if not (0 <= x < math.inf and 0 <= b < math.inf and 0 <= c0 < math.inf):
         raise ValueError("x, b, and c0 must be finite and nonnegative")
     return c0 * b * b * (x + 2.0 * math.log(N)) / n
@@ -351,16 +347,14 @@ def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(d, axis=0)
 
 
-def _net_size(segments: tuple, reps, net_size) -> tuple[int, int]:
-    """(N, reps): N, the net size in the level's union bound, and reps as an
-    int, once the family and the rep count are checked; callers check their
-    levels with N before drawing."""
+def _net_size(segments: tuple, n, reps, net_size) -> tuple[int, int, int]:
+    """(N, n, reps) as ints: N, the net size in the level's union bound (the
+    number of segments when net_size is None), once the family and the counts
+    are checked; callers check their levels with N before drawing."""
     if not segments:
         raise ValueError("at least one segment is required")
-    reps = _whole(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    return (net_size if net_size is not None else len(segments)), reps
+    N = len(segments) if net_size is None else _whole(net_size, "num_net_functions", 1)
+    return N, _whole(n, "n", 1), _whole(reps, "reps", 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -408,8 +402,9 @@ def isomorphism_check(
     its outcome.
     """
     b, segments = problem.bound_b, tuple(segments)
-    N, reps = _net_size(segments, reps, num_net_functions)
-    level = gamma(x, b, N, n, c0)
+    N, n, reps = _net_size(segments, n, reps, num_net_functions)
+    rep_offset = _whole(rep_offset, "rep_offset", 0)
+    level = _gamma(x, b, N, n, c0)
     pop, emp, needed = _dataset_levels(segments, problem, n, reps, seed, rep_offset)
 
     violated = needed > level
@@ -468,10 +463,10 @@ def calibrate_c0(
     if not 0 < target_scale <= 1:
         raise ValueError("target_scale must be in (0, 1]")
     b, segments = problem.bound_b, tuple(segments)
-    N, reps = _net_size(segments, reps, num_net_functions)
+    N, n, reps = _net_size(segments, n, reps, num_net_functions)
     constraints = []
     for x in x_levels:
-        denom = gamma(x, b, N, n, 1.0)
+        denom = _gamma(x, b, N, n, 1.0)
         allowed = int(math.floor(target_scale * min(1.0, 4.0 * math.exp(-x)) * reps))
         if allowed < reps and denom > 0:
             constraints.append((x, denom, allowed))
@@ -484,7 +479,7 @@ def calibrate_c0(
     for x, denom, allowed in constraints:
         level_req = float(order[allowed])
         c = level_req / denom
-        while gamma(x, b, N, n, c) < level_req:
+        while _gamma(x, b, N, n, c) < level_req:
             c = math.nextafter(c, math.inf)
         c0 = max(c0, c)
     return c0
@@ -502,14 +497,9 @@ def random_net_segments(
     Draws num_functions such averages, then num_segments distinct index
     pairs among them, all reproducibly from the seed.
     """
-    m, num_functions = _whole(m, "m"), _whole(num_functions, "num_functions")
-    num_segments = _whole(num_segments, "num_segments")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if num_functions < 2:
-        raise ValueError("need at least 2 functions to form segments")
-    if num_segments < 1:
-        raise ValueError(f"num_segments must be at least 1, found {num_segments}")
+    # a segment joins 2 functions
+    m, num_functions = _whole(m, "m", 1), _whole(num_functions, "num_functions", 2)
+    num_segments = _whole(num_segments, "num_segments", 1)
     rng = np.random.default_rng(seed)
     size_m = dictionary.size_M
     functions = [

@@ -30,14 +30,26 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-def _whole(value, name: str) -> int:
-    """value as an int, which must equal it: 2.5 is refused, not truncated."""
+def _not_bool(value, name: str):
+    """value, which must not be a Python or numpy bool: True is refused, not read as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not the bool {value!r}")
+    return value
+
+
+def _whole(value, name: str, least: int | None = None) -> int:
+    """value as an int, which must equal it and, when least is given, be at
+    least least: the one rule for a count.  2.5 and True are refused, not
+    truncated or read as 1; 3.0 and np.int64(3) pass as 3."""
+    _not_bool(value, name)
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be whole, found {value!r}")
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be at least {least}, found {value!r}")
     return whole
 
 
@@ -158,9 +170,11 @@ def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
     """Atom counts of n i.i.d. draws from the problem's law: one multinomial from default_rng(seed).
 
     n must be whole: numpy's multinomial would floor 2.5 to 2 draws."""
-    n = _whole(n, "sample size")
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
+    return _multinomial(problem, _whole(n, "sample size", 1), seed)
+
+
+def _multinomial(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
+    """draw_counts for an n its caller has checked."""
     return np.random.default_rng(seed).multinomial(n, problem.probabilities)
 
 
@@ -168,10 +182,11 @@ def draw_count_matrix(problem: DiscreteProblem, n: int, seeds) -> np.ndarray:
     """Atom counts of one size-n sample per seed, shape (seeds, atoms): row r
     is draw_counts(problem, n, seeds[r]), from its own Generator.
 
-    The matrix is checked once with the checks a `SampleSet` runs on each
-    sample's counts; the atoms are the problem's, already checked.
+    n is checked once, and the matrix once with the checks a `SampleSet` runs
+    on each sample's counts; the atoms are the problem's, already checked.
     """
-    counts = np.array([draw_counts(problem, n, seed) for seed in seeds], dtype=np.int64)
+    n = _whole(n, "sample size", 1)
+    counts = np.array([_multinomial(problem, n, seed) for seed in seeds], dtype=np.int64)
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     if (counts.sum(axis=1) != n).any():

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _whole
+
 
 def psi_c(n: int, M: int) -> float:
     """Optimal convex-aggregation rate: M/n below M = sqrt(n), then
@@ -17,8 +19,7 @@ def psi_c(n: int, M: int) -> float:
     The two branches agree at M = sqrt(n) (both equal 1/sqrt(n)); the regime
     test M^2 <= n is exact in integers.
     """
-    if n < 1 or M < 1:
-        raise ValueError("n and M must be at least 1")
+    n, M = _whole(n, "n", 1), _whole(M, "M", 1)
     if M * M <= n:
         return M / n
     return math.sqrt(math.log(math.e * M / math.sqrt(n)) / n)
@@ -30,8 +31,7 @@ def phi_n(n: int, M: int) -> float:
     At M = 1 the formula degenerates (log 1 = 0 would give 0, which no risk
     gap achieves); the value is defined as 1/n there.
     """
-    if n < 1 or M < 1:
-        raise ValueError("n and M must be at least 1")
+    n, M = _whole(n, "n", 1), _whole(M, "M", 1)
     if M == 1:
         return 1.0 / n
     return min(M / n, math.sqrt(math.log(M) / n))
@@ -60,6 +60,7 @@ class RatePoint:
 
     @classmethod
     def at(cls, n: int, M: int) -> "RatePoint":
+        n, M = _whole(n, "n", 1), _whole(M, "M", 1)
         return cls(
             n=n,
             M=M,

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights, _whole, simplex_rows
+from .model import Dictionary, Measure, Segment, SimplexWeights, _not_bool, _whole, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # a cap of 2.5 would never equal the iteration count, so it is refused
-        object.__setattr__(self, "max_iterations", _whole(self.max_iterations, "max_iterations"))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.tolerance < math.inf:
+        object.__setattr__(self, "max_iterations", _whole(self.max_iterations, "max_iterations", 1))
+        if not 0 < _not_bool(self.tolerance, "tolerance") < math.inf:
             raise ValueError(f"tolerance must be positive and finite, found {self.tolerance}")
 
 

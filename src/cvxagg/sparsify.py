@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, SimplexWeights, combine
+from .model import Dictionary, DiscreteProblem, SimplexWeights, _whole, combine
 from .risk import population_risk, variance_term
 
 # enumerate_net refuses nets with more elements than this
@@ -26,8 +26,7 @@ def choose_m(n: int, M: int) -> int:
     Only defined in the large-dictionary regime M > sqrt(n); outside it the
     net is not used and the call is rejected.
     """
-    if n < 1 or M < 1:
-        raise ValueError("n and M must be at least 1")
+    n, M = _whole(n, "n", 1), _whole(M, "M", 1)
     if M * M <= n:
         raise ValueError("choose_m requires the large-dictionary regime M > sqrt(n)")
     return max(1, math.ceil(math.sqrt(n / math.log(math.e * M / math.sqrt(n)))))
@@ -39,8 +38,7 @@ def enumerate_net(size_m: int, m: int) -> np.ndarray:
     The rows are all weight vectors with coordinates in {0, 1/m, ..., 1}
     summing to 1, N = C(M + m - 1, m), enumerated by stars and bars.
     """
-    if size_m < 1 or m < 1:
-        raise ValueError("M and m must be at least 1")
+    size_m, m = _whole(size_m, "size_m", 1), _whole(m, "m", 1)
     total = math.comb(size_m + m - 1, m)
     if total > DEFAULT_NET_CAP:
         raise ValueError(f"net has {total} elements, above the enumeration cap {DEFAULT_NET_CAP}")
@@ -51,8 +49,7 @@ def enumerate_net(size_m: int, m: int) -> np.ndarray:
 
 def sparsify_random(w: SimplexWeights, m: int, seed: int) -> np.ndarray:
     """m i.i.d. categorical draws from w, returned as counts over the M rows."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _whole(m, "m", 1)
     rng = np.random.default_rng(seed)
     return np.bincount(rng.choice(len(w), size=m, p=w.weights), minlength=len(w))
 
@@ -65,7 +62,6 @@ def expected_sparsified_risk(
     Equals R(f_w) + variance_term(w)/m for every simplex point w, not just
     risk minimizers; the derivation only needs the draws to have mean f_w.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _whole(m, "m", 1)
     base = population_risk(combine(dictionary, w), problem)
     return base + variance_term(w, dictionary, problem) / m

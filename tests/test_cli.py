@@ -557,6 +557,22 @@ def test_net_size_below_one_exits_one(workspace, capsys, command):
     assert capsys.readouterr().err.startswith("error: m must be at least 1")
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("rates", ["--n-grid", "0", "--m-grid", "4"]),
+        ("isomorphism", ["--n", "0", "--reps", "10"]),
+    ],
+)
+def test_a_sample_size_below_one_exits_one_naming_n(workspace, capsys, command, argv):
+    # isomorphism --n 0 used to print "N and n must be at least 1", which
+    # names a net size the user never set
+    if command == "isomorphism":
+        argv = ["--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]), *argv]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == "error: n must be at least 1, found 0\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_isomorphism_with_no_segment_exits_one(workspace, capsys, count):
     # -1 used to exit 1 with numpy's "negative dimensions are not allowed",

@@ -1,0 +1,154 @@
+"""The count rule: every count argument of the library goes through
+`model._whole` once, where its function is entered.
+
+A count is whole and at least its minimum: 3.0 and np.int64(3) are taken as
+3, with the bits of 3, and 2.5, a bool and the minimum - 1 are refused by a
+ValueError whose message starts with the argument's name.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from cvxagg import experiments, localization, model, rates, sparsify
+from cvxagg.experiments import ExperimentConfig, make_problem
+from cvxagg.solver import SolverConfig
+
+PROBLEM, DICTIONARY = make_problem("outside-hull", K=3, M=4, b=1.0, seed=0)
+SEGMENT = model.Segment(DICTIONARY.values[0], DICTIONARY.values[1])
+WEIGHTS = model.SimplexWeights(np.full(4, 0.25))
+
+
+def _config(**fields):
+    return ExperimentConfig(**{"grid": ((8, 2),), "atoms_K": 2, "replications": 2, **fields})
+
+
+def _sup(n=16, reps=3):
+    return localization.localized_sup(localization.LocalizedClass(SEGMENT, 0.1), PROBLEM, n, reps, 0)
+
+
+def _check(**counts):
+    counts = {"n": 16, "reps": 3, **counts}
+    return localization.isomorphism_check([SEGMENT], PROBLEM, x=1.0, c0=1.0, seed=0, **counts)
+
+
+def _calibrate(n=16, reps=3):
+    return localization.calibrate_c0([SEGMENT], PROBLEM, n, [2.0], reps, 0)
+
+
+def _segments(**counts):
+    counts = {"m": 2, "num_functions": 3, "num_segments": 2, **counts}
+    return localization.random_net_segments(DICTIONARY, seed=0, **counts)
+
+
+# (function, the name its messages give the count, the count's minimum or
+# None, the function called with the count set to a value)
+COUNTS = [
+    ("draw_counts", "sample size", 1, lambda v: model.draw_counts(PROBLEM, v, 0)),
+    ("draw_count_matrix", "sample size", 1, lambda v: model.draw_count_matrix(PROBLEM, v, [0, 1])),
+    ("SolverConfig", "max_iterations", 1, lambda v: SolverConfig(max_iterations=v)),
+    ("ExperimentConfig-n", "grid entries", 1, lambda v: _config(grid=((v, 2),))),
+    ("ExperimentConfig-M", "grid entries", 1, lambda v: _config(grid=((8, v),))),
+    ("ExperimentConfig", "atoms_K", 1, lambda v: _config(atoms_K=v)),
+    ("ExperimentConfig", "replications", 1, lambda v: _config(replications=v)),
+    ("ExperimentConfig", "master_seed", None, lambda v: _config(master_seed=v)),
+    ("make_problem", "K", 1, lambda v: make_problem("outside-hull", K=v, M=4, b=1.0, seed=0)),
+    ("make_problem", "M", 1, lambda v: make_problem("outside-hull", K=3, M=v, b=1.0, seed=0)),
+    ("run_grid", "jobs", 1, lambda v: experiments.run_grid(_config(), jobs=v)),
+    ("localized_sup", "reps", 2, lambda v: _sup(reps=v)),
+    ("localized_sup", "n", 1, lambda v: _sup(n=v)),
+    ("isomorphism_check", "n", 1, lambda v: _check(n=v)),
+    ("isomorphism_check", "reps", 1, lambda v: _check(reps=v)),
+    ("isomorphism_check", "num_net_functions", 1, lambda v: _check(num_net_functions=v)),
+    ("isomorphism_check", "rep_offset", 0, lambda v: _check(rep_offset=v)),
+    ("calibrate_c0", "n", 1, lambda v: _calibrate(n=v)),
+    ("calibrate_c0", "reps", 1, lambda v: _calibrate(reps=v)),
+    ("random_net_segments", "m", 1, lambda v: _segments(m=v)),
+    ("random_net_segments", "num_functions", 2, lambda v: _segments(num_functions=v, num_segments=1)),
+    ("random_net_segments", "num_segments", 1, lambda v: _segments(num_segments=v)),
+    ("choose_m", "n", 1, lambda v: sparsify.choose_m(v, 4)),
+    ("choose_m", "M", 1, lambda v: sparsify.choose_m(1, v)),
+    ("enumerate_net", "size_m", 1, lambda v: sparsify.enumerate_net(v, 2)),
+    ("enumerate_net", "m", 1, lambda v: sparsify.enumerate_net(2, v)),
+    ("sparsify_random", "m", 1, lambda v: sparsify.sparsify_random(WEIGHTS, v, 0)),
+    ("expected_sparsified_risk", "m", 1, lambda v: sparsify.expected_sparsified_risk(WEIGHTS, v, DICTIONARY, PROBLEM)),
+    ("psi_c", "n", 1, lambda v: rates.psi_c(v, 4)),
+    ("psi_c", "M", 1, lambda v: rates.psi_c(16, v)),
+    ("phi_n", "n", 1, lambda v: rates.phi_n(v, 4)),
+    ("phi_n", "M", 1, lambda v: rates.phi_n(16, v)),
+    ("RatePoint.at", "n", 1, lambda v: rates.RatePoint.at(v, 4)),
+    ("RatePoint.at", "M", 1, lambda v: rates.RatePoint.at(16, v)),
+]
+IDS = [f"{function}-{name}".replace(" ", "_") for function, name, _, _ in COUNTS]
+
+
+@pytest.fixture(autouse=True)
+def one_cpu(monkeypatch):
+    # run_grid caps jobs at the usable CPUs, so a jobs of 3 starts no pool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+
+
+@pytest.mark.parametrize("function, name, least, call", COUNTS, ids=IDS)
+def test_a_count_that_is_not_whole_or_below_its_minimum_is_refused_by_name(function, name, least, call):
+    refusals = [
+        (2.5, f"{name} must be whole, found 2.5"),
+        (True, f"{name} must be a number, not the bool True"),
+        (np.True_, f"{name} must be a number, not the bool {np.True_!r}"),
+    ]
+    if least is not None:
+        refusals.append((least - 1, f"{name} must be at least {least}, found {least - 1}"))
+    for value, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message, value
+
+
+@pytest.mark.parametrize("function, name, least, call", COUNTS, ids=IDS)
+def test_a_whole_count_of_another_type_gives_the_bits_of_the_int(function, name, least, call):
+    want = pickle.dumps(call(3))
+    for value in (3.0, np.int64(3)):
+        assert pickle.dumps(call(value)) == want, value
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("bound_b", lambda v: _config(bound_b=v)),
+        ("noise", lambda v: _config(noise=v)),
+        ("x_levels", lambda v: _config(x_levels=(1.0, v))),
+        ("tolerance", lambda v: SolverConfig(tolerance=v)),
+        ("b", lambda v: make_problem("outside-hull", K=3, M=4, b=v, seed=0)),
+        ("noise", lambda v: make_problem("outside-hull", K=3, M=4, b=1.0, seed=0, noise=v)),
+    ],
+)
+def test_a_real_config_field_refuses_a_bool(field, call):
+    # bound_b=True used to run as 1 and write "bound_b": true to report.json
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not the bool"):
+            call(value)
+
+
+def test_a_count_is_checked_once_per_call_not_once_per_draw(monkeypatch):
+    # draw_count_matrix checks n at entry and draws its rows unchecked, and
+    # isomorphism_check and calibrate_c0 check their counts once, in
+    # _net_size, and hand them to _gamma, which checks none
+    checked = []
+    whole = model._whole
+
+    def counted(value, name, least=None):
+        checked.append(name)
+        return whole(value, name, least)
+
+    for module in (model, localization):
+        monkeypatch.setattr(module, "_whole", counted)
+    localization._rep_counts.cache_clear()
+    localization._dataset_levels.cache_clear()
+    model.draw_count_matrix(PROBLEM, 16, range(5))
+    assert checked == ["sample size"]
+    checked.clear()
+    _check(reps=5, rep_offset=7)
+    assert sorted(checked) == ["n", "rep_offset", "reps", "sample size"]
+    checked.clear()
+    _calibrate(reps=5)
+    assert sorted(checked) == ["n", "reps", "sample size"]

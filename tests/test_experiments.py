@@ -320,8 +320,8 @@ def test_converged_flags_are_the_solvers_own(cfg):
         assert flags.all()
 
 def _draw_with(change):
-    """model.draw_counts with change applied to the counts of seed 2."""
-    draw = model.draw_counts
+    """model._multinomial with change applied to the counts of seed 2."""
+    draw = model._multinomial
 
     def drawn(problem, n, seed):
         counts = draw(problem, n, seed)
@@ -358,8 +358,8 @@ def _short(counts):
 @pytest.mark.parametrize(
     "module, name, replacement, message",
     [
-        (model, "draw_counts", _draw_with(_negative), "counts must be nonnegative"),
-        (model, "draw_counts", _draw_with(_short), "every row of counts must sum to the sample size 16"),
+        (model, "_multinomial", _draw_with(_negative), "counts must be nonnegative"),
+        (model, "_multinomial", _draw_with(_short), "every row of counts must sum to the sample size 16"),
         (solver, "_minimize_fw", _solve_with([0, 1], [1.0 + 1e-9, -1e-9]), "weights must be nonnegative"),
         (solver, "_minimize_fw", _solve_with([0, 1], [0.5, 0.5 + 1e-9]), "weights must sum to 1"),
         (solver, "_minimize_fw", _solve_with([0], [np.nan]), "weights must be finite"),

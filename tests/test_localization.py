@@ -10,6 +10,7 @@ from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
     _dataset_levels,
+    _gamma,
     _needed_level,
     _rep_counts,
     _segment_loss_basis,
@@ -17,7 +18,6 @@ from cvxagg.localization import (
     LocalizedClass,
     calibrate_c0,
     fixed_point,
-    gamma,
     isomorphism_check,
     localized_sup,
     random_net_segments,
@@ -122,9 +122,9 @@ def test_fixed_point_floor_is_correct_for_superlinear_bounds():
 
 
 def test_gamma_values():
-    assert gamma(1.0, 1.0, 6, 100, 1.0) == pytest.approx(0.04583519, abs=1e-7)
-    assert gamma(0.0, 1.0, 6, 100, 1.0) == pytest.approx(2 * math.log(6) / 100)
-    assert gamma(1.0, 2.0, 6, 100, 1.0) == pytest.approx(4 * 0.04583519, abs=1e-6)
+    assert _gamma(1.0, 1.0, 6, 100, 1.0) == pytest.approx(0.04583519, abs=1e-7)
+    assert _gamma(0.0, 1.0, 6, 100, 1.0) == pytest.approx(2 * math.log(6) / 100)
+    assert _gamma(1.0, 2.0, 6, 100, 1.0) == pytest.approx(4 * 0.04583519, abs=1e-6)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -133,7 +133,7 @@ def test_gamma_rejects_non_finite_arguments(position, bad):
     args = [1.0, 1.0, 6, 100, 1.0]
     args[position] = bad
     with pytest.raises(ValueError, match="finite"):
-        gamma(*args)
+        _gamma(*args)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
