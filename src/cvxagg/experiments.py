@@ -7,7 +7,9 @@ laws for Y whose mean sits inside the hull, outside it, or at zero.
 
 Determinism contract: every random object derives from the master seed
 through stable SHA-256 hashes of its coordinates, so any subset of the grid
-reproduces independently and worker count never changes the output.
+reproduces independently and worker count never changes the output.  A
+trial's sample is drawn from the Philox stream keyed by its seed alone
+(`model.draw_counts`), a pure function of (problem, n, seed).
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def run_trials(trials, solver_config: SolverConfig) -> Trials:
     on all of them as one batch, and take each exact population excess.
 
     Each run of consecutive trials of one cell is drawn as one counts
-    matrix, a row per trial from its own seed's Generator
+    matrix, a row per trial from its own seed's Philox stream
     (`model.draw_count_matrix`, which checks the matrix once), and is one
     block of probability rows counts / n over the cell problem's atoms for
     `solver.erm_convex_hull_blocks`, which groups the blocks and checks the

@@ -28,11 +28,12 @@ an order statistic of the same levels, so a c0 calibrated on a draw meets
 its target when checked on that draw.
 
 Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
-n, [seed, rep_offset + r]), so (problem, n, reps, seed, rep_offset) fixes
-every dataset.  Callers sweep levels on one draw (x levels in the isomorphism
-check, localization levels in localized_sup), and the level enters after the
-draw, so the module keeps three caches, each of which gives the bits of a
-fresh computation:
+n, [seed, rep_offset + r]), drawn from the Philox stream keyed by those two
+words, so (problem, n, reps, seed, rep_offset) fixes every dataset, and a
+seed or rep_offset + r outside [0, 2**64) is refused by name.  Callers
+sweep levels on one draw (x levels in the isomorphism check, localization
+levels in localized_sup), and the level enters after the draw, so the module
+keeps three caches, each of which gives the bits of a fresh computation:
 - one per draw: the last call's atom counts (_rep_counts);
 - one per (segment, problem) pair: the segment's excess loss tabulated on
   the atoms as a quadratic basis, and its population quadratic, which do not
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, _whole, combine, draw_count_matrix
+from .model import Dictionary, DiscreteProblem, Segment, _key_words, _whole, combine, draw_count_matrix
 from .solver import erm_segment
 
 # fixed-point search bracket and the relative width at which bisection stops
@@ -210,7 +212,7 @@ def localized_sup(
     """Monte Carlo estimate of E sup |(P - P_n) h| over the localized star hull.
 
     Population quantities are exact; only the sample is random.  Replication r
-    draws its sampled atom counts from a stream derived from (seed, r), so
+    draws its sampled atom counts from the Philox stream keyed (seed, r), so
     estimates at different levels with the same seed share datasets and are
     exactly monotone in the level.  Returns (estimate, standard error).
     """
@@ -397,7 +399,7 @@ def isomorphism_check(
     gamma: some theta has |P L - P_n L| >= P L / 2 and > gamma / 2.  On
     non-violating datasets the empirical segment minimizer's population excess
     is compared to gamma, with a slack of 1e-12 b^2 for rounding, which
-    scales with the data.  Replication r uses the stream derived from
+    scales with the data.  Replication r uses the Philox stream keyed
     (seed, rep_offset + r), so a run may be split into chunks without changing
     its outcome.
     """
@@ -500,7 +502,8 @@ def random_net_segments(
     # a segment joins 2 functions
     m, num_functions = _whole(m, "m", 1), _whole(num_functions, "num_functions", 2)
     num_segments = _whole(num_segments, "num_segments", 1)
-    rng = np.random.default_rng(seed)
+    # an int seed in a draw key's range [0, 2**64), so -1 is refused by name
+    rng = np.random.default_rng(_key_words(operator.index(seed))[0])
     size_m = dictionary.size_M
     functions = [
         combine(dictionary, np.bincount(rng.integers(0, size_m, size=m), minlength=size_m) / m)

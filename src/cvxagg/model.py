@@ -12,10 +12,17 @@ Problems and samples are both a `Measure`: parallel arrays `x_indices`,
 sample drawn from a problem is the problem's own atoms with masses count / n,
 the empirical law P_n.  Risks and solvers read only these three fields, so
 the same code computes the population risk R and the empirical risk R_n.
+
+Every drawn dataset is the first multinomial of numpy's counter-based
+Philox4x64 stream keyed by two 64-bit words, (seed, 0) for an int seed and
+(seed, replication) for a pair: a pure function of (problem, n, key), so any
+subset or order of a run's keys draws the same datasets (`draw_counts`,
+`draw_count_matrix`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,26 +174,65 @@ class SampleSet(Measure):
 
 
 def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
-    """Atom counts of n i.i.d. draws from the problem's law: one multinomial from default_rng(seed).
+    """Atom counts of n i.i.d. draws from the problem's law: one multinomial
+    from the Philox stream keyed by the seed, an int or a [seed, replication]
+    pair (see `_key_words`), so draw_counts(p, n, s) is draw_counts(p, n, [s, 0]).
 
     n must be whole: numpy's multinomial would floor 2.5 to 2 draws."""
-    return _multinomial(problem, _whole(n, "sample size", 1), seed)
+    return _draw(problem, _whole(n, "sample size", 1), [seed])[0]
 
 
-def _multinomial(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
-    """draw_counts for an n its caller has checked."""
-    return np.random.default_rng(seed).multinomial(n, problem.probabilities)
+def _key_words(key) -> tuple[int, int]:
+    """The two Philox key words of a dataset: (seed, 0) for an int seed and
+    (seed, replication) for a [seed, replication] pair.  The one check of a
+    key: each word must be an integer in [0, 2**64), and a word outside it
+    raises a ValueError that names it."""
+    words = (key, 0) if isinstance(key, (int, np.integer)) else tuple(key)
+    if len(words) != 2:
+        raise ValueError(f"a key is a seed or a [seed, replication] pair, found {key!r}")
+    seed, replication = map(operator.index, words)
+    for word, name in ((seed, "seed"), (replication, "replication")):
+        if not 0 <= word < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), found {word!r}")
+    return seed, replication
+
+
+def _draw(problem: DiscreteProblem, n: int, seeds) -> list[np.ndarray]:
+    """Atom counts of one size-n dataset per seed, for an n its caller has checked.
+
+    One Philox bit generator serves every seed: before each row its state is
+    set to the seed's key words with counter 0 and an empty buffer, so a row
+    is the first multinomial of Generator(Philox(key=words)), whatever rows
+    came before it.  Building a Philox per row would seed it first.
+    """
+    bit_generator = np.random.Philox(0)  # its state is replaced before every row
+    generator = np.random.Generator(bit_generator)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    rows = []
+    for seed in seeds:
+        state["state"]["key"] = _key_words(seed)
+        bit_generator.state = state
+        rows.append(generator.multinomial(n, problem.probabilities))
+    return rows
 
 
 def draw_count_matrix(problem: DiscreteProblem, n: int, seeds) -> np.ndarray:
     """Atom counts of one size-n sample per seed, shape (seeds, atoms): row r
-    is draw_counts(problem, n, seeds[r]), from its own Generator.
+    is draw_counts(problem, n, seeds[r]), from that seed's own Philox stream,
+    so any subset or order of the seeds gives the same rows.
 
     n is checked once, and the matrix once with the checks a `SampleSet` runs
     on each sample's counts; the atoms are the problem's, already checked.
     """
     n = _whole(n, "sample size", 1)
-    counts = np.array([_multinomial(problem, n, seed) for seed in seeds], dtype=np.int64)
+    counts = np.array(_draw(problem, n, seeds), dtype=np.int64)
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     if (counts.sum(axis=1) != n).any():

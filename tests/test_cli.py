@@ -573,6 +573,25 @@ def test_a_sample_size_below_one_exits_one_naming_n(workspace, capsys, command, 
     assert capsys.readouterr().err == "error: n must be at least 1, found 0\n"
 
 
+@pytest.mark.parametrize(
+    "seed, c0, found",
+    [("-1", "2.0", "-1"), (str(2**64), "2.0", str(2**64)), (str(2**64 - 1), None, str(2**64))],
+    ids=["below", "above", "calibration-seed-above"],
+)
+def test_isomorphism_seed_outside_a_key_word_exits_one_naming_it(workspace, capsys, seed, c0, found):
+    # a draw key word lies in [0, 2**64): numpy's uint64 conversion would
+    # raise OverflowError, an ArithmeticError, and so exit 2; calibration
+    # draws from seed + 1, which is 2**64 at the top seed
+    argv = [
+        "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+        "--n", "32", "--reps", "10", "--num-functions", "3", "--num-segments", "3",
+    ]
+    assert main([*argv, "--seed", seed, *(["--c0", c0] if c0 else [])]) == 1
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), found {found}\n"
+    # the top key word is a seed like any other
+    assert main([*argv, "--seed", str(2**64 - 1), "--c0", "2.0"]) == 0
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_isomorphism_with_no_segment_exits_one(workspace, capsys, count):
     # -1 used to exit 1 with numpy's "negative dimensions are not allowed",

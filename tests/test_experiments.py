@@ -320,14 +320,15 @@ def test_converged_flags_are_the_solvers_own(cfg):
         assert flags.all()
 
 def _draw_with(change):
-    """model._multinomial with change applied to the counts of seed 2."""
-    draw = model._multinomial
+    """model._draw with change applied to the counts of seed 2."""
+    draw = model._draw
 
-    def drawn(problem, n, seed):
-        counts = draw(problem, n, seed)
-        if seed == 2:
-            change(counts)
-        return counts
+    def drawn(problem, n, keys):
+        rows = draw(problem, n, keys)
+        for key, counts in zip(keys, rows):
+            if key == 2:
+                change(counts)
+        return rows
 
     return drawn
 
@@ -358,8 +359,8 @@ def _short(counts):
 @pytest.mark.parametrize(
     "module, name, replacement, message",
     [
-        (model, "_multinomial", _draw_with(_negative), "counts must be nonnegative"),
-        (model, "_multinomial", _draw_with(_short), "every row of counts must sum to the sample size 16"),
+        (model, "_draw", _draw_with(_negative), "counts must be nonnegative"),
+        (model, "_draw", _draw_with(_short), "every row of counts must sum to the sample size 16"),
         (solver, "_minimize_fw", _solve_with([0, 1], [1.0 + 1e-9, -1e-9]), "weights must be nonnegative"),
         (solver, "_minimize_fw", _solve_with([0, 1], [0.5, 0.5 + 1e-9]), "weights must sum to 1"),
         (solver, "_minimize_fw", _solve_with([0], [np.nan]), "weights must be finite"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvxagg import localization
+from cvxagg import localization, model
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
@@ -137,14 +137,14 @@ def test_gamma_rejects_non_finite_arguments(position, bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_isomorphism_functions_reject_non_finite_x(bad, counted_generators):
+def test_isomorphism_functions_reject_non_finite_x(bad, counted_draws):
     # at a non-finite x the check used to pass silently (violations 0, bound
     # nan) and the calibration to return c0 = 0; the levels are checked
     # before any dataset is drawn
     problem, dictionary = make_problem("outside-hull", K=4, M=6, b=1.0, seed=21)
     segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
     _clear_draw_caches()
-    counted_generators.clear()
+    counted_draws.clear()
     with pytest.raises(ValueError, match="finite"):
         isomorphism_check(segments, problem, n=32, x=bad, c0=1.0, reps=10, seed=23)
     with pytest.raises(ValueError, match="finite"):
@@ -153,7 +153,7 @@ def test_isomorphism_functions_reject_non_finite_x(bad, counted_generators):
         calibrate_c0(segments, problem, n=32, x_levels=[bad], reps=10, seed=24)
     with pytest.raises(ValueError, match="finite"):
         calibrate_c0(segments, problem, n=32, x_levels=[1.0, bad], reps=10, seed=24)
-    assert counted_generators == []
+    assert counted_draws == []
 
 
 def test_calibrate_c0_rejects_empty_x_levels():
@@ -169,7 +169,7 @@ def test_calibrate_c0_rejects_empty_x_levels():
     [([1.0], 1.0, 1.0), ([0.5, 1.0, math.log(4.0)], 1.0, 1.0), ([2.0, 3.0], 0.9, 0.0)],
     ids=["rate-one", "rates-one", "zero-gamma"],
 )
-def test_calibrate_c0_rejects_levels_that_constrain_nothing(counted_generators, xs, target_scale, bound_b):
+def test_calibrate_c0_rejects_levels_that_constrain_nothing(counted_draws, xs, target_scale, bound_b):
     # a level whose target rate is 1 is met by any c0, and one whose gamma is 0
     # for every c0 cannot be reached; with only such levels c0 = 0.0 used to
     # come back, so the check at x = 1 reported every dataset violating
@@ -178,10 +178,10 @@ def test_calibrate_c0_rejects_levels_that_constrain_nothing(counted_generators, 
         problem = DiscreteProblem(problem.x_indices, 0.0 * problem.y_values, problem.probabilities, 0.0)
     segments = random_net_segments(dictionary, m=2, num_functions=4, num_segments=3, seed=22)
     _clear_draw_caches()
-    counted_generators.clear()
+    counted_draws.clear()
     with pytest.raises(ValueError, match="nothing to calibrate"):
         calibrate_c0(segments, problem, n=32, x_levels=xs, reps=10, seed=24, target_scale=target_scale)
-    assert counted_generators == []
+    assert counted_draws == []
 
 
 def test_calibrate_c0_skips_a_level_that_constrains_nothing():
@@ -288,40 +288,41 @@ def test_reused_draws_are_read_only(draw_fixture):
 
 
 @pytest.fixture
-def counted_generators(monkeypatch):
-    """The seeds of every np.random.default_rng call localization makes."""
+def counted_draws(monkeypatch):
+    """The seed of every dataset drawn, in order: the draw reads each one's
+    key words through model._key_words, once per row."""
     seeds = []
-    real = np.random.default_rng
+    real = model._key_words
 
-    def counting(seed=None):
+    def counting(seed):
         seeds.append(seed)
         return real(seed)
 
-    monkeypatch.setattr(localization.np.random, "default_rng", counting)
+    monkeypatch.setattr(model, "_key_words", counting)
     return seeds
 
 
-def test_a_second_x_level_draws_no_rows(draw_fixture, counted_generators):
+def test_a_second_x_level_draws_no_rows(draw_fixture, counted_draws):
     problem, segments = draw_fixture
     _clear_draw_caches()
     for x in (1.0, 2.0, 3.0):
         isomorphism_check(segments, problem, n=64, x=x, c0=1.0, reps=20, seed=75, rep_offset=3)
-        assert counted_generators == [[75, 3 + r] for r in range(20)]
+        assert counted_draws == [[75, 3 + r] for r in range(20)]
 
 
 @pytest.mark.parametrize("change", ["seed", "rep_offset", "n", "reps", "problem"])
-def test_a_changed_argument_draws_again(draw_fixture, counted_generators, change):
+def test_a_changed_argument_draws_again(draw_fixture, counted_draws, change):
     problem, _ = draw_fixture
     args = {"problem": problem, "n": 64, "reps": 10, "seed": 76, "rep_offset": 0}
     _clear_draw_caches()
     _rep_counts(*args.values())
     _rep_counts(*args.values())
-    assert len(counted_generators) == 10
+    assert len(counted_draws) == 10
     # an equal but distinct problem is another key: problems compare by identity
     replacement = DiscreteProblem(problem.x_indices, problem.y_values, problem.probabilities, problem.bound_b)
     args[change] = replacement if change == "problem" else args[change] + 1
     _rep_counts(*args.values())
-    assert len(counted_generators) == 10 + args["reps"]
+    assert len(counted_draws) == 10 + args["reps"]
 
 
 def _erm_segment_calls(monkeypatch):
@@ -509,7 +510,7 @@ def test_localized_sup_gives_the_bits_of_a_batch_of_one(kind, K, M, n, reps, see
 
 
 @pytest.mark.parametrize("size", [5, 9])
-def test_a_segment_of_another_design_is_refused(counted_generators, size):
+def test_a_segment_of_another_design_is_refused(counted_draws, size):
     # on the 6-point criterion-8 problem a 9-point segment used to pass, its
     # extra values ignored, and a 5-point one failed inside erm_segment; each
     # entry point now refuses it before drawing a dataset
@@ -519,7 +520,7 @@ def test_a_segment_of_another_design_is_refused(counted_generators, size):
     stray = Segment(rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size))
     family = [*segments[:3], stray]
     _clear_draw_caches()
-    counted_generators.clear()
+    counted_draws.clear()
     message = f"a segment of {size} values does not fit a problem of 6 design points"
     for call in (
         lambda: localized_sup(segment_excess_loss_class(stray, 0.05), problem, 256, 10, 90),
@@ -528,7 +529,7 @@ def test_a_segment_of_another_design_is_refused(counted_generators, size):
     ):
         with pytest.raises(ValueError, match=message):
             call()
-    assert counted_generators == []
+    assert counted_draws == []
 
 
 @settings(max_examples=300, deadline=None)

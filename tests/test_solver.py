@@ -126,15 +126,19 @@ def test_erm_hull_risk_consistent_with_risk_module():
 
 
 def test_erm_hull_nonconvergence_is_flagged():
-    rng = np.random.default_rng(21)
-    p = random_problem(rng, K=4)
-    d = random_dictionary(rng, M=6, K=4)
-    from cvxagg.model import sample
-
-    s = sample(p, 64, seed=11)
+    # y = 0 at both design points and 0 is the centroid of the three
+    # dictionary functions (1, 0), (0, 1) and (-1, -1), so the hull minimum 0
+    # needs all three vertices.  One iteration reaches at most two, and on
+    # every edge the risk is at least 0.1 (the nearest edge points to 0 are
+    # (0.2, -0.4) and (-0.4, 0.2)), so the gap, an upper bound on the
+    # excess, is at least 0.1 whatever the solver's path
+    d = Dictionary(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+    s = SampleSet(np.array([0, 1]), np.array([0.0, 0.0]), np.array([1, 1]), seed=0)
     sol = erm_convex_hull(d, s, SolverConfig(max_iterations=1, tolerance=1e-16))
     assert not sol.converged
-    assert sol.duality_gap >= 0.0
+    assert sol.stop_reason == "max_iterations"
+    assert sol.duality_gap >= sol.empirical_risk >= 0.1 - 1e-12
+    assert erm_convex_hull(d, s, SolverConfig(tolerance=1e-16)).empirical_risk <= 1e-16
 
 
 @pytest.mark.parametrize(
