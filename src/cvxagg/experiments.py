@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 # `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
-from .model import Dictionary, DiscreteProblem, _not_bool, _whole, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _key_words, _not_bool, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
 from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
@@ -200,7 +201,8 @@ def make_problem(
         raise ValueError(f"bound_b must be positive and finite, found {b}")
     if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    # an int seed in a draw key's range [0, 2**64), so -1 is refused by name
+    rng = np.random.default_rng(_key_words(operator.index(seed))[0])
     px = rng.dirichlet(np.ones(K))
     px = px / px.sum()
     values = rng.uniform(-b, b, size=(M, K))
@@ -220,7 +222,9 @@ def make_problem(
 
 
 def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSolution:
-    """Minimal population risk over the hull, certified to a 1e-10 duality gap."""
+    """Minimal population risk over the hull, certified to a duality gap of
+    ORACLE_TOLERANCE times the problem's scale (see `SolverConfig`), which is
+    at most ORACLE_TOLERANCE b^2 for a dictionary bounded by b as well."""
     cfg = SolverConfig(max_iterations=2_000_000, tolerance=ORACLE_TOLERANCE)
     solution = erm_convex_hull(dictionary, problem, cfg)
     if not solution.converged:

@@ -56,7 +56,17 @@ from .model import Dictionary, Measure, Segment, SimplexWeights, _not_bool, _who
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Frank-Wolfe stopping rule: duality-gap tolerance and iteration cap."""
+    """Frank-Wolfe stopping rule: duality-gap tolerance and iteration cap.
+
+    The tolerance is relative to each dataset's own scale: a solve meets it
+    when its gap is at most tolerance * max(||target||^2, max_j ||A_j||^2),
+    the largest squared norm of the least-squares target and of the vertices
+    A_j = F_j * sqrt(px) (see the module docstring).  Rescaling (F, y) by s
+    multiplies both the gap and that scale by s^2, so "converged" means the
+    same at every data scale.  Data and dictionary bounded by b have a scale
+    of at most b^2, so at b = 1 the test is never looser than gap <=
+    tolerance.  A scale that is not finite meets no tolerance.
+    """
 
     max_iterations: int = 100_000
     tolerance: float = 1e-8
@@ -74,8 +84,9 @@ class ErmSolution:
 
     duality_gap is the Frank-Wolfe gap at the returned weights, recomputed
     from scratch, so empirical_risk - duality_gap lower bounds the true
-    minimum.  `converged` says whether that gap meets the tolerance; an
-    unconverged solution is still returned, flagged.
+    minimum.  `converged` says whether that gap meets the tolerance, taken
+    relative to the data's scale (see `SolverConfig`); an unconverged
+    solution is still returned, flagged.
 
     stop_reason says why the iteration loop ended: "gap" (the certificate met
     the tolerance), "repeat_vertex" (the oracle named a vertex that is active
@@ -402,9 +413,15 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     batch it is solved in.  Ties in the linear-minimization oracle break to
     the lowest index.
 
+    Rep b's gap is tested against config.tolerance times its scale, the
+    largest of ||target[b]||^2 and every ||A_j||^2 (see `SolverConfig`).
+    The ||A_j||^2 are the squared norms the start vertex search already
+    takes, so the scale costs one dot product per rep, and it depends on the
+    rep's own data and dictionary alone.
+
     Returns arrays with a row per rep, in order: the (B, largest M) weight
     matrix, whose row b is 0 past rep b's M, and per rep the duality gap,
-    whether that gap met the tolerance (the stop rule's own test, read at
+    whether that gap met its tolerance (the stop rule's own test, read at
     the rep's final weights), iterations, stop code (an index into
     `_STOP_REASONS`), kkt_solves and drop_steps.
     """
@@ -416,8 +433,13 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     width = max(f.shape[0] for f in F)
     mass, pull = root * root, root * target
     start = np.empty(B, dtype=np.intp)
+    scale = _rowdot(target, target)
     for g, lo, hi in runs:
-        start[lo:hi] = (_vecmat(mass[lo:hi], (F[g] * F[g]).T) - 2.0 * _vecmat(pull[lo:hi], Ft[g])).argmin(axis=1)
+        norms = _vecmat(mass[lo:hi], (F[g] * F[g]).T)  # ||A_j||^2 for every row j
+        start[lo:hi] = (norms - 2.0 * _vecmat(pull[lo:hi], Ft[g])).argmin(axis=1)
+        scale[lo:hi] = np.maximum(scale[lo:hi], norms.max(axis=1))
+    # NaN where the scale is not finite, so no gap meets it
+    tol = np.where(scale < math.inf, config.tolerance * scale, math.nan)
     face = _Face(F, which, root, target, start)
     C = face.capacity
     slots = np.arange(C + 1)
@@ -444,7 +466,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         slots up to its k: a drop leaves the slot past k holding a copy of
         slot k's index, which must not take that slot's weight of 0.
         """
-        nonlocal u, resid, best, ids, n, reason, drop_steps
+        nonlocal u, resid, best, tol, ids, n, reason, drop_steps
         i = stopped.nonzero()[0]
         rows = ids[i]
         reps, at = (slots <= face.k[i, None]).nonzero()
@@ -456,7 +478,9 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
         drops[rows] = drop_steps[i]
         keep = ~stopped
         face.keep(keep)
-        u, resid, best, ids, reason, drop_steps = (x[keep] for x in (u, resid, best, ids, reason, drop_steps))
+        u, resid, best, tol, ids, reason, drop_steps = (
+            x[keep] for x in (u, resid, best, tol, ids, reason, drop_steps)
+        )
         n = np.arange(ids.size)
         return gap[keep], at_gap[keep], s[keep]
 
@@ -473,7 +497,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
             # a rep whose solve ended last round (no descent, iteration cap)
             # came back only for the gap at its final weights
             repeat = ((face.indices == s[:, None]) & (slots <= face.k[:, None])).any(axis=1)
-            at_gap = gap <= config.tolerance
+            at_gap = gap <= tol
             if ending or (at_gap | repeat).any():
                 fresh = reason == 0
                 reason[fresh & repeat] = _REPEAT
@@ -581,8 +605,9 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     by `ErmSolution`'s field names after weights and empirical_risk
     (duality_gap, iterations, converged, stop_reason, kkt_solves and
     drop_steps, in that order), each an array with an entry per dataset.
-    `converged` is the solver's stop rule, gap <= tolerance, at the final
-    weights; callers read it rather than compare the gap themselves.
+    `converged` is the solver's stop rule, gap <= tolerance times the
+    dataset's scale (see `SolverConfig`), at the final weights; callers read
+    it rather than compare the gap themselves.
     """
     cfg = config or SolverConfig()
     blocks = list(blocks)

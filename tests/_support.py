@@ -231,14 +231,25 @@ def erm_oracle(dictionary: Dictionary, data, grid_resolution: int) -> ErmSolutio
     )
 
 
+def gap_tolerance(A: np.ndarray, target: np.ndarray, config: SolverConfig) -> float:
+    """The duality-gap tolerance of ||w @ A - target||^2: config.tolerance
+    times the data's scale, the largest of ||target||^2 and every row's
+    ||A_j||^2, or NaN, which no gap meets, when that scale is not finite.
+    Worked out here apart from the solver, to check its stop rule."""
+    scale = np.append(np.einsum("ij,ij->i", A, A), target @ target).max()
+    return config.tolerance * float(scale) if scale < math.inf else math.nan
+
+
 def lstsq_minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
     """Fully corrective Frank-Wolfe for ||w @ A - target||^2 with a fresh
     `np.linalg.lstsq` on the active set's affine hull at every corrective
-    step; a reference for `solver._minimize_fw`.
+    step; a reference for `solver._minimize_fw`, with its relative stop rule
+    (`gap_tolerance`).
 
     Returns (support, u, gap, iterations, stop_reason, kkt_solves,
     drop_steps) with the active set as an index array.
     """
+    tolerance = gap_tolerance(A, target, config)
     start = int(np.argmin(np.einsum("ij,ij->i", A, A) - 2.0 * (A @ target)))
     support = np.array([start])
     u = np.array([1.0])
@@ -252,7 +263,7 @@ def lstsq_minimize_fw(A: np.ndarray, target: np.ndarray, config: SolverConfig):
         grad = 2.0 * (A @ (g - target))
         s = int(np.argmin(grad))
         gap = float(grad[support] @ u) - float(grad[s])
-        if gap <= config.tolerance:
+        if gap <= tolerance:
             stop_reason = "gap"
             break
         if s in support:

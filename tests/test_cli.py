@@ -451,6 +451,21 @@ def test_solve_nonconvergence_exit_code(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iterations"
 
 
+def test_solve_on_labels_whose_scale_overflows_exits_two(workspace, capsys):
+    # labels of 1e155 square past the largest float, so no gap can be measured
+    # against their scale: the solve is reported unconverged and exits 2,
+    # where an absolute tolerance called it converged and exited 0
+    draws = csvio.read_samples(workspace["samples"])
+    samples = workspace["dir"] / "huge-samples.csv"
+    csvio.write_samples(SampleSet(draws.x_indices, 1e155 * draws.y_values, draws.counts, draws.seed), samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "--dict", str(workspace["dict"]), "--samples", str(samples)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is False
+    assert captured.err == "solver did not reach its duality-gap tolerance\n"
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
 def test_solve_non_finite_tolerance_exits_one(workspace, capsys, tol):
     # an infinite tolerance used to stop every solve at its start vertex as converged
@@ -590,6 +605,19 @@ def test_isomorphism_seed_outside_a_key_word_exits_one_naming_it(workspace, caps
     assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), found {found}\n"
     # the top key word is a seed like any other
     assert main([*argv, "--seed", str(2**64 - 1), "--c0", "2.0"]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sparsify_seed_outside_a_key_word_exits_one_naming_it(workspace, capsys, seed):
+    # numpy's default_rng refused -1 with "expected non-negative integer",
+    # naming no argument, and took 2**64 and above
+    argv = [
+        "sparsify", "--dict", str(workspace["dict"]), "--problem", str(workspace["problem"]),
+        "--weights", str(workspace["weights"]), "--m", "4",
+    ]
+    assert main([*argv, "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), found {seed}\n"
+    assert main([*argv, "--seed", str(2**64 - 1)]) == 0
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -875,6 +903,19 @@ def test_experiment_with_unconverged_trials_exits_two(workspace, capsys):
     assert json.loads((out_dir / "report.json").read_text())["incomplete"] is True
     rows = (out_dir / "trials.csv").read_text().splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",0") for row in rows)
+
+
+def test_an_outside_hull_experiment_at_a_large_bound_completes(workspace, capsys):
+    # at bound_b = 1e6 every gap is about 1e12 times its unit-scale value, and
+    # an absolute tolerance left the population oracle uncertified (exit 2);
+    # taken relative to the data's scale, the oracle and every trial converge
+    cfg_path = workspace["dir"] / "large-b.json"
+    save_config(ExperimentConfig(grid=((64, 16),), problem_kind="outside-hull", replications=3, bound_b=1e6), cfg_path)
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("points=1 incomplete=False")
+    rows = (out_dir / "trials.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",1") for row in rows)
 
 
 def test_experiment_with_an_uncertified_population_oracle_exits_two(workspace, capsys, monkeypatch):

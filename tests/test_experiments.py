@@ -84,6 +84,20 @@ def test_make_problem_refuses_noise_outside_the_unit_interval_and_non_whole_size
         make_problem(**{"kind": "inside-hull", "K": 3, "M": 4, "b": 1.0, "seed": 0, **arguments})
 
 
+def test_make_problem_takes_a_key_words_seed_and_keeps_its_stream():
+    # the range every draw key's seed word takes: numpy's default_rng would
+    # refuse -1 without naming it and take 2**64 and above; a seed inside it
+    # moves no problem, whose design masses are still the first draw of
+    # default_rng(seed)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), found {seed}"):
+            make_problem("outside-hull", K=3, M=4, b=1.0, seed=seed)
+    for seed in (0, 2**64 - 1):
+        p, _ = make_problem("outside-hull", K=3, M=4, b=1.0, seed=seed)
+        px = np.random.default_rng(seed).dirichlet(np.ones(3))
+        assert p.marginal_x.tobytes() == (px / px.sum()).tobytes()
+
+
 @pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
 def test_make_cell_follows_the_hand_recipe_bit_for_bit(kind):
     # the reference: a cell of a run is make_problem at the seed hashed out of

@@ -35,6 +35,7 @@ from _support import (
     erm_constrained,
     erm_oracle,
     exhaustive_sample,
+    gap_tolerance,
     lstsq_minimize_fw,
     pairs,
     project_box,
@@ -156,11 +157,14 @@ def test_erm_hull_reports_why_it_stopped(config, reason):
     p = random_problem(rng, K=8)
     d = random_dictionary(rng, M=20, K=8)
     # the seed-0 sample ends the 1e-300 solve on an exact zero gap, so on "gap"
-    sol = erm_convex_hull(d, sample(p, 64, seed=1), config)
+    s = sample(p, 64, seed=1)
+    sol = erm_convex_hull(d, s, config)
+    (root,), (target,) = _least_squares(d.num_design_points, _blocks([s]))
+    tolerance = gap_tolerance(d.values * root, target, config)
     assert sol.stop_reason == reason
-    assert sol.converged == (sol.duality_gap <= config.tolerance)
+    assert sol.converged == (sol.duality_gap <= tolerance)
     if reason != "gap":
-        assert sol.duality_gap > config.tolerance
+        assert sol.duality_gap > tolerance
     # every iteration but a final certifying one adds a vertex and solves
     assert sol.kkt_solves >= sol.iterations - 1 >= 0
 
@@ -432,8 +436,9 @@ def test_hull_solve_on_a_large_design_in_bounded_memory():
 
 @pytest.mark.parametrize("exponent", range(-6, 7))
 def test_hull_solution_scales_with_the_data(exponent):
-    # (F, y) -> (sF, sy) multiplies the risk by s^2 and leaves the minimizer,
-    # so with the tolerance scaled alike the weights must not move
+    # (F, y) -> (sF, sy) multiplies the risk, the gap and the scale the
+    # tolerance is relative to by s^2 and leaves the minimizer, so with one
+    # tolerance for every s the weights and the solver's path must not move
     scale = 10.0**exponent
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -444,11 +449,33 @@ def test_hull_solution_scales_with_the_data(exponent):
         scaled = erm_convex_hull(
             Dictionary(scale * d.values),
             SampleSet(s.x_indices, scale * s.y_values, s.counts, seed=0),
-            SolverConfig(tolerance=1e-8 * scale**2),
         )
         assert scaled.converged
+        assert (scaled.iterations, scaled.stop_reason) == (base.iterations, base.stop_reason)
         assert np.allclose(scaled.weights.weights, base.weights.weights, rtol=0.0, atol=1e-10)
         assert scaled.empirical_risk == pytest.approx(scale**2 * base.empirical_risk, rel=1e-10)
+
+
+@pytest.mark.parametrize("data", ["labels", "dictionary"])
+@pytest.mark.parametrize("factor", [1e154, 1e155])
+def test_a_scale_that_overflows_never_converges(data, factor):
+    # labels or a dictionary of 1e155 square past the largest float, so the
+    # scale the gap is measured against is not finite, no gap meets it, and
+    # the solve ends unconverged whatever its gap reads.  At 1e154 the scale
+    # is still finite and the solve certifies its gap
+    p, d = make_problem("inside-hull", K=16, M=64, b=1.0, seed=0)
+    s = sample(p, 256, seed=1)
+    if data == "labels":
+        s = SampleSet(s.x_indices, factor * s.y_values, s.counts, seed=0)
+    else:
+        d = Dictionary(factor * d.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = erm_convex_hull(d, s)
+    if factor == 1e154:
+        assert sol.converged and sol.stop_reason == "gap"
+    else:
+        assert not sol.converged
+        assert sol.stop_reason in ("repeat_vertex", "no_descent")
 
 
 def _support(face, b):
@@ -823,8 +850,8 @@ def test_a_reps_solve_does_not_depend_on_its_batch(seed, kind, K, M, n, reps, ex
     root, target = _least_squares(K, _blocks(sample(p, n, seed=seed + r) for r in range(reps)))
     target = scale * target
     config = {
-        "gap": SolverConfig(tolerance=1e-8 * scale**2),
-        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
+        "gap": SolverConfig(),
+        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4))),
         "tiny tolerance": SolverConfig(tolerance=1e-300),
     }[stopping]
 
@@ -887,8 +914,8 @@ def test_a_reps_solve_does_not_depend_on_the_other_dictionaries_of_its_batch(
     root, target = _least_squares(K, _blocks(sample(problems[g][0], n, seed=seed + r) for r, g in enumerate(which)))
     target = scale * target
     config = {
-        "gap": SolverConfig(tolerance=1e-8 * scale**2),
-        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4)), tolerance=1e-8 * scale**2),
+        "gap": SolverConfig(),
+        "cap": SolverConfig(max_iterations=int(rng.integers(1, 4))),
         "tiny tolerance": SolverConfig(tolerance=1e-300),
     }[stopping]
 

@@ -105,6 +105,19 @@ def test_sparsify_random_vertex_and_reproducibility():
     assert sparsify_random(u, 1, seed=0).sum() == 1
 
 
+def test_sparsify_random_takes_a_key_words_seed_and_keeps_its_stream():
+    # the range every draw key's seed word takes: numpy's default_rng would
+    # refuse -1 without naming it and take 2**64 and above; a seed inside it
+    # still draws from default_rng(seed)
+    u = SimplexWeights(np.array([0.3, 0.3, 0.4]))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), found {seed}"):
+            sparsify_random(u, 7, seed=seed)
+    for seed in (9, 2**64 - 1):
+        draws = np.random.default_rng(seed).choice(3, size=7, p=u.weights)
+        assert sparsify_random(u, 7, seed=seed).tolist() == np.bincount(draws, minlength=3).tolist()
+
+
 def test_sparsified_risk_reference_binomial_case():
     d, p = two_constant_setup()
     w = SimplexWeights(np.array([0.5, 0.5]))
