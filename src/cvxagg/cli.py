@@ -93,9 +93,10 @@ def _cmd_solve(args) -> int:
     samples = csvio.read_samples(args.samples_path)
     cfg = SolverConfig(max_iterations=args.max_iter, tolerance=args.tol)
     solution = erm_convex_hull(dictionary, samples, cfg)
-    # the solution's fields in their order, the weights as a list
-    payload = {**vars(solution), "weights": solution.weights.weights.tolist()}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    # the solution's fields in their order, the weights as a list; JSON has no inf or NaN, so an overflow is null
+    fields = {**vars(solution), "weights": solution.weights.weights.tolist()}
+    payload = {name: None if isinstance(x, float) and not np.isfinite(x) else x for name, x in fields.items()}
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     if not solution.converged:
         print("solver did not reach its duality-gap tolerance", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -32,7 +33,7 @@ import numpy as np
 from .model import Dictionary, DiscreteProblem, _key_words, _not_bool, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
-from .solver import ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
+from .solver import _STOP_REASONS, ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
 DEFAULT_GRID = tuple((n, M) for n in (64, 256, 1024, 4096) for M in (2, 4, 16, 64, 256))
@@ -85,15 +86,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trials:
-    """ERM trials as columns, each a numpy array with an entry per trial: the
-    exact population excess risk against the hull optimum and the counters
-    of the hull solve (`solver.ErmSolution`).  Iteration yields `TrialRecord`s."""
+    """ERM trials as spans and columns: spans lists the trials, in order, as
+    (cell, lo, hi) runs of replications lo..hi - 1 of one `Cell`, and each
+    column is a numpy array with an entry per trial, the stop reason as the
+    solver's int8 code.  Iteration yields `TrialRecord`s, whose n, M,
+    replication and oracle_risk come from the spans."""
 
-    n: np.ndarray
-    M: np.ndarray
-    replication: np.ndarray
+    spans: tuple
     excess_risk: np.ndarray
-    oracle_risk: np.ndarray
     seed: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
@@ -103,16 +103,32 @@ class Trials:
     duality_gap: np.ndarray
 
     def __len__(self) -> int:
-        return self.n.size
+        return self.seed.size
 
     def __iter__(self):
-        return map(TrialRecord, *(column.tolist() for column in _fields(self).values()))
+        columns = self.columns().values()
+        for cell, reps, rows in self.chunks():
+            for rep, (excess, seed, *solve) in zip(reps, zip(*(column[rows].tolist() for column in columns))):
+                yield TrialRecord(cell.n, cell.dictionary.size_M, rep, excess, cell.oracle_risk, seed, *solve)
+
+    def columns(self) -> dict:
+        """The per-trial columns by name, in order."""
+        return {name: x for name, x in _fields(self).items() if name != "spans"}
+
+    def chunks(self):
+        """(cell, reps, rows) per run of at most MAX_BATCH trials of one span:
+        the replications and the slice of the columns that holds them."""
+        start = 0
+        for cell, lo, hi in self.spans:
+            for rep in range(lo, hi, MAX_BATCH):
+                end = min(rep + MAX_BATCH, hi)
+                yield cell, range(rep, end), slice(start + rep - lo, start + end - lo)
+            start += hi - lo
 
 
-# one trial of a `Trials`, with its fields in their order
-TrialRecord = dataclasses.make_dataclass(
-    "TrialRecord", [f.name for f in dataclasses.fields(Trials)], frozen=True, namespace={"__module__": __name__}
-)
+# one trial of a `Trials`, its fields in order: trials.csv's columns, then the solve's counters
+_RECORD = ["n", "M", "replication", "excess_risk", "oracle_risk"] + [f.name for f in dataclasses.fields(Trials)][2:]
+TrialRecord = dataclasses.make_dataclass("TrialRecord", _RECORD, frozen=True, namespace={"__module__": __name__})
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,7 @@ class RateReport:
     validation_ratios are mean excess / (c_hat b^2 psi) on the odd cells.
     c_hat_phi is the same fit against the older rate curve, kept for
     comparison.  incomplete is set when any trial failed to converge.
-    records is the run's `Trials`, in grid order, then replication order.
+    records is the run's `Trials`, one span per grid cell, in grid order.
     """
 
     points: tuple
@@ -256,43 +272,35 @@ def make_cell(cfg: ExperimentConfig, n: int, M: int) -> Cell:
     return Cell(problem, dictionary, n, population_oracle(dictionary, problem).empirical_risk)
 
 
-def run_trials(trials, solver_config: SolverConfig) -> Trials:
-    """Draw a size-n sample per (cell, replication, seed) trial, run hull ERM
-    on all of them as one batch, and take each exact population excess.
+def run_trials(spans, master_seed: int, solver_config: SolverConfig) -> Trials:
+    """Draw a size-n sample per trial of the spans, run hull ERM on all of
+    them as one batch, and take each exact population excess.
 
-    Each run of consecutive trials of one cell is drawn as one counts
-    matrix, a row per trial from its own seed's Philox stream
-    (`model.draw_count_matrix`, which checks the matrix once), and is one
-    block of probability rows counts / n over the cell problem's atoms for
-    `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
-    weight matrices it returns.  Nothing is built per trial: a block's
-    excesses, the population risks of its fitted values w @ F minus the
-    cell's oracle risk, are one stacked product whose 1-D dots of
-    C-contiguous rows give `risk.population_risk`'s bits.  Returns the
-    trials' columns, in order: the same for any split of the trials, since
-    a trial's solve has the same bits in any batch, those of
+    A span (cell, lo, hi), replications lo..hi - 1 of one `Cell`, is drawn
+    as one counts matrix, rep's row from seed derive_seed(master_seed, n, M,
+    rep)'s own Philox stream (`model.draw_count_matrix`, which checks the
+    matrix once), and is one block of probability rows counts / n over the
+    cell problem's atoms for `solver.erm_convex_hull_blocks`, which groups
+    the blocks and checks the weight matrices it returns.  Nothing is built
+    per trial: a block's excesses, the population risks of its fitted values
+    w @ F minus the cell's oracle risk, are one stacked product whose 1-D
+    dots of C-contiguous rows give `risk.population_risk`'s bits.  The
+    trials are the same for any split of the spans, since a trial's solve
+    has the same bits in any batch, those of
     erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed)).
     """
-    runs = [(cell, [seed for _, _, seed in run]) for cell, run in itertools.groupby(trials, key=lambda trial: trial[0])]
-    blocks = []
-    for cell, seeds in runs:
-        counts = draw_count_matrix(cell.problem, cell.n, seeds)
-        blocks.append((cell.dictionary, cell.problem, counts / cell.n))
+    seeds = [[derive_seed(master_seed, c.n, c.dictionary.size_M, rep) for rep in range(lo, hi)] for c, lo, hi in spans]
+    blocks = [(c.dictionary, c.problem, draw_count_matrix(c.problem, c.n, s) / c.n) for (c, *_), s in zip(spans, seeds)]
     solved = erm_convex_hull_blocks(blocks, solver_config)
     excess = []
-    for (cell, _), (weights, _) in zip(runs, solved):
+    for (cell, _, _), (weights, _) in zip(spans, solved):
         atoms, fitted = cell.problem, np.matmul(weights[:, None, :], cell.dictionary.values)[:, 0]
         resid = atoms.y_values - np.take(fitted, atoms.x_indices, axis=1)  # fitted[:, x] has strided rows
         excess.append(np.matmul((resid * resid)[:, None, :], atoms.probabilities[:, None])[:, 0, 0] - cell.oracle_risk)
-    sizes = [len(seeds) for _, seeds in runs]
-    _, replication, seed = zip(*trials)
     return Trials(
-        n=np.repeat([cell.n for cell, _ in runs], sizes),
-        M=np.repeat([cell.dictionary.size_M for cell, _ in runs], sizes),
-        replication=np.array(replication),
+        tuple(spans),
         excess_risk=np.concatenate(excess),
-        oracle_risk=np.repeat([cell.oracle_risk for cell, _ in runs], sizes),
-        seed=np.array(seed),
+        seed=np.array([seed for row in seeds for seed in row], dtype=np.int64),
         **{name: np.concatenate([statistics[name] for _, statistics in solved]) for name in solved[0][1]},
     )
 
@@ -308,36 +316,44 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     """Run every grid cell, fit the rate constant, and assemble the report.
 
     Each cell is built once, by `make_cell`; its replications vary only the
-    sample.  The trials, in grid order, are cut into batches of at most
-    MAX_BATCH trials for `run_trials`, after jobs is capped at the CPUs the
-    process may use: one worker solves the batches in turn; with more, a
-    batch is about a quarter of a worker's share, and no more workers start
-    than there are batches.  A batch runs about as many Frank-Wolfe rounds
-    as its longest solve has iterations, where one-at-a-time solving ran the
-    sum of them.  The columns come in grid, then replication order, so the
-    summary reads each as a (cells, replications) table whose row i is grid
-    cell i.  A trial's solve has the same bits in any batch (see `solver`),
-    so when out_dir is given, trials.csv and report.json are written there
-    with bytes identical for any worker count.
+    sample.  The cells x R trials, in grid order, are cut into batches of at
+    most MAX_BATCH trials, as spans for `run_trials`, after jobs is capped at
+    the CPUs the process may use: one worker solves the batches in turn;
+    with more, a batch is about a quarter of a worker's share, and no more
+    workers start than there are batches.  A batch runs about as many
+    Frank-Wolfe rounds as its longest solve has iterations, where
+    one-at-a-time solving ran the sum of them.  The columns come in grid,
+    then replication order, so the summary reads each as a (cells,
+    replications) table whose row i is grid cell i.  A trial's solve has the
+    same bits in any batch (see `solver`), so when out_dir is given,
+    trials.csv and report.json are written there with bytes identical for
+    any worker count.
     """
     jobs = min(_whole(jobs, "jobs", 1), _usable_cpus())
-    trials = []
-    for n, M in cfg.grid:
-        cell = make_cell(cfg, n, M)
-        trials.extend((cell, rep, derive_seed(cfg.master_seed, n, M, rep)) for rep in range(cfg.replications))
-
-    step = MAX_BATCH if jobs == 1 else min(MAX_BATCH, math.ceil(len(trials) / jobs / 4))
-    batches = [trials[start : start + step] for start in range(0, len(trials), step)]
-    if jobs == 1:
-        solved = map(run_trials, batches, itertools.repeat(cfg.solver))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            solved = list(pool.map(run_trials, batches, itertools.repeat(cfg.solver)))
-    records = Trials(*map(np.concatenate, zip(*(_fields(batch).values() for batch in solved))))
+    R = cfg.replications
+    cells = [make_cell(cfg, n, M) for n, M in cfg.grid]
+    total = len(cells) * R
+    step = MAX_BATCH if jobs == 1 else min(MAX_BATCH, math.ceil(total / jobs / 4))
+    # batch start..stop - 1 of the flat cells x R trials, as one span per cell it meets
+    batches = [
+        [(cells[i], max(start - i * R, 0), min(stop - i * R, R)) for i in range(start // R, (stop - 1) // R + 1)]
+        for start, stop in ((start, min(start + step, total)) for start in range(0, total, step))
+    ]
+    args = (run_trials, batches, itertools.repeat(cfg.master_seed), itertools.repeat(cfg.solver))
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) if jobs > 1 else None
+    columns, start = {}, 0
+    with pool or contextlib.nullcontext():
+        for batch in pool.map(*args) if pool else map(*args):  # each fills the run's columns at its offset
+            for name, column in batch.columns().items():
+                if name not in columns:
+                    columns[name] = np.empty(total, column.dtype)
+                columns[name][start : start + column.size] = column
+            start += len(batch)
+    records = Trials(tuple((cell, 0, R) for cell in cells), **columns)
 
     incomplete = not records.converged.all()
-    R = cfg.replications
-    excess, iterations = (column.reshape(len(cfg.grid), R) for column in (records.excess_risk, records.iterations))
+    table = {name: column.reshape(len(cfg.grid), R) for name, column in records.columns().items()}
+    excess, iterations = table["excess_risk"], table["iterations"]
     mean = np.mean(excess, axis=1)
     quantiles = np.quantile(excess, (0.10, 0.25, 0.75, 0.90), axis=1)
     summary = np.column_stack((mean, np.median(excess, axis=1), *quantiles, np.max(excess, axis=1)))
@@ -346,10 +362,10 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
     solver = zip(
         (median.astype(np.int64) if R % 2 else median).tolist(),  # statistics.median's int at odd R
         np.max(iterations, axis=1).tolist(),
-        records.kkt_solves.reshape(-1, R).sum(axis=1).tolist(),
-        records.drop_steps.reshape(-1, R).sum(axis=1).tolist(),
-        [dict(collections.Counter(row)) for row in records.stop_reason.reshape(-1, R).tolist()],
-        records.duality_gap.reshape(-1, R).max(axis=1).tolist(),
+        table["kkt_solves"].sum(axis=1).tolist(),
+        table["drop_steps"].sum(axis=1).tolist(),
+        [{_STOP_REASONS[c]: k for c, k in collections.Counter(row.tolist()).items()} for row in table["stop_reason"]],
+        table["duality_gap"].max(axis=1).tolist(),
     )
     points = tuple(
         PointSummary(n, M, psi_c(n, M), phi_n(n, M), R, *row, solver=dict(zip(names, cell)))
@@ -392,16 +408,18 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
 
 
 def write_outputs(report: RateReport, out_dir) -> None:
-    """Write trials.csv (one row per trial) and report.json, deterministically:
-    the report's fields but records, keys sorted, with each summary and
-    deviation row written as its own fields."""
+    """Write trials.csv (a row per trial, one `Trials.chunks` chunk at a time)
+    and report.json, deterministically: the report's fields but records, keys
+    sorted, with each summary and deviation row written as its own fields."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     t = report.records
-    rows = zip(*(c.tolist() for c in (t.n, t.M, t.replication, t.excess_risk, t.oracle_risk, t.seed, t.converged)))
-    lines = ["n,M,replication,excess_risk,oracle_risk,seed,converged"]
-    lines += [f"{n},{M},{rep},{excess!r},{oracle!r},{seed},{ok:d}" for n, M, rep, excess, oracle, seed, ok in rows]
-    (path / "trials.csv").write_text("\n".join(lines) + "\n")
+    with open(path / "trials.csv", "w") as handle:
+        handle.write("n,M,replication,excess_risk,oracle_risk,seed,converged\n")
+        for cell, reps, part in t.chunks():
+            n, M, oracle = cell.n, cell.dictionary.size_M, cell.oracle_risk
+            rows = zip(reps, *(column[part].tolist() for column in (t.excess_risk, t.seed, t.converged)))
+            handle.write("".join(f"{n},{M},{rep},{x!r},{oracle!r},{seed},{ok:d}\n" for rep, x, seed, ok in rows))
     fields = {name: value for name, value in _fields(report).items() if name != "records"}
     (path / "report.json").write_text(json.dumps(fields, default=_fields, indent=2, sort_keys=True) + "\n")
 

@@ -183,9 +183,9 @@ def _by_dictionary(x: np.ndarray, Y: list, runs: list, width: int) -> np.ndarray
     return out
 
 
-# ErmSolution.stop_reason by the codes the batched solver keeps per rep; 0 is
-# a rep still iterating
-_STOP_REASONS = np.array(("", "gap", "repeat_vertex", "no_descent", "max_iterations"))
+# the stop reasons by the int8 codes the solver returns, read by erm_convex_hull
+# and the per-cell tally of `experiments`; 0 is a rep still iterating
+_STOP_REASONS = ("", "gap", "repeat_vertex", "no_descent", "max_iterations")
 _GAP, _REPEAT, _NO_DESCENT, _MAX_ITERATIONS = 1, 2, 3, 4
 
 
@@ -422,7 +422,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     Returns arrays with a row per rep, in order: the (B, largest M) weight
     matrix, whose row b is 0 past rep b's M, and per rep the duality gap,
     whether that gap met its tolerance (the stop rule's own test, read at
-    the rep's final weights), iterations, stop code (an index into
+    the rep's final weights), iterations, stop code (an int8 index into
     `_STOP_REASONS`), kkt_solves and drop_steps.
     """
     F = [np.ascontiguousarray(f, dtype=float) for f in F]
@@ -453,7 +453,7 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     support = []  # per finish call: the rows, columns and values of weights
     gaps = np.empty(B)
     converged = np.empty(B, dtype=bool)
-    iterations, stops, drops = (np.empty(B, dtype=np.intp) for _ in range(3))
+    iterations, stops, drops = (np.empty(B, dtype=dtype) for dtype in (np.intp, np.int8, np.intp))
 
     def finish(stopped, gap, at_gap, s, it):
         """Record the reps where stopped is set and take them out of the batch;
@@ -604,10 +604,11 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     once by `model.simplex_rows`, and the solves' statistics, a dict keyed
     by `ErmSolution`'s field names after weights and empirical_risk
     (duality_gap, iterations, converged, stop_reason, kkt_solves and
-    drop_steps, in that order), each an array with an entry per dataset.
-    `converged` is the solver's stop rule, gap <= tolerance times the
-    dataset's scale (see `SolverConfig`), at the final weights; callers read
-    it rather than compare the gap themselves.
+    drop_steps, in that order), each an array with an entry per dataset,
+    stop_reason's an int8 code into `_STOP_REASONS`.  `converged` is the
+    solver's stop rule, gap <= tolerance times the dataset's scale (see
+    `SolverConfig`), at the final weights; callers read it rather than
+    compare the gap themselves.
     """
     cfg = config or SolverConfig()
     blocks = list(blocks)
@@ -628,7 +629,7 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
             duality_gap=gap,
             iterations=iterations,
             converged=converged,
-            stop_reason=_STOP_REASONS[stop],
+            stop_reason=stop,
             kkt_solves=kkt_solves,
             drop_steps=drop_steps,
         )
@@ -654,10 +655,11 @@ def erm_convex_hull(
     cfg = config or SolverConfig()
     ((weights, statistics),) = erm_convex_hull_blocks([(dictionary, data, data.probabilities[None, :])], cfg)
     w = weights[0]
+    solves = {name: x.item() for name, x in statistics.items()}
     return ErmSolution(
         weights=SimplexWeights(w),
         empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
-        **{name: x.item() for name, x in statistics.items()},
+        **{**solves, "stop_reason": _STOP_REASONS[solves["stop_reason"]]},
     )
 
 

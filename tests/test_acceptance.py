@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the plain pytest run.
 """
 
-import dataclasses
 import math
 import time
 
@@ -354,14 +353,14 @@ def test_criterion_12_batch_invariance(rate_report):
     # same solve counters
     started = time.time()
     cfg, report = rate_report
-    t = report.records
+    columns = report.records.columns()
     ok = True
     for i, (n, M) in enumerate(cfg.grid):
         cell = make_cell(cfg, n, M)
-        for j in range(i * cfg.replications, i * cfg.replications + 5):
-            alone = run_trials([(cell, int(t.replication[j]), int(t.seed[j]))], cfg.solver)
+        for rep in range(5):
+            j = i * cfg.replications + rep
+            alone = run_trials([(cell, rep, rep + 1)], cfg.master_seed, cfg.solver)
             ok = ok and all(
-                getattr(alone, f.name).tobytes() == getattr(t, f.name)[j : j + 1].tobytes()
-                for f in dataclasses.fields(t)
+                column.tobytes() == columns[name][j : j + 1].tobytes() for name, column in alone.columns().items()
             )
     _report(12, "trials solved alone match the batched rate run bit for bit", ok, started)

@@ -451,19 +451,35 @@ def test_solve_nonconvergence_exit_code(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iterations"
 
 
-def test_solve_on_labels_whose_scale_overflows_exits_two(workspace, capsys):
-    # labels of 1e155 square past the largest float, so no gap can be measured
-    # against their scale: the solve is reported unconverged and exits 2,
-    # where an absolute tolerance called it converged and exited 0
+def _solve_huge_labels(workspace) -> int:
+    """`cvxagg solve` on the workspace sample with its labels times 1e155."""
     draws = csvio.read_samples(workspace["samples"])
     samples = workspace["dir"] / "huge-samples.csv"
     csvio.write_samples(SampleSet(draws.x_indices, 1e155 * draws.y_values, draws.counts, draws.seed), samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["solve", "--dict", str(workspace["dict"]), "--samples", str(samples)])
-    assert code == 2
+        return main(["solve", "--dict", str(workspace["dict"]), "--samples", str(samples)])
+
+
+def test_solve_on_labels_whose_scale_overflows_exits_two(workspace, capsys):
+    # labels of 1e155 square past the largest float, so no gap can be measured
+    # against their scale: the solve is reported unconverged and exits 2,
+    # where an absolute tolerance called it converged and exited 0
+    assert _solve_huge_labels(workspace) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["converged"] is False
     assert captured.err == "solver did not reach its duality-gap tolerance\n"
+
+
+def test_solve_writes_a_risk_that_overflows_as_null(workspace, capsys):
+    # the empirical risk of labels of 1e155 overflows to inf, which JSON
+    # cannot hold: Python's default would print the token Infinity, which a
+    # strict reader refuses; the solve writes null and still exits 2
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    assert _solve_huge_labels(workspace) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["empirical_risk"] is None and payload["converged"] is False
 
 
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])

@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import statistics
@@ -146,8 +147,8 @@ def test_run_grid_reports_solver_statistics_per_cell():
             "max_duality_gap": max(sol.duality_gap for sol in solves),
         }
         # inside-hull cells take the Bayes risk as their hull minimum
-        oracle_risks = report.records.oracle_risk[i * cfg.replications : (i + 1) * cfg.replications]
-        assert set(oracle_risks.tolist()) == {cell.oracle_risk} == {bayes_risk(cell.problem)}
+        oracle_risks = {r.oracle_risk for r in report.records if (r.n, r.M) == (point.n, point.M)}
+        assert oracle_risks == {cell.oracle_risk} == {bayes_risk(cell.problem)}
 
 
 def test_make_problem_pure_noise_regression_is_zero():
@@ -159,7 +160,7 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    trials = run_trials([(Cell(p, d, 32, oracle_risk), 0, 11)], SolverConfig())
+    trials = run_trials([(Cell(p, d, 32, oracle_risk), 0, 1)], 11, SolverConfig())
     assert trials.excess_risk.tolist() == pytest.approx([0.0], abs=1e-10)
     assert trials.converged.tolist() == [True]
 
@@ -184,13 +185,13 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     c = 0.8
     p, _ = make_problem("pure-noise", K=3, M=2, b=1.0, seed=17)
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
-    seed = 12345
+    seed = derive_seed(12345, 40, 2, 0)
     oracle_risk = population_oracle(d, p).empirical_risk
-    trials = run_trials([(Cell(p, d, 40, oracle_risk), 0, seed)], SolverConfig(tolerance=1e-12))
+    trials = run_trials([(Cell(p, d, 40, oracle_risk), 0, 1)], 12345, SolverConfig(tolerance=1e-12))
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
-    assert trials.oracle_risk.tolist() == pytest.approx([population_risk(np.zeros(3), p)], abs=1e-10)
+    assert [r.oracle_risk for r in trials] == pytest.approx([population_risk(np.zeros(3), p)], abs=1e-10)
     assert trials.excess_risk.tolist() == pytest.approx([expected_excess], abs=1e-8)
 
 
@@ -257,12 +258,17 @@ def _key(r, excess):
 
 
 def _keys(trials):
-    """`_key` of every trial of a `Trials`, read off its columns."""
+    """`_key` of every trial of a `Trials`, read off its columns, the stop
+    codes named by the solver's table."""
     columns = (trials.iterations, trials.stop_reason, trials.kkt_solves, trials.drop_steps)
+    iterations, codes, kkt_solves, drop_steps = (column.tolist() for column in columns)
     return list(
         zip(
             map(float.hex, trials.excess_risk.tolist()),
-            *(column.tolist() for column in columns),
+            iterations,
+            [solver._STOP_REASONS[code] for code in codes],
+            kkt_solves,
+            drop_steps,
             map(float.hex, trials.duality_gap.tolist()),
             trials.converged.tolist(),
         )
@@ -298,14 +304,18 @@ def test_run_trials_match_the_measure_path_bit_for_bit(kind, K, sizes, widths, r
         excess = population_risk(combine(cell.dictionary, solution.weights), cell.problem) - cell.oracle_risk
         expected.append(_key(solution, excess))
     shuffled = np.random.default_rng(0).permutation(len(trials))
-    for order in (np.arange(len(trials)), shuffled):
-        batch = run_trials([trials[i] for i in order], cfg)
+    # in grid order, one span per cell; shuffled, one span per trial
+    by_cell = [(cell, 0, reps) for cell, rep, _ in trials if rep == 0]
+    by_trial = [(trials[i][0], trials[i][1], trials[i][1] + 1) for i in shuffled]
+    for order, spans in ((np.arange(len(trials)), by_cell), (shuffled, by_trial)):
+        batch = run_trials(spans, 5, cfg)
         assert _keys(batch) == [expected[i] for i in order]
-        assert list(zip(batch.replication.tolist(), batch.seed.tolist())) == [trials[i][1:] for i in order]
+        records = list(batch)
+        assert [(r.replication, r.seed) for r in records] == [trials[i][1:] for i in order]
         cells = [trials[i][0] for i in order]
-        assert batch.n.tolist() == [cell.n for cell in cells]
-        assert batch.M.tolist() == [cell.dictionary.size_M for cell in cells]
-        assert batch.oracle_risk.tolist() == [cell.oracle_risk for cell in cells]
+        assert [r.n for r in records] == [cell.n for cell in cells]
+        assert [r.M for r in records] == [cell.dictionary.size_M for cell in cells]
+        assert [r.oracle_risk for r in records] == [cell.oracle_risk for cell in cells]
 
 
 @pytest.mark.parametrize(
@@ -317,15 +327,16 @@ def test_converged_flags_are_the_solvers_own(cfg):
     # run_trials and erm_convex_hull copy each dataset's converged flag from
     # erm_convex_hull_blocks and do not compare the gap with the tolerance
     # themselves.  One iteration stops every solve on the iteration cap,
-    # with some gaps at the tolerance and some above it: at 1e-16 the
-    # M = 2 solves are exact and the others are not, and 0.06 lies between
-    # gaps of 0.051 and 0.071, so a rule off by a factor of 10 flips a flag
+    # with some gaps at the tolerance and some above it: at 1e-16 three
+    # solves meet it and six do not, and 0.06 lies between gaps of 0.018
+    # and 0.149 times their scale, so a rule off by a factor of 10 flips a flag
     run = ExperimentConfig(problem_kind="outside-hull", atoms_K=4, master_seed=3)
-    cells, seeds = [make_cell(run, 64, M) for M in (2, 5, 16)], [11, 12, 13]
-    blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds) / c.n) for c in cells]
+    cells = [make_cell(run, 64, M) for M in (2, 5, 16)]
+    seeds = {c: [derive_seed(run.master_seed, c.n, c.dictionary.size_M, rep) for rep in range(3)] for c in cells}
+    blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds[c]) / c.n) for c in cells]
     flags = np.concatenate([statistics["converged"] for _, statistics in solver.erm_convex_hull_blocks(blocks, cfg)])
-    trials = run_trials([(cell, rep, seed) for cell in cells for rep, seed in enumerate(seeds)], cfg)
-    solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds]
+    trials = run_trials([(cell, 0, 3) for cell in cells], run.master_seed, cfg)
+    solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds[c]]
     assert trials.converged.tolist() == [s.converged for s in solutions] == flags.tolist()
     if cfg.max_iterations == 1:
         assert {s.stop_reason for s in solutions} == {"max_iterations"}
@@ -334,14 +345,12 @@ def test_converged_flags_are_the_solvers_own(cfg):
         assert flags.all()
 
 def _draw_with(change):
-    """model._draw with change applied to the counts of seed 2."""
+    """model._draw with change applied to the counts of the second seed."""
     draw = model._draw
 
     def drawn(problem, n, keys):
         rows = draw(problem, n, keys)
-        for key, counts in zip(keys, rows):
-            if key == 2:
-                change(counts)
+        change(rows[1])
         return rows
 
     return drawn
@@ -388,7 +397,7 @@ def test_run_trials_checks_its_counts_matrix_and_weight_matrix(monkeypatch, modu
     cell = Cell(p, d, 16, 0.0)
     monkeypatch.setattr(module, name, replacement)
     with pytest.raises(ValueError, match=message):
-        run_trials([(cell, rep, rep + 1) for rep in range(3)], SolverConfig())
+        run_trials([(cell, 0, 3)], 0, SolverConfig())
 
 
 def test_run_grid_single_cell_report_shape():
@@ -405,12 +414,11 @@ def test_run_grid_single_cell_report_shape():
 def test_run_grid_records_recompute_exactly():
     cfg = ExperimentConfig(grid=((64, 2), (64, 4)), replications=5, master_seed=1)
     report = run_grid(cfg)
-    t = report.records
     cells = {(n, M): make_cell(cfg, n, M) for n, M in cfg.grid}
-    for n, M, rep, seed, excess in zip(*(c.tolist() for c in (t.n, t.M, t.replication, t.seed, t.excess_risk))):
-        redone = run_trials([(cells[n, M], rep, seed)], cfg.solver)
-        assert redone.excess_risk.tolist() == [excess]
-        assert excess >= -1e-10
+    for r in report.records:
+        redone = run_trials([(cells[r.n, r.M], r.replication, r.replication + 1)], cfg.master_seed, cfg.solver)
+        assert (redone.excess_risk.tolist(), redone.seed.tolist()) == ([r.excess_risk], [r.seed])
+        assert r.excess_risk >= -1e-10
 
 
 def test_run_grid_median_trend_in_n():
@@ -419,6 +427,53 @@ def test_run_grid_median_trend_in_n():
     medians = {(p.n): p.median_excess for p in report.points}
     iqr = report.points[0].q75 - report.points[0].q25
     assert medians[256] <= medians[32] + iqr
+
+
+# sha256 of trials.csv and report.json of the run of test_run_grid_outputs_are_pinned,
+# per problem kind; they hold for numpy 2.4's Philox and multinomial streams,
+# which tests/test_draws.py pins
+PINNED_OUTPUTS = {
+    "inside-hull": (
+        "1e770c498fbce2c2d63e388f3a8ab4d3cb26a0e0f73f07e8fbd059d61eb618f6",
+        "b547f13cbab2e92b8e54530272d089727d3f744e23e5b2dbf708750d23e792c7",
+    ),
+    "outside-hull": (
+        "86d6a0d9b112966105315d9bb1caf1084fdb6186104079b6072b9f08e6a9cf4f",
+        "dd876777ecb3c14afc93e906e62a4c367fdf59ddacc25a5eed31b3715aff3893",
+    ),
+    "pure-noise": (
+        "d8275ff7164dd5e47be8e5298af31a6ce1d3408fca51330566fbafd8e98c2a76",
+        "722d2a579db5d585e4b4506e3c88d2d5ce5c0eb3cddae98c0f58443cfe998f98",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
+def test_run_grid_outputs_are_pinned(tmp_path, kind):
+    # a change to how trials are cut, stored, tallied or written that moves
+    # a byte of either file fails here
+    cfg = ExperimentConfig(grid=((64, 2), (256, 16)), problem_kind=kind, replications=10, master_seed=0)
+    run_grid(cfg, out_dir=tmp_path, jobs=1)
+    files = ("trials.csv", "report.json")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files)
+    assert digests == PINNED_OUTPUTS[kind]
+
+
+def test_records_store_at_most_50_bytes_per_trial():
+    # n, M, replication and oracle_risk are per-cell values, kept once per
+    # cell, and a stop reason is the solver's int8 code, not a string: the
+    # per-trial columns are excess, seed, gap and three counters of 8 B, the
+    # converged flag and the stop code of 1 B
+    cfg = ExperimentConfig(grid=((64, 2), (64, 4), (128, 2)), replications=7)
+    t = run_grid(cfg).records
+    stored = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+    columns = [x for x in stored.values() if isinstance(x, np.ndarray)]
+    assert sum(column.nbytes for column in columns) / len(t) <= 50
+    assert not [column.dtype for column in columns if column.dtype.kind in "SU"]
+    assert all(column.shape == (len(t),) for column in columns)
+    # what is not a column is the spans, one per grid cell
+    assert [name for name, x in stored.items() if not isinstance(x, np.ndarray)] == ["spans"]
+    assert len(t.spans) == len(cfg.grid)
 
 
 def test_run_grid_outputs_byte_identical(tmp_path):
@@ -447,9 +502,9 @@ def in_process_pool(monkeypatch):
     pools, batches = [], []
     solve = experiments.run_trials
 
-    def recorded(trials, solver_config):
-        batches.append([(cell.n, cell.dictionary.size_M) for cell, _, _ in trials])
-        return solve(trials, solver_config)
+    def recorded(spans, master_seed, solver_config):
+        batches.append([(cell.n, cell.dictionary.size_M) for cell, lo, hi in spans for _ in range(lo, hi)])
+        return solve(spans, master_seed, solver_config)
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -594,7 +649,7 @@ def _scalar_summary(cfg, records):
             "iterations_max": max(iterations),
             "kkt_solves": sum(r.kkt_solves for r in cell_records),
             "drop_steps": sum(r.drop_steps for r in cell_records),
-            "stop_reasons": dict(collections.Counter(r.stop_reason for r in cell_records)),
+            "stop_reasons": dict(collections.Counter(solver._STOP_REASONS[r.stop_reason] for r in cell_records)),
             "max_duality_gap": max(r.duality_gap for r in cell_records),
         }
         q10, q25, q75, q90 = np.quantile(cell, (0.10, 0.25, 0.75, 0.90)).tolist()
@@ -621,16 +676,18 @@ def _summarized(monkeypatch, grid, excess, x_levels=(1.0, 2.0)):
     """run_grid's report on crafted trials: replication r of cell (n, M) has
     excess_risk excess[n, M][r] and made-up solver counters.  Checks that
     the report's summary has the bits and types of `_scalar_summary`."""
-    def crafted(trials, solver_config):
+    def crafted(spans, master_seed, solver_config):
         rows = [
             (
-                cell.n, cell.dictionary.size_M, rep, excess[cell.n, cell.dictionary.size_M][rep],
-                cell.oracle_risk, seed, rep % 3 > 0, 3 + 5 * rep % 7, "gap" if rep % 3 else "max_iterations",
+                excess[cell.n, cell.dictionary.size_M][rep],
+                derive_seed(master_seed, cell.n, cell.dictionary.size_M, rep),
+                rep % 3 > 0, 3 + 5 * rep % 7, solver._STOP_REASONS.index("gap" if rep % 3 else "max_iterations"),
                 rep, rep // 2, 1e-9 * rep,
             )
-            for cell, rep, seed in trials
+            for cell, lo, hi in spans
+            for rep in range(lo, hi)
         ]
-        return Trials(*map(np.array, zip(*rows)))
+        return Trials(spans, *map(np.array, zip(*rows)))
 
     monkeypatch.setattr(experiments, "run_trials", crafted)
     cfg = ExperimentConfig(grid=grid, replications=len(excess[grid[0]]), x_levels=x_levels)
@@ -758,5 +815,9 @@ def test_trial_record_fields_in_order():
         "drop_steps",
         "duality_gap",
     ]
-    # a batch's columns, and the rows its iteration yields, keep that order
-    assert [f.name for f in dataclasses.fields(Trials)] == [f.name for f in dataclasses.fields(TrialRecord)]
+    # a batch's spans hold the per-cell fields, n, M, replication and
+    # oracle_risk; its columns, the per-trial fields, keep the records' order
+    per_cell = ("n", "M", "replication", "oracle_risk")
+    assert [f.name for f in dataclasses.fields(Trials)] == ["spans"] + [
+        f.name for f in dataclasses.fields(TrialRecord) if f.name not in per_cell
+    ]
