@@ -5,11 +5,12 @@ library policy, not a prescribed family: discrete designs with random atom
 masses, dictionaries drawn uniformly in [-b, b], and two-point conditional
 laws for Y whose mean sits inside the hull, outside it, or at zero.
 
-Determinism contract: every random object derives from the master seed
-through stable SHA-256 hashes of its coordinates, so any subset of the grid
-reproduces independently and worker count never changes the output.  A
-trial's sample is drawn from the Philox stream keyed by its seed alone
-(`model.draw_counts`), a pure function of (problem, n, seed).
+Determinism contract: every grid cell derives two seeds from the master
+seed through stable SHA-256 hashes of its coordinates, one for its problem
+and one for its trials, so any subset of the grid reproduces independently
+and worker count never changes the output.  Trial rep of a cell is
+replication rep of the cell's seed (`model.draw_count_matrix`), a pure
+function of (problem, n, cell seed, rep).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 # `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
-from .model import Dictionary, DiscreteProblem, _key_words, _not_bool, _whole, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _not_bool, _seed, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
 from .solver import _STOP_REASONS, ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
@@ -90,11 +90,10 @@ class Trials:
     (cell, lo, hi) runs of replications lo..hi - 1 of one `Cell`, and each
     column is a numpy array with an entry per trial, the stop reason as the
     solver's int8 code.  Iteration yields `TrialRecord`s, whose n, M,
-    replication and oracle_risk come from the spans."""
+    replication, oracle_risk and seed come from the spans."""
 
     spans: tuple
     excess_risk: np.ndarray
-    seed: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     stop_reason: np.ndarray
@@ -103,13 +102,13 @@ class Trials:
     duality_gap: np.ndarray
 
     def __len__(self) -> int:
-        return self.seed.size
+        return self.excess_risk.size
 
     def __iter__(self):
         columns = self.columns().values()
         for cell, reps, rows in self.chunks():
-            for rep, (excess, seed, *solve) in zip(reps, zip(*(column[rows].tolist() for column in columns))):
-                yield TrialRecord(cell.n, cell.dictionary.size_M, rep, excess, cell.oracle_risk, seed, *solve)
+            for rep, (excess, *solve) in zip(reps, zip(*(column[rows].tolist() for column in columns))):
+                yield TrialRecord(cell.n, cell.dictionary.size_M, rep, excess, cell.oracle_risk, cell.seed, *solve)
 
     def columns(self) -> dict:
         """The per-trial columns by name, in order."""
@@ -127,7 +126,8 @@ class Trials:
 
 
 # one trial of a `Trials`, its fields in order: trials.csv's columns, then the solve's counters
-_RECORD = ["n", "M", "replication", "excess_risk", "oracle_risk"] + [f.name for f in dataclasses.fields(Trials)][2:]
+_RECORD = ["n", "M", "replication", "excess_risk", "oracle_risk", "seed"]
+_RECORD += [f.name for f in dataclasses.fields(Trials)][2:]
 TrialRecord = dataclasses.make_dataclass("TrialRecord", _RECORD, frozen=True, namespace={"__module__": __name__})
 
 
@@ -217,8 +217,7 @@ def make_problem(
         raise ValueError(f"bound_b must be positive and finite, found {b}")
     if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
-    # an int seed in a draw key's range [0, 2**64), so -1 is refused by name
-    rng = np.random.default_rng(_key_words(operator.index(seed))[0])
+    rng = np.random.default_rng(_seed(seed))
     px = rng.dirichlet(np.ones(K))
     px = px / px.sum()
     values = rng.uniform(-b, b, size=(M, K))
@@ -251,46 +250,50 @@ def population_oracle(dictionary: Dictionary, problem: DiscreteProblem) -> ErmSo
 @dataclass(frozen=True, eq=False)
 class Cell:
     """What the trials of one (n, M) grid cell share: the problem, its
-    dictionary, the sample size n, and the population hull minimum
-    oracle_risk, computed once per problem (see `make_cell`)."""
+    dictionary, the sample size n, the population hull minimum oracle_risk,
+    and the seed whose replication rep is trial rep's sample (`make_cell`)."""
 
     problem: DiscreteProblem
     dictionary: Dictionary
     n: int
     oracle_risk: float
+    seed: int
 
 
 def make_cell(cfg: ExperimentConfig, n: int, M: int) -> Cell:
-    """The (n, M) cell of a run of cfg.  Its problem comes from `make_problem` at
-    a seed hashed out of (master_seed, n, M); its hull minimum is the Bayes risk
-    (`risk.bayes_risk`) for inside-hull problems, whose regression function lies
-    in the hull by construction, and a `population_oracle` solve otherwise."""
-    seed = derive_seed(cfg.master_seed, n, M, "problem")
-    problem, dictionary = make_problem(cfg.problem_kind, cfg.atoms_K, M, cfg.bound_b, seed, cfg.noise)
+    """The (n, M) cell of a run of cfg: its problem from `make_problem` at the
+    seed hashed out of (master_seed, n, M, "problem"), its hull minimum (the
+    Bayes risk, `risk.bayes_risk`, for inside-hull problems, whose regression
+    function lies in the hull by construction, a `population_oracle` solve
+    otherwise), and its trials' seed, hashed out of (master_seed, n, M)."""
+    problem, dictionary = make_problem(
+        cfg.problem_kind, cfg.atoms_K, M, cfg.bound_b, derive_seed(cfg.master_seed, n, M, "problem"), cfg.noise
+    )
+    seed = derive_seed(cfg.master_seed, n, M)
     if cfg.problem_kind == "inside-hull":
-        return Cell(problem, dictionary, n, bayes_risk(problem))
-    return Cell(problem, dictionary, n, population_oracle(dictionary, problem).empirical_risk)
+        return Cell(problem, dictionary, n, bayes_risk(problem), seed)
+    return Cell(problem, dictionary, n, population_oracle(dictionary, problem).empirical_risk, seed)
 
 
-def run_trials(spans, master_seed: int, solver_config: SolverConfig) -> Trials:
+def run_trials(spans, solver_config: SolverConfig) -> Trials:
     """Draw a size-n sample per trial of the spans, run hull ERM on all of
     them as one batch, and take each exact population excess.
 
     A span (cell, lo, hi), replications lo..hi - 1 of one `Cell`, is drawn
-    as one counts matrix, rep's row from seed derive_seed(master_seed, n, M,
-    rep)'s own Philox stream (`model.draw_count_matrix`, which checks the
-    matrix once), and is one block of probability rows counts / n over the
-    cell problem's atoms for `solver.erm_convex_hull_blocks`, which groups
-    the blocks and checks the weight matrices it returns.  Nothing is built
-    per trial: a block's excesses, the population risks of its fitted values
-    w @ F minus the cell's oracle risk, are one stacked product whose 1-D
-    dots of C-contiguous rows give `risk.population_risk`'s bits.  The
-    trials are the same for any split of the spans, since a trial's solve
-    has the same bits in any batch, those of
-    erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed)).
+    as one counts matrix, draw_count_matrix(cell.problem, cell.n, cell.seed,
+    range(lo, hi)), which checks the matrix once, and is one block of
+    probability rows counts / n over the cell problem's atoms for
+    `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
+    weight matrices it returns.  Nothing is built per trial: a block's
+    excesses, the population risks of its fitted values w @ F minus the
+    cell's oracle risk, are one stacked product whose 1-D dots of
+    C-contiguous rows give `risk.population_risk`'s bits.  The trials are
+    the same for any split of the spans, since a trial's solve has the same
+    bits in any batch, those of `erm_convex_hull` on its row of counts alone.
     """
-    seeds = [[derive_seed(master_seed, c.n, c.dictionary.size_M, rep) for rep in range(lo, hi)] for c, lo, hi in spans]
-    blocks = [(c.dictionary, c.problem, draw_count_matrix(c.problem, c.n, s) / c.n) for (c, *_), s in zip(spans, seeds)]
+    blocks = [
+        (c.dictionary, c.problem, draw_count_matrix(c.problem, c.n, c.seed, range(lo, hi)) / c.n) for c, lo, hi in spans
+    ]
     solved = erm_convex_hull_blocks(blocks, solver_config)
     excess = []
     for (cell, _, _), (weights, _) in zip(spans, solved):
@@ -300,7 +303,6 @@ def run_trials(spans, master_seed: int, solver_config: SolverConfig) -> Trials:
     return Trials(
         tuple(spans),
         excess_risk=np.concatenate(excess),
-        seed=np.array([seed for row in seeds for seed in row], dtype=np.int64),
         **{name: np.concatenate([statistics[name] for _, statistics in solved]) for name in solved[0][1]},
     )
 
@@ -339,7 +341,7 @@ def run_grid(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> RateReport:
         [(cells[i], max(start - i * R, 0), min(stop - i * R, R)) for i in range(start // R, (stop - 1) // R + 1)]
         for start, stop in ((start, min(start + step, total)) for start in range(0, total, step))
     ]
-    args = (run_trials, batches, itertools.repeat(cfg.master_seed), itertools.repeat(cfg.solver))
+    args = (run_trials, batches, itertools.repeat(cfg.solver))
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) if jobs > 1 else None
     columns, start = {}, 0
     with pool or contextlib.nullcontext():
@@ -417,9 +419,9 @@ def write_outputs(report: RateReport, out_dir) -> None:
     with open(path / "trials.csv", "w") as handle:
         handle.write("n,M,replication,excess_risk,oracle_risk,seed,converged\n")
         for cell, reps, part in t.chunks():
-            n, M, oracle = cell.n, cell.dictionary.size_M, cell.oracle_risk
-            rows = zip(reps, *(column[part].tolist() for column in (t.excess_risk, t.seed, t.converged)))
-            handle.write("".join(f"{n},{M},{rep},{x!r},{oracle!r},{seed},{ok:d}\n" for rep, x, seed, ok in rows))
+            n, M, oracle, seed = cell.n, cell.dictionary.size_M, cell.oracle_risk, cell.seed
+            rows = zip(reps, t.excess_risk[part].tolist(), t.converged[part].tolist())
+            handle.write("".join(f"{n},{M},{rep},{x!r},{oracle!r},{seed},{ok:d}\n" for rep, x, ok in rows))
     fields = {name: value for name, value in _fields(report).items() if name != "records"}
     (path / "report.json").write_text(json.dumps(fields, default=_fields, indent=2, sort_keys=True) + "\n")
 

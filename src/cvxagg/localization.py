@@ -27,13 +27,15 @@ dataset as violating when that level exceeds gamma, and calibrate_c0 takes
 an order statistic of the same levels, so a c0 calibrated on a draw meets
 its target when checked on that draw.
 
-Dataset r of a Monte Carlo run is the atom counts model.draw_counts(problem,
-n, [seed, rep_offset + r]), drawn from the Philox stream keyed by those two
-words, so (problem, n, reps, seed, rep_offset) fixes every dataset, and a
-seed or rep_offset + r outside [0, 2**64) is refused by name.  Callers
-sweep levels on one draw (x levels in the isomorphism check, localization
-levels in localized_sup), and the level enters after the draw, so the module
-keeps three caches, each of which gives the bits of a fresh computation:
+Dataset r of a Monte Carlo run is replication rep_offset + r of the seed,
+row r of model.draw_count_matrix(problem, n, seed, range(rep_offset,
+rep_offset + reps)), so (problem, n, reps, seed, rep_offset) fixes every
+dataset.  A seed or replication outside [0, 2**64) is refused by name, and
+so is a bool seed, before a cache is read, where True would find the draw
+of 1 (`model._seed`).  Callers sweep levels on one draw (x levels in the
+isomorphism check, localization levels in localized_sup), and the level
+enters after the draw, so the module keeps three caches, each of which
+gives the bits of a fresh computation:
 - one per draw: the last call's atom counts (_rep_counts);
 - one per (segment, problem) pair: the segment's excess loss tabulated on
   the atoms as a quadratic basis, and its population quadratic, which do not
@@ -47,12 +49,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, _key_words, _whole, combine, draw_count_matrix
+from .model import Dictionary, DiscreteProblem, Segment, _seed, _whole, combine, draw_count_matrix
 from .solver import erm_segment
 
 # fixed-point search bracket and the relative width at which bisection stops
@@ -81,12 +82,12 @@ def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
 
 @functools.lru_cache(maxsize=1)
 def _rep_counts(problem: DiscreteProblem, n: int, reps: int, seed: int, rep_offset: int) -> np.ndarray:
-    """Sampled atom counts, shape (reps, atoms); row r is draw_counts(problem, n, [seed, rep_offset + r]).
+    """Sampled atom counts, shape (reps, atoms); row r is replication rep_offset + r of the seed.
 
     The last call's read-only result is reused by the next call with equal
     arguments; a problem compares by identity, and the cache holds it.
     """
-    counts = draw_count_matrix(problem, n, [[seed, rep_offset + rep] for rep in range(reps)])
+    counts = draw_count_matrix(problem, n, seed, range(rep_offset, rep_offset + reps))
     counts.setflags(write=False)
     return counts
 
@@ -217,7 +218,7 @@ def localized_sup(
     exactly monotone in the level.  Returns (estimate, standard error).
     """
     # a standard error needs at least 2 replications
-    reps, n = _whole(reps, "reps", 2), _whole(n, "n", 1)
+    reps, n, seed = _whole(reps, "reps", 2), _whole(n, "n", 1), _seed(seed)
     basis, pop = _segment_loss_basis(cls.segment, problem)
     emp = _rep_counts(problem, n, reps, seed, 0) @ basis / n
     return _mean_and_std_error(_segment_star_sup(pop, pop - emp, cls.level_lambda))
@@ -405,7 +406,7 @@ def isomorphism_check(
     """
     b, segments = problem.bound_b, tuple(segments)
     N, n, reps = _net_size(segments, n, reps, num_net_functions)
-    rep_offset = _whole(rep_offset, "rep_offset", 0)
+    seed, rep_offset = _seed(seed), _whole(rep_offset, "rep_offset", 0)
     level = _gamma(x, b, N, n, c0)
     pop, emp, needed = _dataset_levels(segments, problem, n, reps, seed, rep_offset)
 
@@ -466,6 +467,7 @@ def calibrate_c0(
         raise ValueError("target_scale must be in (0, 1]")
     b, segments = problem.bound_b, tuple(segments)
     N, n, reps = _net_size(segments, n, reps, num_net_functions)
+    seed = _seed(seed)
     constraints = []
     for x in x_levels:
         denom = _gamma(x, b, N, n, 1.0)
@@ -502,8 +504,7 @@ def random_net_segments(
     # a segment joins 2 functions
     m, num_functions = _whole(m, "m", 1), _whole(num_functions, "num_functions", 2)
     num_segments = _whole(num_segments, "num_segments", 1)
-    # an int seed in a draw key's range [0, 2**64), so -1 is refused by name
-    rng = np.random.default_rng(_key_words(operator.index(seed))[0])
+    rng = np.random.default_rng(_seed(seed))
     size_m = dictionary.size_M
     functions = [
         combine(dictionary, np.bincount(rng.integers(0, size_m, size=m), minlength=size_m) / m)

@@ -13,11 +13,11 @@ sample drawn from a problem is the problem's own atoms with masses count / n,
 the empirical law P_n.  Risks and solvers read only these three fields, so
 the same code computes the population risk R and the empirical risk R_n.
 
-Every drawn dataset is the first multinomial of numpy's counter-based
-Philox4x64 stream keyed by two 64-bit words, (seed, 0) for an int seed and
-(seed, replication) for a pair: a pure function of (problem, n, key), so any
-subset or order of a run's keys draws the same datasets (`draw_counts`,
-`draw_count_matrix`).
+Every drawn dataset is keyed by two 64-bit words, (seed, replication): it
+is the first multinomial of numpy's counter-based Philox4x64 stream keyed by
+them, a pure function of (problem, n, seed, replication), so any range of a
+seed's replications draws the same datasets (`draw_count_matrix`; `sample`
+draws replication 0).
 """
 
 from __future__ import annotations
@@ -173,37 +173,23 @@ class SampleSet(Measure):
         super().__post_init__()
 
 
-def draw_counts(problem: DiscreteProblem, n: int, seed) -> np.ndarray:
-    """Atom counts of n i.i.d. draws from the problem's law: one multinomial
-    from the Philox stream keyed by the seed, an int or a [seed, replication]
-    pair (see `_key_words`), so draw_counts(p, n, s) is draw_counts(p, n, [s, 0]).
-
-    n must be whole: numpy's multinomial would floor 2.5 to 2 draws."""
-    return _draw(problem, _whole(n, "sample size", 1), [seed])[0]
-
-
-def _key_words(key) -> tuple[int, int]:
-    """The two Philox key words of a dataset: (seed, 0) for an int seed and
-    (seed, replication) for a [seed, replication] pair.  The one check of a
-    key: each word must be an integer in [0, 2**64), and a word outside it
-    raises a ValueError that names it."""
-    words = (key, 0) if isinstance(key, (int, np.integer)) else tuple(key)
-    if len(words) != 2:
-        raise ValueError(f"a key is a seed or a [seed, replication] pair, found {key!r}")
-    seed, replication = map(operator.index, words)
-    for word, name in ((seed, "seed"), (replication, "replication")):
-        if not 0 <= word < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2**64), found {word!r}")
-    return seed, replication
+def _seed(value, name: str = "seed") -> int:
+    """value as a Philox key word, an integer in [0, 2**64): the one rule for a
+    seed or a replication.  A bool is refused, not read as 1; 2.5 raises a
+    TypeError, where Philox's state setter would truncate it to 2."""
+    word = operator.index(_not_bool(value, name))
+    if not 0 <= word < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), found {word!r}")
+    return word
 
 
-def _draw(problem: DiscreteProblem, n: int, seeds) -> list[np.ndarray]:
-    """Atom counts of one size-n dataset per seed, for an n its caller has checked.
+def _draw(problem: DiscreteProblem, n: int, seed: int, replications: range) -> list[np.ndarray]:
+    """Atom counts of one size-n dataset per replication, for arguments its caller has checked.
 
-    One Philox bit generator serves every seed: before each row its state is
-    set to the seed's key words with counter 0 and an empty buffer, so a row
-    is the first multinomial of Generator(Philox(key=words)), whatever rows
-    came before it.  Building a Philox per row would seed it first.
+    One Philox bit generator serves every row: before each its state is set
+    to the key words (seed, replication) with counter 0 and an empty buffer,
+    so a row is the first multinomial of Generator(Philox(key=words)),
+    whatever rows came before it.  Building a Philox per row would seed it first.
     """
     bit_generator = np.random.Philox(0)  # its state is replaced before every row
     generator = np.random.Generator(bit_generator)
@@ -216,23 +202,28 @@ def _draw(problem: DiscreteProblem, n: int, seeds) -> list[np.ndarray]:
         "uinteger": 0,
     }
     rows = []
-    for seed in seeds:
-        state["state"]["key"] = _key_words(seed)
+    for replication in replications:
+        state["state"]["key"] = (seed, replication)
         bit_generator.state = state
         rows.append(generator.multinomial(n, problem.probabilities))
     return rows
 
 
-def draw_count_matrix(problem: DiscreteProblem, n: int, seeds) -> np.ndarray:
-    """Atom counts of one size-n sample per seed, shape (seeds, atoms): row r
-    is draw_counts(problem, n, seeds[r]), from that seed's own Philox stream,
-    so any subset or order of the seeds gives the same rows.
+def draw_count_matrix(problem: DiscreteProblem, n: int, seed: int, replications: range) -> np.ndarray:
+    """Atom counts of one size-n dataset per replication, shape (replications,
+    atoms): replication r's row is the first multinomial of the Philox stream
+    keyed (seed, r), so any range of a seed's replications gives the same rows.
 
-    n is checked once, and the matrix once with the checks a `SampleSet` runs
-    on each sample's counts; the atoms are the problem's, already checked.
+    replications is a nonempty range, so n, the seed and its smallest and
+    largest replication are checked once, and the matrix once with the checks
+    a `SampleSet` runs on each sample's counts; the atoms are already checked.
     """
-    n = _whole(n, "sample size", 1)
-    counts = np.array(_draw(problem, n, seeds), dtype=np.int64)
+    n, seed = _whole(n, "sample size", 1), _seed(seed)
+    if not isinstance(replications, range) or not replications:
+        raise ValueError(f"replications must be a nonempty range, found {replications!r}")
+    for end in (replications[0], replications[-1]):
+        _seed(end, "replication")
+    counts = np.array(_draw(problem, n, seed, replications), dtype=np.int64)
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     if (counts.sum(axis=1) != n).any():
@@ -243,8 +234,8 @@ def draw_count_matrix(problem: DiscreteProblem, n: int, seeds) -> np.ndarray:
 
 
 def sample(problem: DiscreteProblem, n: int, seed: int) -> SampleSet:
-    """n i.i.d. draws from the problem's law: its atoms, with their draw counts."""
-    return SampleSet(problem.x_indices, problem.y_values, draw_counts(problem, n, seed), seed)
+    """n i.i.d. draws from the problem's law, replication 0 of the seed: its atoms, with their draw counts."""
+    return SampleSet(problem.x_indices, problem.y_values, draw_count_matrix(problem, n, seed, range(1))[0], seed)
 
 
 def simplex_rows(w: np.ndarray) -> np.ndarray:

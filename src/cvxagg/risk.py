@@ -36,7 +36,8 @@ def empirical_risk(f: np.ndarray, measure: Measure) -> float:
     if measure.x_indices.max() >= f.size:
         raise ValueError("measure refers to design points outside the tabulated function")
     resid = measure.y_values - f[measure.x_indices]
-    return float(measure.probabilities @ (resid * resid))
+    with np.errstate(over="ignore"):  # a risk past the largest float is inf
+        return float(measure.probabilities @ (resid * resid))
 
 
 def bayes_risk(problem: DiscreteProblem) -> float:

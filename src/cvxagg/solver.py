@@ -235,10 +235,12 @@ class _Face:
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the reps where mask is set; the dictionaries stay.
 
-        The kept reps move to the front of each buffer, which becomes a view
-        of that prefix, so the buffers are not allocated again as reps finish."""
+        which, root and target become new arrays, so the caller's are never
+        written; the face's own buffers move the kept reps to their front and
+        become views of that prefix, so they are not allocated again."""
         m = int(np.count_nonzero(mask))
-        for name in ("which", "root", "target", "k", "rows", "indices", "vertices", "z"):
+        self.which, self.root, self.target = (x[mask] for x in (self.which, self.root, self.target))
+        for name in ("k", "rows", "indices", "vertices", "z"):
             buf = getattr(self, name)
             buf[:m] = buf[mask]
             setattr(self, name, buf[:m])
@@ -426,18 +428,20 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     `_STOP_REASONS`), kkt_solves and drop_steps.
     """
     F = [np.ascontiguousarray(f, dtype=float) for f in F]
-    # copies: the face compacts which, root and target in place
-    which = np.array(which, dtype=np.intp)
-    root, target = (np.array(x, dtype=float, order="C") for x in (root, target))
+    which = np.asarray(which, dtype=np.intp)
+    root, target = (np.asarray(x, dtype=float, order="C") for x in (root, target))
     B, runs, Ft = root.shape[0], _runs(which), [f.T for f in F]
     width = max(f.shape[0] for f in F)
     mass, pull = root * root, root * target
     start = np.empty(B, dtype=np.intp)
-    scale = _rowdot(target, target)
+    # labels whose square passes the largest float give an inf scale, whose tolerance below is NaN
+    with np.errstate(over="ignore"):
+        scale = _rowdot(target, target)
     for g, lo, hi in runs:
         norms = _vecmat(mass[lo:hi], (F[g] * F[g]).T)  # ||A_j||^2 for every row j
         start[lo:hi] = (norms - 2.0 * _vecmat(pull[lo:hi], Ft[g])).argmin(axis=1)
         scale[lo:hi] = np.maximum(scale[lo:hi], norms.max(axis=1))
+    del mass, pull  # the start search's working set, (B, K) each
     # NaN where the scale is not finite, so no gap meets it
     tol = np.where(scale < math.inf, config.tolerance * scale, math.nan)
     face = _Face(F, which, root, target, start)
@@ -446,7 +450,8 @@ def _minimize_fw(F, which, root: np.ndarray, target: np.ndarray, config: SolverC
     u = np.zeros((B, C + 1))
     u[:, 0] = 1.0
     resid = face.vertices[:, 0] - target
-    best = _rowdot(resid, resid)
+    with np.errstate(over="ignore"):  # inf where the scale is, as above
+        best = _rowdot(resid, resid)
     ids = n = np.arange(B)
     reason = np.zeros(B, dtype=np.intp)
     drop_steps = np.zeros(B, dtype=np.intp)

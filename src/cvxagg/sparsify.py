@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, SimplexWeights, _key_words, _whole, combine
+from .model import Dictionary, DiscreteProblem, SimplexWeights, _seed, _whole, combine
 from .risk import population_risk, variance_term
 
 # enumerate_net refuses nets with more elements than this
@@ -51,8 +50,7 @@ def enumerate_net(size_m: int, m: int) -> np.ndarray:
 def sparsify_random(w: SimplexWeights, m: int, seed: int) -> np.ndarray:
     """m i.i.d. categorical draws from w, returned as counts over the M rows."""
     m = _whole(m, "m", 1)
-    # an int seed in a draw key's range [0, 2**64), so -1 is refused by name
-    rng = np.random.default_rng(_key_words(operator.index(seed))[0])
+    rng = np.random.default_rng(_seed(seed))
     return np.bincount(rng.choice(len(w), size=m, p=w.weights), minlength=len(w))
 
 

@@ -546,7 +546,7 @@ def batch_of_one_sup(segment, problem: DiscreteProblem, n: int, reps: int, seed:
     v = (segment.endpoint_i - segment.endpoint_j)[x]
     loss = np.stack([v * v, -2.0 * v * (y - u), (y - u) ** 2 - (y - g_star[x]) ** 2], axis=-1)
     flat = np.stack([loss], axis=1).reshape(loss.shape[0], 3)
-    counts = draw_count_matrix(problem, n, [[seed, rep] for rep in range(reps)])
+    counts = draw_count_matrix(problem, n, seed, range(reps))
     pop = (problem.probabilities @ flat).reshape(1, 3)
     emp = (counts @ flat / n).reshape(reps, 1, 3)
     sups = localization._segment_star_sup(pop, pop - emp, level)[:, 0]

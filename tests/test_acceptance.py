@@ -359,7 +359,7 @@ def test_criterion_12_batch_invariance(rate_report):
         cell = make_cell(cfg, n, M)
         for rep in range(5):
             j = i * cfg.replications + rep
-            alone = run_trials([(cell, rep, rep + 1)], cfg.master_seed, cfg.solver)
+            alone = run_trials([(cell, rep, rep + 1)], cfg.solver)
             ok = ok and all(
                 column.tobytes() == columns[name][j : j + 1].tobytes() for name, column in alone.columns().items()
             )

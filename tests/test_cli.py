@@ -451,13 +451,18 @@ def test_solve_nonconvergence_exit_code(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iterations"
 
 
-def _solve_huge_labels(workspace) -> int:
-    """`cvxagg solve` on the workspace sample with its labels times 1e155."""
+def _huge_labels(workspace) -> list:
+    """`cvxagg solve`'s arguments for the workspace sample with its labels times 1e155."""
     draws = csvio.read_samples(workspace["samples"])
     samples = workspace["dir"] / "huge-samples.csv"
     csvio.write_samples(SampleSet(draws.x_indices, 1e155 * draws.y_values, draws.counts, draws.seed), samples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return main(["solve", "--dict", str(workspace["dict"]), "--samples", str(samples)])
+    return ["solve", "--dict", str(workspace["dict"]), "--samples", str(samples)]
+
+
+def _solve_huge_labels(workspace) -> int:
+    """`cvxagg solve` on the workspace sample with its labels times 1e155,
+    in this process, where a numpy RuntimeWarning is an error."""
+    return main(_huge_labels(workspace))
 
 
 def test_solve_on_labels_whose_scale_overflows_exits_two(workspace, capsys):
@@ -468,6 +473,17 @@ def test_solve_on_labels_whose_scale_overflows_exits_two(workspace, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["converged"] is False
     assert captured.err == "solver did not reach its duality-gap tolerance\n"
+
+
+def test_solve_on_labels_whose_scale_overflows_prints_only_its_own_line(workspace):
+    # the squares of labels of 1e155 overflow in the solver's scale and in
+    # the empirical risk, whose inf the solve handles; numpy's overflow
+    # warnings used to print above the solve's one line
+    result = subprocess.run(
+        [sys.executable, "-m", "cvxagg", *_huge_labels(workspace)], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 2
+    assert result.stderr == "solver did not reach its duality-gap tolerance\n"
 
 
 def test_solve_writes_a_risk_that_overflows_as_null(workspace, capsys):

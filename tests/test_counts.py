@@ -4,6 +4,10 @@
 A count is whole and at least its minimum: 3.0 and np.int64(3) are taken as
 3, with the bits of 3, and 2.5, a bool and the minimum - 1 are refused by a
 ValueError whose message starts with the argument's name.
+
+The seed rule, its sibling: every seed argument goes through `model._seed`,
+a Philox key word in [0, 2**64).  np.int64(3) and np.uint64(3) are taken as
+3, with the bits of 3, and a bool, -1 and 2**64 are refused by name.
 """
 
 import pickle
@@ -24,29 +28,29 @@ def _config(**fields):
     return ExperimentConfig(**{"grid": ((8, 2),), "atoms_K": 2, "replications": 2, **fields})
 
 
-def _sup(n=16, reps=3):
-    return localization.localized_sup(localization.LocalizedClass(SEGMENT, 0.1), PROBLEM, n, reps, 0)
+def _sup(n=16, reps=3, seed=0):
+    return localization.localized_sup(localization.LocalizedClass(SEGMENT, 0.1), PROBLEM, n, reps, seed)
 
 
-def _check(**counts):
-    counts = {"n": 16, "reps": 3, **counts}
-    return localization.isomorphism_check([SEGMENT], PROBLEM, x=1.0, c0=1.0, seed=0, **counts)
+def _check(**arguments):
+    arguments = {"n": 16, "reps": 3, "seed": 0, **arguments}
+    return localization.isomorphism_check([SEGMENT], PROBLEM, x=1.0, c0=1.0, **arguments)
 
 
-def _calibrate(n=16, reps=3):
-    return localization.calibrate_c0([SEGMENT], PROBLEM, n, [2.0], reps, 0)
+def _calibrate(n=16, reps=3, seed=0):
+    return localization.calibrate_c0([SEGMENT], PROBLEM, n, [2.0], reps, seed)
 
 
-def _segments(**counts):
-    counts = {"m": 2, "num_functions": 3, "num_segments": 2, **counts}
-    return localization.random_net_segments(DICTIONARY, seed=0, **counts)
+def _segments(**arguments):
+    arguments = {"m": 2, "num_functions": 3, "num_segments": 2, "seed": 0, **arguments}
+    return localization.random_net_segments(DICTIONARY, **arguments)
 
 
 # (function, the name its messages give the count, the count's minimum or
 # None, the function called with the count set to a value)
 COUNTS = [
-    ("draw_counts", "sample size", 1, lambda v: model.draw_counts(PROBLEM, v, 0)),
-    ("draw_count_matrix", "sample size", 1, lambda v: model.draw_count_matrix(PROBLEM, v, [0, 1])),
+    ("sample", "sample size", 1, lambda v: model.sample(PROBLEM, v, 0)),
+    ("draw_count_matrix", "sample size", 1, lambda v: model.draw_count_matrix(PROBLEM, v, 0, range(2))),
     ("SolverConfig", "max_iterations", 1, lambda v: SolverConfig(max_iterations=v)),
     ("ExperimentConfig-n", "grid entries", 1, lambda v: _config(grid=((v, 2),))),
     ("ExperimentConfig-M", "grid entries", 1, lambda v: _config(grid=((8, v),))),
@@ -144,7 +148,7 @@ def test_a_count_is_checked_once_per_call_not_once_per_draw(monkeypatch):
         monkeypatch.setattr(module, "_whole", counted)
     localization._rep_counts.cache_clear()
     localization._dataset_levels.cache_clear()
-    model.draw_count_matrix(PROBLEM, 16, range(5))
+    model.draw_count_matrix(PROBLEM, 16, 0, range(5))
     assert checked == ["sample size"]
     checked.clear()
     _check(reps=5, rep_offset=7)
@@ -152,3 +156,40 @@ def test_a_count_is_checked_once_per_call_not_once_per_draw(monkeypatch):
     checked.clear()
     _calibrate(reps=5)
     assert sorted(checked) == ["n", "reps", "sample size"]
+
+
+# (function, the function called with its seed set to a value)
+SEEDS = [
+    ("sample", lambda v: model.sample(PROBLEM, 8, v)),
+    ("draw_count_matrix", lambda v: model.draw_count_matrix(PROBLEM, 8, v, range(2))),
+    ("make_problem", lambda v: make_problem("outside-hull", K=3, M=4, b=1.0, seed=v)),
+    ("sparsify_random", lambda v: sparsify.sparsify_random(WEIGHTS, 2, v)),
+    ("random_net_segments", lambda v: _segments(seed=v)),
+    ("localized_sup", lambda v: _sup(seed=v)),
+    ("isomorphism_check", lambda v: _check(seed=v)),
+    ("calibrate_c0", lambda v: _calibrate(seed=v)),
+]
+
+
+@pytest.mark.parametrize("function, call", SEEDS, ids=[function for function, _ in SEEDS])
+def test_a_bool_seed_or_one_outside_a_key_word_is_refused_by_name(function, call):
+    # True used to run as seed 1; the localization functions check the seed
+    # before their caches, where a draw of seed 1 would answer for True
+    call(1)
+    refusals = [
+        (True, "seed must be a number, not the bool True"),
+        (np.True_, f"seed must be a number, not the bool {np.True_!r}"),
+        (-1, "seed must lie in [0, 2**64), found -1"),
+        (2**64, f"seed must lie in [0, 2**64), found {2**64}"),
+    ]
+    for value, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message, value
+
+
+@pytest.mark.parametrize("function, call", SEEDS, ids=[function for function, _ in SEEDS])
+def test_a_seed_of_another_integer_type_gives_the_bits_of_the_int(function, call):
+    want = pickle.dumps(call(3))
+    for value in (np.int64(3), np.uint64(3)):
+        assert pickle.dumps(call(value)) == want, value

@@ -34,6 +34,12 @@ from cvxagg.risk import bayes_risk, population_risk
 from cvxagg.solver import SolverConfig, erm_convex_hull
 
 
+def _trial_sample(cell, rep):
+    """Trial rep of a cell as a SampleSet: replication rep of the cell's seed."""
+    counts = model.draw_count_matrix(cell.problem, cell.n, cell.seed, range(rep, rep + 1))[0]
+    return SampleSet(cell.problem.x_indices, cell.problem.y_values, counts, cell.seed)
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, 64, 2, 0) == derive_seed(0, 64, 2, 0)
     assert derive_seed(0, 64, 2, 0) != derive_seed(0, 64, 2, 1)
@@ -102,8 +108,9 @@ def test_make_problem_takes_a_key_words_seed_and_keeps_its_stream():
 @pytest.mark.parametrize("kind", experiments.PROBLEM_KINDS)
 def test_make_cell_follows_the_hand_recipe_bit_for_bit(kind):
     # the reference: a cell of a run is make_problem at the seed hashed out of
-    # (master_seed, n, M), with the Bayes risk as the hull minimum of an
-    # inside-hull problem and a population_oracle solve for the other kinds
+    # (master_seed, n, M, "problem"), with the Bayes risk as the hull minimum
+    # of an inside-hull problem and a population_oracle solve for the other
+    # kinds, and its trials' seed is hashed out of (master_seed, n, M)
     cfg = ExperimentConfig(problem_kind=kind, atoms_K=5, master_seed=7, bound_b=0.8, noise=0.3)
     for n, M in ((16, 1), (64, 3), (256, 9)):
         seed = derive_seed(cfg.master_seed, n, M, "problem")
@@ -111,6 +118,7 @@ def test_make_cell_follows_the_hand_recipe_bit_for_bit(kind):
         oracle = bayes_risk(p) if kind == "inside-hull" else population_oracle(d, p).empirical_risk
         cell = make_cell(cfg, n, M)
         assert (cell.n, cell.problem.bound_b, float(cell.oracle_risk).hex()) == (n, 0.8, float(oracle).hex())
+        assert cell.seed == derive_seed(cfg.master_seed, n, M)
         assert cell.dictionary.values.tobytes() == d.values.tobytes()
         for name in ("x_indices", "y_values", "probabilities"):
             assert getattr(cell.problem, name).tobytes() == getattr(p, name).tobytes()
@@ -131,12 +139,7 @@ def test_run_grid_reports_solver_statistics_per_cell():
     report = run_grid(cfg)
     for i, point in enumerate(report.points):
         cell = make_cell(cfg, point.n, point.M)
-        solves = [
-            erm_convex_hull(
-                cell.dictionary, sample(cell.problem, point.n, derive_seed(cfg.master_seed, point.n, point.M, rep))
-            )
-            for rep in range(cfg.replications)
-        ]
+        solves = [erm_convex_hull(cell.dictionary, _trial_sample(cell, rep)) for rep in range(cfg.replications)]
         iterations = sorted(sol.iterations for sol in solves)
         assert point.solver == {
             "iterations_median": iterations[len(iterations) // 2],
@@ -160,7 +163,7 @@ def test_make_problem_pure_noise_regression_is_zero():
 def test_run_trial_single_function_has_zero_excess():
     p, d = make_problem("inside-hull", K=3, M=1, b=1.0, seed=7)
     oracle_risk = population_oracle(d, p).empirical_risk
-    trials = run_trials([(Cell(p, d, 32, oracle_risk), 0, 1)], 11, SolverConfig())
+    trials = run_trials([(Cell(p, d, 32, oracle_risk, derive_seed(11, 32, 1, 0)), 0, 1)], SolverConfig())
     assert trials.excess_risk.tolist() == pytest.approx([0.0], abs=1e-10)
     assert trials.converged.tolist() == [True]
 
@@ -187,7 +190,7 @@ def test_run_trial_pure_noise_two_constants_closed_form():
     d = Dictionary(np.vstack([np.zeros(3), np.full(3, c)]))
     seed = derive_seed(12345, 40, 2, 0)
     oracle_risk = population_oracle(d, p).empirical_risk
-    trials = run_trials([(Cell(p, d, 40, oracle_risk), 0, 1)], 12345, SolverConfig(tolerance=1e-12))
+    trials = run_trials([(Cell(p, d, 40, oracle_risk, seed), 0, 1)], SolverConfig(tolerance=1e-12))
     draws = sample(p, 40, seed)
     w_hat = min(1.0, max(0.0, float(draws.probabilities @ draws.y_values) / c))
     expected_excess = (w_hat * c) ** 2
@@ -297,21 +300,21 @@ def test_run_trials_match_the_measure_path_bit_for_bit(kind, K, sizes, widths, r
     for n in sizes:
         for M in widths:
             cell = make_cell(run, n, M)
-            trials += [(cell, rep, derive_seed(5, n, M, rep)) for rep in range(reps)]
+            trials += [(cell, rep) for rep in range(reps)]
     expected = []
-    for cell, _, seed in trials:
-        solution = erm_convex_hull(cell.dictionary, sample(cell.problem, cell.n, seed), cfg)
+    for cell, rep in trials:
+        solution = erm_convex_hull(cell.dictionary, _trial_sample(cell, rep), cfg)
         excess = population_risk(combine(cell.dictionary, solution.weights), cell.problem) - cell.oracle_risk
         expected.append(_key(solution, excess))
     shuffled = np.random.default_rng(0).permutation(len(trials))
     # in grid order, one span per cell; shuffled, one span per trial
-    by_cell = [(cell, 0, reps) for cell, rep, _ in trials if rep == 0]
+    by_cell = [(cell, 0, reps) for cell, rep in trials if rep == 0]
     by_trial = [(trials[i][0], trials[i][1], trials[i][1] + 1) for i in shuffled]
     for order, spans in ((np.arange(len(trials)), by_cell), (shuffled, by_trial)):
-        batch = run_trials(spans, 5, cfg)
+        batch = run_trials(spans, cfg)
         assert _keys(batch) == [expected[i] for i in order]
         records = list(batch)
-        assert [(r.replication, r.seed) for r in records] == [trials[i][1:] for i in order]
+        assert [(r.replication, r.seed) for r in records] == [(trials[i][1], trials[i][0].seed) for i in order]
         cells = [trials[i][0] for i in order]
         assert [r.n for r in records] == [cell.n for cell in cells]
         assert [r.M for r in records] == [cell.dictionary.size_M for cell in cells]
@@ -327,16 +330,16 @@ def test_converged_flags_are_the_solvers_own(cfg):
     # run_trials and erm_convex_hull copy each dataset's converged flag from
     # erm_convex_hull_blocks and do not compare the gap with the tolerance
     # themselves.  One iteration stops every solve on the iteration cap,
-    # with some gaps at the tolerance and some above it: at 1e-16 three
-    # solves meet it and six do not, and 0.06 lies between gaps of 0.018
-    # and 0.149 times their scale, so a rule off by a factor of 10 flips a flag
-    run = ExperimentConfig(problem_kind="outside-hull", atoms_K=4, master_seed=3)
+    # with some gaps at the tolerance and some above it: at 1e-16 five
+    # solves meet it and four do not, and 0.06 lies between gaps of 0.035
+    # and 0.11 times their scale, so a rule off by a factor of 10 either way
+    # flips a flag
+    run = ExperimentConfig(problem_kind="outside-hull", atoms_K=4, master_seed=1)
     cells = [make_cell(run, 64, M) for M in (2, 5, 16)]
-    seeds = {c: [derive_seed(run.master_seed, c.n, c.dictionary.size_M, rep) for rep in range(3)] for c in cells}
-    blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, seeds[c]) / c.n) for c in cells]
+    blocks = [(c.dictionary, c.problem, model.draw_count_matrix(c.problem, c.n, c.seed, range(3)) / c.n) for c in cells]
     flags = np.concatenate([statistics["converged"] for _, statistics in solver.erm_convex_hull_blocks(blocks, cfg)])
-    trials = run_trials([(cell, 0, 3) for cell in cells], run.master_seed, cfg)
-    solutions = [erm_convex_hull(c.dictionary, sample(c.problem, c.n, seed), cfg) for c in cells for seed in seeds[c]]
+    trials = run_trials([(cell, 0, 3) for cell in cells], cfg)
+    solutions = [erm_convex_hull(c.dictionary, _trial_sample(c, rep), cfg) for c in cells for rep in range(3)]
     assert trials.converged.tolist() == [s.converged for s in solutions] == flags.tolist()
     if cfg.max_iterations == 1:
         assert {s.stop_reason for s in solutions} == {"max_iterations"}
@@ -345,11 +348,11 @@ def test_converged_flags_are_the_solvers_own(cfg):
         assert flags.all()
 
 def _draw_with(change):
-    """model._draw with change applied to the counts of the second seed."""
+    """model._draw with change applied to the counts of the second replication."""
     draw = model._draw
 
-    def drawn(problem, n, keys):
-        rows = draw(problem, n, keys)
+    def drawn(problem, n, seed, replications):
+        rows = draw(problem, n, seed, replications)
         change(rows[1])
         return rows
 
@@ -394,10 +397,26 @@ def test_run_trials_checks_its_counts_matrix_and_weight_matrix(monkeypatch, modu
     # the per-trial SampleSet and SimplexWeights checks run once per matrix;
     # one bad row of counts or of weights fails the whole call
     p, d = make_problem("outside-hull", K=3, M=4, b=1.0, seed=8)
-    cell = Cell(p, d, 16, 0.0)
+    cell = Cell(p, d, 16, 0.0, 0)
     monkeypatch.setattr(module, name, replacement)
     with pytest.raises(ValueError, match=message):
-        run_trials([(cell, 0, 3)], 0, SolverConfig())
+        run_trials([(cell, 0, 3)], SolverConfig())
+
+
+def test_a_cell_hashes_two_seeds_and_a_trial_none(monkeypatch):
+    # a trial is replication rep of its cell's seed, so derive_seed's sha256
+    # runs twice per cell, for its problem and for its trials, never per trial
+    calls = []
+    derive = experiments.derive_seed
+
+    def counted(*parts):
+        calls.append(parts)
+        return derive(*parts)
+
+    monkeypatch.setattr(experiments, "derive_seed", counted)
+    cfg = ExperimentConfig(grid=((32, 2), (64, 3)), replications=9, master_seed=4)
+    run_grid(cfg)
+    assert sorted(calls) == sorted([(4, n, M, "problem") for n, M in cfg.grid] + [(4, n, M) for n, M in cfg.grid])
 
 
 def test_run_grid_single_cell_report_shape():
@@ -415,9 +434,17 @@ def test_run_grid_records_recompute_exactly():
     cfg = ExperimentConfig(grid=((64, 2), (64, 4)), replications=5, master_seed=1)
     report = run_grid(cfg)
     cells = {(n, M): make_cell(cfg, n, M) for n, M in cfg.grid}
+    # a trial's dataset is row rep of its cell seed's draws, keyed (cell seed, rep)
+    counts = {key: model.draw_count_matrix(c.problem, c.n, c.seed, range(cfg.replications)) for key, c in cells.items()}
     for r in report.records:
-        redone = run_trials([(cells[r.n, r.M], r.replication, r.replication + 1)], cfg.master_seed, cfg.solver)
-        assert (redone.excess_risk.tolist(), redone.seed.tolist()) == ([r.excess_risk], [r.seed])
+        cell = cells[r.n, r.M]
+        redone = run_trials([(cell, r.replication, r.replication + 1)], cfg.solver)
+        assert redone.excess_risk.tolist() == [r.excess_risk]
+        assert r.seed == cell.seed == derive_seed(cfg.master_seed, r.n, r.M)
+        row = SampleSet(cell.problem.x_indices, cell.problem.y_values, counts[r.n, r.M][r.replication], r.seed)
+        solution = erm_convex_hull(cell.dictionary, row, cfg.solver)
+        excess = population_risk(combine(cell.dictionary, solution.weights), cell.problem) - cell.oracle_risk
+        assert excess == r.excess_risk
         assert r.excess_risk >= -1e-10
 
 
@@ -430,20 +457,20 @@ def test_run_grid_median_trend_in_n():
 
 
 # sha256 of trials.csv and report.json of the run of test_run_grid_outputs_are_pinned,
-# per problem kind; they hold for numpy 2.4's Philox and multinomial streams,
-# which tests/test_draws.py pins
+# per problem kind, with trial rep keyed (cell seed, rep); they hold for numpy
+# 2.4's Philox and multinomial streams, which tests/test_draws.py pins
 PINNED_OUTPUTS = {
     "inside-hull": (
-        "1e770c498fbce2c2d63e388f3a8ab4d3cb26a0e0f73f07e8fbd059d61eb618f6",
-        "b547f13cbab2e92b8e54530272d089727d3f744e23e5b2dbf708750d23e792c7",
+        "c8d52a85d9b69d14bb0a5d73c136096b0a8384b4f2a3597199871c2b6f42f593",
+        "a5470ebef43b89f4c6102693ddfe245e30142225c23ab77195aec1d99f0faf61",
     ),
     "outside-hull": (
-        "86d6a0d9b112966105315d9bb1caf1084fdb6186104079b6072b9f08e6a9cf4f",
-        "dd876777ecb3c14afc93e906e62a4c367fdf59ddacc25a5eed31b3715aff3893",
+        "729523ea64be3c0f44cd2235ea07fcd3a9e42c4f37165d58cd23365a256ada80",
+        "81e556640bc491ad5849fb2e52b8bad45076791a0f30d6d40cf50fcf2c77e54a",
     ),
     "pure-noise": (
-        "d8275ff7164dd5e47be8e5298af31a6ce1d3408fca51330566fbafd8e98c2a76",
-        "722d2a579db5d585e4b4506e3c88d2d5ce5c0eb3cddae98c0f58443cfe998f98",
+        "12b5a9015a29b3dd1dfa62427042e1baad5862f5eb9e2f5cb30e8a48c1b7b5ef",
+        "7b13eb7574d2e1098ea41670770e8ab5ba16c78a4843381446099bcd3e59fff0",
     ),
 }
 
@@ -459,16 +486,16 @@ def test_run_grid_outputs_are_pinned(tmp_path, kind):
     assert digests == PINNED_OUTPUTS[kind]
 
 
-def test_records_store_at_most_50_bytes_per_trial():
-    # n, M, replication and oracle_risk are per-cell values, kept once per
-    # cell, and a stop reason is the solver's int8 code, not a string: the
-    # per-trial columns are excess, seed, gap and three counters of 8 B, the
+def test_records_store_at_most_42_bytes_per_trial():
+    # n, M, replication, oracle_risk and seed are per-cell values, kept once
+    # per cell, and a stop reason is the solver's int8 code, not a string:
+    # the per-trial columns are excess, gap and three counters of 8 B, the
     # converged flag and the stop code of 1 B
     cfg = ExperimentConfig(grid=((64, 2), (64, 4), (128, 2)), replications=7)
     t = run_grid(cfg).records
     stored = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
     columns = [x for x in stored.values() if isinstance(x, np.ndarray)]
-    assert sum(column.nbytes for column in columns) / len(t) <= 50
+    assert sum(column.nbytes for column in columns) / len(t) <= 42
     assert not [column.dtype for column in columns if column.dtype.kind in "SU"]
     assert all(column.shape == (len(t),) for column in columns)
     # what is not a column is the spans, one per grid cell
@@ -502,9 +529,9 @@ def in_process_pool(monkeypatch):
     pools, batches = [], []
     solve = experiments.run_trials
 
-    def recorded(spans, master_seed, solver_config):
+    def recorded(spans, solver_config):
         batches.append([(cell.n, cell.dictionary.size_M) for cell, lo, hi in spans for _ in range(lo, hi)])
-        return solve(spans, master_seed, solver_config)
+        return solve(spans, solver_config)
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -676,11 +703,10 @@ def _summarized(monkeypatch, grid, excess, x_levels=(1.0, 2.0)):
     """run_grid's report on crafted trials: replication r of cell (n, M) has
     excess_risk excess[n, M][r] and made-up solver counters.  Checks that
     the report's summary has the bits and types of `_scalar_summary`."""
-    def crafted(spans, master_seed, solver_config):
+    def crafted(spans, solver_config):
         rows = [
             (
                 excess[cell.n, cell.dictionary.size_M][rep],
-                derive_seed(master_seed, cell.n, cell.dictionary.size_M, rep),
                 rep % 3 > 0, 3 + 5 * rep % 7, solver._STOP_REASONS.index("gap" if rep % 3 else "max_iterations"),
                 rep, rep // 2, 1e-9 * rep,
             )
@@ -815,9 +841,10 @@ def test_trial_record_fields_in_order():
         "drop_steps",
         "duality_gap",
     ]
-    # a batch's spans hold the per-cell fields, n, M, replication and
-    # oracle_risk; its columns, the per-trial fields, keep the records' order
-    per_cell = ("n", "M", "replication", "oracle_risk")
+    # a batch's spans hold the per-cell fields, n, M, replication,
+    # oracle_risk and seed; its columns, the per-trial fields, keep the
+    # records' order
+    per_cell = ("n", "M", "replication", "oracle_risk", "seed")
     assert [f.name for f in dataclasses.fields(Trials)] == ["spans"] + [
         f.name for f in dataclasses.fields(TrialRecord) if f.name not in per_cell
     ]

@@ -23,7 +23,7 @@ from cvxagg.localization import (
     random_net_segments,
     segment_excess_loss_class,
 )
-from cvxagg.model import Dictionary, DiscreteProblem, Segment, draw_counts
+from cvxagg.model import Dictionary, DiscreteProblem, Segment, draw_count_matrix
 from cvxagg.solver import erm_segment
 
 import _support
@@ -273,7 +273,8 @@ def test_rep_counts_rows_are_model_draws(draw_fixture):
     problem, _ = draw_fixture
     for offset in (0, 7):
         counts = _rep_counts(problem, 64, 6, 3, offset)
-        assert np.array_equal(counts, [draw_counts(problem, 64, [3, offset + r]) for r in range(6)])
+        alone = [draw_count_matrix(problem, 64, 3, range(offset + r, offset + r + 1))[0] for r in range(6)]
+        assert np.array_equal(counts, alone)
 
 
 def test_reused_draws_are_read_only(draw_fixture):
@@ -289,17 +290,17 @@ def test_reused_draws_are_read_only(draw_fixture):
 
 @pytest.fixture
 def counted_draws(monkeypatch):
-    """The seed of every dataset drawn, in order: the draw reads each one's
-    key words through model._key_words, once per row."""
-    seeds = []
-    real = model._key_words
+    """The key words [seed, replication] of every dataset drawn, in order,
+    recorded as model._draw draws them."""
+    keys = []
+    real = model._draw
 
-    def counting(seed):
-        seeds.append(seed)
-        return real(seed)
+    def counting(problem, n, seed, replications):
+        keys.extend([seed, replication] for replication in replications)
+        return real(problem, n, seed, replications)
 
-    monkeypatch.setattr(model, "_key_words", counting)
-    return seeds
+    monkeypatch.setattr(model, "_draw", counting)
+    return keys
 
 
 def test_a_second_x_level_draws_no_rows(draw_fixture, counted_draws):

@@ -12,7 +12,7 @@ from cvxagg.model import (
     SampleSet,
     SimplexWeights,
     combine,
-    draw_counts,
+    draw_count_matrix,
     sample,
 )
 
@@ -125,7 +125,7 @@ def test_sample_lists_the_drawn_counts_atom_by_atom():
     rng = np.random.default_rng(3)
     p = random_problem(rng, K=4)
     for n, seed in ((1, 0), (37, 5), (500, 11)):
-        counts = draw_counts(p, n, seed)
+        counts = draw_count_matrix(p, n, seed, range(1))[0]
         assert counts.sum() == n
         s = sample(p, n, seed)
         assert np.array_equal(s.x_indices, p.x_indices)
@@ -133,7 +133,7 @@ def test_sample_lists_the_drawn_counts_atom_by_atom():
         assert np.array_equal(s.counts, counts)
         assert np.array_equal(s.probabilities, counts / n)
     with pytest.raises(ValueError):
-        draw_counts(p, 0, seed=1)
+        draw_count_matrix(p, 0, 1, range(1))
 
 
 def test_sampleset_validation():
@@ -181,9 +181,9 @@ def test_a_sample_size_must_be_whole():
         with pytest.raises(ValueError, match="sample size must be whole"):
             sample(problem, n, 0)
         with pytest.raises(ValueError, match="sample size must be whole"):
-            draw_counts(problem, n, 0)
+            draw_count_matrix(problem, n, 0, range(1))
     assert sample(problem, 3.0, 0).n == 3
-    assert np.array_equal(draw_counts(problem, 3.0, 0), draw_counts(problem, 3, 0))
+    assert np.array_equal(draw_count_matrix(problem, 3.0, 0, range(1)), draw_count_matrix(problem, 3, 0, range(1)))
 
 
 def test_a_sample_seed_must_fit_the_int64_seed_column(tmp_path):

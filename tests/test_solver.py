@@ -993,7 +993,7 @@ def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
     order, rows = [3, 0, 4, 1, 0, 2], [2, 3, 1, 2, 2, 3]
     seeds = np.split(np.arange(sum(rows)), np.cumsum(rows)[:-1])
     blocks = [
-        (problems[g][1], problems[g][0], draw_count_matrix(problems[g][0], 64, seeds[i]) / 64)
+        (problems[g][1], problems[g][0], np.array([sample(problems[g][0], 64, s).counts for s in seeds[i]]) / 64)
         for i, g in enumerate(order)
     ]
     calls = []
@@ -1033,7 +1033,7 @@ def test_a_hull_solve_leaves_its_inputs_as_they_were():
     assert len(set(iterations.tolist())) > 1
     assert [x.tobytes() for x in inputs] == before
     blocks = [
-        (problems[g][1], problems[g][0], draw_count_matrix(problems[g][0], 256, [10 * i, 10 * i + 1]) / 256)
+        (problems[g][1], problems[g][0], draw_count_matrix(problems[g][0], 256, i, range(2)) / 256)
         for i, g in enumerate([0, 1, 0, 2, 1])
     ]
     arrays = [x for d, p, P in blocks for x in (d.values, p.probabilities, P)]
