@@ -17,6 +17,7 @@ import numpy as np
 # Only what `solve` runs is imported here; each other command imports its
 # modules in its handler, so a `solve` child does not pay for them.
 from . import csvio
+from .model import _fits
 from .solver import SolverConfig, erm_convex_hull
 
 
@@ -107,11 +108,7 @@ def _read_problem_and_dictionary(args):
     """The --problem and --dict files, checked to share one design."""
     problem = csvio.read_problem(args.problem_path)
     dictionary = csvio.read_dictionary(args.dict_path)
-    if problem.num_design_points != dictionary.num_design_points:
-        raise ValueError(
-            f"problem has {problem.num_design_points} design points, "
-            f"dictionary has {dictionary.num_design_points}"
-        )
+    _fits(dictionary.num_design_points, problem, "a dictionary row")
     return problem, dictionary
 
 

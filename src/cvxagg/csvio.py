@@ -7,16 +7,17 @@ column, which keeps the files plain CSV; its rows must agree by value, so
 1 and 1.0 are one bound.  Every file the CLI takes has a reader here, and
 all four read through `_read_table`, which checks the file as it reads: the
 header, each row's field count, and every field, parsed by one `np.loadtxt`
-pass.  Integer columns (x_index, index, seed) must be exact int64 literals,
-so 1.0, 1_0, a fullwidth digit or an overflowing index is refused on any
-numpy (one that parses a bad integer via a float warns, an error here); float
-columns must parse as numpy parses them (no underscore literals such as
-1_0.5, no "#" comment) and be finite, so inf, nan and 1e999 are refused.
-Each such error names the file and line.  Problems, dictionaries and
-samples also have writers.  Each builds its file as one string, the header
-line and then one line per row of ints and the reprs of the Python floats
-`.tolist()` gives, and writes it once; a float's repr reads back bit for bit,
-and `tests/test_cli.py::test_csv_round_trips` pins the bytes to what
+pass.  Integer columns must be exact int64 literals, or uint64 for seed (a
+key word, `model._seed`), so 1.0, 1_0, a fullwidth digit, a negative seed
+or an overflowing index is refused on any numpy (one that parses a bad
+integer via a float warns, an error here); float columns must parse as
+numpy parses them (no underscore literals such as 1_0.5, no "#" comment)
+and be finite, so inf, nan and 1e999 are refused.  Each such error names
+the file and line.  Problems, dictionaries and samples also have writers.
+Each builds its file as one string, the header line and then one line per
+row of ints and the reprs of the Python floats `.tolist()` gives, and
+writes it once; a float's repr reads back bit for bit, and
+`tests/test_cli.py::test_csv_round_trips` pins the bytes to what
 `csv.writer` writes for the same rows.
 """
 
@@ -34,7 +35,7 @@ from .model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights
 _PROBLEM = np.dtype(
     [("x_index", np.int64), ("y_value", np.float64), ("probability", np.float64), ("bound_b", np.float64)]
 )
-_SAMPLES = np.dtype([("x_index", np.int64), ("y_value", np.float64), ("seed", np.int64)])
+_SAMPLES = np.dtype([("x_index", np.int64), ("y_value", np.float64), ("seed", np.uint64)])
 _WEIGHTS = np.dtype([("index", np.int64), ("weight", np.float64)])
 
 

@@ -42,6 +42,19 @@ ORACLE_TOLERANCE = 1e-10
 MAX_BATCH = 2**15
 
 
+def _check_family(kind: str, b: float, noise: float, b_name: str) -> None:
+    """The one check of a problem family: a kind of PROBLEM_KINDS, a bound b
+    (named b_name) whose square is a positive finite float, and noise in [0, 1]."""
+    if kind not in PROBLEM_KINDS:
+        raise ValueError(f"problem_kind must be one of {PROBLEM_KINDS}, found {kind!r}")
+    if not 0 < _not_bool(b, b_name) < math.inf:
+        raise ValueError(f"bound_b must be positive and finite, found {b}")
+    if not 0.0 < b * b < math.inf:
+        raise ValueError(f"bound_b squared must be positive and finite, found bound_b = {b}")
+    if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
+        raise ValueError("noise must lie in [0, 1]")
+
+
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from the string forms of the parts."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
@@ -72,14 +85,7 @@ class ExperimentConfig:
             raise ValueError("grid must be nonempty")
         if len(set(grid)) != len(grid):
             raise ValueError("grid entries must be unique")
-        if self.problem_kind not in PROBLEM_KINDS:
-            raise ValueError(f"problem_kind must be one of {PROBLEM_KINDS}")
-        if not 0 < _not_bool(self.bound_b, "bound_b") < math.inf:
-            raise ValueError(f"bound_b must be positive and finite, found {self.bound_b}")
-        if not 0.0 < self.bound_b * self.bound_b < math.inf:
-            raise ValueError(f"bound_b squared must be positive and finite, found bound_b = {self.bound_b}")
-        if not 0.0 <= _not_bool(self.noise, "noise") <= 1.0:
-            raise ValueError("noise must lie in [0, 1]")
+        _check_family(self.problem_kind, self.bound_b, self.noise, "bound_b")
         if not all(0.0 <= x < math.inf for x in self.x_levels):
             raise ValueError(f"x_levels must be finite and nonnegative, found {list(self.x_levels)}")
 
@@ -210,13 +216,8 @@ def make_problem(
     keeps |Y| <= b.  noise=0 gives a noiseless, hull-realizable problem for
     the inside-hull kind.
     """
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
+    _check_family(kind, b, noise, "b")
     K, M = _whole(K, "K", 1), _whole(M, "M", 1)
-    if not 0 < _not_bool(b, "b") < math.inf:
-        raise ValueError(f"bound_b must be positive and finite, found {b}")
-    if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(_seed(seed))
     px = rng.dirichlet(np.ones(K))
     px = px / px.sum()

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, _seed, _whole, combine, draw_count_matrix
+from .model import Dictionary, DiscreteProblem, Segment, _fits, _seed, _whole, combine, draw_count_matrix
 from .solver import erm_segment
 
 # fixed-point search bracket and the relative width at which bisection stops
@@ -100,16 +100,14 @@ def _segment_loss_basis(segment: Segment, problem: DiscreteProblem) -> tuple[np.
     minimizer, the excess loss at an atom is a(z) theta^2 + b(z) theta + c(z).
     Returns the coefficients (a, b, c) on the last axis, shape (atoms, 3),
     and P L_theta's, problem.probabilities @ basis, shape (3,).  A segment
-    must have one value per design point of the problem.
+    must fit the problem's design (`model._fits`): one value per design point.
 
     The table depends on the segment and the problem only, so it is built
     once per pair: both arrays are read-only and cached, keyed by identity
     (segments and problems compare by identity), for the last
     BASIS_CACHE_SIZE pairs.
     """
-    size, points = segment.endpoint_i.size, problem.num_design_points
-    if size != points:
-        raise ValueError(f"a segment of {size} values does not fit a problem of {points} design points")
+    _fits(segment.endpoint_i.size, problem, "a segment")
     _, g_star = erm_segment(segment, problem)
     x = problem.x_indices
     y = problem.y_values

@@ -123,7 +123,21 @@ class DiscreteProblem(Measure):
 
     @property
     def num_design_points(self) -> int:
-        return int(self.x_indices.max()) + 1
+        return self.marginal_x.size
+
+
+def _fits(size: int, data, what: str) -> None:
+    """Refuse what, tabulated on size design points, unless it fits the data:
+    the one rule for a design.  A problem takes exactly the K its marginal
+    holds, so no value is ignored; any other measure, such as a sample, which
+    need not hit every design point, takes any size past its largest x index."""
+    if isinstance(data, DiscreteProblem):
+        if size != data.num_design_points:
+            raise ValueError(
+                f"{what} of {size} values does not fit a problem of {data.num_design_points} design points"
+            )
+    elif size <= data.x_indices.max():
+        raise ValueError(f"{what} of {size} values does not fit data reaching design point {data.x_indices.max()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +165,7 @@ class Dictionary:
 @dataclass(frozen=True, eq=False)
 class SampleSet(Measure):
     """n draws, as the count of each atom (x_indices[i], y_values[i]), and the
-    seed that produced them; atom i has mass counts[i] / n."""
+    seed that produced them, in [0, 2**64) (`_seed`); atom i has mass counts[i] / n."""
 
     probabilities: np.ndarray = field(init=False)
     counts: np.ndarray
@@ -163,11 +177,8 @@ class SampleSet(Measure):
         n = int(counts.sum())
         if counts.size == 0 or counts.min() < 0 or n < 1:
             raise ValueError("counts must be nonnegative, with at least one draw")
-        seed = _whole(self.seed, "seed")
-        if not -(2**63) <= seed < 2**63:
-            raise ValueError("seed does not fit in int64, the seed column of samples.csv")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(_whole(self.seed, "seed")))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probabilities", counts / n)
         super().__post_init__()

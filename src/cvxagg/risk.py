@@ -2,26 +2,20 @@
 
 Every expectation here is an exact finite sum over the problem atoms; nothing
 in this module is Monte Carlo.  That keeps these functions usable as
-noise-free oracles for the stochastic machinery elsewhere.
+noise-free oracles for the stochastic machinery elsewhere.  A function or
+dictionary row must fit the data's design (`model._fits`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Measure, SimplexWeights
-
-
-def _check_tabulated(f: np.ndarray, num_points: int) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1 or f.size != num_points:
-        raise ValueError(f"function vector has length {f.size}, expected {num_points}")
-    return f
+from .model import Dictionary, DiscreteProblem, Measure, SimplexWeights, _fits, combine
 
 
 def population_risk(f: np.ndarray, problem: DiscreteProblem) -> float:
-    """E (Y - f(X))^2 as an exact sum over atoms; f must span the problem's design."""
-    return empirical_risk(_check_tabulated(f, problem.num_design_points), problem)
+    """E (Y - f(X))^2 as an exact sum over atoms: `empirical_risk` on a problem."""
+    return empirical_risk(f, problem)
 
 
 def empirical_risk(f: np.ndarray, measure: Measure) -> float:
@@ -33,8 +27,7 @@ def empirical_risk(f: np.ndarray, measure: Measure) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1:
         raise ValueError("function vector must be 1-D")
-    if measure.x_indices.max() >= f.size:
-        raise ValueError("measure refers to design points outside the tabulated function")
+    _fits(f.size, measure, "a function")
     resid = measure.y_values - f[measure.x_indices]
     with np.errstate(over="ignore"):  # a risk past the largest float is inf
         return float(measure.probabilities @ (resid * resid))
@@ -53,9 +46,9 @@ def bayes_risk(problem: DiscreteProblem) -> float:
 
 def mixture_variance(w: SimplexWeights, dictionary: Dictionary) -> np.ndarray:
     """Var_J f_J(x) at every design point x, where J picks row j with probability w_j."""
-    weights, vals = w.weights, dictionary.values
-    s1 = weights @ vals
-    s2 = weights @ (vals * vals)
+    vals = dictionary.values
+    s1 = combine(dictionary, w)
+    s2 = w.weights @ (vals * vals)
     return np.maximum(s2 - s1 * s1, 0.0)
 
 
@@ -65,9 +58,6 @@ def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscretePr
     The Y part of Var_J(Y - f_J(X)) cancels because Y is held fixed, so this
     is the exact per-point mixture variance averaged over the X marginal.
     """
-    if w.weights.size != dictionary.size_M:
-        raise ValueError("weight length does not match dictionary size")
-    if dictionary.num_design_points != problem.num_design_points:
-        raise ValueError("dictionary and problem are tabulated on different designs")
+    _fits(dictionary.num_design_points, problem, "a dictionary row")
     return float(problem.marginal_x @ mixture_variance(w, dictionary))
 

@@ -40,7 +40,8 @@ largest M with +inf, which never wins an argmin.
 The data is any `model.Measure`: solvers read only its `x_indices`,
 `y_values` and `probabilities`, so a sample (atoms weighted by their draw
 counts) gives the empirical risk minimizer and a problem the population
-one.  They never look at a problem's bound_b.
+one.  They never look at a problem's bound_b.  A dictionary or segment must
+fit the data's design (`model._fits`), checked once per block of datasets.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights, _not_bool, _whole, simplex_rows
+from .model import Dictionary, Measure, Segment, SimplexWeights, _fits, _not_bool, _whole, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ def _least_squares(K: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     + a constant, for each dataset b of a batch on K design points.
 
     blocks are (atoms, probabilities) pairs: row r of the (reps, atoms)
-    matrix probabilities is one dataset's mass on the atoms' x_indices and
-    y_values, and the datasets are numbered block by block, row by row.
+    matrix probabilities is one dataset's mass on the atoms' x_indices (each
+    below K, as the caller checked) and y_values, block by block, row by row.
     root = sqrt(px) and target = ymass / root on the K design points, so the
     rows of A = F * root are the vertices.  Design points the data gives no
     mass get a zero root and a zero target.  One bincount pair serves the
@@ -126,8 +127,6 @@ def _least_squares(K: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     reps = [P.shape[0] for _, P in blocks]
     B = sum(reps)
     x = np.concatenate([np.tile(atoms.x_indices, r) for (atoms, _), r in zip(blocks, reps)])
-    if x.max() >= K:
-        raise ValueError("data refers to design points outside the dictionary")
     x += np.repeat(np.arange(0, B * K, K), np.repeat([atoms.x_indices.size for atoms, _ in blocks], reps))
     p = np.concatenate([P.ravel() for _, P in blocks])
     y = np.concatenate([np.tile(atoms.y_values, r) for (atoms, _), r in zip(blocks, reps)])
@@ -618,10 +617,11 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     cfg = config or SolverConfig()
     blocks = list(blocks)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (dictionary, _, probabilities) in enumerate(blocks):
+    for i, (dictionary, atoms, probabilities) in enumerate(blocks):
         if not probabilities.shape[0]:
             raise ValueError(f"block {i} has no datasets: its probability matrix has no rows")
         K = dictionary.num_design_points
+        _fits(K, atoms, "a dictionary row")
         groups.setdefault((K, min(K, dictionary.size_M - 1)), []).append(i)
     out = [None] * len(blocks)
     for (K, _), members in groups.items():
@@ -675,9 +675,8 @@ def erm_segment(segment: Segment, data: Measure) -> tuple[float, np.ndarray]:
     clamped to [0, 1]; degenerate segments (endpoints equal a.e.) return
     theta = 0 by convention.
     """
+    _fits(segment.endpoint_i.size, data, "a segment")
     x, y, p = data.x_indices, data.y_values, data.probabilities
-    if x.max() >= segment.endpoint_i.size:
-        raise ValueError("data refers to design points outside the segment endpoints")
     gj = segment.endpoint_j[x]
     d = segment.endpoint_i[x] - gj
     den = float(p @ (d * d))

@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from cvxagg import localization
-from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, combine, draw_count_matrix
-from cvxagg.risk import _check_tabulated, empirical_risk, population_risk, variance_term
+from cvxagg.model import Dictionary, DiscreteProblem, SampleSet, SimplexWeights, _fits, combine, draw_count_matrix
+from cvxagg.risk import empirical_risk, population_risk, variance_term
 from cvxagg.solver import ErmSolution, SolverConfig, erm_segment
 from cvxagg.sparsify import enumerate_net
 
@@ -121,8 +121,9 @@ def excess_loss_mean(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem
 
 def excess_loss_second_moment(f: np.ndarray, f_star: np.ndarray, problem: DiscreteProblem) -> float:
     """Exact second moment of the excess loss (y-f)^2 - (y-f_star)^2."""
-    f = _check_tabulated(f, problem.num_design_points)
-    f_star = _check_tabulated(f_star, problem.num_design_points)
+    f, f_star = np.asarray(f, dtype=np.float64), np.asarray(f_star, dtype=np.float64)
+    _fits(f.size, problem, "a function")
+    _fits(f_star.size, problem, "a function")
     x, y = problem.x_indices, problem.y_values
     diff = (y - f[x]) ** 2 - (y - f_star[x]) ** 2
     return float(problem.probabilities @ (diff * diff))

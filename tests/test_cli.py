@@ -89,7 +89,7 @@ def test_csv_round_trips(workspace):
     rows = [[k, v, q, b] for k, v, q in zip(x, values, p)]
     assert path.read_bytes() == csv_writer_bytes(["x_index", "y_value", "probability", "bound_b"], rows)
     x, counts = [3, 0, 1, 2, 0], [2, 1, 1, 3, 1]
-    for seed in (0, 2**63 - 1):
+    for seed in (0, 2**63 - 1, 2**64 - 1):
         csvio.write_samples(SampleSet(x, values, counts, seed=seed), path)
         rows = [[k, v, seed] for k, v, count in zip(x, values, counts) for _ in range(count)]
         assert path.read_bytes() == csv_writer_bytes(["x_index", "y_value", "seed"], rows)
@@ -587,7 +587,7 @@ def test_design_size_mismatch_exits_one(tmp_path, capsys, command, problem_k, di
     code = main([command, "--problem", str(tmp_path / "problem.csv"), "--dict", str(tmp_path / "dict.csv"), *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        f"error: problem has {problem_k} design points, dictionary has {dict_k}"
+        f"error: a dictionary row of {dict_k} values does not fit a problem of {problem_k} design points"
     )
 
 

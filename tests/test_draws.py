@@ -51,9 +51,8 @@ def test_a_row_is_its_keys_draw_in_any_range_and_order(problem_seed, K, atoms_pe
         words = np.array([seed, replication], dtype=np.uint64)  # a list of 2**63 and 0 would be read as floats
         reference = np.random.Generator(np.random.Philox(key=words)).multinomial(n, problem.probabilities)
         assert np.array_equal(reference, row)
-    # a sample of the seed is its replication 0; a SampleSet's seed fits in int64
-    if seed < 2**63:
-        assert np.array_equal(sample(problem, n, seed).counts, draw_count_matrix(problem, n, seed, range(1))[0])
+    # a sample of the seed is its replication 0, for every key word a SampleSet takes
+    assert np.array_equal(sample(problem, n, seed).counts, draw_count_matrix(problem, n, seed, range(1))[0])
 
 
 def test_the_first_rows_of_one_key_are_pinned():

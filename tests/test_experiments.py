@@ -249,9 +249,20 @@ def test_bound_b_must_be_positive_and_finite(bound_b):
 @pytest.mark.parametrize("bound_b", [1e-200, 1e200])
 def test_a_bound_b_whose_square_is_not_a_positive_float_is_refused(bound_b):
     # the summary divides by b^2 to fit c_hat: at 1e-200 it underflows to 0,
-    # at 1e200 it overflows
+    # at 1e200 it overflows, as does the scale of every solve on such a problem
     with pytest.raises(ValueError, match="bound_b squared must be positive and finite"):
         ExperimentConfig(bound_b=bound_b)
+    with pytest.raises(ValueError, match="bound_b squared must be positive and finite"):
+        make_problem("inside-hull", K=2, M=2, b=bound_b, seed=0)
+
+
+def test_an_unknown_problem_kind_gets_one_message():
+    # the config and the generator share one family check
+    message = f"problem_kind must be one of {experiments.PROBLEM_KINDS}, found 'inside'"
+    for call in (lambda: ExperimentConfig(problem_kind="inside"), lambda: make_problem("inside", 2, 2, 1.0, 0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def _key(r, excess):

@@ -186,19 +186,30 @@ def test_a_sample_size_must_be_whole():
     assert np.array_equal(draw_count_matrix(problem, 3.0, 0, range(1)), draw_count_matrix(problem, 3, 0, range(1)))
 
 
-def test_a_sample_seed_must_fit_the_int64_seed_column(tmp_path):
-    # samples.csv reads its seed column as int64, so a sample that could not
-    # be read back is refused when it is built, and the int64 extremes round-trip
+def test_a_sample_seed_is_a_key_word_that_samples_csv_reads_back(tmp_path):
+    # a SampleSet takes the seed rule's range, [0, 2**64), and samples.csv
+    # reads its seed column as uint64, so every sample that can be built can
+    # be written and read back; sample(p, n, 2**63), whose draw the seed rule
+    # admits, used to be refused once drawn, by an int64 range of its own
     problem = DiscreteProblem(np.array([0, 1]), np.array([0.0, 0.5]), np.array([0.5, 0.5]), bound_b=1.0)
-    for seed in (2**63, 2.0**63, -(2**63) - 1):
-        with pytest.raises(ValueError, match="seed does not fit in int64"):
+    refusals = [
+        (-1, "seed must lie in [0, 2**64), found -1"),
+        (2**64, f"seed must lie in [0, 2**64), found {2**64}"),
+        (True, "seed must be a number, not the bool True"),
+    ]
+    for seed, message in refusals:
+        with pytest.raises(ValueError) as info:
             SampleSet(np.array([0]), np.array([0.0]), np.array([1]), seed=seed)
-    with pytest.raises(ValueError, match="seed does not fit in int64"):
-        sample(problem, 4, 2**63)
+        assert str(info.value) == message, seed
+    assert sample(problem, 4, 2**63).seed == 2**63
     path = tmp_path / "samples.csv"
-    for seed in (2**63 - 1, -(2**63)):
+    for seed in (2**63, 2**64 - 1):
         csvio.write_samples(SampleSet(np.array([0]), np.array([0.0]), np.array([2]), seed=seed), path)
         assert csvio.read_samples(path).seed == seed
+    # a negative seed in the file is refused as it is read, at its line
+    path.write_text("x_index,y_value,seed\n0,0.0,-1\n")
+    with pytest.raises(ValueError, match="line 2: could not convert string '-1' to uint64"):
+        csvio.read_samples(path)
 
 
 def test_types_are_immutable():

@@ -4,6 +4,7 @@ import pytest
 from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from cvxagg.risk import empirical_risk, population_risk, variance_term
 from cvxagg.solver import SolverConfig, erm_convex_hull
+from cvxagg.sparsify import expected_sparsified_risk
 
 from _support import (
     excess_loss_mean,
@@ -140,3 +141,14 @@ def test_variance_term_bounded_by_4b2():
         w = random_weights(rng, 5)
         v = variance_term(w, d, p)
         assert 0.0 <= v <= 4 * b * b
+
+
+def test_a_weight_vector_of_another_length_gets_combines_one_message():
+    # variance_term takes its first moment as combine(dictionary, w), so the
+    # weight length is checked there, once, for it and expected_sparsified_risk
+    d = Dictionary(np.array([[0.0], [1.0], [0.5]]))
+    p, w = coin_problem(), SimplexWeights(np.array([0.5, 0.5]))
+    for call in (lambda: variance_term(w, d, p), lambda: expected_sparsified_risk(w, 2, d, p)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "weight length 2 does not match dictionary size 3"

@@ -392,7 +392,7 @@ def test_solvers_reject_out_of_range_design_indices(solver, kind):
     x, y = np.array([0, 1, 2]), np.array([0.1, -0.2, 0.3])
     data = pairs(x, y) if kind == "sample" else DiscreteProblem(x, y, np.full(3, 1 / 3), 1.0)
     d = Dictionary(np.array([[0.5, -0.5], [0.25, 0.0]]))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="of 2 values does not fit"):
         if solver == "hull":
             erm_convex_hull(d, data)
         else:
@@ -975,8 +975,12 @@ def test_batched_least_squares_rows_are_each_datasets_own(seed, K, atoms, rows, 
         assert target[b].tobytes() == np.divide(ymass, own, out=np.zeros(K), where=own > 0.0).tobytes()
     alone = _least_squares(K, _blocks(datasets))
     assert root.tobytes() == alone[0].tobytes() and target.tobytes() == alone[1].tobytes()
-    with pytest.raises(ValueError, match="outside the dictionary"):
-        _least_squares(K, [*blocks, *_blocks([SampleSet([K], [0.0], [1], seed)])])
+    # a block whose atoms reach past the dictionary is refused by the hull
+    # solver's one check per block, before _least_squares reads any block
+    F = Dictionary(np.zeros((2, K)))
+    past = [(F, *block) for block in [*blocks, *_blocks([SampleSet([K], [0.0], [1], seed)])]]
+    with pytest.raises(ValueError, match=f"a dictionary row of {K} values does not fit data reaching design point {K}"):
+        erm_convex_hull_blocks(past)
 
 
 def test_a_batch_takes_dictionaries_of_any_k_and_m(monkeypatch):
