@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 # `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
-from .model import Dictionary, DiscreteProblem, _not_bool, _seed, _whole, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _real, _seed, _whole, draw_count_matrix, sample
 from .rates import phi_n, psi_c
 from .risk import bayes_risk, population_risk
 from .solver import _STOP_REASONS, ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
@@ -42,17 +42,15 @@ ORACLE_TOLERANCE = 1e-10
 MAX_BATCH = 2**15
 
 
-def _check_family(kind: str, b: float, noise: float, b_name: str) -> None:
-    """The one check of a problem family: a kind of PROBLEM_KINDS, a bound b
-    (named b_name) whose square is a positive finite float, and noise in [0, 1]."""
+def _check_family(kind: str, b: float, noise: float, b_name: str) -> tuple[float, float]:
+    """b and noise as floats, once the one check of a problem family passes: a kind of
+    PROBLEM_KINDS, b (named b_name) with b^2 a positive finite float, noise in [0, 1]."""
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"problem_kind must be one of {PROBLEM_KINDS}, found {kind!r}")
-    if not 0 < _not_bool(b, b_name) < math.inf:
-        raise ValueError(f"bound_b must be positive and finite, found {b}")
+    b = _real(b, b_name, positive=True)
     if not 0.0 < b * b < math.inf:
-        raise ValueError(f"bound_b squared must be positive and finite, found bound_b = {b}")
-    if not 0.0 <= _not_bool(noise, "noise") <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
+        raise ValueError(f"{b_name} squared must be positive and finite, found {b_name} = {b!r}")
+    return b, _real(noise, "noise", unit=True)
 
 
 def derive_seed(*parts) -> int:
@@ -80,14 +78,14 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         for name, least in (("atoms_K", 1), ("replications", 1), ("master_seed", None)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))
-        object.__setattr__(self, "x_levels", tuple(float(_not_bool(x, "x_levels")) for x in self.x_levels))
+        object.__setattr__(self, "x_levels", tuple(_real(x, "x_levels") for x in self.x_levels))
         if not grid:
             raise ValueError("grid must be nonempty")
         if len(set(grid)) != len(grid):
             raise ValueError("grid entries must be unique")
-        _check_family(self.problem_kind, self.bound_b, self.noise, "bound_b")
-        if not all(0.0 <= x < math.inf for x in self.x_levels):
-            raise ValueError(f"x_levels must be finite and nonnegative, found {list(self.x_levels)}")
+        bound_b, noise = _check_family(self.problem_kind, self.bound_b, self.noise, "bound_b")
+        object.__setattr__(self, "bound_b", bound_b)
+        object.__setattr__(self, "noise", noise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +214,7 @@ def make_problem(
     keeps |Y| <= b.  noise=0 gives a noiseless, hull-realizable problem for
     the inside-hull kind.
     """
-    _check_family(kind, b, noise, "b")
+    b, noise = _check_family(kind, b, noise, "b")
     K, M = _whole(K, "K", 1), _whole(M, "M", 1)
     rng = np.random.default_rng(_seed(seed))
     px = rng.dirichlet(np.ones(K))

@@ -30,12 +30,11 @@ its target when checked on that draw.
 Dataset r of a Monte Carlo run is replication rep_offset + r of the seed,
 row r of model.draw_count_matrix(problem, n, seed, range(rep_offset,
 rep_offset + reps)), so (problem, n, reps, seed, rep_offset) fixes every
-dataset.  A seed or replication outside [0, 2**64) is refused by name, and
-so is a bool seed, before a cache is read, where True would find the draw
-of 1 (`model._seed`).  Callers sweep levels on one draw (x levels in the
-isomorphism check, localization levels in localized_sup), and the level
-enters after the draw, so the module keeps three caches, each of which
-gives the bits of a fresh computation:
+dataset.  Every argument is checked by `model`'s rules before a cache is
+read, where a seed of True would find the draw of 1.  Callers sweep levels
+on one draw (x levels in the isomorphism check, localization levels in
+localized_sup), and the level enters after the draw, so the module keeps
+three caches, each of which gives the bits of a fresh computation:
 - one per draw: the last call's atom counts (_rep_counts);
 - one per (segment, problem) pair: the segment's excess loss tabulated on
   the atoms as a quadratic basis, and its population quadratic, which do not
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, Segment, _fits, _seed, _whole, combine, draw_count_matrix
+from .model import Dictionary, DiscreteProblem, Segment, _fits, _real, _seed, _whole, combine, draw_count_matrix
 from .solver import erm_segment
 
 # fixed-point search bracket and the relative width at which bisection stops
@@ -72,8 +71,7 @@ class LocalizedClass:
     level_lambda: float
 
     def __post_init__(self):
-        if not 0 < self.level_lambda < math.inf:
-            raise ValueError(f"level_lambda must be positive and finite, found {self.level_lambda}")
+        object.__setattr__(self, "level_lambda", _real(self.level_lambda, "level_lambda", positive=True))
 
 
 def segment_excess_loss_class(segment: Segment, level: float) -> LocalizedClass:
@@ -276,10 +274,8 @@ def fixed_point(bound) -> float:
 
 
 def _gamma(x: float, b: float, N: int, n: int, c0: float) -> float:
-    """Union-bound localization level c0 b^2 (x + 2 log N) / n for N net
-    points; N and n are counts its callers have checked (`_net_size`)."""
-    if not (0 <= x < math.inf and 0 <= b < math.inf and 0 <= c0 < math.inf):
-        raise ValueError("x, b, and c0 must be finite and nonnegative")
+    """Union-bound localization level c0 b^2 (x + 2 log N) / n for N net points, on
+    arguments its callers have checked (`_net_size`, `model._real`, `DiscreteProblem`)."""
     return c0 * b * b * (x + 2.0 * math.log(N)) / n
 
 
@@ -349,9 +345,8 @@ def _needed_level(pop: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 
 def _net_size(segments: tuple, n, reps, net_size) -> tuple[int, int, int]:
-    """(N, n, reps) as ints: N, the net size in the level's union bound (the
-    number of segments when net_size is None), once the family and the counts
-    are checked; callers check their levels with N before drawing."""
+    """(N, n, reps) as checked ints, N the net size in the level's union bound
+    (the number of segments when net_size is None), for a nonempty family."""
     if not segments:
         raise ValueError("at least one segment is required")
     N = len(segments) if net_size is None else _whole(net_size, "num_net_functions", 1)
@@ -404,7 +399,7 @@ def isomorphism_check(
     """
     b, segments = problem.bound_b, tuple(segments)
     N, n, reps = _net_size(segments, n, reps, num_net_functions)
-    seed, rep_offset = _seed(seed), _whole(rep_offset, "rep_offset", 0)
+    seed, rep_offset, x, c0 = _seed(seed), _whole(rep_offset, "rep_offset", 0), _real(x, "x"), _real(c0, "c0")
     level = _gamma(x, b, N, n, c0)
     pop, emp, needed = _dataset_levels(segments, problem, n, reps, seed, rep_offset)
 
@@ -417,7 +412,7 @@ def isomorphism_check(
     erm_failures = int(np.count_nonzero(~violated & (erm_excess > level + 1e-12 * b * b)))
     bound = 4.0 * math.exp(-x)
     return IsomorphismReport(
-        x=float(x),
+        x=x,
         trials=reps,
         violations=violations,
         bound=bound,
@@ -458,11 +453,10 @@ def calibrate_c0(
     skipped there is nothing to calibrate, and ValueError is raised before
     any dataset is drawn.
     """
-    x_levels = tuple(x_levels)
+    x_levels = tuple(_real(x, "x") for x in x_levels)
     if not x_levels:
         raise ValueError("at least one x level is required")
-    if not 0 < target_scale <= 1:
-        raise ValueError("target_scale must be in (0, 1]")
+    target_scale = _real(target_scale, "target_scale", positive=True, unit=True)
     b, segments = problem.bound_b, tuple(segments)
     N, n, reps = _net_size(segments, n, reps, num_net_functions)
     seed = _seed(seed)

@@ -18,11 +18,14 @@ is the first multinomial of numpy's counter-based Philox4x64 stream keyed by
 them, a pure function of (problem, n, seed, replication), so any range of a
 seed's replications draws the same datasets (`draw_count_matrix`; `sample`
 draws replication 0).
+
+Each argument is checked once, where its function is entered, by one rule:
+`_whole` for a count, `_seed` for a seed, `_fits` for a design, `_real` for a real.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,10 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-def _not_bool(value, name: str):
-    """value, which must not be a Python or numpy bool: True is refused, not read as 1."""
+def _not_bool(value, name: str) -> None:
+    """Refuse value if it is a Python or numpy bool: True is not read as 1."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not the bool {value!r}")
-    return value
 
 
 def _whole(value, name: str, least: int | None = None) -> int:
@@ -58,6 +60,23 @@ def _whole(value, name: str, least: int | None = None) -> int:
     if least is not None and whole < least:
         raise ValueError(f"{name} must be at least {least}, found {value!r}")
     return whole
+
+
+def _real(value, name: str, positive: bool = False, unit: bool = False) -> float:
+    """value as a float, above 0 when positive (else at least 0) and at most 1 when unit (else
+    finite): the one rule for a real parameter.  A bool, str, None or NaN is refused, with no numpy call."""
+    _not_bool(value, name)
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, found {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int no float holds lies outside every range
+        real = math.inf
+    if not ((real > 0 if positive else real >= 0) and (real <= 1 if unit else real < math.inf)):
+        closed = "lie in (0, 1]" if positive else "lie in [0, 1]"
+        rule = closed if unit else "be positive and finite" if positive else "be finite and nonnegative"
+        raise ValueError(f"{name} must {rule}, found {value!r}")
+    return real
 
 
 def _whole_array(values, name: str) -> np.ndarray:
@@ -110,9 +129,7 @@ class DiscreteProblem(Measure):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "bound_b", float(self.bound_b))
-        if not np.isfinite(self.bound_b) or self.bound_b < 0:
-            raise ValueError("bound_b must be a finite nonnegative real")
+        object.__setattr__(self, "bound_b", _real(self.bound_b, "bound_b"))
         if np.any(np.abs(self.y_values) > self.bound_b):
             raise ValueError("every |y| must be at most bound_b")
         x, p = self.x_indices, self.probabilities
@@ -178,17 +195,16 @@ class SampleSet(Measure):
         if counts.size == 0 or counts.min() < 0 or n < 1:
             raise ValueError("counts must be nonnegative, with at least one draw")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", _seed(_whole(self.seed, "seed")))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probabilities", counts / n)
         super().__post_init__()
 
 
 def _seed(value, name: str = "seed") -> int:
-    """value as a Philox key word, an integer in [0, 2**64): the one rule for a
-    seed or a replication.  A bool is refused, not read as 1; 2.5 raises a
-    TypeError, where Philox's state setter would truncate it to 2."""
-    word = operator.index(_not_bool(value, name))
+    """value as a Philox key word in [0, 2**64), after the count rule (`_whole`): the one rule for a
+    seed or a replication.  True and 2.5 are refused, which Philox would read as 1 and truncate to 2."""
+    word = _whole(value, name)
     if not 0 <= word < 2**64:
         raise ValueError(f"{name} must lie in [0, 2**64), found {word!r}")
     return word

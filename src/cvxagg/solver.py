@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights, _fits, _not_bool, _whole, simplex_rows
+from .model import Dictionary, Measure, Segment, SimplexWeights, _fits, _real, _whole, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class SolverConfig:
     def __post_init__(self):
         # a cap of 2.5 would never equal the iteration count, so it is refused
         object.__setattr__(self, "max_iterations", _whole(self.max_iterations, "max_iterations", 1))
-        if not 0 < _not_bool(self.tolerance, "tolerance") < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, found {self.tolerance}")
+        object.__setattr__(self, "tolerance", _real(self.tolerance, "tolerance", positive=True))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import Dictionary, DiscreteProblem, SimplexWeights, _seed, _whole, combine
+from .model import Dictionary, DiscreteProblem, SimplexWeights, _fits, _seed, _whole, combine
 from .risk import population_risk, variance_term
 
 # enumerate_net refuses nets with more elements than this
@@ -63,5 +63,5 @@ def expected_sparsified_risk(
     risk minimizers; the derivation only needs the draws to have mean f_w.
     """
     m = _whole(m, "m", 1)
-    base = population_risk(combine(dictionary, w), problem)
-    return base + variance_term(w, dictionary, problem) / m
+    _fits(dictionary.num_design_points, problem, "a dictionary row")
+    return population_risk(combine(dictionary, w), problem) + variance_term(w, dictionary, problem) / m

@@ -498,6 +498,15 @@ def test_solve_writes_a_risk_that_overflows_as_null(workspace, capsys):
     assert payload["empirical_risk"] is None and payload["converged"] is False
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_solve_tolerance_not_positive_exits_one(workspace, capsys, tol):
+    code = main(["solve", "--dict", str(workspace["dict"]), "--samples", str(workspace["samples"]), "--tol", tol])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tolerance must be positive and finite, found {float(tol)!r}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
 def test_solve_non_finite_tolerance_exits_one(workspace, capsys, tol):
     # an infinite tolerance used to stop every solve at its start vertex as converged
@@ -680,7 +689,21 @@ def test_isomorphism_non_finite_x_exits_one(workspace, capsys, x, c0):
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: x, b, and c0 must be finite and nonnegative")
+    # calibrate_c0 and isomorphism_check name each level x (model._real)
+    assert capsys.readouterr().err.startswith("error: x must be finite and nonnegative, found ")
+
+
+@pytest.mark.parametrize("c0", ["-1", "nan", "inf"])
+def test_isomorphism_c0_outside_its_range_exits_one(workspace, capsys, c0):
+    # a negative c0 used to fail inside the level with no name but "x, b, and c0"
+    code = main(
+        [
+            "isomorphism", "--problem", str(workspace["problem"]), "--dict", str(workspace["dict"]),
+            "--n", "32", "--x", "2", "--c0", c0, "--reps", "10", "--num-functions", "4", "--num-segments", "3",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: c0 must be finite and nonnegative, found {float(c0)!r}\n"
 
 
 @pytest.mark.parametrize("c0", [None, "2.0"], ids=["calibrated", "given"])

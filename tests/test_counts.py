@@ -6,10 +6,18 @@ A count is whole and at least its minimum: 3.0 and np.int64(3) are taken as
 ValueError whose message starts with the argument's name.
 
 The seed rule, its sibling: every seed argument goes through `model._seed`,
-a Philox key word in [0, 2**64).  np.int64(3) and np.uint64(3) are taken as
-3, with the bits of 3, and a bool, -1 and 2**64 are refused by name.
+a Philox key word in [0, 2**64), which takes the count rule first.  3.0,
+np.int64(3) and np.uint64(3) are taken as 3, with the bits of 3, and a bool,
+2.5, "3", None, -1 and 2**64 are refused by name.
+
+The real rule: every real parameter goes through `model._real` once, where
+its function is entered.  An int, np.int64 or np.float64 in range is taken
+as the float with the same bits, and a bool, a str, None, NaN, an infinity
+and a value just outside either end of the range are refused by a ValueError
+whose message starts with the argument's name.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -33,12 +41,12 @@ def _sup(n=16, reps=3, seed=0):
 
 
 def _check(**arguments):
-    arguments = {"n": 16, "reps": 3, "seed": 0, **arguments}
-    return localization.isomorphism_check([SEGMENT], PROBLEM, x=1.0, c0=1.0, **arguments)
+    arguments = {"n": 16, "x": 1.0, "c0": 1.0, "reps": 3, "seed": 0, **arguments}
+    return localization.isomorphism_check([SEGMENT], PROBLEM, **arguments)
 
 
-def _calibrate(n=16, reps=3, seed=0):
-    return localization.calibrate_c0([SEGMENT], PROBLEM, n, [2.0], reps, seed)
+def _calibrate(n=16, reps=3, seed=0, x_levels=(2.0,), target_scale=1.0):
+    return localization.calibrate_c0([SEGMENT], PROBLEM, n, x_levels, reps, seed, target_scale=target_scale)
 
 
 def _segments(**arguments):
@@ -115,28 +123,11 @@ def test_a_whole_count_of_another_type_gives_the_bits_of_the_int(function, name,
         assert pickle.dumps(call(value)) == want, value
 
 
-@pytest.mark.parametrize(
-    "field, call",
-    [
-        ("bound_b", lambda v: _config(bound_b=v)),
-        ("noise", lambda v: _config(noise=v)),
-        ("x_levels", lambda v: _config(x_levels=(1.0, v))),
-        ("tolerance", lambda v: SolverConfig(tolerance=v)),
-        ("b", lambda v: make_problem("outside-hull", K=3, M=4, b=v, seed=0)),
-        ("noise", lambda v: make_problem("outside-hull", K=3, M=4, b=1.0, seed=0, noise=v)),
-    ],
-)
-def test_a_real_config_field_refuses_a_bool(field, call):
-    # bound_b=True used to run as 1 and write "bound_b": true to report.json
-    for value in (True, np.True_):
-        with pytest.raises(ValueError, match=f"^{field} must be a number, not the bool"):
-            call(value)
-
-
 def test_a_count_is_checked_once_per_call_not_once_per_draw(monkeypatch):
-    # draw_count_matrix checks n at entry and draws its rows unchecked, and
-    # isomorphism_check and calibrate_c0 check their counts once, in
-    # _net_size, and hand them to _gamma, which checks none
+    # draw_count_matrix checks n at entry, and the seed and its first and
+    # last replication by _seed, which takes the count rule first, and draws
+    # its rows unchecked; isomorphism_check and calibrate_c0 check their
+    # counts once, in _net_size, and hand them to _gamma, which checks none
     checked = []
     whole = model._whole
 
@@ -149,13 +140,14 @@ def test_a_count_is_checked_once_per_call_not_once_per_draw(monkeypatch):
     localization._rep_counts.cache_clear()
     localization._dataset_levels.cache_clear()
     model.draw_count_matrix(PROBLEM, 16, 0, range(5))
-    assert checked == ["sample size"]
+    assert checked == ["sample size", "seed", "replication", "replication"]
     checked.clear()
     _check(reps=5, rep_offset=7)
-    assert sorted(checked) == ["n", "rep_offset", "reps", "sample size"]
+    keys = ["replication", "replication", "sample size", "seed", "seed"]
+    assert sorted(checked) == sorted(["n", "rep_offset", "reps", *keys])
     checked.clear()
     _calibrate(reps=5)
-    assert sorted(checked) == ["n", "reps", "sample size"]
+    assert sorted(checked) == sorted(["n", "reps", *keys])
 
 
 # (function, the function called with its seed set to a value)
@@ -179,6 +171,9 @@ def test_a_bool_seed_or_one_outside_a_key_word_is_refused_by_name(function, call
     refusals = [
         (True, "seed must be a number, not the bool True"),
         (np.True_, f"seed must be a number, not the bool {np.True_!r}"),
+        (2.5, "seed must be whole, found 2.5"),
+        ("3", "seed must be whole, found '3'"),
+        (None, "seed must be whole, found None"),
         (-1, "seed must lie in [0, 2**64), found -1"),
         (2**64, f"seed must lie in [0, 2**64), found {2**64}"),
     ]
@@ -191,5 +186,78 @@ def test_a_bool_seed_or_one_outside_a_key_word_is_refused_by_name(function, call
 @pytest.mark.parametrize("function, call", SEEDS, ids=[function for function, _ in SEEDS])
 def test_a_seed_of_another_integer_type_gives_the_bits_of_the_int(function, call):
     want = pickle.dumps(call(3))
-    for value in (np.int64(3), np.uint64(3)):
+    for value in (3.0, np.int64(3), np.uint64(3)):
         assert pickle.dumps(call(value)) == want, value
+
+
+# (function, the argument's name, whether the range is open at 0, whether
+# it ends at 1 (or runs to infinity), the function called with the argument
+# set to a value); 1 lies in every range
+REALS = [
+    ("SolverConfig", "tolerance", True, False, lambda v: SolverConfig(tolerance=v)),
+    ("ExperimentConfig", "bound_b", True, False, lambda v: _config(bound_b=v)),
+    ("ExperimentConfig", "noise", False, True, lambda v: _config(noise=v)),
+    ("ExperimentConfig", "x_levels", False, False, lambda v: _config(x_levels=(2.0, v))),
+    ("make_problem", "b", True, False, lambda v: make_problem("outside-hull", K=3, M=4, b=v, seed=0)),
+    ("make_problem", "noise", False, True, lambda v: make_problem("outside-hull", K=3, M=4, b=1.0, seed=0, noise=v)),
+    (
+        "DiscreteProblem",
+        "bound_b",
+        False,
+        False,
+        lambda v: model.DiscreteProblem(PROBLEM.x_indices, PROBLEM.y_values, PROBLEM.probabilities, bound_b=v),
+    ),
+    ("LocalizedClass", "level_lambda", True, False, lambda v: localization.LocalizedClass(SEGMENT, v)),
+    ("isomorphism_check", "x", False, False, lambda v: _check(x=v)),
+    ("isomorphism_check", "c0", False, False, lambda v: _check(c0=v)),
+    ("calibrate_c0", "x", False, False, lambda v: _calibrate(x_levels=(2.0, v))),
+    ("calibrate_c0", "target_scale", True, True, lambda v: _calibrate(target_scale=v)),
+]
+REAL_IDS = [f"{function}-{name}" for function, name, _, _, _ in REALS]
+
+
+@pytest.mark.parametrize("function, name, positive, unit, call", REALS, ids=REAL_IDS)
+def test_a_real_that_is_not_a_number_or_outside_its_range_is_refused_by_name(function, name, positive, unit, call):
+    if unit:
+        rule = f"lie in {'(' if positive else '['}0, 1]"
+    else:
+        rule = "be positive and finite" if positive else "be finite and nonnegative"
+    refusals = [
+        (True, f"{name} must be a number, not the bool True"),
+        (np.True_, f"{name} must be a number, not the bool {np.True_!r}"),
+        ("1", f"{name} must be a real number, found '1'"),
+        (None, f"{name} must be a real number, found None"),
+    ]
+    # NaN, both infinities, and the floats next to each end of the range
+    below = 0.0 if positive else -math.ulp(0.0)
+    above = math.nextafter(1.0, math.inf) if unit else math.inf
+    for value in (math.nan, math.inf, -math.inf, below, above):
+        refusals.append((value, f"{name} must {rule}, found {value!r}"))
+    for value, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message, value
+
+
+@pytest.mark.parametrize("function, name, positive, unit, call", REALS, ids=REAL_IDS)
+def test_a_real_of_another_type_gives_the_bits_of_the_float(function, name, positive, unit, call):
+    want = pickle.dumps(call(1.0))
+    for value in (1, np.int64(1), np.float64(1.0)):
+        assert pickle.dumps(call(value)) == want, value
+
+
+def test_a_real_is_checked_once_where_its_function_is_entered(monkeypatch):
+    # _gamma and calibrate_c0's ulp-by-ulp search check nothing
+    checked = []
+    real = model._real
+
+    def counted(value, name, positive=False, unit=False):
+        checked.append(name)
+        return real(value, name, positive, unit)
+
+    monkeypatch.setattr(localization, "_real", counted)
+    _check(x=2.0, c0=0.5)
+    assert sorted(checked) == ["c0", "x"]
+    checked.clear()
+    _calibrate(x_levels=(2.0, 3.0), target_scale=0.5)
+    assert sorted(checked) == ["target_scale", "x", "x"]

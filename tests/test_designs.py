@@ -40,7 +40,7 @@ WEIGHTS = model.SimplexWeights(np.full(M, 1.0 / M))
 
 # (entry point, what its message calls the tabulated thing, whether it takes
 # a sample, the entry point called with a thing of a size on data);
-# expected_sparsified_risk first takes the risk of the combined function
+# expected_sparsified_risk checks its dictionary on entry, before either risk
 ENTRIES = [
     ("empirical_risk", "a function", True, lambda size, data: risk.empirical_risk(_values(size)[0], data)),
     ("population_risk", "a function", True, lambda size, data: risk.population_risk(_values(size)[0], data)),
@@ -61,7 +61,7 @@ ENTRIES = [
     ),
     (
         "expected_sparsified_risk",
-        "a function",
+        "a dictionary row",
         False,
         lambda size, data: sparsify.expected_sparsified_risk(WEIGHTS, 2, _dictionary(size), data),
     ),

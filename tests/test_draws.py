@@ -110,11 +110,11 @@ def test_a_key_word_outside_uint64_is_refused_by_name(seed, replications, messag
 
 
 def test_a_key_word_is_an_integer():
-    # Philox's state setter would truncate 2.5 to 2; a replication is an
-    # entry of a range, so it is an int
-    with pytest.raises(TypeError):
+    # Philox's state setter would truncate 2.5 to 2; a seed takes the count
+    # rule, and a replication is an entry of a range, so it is an int
+    with pytest.raises(ValueError, match=r"^seed must be whole, found 2\.5$"):
         sample(GOLDEN, 8, 2.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^seed must be whole, found 2\.5$"):
         draw_count_matrix(GOLDEN, 8, 2.5, range(1))
 
 

@@ -242,7 +242,7 @@ def test_experiment_config_rejects_x_levels_not_finite_and_nonnegative(x_levels)
 def test_bound_b_must_be_positive_and_finite(bound_b):
     with pytest.raises(ValueError, match="bound_b must be positive and finite"):
         ExperimentConfig(bound_b=bound_b)
-    with pytest.raises(ValueError, match="bound_b must be positive and finite"):
+    with pytest.raises(ValueError, match="^b must be positive and finite"):
         make_problem("inside-hull", K=3, M=2, b=bound_b, seed=0)
 
 
@@ -252,7 +252,7 @@ def test_a_bound_b_whose_square_is_not_a_positive_float_is_refused(bound_b):
     # at 1e200 it overflows, as does the scale of every solve on such a problem
     with pytest.raises(ValueError, match="bound_b squared must be positive and finite"):
         ExperimentConfig(bound_b=bound_b)
-    with pytest.raises(ValueError, match="bound_b squared must be positive and finite"):
+    with pytest.raises(ValueError, match="^b squared must be positive and finite"):
         make_problem("inside-hull", K=2, M=2, b=bound_b, seed=0)
 
 
