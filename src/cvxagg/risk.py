@@ -44,12 +44,11 @@ def bayes_risk(problem: DiscreteProblem) -> float:
     return population_risk(np.divide(ymass, px, out=np.zeros(px.size), where=px > 0.0), problem)
 
 
-def mixture_variance(w: SimplexWeights, dictionary: Dictionary) -> np.ndarray:
-    """Var_J f_J(x) at every design point x, where J picks row j with probability w_j."""
+def mixture_variance(w: SimplexWeights, dictionary: Dictionary, problem: DiscreteProblem, mean: np.ndarray) -> float:
+    """`variance_term` given the mixture's first moment mean = combine(dictionary, w)."""
     vals = dictionary.values
-    s1 = combine(dictionary, w)
     s2 = w.weights @ (vals * vals)
-    return np.maximum(s2 - s1 * s1, 0.0)
+    return float(problem.marginal_x @ np.maximum(s2 - mean * mean, 0.0))
 
 
 def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscreteProblem) -> float:
@@ -59,5 +58,5 @@ def variance_term(w: SimplexWeights, dictionary: Dictionary, problem: DiscretePr
     is the exact per-point mixture variance averaged over the X marginal.
     """
     _fits(dictionary.num_design_points, problem, "a dictionary row")
-    return float(problem.marginal_x @ mixture_variance(w, dictionary))
+    return mixture_variance(w, dictionary, problem, combine(dictionary, w))
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .model import Dictionary, DiscreteProblem, SimplexWeights, _fits, _seed, _whole, combine
-from .risk import population_risk, variance_term
+from .risk import mixture_variance, population_risk
 
 # enumerate_net refuses nets with more elements than this
 DEFAULT_NET_CAP = 10**6
@@ -64,4 +64,5 @@ def expected_sparsified_risk(
     """
     m = _whole(m, "m", 1)
     _fits(dictionary.num_design_points, problem, "a dictionary row")
-    return population_risk(combine(dictionary, w), problem) + variance_term(w, dictionary, problem) / m
+    f = combine(dictionary, w)
+    return population_risk(f, problem) + mixture_variance(w, dictionary, problem, f) / m

@@ -863,20 +863,19 @@ def test_experiment_says_which_deviation_rows_cannot_fail(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "raw, key",
+    "raw, message",
     [
-        ({"replications": "5"}, "replications"),
-        ({"solver": 5}, "solver"),
-        ({"grid": [[64, 2]], "solver": {"tolerance": "1e-8"}}, "tolerance"),
+        ({"replications": "5"}, "config key 'replications' must be"),
+        ({"solver": 5}, "config key 'solver' must be"),
+        ({"grid": [[64, 2]], "solver": {"tolerance": "1e-8"}}, "tolerance must be a real number"),
     ],
     ids=["replications-string", "solver-number", "tolerance-string"],
 )
-def test_experiment_config_of_wrong_type_exits_one(workspace, capsys, raw, key):
+def test_experiment_config_of_wrong_type_exits_one(workspace, capsys, raw, message):
     cfg_path = workspace["dir"] / "exp.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["experiment", "--config", str(cfg_path), "--out", str(workspace["dir"] / "results")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"key '{key}' must be" in err
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("x_levels", [[-5.0, float("nan")], [float("inf")]], ids=["negative-nan", "inf"])

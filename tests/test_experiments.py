@@ -799,30 +799,73 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+_GRID_TYPE = "config key 'grid' must be a list of integer [n, M] pairs, found "
+_KINDS = "problem_kind must be one of ('inside-hull', 'outside-hull', 'pure-noise'), found "
+
+
+# the reader refuses what no rule sees (a key's JSON integer or container
+# type); every other bad value reaches its rule and gets the rule's message
 @pytest.mark.parametrize(
-    "raw, key",
+    "raw, message",
     [
-        ({"replications": "5"}, "replications"),
-        ({"master_seed": True}, "master_seed"),
-        ({"atoms_K": 4.0}, "atoms_K"),
-        ({"bound_b": "1"}, "bound_b"),
-        ({"noise": None}, "noise"),
-        ({"x_levels": "12"}, "x_levels"),
-        ({"problem_kind": 1}, "problem_kind"),
-        ({"solver": 5}, "solver"),
-        ({"solver": {"tolerance": "1e-8"}}, "tolerance"),
-        ({"solver": {"max_iterations": False}}, "max_iterations"),
-        ({"grid": [[64, 2.5]]}, "grid"),
-        ({"grid": [[64, 2, 3]]}, "grid"),
-        ({"grid": [64, 2]}, "grid"),
-        ({"grid": {"64": 2}}, "grid"),
+        ({"replications": "5"}, "config key 'replications' must be an integer, found '5'"),
+        ({"master_seed": True}, "config key 'master_seed' must be an integer, found True"),
+        ({"atoms_K": 4.0}, "config key 'atoms_K' must be an integer, found 4.0"),
+        ({"bound_b": "1"}, "bound_b must be a real number, found '1'"),
+        ({"noise": None}, "noise must be a real number, found None"),
+        ({"x_levels": "12"}, "config key 'x_levels' must be a list, found '12'"),
+        ({"problem_kind": 1}, _KINDS + "1"),
+        ({"solver": 5}, "config key 'solver' must be an object, found 5"),
+        ({"solver": {"tolerance": "1e-8"}}, "tolerance must be a real number, found '1e-8'"),
+        ({"solver": {"max_iterations": False}}, "solver config key 'max_iterations' must be an integer, found False"),
+        ({"grid": [[64, 2.5]]}, _GRID_TYPE + "[[64, 2.5]]"),
+        ({"grid": [[64, 2, 3]]}, _GRID_TYPE + "[[64, 2, 3]]"),
+        ({"grid": [64, 2]}, _GRID_TYPE + "[64, 2]"),
+        ({"grid": {"64": 2}}, _GRID_TYPE + "{'64': 2}"),
+        ({"grid": [[64, 2.0]]}, _GRID_TYPE + "[[64, 2.0]]"),
+        ({"solver": {"max_iterations": 5.0}}, "solver config key 'max_iterations' must be an integer, found 5.0"),
+        ({"x_levels": 2}, "config key 'x_levels' must be a list, found 2"),
+        ({"x_levels": None}, "config key 'x_levels' must be a list, found None"),
+        ({"x_levels": [True]}, "x_levels must be a number, not the bool True"),
+        ({"x_levels": ["1"]}, "x_levels must be a real number, found '1'"),
+        ({"problem_kind": ["inside-hull"]}, _KINDS + "['inside-hull']"),
+        ({"bound_b": True}, "bound_b must be a number, not the bool True"),
+        ({"noise": [0.5]}, "noise must be a real number, found [0.5]"),
+        ({"solver": {"tolerance": True}}, "tolerance must be a number, not the bool True"),
+        ({"grid": None}, _GRID_TYPE + "None"),
+        ({"replications": 5.0}, "config key 'replications' must be an integer, found 5.0"),
+        ({"solver": []}, "config key 'solver' must be an object, found []"),
     ],
 )
-def test_config_rejects_wrong_value_types(tmp_path, raw, key):
+def test_config_rejects_wrong_value_types(tmp_path, raw, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=f"key '{key}' must be"):
+    with pytest.raises(ValueError) as info:
         load_config(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"bound_b": "1"},
+        {"bound_b": True},
+        {"noise": None},
+        {"problem_kind": 1},
+        {"solver": {"tolerance": "1e-8"}},
+        {"x_levels": ["1"]},
+    ],
+)
+def test_a_bad_value_gets_one_message_from_a_file_and_from_python(tmp_path, raw):
+    # the reader does not check what a rule checks, so a value refused by a
+    # rule is refused with the rule's message whether it comes from a file or not
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as from_file:
+        load_config(path)
+    with pytest.raises(ValueError) as from_python:
+        ExperimentConfig(**{key: SolverConfig(**value) if key == "solver" else value for key, value in raw.items()})
+    assert str(from_file.value) == str(from_python.value)
 
 
 def test_config_rejects_legacy_tie_break(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvxagg import risk, sparsify
 from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from cvxagg.risk import population_risk, variance_term
 from cvxagg.sparsify import choose_m, enumerate_net, expected_sparsified_risk, sparsify_random
@@ -156,6 +157,23 @@ def test_sparsified_risk_monotone_with_exact_rate():
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
     for m, val in zip((1, 2, 4, 8, 16), values):
         assert val - base == pytest.approx(vt / m, abs=1e-15)
+
+
+def test_expected_sparsified_risk_combines_once(monkeypatch):
+    # the risk of f_w and the variance term share one combine(dictionary, w)
+    calls = []
+
+    def counted(dictionary, weights):
+        calls.append(weights)
+        return combine(dictionary, weights)
+
+    for module in (risk, sparsify):
+        monkeypatch.setattr(module, "combine", counted)
+    rng = np.random.default_rng(8)
+    p, d, w = random_problem(rng, K=4), random_dictionary(rng, M=4, K=4), random_weights(rng, 4)
+    value = expected_sparsified_risk(w, 3, d, p)
+    assert len(calls) == 1
+    assert value == population_risk(combine(d, w), p) + variance_term(w, d, p) / 3
 
 
 def test_sparsify_random_mean_matches_identity():
