@@ -74,6 +74,11 @@ class ExperimentConfig:
     noise: float = 0.5
 
     def __post_init__(self):
+        sequence = (list, tuple)  # the shapes no rule below sees; a str is not one
+        if not (isinstance(self.grid, sequence) and all(isinstance(c, sequence) and len(c) == 2 for c in self.grid)):
+            raise ValueError(f"grid must be a list or tuple of (n, M) pairs, found {self.grid!r}")
+        if not isinstance(self.x_levels, sequence):
+            raise ValueError(f"x_levels must be a list or tuple of real numbers, found {self.x_levels!r}")
         grid = tuple((_whole(n, "grid entries", 1), _whole(M, "grid entries", 1)) for n, M in self.grid)
         object.__setattr__(self, "grid", grid)
         for name, least in (("atoms_K", 1), ("replications", 1), ("master_seed", None)):
@@ -280,7 +285,8 @@ def run_trials(spans, solver_config: SolverConfig) -> Trials:
 
     A span (cell, lo, hi), replications lo..hi - 1 of one `Cell`, is drawn
     as one counts matrix, draw_count_matrix(cell.problem, cell.n, cell.seed,
-    range(lo, hi)), which checks the matrix once, and is one block of
+    range(lo, hi)), which checks its arguments and holds numpy's
+    multinomial counts (pinned by tests/test_draws.py), and is one block of
     probability rows counts / n over the cell problem's atoms for
     `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
     weight matrices it returns.  Nothing is built per trial: a block's
@@ -461,8 +467,12 @@ def _check_keys(raw: dict, cls, what: str) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON file keyed by the field names."""
-    raw = json.loads(Path(path).read_text())
+    """Read an ExperimentConfig from a JSON file keyed by the field names; a
+    file that is not UTF-8 JSON is refused with its path, as `csvio` refuses a CSV."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a json.JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     _check_keys(raw, ExperimentConfig, "config")

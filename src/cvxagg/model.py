@@ -210,14 +210,25 @@ def _seed(value, name: str = "seed") -> int:
     return word
 
 
-def _draw(problem: DiscreteProblem, n: int, seed: int, replications: range) -> list[np.ndarray]:
-    """Atom counts of one size-n dataset per replication, for arguments its caller has checked.
+def draw_count_matrix(problem: DiscreteProblem, n: int, seed: int, replications: range) -> np.ndarray:
+    """Atom counts of one size-n dataset per replication, shape (replications,
+    atoms): replication r's row is the first multinomial of the Philox stream
+    keyed (seed, r), so any range of a seed's replications gives the same rows.
 
-    One Philox bit generator serves every row: before each its state is set
-    to the key words (seed, replication) with counter 0 and an empty buffer,
-    so a row is the first multinomial of Generator(Philox(key=words)),
-    whatever rows came before it.  Building a Philox per row would seed it first.
+    replications is a nonempty range, so n, the seed and its smallest and
+    largest replication are checked once; the atoms are already checked, and
+    each row, numpy's multinomial (pinned by tests/test_draws.py), is written
+    into one preallocated int64 matrix.  One Philox bit generator serves every
+    row: before each its state is set to the key words (seed, replication)
+    with counter 0 and an empty buffer, so a row is the first multinomial of
+    Generator(Philox(key=words)), whatever rows came before it.  Building a
+    Philox per row would seed it first.
     """
+    n, seed = _whole(n, "sample size", 1), _seed(seed)
+    if not isinstance(replications, range) or not replications:
+        raise ValueError(f"replications must be a nonempty range, found {replications!r}")
+    for end in (replications[0], replications[-1]):
+        _seed(end, "replication")
     bit_generator = np.random.Philox(0)  # its state is replaced before every row
     generator = np.random.Generator(bit_generator)
     state = {
@@ -228,35 +239,11 @@ def _draw(problem: DiscreteProblem, n: int, seed: int, replications: range) -> l
         "has_uint32": 0,
         "uinteger": 0,
     }
-    rows = []
-    for replication in replications:
+    counts = np.empty((len(replications), problem.probabilities.size), dtype=np.int64)
+    for row, replication in zip(counts, replications):
         state["state"]["key"] = (seed, replication)
         bit_generator.state = state
-        rows.append(generator.multinomial(n, problem.probabilities))
-    return rows
-
-
-def draw_count_matrix(problem: DiscreteProblem, n: int, seed: int, replications: range) -> np.ndarray:
-    """Atom counts of one size-n dataset per replication, shape (replications,
-    atoms): replication r's row is the first multinomial of the Philox stream
-    keyed (seed, r), so any range of a seed's replications gives the same rows.
-
-    replications is a nonempty range, so n, the seed and its smallest and
-    largest replication are checked once, and the matrix once with the checks
-    a `SampleSet` runs on each sample's counts; the atoms are already checked.
-    """
-    n, seed = _whole(n, "sample size", 1), _seed(seed)
-    if not isinstance(replications, range) or not replications:
-        raise ValueError(f"replications must be a nonempty range, found {replications!r}")
-    for end in (replications[0], replications[-1]):
-        _seed(end, "replication")
-    counts = np.array(_draw(problem, n, seed, replications), dtype=np.int64)
-    if counts.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    if (counts.sum(axis=1) != n).any():
-        raise ValueError(f"every row of counts must sum to the sample size {n}")
-    if (np.abs((counts / n).sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
-        raise ValueError("every row of counts / n must sum to 1")
+        row[:] = generator.multinomial(n, problem.probabilities)
     return counts
 
 

@@ -597,7 +597,8 @@ def erm_convex_hull_blocks(blocks, config: SolverConfig | None = None) -> list:
     A block is (dictionary, atoms, probabilities): a `Dictionary` of any K
     and M, a `Measure` whose x_indices and y_values the block's datasets
     share, and a (datasets, atoms) matrix whose row r is dataset r's mass on
-    them, checked by the caller.  Datasets are grouped by K and face
+    them, not checked here: a `Measure`'s probabilities or a row of
+    `model.draw_count_matrix` counts / n.  Datasets are grouped by K and face
     capacity min(K, M - 1), in order of first appearance, here and nowhere
     else.  A block with no datasets is refused.  Ties in the
     linear-minimization oracle break to the lowest dictionary index, and a

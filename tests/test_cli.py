@@ -878,6 +878,24 @@ def test_experiment_config_of_wrong_type_exits_one(workspace, capsys, raw, messa
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"grid": [[64, 2]], "replications": 2', "Expecting ',' delimiter: line 1 column 38 (char 37)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["unclosed-object", "not-utf-8"],
+)
+def test_experiment_config_that_is_not_json_names_its_path(workspace, capsys, content, message):
+    # as a bad CSV is, a config file that cannot be read as JSON is reported with its path
+    cfg_path = workspace["dir"] / "exp.json"
+    cfg_path.write_bytes(content)
+    out_dir = workspace["dir"] / "results"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("x_levels", [[-5.0, float("nan")], [float("inf")]], ids=["negative-nan", "inf"])
 def test_experiment_x_levels_not_finite_and_nonnegative_exit_one(workspace, capsys, x_levels):
     # such levels used to reach report.json as NaN (not strict JSON) or as

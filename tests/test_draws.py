@@ -7,6 +7,7 @@ sample(problem, n, seed) draws replication 0.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from cvxagg import localization
 from cvxagg.experiments import make_problem
-from cvxagg.model import DiscreteProblem, draw_count_matrix, sample
+from cvxagg.model import PROB_SUM_TOL, DiscreteProblem, draw_count_matrix, sample
 
 from _support import random_problem
 
@@ -26,6 +27,21 @@ GOLDEN = DiscreteProblem(
     np.array([0.1, 0.2, 0.3, 0.15, 0.15, 0.1]),
     bound_b=1.0,
 )
+
+
+def _drawn(problem, n, seed, replications):
+    """draw_count_matrix(problem, n, seed, replications), once its matrix is
+    seen to hold what numpy's multinomial guarantees and draw_count_matrix
+    does not check: C-contiguous int64 counts with a row per replication and
+    a column per atom, every count nonnegative, every row summing to n, and
+    so every row of counts / n summing to 1 within PROB_SUM_TOL, the check a
+    Measure runs on its probabilities."""
+    counts = draw_count_matrix(problem, n, seed, replications)
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert counts.shape == (len(replications), problem.probabilities.size)
+    assert counts.min() >= 0 and (counts.sum(axis=1) == n).all()
+    assert (np.abs((counts / n).sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()
+    return counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -42,12 +58,12 @@ GOLDEN = DiscreteProblem(
 def test_a_row_is_its_keys_draw_in_any_range_and_order(problem_seed, K, atoms_per_x, n, seed, lo, size, data):
     problem = random_problem(np.random.default_rng(problem_seed), K=K, atoms_per_x=atoms_per_x)
     replications = range(lo, min(lo + size, 2**64))
-    counts = draw_count_matrix(problem, n, seed, replications)
+    counts = _drawn(problem, n, seed, replications)
     # any sub-range, strided or reversed, draws the same rows
     part = slice(data.draw(st.integers(0, len(replications) - 1)), None, data.draw(st.sampled_from([1, 2, -1, -3])))
-    assert np.array_equal(draw_count_matrix(problem, n, seed, replications[part]), counts[part])
+    assert np.array_equal(_drawn(problem, n, seed, replications[part]), counts[part])
     for replication, row in zip(replications, counts):
-        assert np.array_equal(draw_count_matrix(problem, n, seed, range(replication, replication + 1))[0], row)
+        assert np.array_equal(_drawn(problem, n, seed, range(replication, replication + 1))[0], row)
         words = np.array([seed, replication], dtype=np.uint64)  # a list of 2**63 and 0 would be read as floats
         reference = np.random.Generator(np.random.Philox(key=words)).multinomial(n, problem.probabilities)
         assert np.array_equal(reference, row)
@@ -79,6 +95,21 @@ def test_mean_counts_are_within_five_standard_errors_of_n_p():
     p = GOLDEN.probabilities
     std_error = np.sqrt(n * p * (1.0 - p) / reps)
     assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 5.0 * std_error)
+
+
+def test_a_draw_holds_one_matrix():
+    # each row is written into the returned matrix as it is drawn, so no
+    # second copy of the counts is ever held
+    problem, _ = make_problem("inside-hull", K=16, M=2, b=1.0, seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counts = draw_count_matrix(problem, 64, 5, range(20_000))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (20_000, 32)
+    assert peak <= 1.25 * counts.nbytes
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,25 @@ def test_experiment_config_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid": [[64, 2, 3]]}, "grid must be a list or tuple of (n, M) pairs, found [[64, 2, 3]]"),
+        ({"grid": [64, 2]}, "grid must be a list or tuple of (n, M) pairs, found [64, 2]"),
+        ({"grid": None}, "grid must be a list or tuple of (n, M) pairs, found None"),
+        ({"x_levels": 3.0}, "x_levels must be a list or tuple of real numbers, found 3.0"),
+        ({"x_levels": None}, "x_levels must be a list or tuple of real numbers, found None"),
+        ({"x_levels": "12"}, "x_levels must be a list or tuple of real numbers, found '12'"),
+    ],
+)
+def test_experiment_config_refuses_a_grid_or_x_levels_of_the_wrong_shape_by_name(kwargs, message):
+    # the shapes the config reader refuses in a file are refused by name when
+    # the config is built in Python too, and a string is not read as a list
+    with pytest.raises(ValueError) as refused:
+        ExperimentConfig(**kwargs)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
     "kwargs, name",
     [
         ({"grid": ((64.9, 2.5),)}, "grid entries"),
@@ -358,17 +377,6 @@ def test_converged_flags_are_the_solvers_own(cfg):
     else:
         assert flags.all()
 
-def _draw_with(change):
-    """model._draw with change applied to the counts of the second replication."""
-    draw = model._draw
-
-    def drawn(problem, n, seed, replications):
-        rows = draw(problem, n, seed, replications)
-        change(rows[1])
-        return rows
-
-    return drawn
-
 
 def _solve_with(support, u):
     """solver._minimize_fw with the second solve's row of the weight matrix
@@ -384,32 +392,21 @@ def _solve_with(support, u):
     return solved
 
 
-def _negative(counts):
-    counts[1] += counts[0] + 1
-    counts[0] = -1
-
-
-def _short(counts):
-    counts[counts.argmax()] -= 1
-
-
 @pytest.mark.parametrize(
-    "module, name, replacement, message",
+    "replacement, message",
     [
-        (model, "_draw", _draw_with(_negative), "counts must be nonnegative"),
-        (model, "_draw", _draw_with(_short), "every row of counts must sum to the sample size 16"),
-        (solver, "_minimize_fw", _solve_with([0, 1], [1.0 + 1e-9, -1e-9]), "weights must be nonnegative"),
-        (solver, "_minimize_fw", _solve_with([0, 1], [0.5, 0.5 + 1e-9]), "weights must sum to 1"),
-        (solver, "_minimize_fw", _solve_with([0], [np.nan]), "weights must be finite"),
+        (_solve_with([0, 1], [1.0 + 1e-9, -1e-9]), "weights must be nonnegative"),
+        (_solve_with([0, 1], [0.5, 0.5 + 1e-9]), "weights must sum to 1"),
+        (_solve_with([0], [np.nan]), "weights must be finite"),
     ],
-    ids=["negative-count", "row-sums-to-n-minus-1", "negative-weight", "weights-off-the-simplex", "nan-weight"],
+    ids=["negative-weight", "weights-off-the-simplex", "nan-weight"],
 )
-def test_run_trials_checks_its_counts_matrix_and_weight_matrix(monkeypatch, module, name, replacement, message):
-    # the per-trial SampleSet and SimplexWeights checks run once per matrix;
-    # one bad row of counts or of weights fails the whole call
+def test_run_trials_checks_its_weight_matrix(monkeypatch, replacement, message):
+    # the per-trial SimplexWeights checks run once per weight matrix; one
+    # bad row of weights fails the whole call
     p, d = make_problem("outside-hull", K=3, M=4, b=1.0, seed=8)
     cell = Cell(p, d, 16, 0.0, 0)
-    monkeypatch.setattr(module, name, replacement)
+    monkeypatch.setattr(solver, "_minimize_fw", replacement)
     with pytest.raises(ValueError, match=message):
         run_trials([(cell, 0, 3)], SolverConfig())
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvxagg import localization, model
+from cvxagg import localization
 from cvxagg.experiments import make_problem
 from cvxagg.localization import (
     IsomorphismReport,
@@ -282,15 +282,15 @@ def test_reused_draws_are_read_only(draw_fixture):
 @pytest.fixture
 def counted_draws(monkeypatch):
     """The key words [seed, replication] of every dataset drawn, in order,
-    recorded as model._draw draws them."""
+    recorded as localization's draw_count_matrix is called for them."""
     keys = []
-    real = model._draw
+    real = localization.draw_count_matrix
 
     def counting(problem, n, seed, replications):
         keys.extend([seed, replication] for replication in replications)
         return real(problem, n, seed, replications)
 
-    monkeypatch.setattr(model, "_draw", counting)
+    monkeypatch.setattr(localization, "draw_count_matrix", counting)
     return keys
 
 
