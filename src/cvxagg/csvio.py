@@ -13,12 +13,12 @@ or an overflowing index is refused on any numpy (one that parses a bad
 integer via a float warns, an error here); float columns must parse as
 numpy parses them (no underscore literals such as 1_0.5, no "#" comment)
 and be finite, so inf, nan and 1e999 are refused.  Each such error names
-the file and line.  Problems, dictionaries and samples also have writers.
-Each builds its file as one string, the header line and then one line per
-row of ints and the reprs of the Python floats `.tolist()` gives, and
-writes it once; a float's repr reads back bit for bit, and
-`tests/test_cli.py::test_csv_round_trips` pins the bytes to what
-`csv.writer` writes for the same rows.
+the file and line, and a file that is not UTF-8 its path.  Problems,
+dictionaries and samples also have writers.  Each builds its file as one
+string, the header line and then one line per row of ints and the reprs of
+the Python floats `.tolist()` gives, and writes it once; a float's repr
+reads back bit for bit, and `tests/test_cli.py::test_csv_round_trips` pins
+the bytes to what `csv.writer` writes for the same rows.
 """
 
 from __future__ import annotations
@@ -55,8 +55,11 @@ def _read_table(path, expected: str, row_dtype) -> np.ndarray:
     the csv module; any other line splits at its commas.  Every field is
     parsed by one `np.loadtxt` pass, and every float must be finite.
     """
-    with open(path, newline="") as handle:
-        lines = [(line_num, line.rstrip("\r\n")) for line_num, line in enumerate(handle, 1)]
+    try:
+        with open(path, newline="") as handle:
+            lines = [(line_num, line.rstrip("\r\n")) for line_num, line in enumerate(handle, 1)]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     header = _split(path, *lines[0]) if lines else None
     dtype = None if header is None else row_dtype(header)
     if dtype is None:

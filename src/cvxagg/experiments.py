@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 # `sample` and `population_risk` are unused here; perfbench/tracing.py wraps both
-from .model import Dictionary, DiscreteProblem, _real, _seed, _whole, draw_count_matrix, sample
+from .model import Dictionary, DiscreteProblem, _real, _seed, _whole, combine, draw_count_matrix, sample
 from .rates import phi_n, psi_c
-from .risk import bayes_risk, population_risk
+from .risk import bayes_risk, empirical_risk, population_risk
 from .solver import _STOP_REASONS, ErmSolution, SolverConfig, erm_convex_hull, erm_convex_hull_blocks
 
 PROBLEM_KINDS = ("inside-hull", "outside-hull", "pure-noise")
@@ -290,21 +290,20 @@ def run_trials(spans, solver_config: SolverConfig) -> Trials:
     probability rows counts / n over the cell problem's atoms for
     `solver.erm_convex_hull_blocks`, which groups the blocks and checks the
     weight matrices it returns.  Nothing is built per trial: a block's
-    excesses, the population risks of its fitted values w @ F minus the
-    cell's oracle risk, are one stacked product whose 1-D dots of
-    C-contiguous rows give `risk.population_risk`'s bits.  The trials are
-    the same for any split of the spans, since a trial's solve has the same
-    bits in any batch, those of `erm_convex_hull` on its row of counts alone.
+    excesses are `risk.empirical_risk` of `model.combine` on its weight
+    matrix, minus the cell's oracle risk, and each row of either has the
+    bits of that row passed alone.  The trials are the same for any split
+    of the spans, since a trial's solve has the same bits in any batch,
+    those of `erm_convex_hull` on its row of counts alone.
     """
     blocks = [
         (c.dictionary, c.problem, draw_count_matrix(c.problem, c.n, c.seed, range(lo, hi)) / c.n) for c, lo, hi in spans
     ]
     solved = erm_convex_hull_blocks(blocks, solver_config)
-    excess = []
-    for (cell, _, _), (weights, _) in zip(spans, solved):
-        atoms, fitted = cell.problem, np.matmul(weights[:, None, :], cell.dictionary.values)[:, 0]
-        resid = atoms.y_values - np.take(fitted, atoms.x_indices, axis=1)  # fitted[:, x] has strided rows
-        excess.append(np.matmul((resid * resid)[:, None, :], atoms.probabilities[:, None])[:, 0, 0] - cell.oracle_risk)
+    excess = [
+        empirical_risk(combine(cell.dictionary, weights), cell.problem) - cell.oracle_risk
+        for (cell, _, _), (weights, _) in zip(spans, solved)
+    ]
     return Trials(
         tuple(spans),
         excess_risk=np.concatenate(excess),
@@ -435,28 +434,27 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
+def _no_float_entry(grid) -> bool:
+    return not isinstance(grid, list) or not any(isinstance(x, float) for c in grid if isinstance(c, list) for x in c)
 
 
-# the JSON type of each config key whose rule cannot see it, as (check, description):
-# `_whole` takes 4.0 as a count, and no rule sees a container's shape
+# the JSON type of each config key whose rule cannot see it, as (check, description): `_whole` takes
+# 4.0, or a grid entry 64.0, as a count, and `SolverConfig(**solver)` needs an object; shapes are rules
 _JSON_TYPES = {
-    "grid": (_list_of(lambda cell: _list_of(_integer)(cell) and len(cell) == 2), "a list of integer [n, M] pairs"),
+    "grid": (_no_float_entry, "a list of integer [n, M] pairs"),
     "atoms_K": (_integer, "an integer"),
     "replications": (_integer, "an integer"),
     "master_seed": (_integer, "an integer"),
     "max_iterations": (_integer, "an integer"),
     "solver": (lambda value: isinstance(value, dict), "an object"),
-    "x_levels": (lambda value: isinstance(value, list), "a list"),
 }
 
 
 def _check_keys(raw: dict, cls, what: str) -> None:
-    """Every key names a field of cls, and what no rule sees holds: `solver` is an object, `grid` a
-    list of integer [n, M] pairs, `x_levels` a list, and the counts and seed JSON integers.  Every
-    other value is refused by its rule (`model._whole`, `model._real`, `_check_family`) when the
-    config is built, with the rule's message."""
+    """Every key names a field of cls, and what no rule sees holds: `solver` is an object, no grid
+    entry is a JSON float, and the counts and seed are JSON integers.  Every other value is refused
+    by its rule (`model._whole`, `model._real`, `_check_family`, the grid and x_levels shapes) when
+    the config is built, with the rule's message."""
     unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")

@@ -304,12 +304,12 @@ class Segment:
 
 
 def combine(dictionary: Dictionary, weights) -> np.ndarray:
-    """Tabulate the convex combination sum_j w_j f_j on the design points.
-
-    Accepts SimplexWeights or a raw weight vector of matching length.
-    """
+    """Tabulate the convex combination sum_j w_j f_j on the design points for SimplexWeights or a weight
+    vector, or one per row of a 2-D stack, each with the bits of its row alone: one gemv per row."""
     w = weights.weights if isinstance(weights, SimplexWeights) else np.asarray(weights, dtype=np.float64)
-    if w.shape != (dictionary.size_M,):
-        raise ValueError(f"weight length {w.size} does not match dictionary size {dictionary.size_M}")
-    return w @ dictionary.values
+    if w.ndim not in (1, 2):
+        raise ValueError(f"weights must be a vector or a 2-D stack of them, found shape {w.shape}")
+    if w.shape[-1] != dictionary.size_M:
+        raise ValueError(f"weight length {w.shape[-1]} does not match dictionary size {dictionary.size_M}")
+    return np.matmul(w[..., None, :], dictionary.values)[..., 0, :]
 

@@ -18,19 +18,19 @@ def population_risk(f: np.ndarray, problem: DiscreteProblem) -> float:
     return empirical_risk(f, problem)
 
 
-def empirical_risk(f: np.ndarray, measure: Measure) -> float:
-    """sum_i p_i (y_i - f(x_i))^2 over the atoms of a measure.
-
-    On a sample (p_i = count_i / n) this is the empirical risk R_n; on a
-    problem, the population risk R.
-    """
+def empirical_risk(f: np.ndarray, measure: Measure) -> float | np.ndarray:
+    """sum_i p_i (y_i - f(x_i))^2 over the atoms of a measure: a float for a function vector, one per row
+    of a 2-D stack.  On a sample (p_i = count_i / n) this is the empirical risk R_n; on a problem, the
+    population risk R.  Each row's residuals, taken by `np.take`, are C-contiguous and get one dot, so a
+    row has the bits of that row alone (tests/test_risk.py pins both functions' rows)."""
     f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError("function vector must be 1-D")
-    _fits(f.size, measure, "a function")
-    resid = measure.y_values - f[measure.x_indices]
+    if f.ndim not in (1, 2):
+        raise ValueError(f"function values must be a vector or a 2-D stack of them, found shape {f.shape}")
+    _fits(f.shape[-1], measure, "a function")
+    resid = measure.y_values - np.take(f, measure.x_indices, axis=-1)
     with np.errstate(over="ignore"):  # a risk past the largest float is inf
-        return float(measure.probabilities @ (resid * resid))
+        risk = np.matmul((resid * resid)[..., None, :], measure.probabilities)[..., 0]
+    return risk if f.ndim == 2 else float(risk)
 
 
 def bayes_risk(problem: DiscreteProblem) -> float:

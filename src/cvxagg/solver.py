@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import risk
-from .model import Dictionary, Measure, Segment, SimplexWeights, _fits, _real, _whole, simplex_rows
+from .model import Dictionary, Measure, Segment, SimplexWeights, _fits, _real, _whole, combine, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -663,7 +663,7 @@ def erm_convex_hull(
     solves = {name: x.item() for name, x in statistics.items()}
     return ErmSolution(
         weights=SimplexWeights(w),
-        empirical_risk=max(risk.empirical_risk(w @ dictionary.values, data), 0.0),
+        empirical_risk=max(risk.empirical_risk(combine(dictionary, w), data), 0.0),
         **{**solves, "stop_reason": _STOP_REASONS[solves["stop_reason"]]},
     )
 

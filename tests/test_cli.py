@@ -230,6 +230,18 @@ def test_csv_module_errors_exit_one(workspace, capsys, key, text, message):
     assert capsys.readouterr().err.startswith(f"error: {workspace[key]}: line 2: {message}")
 
 
+@pytest.mark.parametrize("key", ["problem", "dict", "samples", "weights"])
+def test_a_csv_file_that_is_not_utf8_names_its_path(workspace, capsys, key):
+    # the decoder's error used to reach the CLI with no path; line 2 holds the byte 0xff
+    header = workspace[key].read_bytes().split(b"\n")[0]
+    workspace[key].write_bytes(header + b"\n0,\xff\n")
+    files = [f"--{name}={workspace[name]}" for name in ("dict", "problem", "weights", "samples")]
+    assert main(["solve", files[0], files[3]] if key == "samples" else ["sparsify", *files[:3], "--m", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {workspace[key]}: 'utf-8' codec can't decode byte 0xff in position {len(header) + 3}"
+    )
+
+
 # a file of two data rows, for each reader, with the index and one float of its
 # third line left open; line 2 is always well formed
 _TWO_ROWS = {

@@ -797,11 +797,14 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 _GRID_TYPE = "config key 'grid' must be a list of integer [n, M] pairs, found "
+_GRID_SHAPE = "grid must be a list or tuple of (n, M) pairs, found "
+_X_LEVELS_SHAPE = "x_levels must be a list or tuple of real numbers, found "
 _KINDS = "problem_kind must be one of ('inside-hull', 'outside-hull', 'pure-noise'), found "
 
 
-# the reader refuses what no rule sees (a key's JSON integer or container
-# type); every other bad value reaches its rule and gets the rule's message
+# the reader refuses what no rule sees (a key's JSON integer, a JSON float in
+# the grid, a solver that is not an object); every other bad value, a grid's or
+# x_levels' shape too, reaches its rule and gets the rule's message
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -810,26 +813,26 @@ _KINDS = "problem_kind must be one of ('inside-hull', 'outside-hull', 'pure-nois
         ({"atoms_K": 4.0}, "config key 'atoms_K' must be an integer, found 4.0"),
         ({"bound_b": "1"}, "bound_b must be a real number, found '1'"),
         ({"noise": None}, "noise must be a real number, found None"),
-        ({"x_levels": "12"}, "config key 'x_levels' must be a list, found '12'"),
+        ({"x_levels": "12"}, _X_LEVELS_SHAPE + "'12'"),
         ({"problem_kind": 1}, _KINDS + "1"),
         ({"solver": 5}, "config key 'solver' must be an object, found 5"),
         ({"solver": {"tolerance": "1e-8"}}, "tolerance must be a real number, found '1e-8'"),
         ({"solver": {"max_iterations": False}}, "solver config key 'max_iterations' must be an integer, found False"),
         ({"grid": [[64, 2.5]]}, _GRID_TYPE + "[[64, 2.5]]"),
-        ({"grid": [[64, 2, 3]]}, _GRID_TYPE + "[[64, 2, 3]]"),
-        ({"grid": [64, 2]}, _GRID_TYPE + "[64, 2]"),
-        ({"grid": {"64": 2}}, _GRID_TYPE + "{'64': 2}"),
+        ({"grid": [[64, 2, 3]]}, _GRID_SHAPE + "[[64, 2, 3]]"),
+        ({"grid": [64, 2]}, _GRID_SHAPE + "[64, 2]"),
+        ({"grid": {"64": 2}}, _GRID_SHAPE + "{'64': 2}"),
         ({"grid": [[64, 2.0]]}, _GRID_TYPE + "[[64, 2.0]]"),
         ({"solver": {"max_iterations": 5.0}}, "solver config key 'max_iterations' must be an integer, found 5.0"),
-        ({"x_levels": 2}, "config key 'x_levels' must be a list, found 2"),
-        ({"x_levels": None}, "config key 'x_levels' must be a list, found None"),
+        ({"x_levels": 2}, _X_LEVELS_SHAPE + "2"),
+        ({"x_levels": None}, _X_LEVELS_SHAPE + "None"),
         ({"x_levels": [True]}, "x_levels must be a number, not the bool True"),
         ({"x_levels": ["1"]}, "x_levels must be a real number, found '1'"),
         ({"problem_kind": ["inside-hull"]}, _KINDS + "['inside-hull']"),
         ({"bound_b": True}, "bound_b must be a number, not the bool True"),
         ({"noise": [0.5]}, "noise must be a real number, found [0.5]"),
         ({"solver": {"tolerance": True}}, "tolerance must be a number, not the bool True"),
-        ({"grid": None}, _GRID_TYPE + "None"),
+        ({"grid": None}, _GRID_SHAPE + "None"),
         ({"replications": 5.0}, "config key 'replications' must be an integer, found 5.0"),
         ({"solver": []}, "config key 'solver' must be an object, found []"),
     ],
@@ -851,6 +854,12 @@ def test_config_rejects_wrong_value_types(tmp_path, raw, message):
         {"problem_kind": 1},
         {"solver": {"tolerance": "1e-8"}},
         {"x_levels": ["1"]},
+        {"grid": [[64, 2, 3]]},
+        {"grid": [64, 2]},
+        {"grid": None},
+        {"x_levels": "12"},
+        {"x_levels": 2},
+        {"x_levels": None},
     ],
 )
 def test_a_bad_value_gets_one_message_from_a_file_and_from_python(tmp_path, raw):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvxagg.model import Dictionary, DiscreteProblem, SimplexWeights, combine
 from cvxagg.risk import empirical_risk, population_risk, variance_term
@@ -152,3 +156,43 @@ def test_a_weight_vector_of_another_length_gets_combines_one_message():
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "weight length 2 does not match dictionary size 3"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 300),
+    M=st.integers(1, 300),
+    B=st.integers(1, 40),
+    on_sample=st.booleans(),
+    data=st.data(),
+)
+def test_a_stacked_row_has_the_bits_of_the_row_alone(seed, K, M, B, on_sample, data):
+    # run_trials takes a block's excesses as empirical_risk(combine(d, W), problem)
+    # minus the oracle risk, on the weight rows erm_convex_hull_blocks returns:
+    # a column slice of a wider matrix, so rows that are not adjacent in memory
+    rng = np.random.default_rng(seed)
+    d, problem = random_dictionary(rng, M, K), random_problem(rng, K=K)
+    n = data.draw(st.integers(1, 300))
+    measure = pairs(rng.integers(0, K, size=n), rng.uniform(-1, 1, size=n)) if on_sample else problem
+    wide = rng.dirichlet(np.ones(M + 3), size=B)
+    for W in (wide[:, :M], np.ascontiguousarray(wide[:, :M]), np.asfortranarray(wide[:, :M])):
+        F = combine(d, W)
+        assert F.shape == (B, K)
+        for b in range(B):
+            assert F[b].tobytes() == combine(d, W[b]).tobytes()
+        for stack in (F, np.hstack([F, F])[:, :K]):
+            risks = empirical_risk(stack, measure)
+            assert risks.shape == (B,)
+            for b in range(B):
+                assert risks[b] == empirical_risk(stack[b], measure)
+    # a row whose risk overflows is inf and leaves the other rows' bits alone
+    over, risks = data.draw(st.integers(0, B - 1)), empirical_risk(F, measure)
+    F[over] = 1e200
+    overflowed = empirical_risk(F, measure)
+    assert overflowed[over] == math.inf
+    assert np.delete(overflowed, over).tobytes() == np.delete(risks, over).tobytes()
+    with pytest.raises(ValueError, match="a 2-D stack"):
+        combine(d, W[None])
+    with pytest.raises(ValueError, match="a 2-D stack"):
+        empirical_risk(F[None], measure)
